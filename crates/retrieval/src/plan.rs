@@ -383,15 +383,10 @@ impl Plan {
         match self {
             Plan::Lookup { workload, policy, pc, address } => {
                 let entry = Self::entry(db, workload, policy, scope)?;
-                let mut pred = Predicate::True;
-                if let Some(pc) = pc {
-                    pred = pred.and(Predicate::PcEquals(*pc));
-                }
-                if let Some(addr) = address {
-                    pred = pred.and(Predicate::AddressEquals(*addr));
-                }
-                let rows = entry.frame.filter(&pred);
-                let row = rows.first().ok_or(PlanError::EmptyResult)?;
+                let row = entry
+                    .frame
+                    .first(&Predicate::pc_address(*pc, *address))
+                    .ok_or(PlanError::EmptyResult)?;
                 Ok(vec![Fact::Outcome {
                     pc: Some(row.pc),
                     address: Some(row.address),
@@ -516,13 +511,7 @@ impl Plan {
             }
             Plan::CountRows { workload, policy, pc, address, misses_only } => {
                 let entry = Self::entry(db, workload, policy, scope)?;
-                let mut pred = Predicate::True;
-                if let Some(pc) = pc {
-                    pred = pred.and(Predicate::PcEquals(*pc));
-                }
-                if let Some(addr) = address {
-                    pred = pred.and(Predicate::AddressEquals(*addr));
-                }
+                let mut pred = Predicate::pc_address(*pc, *address);
                 if *misses_only {
                     pred = pred.and(Predicate::IsMiss(true));
                 }
@@ -706,11 +695,7 @@ impl Plan {
                 let entry = Self::entry(db, workload, policy, baked)?;
                 let row = entry
                     .frame
-                    .rows()
-                    .iter()
-                    .find(|r| {
-                        pc.is_none_or(|p| r.pc == p) && address.is_none_or(|a| r.address == a)
-                    })
+                    .first(&Predicate::pc_address(*pc, *address))
                     .ok_or(PlanError::EmptyResult)?;
                 Ok(vec![Fact::Outcome {
                     pc: Some(row.pc),

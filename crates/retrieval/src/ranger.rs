@@ -186,7 +186,7 @@ impl RangerRetriever {
         let pc = intent.pc?;
         let homes: Vec<String> = db
             .select(&intent.selector.machine_scope())
-            .filter(|e| e.frame.rows().iter().any(|r| r.pc == pc))
+            .filter(|e| e.frame.contains_pc(pc))
             .map(|e| e.id.workload.clone())
             .collect::<std::collections::BTreeSet<_>>()
             .into_iter()

@@ -78,11 +78,10 @@ impl SieveRetriever {
         intent: &QueryIntent,
     ) -> Option<Fact> {
         let pc = intent.pc?;
-        let pc_in_trace = entry.frame.rows().iter().any(|r| r.pc == pc);
-        if !pc_in_trace {
+        if !entry.frame.contains_pc(pc) {
             let elsewhere: Vec<String> = db
                 .select(&intent.selector.machine_scope())
-                .filter(|e| e.frame.rows().iter().any(|r| r.pc == pc))
+                .filter(|e| e.frame.contains_pc(pc))
                 .map(|e| e.id.workload.clone())
                 .collect::<std::collections::BTreeSet<_>>()
                 .into_iter()
@@ -95,7 +94,7 @@ impl SieveRetriever {
             return Some(Fact::PremiseViolation { reason });
         }
         if let Some(addr) = intent.address {
-            let pair_exists = entry.frame.rows().iter().any(|r| r.pc == pc && r.address == addr);
+            let pair_exists = entry.frame.rows_for_pc(pc).any(|r| r.address == addr);
             if !pair_exists {
                 return Some(Fact::PremiseViolation {
                     reason: format!("PC {pc} never accesses address {addr} in this trace"),
@@ -203,14 +202,8 @@ impl Retriever for SieveRetriever {
                         facts.push(violation);
                     } else {
                         // Stage 2: symbolic PC/address filters.
-                        let mut pred = Predicate::True;
-                        if let Some(pc) = intent.pc {
-                            pred = pred.and(Predicate::PcEquals(pc));
-                        }
-                        if let Some(addr) = intent.address {
-                            pred = pred.and(Predicate::AddressEquals(addr));
-                        }
-                        if let Some(row) = entry.frame.filter(&pred).first() {
+                        let pred = Predicate::pc_address(intent.pc, intent.address);
+                        if let Some(row) = entry.frame.first(&pred) {
                             facts.push(Fact::Outcome {
                                 pc: Some(row.pc),
                                 address: Some(row.address),
@@ -302,13 +295,7 @@ impl Retriever for SieveRetriever {
                 // Sieve has no aggregate template: it returns a *capped*
                 // slice and computes over what it sees.
                 if let Some(entry) = entry {
-                    let mut pred = Predicate::True;
-                    if let Some(pc) = intent.pc {
-                        pred = pred.and(Predicate::PcEquals(pc));
-                    }
-                    if let Some(addr) = intent.address {
-                        pred = pred.and(Predicate::AddressEquals(addr));
-                    }
+                    let pred = Predicate::pc_address(intent.pc, intent.address);
                     let rows = entry.frame.filter(&pred);
                     let total = rows.len();
                     let visible = &rows[..total.min(self.slice_cap)];

@@ -1414,6 +1414,26 @@ mod tests {
     }
 
     #[test]
+    fn a_too_deeply_nested_line_is_one_bad_request_and_the_engine_serves_on() {
+        let engine = engine(1);
+        let refused = engine.serve_line(&"[".repeat(200_000), false, "stdin", None);
+        assert_eq!(refused.rendered.lines().count(), 1, "{}", refused.rendered);
+        let response = serde_json::from_str(&refused.rendered).expect("a JSON response");
+        assert_eq!(response.get("error_kind").and_then(Value::as_str), Some("bad_request"));
+        let errors = engine.stats_value();
+        assert_eq!(
+            errors.get("errors").and_then(|e| e.get("total")).and_then(Value::as_u64),
+            Some(1)
+        );
+
+        let q = "{\"question\": \"What is the overall miss rate of the mcf workload under LRU?\"}";
+        let answered = engine.serve_line(q, false, "stdin", None);
+        let response = serde_json::from_str(&answered.rendered).expect("a JSON response");
+        assert!(response.get("error_kind").is_none(), "{}", answered.rendered);
+        assert_eq!(answered.opened_session, Some(1));
+    }
+
+    #[test]
     fn stats_lines_carry_their_transport_and_connection_context() {
         let engine = engine(1);
         let stdin = engine.handle_line("{\"stats\": true}", true);

@@ -134,6 +134,19 @@ impl std::fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
+/// Decodes one protocol line. A line nested past the parser's depth limit
+/// is refused as a `bad_request`: it may be well-formed JSON, just not a
+/// request this server accepts.
+fn parse_line(line: &str) -> Result<Value, ProtocolError> {
+    serde_json::from_str(line).map_err(|e| {
+        if e.is_too_deep() {
+            ProtocolError::BadRequest(e.to_string())
+        } else {
+            ProtocolError::InvalidJson(e.to_string())
+        }
+    })
+}
+
 /// A question addressed to one chat session.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AskRequest {
@@ -174,8 +187,7 @@ impl AskRequest {
 
     /// Parses one request line (v1 or v2).
     pub fn from_json(line: &str) -> Result<Self, ProtocolError> {
-        let value =
-            serde_json::from_str(line).map_err(|e| ProtocolError::InvalidJson(e.to_string()))?;
+        let value = parse_line(line)?;
         Self::from_value(&value)
     }
 
@@ -291,8 +303,7 @@ impl Request {
     /// `stats` when it carries `"stats": true`, a `shutdown` when it
     /// carries `"shutdown": true`, an [`AskRequest`] otherwise.
     pub fn from_json(line: &str) -> Result<Self, ProtocolError> {
-        let value =
-            serde_json::from_str(line).map_err(|e| ProtocolError::InvalidJson(e.to_string()))?;
+        let value = parse_line(line)?;
         if let Some(flag) = value.get("open") {
             if flag.as_bool() != Some(true) {
                 return Err(ProtocolError::BadRequest("'open' must be the boolean true".into()));
@@ -584,8 +595,7 @@ impl AskResponse {
     /// Parses a response line back into the typed shape (the load-driver
     /// and round-trip-test counterpart of [`AskResponse::to_json`]).
     pub fn from_json(line: &str) -> Result<Self, ProtocolError> {
-        let value =
-            serde_json::from_str(line).map_err(|e| ProtocolError::InvalidJson(e.to_string()))?;
+        let value = parse_line(line)?;
         let session = value
             .get("session")
             .and_then(Value::as_u64)

@@ -1,7 +1,7 @@
 //! The trace database and its builder: simulate workloads under policies
 //! and store the annotated traces.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -189,6 +189,10 @@ pub struct TraceEntry {
 #[derive(Debug, Clone, Default)]
 pub struct TraceDatabase {
     entries: BTreeMap<String, TraceEntry>,
+    /// Distinct workload and policy names of `entries`, kept up to date by
+    /// `insert`. A key fixes both names, so the sets only grow.
+    workloads: BTreeSet<String>,
+    policies: BTreeSet<String>,
     llc: Option<CacheConfig>,
 }
 
@@ -200,6 +204,8 @@ impl TraceDatabase {
 
     /// Inserts an entry, replacing any previous trace with the same id.
     pub fn insert(&mut self, entry: TraceEntry) {
+        self.workloads.insert(entry.id.workload.clone());
+        self.policies.insert(entry.id.policy.clone());
         self.entries.insert(entry.id.key(), entry);
     }
 
@@ -223,30 +229,14 @@ impl TraceDatabase {
         self.entries.values()
     }
 
-    /// Distinct workload names present.
+    /// Distinct workload names present, sorted.
     pub fn workloads(&self) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .entries
-            .values()
-            .map(|e| e.id.workload.clone())
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        v.sort();
-        v
+        self.workloads.iter().cloned().collect()
     }
 
-    /// Distinct policy names present.
+    /// Distinct policy names present, sorted.
     pub fn policies(&self) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .entries
-            .values()
-            .map(|e| e.id.policy.clone())
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        v.sort();
-        v
+        self.policies.iter().cloned().collect()
     }
 
     /// The LLC geometry the traces were produced under (if built by the
@@ -792,7 +782,7 @@ impl TraceDatabaseBuilder {
     pub fn build_serial(self) -> Result<TraceDatabase, BuildError> {
         self.validate()?;
         let _span = cachemind_obs::global().span(cachemind_obs::names::TRACEDB_BUILD);
-        let mut db = TraceDatabase { entries: BTreeMap::new(), llc: Some(self.llc.clone()) };
+        let mut db = TraceDatabase { llc: Some(self.llc.clone()), ..TraceDatabase::default() };
         for wname in &self.workloads {
             let workload: Workload = workload_by_name(wname, self.scale)
                 .ok_or_else(|| BuildError::UnknownWorkload(wname.clone()))?;

@@ -71,6 +71,32 @@ impl Predicate {
         Predicate::Not(Box::new(self))
     }
 
+    /// The rows a question about `pc` and/or `address` names: [`True`]
+    /// narrowed by each one given.
+    ///
+    /// [`True`]: Predicate::True
+    pub fn pc_address(pc: Option<Pc>, address: Option<Address>) -> Predicate {
+        let mut pred = Predicate::True;
+        if let Some(pc) = pc {
+            pred = pred.and(Predicate::PcEquals(pc));
+        }
+        if let Some(addr) = address {
+            pred = pred.and(Predicate::AddressEquals(addr));
+        }
+        pred
+    }
+
+    /// The PC every matching row must carry, when the predicate pins one:
+    /// a `PcEquals` at the root or reached through `And` only. `Or` and
+    /// `Not` can admit rows of other PCs, so the search stops at them.
+    pub fn pc_key(&self) -> Option<Pc> {
+        match self {
+            Predicate::PcEquals(pc) => Some(*pc),
+            Predicate::And(a, b) => a.pc_key().or_else(|| b.pc_key()),
+            _ => None,
+        }
+    }
+
     /// Evaluates the predicate against one row.
     pub fn matches(&self, row: &TraceRow) -> bool {
         match self {

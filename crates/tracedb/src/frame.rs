@@ -1,6 +1,6 @@
 //! [`TraceFrame`] — the database's per-trace "data_frame".
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use cachemind_sim::addr::Pc;
 use cachemind_workloads::program::ProgramImage;
@@ -13,16 +13,76 @@ use crate::record::TraceRow;
 /// Equivalent to the paper's pandas `data_frame`, with text columns
 /// (`function_name`, `function_code`, `assembly_code`) joined lazily from
 /// the shared [`ProgramImage`].
-#[derive(Debug, Clone)]
+///
+/// Every PC-scoped read goes through a per-PC index of the rows, built on
+/// first use and kept for the frame's lifetime (the rows never change
+/// after construction). It is derived state: snapshots do not store it.
+#[derive(Clone)]
 pub struct TraceFrame {
     rows: Vec<TraceRow>,
     program: Arc<ProgramImage>,
+    pc_index: OnceLock<PcIndex>,
+}
+
+/// The distinct PCs of a frame, ascending, each with the ids of its rows
+/// in stream order. About 4 B per row plus 12 B per distinct PC.
+#[derive(Debug, Clone)]
+struct PcIndex {
+    pcs: Vec<Pc>,
+    /// `postings[starts[i]..starts[i + 1]]` are the row ids of `pcs[i]`.
+    starts: Vec<u32>,
+    postings: Vec<u32>,
+}
+
+impl PcIndex {
+    fn build(rows: &[TraceRow]) -> Self {
+        let mut pairs: Vec<(Pc, u32)> = rows
+            .iter()
+            .enumerate()
+            .map(|(id, r)| (r.pc, u32::try_from(id).expect("frame row ids fit in u32")))
+            .collect();
+        // Ids are unique, so the unstable sort is total and keeps each
+        // PC's ids ascending, i.e. in stream order.
+        pairs.sort_unstable();
+        let mut index = PcIndex {
+            pcs: Vec::new(),
+            starts: Vec::new(),
+            postings: Vec::with_capacity(rows.len()),
+        };
+        for (pc, id) in pairs {
+            if index.pcs.last() != Some(&pc) {
+                index.pcs.push(pc);
+                index.starts.push(index.postings.len() as u32);
+            }
+            index.postings.push(id);
+        }
+        index.starts.push(index.postings.len() as u32);
+        index
+    }
+
+    fn postings(&self, pc: Pc) -> &[u32] {
+        match self.pcs.binary_search(&pc) {
+            Ok(i) => &self.postings[self.starts[i] as usize..self.starts[i + 1] as usize],
+            Err(_) => &[],
+        }
+    }
+}
+
+impl std::fmt::Debug for TraceFrame {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The index is left out: whether it has been built yet must not
+        // change how a frame prints.
+        f.debug_struct("TraceFrame")
+            .field("rows", &self.rows)
+            .field("program", &self.program)
+            .finish_non_exhaustive()
+    }
 }
 
 impl TraceFrame {
     /// Creates a frame over `rows` with `program` as the code-lookup source.
     pub fn new(rows: Vec<TraceRow>, program: Arc<ProgramImage>) -> Self {
-        TraceFrame { rows, program }
+        TraceFrame { rows, program, pc_index: OnceLock::new() }
     }
 
     /// Number of rows.
@@ -45,22 +105,58 @@ impl TraceFrame {
         &self.program
     }
 
+    fn pc_index(&self) -> &PcIndex {
+        self.pc_index.get_or_init(|| PcIndex::build(&self.rows))
+    }
+
+    /// Distinct PCs, ascending.
+    pub fn pcs(&self) -> &[Pc] {
+        &self.pc_index().pcs
+    }
+
+    /// Whether any row was issued by `pc`.
+    pub fn contains_pc(&self, pc: Pc) -> bool {
+        self.pc_index().pcs.binary_search(&pc).is_ok()
+    }
+
+    /// The rows issued by `pc`, in stream order.
+    pub fn rows_for_pc(&self, pc: Pc) -> impl ExactSizeIterator<Item = &TraceRow> + '_ {
+        self.pc_index().postings(pc).iter().map(|&id| &self.rows[id as usize])
+    }
+
+    /// Rows matching `predicate`, in stream order. A predicate that pins a
+    /// PC ([`Predicate::pc_key`]) is evaluated over that PC's rows only.
+    fn matching<'a, 'p>(
+        &'a self,
+        predicate: &'p Predicate,
+    ) -> impl Iterator<Item = &'a TraceRow> + use<'a, 'p> {
+        let (scan, ids): (&[TraceRow], &[u32]) = match predicate.pc_key() {
+            Some(pc) => (&[], self.pc_index().postings(pc)),
+            None => (&self.rows, &[]),
+        };
+        scan.iter()
+            .chain(ids.iter().map(|&id| &self.rows[id as usize]))
+            .filter(move |r| predicate.matches(r))
+    }
+
     /// Rows matching `predicate`, in stream order (borrowed).
     pub fn filter(&self, predicate: &Predicate) -> Vec<&TraceRow> {
-        self.rows.iter().filter(|r| predicate.matches(r)).collect()
+        self.matching(predicate).collect()
+    }
+
+    /// The first row matching `predicate` in stream order.
+    pub fn first(&self, predicate: &Predicate) -> Option<&TraceRow> {
+        self.matching(predicate).next()
     }
 
     /// Number of rows matching `predicate`.
     pub fn count(&self, predicate: &Predicate) -> usize {
-        self.rows.iter().filter(|r| predicate.matches(r)).count()
+        self.matching(predicate).count()
     }
 
     /// A new frame containing only rows matching `predicate` (cloned).
     pub fn select(&self, predicate: &Predicate) -> TraceFrame {
-        TraceFrame {
-            rows: self.rows.iter().filter(|r| predicate.matches(r)).cloned().collect(),
-            program: Arc::clone(&self.program),
-        }
+        TraceFrame::new(self.matching(predicate).cloned().collect(), Arc::clone(&self.program))
     }
 
     /// The `function_name` column value for a PC.
@@ -80,14 +176,15 @@ impl TraceFrame {
 
     /// Distinct PCs in first-seen order.
     pub fn unique_pcs(&self) -> Vec<Pc> {
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        for r in &self.rows {
-            if seen.insert(r.pc) {
-                out.push(r.pc);
-            }
-        }
-        out
+        let index = self.pc_index();
+        let mut firsts: Vec<(u32, Pc)> = index
+            .pcs
+            .iter()
+            .zip(&index.starts)
+            .map(|(&pc, &start)| (index.postings[start as usize], pc))
+            .collect();
+        firsts.sort_unstable();
+        firsts.into_iter().map(|(_, pc)| pc).collect()
     }
 
     /// Renders the frame as CSV, one row per access, with the paper's

@@ -10,7 +10,7 @@
 //! serve layer, however, can see the shard structure and uses it to group
 //! batched queries.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use cachemind_sim::config::CacheConfig;
 
@@ -30,6 +30,9 @@ use crate::store::{shard_index, TraceStore};
 pub struct ShardedTraceDatabase {
     shards: Vec<TraceDatabase>,
     assignment: BTreeMap<String, usize>,
+    /// Distinct workload and policy names across all shards.
+    workloads: BTreeSet<String>,
+    policies: BTreeSet<String>,
 }
 
 impl ShardedTraceDatabase {
@@ -50,13 +53,16 @@ impl ShardedTraceDatabase {
             })
             .collect();
         let mut assignment = BTreeMap::new();
+        let (mut workloads, mut policies) = (BTreeSet::new(), BTreeSet::new());
         for entry in entries {
+            workloads.insert(entry.id.workload.clone());
+            policies.insert(entry.id.policy.clone());
             let key = entry.id.key();
             let shard = shard_index(&key, n);
             assignment.insert(key, shard);
             parts[shard].insert(entry);
         }
-        ShardedTraceDatabase { shards: parts, assignment }
+        ShardedTraceDatabase { shards: parts, assignment, workloads, policies }
     }
 
     /// Number of shards (including empty ones).
@@ -144,19 +150,11 @@ impl TraceStore for ShardedTraceDatabase {
     }
 
     fn workloads(&self) -> Vec<String> {
-        let mut set = std::collections::BTreeSet::new();
-        for shard in &self.shards {
-            set.extend(shard.workloads());
-        }
-        set.into_iter().collect()
+        self.workloads.iter().cloned().collect()
     }
 
     fn policies(&self) -> Vec<String> {
-        let mut set = std::collections::BTreeSet::new();
-        for shard in &self.shards {
-            set.extend(shard.policies());
-        }
-        set.into_iter().collect()
+        self.policies.iter().cloned().collect()
     }
 
     fn llc_config(&self) -> Option<&CacheConfig> {
@@ -201,6 +199,23 @@ mod tests {
         // entries() iterates in ascending key order.
         let keys: Vec<String> = TraceStore::entries(&s).map(|e| e.id.key()).collect();
         assert_eq!(keys, s.trace_keys());
+    }
+
+    #[test]
+    fn name_sets_kept_on_insert_match_a_scan_of_the_entries() {
+        let scan = |store: &dyn TraceStore, name: fn(&TraceEntry) -> &str| -> Vec<String> {
+            let names: BTreeSet<String> = store.entries().map(|e| name(e).to_owned()).collect();
+            names.into_iter().collect()
+        };
+        let s = sharded(3);
+        let mut flat = s.clone().into_unified();
+        // Re-inserting a stored key replaces the entry, not the names.
+        let again = flat.entries().next().expect("demo entries").clone();
+        flat.insert(again);
+        for store in [&s as &dyn TraceStore, &flat] {
+            assert_eq!(store.workloads(), scan(store, |e| &e.id.workload));
+            assert_eq!(store.policies(), scan(store, |e| &e.id.policy));
+        }
     }
 
     #[test]

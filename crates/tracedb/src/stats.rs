@@ -9,6 +9,7 @@ use cachemind_sim::addr::{Address, Pc};
 
 use crate::filter::Predicate;
 use crate::frame::TraceFrame;
+use crate::record::TraceRow;
 
 /// Per-PC statistics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -94,58 +95,12 @@ impl CacheStatisticalExpert {
 
     /// Per-PC statistics over the whole frame, ascending by PC.
     pub fn per_pc(&self, frame: &TraceFrame) -> Vec<PcStats> {
-        #[derive(Default)]
-        struct Acc {
-            accesses: u64,
-            hits: u64,
-            misses: u64,
-            reuse: Vec<f64>,
-            evicted_reuse: Vec<f64>,
-            evictions: u64,
-        }
-        let mut map: HashMap<Pc, Acc> = HashMap::new();
-        for row in frame.rows() {
-            let acc = map.entry(row.pc).or_default();
-            acc.accesses += 1;
-            if row.is_miss {
-                acc.misses += 1;
-            } else {
-                acc.hits += 1;
-            }
-            if let Some(d) = row.accessed_reuse_distance {
-                acc.reuse.push(d as f64);
-            }
-            if let Some(d) = row.evicted_reuse_distance {
-                acc.evicted_reuse.push(d as f64);
-            }
-            if row.evicted_address.is_some() {
-                acc.evictions += 1;
-            }
-        }
-        let mut out: Vec<PcStats> = map
-            .into_iter()
-            .map(|(pc, acc)| {
-                let (mean, sd) = mean_stddev(&acc.reuse);
-                let (emean, _) = mean_stddev(&acc.evicted_reuse);
-                PcStats {
-                    pc,
-                    accesses: acc.accesses,
-                    hits: acc.hits,
-                    misses: acc.misses,
-                    mean_accessed_reuse: mean,
-                    mean_evicted_reuse: emean,
-                    reuse_stddev: sd,
-                    evictions_caused: acc.evictions,
-                }
-            })
-            .collect();
-        out.sort_by_key(|s| s.pc);
-        out
+        frame.pcs().iter().map(|&pc| pc_stats_over(pc, frame.rows_for_pc(pc))).collect()
     }
 
     /// Statistics for one PC, if it appears in the frame.
     pub fn pc_stats(&self, frame: &TraceFrame, pc: Pc) -> Option<PcStats> {
-        self.per_pc(&frame.select(&Predicate::PcEquals(pc))).pop()
+        frame.contains_pc(pc).then(|| pc_stats_over(pc, frame.rows_for_pc(pc)))
     }
 
     /// Per-set statistics, ascending by set index.
@@ -192,12 +147,7 @@ impl CacheStatisticalExpert {
     /// All recorded outcomes for accesses by `pc` to `address` (byte-exact),
     /// in stream order. `true` = miss.
     pub fn outcomes_for(&self, frame: &TraceFrame, pc: Pc, address: Address) -> Vec<bool> {
-        frame
-            .rows()
-            .iter()
-            .filter(|r| r.pc == pc && r.address == address)
-            .map(|r| r.is_miss)
-            .collect()
+        frame.rows_for_pc(pc).filter(|r| r.address == address).map(|r| r.is_miss).collect()
     }
 
     /// Mean of the `evicted_address_reuse_distance_numeric` column over a
@@ -209,6 +159,36 @@ impl CacheStatisticalExpert {
             .filter_map(|r| r.evicted_reuse_distance.map(|d| d as f64))
             .collect();
         mean_stddev(&values).0
+    }
+}
+
+/// Accumulates one PC's statistics over its rows, taken in stream order
+/// so the reuse means sum in the same order on every path.
+fn pc_stats_over<'a>(pc: Pc, rows: impl Iterator<Item = &'a TraceRow>) -> PcStats {
+    let (mut accesses, mut misses, mut evictions) = (0u64, 0u64, 0u64);
+    let (mut reuse, mut evicted_reuse) = (Vec::new(), Vec::new());
+    for row in rows {
+        accesses += 1;
+        misses += row.is_miss as u64;
+        if let Some(d) = row.accessed_reuse_distance {
+            reuse.push(d as f64);
+        }
+        if let Some(d) = row.evicted_reuse_distance {
+            evicted_reuse.push(d as f64);
+        }
+        evictions += row.evicted_address.is_some() as u64;
+    }
+    let (mean, sd) = mean_stddev(&reuse);
+    let (emean, _) = mean_stddev(&evicted_reuse);
+    PcStats {
+        pc,
+        accesses,
+        hits: accesses - misses,
+        misses,
+        mean_accessed_reuse: mean,
+        mean_evicted_reuse: emean,
+        reuse_stddev: sd,
+        evictions_caused: evictions,
     }
 }
 
@@ -225,7 +205,6 @@ fn mean_stddev(values: &[f64]) -> (Option<f64>, Option<f64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::TraceRow;
     use cachemind_sim::addr::SetId;
     use cachemind_workloads::program::ProgramImage;
     use std::sync::Arc;

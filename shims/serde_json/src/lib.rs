@@ -71,13 +71,28 @@ fn pretty(compact: &str) -> String {
     out
 }
 
-/// Serialization error (never produced by the shim).
+/// A parse error from [`from_str`].
 #[derive(Debug)]
-pub struct Error(String);
+pub struct Error {
+    message: String,
+    too_deep: bool,
+}
+
+impl Error {
+    fn msg(message: impl Into<String>) -> Self {
+        Error { message: message.into(), too_deep: false }
+    }
+
+    /// Whether parsing stopped at the [`MAX_DEPTH`] nesting limit: the
+    /// input may be well-formed JSON that is only too deep to accept.
+    pub fn is_too_deep(&self) -> bool {
+        self.too_deep
+    }
+}
 
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "serde_json shim error: {}", self.0)
+        write!(f, "serde_json shim error: {}", self.message)
     }
 }
 
@@ -173,21 +188,28 @@ impl Value {
 /// crate (the shim version is monomorphic over `Value` instead of generic
 /// over `Deserialize`). Accepts the standard JSON grammar: objects, arrays,
 /// strings with escapes (`\" \\ \/ \b \f \n \r \t \uXXXX`), numbers,
-/// booleans and `null`; trailing non-whitespace is an error.
+/// booleans and `null`; trailing non-whitespace is an error. Arrays and
+/// objects may nest at most [`MAX_DEPTH`] deep, as with the real crate's
+/// recursion limit; deeper input is an error, not a stack overflow.
 pub fn from_str(input: &str) -> Result<Value, Error> {
-    let mut parser = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut parser = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     parser.skip_ws();
     let value = parser.parse_value()?;
     parser.skip_ws();
     if parser.pos != parser.bytes.len() {
-        return Err(Error(format!("trailing characters at byte {}", parser.pos)));
+        return Err(Error::msg(format!("trailing characters at byte {}", parser.pos)));
     }
     Ok(value)
 }
 
+/// How deep arrays and objects may nest in [`from_str`] input.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -210,23 +232,33 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(Error(format!("expected {:?} at byte {}", b as char, self.pos)))
+            Err(Error::msg(format!("expected {:?} at byte {}", b as char, self.pos)))
         }
     }
 
     fn parse_value(&mut self) -> Result<Value, Error> {
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error {
+                        message: format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos),
+                        too_deep: true,
+                    });
+                }
+                self.depth += 1;
+                let value = if open == b'{' { self.parse_object() } else { self.parse_array() };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
             Some(b'n') => self.parse_keyword("null", Value::Null),
             Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
             Some(other) => {
-                Err(Error(format!("unexpected {:?} at byte {}", other as char, self.pos)))
+                Err(Error::msg(format!("unexpected {:?} at byte {}", other as char, self.pos)))
             }
-            None => Err(Error("unexpected end of input".to_owned())),
+            None => Err(Error::msg("unexpected end of input")),
         }
     }
 
@@ -235,7 +267,7 @@ impl<'a> Parser<'a> {
             self.pos += word.len();
             Ok(value)
         } else {
-            Err(Error(format!("invalid literal at byte {}", self.pos)))
+            Err(Error::msg(format!("invalid literal at byte {}", self.pos)))
         }
     }
 
@@ -262,7 +294,7 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     return Ok(Value::Object(map));
                 }
-                _ => return Err(Error(format!("expected ',' or '}}' at byte {}", self.pos))),
+                _ => return Err(Error::msg(format!("expected ',' or '}}' at byte {}", self.pos))),
             }
         }
     }
@@ -285,7 +317,7 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     return Ok(Value::Array(items));
                 }
-                _ => return Err(Error(format!("expected ',' or ']' at byte {}", self.pos))),
+                _ => return Err(Error::msg(format!("expected ',' or ']' at byte {}", self.pos))),
             }
         }
     }
@@ -304,7 +336,7 @@ impl<'a> Parser<'a> {
             }
             out.push_str(
                 std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| Error("invalid UTF-8 in string".to_owned()))?,
+                    .map_err(|_| Error::msg("invalid UTF-8 in string"))?,
             );
             match self.peek() {
                 Some(b'"') => {
@@ -313,9 +345,8 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| Error("unexpected end of string escape".to_owned()))?;
+                    let esc =
+                        self.peek().ok_or_else(|| Error::msg("unexpected end of string escape"))?;
                     self.pos += 1;
                     match esc {
                         b'"' => out.push('"'),
@@ -331,9 +362,9 @@ impl<'a> Parser<'a> {
                                 .bytes
                                 .get(self.pos..self.pos + 4)
                                 .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| Error("truncated \\u escape".to_owned()))?;
+                                .ok_or_else(|| Error::msg("truncated \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| Error(format!("bad \\u escape {hex:?}")))?;
+                                .map_err(|_| Error::msg(format!("bad \\u escape {hex:?}")))?;
                             self.pos += 4;
                             // Surrogate pairs are collapsed when both halves
                             // are present; lone surrogates become U+FFFD.
@@ -345,11 +376,9 @@ impl<'a> Parser<'a> {
                                         .bytes
                                         .get(self.pos + 2..self.pos + 6)
                                         .and_then(|h| std::str::from_utf8(h).ok())
-                                        .ok_or_else(|| {
-                                            Error("truncated low surrogate".to_owned())
-                                        })?;
+                                        .ok_or_else(|| Error::msg("truncated low surrogate"))?;
                                     let lo = u32::from_str_radix(lo_hex, 16)
-                                        .map_err(|_| Error("bad low surrogate".to_owned()))?;
+                                        .map_err(|_| Error::msg("bad low surrogate"))?;
                                     self.pos += 6;
                                     if (0xDC00..0xE000).contains(&lo) {
                                         let combined =
@@ -372,14 +401,14 @@ impl<'a> Parser<'a> {
                             out.push(ch);
                         }
                         other => {
-                            return Err(Error(format!("bad escape \\{}", other as char)));
+                            return Err(Error::msg(format!("bad escape \\{}", other as char)));
                         }
                     }
                 }
                 Some(b) if b < 0x20 => {
-                    return Err(Error("control character in string".to_owned()));
+                    return Err(Error::msg("control character in string"));
                 }
-                _ => return Err(Error("unterminated string".to_owned())),
+                _ => return Err(Error::msg("unterminated string")),
             }
         }
     }
@@ -408,10 +437,10 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error("invalid number".to_owned()))?;
+            .map_err(|_| Error::msg("invalid number"))?;
         text.parse::<f64>()
             .map(Value::Number)
-            .map_err(|_| Error(format!("invalid number {text:?}")))
+            .map_err(|_| Error::msg(format!("invalid number {text:?}")))
     }
 }
 
@@ -553,6 +582,20 @@ mod tests {
         assert!(from_str("[1, 2").is_err());
         assert!(from_str("true false").is_err());
         assert!(from_str("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_limited_without_overflowing_the_stack() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str(&nested(MAX_DEPTH)).is_ok());
+        let err = from_str(&nested(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert!(err.is_too_deep(), "{err}");
+        assert!(!from_str("[1, 2").unwrap_err().is_too_deep());
+        // Objects count towards the same limit as arrays.
+        let mixed = "{\"a\":[".repeat(MAX_DEPTH / 2 + 1);
+        assert!(from_str(&mixed).is_err());
+        // Unterminated input far deeper than any stack could recurse.
+        assert!(from_str(&"[".repeat(200_000)).unwrap_err().is_too_deep());
     }
 
     #[test]
