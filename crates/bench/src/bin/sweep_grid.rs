@@ -6,17 +6,17 @@
 //! output is byte-identical for any `RAYON_NUM_THREADS` setting —
 //! determinism across thread counts is part of the sweep engine's contract.
 //!
-//! Two modes:
+//! Both modes run [`cachemind_sim::sweep::ScenarioGrid`] and print its
+//! `ScenarioReport`: the miss taxonomy plus prefetch accuracy/coverage and
+//! model-estimated IPC, with per-axis roll-ups.
 //!
-//! * **Legacy geometry mode** (default): sweeps the LLC geometries of the
-//!   original `SweepGrid` — `(workload × LLC CacheConfig × policy)` — and
-//!   prints the legacy report, so existing CI diffs stay stable.
+//! * **LLC geometry mode** (default): sweeps three bare LLC geometries as
+//!   [`MachineConfig::llc_only`] machines with the `none` prefetcher —
+//!   `(workload × LLC geometry × policy)`.
 //! * **Scenario mode** (any of `--machines`, `--prefetchers`,
 //!   `--dram-latency` present): sweeps full
-//!   `(workload × machine × prefetcher × policy)` scenario cells through
-//!   [`cachemind_sim::sweep::ScenarioGrid`], reporting the miss taxonomy
-//!   plus prefetch accuracy/coverage and model-estimated IPC with per-axis
-//!   roll-ups.
+//!   `(workload × machine × prefetcher × policy)` cells over machine
+//!   presets.
 //!
 //! Environment:
 //!
@@ -44,7 +44,7 @@
 
 use cachemind_sim::config::{CacheConfig, MachineConfig};
 use cachemind_sim::prefetch::PrefetcherKind;
-use cachemind_sim::sweep::{config_label, ScenarioGrid, SweepGrid, SweepStream};
+use cachemind_sim::sweep::{ScenarioGrid, SweepStream};
 use cachemind_workloads::workload::Scale;
 
 /// The default policy set: online baselines, modern RRIP-family policies,
@@ -55,9 +55,9 @@ const DEFAULT_POLICIES: [&str; 5] = ["lru", "srrip", "ship", "mockingjay", "bela
 /// pointer-chasing microbenchmark.
 const DEFAULT_WORKLOADS: [&str; 4] = ["astar", "lbm", "mcf", "ptrchase"];
 
-/// LLC geometries swept in legacy mode: the paper's LLC plus half-capacity
-/// and half-associativity variants (scaled down one notch at tiny scale so
-/// the sweep still exercises capacity pressure).
+/// LLC geometries swept in LLC geometry mode: the paper's LLC plus
+/// half-capacity and half-associativity variants (scaled down one notch at
+/// tiny scale so the sweep still exercises capacity pressure).
 fn default_configs(scale: Scale) -> Vec<CacheConfig> {
     let shrink = match scale {
         Scale::Tiny => 3,
@@ -179,7 +179,7 @@ fn main() {
 
     let threads = rayon::current_num_threads();
     let started = std::time::Instant::now();
-    let (mode, cells, rendered) = if scenario_mode {
+    let (mode, machines, prefetchers) = if scenario_mode {
         // Machine axis: named presets × DRAM latency variants.
         let machine_names = parse_list(machines_arg, &["table2"]);
         let mut machines = Vec::new();
@@ -210,65 +210,36 @@ fn main() {
                 )),
             }
         }
-
-        let grid = ScenarioGrid { policies, streams, machines, prefetchers, mlp_override: None };
-        eprintln!(
-            "[sweep_grid] {} policies x {} workloads x {} machines x {} prefetchers = {} cells \
-             at {:?} scale on {} worker(s)",
-            grid.policies.len(),
-            grid.streams.len(),
-            grid.machines.len(),
-            grid.prefetchers.len(),
-            grid.cells(),
-            scale,
-            threads,
-        );
-        for machine in &grid.machines {
-            eprintln!("[sweep_grid]   machine {}", machine.machine_label());
-        }
-        let report = match grid.run(cachemind_policies::by_name) {
-            Ok(report) => report,
-            Err(err) => fail(err.to_string()),
-        };
-        let rendered = if json {
-            serde_json::to_string_pretty(&report).expect("report serializes")
-        } else {
-            report.to_table()
-        };
-        ("scenario", report.cells.len(), rendered)
+        ("scenario", machines, prefetchers)
     } else {
-        let mut grid = SweepGrid::default();
-        grid.policies = policies;
-        grid.streams = streams;
-        grid.configs = default_configs(scale);
-        eprintln!(
-            "[sweep_grid] {} policies x {} workloads x {} configs = {} cells at {:?} scale on {} worker(s)",
-            grid.policies.len(),
-            grid.streams.len(),
-            grid.configs.len(),
-            grid.cells(),
-            scale,
-            threads,
-        );
-        for cfg in &grid.configs {
-            eprintln!(
-                "[sweep_grid]   config {}: {} KB, {} sets, {} ways",
-                config_label(cfg),
-                cfg.capacity_bytes() / 1024,
-                cfg.sets(),
-                cfg.ways,
-            );
-        }
-        let report = match grid.run(cachemind_policies::by_name) {
-            Ok(report) => report,
-            Err(err) => fail(err.to_string()),
-        };
-        let rendered = if json {
-            serde_json::to_string_pretty(&report).expect("report serializes")
-        } else {
-            report.to_table()
-        };
-        ("llc", report.cells.len(), rendered)
+        let machines = default_configs(scale).into_iter().map(MachineConfig::llc_only).collect();
+        ("llc", machines, vec![PrefetcherKind::None])
+    };
+
+    let grid = ScenarioGrid { policies, streams, machines, prefetchers, mlp_override: None };
+    eprintln!(
+        "[sweep_grid] {} policies x {} workloads x {} machines x {} prefetchers = {} cells \
+         at {:?} scale on {} worker(s)",
+        grid.policies.len(),
+        grid.streams.len(),
+        grid.machines.len(),
+        grid.prefetchers.len(),
+        grid.cells(),
+        scale,
+        threads,
+    );
+    for machine in &grid.machines {
+        eprintln!("[sweep_grid]   machine {}", machine.machine_label());
+    }
+    let report = match grid.run(cachemind_policies::by_name) {
+        Ok(report) => report,
+        Err(err) => fail(err.to_string()),
+    };
+    let cells = report.cells.len();
+    let rendered = if json {
+        serde_json::to_string_pretty(&report).expect("report serializes")
+    } else {
+        report.to_table()
     };
     let wall = started.elapsed();
     eprintln!("[sweep_grid] swept {cells} cells in {wall:?}");

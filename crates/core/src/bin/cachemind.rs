@@ -17,7 +17,7 @@ use std::io::{BufRead, Write as _};
 use cachemind_benchsuite::catalog::Catalog;
 use cachemind_benchsuite::harness::{self, HarnessConfig};
 use cachemind_core::insights;
-use cachemind_core::system::{CacheMind, RetrieverKind};
+use cachemind_core::system::{CacheMind, Query, RetrieverKind};
 use cachemind_core::ChatSession;
 use cachemind_lang::intent::{QueryCategory, Tier};
 use cachemind_lang::profiles::BackendKind;
@@ -84,7 +84,7 @@ fn main() {
             let mind = CacheMind::new(build_db())
                 .with_retriever(retriever_kind(&args))
                 .with_backend(backend_kind(&args));
-            let answer = mind.ask(&question);
+            let answer = mind.ask_query(&Query::new(question));
             println!("{}", answer.text);
             println!(
                 "\n-- evidence ({:?}, {}) --",

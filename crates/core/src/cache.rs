@@ -149,13 +149,13 @@ mod tests {
     fn repeated_questions_hit_and_replay_identical_answers() {
         let m = mind_with_cache();
         let q = "What is the overall miss rate of the lbm workload under LRU?";
-        let first = m.ask(q);
+        let first = m.ask_query(&q.into());
         let cache = m.answer_cache().expect("cache enabled");
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.inserts(), 1);
         assert_eq!(cache.len(), 1);
-        let second = m.ask(q);
+        let second = m.ask_query(&q.into());
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.len(), 1);
         assert_eq!(first.text, second.text);
@@ -186,8 +186,8 @@ mod tests {
             "What is the overall miss rate of the lbm workload under LRU?",
         ];
         for q in questions {
-            let a = cached.ask(q);
-            let b = plain.ask(q);
+            let a = cached.ask_query(&q.into());
+            let b = plain.ask_query(&q.into());
             assert_eq!(a.text, b.text, "{q}");
             assert_eq!(a.prompt, b.prompt, "{q}");
             assert_eq!(a.verdict, b.verdict, "{q}");
@@ -206,24 +206,5 @@ mod tests {
         let other = AnswerCache::new(&registry);
         let b = TraceDatabaseBuilder::quick_demo().workloads(["mcf"]).build();
         assert_ne!(other.fingerprint(&b), fp_a, "different stores, different fingerprints");
-    }
-
-    #[test]
-    fn batch_path_shares_the_cache() {
-        let m = mind_with_cache();
-        let questions: Vec<String> = vec![
-            "What is the overall miss rate of the lbm workload under LRU?".into(),
-            "Which policy has the lowest miss rate in astar?".into(),
-        ];
-        let first = m.ask_batch(&questions);
-        let cache = m.answer_cache().expect("cache enabled");
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.inserts(), 2);
-        let second = m.ask_batch(&questions);
-        assert_eq!(cache.hits(), 2, "second round replays both answers");
-        for (a, b) in first.iter().zip(&second) {
-            assert_eq!(a.text, b.text);
-            assert_eq!(a.prompt, b.prompt);
-        }
     }
 }

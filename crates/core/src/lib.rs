@@ -23,8 +23,9 @@
 //! use cachemind_core::prelude::*;
 //!
 //! let db = TraceDatabaseBuilder::quick_demo().build();
-//! let mut mind = CacheMind::new(db).with_retriever(RetrieverKind::Ranger);
-//! let answer = mind.ask("What is the overall miss rate of the mcf workload under LRU?");
+//! let mind = CacheMind::new(db).with_retriever(RetrieverKind::Ranger);
+//! let answer =
+//!     mind.ask_query(&Query::new("What is the overall miss rate of the mcf workload under LRU?"));
 //! assert!(!answer.text.is_empty());
 //! ```
 

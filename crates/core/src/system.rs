@@ -3,14 +3,11 @@
 //! [`CacheMind`] holds its trace store behind an `Arc<dyn TraceStore>`, so
 //! one database — monolithic or sharded — can be shared by any number of
 //! concurrent sessions (the serve layer's whole premise). Answering is a
-//! pure function of the question and the store, which is what makes the
-//! batched path ([`CacheMind::ask_batch`]) byte-identical to one-at-a-time
-//! [`CacheMind::ask`] calls regardless of worker count.
+//! pure function of the query and the store, which is what lets the serve
+//! layer answer a round's queries on any number of workers without
+//! changing a byte. [`CacheMind::ask_query`] is the one way to ask.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
-
-use rayon::prelude::*;
 
 use cachemind_lang::context::RetrievedContext;
 use cachemind_lang::generator::{Generator, GeneratorAnswer, GeneratorRequest, Verdict};
@@ -23,7 +20,7 @@ use cachemind_retrieval::ranger::RangerRetriever;
 use cachemind_retrieval::retriever::Retriever;
 use cachemind_retrieval::sieve::SieveRetriever;
 use cachemind_sim::scenario::ScenarioSelector;
-use cachemind_tracedb::database::{TraceDatabase, TraceId};
+use cachemind_tracedb::database::TraceDatabase;
 use cachemind_tracedb::store::TraceStore;
 
 /// Which retriever the system routes queries through.
@@ -54,9 +51,8 @@ impl Default for QueryOptions {
 }
 
 /// A typed query: the question text plus its scenario scope and options —
-/// the primary input of [`CacheMind::ask_query`]. A bare string converts
-/// into an unscoped query, which answers byte-identically to the legacy
-/// [`CacheMind::ask`] path.
+/// the input of [`CacheMind::ask_query`]. A bare string converts into an
+/// unscoped query (`mind.ask_query(&"...".into())`).
 ///
 /// The selector uses the canonical scenario grammar
 /// `workload@machine+prefetcher/policy` (every component optional — see
@@ -138,89 +134,11 @@ pub struct Answer {
     pub prompt: String,
 }
 
-/// A per-batch retrieval memo: serialized intent → retrieved context.
-///
-/// Retrieval is a pure function of `(store, intent)`, so replaying a cached
-/// context is indistinguishable from retrieving again — the cache changes
-/// the work done, never the answer. One cache lives per batch group (or per
-/// serve worker), so concurrent batches never contend on a lock.
-#[derive(Debug, Default)]
-pub struct ContextCache {
-    contexts: BTreeMap<String, RetrievedContext>,
-}
-
-impl ContextCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        ContextCache::default()
-    }
-
-    /// Number of memoized contexts.
-    pub fn len(&self) -> usize {
-        self.contexts.len()
-    }
-
-    /// Whether the cache holds no contexts.
-    pub fn is_empty(&self) -> bool {
-        self.contexts.is_empty()
-    }
-}
-
-/// A batch of concurrent questions answered together.
-///
-/// The batch path groups questions by the shard their resolved trace key
-/// lives on, runs the groups in parallel (rayon), memoizes retrieval per
-/// group, and fans the answers back out in input order. Answers are
-/// byte-identical to asking each question alone, in order.
-#[derive(Debug, Clone, Default)]
-pub struct QueryBatch {
-    questions: Vec<String>,
-}
-
-impl QueryBatch {
-    /// An empty batch.
-    pub fn new() -> Self {
-        QueryBatch::default()
-    }
-
-    /// Adds a question.
-    pub fn question(mut self, q: impl Into<String>) -> Self {
-        self.questions.push(q.into());
-        self
-    }
-
-    /// The questions, in submission order.
-    pub fn questions(&self) -> &[String] {
-        &self.questions
-    }
-
-    /// Number of questions in the batch.
-    pub fn len(&self) -> usize {
-        self.questions.len()
-    }
-
-    /// Whether the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.questions.is_empty()
-    }
-
-    /// Answers the whole batch against `mind`.
-    pub fn run(&self, mind: &CacheMind) -> Vec<Answer> {
-        mind.ask_batch(&self.questions)
-    }
-}
-
-impl<S: Into<String>> FromIterator<S> for QueryBatch {
-    fn from_iter<I: IntoIterator<Item = S>>(iter: I) -> Self {
-        QueryBatch { questions: iter.into_iter().map(Into::into).collect() }
-    }
-}
-
 /// The CacheMind system.
 ///
 /// Owns a shared handle to the trace store, a retriever and a generator
 /// backend; turning a natural-language question into a trace-grounded
-/// answer is one [`CacheMind::ask`] call.
+/// answer is one [`CacheMind::ask_query`] call.
 #[derive(Debug)]
 pub struct CacheMind {
     db: Arc<dyn TraceStore>,
@@ -291,9 +209,10 @@ impl CacheMind {
     /// Enables (or disables) the whole-answer cache: answers keyed by
     /// `(db fingerprint, canonical selector, options, question text)` are
     /// replayed instead of recomputed. Answering is deterministic, so the
-    /// cache is semantics-free — every ask path returns byte-identical
-    /// answers with it on or off. Call after [`CacheMind::with_metrics`]
-    /// so the `retrieval.cache.*` counters land in the owner's registry.
+    /// cache is semantics-free — [`CacheMind::ask_query`] returns
+    /// byte-identical answers with it on or off. Call after
+    /// [`CacheMind::with_metrics`] so the `retrieval.cache.*` counters land
+    /// in the owner's registry.
     pub fn with_answer_cache(mut self, enabled: bool) -> Self {
         self.answers = enabled.then(|| crate::cache::AnswerCache::new(&self.metrics));
         self
@@ -312,11 +231,6 @@ impl CacheMind {
     /// A second handle to the underlying trace store.
     pub fn store(&self) -> Arc<dyn TraceStore> {
         Arc::clone(&self.db)
-    }
-
-    /// Parses a question against the database vocabulary (unscoped).
-    pub fn parse(&self, question: &str) -> QueryIntent {
-        self.parse_scoped(question, &ScenarioSelector::all())
     }
 
     /// Parses a question against the database vocabulary within a
@@ -342,27 +256,14 @@ impl CacheMind {
         }
     }
 
-    /// Retrieves the context bundle for a question without generating.
-    pub fn retrieve(&self, question: &str) -> RetrievedContext {
-        let intent = self.parse(question);
-        self.active_retriever().retrieve(&*self.db, &intent)
-    }
-
     /// Routes *exploration commands* — the Figure 10–13 chat vocabulary
     /// that goes beyond the eleven benchmark categories — straight to the
     /// Ranger plan runtime: "list all unique PCs", "list unique cache
     /// sets", "group PCs by reuse/ETR variance", "identify hot and cold
-    /// sets". Returns `None` when the question is not an exploration
-    /// command.
-    pub fn try_exploration(&self, question: &str) -> Option<Answer> {
-        let intent = self.parse(question);
-        self.try_exploration_intent(question, &intent)
-    }
-
-    /// [`CacheMind::try_exploration`] over a pre-parsed intent — the form
-    /// the shared answer pipeline uses, so a query's scenario scope rides
-    /// into the exploration plans too.
-    fn try_exploration_intent(&self, question: &str, intent: &QueryIntent) -> Option<Answer> {
+    /// sets". Takes the parsed intent so a query's scenario scope rides
+    /// into the exploration plans too. Returns `None` when the question is
+    /// not an exploration command.
+    fn try_exploration(&self, question: &str, intent: &QueryIntent) -> Option<Answer> {
         use cachemind_retrieval::plan::Plan;
         let lower = question.to_lowercase();
         let workload = intent.workload.clone().or_else(|| self.db.workloads().first().cloned())?;
@@ -399,65 +300,17 @@ impl CacheMind {
         })
     }
 
-    /// The memo key for an intent: its full serialization (including the
-    /// raw question, which some retrieval templates consult), so a cache
-    /// hit can only replay a byte-identical retrieval.
-    fn context_key(intent: &QueryIntent) -> String {
-        serde_json::to_string(intent).unwrap_or_else(|_| intent.raw.clone())
-    }
-
-    /// The shard whose trace the intent's resolved `(workload, policy)`
-    /// pair lives on — the deterministic scheduling key the batch path
-    /// groups questions by. Questions that pin down neither slot fall back
-    /// to the store's first workload, mirroring retrieval's own defaults.
-    /// `workloads` is the store's sorted vocabulary, computed once per
-    /// batch.
-    fn home_shard(&self, intent: &QueryIntent, workloads: &[String]) -> usize {
-        let workload =
-            match intent.workload.as_deref().or_else(|| workloads.first().map(String::as_str)) {
-                Some(w) => w,
-                None => return 0,
-            };
-        let policy = intent.policy.as_deref().unwrap_or("lru");
-        self.db.shard_of(&TraceId::new(workload, policy).key())
-    }
-
-    /// The shared retrieve → generate pipeline behind every ask variant
-    /// ([`ask_query`], [`ask`], [`ask_batch`], the serve rounds): one code
-    /// path, so neither batching nor the entry point can change answers.
-    ///
-    /// [`ask_query`]: CacheMind::ask_query
-    /// [`ask`]: CacheMind::ask
-    /// [`ask_batch`]: CacheMind::ask_batch
-    fn answer_cached(
-        &self,
-        question: &str,
-        intent: &QueryIntent,
-        options: &QueryOptions,
-        cache: Option<&mut ContextCache>,
-    ) -> Answer {
-        if options.explore {
-            if let Some(answer) = self.try_exploration_intent(question, intent) {
+    /// The parse → explore-or-retrieve → generate pipeline behind
+    /// [`CacheMind::ask_query`], bypassing the whole-answer cache.
+    fn answer(&self, query: &Query) -> Answer {
+        let question = query.text.as_str();
+        let intent = self.parse_scoped(question, &query.selector);
+        if query.options.explore {
+            if let Some(answer) = self.try_exploration(question, &intent) {
                 return answer;
             }
         }
-        // Memo-key construction and the extra context clone only happen
-        // when a caller actually supplied a cache; the solo `ask` path
-        // retrieves directly.
-        let context = match cache {
-            None => self.active_retriever().retrieve(&*self.db, intent),
-            Some(cache) => {
-                let key = Self::context_key(intent);
-                match cache.contexts.get(&key) {
-                    Some(ctx) => ctx.clone(),
-                    None => {
-                        let ctx = self.active_retriever().retrieve(&*self.db, intent);
-                        cache.contexts.insert(key, ctx.clone());
-                        ctx
-                    }
-                }
-            }
-        };
+        let context = self.active_retriever().retrieve(&*self.db, &intent);
         let mut builder = PromptBuilder::new();
         for ex in &self.shots {
             builder = builder.example(ex.clone());
@@ -465,7 +318,7 @@ impl CacheMind {
         let prompt = builder.render(question, &context);
         let request = GeneratorRequest {
             question: question.to_owned(),
-            intent: intent.clone(),
+            intent,
             context: context.clone(),
             examples: self.shots.clone(),
         };
@@ -487,135 +340,23 @@ impl CacheMind {
         )
     }
 
-    /// Wraps an answer production with the whole-answer cache when it is
-    /// enabled: replay on hit, produce-then-store on miss.
-    fn answer_through_cache(&self, query: &Query, produce: impl FnOnce() -> Answer) -> Answer {
-        match &self.answers {
-            None => produce(),
-            Some(cache) => {
-                let key = self.answer_key(query, cache);
-                if let Some(hit) = cache.get(&key) {
-                    return hit;
-                }
-                let answer = produce();
-                cache.insert(key, answer.clone());
-                answer
-            }
-        }
-    }
-
-    /// Answers a typed query — the primary entry point: the query's
+    /// Answers a typed query — the one ask entry point: the query's
     /// selector scopes parsing (slot defaults) and retrieval (machine /
     /// prefetcher scope), inline `@machine` syntax in the text wins
-    /// per-field, and the options gate exploration-command routing.
-    /// Selector-free queries answer byte-identically to [`CacheMind::ask`].
+    /// per-field, and the options gate exploration-command routing. With
+    /// the whole-answer cache enabled, a hit replays the stored answer and
+    /// a miss answers then stores.
     pub fn ask_query(&self, query: &Query) -> Answer {
-        self.answer_through_cache(query, || {
-            let intent = self.parse_scoped(&query.text, &query.selector);
-            self.answer_cached(&query.text, &intent, &query.options, None)
-        })
-    }
-
-    /// [`CacheMind::ask_query`] with an externally owned retrieval memo
-    /// (the serve workers keep one per worker, amortizing repeated
-    /// retrievals across the sessions a worker serves). The memo key
-    /// includes the resolved selector, so scoped and unscoped retrievals
-    /// never alias.
-    pub fn ask_query_with_cache(&self, query: &Query, cache: &mut ContextCache) -> Answer {
-        self.answer_through_cache(query, || {
-            let intent = self.parse_scoped(&query.text, &query.selector);
-            self.answer_cached(&query.text, &intent, &query.options, Some(cache))
-        })
-    }
-
-    /// Answers a question with an externally owned retrieval memo — the
-    /// unscoped wrapper over [`CacheMind::ask_query_with_cache`].
-    pub fn ask_with_cache(&self, question: &str, cache: &mut ContextCache) -> Answer {
-        self.ask_query_with_cache(&Query::new(question), cache)
-    }
-
-    /// Answers a question: exploration-command routing, then
-    /// parse → retrieve → generate — the unscoped wrapper over
-    /// [`CacheMind::ask_query`].
-    pub fn ask(&self, question: &str) -> Answer {
-        self.ask_query(&Query::new(question))
-    }
-
-    /// Answers a batch of concurrent typed queries.
-    ///
-    /// Queries are grouped by home shard, the groups run in parallel on
-    /// rayon workers (honoring `RAYON_NUM_THREADS`), retrieval is memoized
-    /// within each group, and answers fan back out in input order. The
-    /// result is byte-identical to calling [`CacheMind::ask_query`] on
-    /// each query serially, for any thread count.
-    ///
-    /// With the whole-answer cache enabled, hits are replayed up front and
-    /// only the misses enter the parallel pipeline — still byte-identical,
-    /// because answering is deterministic.
-    pub fn ask_query_batch(&self, queries: &[Query]) -> Vec<Answer> {
         let Some(cache) = &self.answers else {
-            return self.ask_query_batch_pipeline(queries);
+            return self.answer(query);
         };
-        let keys: Vec<String> = queries.iter().map(|q| self.answer_key(q, cache)).collect();
-        let mut out: Vec<Option<Answer>> = keys.iter().map(|key| cache.get(key)).collect();
-        let miss_indices: Vec<usize> = (0..out.len()).filter(|&i| out[i].is_none()).collect();
-        if !miss_indices.is_empty() {
-            let miss_queries: Vec<Query> =
-                miss_indices.iter().map(|&i| queries[i].clone()).collect();
-            let answers = self.ask_query_batch_pipeline(&miss_queries);
-            for (&i, answer) in miss_indices.iter().zip(answers) {
-                cache.insert(keys[i].clone(), answer.clone());
-                out[i] = Some(answer);
-            }
+        let key = self.answer_key(query, cache);
+        if let Some(hit) = cache.get(&key) {
+            return hit;
         }
-        out.into_iter().map(|a| a.expect("every query answered exactly once")).collect()
-    }
-
-    /// The shard-grouped parallel answering pipeline behind
-    /// [`CacheMind::ask_query_batch`] (the cache-independent half).
-    fn ask_query_batch_pipeline(&self, queries: &[Query]) -> Vec<Answer> {
-        // One vocabulary snapshot for the whole batch: parsing against it is
-        // identical to per-query `parse_scoped` calls (the store is
-        // immutable), without re-scanning every shard per query.
-        let workloads = self.db.workloads();
-        let policies = self.db.policies();
-        let workload_refs: Vec<&str> = workloads.iter().map(String::as_str).collect();
-        let policy_refs: Vec<&str> = policies.iter().map(String::as_str).collect();
-        let intents: Vec<QueryIntent> = queries
-            .iter()
-            .map(|q| QueryIntent::parse_scoped(&q.text, &workload_refs, &policy_refs, &q.selector))
-            .collect();
-        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, intent) in intents.iter().enumerate() {
-            groups.entry(self.home_shard(intent, &workloads)).or_default().push(i);
-        }
-        let group_list: Vec<Vec<usize>> = groups.into_values().collect();
-        let answered: Vec<Vec<(usize, Answer)>> = group_list
-            .into_par_iter()
-            .map(|indices| {
-                let mut cache = ContextCache::new();
-                indices
-                    .into_iter()
-                    .map(|i| {
-                        let q = &queries[i];
-                        (i, self.answer_cached(&q.text, &intents[i], &q.options, Some(&mut cache)))
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut out: Vec<Option<Answer>> = queries.iter().map(|_| None).collect();
-        for (i, answer) in answered.into_iter().flatten() {
-            out[i] = Some(answer);
-        }
-        out.into_iter().map(|a| a.expect("every query answered exactly once")).collect()
-    }
-
-    /// Answers a batch of plain questions — the unscoped wrapper over
-    /// [`CacheMind::ask_query_batch`], byte-identical to serial
-    /// [`CacheMind::ask`] calls.
-    pub fn ask_batch(&self, questions: &[String]) -> Vec<Answer> {
-        let queries: Vec<Query> = questions.iter().map(|q| Query::new(q.clone())).collect();
-        self.ask_query_batch(&queries)
+        let answer = self.answer(query);
+        cache.insert(key, answer.clone());
+        answer
     }
 }
 
@@ -631,7 +372,7 @@ mod tests {
     #[test]
     fn ask_produces_grounded_answer() {
         let m = mind().with_retriever(RetrieverKind::Ranger);
-        let a = m.ask("What is the overall miss rate of the lbm workload under LRU?");
+        let a = m.ask_query(&"What is the overall miss rate of the lbm workload under LRU?".into());
         assert!(matches!(a.verdict, Verdict::Number(_)), "verdict {:?}", a.verdict);
         assert!(!a.context.facts.is_empty());
         assert!(a.prompt.contains("SYSTEM:"));
@@ -643,10 +384,11 @@ mod tests {
         let db = m.database();
         let pc = db.get("astar_evictions_lru").unwrap().frame.rows()[0].pc;
         let q = format!("How many times did PC {pc} appear in astar under LRU?");
-        let sieve_ctx = m.retrieve(&q);
+        let sieve_ctx = m.ask_query(&q.as_str().into()).context;
         let ranger_ctx = CacheMind::new(TraceDatabaseBuilder::quick_demo().build())
             .with_retriever(RetrieverKind::Ranger)
-            .retrieve(&q);
+            .ask_query(&q.into())
+            .context;
         // Sieve's count is truncated, Ranger's is complete.
         use cachemind_lang::context::Fact;
         let complete = |ctx: &RetrievedContext| {
@@ -659,32 +401,36 @@ mod tests {
     #[test]
     fn exploration_commands_route_to_plans() {
         let m = mind();
-        let a = m.ask("List all unique PCs in the mcf trace under LRU.");
+        let a = m.ask_query(&"List all unique PCs in the mcf trace under LRU.".into());
         assert!(a.text.contains("0x"), "expected PC list, got {}", a.text);
         assert!(a.prompt.contains("program_counter.unique"), "prompt shows generated code");
 
-        let a = m.ask("Group PCs by reuse-distance variance for the lbm workload under LRU.");
+        let a = m.ask_query(
+            &"Group PCs by reuse-distance variance for the lbm workload under LRU.".into(),
+        );
         assert!(a.text.contains("LowVar"), "got {}", a.text);
 
-        let a = m.ask("Identify 5 hot and 5 cold sets by hit rate in astar under Belady.");
+        let a = m
+            .ask_query(&"Identify 5 hot and 5 cold sets by hit rate in astar under Belady.".into());
         assert!(a.text.contains("Hot Sets"), "got {}", a.text);
 
         // Non-exploration questions still take the RAG path.
-        assert!(m.try_exploration("What is the miss rate of mcf under LRU?").is_none());
+        let rag = m.ask_query(&"What is the miss rate of mcf under LRU?".into());
+        assert!(rag.prompt.contains("SYSTEM:"), "got {}", rag.prompt);
     }
 
     #[test]
     fn k_shot_examples_enter_the_prompt() {
         use cachemind_lang::prompt::Example;
         let m = mind().with_examples(vec![Example::figure6()]);
-        let a = m.ask("Does PC 0x999999 hit on lbm under LRU?");
+        let a = m.ask_query(&"Does PC 0x999999 hit on lbm under LRU?".into());
         assert!(a.prompt.contains("EXAMPLE 1:"), "prompt must carry the example");
     }
 
     #[test]
     fn dense_baseline_is_available() {
         let m = mind().with_retriever(RetrieverKind::Dense);
-        let a = m.ask("Does PC 0x401380 hit on mcf under LRU?");
+        let a = m.ask_query(&"Does PC 0x401380 hit on mcf under LRU?".into());
         // The baseline may answer anything, but it must not panic and must
         // label its retriever.
         assert_eq!(a.context.retriever, "dense");
@@ -701,31 +447,10 @@ mod tests {
             "Which policy has the lowest miss rate in astar?",
             "Why does Belady outperform LRU in mcf?",
         ] {
-            let a = shared.ask(q);
-            let b = flat.ask(q);
+            let a = shared.ask_query(&q.into());
+            let b = flat.ask_query(&q.into());
             assert_eq!(a.text, b.text, "{q}");
             assert_eq!(a.prompt, b.prompt, "{q}");
-        }
-    }
-
-    #[test]
-    fn ask_is_a_thin_wrapper_over_ask_query() {
-        // The redesign's compatibility pin: for selector-free queries the
-        // typed path answers byte-identically to the legacy string path —
-        // text, prompt, verdict and evidence.
-        let m = mind().with_retriever(RetrieverKind::Ranger);
-        for q in [
-            "What is the overall miss rate of the lbm workload under LRU?",
-            "Which policy has the lowest miss rate in astar?",
-            "List all unique PCs in the mcf trace under LRU.",
-            "What is the estimated IPC for mcf under LRU?",
-            "Why does Belady outperform LRU in mcf?",
-        ] {
-            let legacy = m.ask(q);
-            let typed = m.ask_query(&Query::new(q));
-            assert_eq!(legacy.text, typed.text, "{q}");
-            assert_eq!(legacy.prompt, typed.prompt, "{q}");
-            assert_eq!(legacy.verdict, typed.verdict, "{q}");
         }
     }
 
@@ -771,34 +496,5 @@ mod tests {
         let rag = m.ask_query(&Query::new(q).with_options(QueryOptions { explore: false }));
         assert!(!rag.prompt.contains("program_counter.unique"), "forced RAG path");
         assert!(rag.prompt.contains("SYSTEM:"), "RAG prompt rendered");
-    }
-
-    #[test]
-    fn batched_ask_is_byte_identical_to_serial() {
-        let m = mind().with_retriever(RetrieverKind::Ranger);
-        let db = m.database();
-        let pc = db.get("astar_evictions_lru").unwrap().frame.rows()[0].pc;
-        let questions: Vec<String> = vec![
-            "What is the overall miss rate of the lbm workload under LRU?".into(),
-            format!("How many times did PC {pc} appear in astar under LRU?"),
-            "List all unique PCs in the mcf trace under LRU.".into(),
-            "Which workload has the highest cache miss rate under Belady?".into(),
-            // An exact duplicate: exercises the retrieval memo.
-            "What is the overall miss rate of the lbm workload under LRU?".into(),
-        ];
-        let serial: Vec<Answer> = questions.iter().map(|q| m.ask(q)).collect();
-        let batched = m.ask_batch(&questions);
-        assert_eq!(serial.len(), batched.len());
-        for (s, b) in serial.iter().zip(&batched) {
-            assert_eq!(s.text, b.text);
-            assert_eq!(s.prompt, b.prompt);
-            assert_eq!(s.verdict, b.verdict);
-        }
-        // The QueryBatch wrapper takes the same path.
-        let via_batch: QueryBatch = questions.iter().cloned().collect();
-        let again = via_batch.run(&m);
-        for (s, b) in serial.iter().zip(&again) {
-            assert_eq!(s.text, b.text);
-        }
     }
 }

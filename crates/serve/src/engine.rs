@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use cachemind_core::chat::ChatSession;
-use cachemind_core::system::{CacheMind, ContextCache, Query, RetrieverKind};
+use cachemind_core::system::{CacheMind, Query, RetrieverKind};
 use cachemind_lang::profiles::BackendKind;
 use cachemind_obs::{names, Counter, HistogramHandle, MetricsRegistry};
 use cachemind_sim::config::MachineConfig;
@@ -535,20 +535,18 @@ impl ServeEngine {
         }
     }
 
-    /// Answers a single request (a one-element round).
-    pub fn handle(&self, request: &AskRequest) -> AskResponse {
-        self.ask_round(std::slice::from_ref(request)).pop().expect("one response per request")
-    }
-
-    /// Dispatches any protocol [`Request`](crate::protocol::Request):
+    /// Dispatches any protocol [`Request`](crate::protocol::Request) —
+    /// the step of [`ServeEngine::serve_line`] between parse and render:
     /// asks run a one-element round, opens run
     /// [`ServeEngine::open_request`], closes run
     /// [`ServeEngine::close_session`], stats return
     /// [`ServeEngine::stats_value`] — all answer in-band.
-    pub fn handle_request(&self, request: &crate::protocol::Request) -> Response {
+    fn handle_request(&self, request: &crate::protocol::Request) -> Response {
         use crate::protocol::Request;
         match request {
-            Request::Ask(ask) => Response::Ask(self.handle(ask)),
+            Request::Ask(ask) => Response::Ask(
+                self.ask_round(std::slice::from_ref(ask)).pop().expect("one response per request"),
+            ),
             Request::Open { session, scenario } => {
                 self.metrics.requests_open.inc();
                 Response::Ask(self.open_request(*session, scenario.clone()))
@@ -580,21 +578,12 @@ impl ServeEngine {
         }
     }
 
-    /// Serves one raw protocol line: parse, dispatch, render — the full
-    /// event-loop path behind the `cachemind-serve` stdin loop, with the
-    /// `serve.parse` / `serve.respond` spans and per-`error_kind` counters
-    /// recorded on the way through. Parse failures answer in-band exactly
-    /// as the binary always has. Equivalent to
-    /// [`ServeEngine::serve_line`] on the `"stdin"` transport, keeping
-    /// only the rendered response.
-    pub fn handle_line(&self, line: &str, with_timing: bool) -> String {
-        self.serve_line(line, with_timing, "stdin", None).rendered
-    }
-
-    /// Serves one raw protocol line on behalf of a named transport — the
-    /// shared event-loop path behind both the stdin loop (`"stdin"`,
-    /// via [`ServeEngine::handle_line`]) and the TCP workers (`"tcp"`,
-    /// via `crate::net`).
+    /// Serves one raw protocol line on behalf of a named transport: parse,
+    /// dispatch, render — the one request path behind both the stdin loop
+    /// (`"stdin"`) and the TCP workers (`"tcp"`, via `crate::net`), with
+    /// the `serve.parse` / `serve.respond` spans and per-`error_kind`
+    /// counters recorded on the way through. Parse failures answer
+    /// in-band.
     ///
     /// The transport tag and the optional per-connection context surface
     /// in `stats` responses only (wall-clock side-channel content); every
@@ -793,16 +782,13 @@ impl ServeEngine {
         }
 
         // Phase 1 (parallel): answer every query through the shared
-        // stateless pipeline; each worker keeps a retrieval memo for the
-        // chunk it serves (memo keys include the resolved scope, so
-        // sessions pinned to different machines never alias).
+        // stateless pipeline.
         let answered = run_chunked(items, self.num_threads(), |chunk| {
-            let mut cache = ContextCache::new();
             chunk
                 .into_iter()
                 .map(|(index, session, query)| {
                     let span = self.metrics.ask_latency.start_span();
-                    let answer = self.mind.ask_query_with_cache(&query, &mut cache);
+                    let answer = self.mind.ask_query(&query);
                     let micros = span.finish();
                     (index, session, query, answer, micros)
                 })
@@ -1169,8 +1155,8 @@ mod tests {
         assert_eq!(loaded.config().shards, 3, "snapshot shard count wins");
         assert_eq!(loaded.store().len(), fresh.store().len());
         let q = "What is the overall miss rate of the mcf workload under LRU?";
-        let a = fresh.handle(&AskRequest::new(q));
-        let b = loaded.handle(&AskRequest::new(q));
+        let a = fresh.ask_round(&[AskRequest::new(q)]).remove(0);
+        let b = loaded.ask_round(&[AskRequest::new(q)]).remove(0);
         assert!(a.is_ok() && b.is_ok());
         assert_eq!(a.answer, b.answer, "snapshot-backed answers are byte-identical");
         assert_eq!(a.verdict, b.verdict);
@@ -1274,8 +1260,8 @@ mod tests {
     fn stats_report_the_answer_cache() {
         let engine = engine(1);
         let q = "What is the overall miss rate of the mcf workload under LRU?";
-        engine.handle(&AskRequest::new(q));
-        engine.handle(&AskRequest::new(q));
+        engine.ask_round(&[AskRequest::new(q)]);
+        engine.ask_round(&[AskRequest::new(q)]);
         let stats = engine.stats_value();
         let cache = stats.get("cache").expect("stats v2 carries the cache object");
         let count = |key: &str| cache.get(key).and_then(Value::as_u64);
@@ -1293,7 +1279,7 @@ mod tests {
             .try_build_sharded()
             .expect("demo build");
         let off = ServeEngine::over(db, config);
-        off.handle(&AskRequest::new(q));
+        off.ask_round(&[AskRequest::new(q)]);
         let stats = off.stats_value();
         let cache = stats.get("cache").expect("cache object present even when disabled");
         assert_eq!(cache.get("enabled").and_then(Value::as_bool), Some(false));
@@ -1370,7 +1356,7 @@ mod tests {
         });
 
         // The engine still serves fresh sessions after the churn.
-        let after = engine.handle(&AskRequest::new(q));
+        let after = engine.ask_round(&[AskRequest::new(q)]).remove(0);
         assert!(after.is_ok());
     }
 
@@ -1436,7 +1422,7 @@ mod tests {
     #[test]
     fn stats_lines_carry_their_transport_and_connection_context() {
         let engine = engine(1);
-        let stdin = engine.handle_line("{\"stats\": true}", true);
+        let stdin = engine.serve_line("{\"stats\": true}", true, "stdin", None).rendered;
         assert!(stdin.contains("\"transport\":\"stdin\""), "{stdin}");
         assert!(!stdin.contains("\"connection\""), "{stdin}");
 
@@ -1456,16 +1442,5 @@ mod tests {
         // The out-of-band writer shape matches the in-band one.
         let tagged = engine.stats_value_tagged("tcp");
         assert_eq!(tagged.get("transport").and_then(Value::as_str), Some("tcp"));
-    }
-
-    #[test]
-    fn handle_matches_round_of_one() {
-        let first = engine(2);
-        let other = engine(2);
-        let q = "Why does Belady outperform LRU in mcf?";
-        let via_handle = first.handle(&AskRequest::new(q));
-        let via_round = other.ask_round(&[AskRequest::new(q)]).pop().unwrap();
-        assert_eq!(via_handle.answer, via_round.answer);
-        assert_eq!(via_handle.verdict, via_round.verdict);
     }
 }

@@ -37,10 +37,10 @@
 //!
 //! let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().unwrap();
 //! let engine = ServeEngine::over(db, ServeConfig { threads: Some(2), ..Default::default() });
-//! let response = engine.handle(&AskRequest::new(
+//! let responses = engine.ask_round(&[AskRequest::new(
 //!     "What is the overall miss rate of the mcf workload under LRU?",
-//! ));
-//! assert!(response.is_ok());
+//! )]);
+//! assert!(responses[0].is_ok());
 //! ```
 
 pub mod engine;

@@ -575,15 +575,23 @@ fn accept_connection(shared: &Arc<Shared>, stream: TcpStream, peer: SocketAddr) 
 /// shutdown) is what unblocks it, so no buffered request is discarded.
 fn reader_loop(shared: &Arc<Shared>, conn: &Arc<ConnState>, mut stream: TcpStream) {
     let mut buffer: Vec<u8> = Vec::new();
+    // `buffer[..start]` is already framed; `buffer[start..scanned]` is
+    // known to hold no newline. Each byte is scanned once and the framed
+    // prefix is dropped once per read, so a long line arriving over many
+    // reads costs linear, not quadratic, time.
+    let mut start = 0usize;
+    let mut scanned = 0usize;
     let mut scratch = [0u8; 4096];
     let mut next_seq = 0u64;
     loop {
         // Frame every complete line currently buffered.
-        while let Some(newline) = buffer.iter().position(|&b| b == b'\n') {
+        while let Some(offset) = buffer[scanned..].iter().position(|&b| b == b'\n') {
+            let newline = scanned + offset;
             let span = shared.metrics.read.start_span();
-            let raw: Vec<u8> = buffer.drain(..=newline).collect();
-            shared.metrics.bytes_in.add(raw.len() as u64);
-            let line = String::from_utf8_lossy(&raw[..newline]).trim().to_string();
+            shared.metrics.bytes_in.add((newline + 1 - start) as u64);
+            let line = String::from_utf8_lossy(&buffer[start..newline]).trim().to_string();
+            start = newline + 1;
+            scanned = start;
             if line.is_empty() {
                 span.finish();
                 continue;
@@ -601,6 +609,9 @@ fn reader_loop(shared: &Arc<Shared>, conn: &Arc<ConnState>, mut stream: TcpStrea
             }
             span.finish();
         }
+        buffer.drain(..start);
+        start = 0;
+        scanned = buffer.len();
         if shared.shutting_down() {
             break;
         }

@@ -57,7 +57,8 @@ fn batched_rounds_match_serial_replay() {
         for (s, id) in ids.iter().enumerate() {
             let question = synthetic_question(serial_engine.store(), s, turn);
             assert_eq!(question, outcome.questions[s][turn], "question synthesis must agree");
-            let serial = serial_engine.handle(&AskRequest::in_session(*id, question));
+            let serial =
+                serial_engine.ask_round(&[AskRequest::in_session(*id, question)]).remove(0);
             let batched = &outcome.responses[s][turn];
             assert_eq!(serial.answer, batched.answer, "session {s} turn {turn}");
             assert_eq!(serial.verdict, batched.verdict, "session {s} turn {turn}");
@@ -247,10 +248,10 @@ fn session_memory_never_enters_prompts() {
         TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().expect("demo build");
     let shared = CacheMind::shared(std::sync::Arc::new(store));
     let poison = "List all unique PCs in the mcf trace under LRU.";
-    let _ = shared.ask(poison);
+    let _ = shared.ask_query(&poison.into());
     let q = "What is the overall miss rate of the lbm workload under LRU?";
-    let after_other_traffic = shared.ask(q);
-    let fresh = CacheMind::new(TraceDatabaseBuilder::quick_demo().build()).ask(q);
+    let after_other_traffic = shared.ask_query(&q.into());
+    let fresh = CacheMind::new(TraceDatabaseBuilder::quick_demo().build()).ask_query(&q.into());
     assert_eq!(after_other_traffic.prompt, fresh.prompt);
     assert!(!after_other_traffic.prompt.contains("unique PCs"));
 }

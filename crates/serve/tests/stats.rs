@@ -13,7 +13,7 @@
 
 use cachemind_serve::engine::{ServeConfig, ServeEngine};
 use cachemind_serve::load::{run_load_driver, LoadSpec};
-use cachemind_serve::protocol::{AskRequest, Request};
+use cachemind_serve::protocol::AskRequest;
 use cachemind_tracedb::TraceDatabaseBuilder;
 use serde_json::Value;
 
@@ -24,6 +24,12 @@ fn engine(threads: usize) -> ServeEngine {
         .try_build_sharded()
         .expect("demo build");
     ServeEngine::over(db, config)
+}
+
+/// Serves one protocol line on the stdin transport, keeping the rendered
+/// response.
+fn serve(engine: &ServeEngine, line: &str) -> String {
+    engine.serve_line(line, true, "stdin", None).rendered
 }
 
 fn field<'a>(value: &'a Value, path: &[&str]) -> &'a Value {
@@ -69,25 +75,24 @@ fn stats_counters_match_the_load_driver_totals() {
 #[test]
 fn stats_requests_answer_in_band_and_never_count_themselves() {
     let engine = engine(2);
-    let response = engine.handle(&AskRequest::new(
-        "What is the overall miss rate of the mcf \
-                                                   workload under LRU?",
-    ));
+    let response = engine
+        .ask_round(&[AskRequest::new(
+            "What is the overall miss rate of the mcf workload under LRU?",
+        )])
+        .remove(0);
     assert!(response.is_ok());
 
     // First stats response: 1 ask, 0 stats — the read does not count
     // itself.
-    let first = engine.handle_request(&Request::Stats);
-    let first = match first {
-        cachemind_serve::protocol::Response::Stats(value) => value,
-        other => panic!("stats must answer with a stats object, got {other:?}"),
-    };
+    let first = serve(&engine, "{\"stats\": true}");
+    let first = serde_json::from_str(&first).expect("stats lines are valid JSON");
+    assert_eq!(count(&first, &["stats_version"]), 2, "a stats object answers");
     assert_eq!(count(&first, &["requests", "ask"]), 1);
     assert_eq!(count(&first, &["requests", "stats"]), 0, "the response never counts itself");
     assert_eq!(count(&first, &["requests", "total"]), 1);
 
     // Second stats response sees the first one.
-    let line = engine.handle_line("{\"stats\": true}", true);
+    let line = serve(&engine, "{\"stats\": true}");
     let second = serde_json::from_str(&line).expect("stats lines are valid JSON");
     assert_eq!(count(&second, &["requests", "stats"]), 1);
     assert_eq!(count(&second, &["requests", "total"]), 2);
@@ -98,12 +103,12 @@ fn protocol_failures_land_in_per_kind_error_counters() {
     let engine = engine(2);
     // One malformed line, one structurally-bad request, two unknown
     // sessions through different paths.
-    let garbage = engine.handle_line("this is not json", true);
+    let garbage = serve(&engine, "this is not json");
     assert!(garbage.contains("\"error\""), "{garbage}");
-    let bad = engine.handle_line("{\"stats\": false}", true);
+    let bad = serve(&engine, "{\"stats\": false}");
     assert!(bad.contains("\"error\""), "{bad}");
-    let _ = engine.handle_line("{\"question\": \"hi\", \"session\": 999}", true);
-    let _ = engine.handle_line("{\"close\": true, \"session\": 998}", true);
+    let _ = serve(&engine, "{\"question\": \"hi\", \"session\": 999}");
+    let _ = serve(&engine, "{\"close\": true, \"session\": 998}");
 
     let stats = engine.stats_value();
     assert_eq!(count(&stats, &["errors", "by_kind", "invalid_json"]), 1);
@@ -127,8 +132,8 @@ fn metrics_never_perturb_the_deterministic_report() {
     let quiet_outcome = run_load_driver(&quiet, spec.clone());
 
     let noisy = engine(2);
-    let _ = noisy.handle_line("not json at all", true);
-    let _ = noisy.handle_line("{\"stats\": true}", true);
+    let _ = serve(&noisy, "not json at all");
+    let _ = serve(&noisy, "{\"stats\": true}");
     let noisy_outcome = run_load_driver(&noisy, spec);
     // The warm-up asked nothing, so both drives see identical session ids
     // and identical questions.

@@ -13,6 +13,8 @@
 //!   refuses lines without dropping any, and both recover cleanly;
 //! * graceful shutdown drains every in-flight line before the server
 //!   exits — nothing is silently dropped;
+//! * a long line framed across many socket reads and a short line behind
+//!   it in the same write answer once each, in order;
 //! * per-connection sessions are reaped on disconnect under
 //!   `--session-scope conn` and survive it under `global`;
 //! * after identical drives, the server's in-band stats equal the
@@ -306,6 +308,36 @@ fn graceful_shutdown_drains_every_in_flight_line() {
     client.reader.read_to_string(&mut rest).expect("drain to EOF");
     assert!(rest.trim().is_empty(), "nothing after the drain: {rest:?}");
     server.wait();
+}
+
+#[test]
+fn a_long_line_and_a_short_one_in_one_write_get_two_ordered_responses() {
+    // One worker, so the stats line is served after the ask completes.
+    let server = start_server(1, NetConfig::default());
+    let mut client = Client::connect(server.local_addr());
+
+    // A >64 KB ask line (JSON whitespace padding, so the ask itself stays
+    // cheap) and a short stats line, in one write: the reader frames the
+    // long line across many socket reads, then the short one.
+    let padding = " ".repeat(70_000);
+    let burst = format!("{{\"question\": \"{QUESTION}\"{padding}}}\n{{\"stats\": true}}\n");
+    assert!(burst.len() > 64 * 1024);
+    client.writer.write_all(burst.as_bytes()).expect("write burst");
+    client.writer.flush().expect("flush burst");
+
+    let answer = client.recv();
+    assert!(is_ok(&answer), "{answer:?}");
+    assert!(!text(&answer, &["answer"]).is_empty(), "the long line answered first: {answer:?}");
+    let stats = client.recv();
+    assert_eq!(count(&stats, &["requests", "ask"]), 1, "the short line answered second");
+    assert_eq!(count(&stats, &["errors", "total"]), 0, "{stats:?}");
+
+    // Exactly two responses: the connection then reads EOF.
+    client.writer.shutdown(std::net::Shutdown::Write).expect("half-close");
+    let mut rest = String::new();
+    client.reader.read_to_string(&mut rest).expect("drain to EOF");
+    assert!(rest.is_empty(), "nothing after the two responses: {rest:?}");
+    server.shutdown();
 }
 
 #[test]

@@ -61,10 +61,7 @@ pub use replay::{EvictionRecord, LlcReplay, MissType, ReplayReport, ReplaySummar
 pub use reuse::ReuseOracle;
 pub use scenario::{ScenarioSelector, SelectorParseError};
 pub use stats::CacheStats;
-pub use sweep::{
-    AxisTotal, ScenarioCell, ScenarioGrid, ScenarioReport, SweepCell, SweepGrid, SweepReport,
-    SweepStream,
-};
+pub use sweep::{AxisTotal, ScenarioCell, ScenarioGrid, ScenarioReport, SweepStream};
 pub use timing::IpcModel;
 
 /// Commonly used types, for glob import.
@@ -83,8 +80,7 @@ pub mod prelude {
     pub use crate::scenario::{ScenarioSelector, SelectorParseError};
     pub use crate::stats::CacheStats;
     pub use crate::sweep::{
-        AxisTotal, PolicyTotal, ScenarioCell, ScenarioGrid, ScenarioReport, SweepCell, SweepError,
-        SweepGrid, SweepReport, SweepStream,
+        AxisTotal, ScenarioCell, ScenarioGrid, ScenarioReport, SweepError, SweepStream,
     };
     pub use crate::timing::IpcModel;
 }

@@ -8,17 +8,12 @@
 //! replays — exactly the embarrassingly-parallel rollout a sweep engine
 //! should spread across cores.
 //!
-//! Two grids are exposed:
-//!
-//! * [`ScenarioGrid`] — the first-class engine. Each cell transforms the
-//!   workload stream through a [`Prefetcher`], replays it on a
-//!   [`MachineConfig`] (full hierarchy, or LLC-only for legacy geometry
-//!   sweeps), and reduces to a [`ScenarioCell`] carrying the miss taxonomy,
-//!   prefetch accuracy/coverage and [`IpcModel`]-derived IPC.
-//! * [`SweepGrid`] — the original `(workload × LLC CacheConfig × policy)`
-//!   grid, kept as a thin adapter over [`ScenarioGrid`]: every config
-//!   becomes an LLC-only machine with the `none` prefetcher, and the
-//!   scenario cells convert losslessly back into [`SweepCell`]s.
+//! [`ScenarioGrid`] is the one sweep engine. Each cell transforms the
+//! workload stream through a [`Prefetcher`], replays it on a
+//! [`MachineConfig`] (the full hierarchy, or
+//! [`MachineConfig::llc_only`] for bare LLC-geometry sweeps), and reduces
+//! to a [`ScenarioCell`] carrying the miss taxonomy, prefetch
+//! accuracy/coverage and [`IpcModel`]-derived IPC.
 //!
 //! [`ScenarioGrid::run`] parallelises with rayon in two stages:
 //!
@@ -52,7 +47,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::access::{AccessKind, MemoryAccess};
-use crate::config::{CacheConfig, MachineConfig};
+use crate::config::MachineConfig;
 use crate::hierarchy::CacheHierarchy;
 use crate::prefetch::{Prefetcher, PrefetcherKind};
 use crate::replacement::ReplacementPolicy;
@@ -86,83 +81,6 @@ impl SweepStream {
         self.instr_count = instr_count;
         self
     }
-}
-
-/// The legacy grid specification: every policy replays every stream under
-/// every LLC configuration. A thin adapter over [`ScenarioGrid`].
-#[derive(Debug, Clone, Default)]
-pub struct SweepGrid {
-    /// Policy names, resolved through the caller's factory.
-    pub policies: Vec<String>,
-    /// Workload streams.
-    pub streams: Vec<SweepStream>,
-    /// LLC geometries.
-    pub configs: Vec<CacheConfig>,
-}
-
-/// One `(workload, config, policy)` cell of the legacy grid, reduced to
-/// its aggregate counters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SweepCell {
-    /// Workload (stream) name.
-    pub workload: String,
-    /// Configuration label (`name@setsxways`, see [`config_label`]).
-    pub config: String,
-    /// Policy name.
-    pub policy: String,
-    /// Accesses replayed.
-    pub accesses: u64,
-    /// Demand hits.
-    pub hits: u64,
-    /// Demand misses.
-    pub misses: u64,
-    /// Miss rate over the stream.
-    pub miss_rate: f64,
-    /// Compulsory misses.
-    pub compulsory_misses: u64,
-    /// Capacity misses.
-    pub capacity_misses: u64,
-    /// Conflict misses.
-    pub conflict_misses: u64,
-    /// Evictions whose victim was needed sooner than the inserted line.
-    pub wrong_evictions: u64,
-    /// Total evictions.
-    pub evictions: u64,
-}
-
-/// A completed legacy sweep: cells in canonical `(workload, config,
-/// policy)` order plus per-policy roll-ups.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SweepReport {
-    /// Every grid cell, canonically sorted.
-    pub cells: Vec<SweepCell>,
-    /// Per-policy totals across all workloads and configs, sorted by
-    /// policy name.
-    pub policy_totals: Vec<PolicyTotal>,
-}
-
-/// Aggregate counters for one policy across the whole grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PolicyTotal {
-    /// Policy name.
-    pub policy: String,
-    /// Cells aggregated.
-    pub cells: u64,
-    /// Total accesses.
-    pub accesses: u64,
-    /// Total hits.
-    pub hits: u64,
-    /// Total misses.
-    pub misses: u64,
-    /// Miss rate over all aggregated accesses.
-    pub miss_rate: f64,
-    /// Total wrong evictions.
-    pub wrong_evictions: u64,
-}
-
-/// Canonical label for a configuration: `name@<sets>x<ways>`.
-pub fn config_label(config: &CacheConfig) -> String {
-    format!("{}@{}x{}", config.name, config.sets(), config.ways)
 }
 
 /// Order-preserving parallel map over independent sweep configurations —
@@ -248,7 +166,7 @@ struct PreparedTriple {
     scenario: Arc<PreparedScenario>,
 }
 
-/// Errors surfaced by [`ScenarioGrid::run`] and [`SweepGrid::run`].
+/// Errors surfaced by [`ScenarioGrid::run`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SweepError {
     /// The policy factory returned `None` for a requested policy name.
@@ -539,8 +457,8 @@ impl ScenarioGrid {
         // Stage 1a ([`transform_stream`]): one task per (stream,
         // prefetcher) pair — the transform depends only on those two axes,
         // so every machine replaying the pair shares one transformed stream
-        // instead of rebuilding its own copy. `None` (the whole legacy
-        // adapter path) borrows the original stream rather than cloning it.
+        // instead of rebuilding its own copy. `None` borrows the original
+        // stream rather than cloning it.
         let pairs: Vec<(usize, usize)> = (0..self.streams.len())
             .flat_map(|s| (0..self.prefetchers.len()).map(move |p| (s, p)))
             .collect();
@@ -770,159 +688,11 @@ impl ScenarioReport {
     }
 }
 
-impl SweepGrid {
-    /// Builder-style: adds a policy name.
-    pub fn policy(mut self, name: impl Into<String>) -> Self {
-        self.policies.push(name.into());
-        self
-    }
-
-    /// Builder-style: adds a stream.
-    pub fn stream(mut self, stream: SweepStream) -> Self {
-        self.streams.push(stream);
-        self
-    }
-
-    /// Builder-style: adds a configuration.
-    pub fn config(mut self, config: CacheConfig) -> Self {
-        self.configs.push(config);
-        self
-    }
-
-    /// Number of grid cells.
-    pub fn cells(&self) -> usize {
-        self.policies.len() * self.streams.len() * self.configs.len()
-    }
-
-    /// The equivalent scenario grid: every LLC geometry becomes an
-    /// LLC-only [`MachineConfig`] and the prefetcher axis is pinned to
-    /// [`PrefetcherKind::None`].
-    pub fn to_scenario(&self) -> ScenarioGrid {
-        ScenarioGrid {
-            policies: self.policies.clone(),
-            streams: self.streams.clone(),
-            machines: self.configs.iter().map(|c| MachineConfig::llc_only(c.clone())).collect(),
-            prefetchers: vec![PrefetcherKind::None],
-            mlp_override: None,
-        }
-    }
-
-    /// Runs the full grid in parallel by delegating to
-    /// [`ScenarioGrid::run`] and converting the scenario cells back into
-    /// the legacy report shape. Numbers are identical to the original
-    /// LLC-only engine: an LLC-only machine replays the untouched stream
-    /// directly against the configured geometry.
-    pub fn run<F>(&self, make_policy: F) -> Result<SweepReport, SweepError>
-    where
-        F: Fn(&str) -> Option<Box<dyn ReplacementPolicy>> + Sync,
-    {
-        let report = self.to_scenario().run(make_policy)?;
-        // (workload, machine, none, policy) order == (workload, config,
-        // policy) order: the prefetcher axis is a single constant and
-        // llc-only machine labels are exactly the legacy config labels.
-        let cells: Vec<SweepCell> = report
-            .cells
-            .into_iter()
-            .map(|c| SweepCell {
-                workload: c.workload,
-                config: c.machine,
-                policy: c.policy,
-                accesses: c.accesses,
-                hits: c.hits,
-                misses: c.misses,
-                miss_rate: c.miss_rate,
-                compulsory_misses: c.compulsory_misses,
-                capacity_misses: c.capacity_misses,
-                conflict_misses: c.conflict_misses,
-                wrong_evictions: c.wrong_evictions,
-                evictions: c.evictions,
-            })
-            .collect();
-        let policy_totals: Vec<PolicyTotal> = report
-            .policy_totals
-            .into_iter()
-            .map(|t| PolicyTotal {
-                policy: t.key,
-                cells: t.cells,
-                accesses: t.accesses,
-                hits: t.hits,
-                misses: t.misses,
-                miss_rate: t.miss_rate,
-                wrong_evictions: t.wrong_evictions,
-            })
-            .collect();
-        Ok(SweepReport { cells, policy_totals })
-    }
-}
-
-impl SweepReport {
-    /// Renders the report as a fixed-width text table (cells, then
-    /// per-policy totals). Stable across runs and thread counts.
-    pub fn to_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<10} {:<16} {:<11} {:>9} {:>9} {:>9} {:>7} {:>6} {:>6} {:>6} {:>7}\n",
-            "workload",
-            "config",
-            "policy",
-            "accesses",
-            "hits",
-            "misses",
-            "miss%",
-            "comp",
-            "cap",
-            "conf",
-            "wrong",
-        ));
-        for c in &self.cells {
-            out.push_str(&format!(
-                "{:<10} {:<16} {:<11} {:>9} {:>9} {:>9} {:>6.2}% {:>6} {:>6} {:>6} {:>7}\n",
-                c.workload,
-                c.config,
-                c.policy,
-                c.accesses,
-                c.hits,
-                c.misses,
-                c.miss_rate * 100.0,
-                c.compulsory_misses,
-                c.capacity_misses,
-                c.conflict_misses,
-                c.wrong_evictions,
-            ));
-        }
-        out.push('\n');
-        out.push_str(&format!(
-            "{:<11} {:>5} {:>10} {:>10} {:>10} {:>7} {:>7}\n",
-            "policy", "cells", "accesses", "hits", "misses", "miss%", "wrong",
-        ));
-        for t in &self.policy_totals {
-            out.push_str(&format!(
-                "{:<11} {:>5} {:>10} {:>10} {:>10} {:>6.2}% {:>7}\n",
-                t.policy,
-                t.cells,
-                t.accesses,
-                t.hits,
-                t.misses,
-                t.miss_rate * 100.0,
-                t.wrong_evictions,
-            ));
-        }
-        out
-    }
-
-    /// The cell for a `(workload, config, policy)` key, if present.
-    pub fn cell(&self, workload: &str, config: &str, policy: &str) -> Option<&SweepCell> {
-        self.cells
-            .iter()
-            .find(|c| c.workload == workload && c.config == config && c.policy == policy)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::addr::{Address, Pc};
-    use crate::config::HierarchyConfig;
+    use crate::config::{CacheConfig, HierarchyConfig};
     use crate::replacement::RecencyPolicy;
 
     fn cyclic_stream(lines: u64, len: u64) -> Vec<MemoryAccess> {
@@ -943,25 +713,38 @@ mod tests {
         }
     }
 
+    /// A one-stream LLC-only grid: machine `t` (2 sets x 2 ways) with the
+    /// `none` prefetcher — the shape of a bare LLC-geometry sweep.
+    fn llc_grid(policies: &[&str]) -> ScenarioGrid {
+        let mut grid = ScenarioGrid::default()
+            .stream(SweepStream::new("w", cyclic_stream(4, 50)))
+            .machine(MachineConfig::llc_only(CacheConfig::new("t", 1, 2, 6)))
+            .prefetcher(PrefetcherKind::None);
+        grid.policies = policies.iter().map(|s| (*s).to_owned()).collect();
+        grid
+    }
+
     #[test]
     fn grid_covers_every_cell_in_canonical_order() {
-        let grid = SweepGrid::default()
+        let grid = ScenarioGrid::default()
             .policy("lru")
             .policy("fifo")
             .stream(SweepStream::new("cyc8", cyclic_stream(8, 200)))
             .stream(SweepStream::new("cyc2", cyclic_stream(2, 200)))
-            .config(CacheConfig::new("a", 1, 2, 6))
-            .config(CacheConfig::new("b", 2, 2, 6));
+            .machine(MachineConfig::llc_only(CacheConfig::new("b", 2, 2, 6)))
+            .machine(MachineConfig::llc_only(CacheConfig::new("a", 1, 2, 6)))
+            .prefetcher(PrefetcherKind::None);
         let report = grid.run(lru_only).expect("grid runs");
         assert_eq!(report.cells.len(), 8);
         let keys: Vec<(String, String, String)> = report
             .cells
             .iter()
-            .map(|c| (c.workload.clone(), c.config.clone(), c.policy.clone()))
+            .map(|c| (c.workload.clone(), c.machine.clone(), c.policy.clone()))
             .collect();
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted, "cells must come out canonically sorted");
+        assert_eq!(keys[0], ("cyc2".into(), "a@2x2".into(), "fifo".into()));
         assert_eq!(report.policy_totals.len(), 2);
     }
 
@@ -969,13 +752,15 @@ mod tests {
     fn cells_match_direct_replay() {
         let stream = cyclic_stream(16, 300);
         let cfg = CacheConfig::new("t", 1, 2, 6);
-        let grid = SweepGrid::default()
+        let machine = MachineConfig::llc_only(cfg.clone());
+        let grid = ScenarioGrid::default()
             .policy("lru")
             .stream(SweepStream::new("w", stream.clone()))
-            .config(cfg.clone());
+            .machine(machine.clone())
+            .prefetcher(PrefetcherKind::None);
         let report = grid.run(lru_only).expect("grid runs");
-        let direct = LlcReplay::new(cfg.clone(), &stream).run(RecencyPolicy::lru());
-        let cell = report.cell("w", &config_label(&cfg), "lru").expect("cell exists");
+        let direct = LlcReplay::new(cfg, &stream).run(RecencyPolicy::lru());
+        let cell = report.cell("w", &machine.machine_label(), "none", "lru").expect("cell exists");
         assert_eq!(cell.hits, direct.stats.hits);
         assert_eq!(cell.misses, direct.stats.misses);
         assert_eq!(cell.compulsory_misses, direct.compulsory_misses);
@@ -984,57 +769,48 @@ mod tests {
 
     #[test]
     fn unknown_policy_is_an_error_not_a_panic() {
-        let grid = SweepGrid::default()
-            .policy("nope")
-            .stream(SweepStream::new("w", cyclic_stream(4, 50)))
-            .config(CacheConfig::new("t", 1, 2, 6));
-        assert_eq!(grid.run(lru_only), Err(SweepError::UnknownPolicy("nope".into())));
+        assert_eq!(
+            llc_grid(&["nope"]).run(lru_only),
+            Err(SweepError::UnknownPolicy("nope".into()))
+        );
     }
 
     #[test]
     fn empty_grid_is_an_error() {
-        assert_eq!(SweepGrid::default().run(lru_only), Err(SweepError::EmptyGrid));
         assert_eq!(ScenarioGrid::default().run(lru_only), Err(SweepError::EmptyGrid));
+        assert_eq!(llc_grid(&[]).run(lru_only), Err(SweepError::EmptyGrid));
     }
 
     #[test]
     fn duplicate_axis_entries_are_an_error() {
-        let base = |policies: &[&str]| {
-            let mut g = SweepGrid::default()
-                .stream(SweepStream::new("w", cyclic_stream(4, 50)))
-                .config(CacheConfig::new("t", 1, 2, 6));
-            g.policies = policies.iter().map(|s| (*s).to_owned()).collect();
-            g
-        };
         assert_eq!(
-            base(&["lru", "lru"]).run(lru_only),
+            llc_grid(&["lru", "lru"]).run(lru_only),
             Err(SweepError::DuplicateKey("lru".into()))
         );
-        let two_streams = base(&["lru"]).stream(SweepStream::new("w", cyclic_stream(2, 10)));
+        let two_streams = llc_grid(&["lru"]).stream(SweepStream::new("w", cyclic_stream(2, 10)));
         assert_eq!(two_streams.run(lru_only), Err(SweepError::DuplicateKey("stream:w".into())));
-        // Same config label (name + geometry) twice, even via distinct values.
-        let two_configs = base(&["lru"]).config(CacheConfig::new("t", 1, 2, 6).with_latency(5));
+        // Same machine label (name + geometry) twice, even via distinct values.
+        let two_machines = llc_grid(&["lru"])
+            .machine(MachineConfig::llc_only(CacheConfig::new("t", 1, 2, 6).with_latency(5)));
         assert_eq!(
-            two_configs.run(lru_only),
+            two_machines.run(lru_only),
             Err(SweepError::DuplicateKey("machine:t@2x2".into()))
         );
-        // Scenario axes: duplicate prefetcher labels are rejected too.
-        let grid = SweepGrid::default()
-            .policy("lru")
-            .stream(SweepStream::new("w", cyclic_stream(4, 50)))
-            .config(CacheConfig::new("t", 1, 2, 6))
-            .to_scenario()
-            .prefetcher(PrefetcherKind::None);
-        assert_eq!(grid.run(lru_only), Err(SweepError::DuplicateKey("prefetcher:none".into())));
+        let two_prefetchers = llc_grid(&["lru"]).prefetcher(PrefetcherKind::None);
+        assert_eq!(
+            two_prefetchers.run(lru_only),
+            Err(SweepError::DuplicateKey("prefetcher:none".into()))
+        );
     }
 
     #[test]
     fn totals_sum_their_cells() {
-        let grid = SweepGrid::default()
+        let grid = ScenarioGrid::default()
             .policy("lru")
             .stream(SweepStream::new("a", cyclic_stream(8, 128)))
             .stream(SweepStream::new("b", cyclic_stream(32, 128)))
-            .config(CacheConfig::new("t", 1, 2, 6));
+            .machine(MachineConfig::llc_only(CacheConfig::new("t", 1, 2, 6)))
+            .prefetcher(PrefetcherKind::None);
         let report = grid.run(lru_only).expect("grid runs");
         let total = &report.policy_totals[0];
         let hits: u64 = report.cells.iter().map(|c| c.hits).sum();
@@ -1226,27 +1002,5 @@ mod tests {
         // The full run produces one cell per (triple, policy).
         let report = grid.run(lru_only).expect("grid runs");
         assert_eq!(report.cells.len(), prepared.len() * grid.policies.len());
-    }
-
-    #[test]
-    fn adapter_report_is_lossless() {
-        let grid = SweepGrid::default()
-            .policy("lru")
-            .policy("fifo")
-            .stream(SweepStream::new("cyc", cyclic_stream(8, 200)))
-            .config(CacheConfig::new("a", 1, 2, 6))
-            .config(CacheConfig::new("b", 2, 2, 6));
-        let legacy = grid.run(lru_only).expect("legacy runs");
-        let scenario = grid.to_scenario().run(lru_only).expect("scenario runs");
-        assert_eq!(legacy.cells.len(), scenario.cells.len());
-        for (l, s) in legacy.cells.iter().zip(&scenario.cells) {
-            assert_eq!(l.workload, s.workload);
-            assert_eq!(l.config, s.machine);
-            assert_eq!(l.policy, s.policy);
-            assert_eq!(l.hits, s.hits);
-            assert_eq!(l.misses, s.misses);
-            assert_eq!(l.miss_rate, s.miss_rate);
-            assert_eq!(s.prefetcher, "none");
-        }
     }
 }

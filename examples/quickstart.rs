@@ -17,26 +17,26 @@ fn main() {
     let row = entry.frame.rows()[25].clone();
 
     // 2. Ask, with the Ranger retriever (plan generation + execution).
-    let mut mind = CacheMind::new(db).with_retriever(RetrieverKind::Ranger);
+    let mind = CacheMind::new(db).with_retriever(RetrieverKind::Ranger);
 
     let q1 = format!(
         "Does the memory access with PC {} and address {} result in a cache hit or cache \
          miss for the mcf workload and LRU replacement policy?",
         row.pc, row.address
     );
-    let a1 = mind.ask(&q1);
+    let a1 = mind.ask_query(&q1.as_str().into());
     println!("\nQ: {q1}");
     println!("A: {}", a1.text);
     println!("   evidence quality: {:?}, retriever: {}", a1.context.quality, a1.context.retriever);
 
     let q2 = format!("What is the miss rate for PC {} in the mcf workload with LRU?", row.pc);
-    let a2 = mind.ask(&q2);
+    let a2 = mind.ask_query(&q2.as_str().into());
     println!("\nQ: {q2}");
     println!("A: {}", a2.text);
 
     let q3 =
         format!("Which policy has the lowest miss rate for PC {} in the mcf workload?", row.pc);
-    let a3 = mind.ask(&q3);
+    let a3 = mind.ask_query(&q3.as_str().into());
     println!("\nQ: {q3}");
     println!("A: {}", a3.text);
 

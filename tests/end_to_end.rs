@@ -21,13 +21,13 @@ fn full_pipeline_produces_verifiable_answers() {
         .expect("pair exists");
     let truth = first.is_miss;
 
-    let mut mind = CacheMind::new(db).with_retriever(RetrieverKind::Ranger);
+    let mind = CacheMind::new(db).with_retriever(RetrieverKind::Ranger);
     let q = format!(
         "Does the memory access with PC {} and address {} result in a cache hit or cache \
          miss for the lbm workload and Belady replacement policy?",
         row.pc, row.address
     );
-    let a = mind.ask(&q);
+    let a = mind.ask_query(&q.into());
     // The retrieved evidence must carry the true outcome regardless of what
     // the (noisy) generator answers.
     let evidence_truth = a.context.facts.iter().find_map(|f| match f {
