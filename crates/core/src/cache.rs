@@ -73,7 +73,7 @@ impl AnswerCache {
                 bytes.push(0);
                 bytes.extend_from_slice(entry.metadata.as_bytes());
                 bytes.push(0);
-                bytes.extend_from_slice(&(entry.frame.rows().len() as u64).to_le_bytes());
+                bytes.extend_from_slice(&(entry.frame.len() as u64).to_le_bytes());
             }
             fnv64_wide(&bytes)
         })

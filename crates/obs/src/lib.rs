@@ -70,11 +70,12 @@ pub mod names {
     /// Snapshot read + full checksum verification (lazy open path), per
     /// open.
     pub const TRACEDB_SNAPSHOT_VERIFY: &str = "tracedb.snapshot_verify";
-    /// Deferred snapshot decode on first query, per lazy store.
+    /// One trace frame's row decode on first touch, per decoded frame of a
+    /// lazy snapshot store.
     pub const TRACEDB_LAZY_DECODE: &str = "tracedb.lazy_decode";
-    /// Counter: shard segments decoded by lazy stores.
+    /// Counter: shard segments whose entry headers lazy stores read.
     pub const TRACEDB_LAZY_DECODE_SEGMENTS: &str = "tracedb.lazy_decode_segments";
-    /// Counter: trace entries decoded by lazy stores.
+    /// Counter: trace frames whose rows lazy stores decoded.
     pub const TRACEDB_LAZY_DECODE_TRACES: &str = "tracedb.lazy_decode_traces";
     /// Ranger plan compilation, per retrieval.
     pub const RETRIEVAL_PLAN_COMPILE: &str = "retrieval.plan_compile";

@@ -709,7 +709,7 @@ impl Plan {
             }
             Plan::TraceLen { workload, policy, scope: baked } => {
                 let entry = Self::entry(db, workload, policy, baked)?;
-                let count = entry.frame.rows().len();
+                let count = entry.frame.len();
                 if count == 0 {
                     return Err(PlanError::EmptyResult);
                 }

@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use cachemind_core::chat::ChatSession;
 use cachemind_core::system::{CacheMind, Query, RetrieverKind};
@@ -371,9 +371,17 @@ impl ServeEngine {
         self.config.num_threads()
     }
 
+    /// The session table, recovered if a request panicked while holding
+    /// its lock. Such a request can leave at most its own session half
+    /// updated; refusing the table would take every other session down
+    /// with it.
+    fn lock_sessions(&self) -> MutexGuard<'_, SessionTable> {
+        self.sessions.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of open sessions.
     pub fn session_count(&self) -> usize {
-        self.sessions.lock().expect("session map lock").sessions.len()
+        self.lock_sessions().sessions.len()
     }
 
     /// Allocates an id and constructs a session around its own
@@ -407,7 +415,7 @@ impl ServeEngine {
     /// asks about.
     pub fn open_session_pinned(&self, pinned: ScenarioSelector) -> u64 {
         let (id, mut session) = self.fresh_session(pinned);
-        let mut table = self.sessions.lock().expect("session map lock");
+        let mut table = self.lock_sessions();
         session.last_active_round = table.round;
         table.sessions.insert(id, session);
         id
@@ -416,33 +424,18 @@ impl ServeEngine {
     /// The scenario scope a session pinned at open (unscoped for v1
     /// sessions); `None` for unknown sessions.
     pub fn pinned_scenario(&self, session: u64) -> Option<ScenarioSelector> {
-        self.sessions
-            .lock()
-            .expect("session map lock")
-            .sessions
-            .get(&session)
-            .map(|s| s.pinned.clone())
+        self.lock_sessions().sessions.get(&session).map(|s| s.pinned.clone())
     }
 
     /// The `(question, answer)` transcript of a session.
     pub fn transcript(&self, session: u64) -> Option<Vec<(String, String)>> {
-        self.sessions
-            .lock()
-            .expect("session map lock")
-            .sessions
-            .get(&session)
-            .map(|s| s.chat.transcript().to_vec())
+        self.lock_sessions().sessions.get(&session).map(|s| s.chat.transcript().to_vec())
     }
 
     /// Vector-memory recall within one session (for isolation checks and
     /// the chat tooling).
     pub fn recall(&self, session: u64, query: &str, k: usize) -> Option<Vec<String>> {
-        self.sessions
-            .lock()
-            .expect("session map lock")
-            .sessions
-            .get(&session)
-            .map(|s| s.chat.recall(query, k))
+        self.lock_sessions().sessions.get(&session).map(|s| s.chat.recall(query, k))
     }
 
     /// Closes a session, removing it (and its conversation memory) from
@@ -451,9 +444,7 @@ impl ServeEngine {
     /// answered; closing an unknown (or already-closed) session is an
     /// [`ProtocolError::UnknownSession`].
     pub fn close_session(&self, session: u64) -> Result<usize, ProtocolError> {
-        self.sessions
-            .lock()
-            .expect("session map lock")
+        self.lock_sessions()
             .sessions
             .remove(&session)
             .map(|state| {
@@ -508,7 +499,7 @@ impl ServeEngine {
             None => {
                 let pinned = scenario.unwrap_or_default();
                 let (id, mut state) = self.fresh_session(pinned.clone());
-                let mut table = self.sessions.lock().expect("session map lock");
+                let mut table = self.lock_sessions();
                 table.round += 1;
                 state.last_active_round = table.round;
                 table.sessions.insert(id, state);
@@ -516,7 +507,7 @@ impl ServeEngine {
                 AskResponse::opened(id, 0, &pinned)
             }
             Some(id) => {
-                let mut table = self.sessions.lock().expect("session map lock");
+                let mut table = self.lock_sessions();
                 table.round += 1;
                 let round = table.round;
                 let response = match table.sessions.get_mut(&id) {
@@ -744,7 +735,7 @@ impl ServeEngine {
         let mut failures: Vec<(usize, AskResponse)> = Vec::new();
         let round;
         {
-            let mut table = self.sessions.lock().expect("session map lock");
+            let mut table = self.lock_sessions();
             table.round += 1;
             round = table.round;
             for (index, request) in requests.iter().enumerate() {
@@ -801,7 +792,7 @@ impl ServeEngine {
         // the legacy bytes exactly.
         let mut responses: Vec<Option<AskResponse>> = requests.iter().map(|_| None).collect();
         {
-            let mut table = self.sessions.lock().expect("session map lock");
+            let mut table = self.lock_sessions();
             for (index, session_id, query, answer, micros) in answered {
                 // The session can vanish between phases: another thread may
                 // close it while the round's answers are being computed
@@ -1397,6 +1388,30 @@ mod tests {
             after.get("requests").unwrap().to_string(),
             "shutdown is a transport control message, not a request"
         );
+    }
+
+    #[test]
+    fn a_poisoned_session_map_keeps_serving() {
+        let engine = engine(1);
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _table = engine.sessions.lock();
+                    panic!("a request panics while holding the session map");
+                })
+                .join()
+        });
+        assert!(panicked.is_err());
+        assert!(engine.sessions.is_poisoned());
+
+        let q = "What is the overall miss rate of the mcf workload under LRU?";
+        let asked = engine.serve_line(&format!("{{\"question\": \"{q}\"}}"), false, "tcp", None);
+        assert!(!asked.rendered.contains("error"), "{}", asked.rendered);
+        let session = asked.opened_session.expect("the ask opens a session");
+        let close = format!("{{\"close\": true, \"session\": {session}}}");
+        let closed = engine.serve_line(&close, false, "tcp", None);
+        assert_eq!(closed.closed_session, Some(session), "{}", closed.rendered);
+        assert_eq!(engine.session_count(), 0);
     }
 
     #[test]

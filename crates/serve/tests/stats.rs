@@ -9,12 +9,14 @@
 //! * protocol failures land in per-`error_kind` counters that sum to
 //!   `errors.total`;
 //! * metrics stay out of the deterministic report: driving load with
-//!   metrics on changes no deterministic byte.
+//!   metrics on changes no deterministic byte;
+//! * a snapshot-backed engine decodes only the frames its asks read, and
+//!   says so in `tracedb.lazy_decode_traces`.
 
 use cachemind_serve::engine::{ServeConfig, ServeEngine};
 use cachemind_serve::load::{run_load_driver, LoadSpec};
 use cachemind_serve::protocol::AskRequest;
-use cachemind_tracedb::TraceDatabaseBuilder;
+use cachemind_tracedb::{TraceDatabaseBuilder, TraceStore};
 use serde_json::Value;
 
 fn engine(threads: usize) -> ServeEngine {
@@ -42,6 +44,12 @@ fn field<'a>(value: &'a Value, path: &[&str]) -> &'a Value {
 
 fn count(value: &Value, path: &[&str]) -> u64 {
     field(value, path).as_u64().unwrap_or_else(|| panic!("{path:?} is not a u64"))
+}
+
+/// A counter from an in-band `{"stats": true}` response.
+fn served_counter(engine: &ServeEngine, name: &str) -> u64 {
+    let stats = serde_json::from_str(&serve(engine, "{\"stats\": true}")).expect("stats JSON");
+    count(&stats, &["metrics", "counters", name])
 }
 
 #[test]
@@ -145,4 +153,36 @@ fn metrics_never_perturb_the_deterministic_report() {
     // But the full report carries the divergent metrics snapshot.
     let noisy_full = noisy_outcome.render(&noisy, true);
     assert!(noisy_full.contains("\"serve.errors.invalid_json\": 1"), "{noisy_full}");
+}
+
+#[test]
+fn snapshot_backed_engine_decodes_only_the_frames_an_ask_reads() {
+    let path =
+        std::env::temp_dir().join(format!("cachemind_stats_lazy_{}.snap", std::process::id()));
+    let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().expect("demo build");
+    db.save(&path).expect("save snapshot");
+    let traces = TraceStore::len(&db) as u64;
+    let row =
+        TraceStore::get(&db, "mcf_evictions_lru").expect("mcf trace").frame.rows()[10].clone();
+    drop(db);
+
+    let engine = ServeEngine::from_snapshot(&path, ServeConfig::default()).expect("snapshot loads");
+    let decoded = |engine: &ServeEngine| served_counter(engine, "tracedb.lazy_decode_traces");
+    let cold = serve(
+        &engine,
+        r#"{"question": "What is the overall miss rate of the mcf workload under LRU?"}"#,
+    );
+    assert!(!cold.contains("\"error\""), "{cold}");
+    assert_eq!(decoded(&engine), 0, "a metadata question decodes no frame");
+    assert_eq!(served_counter(&engine, "tracedb.lazy_decode_segments"), 3, "every header read");
+
+    let question = format!(
+        "Does the access with PC {} and address {} hit or miss on mcf under LRU?",
+        row.pc, row.address
+    );
+    let pinned = serve(&engine, &format!(r#"{{"question": "{question}"}}"#));
+    assert!(!pinned.contains("\"error\""), "{pinned}");
+    let after = decoded(&engine);
+    assert!((1..traces).contains(&after), "decoded {after} of {traces} frames");
+    std::fs::remove_file(&path).ok();
 }

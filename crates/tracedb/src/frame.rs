@@ -7,6 +7,7 @@ use cachemind_workloads::program::ProgramImage;
 
 use crate::filter::Predicate;
 use crate::record::TraceRow;
+use crate::snapshot::RowPayload;
 
 /// A frame of trace rows plus the program image that maps PCs to code.
 ///
@@ -17,9 +18,18 @@ use crate::record::TraceRow;
 /// Every PC-scoped read goes through a per-PC index of the rows, built on
 /// first use and kept for the frame's lifetime (the rows never change
 /// after construction). It is derived state: snapshots do not store it.
+///
+/// A frame read lazily from a snapshot holds its encoded row payload and
+/// decodes it on the first read of any row (`rows`, the PC index,
+/// `filter`/`count`/`first`/`select`, CSV export, `unique_sets`); `len`
+/// and `is_empty` answer from the stored row count without decoding.
 #[derive(Clone)]
 pub struct TraceFrame {
-    rows: Vec<TraceRow>,
+    rows: OnceLock<Vec<TraceRow>>,
+    /// The row count, known before the rows are decoded.
+    len: usize,
+    /// Where undecoded rows come from; `None` for frames built in memory.
+    payload: Option<RowPayload>,
     program: Arc<ProgramImage>,
     pc_index: OnceLock<PcIndex>,
 }
@@ -70,10 +80,10 @@ impl PcIndex {
 
 impl std::fmt::Debug for TraceFrame {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // The index is left out: whether it has been built yet must not
-        // change how a frame prints.
+        // The index is left out, and the rows are decoded first: whether
+        // either has been built yet must not change how a frame prints.
         f.debug_struct("TraceFrame")
-            .field("rows", &self.rows)
+            .field("rows", &self.rows())
             .field("program", &self.program)
             .finish_non_exhaustive()
     }
@@ -82,22 +92,41 @@ impl std::fmt::Debug for TraceFrame {
 impl TraceFrame {
     /// Creates a frame over `rows` with `program` as the code-lookup source.
     pub fn new(rows: Vec<TraceRow>, program: Arc<ProgramImage>) -> Self {
-        TraceFrame { rows, program, pc_index: OnceLock::new() }
+        TraceFrame {
+            len: rows.len(),
+            rows: OnceLock::from(rows),
+            payload: None,
+            program,
+            pc_index: OnceLock::new(),
+        }
     }
 
-    /// Number of rows.
+    /// A frame of `len` rows that decodes `payload` on first read.
+    pub(crate) fn lazy(payload: RowPayload, len: usize, program: Arc<ProgramImage>) -> Self {
+        TraceFrame {
+            rows: OnceLock::new(),
+            len,
+            payload: Some(payload),
+            program,
+            pc_index: OnceLock::new(),
+        }
+    }
+
+    /// Number of rows. Does not decode a lazy frame; once decoded, a frame
+    /// whose payload turned out malformed reports its actual (zero) rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.rows.get().map_or(self.len, Vec::len)
     }
 
     /// Whether the frame has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len() == 0
     }
 
     /// All rows, in stream order.
     pub fn rows(&self) -> &[TraceRow] {
-        &self.rows
+        self.rows
+            .get_or_init(|| self.payload.as_ref().map_or_else(Vec::new, |p| p.decode(self.len)))
     }
 
     /// The program image behind the frame's PCs.
@@ -106,7 +135,7 @@ impl TraceFrame {
     }
 
     fn pc_index(&self) -> &PcIndex {
-        self.pc_index.get_or_init(|| PcIndex::build(&self.rows))
+        self.pc_index.get_or_init(|| PcIndex::build(self.rows()))
     }
 
     /// Distinct PCs, ascending.
@@ -121,7 +150,8 @@ impl TraceFrame {
 
     /// The rows issued by `pc`, in stream order.
     pub fn rows_for_pc(&self, pc: Pc) -> impl ExactSizeIterator<Item = &TraceRow> + '_ {
-        self.pc_index().postings(pc).iter().map(|&id| &self.rows[id as usize])
+        let rows = self.rows();
+        self.pc_index().postings(pc).iter().map(|&id| &rows[id as usize])
     }
 
     /// Rows matching `predicate`, in stream order. A predicate that pins a
@@ -130,12 +160,13 @@ impl TraceFrame {
         &'a self,
         predicate: &'p Predicate,
     ) -> impl Iterator<Item = &'a TraceRow> + use<'a, 'p> {
+        let rows = self.rows();
         let (scan, ids): (&[TraceRow], &[u32]) = match predicate.pc_key() {
             Some(pc) => (&[], self.pc_index().postings(pc)),
-            None => (&self.rows, &[]),
+            None => (rows, &[]),
         };
         scan.iter()
-            .chain(ids.iter().map(|&id| &self.rows[id as usize]))
+            .chain(ids.iter().map(|&id| &rows[id as usize]))
             .filter(move |r| predicate.matches(r))
     }
 
@@ -197,7 +228,7 @@ impl TraceFrame {
              evicted_address_reuse_distance_numeric,accessed_address_recency_numeric,\
              accessed_address_recency,function_name,is_miss\n",
         );
-        for r in &self.rows {
+        for r in self.rows() {
             let opt_u64 = |v: Option<u64>| v.map(|x| x.to_string()).unwrap_or_default();
             let opt_addr = |v: Option<cachemind_sim::addr::Address>| {
                 v.map(|a| format!("{a}")).unwrap_or_default()
@@ -225,7 +256,7 @@ impl TraceFrame {
     /// Distinct set ids, ascending.
     pub fn unique_sets(&self) -> Vec<usize> {
         let mut sets: Vec<usize> = self
-            .rows
+            .rows()
             .iter()
             .map(|r| r.set.index())
             .collect::<std::collections::HashSet<_>>()

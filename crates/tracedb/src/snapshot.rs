@@ -35,6 +35,11 @@
 //! once per distinct image and shared by [`Arc`] on load, exactly as the
 //! builder shares them.
 //!
+//! Each entry's rows are preceded by their row count and the byte length
+//! of their encoded payload (format v2), so a reader can step over one
+//! trace's rows without decoding them. The eager reader requires every
+//! payload to decode to exactly its declared length.
+//!
 //! # Row compression
 //!
 //! Rows dominate the byte budget, so they are LEB128-varint encoded with
@@ -74,15 +79,18 @@
 //! [`VerifiedSnapshot`] splits loading into its two halves: `open` reads
 //! the file and verifies *every* checksum (so all realistic corruption —
 //! bit rot, truncation, partial writes — fails fast at startup), while
-//! `decode` materializes the entries. A serving process can hold a
-//! `VerifiedSnapshot` and decode lazily on first use, making cold-start
-//! an order of magnitude faster than an in-process simulation build.
+//! `decode` materializes the entries. A serving process wraps it in a
+//! [`LazyTraceDatabase`], which reads entry headers on first use and
+//! decodes each trace's rows only when something reads them, making
+//! cold-start an order of magnitude faster than an in-process simulation
+//! build and leaving untouched traces undecoded.
 //! Segment checksums use [`fnv64_wide`] — eight interleaved FNV-1a lanes
 //! folded with FNV-1a — because a single FNV chain is a serial data
 //! dependency that caps verification near 0.6 GB/s; the laned variant
 //! verifies the same bytes about four times faster.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -104,7 +112,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CMDBSNAP";
 /// The format version this build writes and reads. Any layout change —
 /// new field, reordered section, different encoding — must bump this (the
 /// golden-bytes fixture test fails loudly otherwise).
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// A failure loading (or writing) a snapshot. The reader returns a typed
 /// error for every malformed input — it never panics and never yields a
@@ -834,6 +842,9 @@ pub fn write_snapshot(db: &ShardedTraceDatabase) -> Vec<u8> {
             put_f64(&mut seg, entry.ipc);
             let rows = entry.frame.rows();
             put_u32(&mut seg, rows.len() as u32);
+            // The payload length goes before the rows; patched once known.
+            let len_at = seg.len();
+            put_u64(&mut seg, 0);
             let mut prev: Option<&TraceRow> = None;
             let mut prev_index = 0u64;
             for row in rows {
@@ -841,6 +852,8 @@ pub fn write_snapshot(db: &ShardedTraceDatabase) -> Vec<u8> {
                 prev_index = row.index;
                 prev = Some(row);
             }
+            let payload_len = (seg.len() - len_at - 8) as u64;
+            seg[len_at..len_at + 8].copy_from_slice(&payload_len.to_le_bytes());
         }
         segments.push((count, seg));
     }
@@ -881,20 +894,12 @@ pub fn write_snapshot(db: &ShardedTraceDatabase) -> Vec<u8> {
     out
 }
 
-/// What the structural header scan finds: where the header ends (the
-/// checksum position) and where its segment directory starts.
-struct HeaderScan {
-    header_end: usize,
-    shards: usize,
-    dir_start: usize,
-}
-
 /// Structurally scans the header (no content validation) to locate the
-/// header checksum: the reader trusts no header byte before the checksum
-/// over all of them has been verified. Only [`SnapshotError::BadMagic`],
-/// [`SnapshotError::VersionMismatch`] and [`SnapshotError::Truncated`] can
-/// come out of the scan.
-fn scan_header(bytes: &[u8]) -> Result<HeaderScan, SnapshotError> {
+/// header checksum, returning its position: the reader trusts no header
+/// byte before the checksum over all of them has been verified. Only
+/// [`SnapshotError::BadMagic`], [`SnapshotError::VersionMismatch`] and
+/// [`SnapshotError::Truncated`] can come out of the scan.
+fn scan_header(bytes: &[u8]) -> Result<usize, SnapshotError> {
     let mut c = Cursor::new(bytes, "magic");
     if c.take(SNAPSHOT_MAGIC.len())? != SNAPSHOT_MAGIC {
         return Err(SnapshotError::BadMagic);
@@ -917,129 +922,233 @@ fn scan_header(bytes: &[u8]) -> Result<HeaderScan, SnapshotError> {
         skip_program(&mut c)?;
     }
     // Segment directory: (entry count, byte length, checksum) per shard.
-    let dir_start = c.pos;
     c.take(shards.saturating_mul(4 + 8 + 8))?;
-    Ok(HeaderScan { header_end: c.pos, shards, dir_start })
+    Ok(c.pos)
 }
 
-/// Deserializes a snapshot produced by [`write_snapshot`].
-///
-/// Validation order: magic, version, header checksum, then each shard
-/// segment's checksum — only checksum-verified bytes are ever decoded into
-/// entries, so a corrupted file yields a typed [`SnapshotError`], never a
-/// partial database.
-pub fn read_snapshot(bytes: &[u8]) -> Result<ShardedTraceDatabase, SnapshotError> {
-    // Phase 1: locate and verify the header before trusting any of it.
-    let header_end = scan_header(bytes)?.header_end;
-    let mut c = Cursor::new(bytes, "header checksum");
-    c.pos = header_end;
-    let declared = c.u64()?;
-    if fnv64(&bytes[..header_end]) != declared {
-        return Err(SnapshotError::ChecksumMismatch { section: "header".to_owned() });
-    }
+/// One shard segment as the verified directory describes it.
+#[derive(Debug, Clone)]
+struct Segment {
+    entries: u32,
+    bytes: Range<usize>,
+}
 
-    // Phase 2: decode the verified header.
-    let mut h = Cursor::new(&bytes[..header_end], "header");
-    h.take(SNAPSHOT_MAGIC.len())?;
-    h.u32()?; // version, already checked
-    let llc = match h.u8()? {
-        0 => None,
-        1 => Some(read_cache_config(&mut h)?),
-        tag => return Err(SnapshotError::Corrupt { detail: format!("bad llc tag {tag}") }),
-    };
-    let shards = h.u32()? as usize;
-    h.section("label tables");
-    let workloads = read_labels(&mut h)?;
-    let policies = read_labels(&mut h)?;
-    let machines = read_labels(&mut h)?;
-    let prefetchers = read_labels(&mut h)?;
-    h.section("program table");
-    let nprograms = h.u32()?;
-    let mut programs: Vec<Arc<ProgramImage>> = Vec::with_capacity(nprograms.min(1 << 16) as usize);
-    for _ in 0..nprograms {
-        programs.push(Arc::new(read_program(&mut h)?));
-    }
-    h.section("segment directory");
-    let mut directory = Vec::with_capacity(shards.min(1 << 16));
-    for _ in 0..shards {
-        let count = h.u32()?;
-        let len = h.u64()? as usize;
-        let checksum = h.u64()?;
-        directory.push((count, len, checksum));
-    }
+/// A snapshot's verified layout: the decoded header plus the byte range of
+/// every shard segment. Building one checks every checksum; nothing in it
+/// depends on the row payloads.
+#[derive(Debug, Clone)]
+struct Layout {
+    llc: Option<CacheConfig>,
+    workloads: Vec<String>,
+    policies: Vec<String>,
+    machines: Vec<String>,
+    prefetchers: Vec<String>,
+    programs: Vec<Arc<ProgramImage>>,
+    segments: Vec<Segment>,
+}
 
-    // Phase 3: verify each segment's checksum, then decode its entries.
-    let mut entries: Vec<TraceEntry> = Vec::new();
-    let mut offset = header_end + 8;
-    for (shard, (count, len, checksum)) in directory.iter().enumerate() {
-        let end = offset.checked_add(*len).filter(|e| *e <= bytes.len()).ok_or_else(|| {
-            SnapshotError::Truncated { section: format!("shard segment {shard}") }
-        })?;
-        let seg = &bytes[offset..end];
-        if fnv64_wide(seg) != *checksum {
-            return Err(SnapshotError::ChecksumMismatch {
-                section: format!("shard segment {shard}"),
-            });
+impl Layout {
+    /// Validation order: magic, version, header checksum, then each shard
+    /// segment's bounds and checksum, and finally that no bytes trail the
+    /// last segment. Only checksum-verified header bytes are decoded.
+    fn verify(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        // Phase 1: locate and verify the header before trusting any of it.
+        let header_end = scan_header(bytes)?;
+        let mut c = Cursor::new(bytes, "header checksum");
+        c.pos = header_end;
+        let declared = c.u64()?;
+        if fnv64(&bytes[..header_end]) != declared {
+            return Err(SnapshotError::ChecksumMismatch { section: "header".to_owned() });
         }
-        let mut s = Cursor::new(seg, "shard segment");
-        for _ in 0..*count {
-            let workload = label_at(&workloads, s.u32()?, "workload")?.to_owned();
-            let policy = label_at(&policies, s.u32()?, "policy")?.to_owned();
-            let id_machine = match s.opt_u32()? {
-                None => None,
-                Some(idx) => Some(label_at(&machines, idx, "machine")?.to_owned()),
-            };
-            let id_prefetcher = match s.opt_u32()? {
-                None => None,
-                Some(idx) => Some(label_at(&prefetchers, idx, "prefetcher")?.to_owned()),
-            };
-            let machine = label_at(&machines, s.u32()?, "machine")?.to_owned();
-            let prefetcher = label_at(&prefetchers, s.u32()?, "prefetcher")?.to_owned();
-            let metadata = s.str()?;
-            let description = s.str()?;
-            let program_idx = s.u32()? as usize;
-            let program = programs.get(program_idx).ok_or_else(|| SnapshotError::Corrupt {
-                detail: format!("program index {program_idx} out of range"),
+
+        // Phase 2: decode the verified header.
+        let mut h = Cursor::new(&bytes[..header_end], "header");
+        h.take(SNAPSHOT_MAGIC.len())?;
+        h.u32()?; // version, already checked
+        let llc = match h.u8()? {
+            0 => None,
+            1 => Some(read_cache_config(&mut h)?),
+            tag => return Err(SnapshotError::Corrupt { detail: format!("bad llc tag {tag}") }),
+        };
+        let shards = h.u32()? as usize;
+        h.section("label tables");
+        let workloads = read_labels(&mut h)?;
+        let policies = read_labels(&mut h)?;
+        let machines = read_labels(&mut h)?;
+        let prefetchers = read_labels(&mut h)?;
+        h.section("program table");
+        let nprograms = h.u32()?;
+        let mut programs = Vec::with_capacity(nprograms.min(1 << 16) as usize);
+        for _ in 0..nprograms {
+            programs.push(Arc::new(read_program(&mut h)?));
+        }
+
+        // Phase 3: check every segment against the directory.
+        h.section("segment directory");
+        let mut segments = Vec::with_capacity(shards.min(1 << 16));
+        let mut offset = header_end + 8;
+        for shard in 0..shards {
+            let entries = h.u32()?;
+            let len = h.u64()? as usize;
+            let checksum = h.u64()?;
+            let end = offset.checked_add(len).filter(|e| *e <= bytes.len()).ok_or_else(|| {
+                SnapshotError::Truncated { section: format!("shard segment {shard}") }
             })?;
-            let prefetch_fills = s.u64()?;
-            let useful_prefetches = s.u64()?;
-            let prefetch_accuracy = s.f64()?;
-            let prefetch_coverage = s.f64()?;
-            let ipc = s.f64()?;
-            let nrows = s.u32()?;
-            let mut rows: Vec<TraceRow> = Vec::with_capacity(nrows.min(1 << 22) as usize);
-            let mut prev_index = 0u64;
-            for _ in 0..nrows {
-                let row = read_row(&mut s, rows.last(), prev_index)?;
-                prev_index = row.index;
-                rows.push(row);
+            if fnv64_wide(&bytes[offset..end]) != checksum {
+                return Err(SnapshotError::ChecksumMismatch {
+                    section: format!("shard segment {shard}"),
+                });
             }
-            entries.push(TraceEntry {
-                id: TraceId { workload, policy, machine: id_machine, prefetcher: id_prefetcher },
-                frame: TraceFrame::new(rows, Arc::clone(program)),
-                metadata,
-                description,
-                machine,
-                prefetcher,
-                prefetch_fills,
-                useful_prefetches,
-                prefetch_accuracy,
-                prefetch_coverage,
-                ipc,
-            });
+            segments.push(Segment { entries, bytes: offset..end });
+            offset = end;
         }
-        if s.pos != seg.len() {
+        if offset != bytes.len() {
             return Err(SnapshotError::Corrupt {
-                detail: format!("shard segment {shard} has trailing bytes"),
+                detail: "trailing bytes after last segment".into(),
             });
         }
-        offset = end;
-    }
-    if offset != bytes.len() {
-        return Err(SnapshotError::Corrupt { detail: "trailing bytes after last segment".into() });
+        Ok(Layout { llc, workloads, policies, machines, prefetchers, programs, segments })
     }
 
-    Ok(ShardedTraceDatabase::from_entries(entries, shards.max(1), llc))
+    /// Decodes every entry's header fields in segment order. Row payloads
+    /// are not read here: `frame` receives each entry's payload byte range
+    /// (within `bytes`), its declared row count and its program, and builds
+    /// the frame.
+    fn entries(
+        &self,
+        bytes: &[u8],
+        mut frame: impl FnMut(
+            Range<usize>,
+            usize,
+            Arc<ProgramImage>,
+        ) -> Result<TraceFrame, SnapshotError>,
+    ) -> Result<Vec<TraceEntry>, SnapshotError> {
+        let mut entries = Vec::with_capacity(self.trace_count().min(1 << 16));
+        for (shard, segment) in self.segments.iter().enumerate() {
+            let mut s = Cursor::new(&bytes[..segment.bytes.end], "shard segment");
+            s.pos = segment.bytes.start;
+            for _ in 0..segment.entries {
+                let workload = label_at(&self.workloads, s.u32()?, "workload")?.to_owned();
+                let policy = label_at(&self.policies, s.u32()?, "policy")?.to_owned();
+                let id_machine = match s.opt_u32()? {
+                    None => None,
+                    Some(idx) => Some(label_at(&self.machines, idx, "machine")?.to_owned()),
+                };
+                let id_prefetcher = match s.opt_u32()? {
+                    None => None,
+                    Some(idx) => Some(label_at(&self.prefetchers, idx, "prefetcher")?.to_owned()),
+                };
+                let machine = label_at(&self.machines, s.u32()?, "machine")?.to_owned();
+                let prefetcher = label_at(&self.prefetchers, s.u32()?, "prefetcher")?.to_owned();
+                let metadata = s.str()?;
+                let description = s.str()?;
+                let program_idx = s.u32()? as usize;
+                let program =
+                    self.programs.get(program_idx).ok_or_else(|| SnapshotError::Corrupt {
+                        detail: format!("program index {program_idx} out of range"),
+                    })?;
+                let prefetch_fills = s.u64()?;
+                let useful_prefetches = s.u64()?;
+                let prefetch_accuracy = s.f64()?;
+                let prefetch_coverage = s.f64()?;
+                let ipc = s.f64()?;
+                let nrows = s.u32()? as usize;
+                let payload_len = s.u64()?;
+                let payload = usize::try_from(payload_len)
+                    .ok()
+                    .and_then(|len| s.pos.checked_add(len))
+                    .filter(|end| *end <= segment.bytes.end)
+                    .map(|end| s.pos..end)
+                    .ok_or_else(|| SnapshotError::Corrupt {
+                        detail: format!(
+                            "row payload of {payload_len} bytes overruns shard segment {shard}"
+                        ),
+                    })?;
+                s.pos = payload.end;
+                entries.push(TraceEntry {
+                    id: TraceId {
+                        workload,
+                        policy,
+                        machine: id_machine,
+                        prefetcher: id_prefetcher,
+                    },
+                    frame: frame(payload, nrows, Arc::clone(program))?,
+                    metadata,
+                    description,
+                    machine,
+                    prefetcher,
+                    prefetch_fills,
+                    useful_prefetches,
+                    prefetch_accuracy,
+                    prefetch_coverage,
+                    ipc,
+                });
+            }
+            if s.pos != segment.bytes.end {
+                return Err(SnapshotError::Corrupt {
+                    detail: format!("shard segment {shard} has trailing bytes"),
+                });
+            }
+        }
+        Ok(entries)
+    }
+
+    fn trace_count(&self) -> usize {
+        self.segments.iter().map(|s| s.entries as usize).sum()
+    }
+
+    fn database(&self, entries: Vec<TraceEntry>) -> ShardedTraceDatabase {
+        ShardedTraceDatabase::from_entries(entries, self.segments.len().max(1), self.llc.clone())
+    }
+
+    /// Decodes every entry and every row payload.
+    fn decode(&self, bytes: &[u8]) -> Result<ShardedTraceDatabase, SnapshotError> {
+        let entries = self.entries(bytes, |payload, nrows, program| {
+            Ok(TraceFrame::new(decode_rows(&bytes[payload], nrows)?, program))
+        })?;
+        Ok(self.database(entries))
+    }
+}
+
+/// Decodes one entry's row payload, which must hold exactly `count` rows
+/// and nothing after them. The payload sits inside a checksum-verified
+/// segment, so running out of bytes early is corruption, not truncation.
+fn decode_rows(payload: &[u8], count: usize) -> Result<Vec<TraceRow>, SnapshotError> {
+    let mut c = Cursor::new(payload, "row payload");
+    // Every row takes at least one byte, which caps a forged count.
+    let mut rows: Vec<TraceRow> = Vec::with_capacity(count.min(payload.len()));
+    let mut prev_index = 0u64;
+    for _ in 0..count {
+        let row = read_row(&mut c, rows.last(), prev_index).map_err(|e| match e {
+            SnapshotError::Truncated { .. } => SnapshotError::Corrupt {
+                detail: format!("row payload of {} bytes ends before {count} rows", payload.len()),
+            },
+            other => other,
+        })?;
+        prev_index = row.index;
+        rows.push(row);
+    }
+    if c.pos != payload.len() {
+        return Err(SnapshotError::Corrupt {
+            detail: format!(
+                "row payload of {} bytes holds {count} rows in {} bytes",
+                payload.len(),
+                c.pos
+            ),
+        });
+    }
+    Ok(rows)
+}
+
+/// Deserializes a snapshot produced by [`write_snapshot`], rows included.
+///
+/// Validation order: magic, version, header checksum, then every shard
+/// segment's bounds and checksum — only checksum-verified bytes are ever
+/// decoded into entries, so a corrupted file yields a typed
+/// [`SnapshotError`], never a partial database. Each entry's row payload
+/// must decode to exactly its declared length.
+pub fn read_snapshot(bytes: &[u8]) -> Result<ShardedTraceDatabase, SnapshotError> {
+    Layout::verify(bytes)?.decode(bytes)
 }
 
 /// Writes `db` to `path` in the snapshot format ([`write_snapshot`]).
@@ -1060,13 +1169,15 @@ pub fn load_from_path(path: &Path) -> Result<ShardedTraceDatabase, SnapshotError
 /// have not been decoded yet — the instant-startup half of snapshot
 /// serving.
 ///
-/// [`VerifiedSnapshot::open`] reads the file, structurally scans the
-/// header, and verifies the header checksum plus every segment checksum
-/// and segment bound, so all realistic corruption — bit rot, truncation,
-/// a partial write — fails fast with a typed [`SnapshotError`] before the
-/// process claims to be ready. Entry materialization ([`decode`]) is the
-/// expensive half (hundreds of thousands of small allocations) and can be
-/// deferred to first use; it operates on the already-verified bytes.
+/// [`VerifiedSnapshot::open`] reads the file, verifies the header checksum
+/// and decodes the header, then verifies every segment's bounds and
+/// checksum and that no bytes trail the last segment, so all realistic
+/// corruption — bit rot, truncation, a partial write — fails fast with a
+/// typed [`SnapshotError`] before the process claims to be ready. Entry
+/// materialization ([`decode`]) is the expensive half (hundreds of
+/// thousands of small allocations); it operates on the already-verified
+/// bytes, which are shared by [`Arc`] so lazily decoded frames can keep
+/// pointing into them.
 ///
 /// A checksum-valid file whose payload is structurally malformed (only
 /// producible by deliberately forging checksums) still fails `decode`
@@ -1075,17 +1186,16 @@ pub fn load_from_path(path: &Path) -> Result<ShardedTraceDatabase, SnapshotError
 /// [`decode`]: VerifiedSnapshot::decode
 #[derive(Clone)]
 pub struct VerifiedSnapshot {
-    bytes: Vec<u8>,
-    shards: usize,
-    trace_count: usize,
+    bytes: Arc<Vec<u8>>,
+    layout: Layout,
 }
 
 impl std::fmt::Debug for VerifiedSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VerifiedSnapshot")
             .field("bytes", &self.bytes.len())
-            .field("shards", &self.shards)
-            .field("trace_count", &self.trace_count)
+            .field("shards", &self.num_shards())
+            .field("trace_count", &self.trace_count())
             .finish()
     }
 }
@@ -1102,74 +1212,72 @@ impl VerifiedSnapshot {
     /// bounds and checksum, and finally that no bytes trail the last
     /// segment.
     pub fn verify(bytes: Vec<u8>) -> Result<Self, SnapshotError> {
-        let scan = scan_header(&bytes)?;
-        let mut c = Cursor::new(&bytes, "header checksum");
-        c.pos = scan.header_end;
-        let declared = c.u64()?;
-        if fnv64(&bytes[..scan.header_end]) != declared {
-            return Err(SnapshotError::ChecksumMismatch { section: "header".to_owned() });
-        }
-
-        // The directory bytes are covered by the just-verified header
-        // checksum; walk them and check every segment against it.
-        let mut d = Cursor::new(&bytes[..scan.header_end], "segment directory");
-        d.pos = scan.dir_start;
-        let mut offset = scan.header_end + 8;
-        let mut trace_count = 0usize;
-        for shard in 0..scan.shards {
-            let count = d.u32()?;
-            let len = d.u64()? as usize;
-            let checksum = d.u64()?;
-            trace_count += count as usize;
-            let end = offset.checked_add(len).filter(|e| *e <= bytes.len()).ok_or_else(|| {
-                SnapshotError::Truncated { section: format!("shard segment {shard}") }
-            })?;
-            if fnv64_wide(&bytes[offset..end]) != checksum {
-                return Err(SnapshotError::ChecksumMismatch {
-                    section: format!("shard segment {shard}"),
-                });
-            }
-            offset = end;
-        }
-        if offset != bytes.len() {
-            return Err(SnapshotError::Corrupt {
-                detail: "trailing bytes after last segment".into(),
-            });
-        }
-        Ok(VerifiedSnapshot { bytes, shards: scan.shards, trace_count })
+        let layout = Layout::verify(&bytes)?;
+        Ok(VerifiedSnapshot { bytes: Arc::new(bytes), layout })
     }
 
     /// The shard count the snapshot's header declares.
     pub fn num_shards(&self) -> usize {
-        self.shards
+        self.layout.segments.len()
     }
 
     /// Total entries across all shard segments, from the directory.
     pub fn trace_count(&self) -> usize {
-        self.trace_count
+        self.layout.trace_count()
     }
 
-    /// Materializes the database from the verified bytes.
+    /// Materializes the whole database, rows included, from the verified
+    /// bytes.
     pub fn decode(&self) -> Result<ShardedTraceDatabase, SnapshotError> {
-        read_snapshot(&self.bytes)
+        self.layout.decode(&self.bytes)
     }
 }
 
-/// A [`TraceStore`] over a [`VerifiedSnapshot`] that materializes the
-/// database on first query instead of at construction.
+/// One entry's row payload inside verified snapshot bytes: what a lazy
+/// [`TraceFrame`] decodes on first touch.
+#[derive(Clone)]
+pub(crate) struct RowPayload {
+    bytes: Arc<Vec<u8>>,
+    range: Range<usize>,
+    /// The `tracedb.lazy_decode` span's histogram.
+    decode_span: cachemind_obs::HistogramHandle,
+    /// The `tracedb.lazy_decode_traces` counter.
+    decoded: cachemind_obs::Counter,
+}
+
+impl RowPayload {
+    /// Decodes `count` rows, timed by the `tracedb.lazy_decode` span and
+    /// counted in `tracedb.lazy_decode_traces`. A malformed payload (only
+    /// possible behind forged checksums) decodes to no rows.
+    pub(crate) fn decode(&self, count: usize) -> Vec<TraceRow> {
+        let span = self.decode_span.start_span();
+        let rows = decode_rows(&self.bytes[self.range.clone()], count).unwrap_or_default();
+        span.finish();
+        self.decoded.inc();
+        rows
+    }
+}
+
+/// A [`TraceStore`] over a [`VerifiedSnapshot`] that decodes each trace's
+/// rows the first time something reads them.
 ///
-/// Construction is therefore as fast as [`VerifiedSnapshot::open`] — all
-/// checksums verified, nothing decoded — which is what makes snapshot
-/// serving cold-start an order of magnitude faster than an in-process
-/// build. [`TraceStore::len`] and [`TraceStore::shard_count`] answer from
-/// the verified header without forcing a decode, so a serving process can
-/// report its startup banner cheaply; every entry-level query forces the
-/// one-time decode.
+/// Construction is as fast as [`VerifiedSnapshot::open`] — all checksums
+/// verified, nothing decoded. [`TraceStore::len`] and
+/// [`TraceStore::shard_count`] answer from the verified header. The first
+/// entry-level query decodes the entry headers only (ids, labels, metadata,
+/// counters, row counts) and skips over every row payload; each
+/// [`TraceFrame`] then decodes its own rows on first touch
+/// ([`TraceFrame::rows`], the PC index, filters, CSV export). Keys,
+/// metadata, name sets and [`TraceFrame::len`] never decode a row, so an
+/// ask that reads only metadata decodes no frame at all.
 ///
 /// Decode cannot fail for files whose checksums verified unless the
-/// checksums themselves were forged; in that pathological case the store
-/// degrades to an *empty* database (typed errors having no channel
-/// through `&self` accessors) rather than panicking.
+/// checksums themselves were forged. In that pathological case nothing
+/// panics — typed errors having no channel through `&self` accessors —
+/// and the damage is contained as narrowly as the format allows: malformed
+/// entry headers degrade the whole store to an *empty* database, and a
+/// malformed row payload degrades only its own frame, which reads as
+/// empty.
 #[derive(Debug)]
 pub struct LazyTraceDatabase {
     snapshot: VerifiedSnapshot,
@@ -1189,8 +1297,9 @@ impl LazyTraceDatabase {
         }
     }
 
-    /// Redirects decode telemetry (the `tracedb.lazy_decode*` span and
-    /// counters) to `metrics` — e.g. a serve engine's own registry.
+    /// Redirects decode telemetry (the `tracedb.lazy_decode` span and the
+    /// `tracedb.lazy_decode_*` counters) to `metrics` — e.g. a serve
+    /// engine's own registry.
     pub fn with_metrics(mut self, metrics: &cachemind_obs::MetricsRegistry) -> Self {
         self.metrics = metrics.clone();
         self
@@ -1201,25 +1310,26 @@ impl LazyTraceDatabase {
         &self.snapshot
     }
 
-    /// The decoded database, materializing it on first call.
+    /// The database of entry headers, read on first call; its frames
+    /// decode their rows on first touch.
     pub fn force(&self) -> &ShardedTraceDatabase {
         self.db.get_or_init(|| {
-            let span = self.metrics.span(cachemind_obs::names::TRACEDB_LAZY_DECODE);
-            let db = self.snapshot.decode().unwrap_or_else(|_| {
-                ShardedTraceDatabase::from_entries(
-                    Vec::new(),
-                    self.snapshot.num_shards().max(1),
-                    None,
-                )
+            let VerifiedSnapshot { bytes, layout } = &self.snapshot;
+            let decode_span = self.metrics.histogram(cachemind_obs::names::TRACEDB_LAZY_DECODE);
+            let decoded = self.metrics.counter(cachemind_obs::names::TRACEDB_LAZY_DECODE_TRACES);
+            let entries = layout.entries(bytes, |range, nrows, program| {
+                let payload = RowPayload {
+                    bytes: Arc::clone(bytes),
+                    range,
+                    decode_span: decode_span.clone(),
+                    decoded: decoded.clone(),
+                };
+                Ok(TraceFrame::lazy(payload, nrows, program))
             });
-            span.finish();
             self.metrics
                 .counter(cachemind_obs::names::TRACEDB_LAZY_DECODE_SEGMENTS)
-                .add(db.shard_count() as u64);
-            self.metrics
-                .counter(cachemind_obs::names::TRACEDB_LAZY_DECODE_TRACES)
-                .add(db.len() as u64);
-            db
+                .add(layout.segments.len() as u64);
+            layout.database(entries.unwrap_or_default())
         })
     }
 }

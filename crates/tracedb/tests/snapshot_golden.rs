@@ -1,11 +1,15 @@
 //! Golden-bytes test for the snapshot format.
 //!
-//! `tests/fixtures/golden_v1.snap` is a committed snapshot of a small
+//! `tests/fixtures/golden_v2.snap` is a committed snapshot of a small
 //! hand-constructed database (no simulation output — the fixture must not
 //! move when simulator behaviour changes). Two invariants are pinned:
 //!
 //! * today's **writer** reproduces the fixture byte-for-byte, and
 //! * today's **reader** loads the fixture into the expected entries.
+//!
+//! `golden_v1.snap`, the fixture of the previous format version, stays
+//! committed unchanged as a negative fixture: every reader must reject it
+//! with a typed version mismatch.
 //!
 //! If either fails, the format changed: bump
 //! [`cachemind_tracedb::SNAPSHOT_VERSION`], regenerate the fixture as
@@ -20,10 +24,11 @@ use cachemind_sim::addr::{Address, Pc, SetId};
 use cachemind_sim::config::CacheConfig;
 use cachemind_sim::replay::MissType;
 use cachemind_tracedb::prelude::*;
-use cachemind_tracedb::snapshot::{read_snapshot, write_snapshot};
+use cachemind_tracedb::snapshot::{read_snapshot, write_snapshot, VerifiedSnapshot};
+use cachemind_tracedb::SnapshotError;
 
 fn fixture_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_v1.snap")
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_v2.snap")
 }
 
 /// The golden database: fully hand-specified, covering both qualified and
@@ -134,7 +139,7 @@ fn golden_db() -> ShardedTraceDatabase {
 #[test]
 fn writer_reproduces_golden_bytes() {
     let expected = std::fs::read(fixture_path()).expect(
-        "missing tests/fixtures/golden_v1.snap — run \
+        "missing tests/fixtures/golden_v2.snap — run \
          `cargo test -p cachemind-tracedb --test snapshot_golden -- --ignored` to generate it",
     );
     let actual = write_snapshot(&golden_db());
@@ -171,6 +176,15 @@ fn reader_loads_golden_fixture() {
     assert!(std::ptr::eq(lru.frame.program(), belady.frame.program()));
 }
 
+#[test]
+fn previous_version_fixture_is_rejected_with_a_typed_mismatch() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_v1.snap");
+    let bytes = std::fs::read(path).expect("v1 fixture present");
+    let expected = SnapshotError::VersionMismatch { found: 1 };
+    assert_eq!(read_snapshot(&bytes).unwrap_err(), expected);
+    assert_eq!(VerifiedSnapshot::verify(bytes).unwrap_err(), expected);
+}
+
 /// Regenerates the committed fixture. Run explicitly after an intentional
 /// format change (with a version bump):
 ///
@@ -178,7 +192,7 @@ fn reader_loads_golden_fixture() {
 /// cargo test -p cachemind-tracedb --test snapshot_golden -- --ignored
 /// ```
 #[test]
-#[ignore = "writes tests/fixtures/golden_v1.snap; run only to regenerate"]
+#[ignore = "writes tests/fixtures/golden_v2.snap; run only to regenerate"]
 fn regenerate_golden_fixture() {
     let path = fixture_path();
     std::fs::create_dir_all(path.parent().expect("fixture dir")).expect("mkdir fixtures");

@@ -1,25 +1,33 @@
 //! Property tests for the trace-database snapshot format.
 //!
-//! Two families:
+//! Three families:
 //!
 //! * **round-trip** — randomly-shaped databases survive save → load → save
 //!   with every field bit-identical, the second save byte-identical to the
 //!   first, and the loaded store answering `select` / `get_scoped` exactly
 //!   like the original;
+//! * **lazy equals eager** — a [`LazyTraceDatabase`] over the same bytes,
+//!   its frames touched in random order from two threads, yields the
+//!   entries and rows the eager reader does, decoding each frame once;
 //! * **corruption** — truncating the byte stream at *every* prefix length
 //!   (which covers every section boundary) and flipping a bit at every
 //!   byte position must yield a typed [`SnapshotError`] — never a panic,
-//!   never a partial database.
+//!   never a partial database. Payloads behind forged checksums (a row
+//!   payload length off by one, malformed rows) are typed errors for the
+//!   eager reader and never panic the lazy store.
 
 use std::sync::Arc;
 
+use cachemind_obs::{names, MetricsRegistry};
 use cachemind_sim::access::AccessKind;
 use cachemind_sim::addr::{Address, Pc, SetId};
 use cachemind_sim::config::CacheConfig;
 use cachemind_sim::replay::MissType;
 use cachemind_tracedb::prelude::*;
-use cachemind_tracedb::snapshot::{read_snapshot, write_snapshot};
-use cachemind_tracedb::SnapshotError;
+use cachemind_tracedb::snapshot::{
+    fnv64_wide, read_snapshot, write_snapshot, LazyTraceDatabase, VerifiedSnapshot,
+};
+use cachemind_tracedb::{fnv64, SnapshotError};
 use cachemind_workloads::program::{ProgramBuilder, ProgramImage};
 use proptest::prelude::*;
 
@@ -208,6 +216,51 @@ proptest! {
     }
 
     #[test]
+    fn lazy_store_matches_the_eager_reader(seed in any::<u64>(), shards in 1usize..6) {
+        let bytes = write_snapshot(&synth_db(seed, shards));
+        let eager = read_snapshot(&bytes).expect("snapshot loads");
+        let metrics = MetricsRegistry::new();
+        let lazy = LazyTraceDatabase::new(VerifiedSnapshot::verify(bytes).expect("verifies"))
+            .with_metrics(&metrics);
+
+        prop_assert_eq!(lazy.len(), eager.len());
+        prop_assert_eq!(lazy.shard_count(), eager.shard_count());
+        prop_assert_eq!(lazy.trace_keys(), eager.trace_keys());
+        prop_assert_eq!(lazy.llc_config(), eager.llc_config());
+        // Keys, metadata and row counts decode no rows.
+        for (a, b) in lazy.entries().zip(eager.entries()) {
+            prop_assert_eq!(a.frame.len(), b.frame.len());
+        }
+        let decoded = || metrics.snapshot().counter(names::TRACEDB_LAZY_DECODE_TRACES);
+        prop_assert_eq!(decoded(), 0);
+
+        // Two threads touch every frame, each in its own random order.
+        let keys = eager.trace_keys();
+        std::thread::scope(|scope| {
+            for t in 0..2u64 {
+                let (lazy, eager, keys) = (&lazy, &eager, &keys);
+                scope.spawn(move || {
+                    let mut order: Vec<&String> = keys.iter().collect();
+                    let mut rng = Mix(seed ^ t.wrapping_mul(0x5851_F42D_4C95_7F2D));
+                    for i in (1..order.len()).rev() {
+                        order.swap(i, rng.below(i as u64 + 1) as usize);
+                    }
+                    for key in order {
+                        let a = lazy.get(key).expect("lazy entry");
+                        let b = eager.get(key).expect("eager entry");
+                        assert_eq!(a.frame.pcs(), b.frame.pcs(), "{key}");
+                        assert_eq!(a.frame.rows(), b.frame.rows(), "{key}");
+                    }
+                });
+            }
+        });
+        for (a, b) in lazy.entries().zip(eager.entries()) {
+            assert_same_entry(a, b);
+        }
+        prop_assert_eq!(decoded(), eager.len() as u64, "every frame decodes exactly once");
+    }
+
+    #[test]
     fn corrupted_snapshots_never_panic(seed in any::<u64>()) {
         let db = synth_db(seed, 2);
         let mut bytes = write_snapshot(&db);
@@ -313,4 +366,133 @@ fn corruption_errors_are_specifically_typed() {
 fn missing_file_surfaces_as_io_error() {
     let err = ShardedTraceDatabase::load("/nonexistent/path/db.snap").unwrap_err();
     assert!(matches!(err, SnapshotError::Io { .. }), "{err:?}");
+}
+
+fn u32_at(bytes: &[u8], pos: usize) -> u32 {
+    u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"))
+}
+
+fn u64_at(bytes: &[u8], pos: usize) -> u64 {
+    u64::from_le_bytes(bytes[pos..pos + 8].try_into().expect("8 bytes"))
+}
+
+/// The start of the only segment of a one-shard snapshot: the position
+/// `p` where the directory's byte length, the segment checksum and the
+/// header checksum just before it all agree with the bytes.
+fn segment_start(bytes: &[u8]) -> usize {
+    (28..bytes.len())
+        .find(|&p| {
+            u64_at(bytes, p - 24) == (bytes.len() - p) as u64
+                && u64_at(bytes, p - 16) == fnv64_wide(&bytes[p..])
+                && u64_at(bytes, p - 8) == fnv64(&bytes[..p - 8])
+        })
+        .expect("a one-shard snapshot has one segment")
+}
+
+/// Re-forges the segment and header checksums of a one-shard snapshot
+/// after its segment bytes were edited in place.
+fn forge_checksums(bytes: &mut [u8], start: usize) {
+    let segment = fnv64_wide(&bytes[start..]);
+    bytes[start - 16..start - 8].copy_from_slice(&segment.to_le_bytes());
+    let header = fnv64(&bytes[..start - 8]);
+    bytes[start - 8..start].copy_from_slice(&header.to_le_bytes());
+}
+
+/// The position of the first entry's `row count` field, parsed from the v2
+/// entry layout: label ids, two optional qualifiers, grounded labels,
+/// metadata and description strings, program id, then five 8-byte
+/// counters and floats.
+fn first_row_count_at(bytes: &[u8], start: usize) -> usize {
+    let mut p = start + 8;
+    for _ in 0..2 {
+        p += if bytes[p] == 1 { 5 } else { 1 };
+    }
+    p += 8;
+    for _ in 0..2 {
+        p += 4 + u32_at(bytes, p) as usize;
+    }
+    p + 4 + 5 * 8
+}
+
+/// A one-shard database of two entries, both with rows.
+fn two_entry_bytes() -> Vec<u8> {
+    let mut rng = Mix(11);
+    let program = synth_program("wa");
+    let entries = ["lru", "mru"]
+        .into_iter()
+        .map(|policy| TraceEntry {
+            id: TraceId::new("wa", policy),
+            frame: TraceFrame::new(
+                (0..6).map(|i| synth_row(&mut rng, i)).collect(),
+                Arc::clone(&program),
+            ),
+            metadata: format!("summary wa {policy}"),
+            description: "Workload: wa.".to_owned(),
+            machine: "primary@64x4".to_owned(),
+            prefetcher: "none".to_owned(),
+            prefetch_fills: 0,
+            useful_prefetches: 0,
+            prefetch_accuracy: 0.0,
+            prefetch_coverage: 0.0,
+            ipc: 1.0,
+        })
+        .collect();
+    write_snapshot(&ShardedTraceDatabase::from_entries(entries, 1, None))
+}
+
+#[test]
+fn payload_length_off_by_one_or_padded_is_corrupt() {
+    let bytes = two_entry_bytes();
+    let start = segment_start(&bytes);
+    let len_at = first_row_count_at(&bytes, start) + 4;
+    let declared = u64_at(&bytes, len_at);
+    for forged in [declared - 1, declared + 1] {
+        let mut b = bytes.clone();
+        b[len_at..len_at + 8].copy_from_slice(&forged.to_le_bytes());
+        forge_checksums(&mut b, start);
+        match read_snapshot(&b) {
+            Err(SnapshotError::Corrupt { .. }) => {}
+            other => panic!("payload length {forged} (declared {declared}): {other:?}"),
+        }
+    }
+
+    // One padding byte after the rows, with the payload and segment
+    // lengths forged to match, keeps every later entry aligned: only the
+    // exact-length check can catch it.
+    let mut b = bytes.clone();
+    let rows_end = len_at + 8 + declared as usize;
+    b.insert(rows_end, 0);
+    b[len_at..len_at + 8].copy_from_slice(&(declared + 1).to_le_bytes());
+    let segment_len = u64_at(&b, start - 24) + 1;
+    b[start - 24..start - 16].copy_from_slice(&segment_len.to_le_bytes());
+    forge_checksums(&mut b, start);
+    assert!(VerifiedSnapshot::verify(b.clone()).is_ok(), "the forged file verifies");
+    match read_snapshot(&b) {
+        Err(SnapshotError::Corrupt { .. }) => {}
+        other => panic!("padded payload: {other:?}"),
+    }
+}
+
+#[test]
+fn malformed_rows_behind_forged_checksums_empty_only_their_frame() {
+    let bytes = two_entry_bytes();
+    let start = segment_start(&bytes);
+    let payload_at = first_row_count_at(&bytes, start) + 4 + 8;
+    let mut b = bytes.clone();
+    b[payload_at] |= 0b1100_0000; // history mode 3 does not exist
+    forge_checksums(&mut b, start);
+    assert!(matches!(read_snapshot(&b), Err(SnapshotError::Corrupt { .. })));
+
+    let eager = read_snapshot(&bytes).expect("untouched bytes load");
+    let lazy = LazyTraceDatabase::new(VerifiedSnapshot::verify(b).expect("checksums forged"));
+    assert_eq!(lazy.trace_keys(), eager.trace_keys());
+    let broken = lazy.get("wa_evictions_lru").expect("entry headers still decode");
+    assert_eq!(broken.frame.len(), 6, "the declared count, before the decode");
+    assert!(broken.frame.rows().is_empty());
+    assert!(broken.frame.is_empty());
+    assert!(broken.frame.pcs().is_empty());
+    assert_eq!(broken.frame.count(&Predicate::IsMiss(true)), 0);
+    assert_eq!(broken.frame.to_csv().lines().count(), 1, "header only");
+    let intact = lazy.get("wa_evictions_mru").expect("entry");
+    assert_same_entry(intact, eager.get("wa_evictions_mru").expect("entry"));
 }
