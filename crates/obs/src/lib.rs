@@ -94,11 +94,9 @@ pub mod names {
     pub const SERVE_ASK: &str = "serve.ask";
     /// Response rendering in the serve event loop, per line.
     pub const SERVE_RESPOND: &str = "serve.respond";
-    /// One batched ask round in the load driver, per round.
-    pub const SERVE_ROUND: &str = "serve.round";
-    /// One whole load-driver drive (all rounds), per run.
+    /// One whole load-driver ask phase, per run.
     pub const SERVE_LOAD_DRIVE: &str = "serve.load_drive";
-    /// Counter: ask requests (load-driver rounds and protocol asks).
+    /// Counter: protocol `question` (ask) requests.
     pub const SERVE_REQUESTS_ASK: &str = "serve.requests.ask";
     /// Counter: protocol `open` requests.
     pub const SERVE_REQUESTS_OPEN: &str = "serve.requests.open";
@@ -190,7 +188,6 @@ mod tests {
             names::SERVE_PARSE,
             names::SERVE_ASK,
             names::SERVE_RESPOND,
-            names::SERVE_ROUND,
             names::SERVE_LOAD_DRIVE,
             names::SERVE_REQUESTS_ASK,
             names::SERVE_REQUESTS_OPEN,

@@ -5,7 +5,8 @@
 //! cachemind-serve [--retriever sieve|ranger] [--scale tiny|small|full]
 //!                 [--shards S] [--threads N] [--max-idle-rounds R]
 //!
-//! # synthetic load driver: N sessions x M questions, batched rounds
+//! # synthetic load driver: N sessions x M questions as protocol lines,
+//! # in process, or against a running server with --tcp ADDR
 //! cachemind-serve --load-driver [--sessions N] [--questions M]
 //!                 [--report BENCH_serve.json] [--no-timing] [...]
 //!
@@ -14,11 +15,14 @@
 //! cachemind-serve --db-path db.snap [--startup-compare] [...]
 //! ```
 //!
-//! The worker-pool width comes from `--threads`, else `SERVE_NUM_THREADS`,
-//! else the machine. With `--no-timing` the load driver prints only the
-//! deterministic report (no thread count, no wall-clock fields) — the form
-//! CI diffs across thread counts. `--report PATH` additionally writes the
-//! full report including throughput and latency percentiles.
+//! Every transport serves one protocol line at a time through
+//! `ServeEngine::serve_line`. The TCP worker-pool width comes from
+//! `--threads`, else `SERVE_NUM_THREADS`, else the machine. With
+//! `--no-timing` the load driver prints only the deterministic report (no
+//! thread count, no wall-clock fields) — the form CI diffs across
+//! transports and thread counts. `--report PATH` additionally writes the
+//! full report including throughput and client-observed latency
+//! percentiles.
 //!
 //! `--build-db PATH` runs the simulation build and writes the sharded
 //! database to `PATH` as a versioned snapshot, without serving. `--db-path
@@ -28,13 +32,14 @@
 //! build so the report's `timing.startup` block carries the speedup
 //! denominator.
 
-use std::io::{BufRead, Write as _};
+use std::io::Write as _;
+use std::net::ToSocketAddrs;
 use std::sync::Arc;
 use std::time::Instant;
 
 use cachemind_core::system::RetrieverKind;
-use cachemind_serve::engine::{build_database, ServeConfig, ServeEngine};
-use cachemind_serve::load::{run_load_driver, run_load_driver_tcp, LoadSpec, StartupTiming};
+use cachemind_serve::engine::{build_database, ServeConfig, ServeEngine, StdioEnd};
+use cachemind_serve::load::{run_load_driver, LoadSpec, LoadTarget, StartupTiming};
 use cachemind_serve::net::{self, NetConfig, SessionScope, TcpServer};
 use cachemind_tracedb::ScenarioSelector;
 use cachemind_workloads::workload::Scale;
@@ -92,7 +97,7 @@ fn usage() -> ! {
          \x20   in-band with error_kind \"overloaded\"; --session-scope conn reaps a\n\
          \x20   connection's sessions at disconnect, global matches stdin semantics);\n\
          --tcp with --load-driver drives a *running* server at ADDR over real\n\
-         \x20   sockets instead of in-process rounds (the deterministic --no-timing\n\
+         \x20   sockets instead of in process (the deterministic --no-timing\n\
          \x20   report is byte-identical either way);\n\
          --shutdown-server asks the server at --tcp ADDR to shut down gracefully.\n\
          without --load-driver, serves newline-delimited JSON requests from stdin:\n\
@@ -308,21 +313,28 @@ fn main() {
             scenarios,
             repeat_period: usize_flag(&args, "--repeat-period", 0),
         };
-        let mut outcome = match &tcp_addr {
-            // Socket mode: drive a *running* server over real TCP
-            // round-trips; the local engine only synthesizes questions
-            // and echoes configuration into the report.
+        // Socket mode drives a *running* server; the local engine then
+        // only synthesizes questions and echoes configuration into the
+        // report.
+        let target = match &tcp_addr {
             Some(addr) => {
                 eprintln!("[cachemind-serve] driving server at {addr} over tcp ...");
-                match run_load_driver_tcp(&engine, spec, addr.as_str()) {
-                    Ok(outcome) => outcome,
-                    Err(e) => {
-                        eprintln!("error: tcp load drive against {addr} failed: {e}");
+                match addr.to_socket_addrs().map(|mut resolved| resolved.next()) {
+                    Ok(Some(resolved)) => LoadTarget::Tcp(resolved),
+                    _ => {
+                        eprintln!("error: cannot resolve server address {addr:?}");
                         std::process::exit(1);
                     }
                 }
             }
-            None => run_load_driver(&engine, spec),
+            None => LoadTarget::InProcess,
+        };
+        let mut outcome = match run_load_driver(&engine, spec, target) {
+            Ok(outcome) => outcome,
+            Err(e) => {
+                eprintln!("error: load drive failed: {e}");
+                std::process::exit(1);
+            }
         };
         outcome.startup = startup;
         let with_timing = !has(&args, "--no-timing");
@@ -374,28 +386,12 @@ fn main() {
         let shutdown = server.shutdown_handle();
         let stdin_engine = Arc::clone(&engine);
         std::thread::spawn(move || {
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            for line in stdin.lock().lines() {
-                let Ok(line) = line else { break };
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    continue;
-                }
-                if trimmed == "exit" || trimmed == "quit" {
-                    shutdown.signal();
-                    break;
-                }
-                let outcome = stdin_engine.serve_line(trimmed, true, "stdin", None);
-                let mut out = stdout.lock();
-                let _ = writeln!(out, "{}", outcome.rendered);
-                let _ = out.flush();
-                if outcome.shutdown {
-                    shutdown.signal();
-                    break;
-                }
+            // EOF without an exit request leaves the server running.
+            if stdin_engine.serve_stdio(std::io::stdin().lock(), std::io::stdout())
+                == StdioEnd::Stopped
+            {
+                shutdown.signal();
             }
-            // EOF without an exit request: leave the server running.
         });
         server.wait();
         eprintln!("[cachemind-serve] tcp server drained and stopped");
@@ -404,29 +400,9 @@ fn main() {
     }
 
     // Event loop: one JSON request per stdin line, one JSON response per
-    // stdout line. Parse errors come back in-band so every line answers.
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    for line in stdin.lock().lines() {
-        let line = match line {
-            Ok(line) => line,
-            Err(_) => break,
-        };
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        if trimmed == "exit" || trimmed == "quit" {
-            break;
-        }
-        let outcome = engine.serve_line(trimmed, true, "stdin", None);
-        let mut out = stdout.lock();
-        let _ = writeln!(out, "{}", outcome.rendered);
-        let _ = out.flush();
-        if outcome.shutdown {
-            break;
-        }
-    }
+    // stdout line, until EOF, exit/quit or a shutdown line. Parse errors
+    // come back in-band so every line answers.
+    engine.serve_stdio(std::io::stdin().lock(), std::io::stdout());
 
     // On shutdown, optionally dump the engine's full stats object — the
     // same shape a {"stats": true} line returns in-band.

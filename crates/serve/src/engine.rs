@@ -1,20 +1,21 @@
-//! [`ServeEngine`] — the multi-session, batched query-serving front-end.
+//! [`ServeEngine`] — the multi-session query-serving front-end.
 //!
 //! One engine owns many concurrent [`ChatSession`]s over a single shared
-//! (`Arc`) sharded trace database. Requests are answered in *rounds*: the
-//! event loop gathers the pending question of every session, a worker pool
-//! (sized by `SERVE_NUM_THREADS`) answers the round in parallel through the
-//! stateless CacheMind pipeline, and the answers fan back out into each
-//! session's conversation memory in input order.
+//! (`Arc`) sharded trace database. Every transport serves one protocol
+//! line at a time through [`ServeEngine::serve_line`]: parse, dispatch,
+//! render. An ask resolves its session under the session lock, is
+//! answered outside it through the stateless CacheMind pipeline, and is
+//! logged into the session's conversation memory under the lock again,
+//! so concurrent callers (the TCP worker pool) only serialize on
+//! bookkeeping.
 //!
 //! Determinism contract: answering is a pure function of `(store,
-//! question)`, workers receive contiguous chunks whose results are
-//! reassembled in input order, and session bookkeeping happens serially
-//! after the parallel phase — so every response, transcript and memory
-//! state is byte-identical for any `SERVE_NUM_THREADS`.
+//! question)`, and each session's turns are logged in the order its
+//! client sent them — so every response, transcript and memory state is
+//! byte-identical however many threads drive the engine.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::io::{BufRead, Write};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use cachemind_core::chat::ChatSession;
@@ -46,8 +47,8 @@ pub struct ServeConfig {
     pub scale: Scale,
     /// Shard count for the sharded build.
     pub shards: usize,
-    /// Worker threads; `None` reads `SERVE_NUM_THREADS`, falling back to
-    /// the machine's available parallelism.
+    /// TCP worker threads; `None` reads `SERVE_NUM_THREADS`, falling back
+    /// to the machine's available parallelism.
     pub threads: Option<usize>,
     /// Extra [`MachineConfig`] preset names (`"table2"`, `"small"`) to
     /// build machine-qualified traces for, on top of the primary machine —
@@ -58,9 +59,10 @@ pub struct ServeConfig {
     /// for, on top of the no-prefetch baseline — so sessions pinned to
     /// `+stride4` selectors answer from real transformed-stream traces.
     pub prefetchers: Vec<String>,
-    /// Reap sessions left untouched for this many consecutive ask rounds
-    /// (a reaped id is thereafter an unknown session, exactly as if the
-    /// client had closed it). `None` disables reaping — sessions then
+    /// Reap sessions left untouched for this many consecutive rounds — the
+    /// round clock ticks once per ask or open line (a reaped id is
+    /// thereafter an unknown session, exactly as if the client had closed
+    /// it). `None` disables reaping — sessions then
     /// live until closed, the pre-reaping behaviour. A value of 0 is
     /// clamped to 1.
     pub max_idle_rounds: Option<u64>,
@@ -89,7 +91,7 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Resolves the worker count: explicit setting, then the
+    /// Resolves the TCP worker count: explicit setting, then the
     /// `SERVE_NUM_THREADS` environment variable, then available
     /// parallelism.
     pub fn num_threads(&self) -> usize {
@@ -110,8 +112,8 @@ struct SessionState {
     /// The session's default scenario scope, pinned at open (unscoped for
     /// v1 sessions). A request-level `scenario` overrides it per turn.
     pinned: ScenarioSelector,
-    /// The last ask round that touched this session (opened it, probed
-    /// it, or asked through it) — the idle clock
+    /// The last round that touched this session (opened it, probed it,
+    /// or asked through it) — the idle clock
     /// [`ServeConfig::max_idle_rounds`] reaps against.
     last_active_round: u64,
 }
@@ -121,12 +123,14 @@ struct SessionState {
 #[derive(Debug, Default)]
 struct SessionTable {
     sessions: BTreeMap<u64, SessionState>,
-    /// Completed-round counter: incremented once at the start of every
-    /// [`ServeEngine::ask_round`] and once per
-    /// [`ServeEngine::open_request`], serially under the lock — the
-    /// deterministic clock idle reaping measures against (wall time would
-    /// break byte-stability across thread counts).
+    /// Round counter: incremented once per ask and once per `open`,
+    /// serially under the lock — the deterministic clock idle reaping
+    /// measures against (wall time would break byte-stability across
+    /// thread counts).
     round: u64,
+    /// The last session id assigned: ids run 1, 2, 3, ... in open order
+    /// and are never reused.
+    last_id: u64,
 }
 
 /// The engine's pre-registered metric handles: looked up once at
@@ -188,13 +192,21 @@ pub struct LineOutcome {
     pub shutdown: bool,
 }
 
-/// The serving front-end: session manager + batched ask rounds.
+/// Why [`ServeEngine::serve_stdio`] returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StdioEnd {
+    /// The input ended (or failed to read).
+    Eof,
+    /// An `exit` / `quit` line or a `{"shutdown": true}` request.
+    Stopped,
+}
+
+/// The serving front-end: session manager + the one protocol-line path.
 #[derive(Debug)]
 pub struct ServeEngine {
     store: Arc<dyn TraceStore>,
     mind: CacheMind,
     sessions: Mutex<SessionTable>,
-    next_session: AtomicU64,
     config: ServeConfig,
     /// This engine's own metric handles — per-engine (not process-global),
     /// so a server's `stats` snapshot counts exactly its own traffic.
@@ -307,7 +319,6 @@ impl ServeEngine {
             store,
             mind,
             sessions: Mutex::new(SessionTable::default()),
-            next_session: AtomicU64::new(1),
             config,
             metrics: EngineMetrics::new(registry),
             machine_labels: std::sync::OnceLock::new(),
@@ -366,7 +377,7 @@ impl ServeEngine {
         &self.config
     }
 
-    /// Resolved worker-pool width.
+    /// Resolved TCP worker-pool width.
     pub fn num_threads(&self) -> usize {
         self.config.num_threads()
     }
@@ -384,41 +395,35 @@ impl ServeEngine {
         self.lock_sessions().sessions.len()
     }
 
-    /// Allocates an id and constructs a session around its own
-    /// [`CacheMind`] sharing the engine's store, with a pinned scenario
-    /// scope.
+    /// Inserts a fresh session with a pinned scenario scope, stamped
+    /// active at the table's current round, and returns its id. The
+    /// session wraps its own [`CacheMind`] sharing the engine's store.
     ///
     /// Serving answers always flow through the engine's shared pipeline
     /// (`self.mind`); the per-session mind is configured identically by
-    /// construction, so a session used directly (outside a round) answers
-    /// exactly as the engine would.
-    fn fresh_session(&self, pinned: ScenarioSelector) -> (u64, SessionState) {
+    /// construction, so a session used directly (outside the engine)
+    /// answers exactly as the engine would.
+    fn insert_session(&self, table: &mut SessionTable, pinned: ScenarioSelector) -> u64 {
         self.metrics.sessions_opened.inc();
-        let id = self.next_session.fetch_add(1, Ordering::SeqCst);
+        table.last_id += 1;
         let chat = ChatSession::new(
             CacheMind::shared(Arc::clone(&self.store))
                 .with_retriever(self.config.retriever)
                 .with_backend(self.config.backend),
         );
-        (id, SessionState { chat, pinned, last_active_round: 0 })
+        table
+            .sessions
+            .insert(table.last_id, SessionState { chat, pinned, last_active_round: table.round });
+        table.last_id
     }
 
     /// Opens a fresh unscoped chat session sharing the engine's database,
     /// returning its id. Ids are assigned 1, 2, 3, ... in open order.
+    ///
+    /// Unlike an `{"open": true}` line, this neither ticks the round clock
+    /// nor counts as a request.
     pub fn open_session(&self) -> u64 {
-        self.open_session_pinned(ScenarioSelector::all())
-    }
-
-    /// Opens a fresh chat session with a pinned default scenario scope:
-    /// every turn that does not carry its own `scenario` is answered
-    /// within this one — how a v2 client says *which machine* its session
-    /// asks about.
-    pub fn open_session_pinned(&self, pinned: ScenarioSelector) -> u64 {
-        let (id, mut session) = self.fresh_session(pinned);
-        let mut table = self.lock_sessions();
-        session.last_active_round = table.round;
-        table.sessions.insert(id, session);
-        id
+        self.insert_session(&mut self.lock_sessions(), ScenarioSelector::all())
     }
 
     /// The scenario scope a session pinned at open (unscoped for v1
@@ -455,14 +460,11 @@ impl ServeEngine {
     }
 
     /// Reaps sessions idle past the configured `--max-idle-rounds`
-    /// horizon — the shared tail of every round-clock tick ([`ask_round`]
-    /// and [`open_request`]). Measured against the table's *current*
-    /// round (which concurrent rounds may have advanced), so a session is
-    /// only reaped when no tick has touched it for the full window. A
-    /// no-op when no horizon is configured.
-    ///
-    /// [`ask_round`]: ServeEngine::ask_round
-    /// [`open_request`]: ServeEngine::open_request
+    /// horizon — the shared tail of every round-clock tick (an ask or an
+    /// `open`). Measured against the table's *current* round (which
+    /// concurrent requests may have advanced), so a session is only reaped
+    /// when no tick has touched it for the full window. A no-op when no
+    /// horizon is configured.
     fn reap_idle(&self, table: &mut SessionTable) {
         if let Some(max_idle) = self.config.max_idle_rounds {
             let limit = max_idle.max(1);
@@ -484,60 +486,47 @@ impl ServeEngine {
     /// id, echoes the existing pin and turn count, refreshing the
     /// session's idle clock; unknown ids fail in-band.
     ///
-    /// Like [`ServeEngine::ask_round`], an `open` ticks the round clock
-    /// and reaps sessions idle past the `--max-idle-rounds` horizon — so
-    /// a globally scoped TCP server whose traffic is opens and probes
-    /// still retires abandoned sessions. The session being opened or
-    /// probed is stamped with the new round first, so it is never reaped
-    /// by its own request.
-    pub fn open_request(
+    /// Like an ask, an `open` ticks the round clock and reaps sessions
+    /// idle past the `--max-idle-rounds` horizon — so a globally scoped
+    /// TCP server whose traffic is opens and probes still retires
+    /// abandoned sessions. The session being opened or probed is stamped
+    /// with the new round first, so it is never reaped by its own request.
+    fn open_request(
         &self,
         session: Option<u64>,
         scenario: Option<ScenarioSelector>,
     ) -> AskResponse {
-        match session {
+        let mut table = self.lock_sessions();
+        table.round += 1;
+        let round = table.round;
+        let response = match session {
             None => {
                 let pinned = scenario.unwrap_or_default();
-                let (id, mut state) = self.fresh_session(pinned.clone());
-                let mut table = self.lock_sessions();
-                table.round += 1;
-                state.last_active_round = table.round;
-                table.sessions.insert(id, state);
-                self.reap_idle(&mut table);
+                let id = self.insert_session(&mut table, pinned.clone());
                 AskResponse::opened(id, 0, &pinned)
             }
-            Some(id) => {
-                let mut table = self.lock_sessions();
-                table.round += 1;
-                let round = table.round;
-                let response = match table.sessions.get_mut(&id) {
-                    Some(state) => {
-                        state.last_active_round = round;
-                        AskResponse::opened(id, state.chat.transcript().len(), &state.pinned)
-                    }
-                    None => {
-                        self.metrics.error(ProtocolError::UnknownSession(id).kind());
-                        AskResponse::failure(id, &ProtocolError::UnknownSession(id))
-                    }
-                };
-                self.reap_idle(&mut table);
-                response
-            }
-        }
+            Some(id) => match table.sessions.get_mut(&id) {
+                Some(state) => {
+                    state.last_active_round = round;
+                    AskResponse::opened(id, state.chat.transcript().len(), &state.pinned)
+                }
+                None => self.unknown_session(id),
+            },
+        };
+        self.reap_idle(&mut table);
+        response
     }
 
     /// Dispatches any protocol [`Request`](crate::protocol::Request) —
     /// the step of [`ServeEngine::serve_line`] between parse and render:
-    /// asks run a one-element round, opens run
+    /// asks run [`ServeEngine::ask`], opens run
     /// [`ServeEngine::open_request`], closes run
     /// [`ServeEngine::close_session`], stats return
     /// [`ServeEngine::stats_value`] — all answer in-band.
     fn handle_request(&self, request: &crate::protocol::Request) -> Response {
         use crate::protocol::Request;
         match request {
-            Request::Ask(ask) => Response::Ask(
-                self.ask_round(std::slice::from_ref(ask)).pop().expect("one response per request"),
-            ),
+            Request::Ask(ask) => Response::Ask(self.ask(ask)),
             Request::Open { session, scenario } => {
                 self.metrics.requests_open.inc();
                 Response::Ask(self.open_request(*session, scenario.clone()))
@@ -642,6 +631,41 @@ impl ServeEngine {
         outcome
     }
 
+    /// Serves newline-delimited protocol lines from `input` to `output` on
+    /// the stdin transport until the input ends or asks to stop — the
+    /// loop behind `cachemind-serve`'s stdin server and the control
+    /// channel of its TCP mode.
+    ///
+    /// Lines are framed the way the TCP reader frames them: split on
+    /// `\n`, decoded lossily (a line of invalid UTF-8 answers in-band as
+    /// `invalid_json` rather than ending the stream), trimmed, and skipped
+    /// when blank. `exit` or `quit` stop without a response; a
+    /// `{"shutdown": true}` line stops after its acknowledgement. A read
+    /// error ends the input like EOF.
+    pub fn serve_stdio(&self, mut input: impl BufRead, mut output: impl Write) -> StdioEnd {
+        let mut buffer = Vec::new();
+        loop {
+            buffer.clear();
+            if matches!(input.read_until(b'\n', &mut buffer), Ok(0) | Err(_)) {
+                return StdioEnd::Eof;
+            }
+            let line = String::from_utf8_lossy(&buffer);
+            let line = line.trim();
+            if line.is_empty() {
+                continue;
+            }
+            if line == "exit" || line == "quit" {
+                return StdioEnd::Stopped;
+            }
+            let outcome = self.serve_line(line, true, "stdin", None);
+            let _ = writeln!(output, "{}", outcome.rendered);
+            let _ = output.flush();
+            if outcome.shutdown {
+                return StdioEnd::Stopped;
+            }
+        }
+    }
+
     /// The versioned stats object answering `{"stats": true}`: session
     /// lifecycle counts, requests by kind, per-`error_kind` counts, and
     /// the full metrics snapshot (histograms included). A pure read — it
@@ -718,108 +742,70 @@ impl ServeEngine {
         value
     }
 
-    /// Answers one round of requests — the batched, multi-session path.
+    /// Answers one ask — the `question` arm of [`ServeEngine::serve_line`].
     ///
-    /// Produces exactly one response per request, in request order.
-    /// Unknown sessions yield in-band error responses; requests without a
-    /// session id open a new session (in request order, so id assignment
-    /// is deterministic too).
-    pub fn ask_round(&self, requests: &[AskRequest]) -> Vec<AskResponse> {
-        self.metrics.requests_ask.add(requests.len() as u64);
-        // Phase 0 (serial, one lock for the round): resolve or open
-        // sessions in request order, and resolve each request's scenario
-        // scope — its own `scenario` field, else the session's pinned
-        // default. A session-opening request's scenario becomes the new
-        // session's pinned scope.
-        let mut items: Vec<(usize, u64, Query)> = Vec::with_capacity(requests.len());
-        let mut failures: Vec<(usize, AskResponse)> = Vec::new();
-        let round;
-        {
+    /// A request without a session id opens a new one, pinned to the
+    /// request's scenario. An unknown session fails in-band. Every ask
+    /// ticks the round clock and reaps idle sessions, whether it succeeds
+    /// or not.
+    fn ask(&self, request: &AskRequest) -> AskResponse {
+        self.metrics.requests_ask.inc();
+        // Phase 0 (locked): resolve or open the session, and resolve the
+        // ask's scenario scope — its own `scenario` field, else the
+        // session's pinned default.
+        let (session_id, round, selector) = {
             let mut table = self.lock_sessions();
             table.round += 1;
-            round = table.round;
-            for (index, request) in requests.iter().enumerate() {
-                let resolved = match request.session {
-                    Some(id) => match table.sessions.get_mut(&id) {
-                        Some(session) => {
-                            session.last_active_round = round;
-                            Some((
-                                id,
-                                request.scenario.clone().unwrap_or_else(|| session.pinned.clone()),
-                            ))
-                        }
-                        None => {
-                            self.metrics.error(ProtocolError::UnknownSession(id).kind());
-                            failures.push((
-                                index,
-                                AskResponse::failure(id, &ProtocolError::UnknownSession(id)),
-                            ));
-                            None
-                        }
-                    },
-                    None => {
-                        let pinned = request.scenario.clone().unwrap_or_default();
-                        let (id, mut session) = self.fresh_session(pinned.clone());
+            let round = table.round;
+            match request.session {
+                Some(id) => match table.sessions.get_mut(&id) {
+                    Some(session) => {
                         session.last_active_round = round;
-                        table.sessions.insert(id, session);
-                        Some((id, pinned))
+                        let selector =
+                            request.scenario.clone().unwrap_or_else(|| session.pinned.clone());
+                        (id, round, selector)
                     }
-                };
-                if let Some((id, selector)) = resolved {
-                    let selector = self.canonicalize(selector);
-                    items.push((index, id, Query::scoped(request.question.clone(), selector)));
+                    None => {
+                        self.reap_idle(&mut table);
+                        return self.unknown_session(id);
+                    }
+                },
+                None => {
+                    let pinned = request.scenario.clone().unwrap_or_default();
+                    (self.insert_session(&mut table, pinned.clone()), round, pinned)
                 }
             }
-        }
+        };
 
-        // Phase 1 (parallel): answer every query through the shared
-        // stateless pipeline.
-        let answered = run_chunked(items, self.num_threads(), |chunk| {
-            chunk
-                .into_iter()
-                .map(|(index, session, query)| {
-                    let span = self.metrics.ask_latency.start_span();
-                    let answer = self.mind.ask_query(&query);
-                    let micros = span.finish();
-                    (index, session, query, answer, micros)
-                })
-                .collect::<Vec<_>>()
-        });
+        // Phase 1 (unlocked): answer through the shared stateless
+        // pipeline. Scoped (v2) asks also report the machine and
+        // prefetcher labels their grounded evidence cites; v1 responses
+        // keep the legacy bytes exactly.
+        let query = Query::scoped(request.question.clone(), self.canonicalize(selector));
+        let span = self.metrics.ask_latency.start_span();
+        let answer = self.mind.ask_query(&query);
+        let micros = span.finish();
+        let (machine, prefetcher) = if query.selector.machine_scope().is_unscoped() {
+            (None, None)
+        } else {
+            (
+                cited_machine(self.machine_labels(), &answer),
+                cited_prefetcher(self.prefetcher_labels(), &answer),
+            )
+        };
 
-        // Phase 2 (serial, input order): record turns into sessions and
-        // assemble responses. Scoped (v2) requests additionally report the
-        // machine label their grounded evidence cites; v1 responses keep
-        // the legacy bytes exactly.
-        let mut responses: Vec<Option<AskResponse>> = requests.iter().map(|_| None).collect();
-        {
-            let mut table = self.lock_sessions();
-            for (index, session_id, query, answer, micros) in answered {
-                // The session can vanish between phases: another thread may
-                // close it while the round's answers are being computed
-                // outside the lock. That is an in-band unknown-session
-                // failure, not a panic — a poisoned map would brick the
-                // whole engine.
-                let Some(session) = table.sessions.get_mut(&session_id) else {
-                    self.metrics.error(ProtocolError::UnknownSession(session_id).kind());
-                    responses[index] = Some(AskResponse::failure(
-                        session_id,
-                        &ProtocolError::UnknownSession(session_id),
-                    ));
-                    continue;
-                };
-                // Stamp with max: a concurrent later round may already
-                // have moved this session's clock past ours.
+        // Phase 2 (locked): log the turn into the session and reap.
+        let mut table = self.lock_sessions();
+        // Another thread may have closed the session while the answer was
+        // computed outside the lock. That is an in-band unknown-session
+        // failure, not a panic.
+        let response = match table.sessions.get_mut(&session_id) {
+            Some(session) => {
+                // Stamp with max: a concurrent later ask may already have
+                // moved this session's clock past ours.
                 session.last_active_round = session.last_active_round.max(round);
                 session.chat.log(&query.text, &answer.text);
-                let (machine, prefetcher) = if query.selector.machine_scope().is_unscoped() {
-                    (None, None)
-                } else {
-                    (
-                        cited_machine(self.machine_labels(), &answer),
-                        cited_prefetcher(self.prefetcher_labels(), &answer),
-                    )
-                };
-                responses[index] = Some(AskResponse {
+                AskResponse {
                     session: session_id,
                     turn: session.chat.transcript().len(),
                     answer: Some(answer.text),
@@ -831,16 +817,20 @@ impl ServeEngine {
                     error: None,
                     error_kind: None,
                     micros,
-                });
+                }
             }
-            // End of the round: reap sessions idle past the configured
-            // horizon.
-            self.reap_idle(&mut table);
-        }
-        for (index, failure) in failures {
-            responses[index] = Some(failure);
-        }
-        responses.into_iter().map(|r| r.expect("response per request")).collect()
+            None => self.unknown_session(session_id),
+        };
+        self.reap_idle(&mut table);
+        response
+    }
+
+    /// The in-band failure for a session that does not exist (never
+    /// opened, closed, or reaped), counted under its `error_kind`.
+    fn unknown_session(&self, id: u64) -> AskResponse {
+        let error = ProtocolError::UnknownSession(id);
+        self.metrics.error(error.kind());
+        AskResponse::failure(id, &error)
     }
 }
 
@@ -907,22 +897,10 @@ fn cited_prefetcher(labels: &[String], answer: &cachemind_core::system::Answer) 
         .cloned()
 }
 
-/// The worker pool: `rayon::parallel_chunks` with the pool width answering
-/// to `SERVE_NUM_THREADS` (via the caller) rather than rayon's own env —
-/// same contiguous-chunk, input-order-preserving discipline as every other
-/// parallel stage in the workspace.
-fn run_chunked<T, O, F>(items: Vec<T>, workers: usize, f: F) -> Vec<O>
-where
-    T: Send,
-    O: Send,
-    F: Fn(Vec<T>) -> Vec<O> + Sync,
-{
-    rayon::parallel_chunks(items, workers, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Request;
 
     fn engine(threads: usize) -> ServeEngine {
         let config = ServeConfig { threads: Some(threads), shards: 3, ..Default::default() };
@@ -933,14 +911,42 @@ mod tests {
         ServeEngine::over(db, config)
     }
 
+    /// Serves one protocol line and parses its ask-shaped response.
+    fn serve(engine: &ServeEngine, request: &Request) -> AskResponse {
+        let rendered = engine.serve_line(&request.to_json(), true, "stdin", None).rendered;
+        AskResponse::from_json(&rendered).expect("an ask-shaped response")
+    }
+
+    fn ask(engine: &ServeEngine, request: AskRequest) -> AskResponse {
+        serve(engine, &Request::Ask(request))
+    }
+
+    /// Opens a fresh session over the protocol, optionally pinned.
+    fn open(engine: &ServeEngine, scenario: Option<ScenarioSelector>) -> AskResponse {
+        serve(engine, &Request::Open { session: None, scenario })
+    }
+
+    fn probe(engine: &ServeEngine, session: u64) -> AskResponse {
+        serve(engine, &Request::Open { session: Some(session), scenario: None })
+    }
+
+    fn close(engine: &ServeEngine, session: u64) -> AskResponse {
+        serve(engine, &Request::Close { session })
+    }
+
     #[test]
     fn fresh_requests_open_sessions_in_order() {
         let engine = engine(2);
-        let reqs = vec![
-            AskRequest::new("What is the overall miss rate of the mcf workload under LRU?"),
-            AskRequest::new("What is the overall miss rate of the lbm workload under LRU?"),
+        let responses = [
+            ask(
+                &engine,
+                AskRequest::new("What is the overall miss rate of the mcf workload under LRU?"),
+            ),
+            ask(
+                &engine,
+                AskRequest::new("What is the overall miss rate of the lbm workload under LRU?"),
+            ),
         ];
-        let responses = engine.ask_round(&reqs);
         assert_eq!(responses[0].session, 1);
         assert_eq!(responses[1].session, 2);
         assert_eq!(engine.session_count(), 2);
@@ -951,17 +957,16 @@ mod tests {
     #[test]
     fn unknown_sessions_fail_in_band() {
         let engine = engine(1);
-        let responses = engine.ask_round(&[AskRequest::in_session(42, "hello?")]);
-        assert_eq!(responses.len(), 1);
-        assert!(!responses[0].is_ok());
-        assert!(responses[0].error.as_deref().unwrap().contains("unknown session 42"));
+        let response = ask(&engine, AskRequest::in_session(42, "hello?"));
+        assert!(!response.is_ok());
+        assert!(response.error.as_deref().unwrap().contains("unknown session 42"));
         // The unified in-band error shape: same fields as a parse failure,
         // discriminated by the stable error_kind.
-        assert_eq!(responses[0].error_kind.as_deref(), Some("unknown_session"));
-        assert_eq!(responses[0].turn, 0);
+        assert_eq!(response.error_kind.as_deref(), Some("unknown_session"));
+        assert_eq!(response.turn, 0);
         let parse_failure = AskResponse::failure(0, &ProtocolError::BadRequest("x".into()));
         assert_eq!(parse_failure.error_kind.as_deref(), Some("bad_request"));
-        assert_eq!(parse_failure.turn, responses[0].turn, "both error shapes agree");
+        assert_eq!(parse_failure.turn, response.turn, "both error shapes agree");
     }
 
     #[test]
@@ -974,8 +979,8 @@ mod tests {
             ..Default::default()
         };
         let engine = ServeEngine::build(config).expect("presets are valid");
-        let a = engine.open_session_pinned(ScenarioSelector::all().with_machine("table2"));
-        let b = engine.open_session_pinned(ScenarioSelector::all().with_machine("small"));
+        let a = open(&engine, Some(ScenarioSelector::all().with_machine("table2"))).session;
+        let b = open(&engine, Some(ScenarioSelector::all().with_machine("small"))).session;
         assert_eq!(
             engine.pinned_scenario(a).unwrap().machine.as_deref(),
             Some("table2"),
@@ -983,8 +988,10 @@ mod tests {
         );
 
         let q = "What is the estimated IPC for mcf under LRU?";
-        let responses =
-            engine.ask_round(&[AskRequest::in_session(a, q), AskRequest::in_session(b, q)]);
+        let responses = [
+            ask(&engine, AskRequest::in_session(a, q)),
+            ask(&engine, AskRequest::in_session(b, q)),
+        ];
         assert!(responses.iter().all(AskResponse::is_ok));
         let on_a = responses[0].machine.as_deref().expect("scoped response cites its machine");
         let on_b = responses[1].machine.as_deref().expect("scoped response cites its machine");
@@ -994,7 +1001,7 @@ mod tests {
         // A request-level scenario overrides the session pin for one turn.
         let scoped = AskRequest::in_session(a, q)
             .with_scenario(ScenarioSelector::all().with_machine("small"));
-        let overridden = engine.ask_round(&[scoped]).pop().unwrap();
+        let overridden = ask(&engine, scoped);
         assert_eq!(
             overridden.machine.as_deref(),
             Some(on_b),
@@ -1014,9 +1021,9 @@ mod tests {
             ..Default::default()
         };
         let engine = ServeEngine::build(config).expect("preset is valid");
-        let open = AskRequest::new("What is the estimated IPC for mcf under LRU?")
+        let opening = AskRequest::new("What is the estimated IPC for mcf under LRU?")
             .with_scenario(ScenarioSelector::all().with_machine("small"));
-        let response = engine.ask_round(&[open]).pop().unwrap();
+        let response = ask(&engine, opening);
         assert!(response.is_ok());
         let pinned = engine.pinned_scenario(response.session).expect("session opened");
         assert_eq!(pinned.machine.as_deref(), Some("small"), "opening scenario becomes the pin");
@@ -1035,15 +1042,23 @@ mod tests {
         let engine = engine(4);
         let a = engine.open_session();
         let b = engine.open_session();
-        let round = vec![
-            AskRequest::in_session(
-                a,
-                "What is the overall miss rate of the mcf workload under LRU?",
+        let responses = [
+            ask(
+                &engine,
+                AskRequest::in_session(
+                    a,
+                    "What is the overall miss rate of the mcf workload under LRU?",
+                ),
             ),
-            AskRequest::in_session(b, "Which policy has the lowest miss rate in astar?"),
-            AskRequest::in_session(a, "List all unique PCs in the mcf trace under LRU."),
+            ask(
+                &engine,
+                AskRequest::in_session(b, "Which policy has the lowest miss rate in astar?"),
+            ),
+            ask(
+                &engine,
+                AskRequest::in_session(a, "List all unique PCs in the mcf trace under LRU."),
+            ),
         ];
-        let responses = engine.ask_round(&round);
         assert_eq!(responses[0].turn, 1);
         assert_eq!(responses[1].turn, 1);
         assert_eq!(responses[2].turn, 2, "second question to session a is its turn 2");
@@ -1055,18 +1070,19 @@ mod tests {
 
     #[test]
     fn close_removes_the_session_from_the_map() {
-        use crate::protocol::Request;
-
         let engine = engine(2);
         let a = engine.open_session();
         let b = engine.open_session();
-        engine.ask_round(&[AskRequest::in_session(
-            a,
-            "What is the overall miss rate of the mcf workload under LRU?",
-        )]);
+        ask(
+            &engine,
+            AskRequest::in_session(
+                a,
+                "What is the overall miss rate of the mcf workload under LRU?",
+            ),
+        );
         assert_eq!(engine.session_count(), 2);
 
-        let response = engine.handle_request(&Request::Close { session: a }).expect_ask();
+        let response = close(&engine, a);
         assert!(response.is_ok());
         assert!(response.closed);
         assert_eq!(response.turn, 1, "echoes the turns the session answered");
@@ -1075,11 +1091,11 @@ mod tests {
         assert_eq!(engine.pinned_scenario(a), None);
 
         // A closed id is thereafter unknown, to asks and closes alike.
-        let again = engine.handle_request(&Request::Close { session: a }).expect_ask();
+        let again = close(&engine, a);
         assert_eq!(again.error_kind.as_deref(), Some("unknown_session"));
         assert!(!again.closed);
-        let ask = engine.ask_round(&[AskRequest::in_session(a, "hello?")]).pop().unwrap();
-        assert_eq!(ask.error_kind.as_deref(), Some("unknown_session"));
+        let asked = ask(&engine, AskRequest::in_session(a, "hello?"));
+        assert_eq!(asked.error_kind.as_deref(), Some("unknown_session"));
 
         // Ids are never reused: the next open continues the sequence.
         let c = engine.open_session();
@@ -1098,8 +1114,8 @@ mod tests {
         };
         let engine = ServeEngine::build(config).expect("presets and prefetchers valid");
         let pin = ScenarioSelector::parse("astar@table2+stride4/lru").expect("selector");
-        let open = AskRequest::new("What is the estimated IPC?").with_scenario(pin.clone());
-        let response = engine.ask_round(&[open]).pop().unwrap();
+        let response =
+            ask(&engine, AskRequest::new("What is the estimated IPC?").with_scenario(pin.clone()));
         assert!(response.is_ok(), "{:?}", response.error);
         assert_eq!(engine.pinned_scenario(response.session), Some(pin));
         let machine = response.machine.as_deref().expect("scoped response cites its machine");
@@ -1113,7 +1129,7 @@ mod tests {
         // The same session's baseline override drops the citation.
         let baseline = AskRequest::in_session(response.session, "What is the estimated IPC?")
             .with_scenario(ScenarioSelector::parse("astar@table2/lru").unwrap());
-        let overridden = engine.ask_round(&[baseline]).pop().unwrap();
+        let overridden = ask(&engine, baseline);
         assert_eq!(overridden.prefetcher, None, "baseline evidence cites no prefetcher");
         assert_ne!(overridden.answer, response.answer, "prefetch-aware IPC must differ");
     }
@@ -1146,8 +1162,8 @@ mod tests {
         assert_eq!(loaded.config().shards, 3, "snapshot shard count wins");
         assert_eq!(loaded.store().len(), fresh.store().len());
         let q = "What is the overall miss rate of the mcf workload under LRU?";
-        let a = fresh.ask_round(&[AskRequest::new(q)]).remove(0);
-        let b = loaded.ask_round(&[AskRequest::new(q)]).remove(0);
+        let a = ask(&fresh, AskRequest::new(q));
+        let b = ask(&loaded, AskRequest::new(q));
         assert!(a.is_ok() && b.is_ok());
         assert_eq!(a.answer, b.answer, "snapshot-backed answers are byte-identical");
         assert_eq!(a.verdict, b.verdict);
@@ -1180,13 +1196,13 @@ mod tests {
         let q = "What is the overall miss rate of the mcf workload under LRU?";
         // Round 1 touches only `active`; `idle` has sat out one round —
         // still within the two-round window.
-        engine.ask_round(&[AskRequest::in_session(active, q)]);
+        ask(&engine, AskRequest::in_session(active, q));
         assert_eq!(engine.session_count(), 2, "one idle round survives a window of two");
         // Round 2: `idle` has now sat out two full rounds — reaped.
-        engine.ask_round(&[AskRequest::in_session(active, q)]);
+        ask(&engine, AskRequest::in_session(active, q));
         assert_eq!(engine.session_count(), 1);
         assert_eq!(engine.transcript(idle), None, "reaped state is gone");
-        let resp = engine.ask_round(&[AskRequest::in_session(idle, q)]).pop().unwrap();
+        let resp = ask(&engine, AskRequest::in_session(idle, q));
         assert_eq!(
             resp.error_kind.as_deref(),
             Some("unknown_session"),
@@ -1195,9 +1211,9 @@ mod tests {
 
         // An `open` probe counts as activity: it resets the idle clock.
         let probed = engine.open_session();
-        engine.ask_round(&[AskRequest::in_session(active, q)]);
-        engine.open_request(Some(probed), None);
-        engine.ask_round(&[AskRequest::in_session(active, q)]);
+        ask(&engine, AskRequest::in_session(active, q));
+        probe(&engine, probed);
+        ask(&engine, AskRequest::in_session(active, q));
         assert!(engine.transcript(probed).is_some(), "probe refreshed the idle clock");
     }
 
@@ -1216,27 +1232,27 @@ mod tests {
         let engine = ServeEngine::over(db, config);
 
         // A session abandoned at round 0; all later traffic is opens and
-        // probes only — the TCP-global-scope shape where no ask round
-        // ever runs.
+        // probes only — the TCP-global-scope shape where no ask ever
+        // runs.
         let abandoned = engine.open_session();
-        let first = engine.open_request(None, None); // round 1
+        let first = open(&engine, None); // round 1
         assert!(first.is_ok());
         assert_eq!(engine.session_count(), 2, "one idle round survives a window of two");
-        let second = engine.open_request(None, None); // round 2: abandoned is 2 rounds idle
+        let second = open(&engine, None); // round 2: abandoned is 2 rounds idle
         assert!(second.is_ok());
         assert_eq!(engine.session_count(), 2, "opens-only traffic reaped the abandoned session");
         assert!(engine.transcript(abandoned).is_none(), "reaped state is gone");
 
         // A probe stamps its own session before reaping, so it is never
         // reaped by its own request.
-        let probe = engine.open_request(Some(first.session), None); // round 3
-        assert!(probe.is_ok());
-        assert_eq!(probe.session, first.session);
+        let probed = probe(&engine, first.session); // round 3
+        assert!(probed.is_ok());
+        assert_eq!(probed.session, first.session);
         assert_eq!(engine.session_count(), 2);
 
         // Even a failed probe ticks the clock and reaps: `second` (last
         // active at round 2) falls to this round-4 tick.
-        let missing = engine.open_request(Some(999), None); // round 4
+        let missing = probe(&engine, 999); // round 4
         assert_eq!(missing.error_kind.as_deref(), Some("unknown_session"));
         assert_eq!(engine.session_count(), 1);
         assert!(engine.transcript(first.session).is_some(), "the probed session survived");
@@ -1251,8 +1267,8 @@ mod tests {
     fn stats_report_the_answer_cache() {
         let engine = engine(1);
         let q = "What is the overall miss rate of the mcf workload under LRU?";
-        engine.ask_round(&[AskRequest::new(q)]);
-        engine.ask_round(&[AskRequest::new(q)]);
+        ask(&engine, AskRequest::new(q));
+        ask(&engine, AskRequest::new(q));
         let stats = engine.stats_value();
         let cache = stats.get("cache").expect("stats v2 carries the cache object");
         let count = |key: &str| cache.get(key).and_then(Value::as_u64);
@@ -1270,7 +1286,7 @@ mod tests {
             .try_build_sharded()
             .expect("demo build");
         let off = ServeEngine::over(db, config);
-        off.ask_round(&[AskRequest::new(q)]);
+        ask(&off, AskRequest::new(q));
         let stats = off.stats_value();
         let cache = stats.get("cache").expect("cache object present even when disabled");
         assert_eq!(cache.get("enabled").and_then(Value::as_bool), Some(false));
@@ -1279,8 +1295,6 @@ mod tests {
 
     #[test]
     fn open_requests_acknowledge_without_burning_a_question() {
-        use crate::protocol::Request;
-
         let config = ServeConfig {
             threads: Some(1),
             shards: 2,
@@ -1289,9 +1303,7 @@ mod tests {
         };
         let engine = ServeEngine::build(config).expect("preset is valid");
         let pin = ScenarioSelector::all().with_machine("small");
-        let resp = engine
-            .handle_request(&Request::Open { session: None, scenario: Some(pin.clone()) })
-            .expect_ask();
+        let resp = open(&engine, Some(pin.clone()));
         assert!(resp.is_ok());
         assert_eq!(resp.turn, 0, "fresh opens acknowledge at turn 0");
         assert_eq!(resp.scenario.as_deref(), Some("@small"), "the pin comes back");
@@ -1300,20 +1312,16 @@ mod tests {
 
         // After a turn, a probe echoes the pin and the turn count.
         let q = "What is the estimated IPC for mcf under LRU?";
-        engine.ask_round(&[AskRequest::in_session(resp.session, q)]);
-        let probe = engine
-            .handle_request(&Request::Open { session: Some(resp.session), scenario: None })
-            .expect_ask();
-        assert!(probe.is_ok());
-        assert_eq!(probe.session, resp.session);
-        assert_eq!(probe.turn, 1);
-        assert_eq!(probe.scenario.as_deref(), Some("@small"));
+        ask(&engine, AskRequest::in_session(resp.session, q));
+        let probed = probe(&engine, resp.session);
+        assert!(probed.is_ok());
+        assert_eq!(probed.session, resp.session);
+        assert_eq!(probed.turn, 1);
+        assert_eq!(probed.scenario.as_deref(), Some("@small"));
         assert_eq!(engine.transcript(resp.session).unwrap().len(), 1, "probe burned nothing");
 
         // Probing an unknown session fails in-band.
-        let missing = engine
-            .handle_request(&Request::Open { session: Some(999), scenario: None })
-            .expect_ask();
+        let missing = probe(&engine, 999);
         assert_eq!(missing.error_kind.as_deref(), Some("unknown_session"));
     }
 
@@ -1322,8 +1330,6 @@ mod tests {
         let engine = engine(2);
         let ids: Vec<u64> = (0..6).map(|_| engine.open_session()).collect();
         let q = "What is the overall miss rate of the mcf workload under LRU?";
-        let requests: Vec<AskRequest> =
-            ids.iter().map(|id| AskRequest::in_session(*id, q)).collect();
 
         std::thread::scope(|scope| {
             let closer = scope.spawn(|| {
@@ -1331,11 +1337,12 @@ mod tests {
                     let _ = engine.close_session(*id);
                 }
             });
-            // Rounds race the closer: every response must be either a real
+            // Asks race the closer: every response must be either a real
             // answer or an in-band unknown-session failure — never a panic
             // or a poisoned lock.
             for _ in 0..3 {
-                for response in engine.ask_round(&requests) {
+                for id in &ids {
+                    let response = ask(&engine, AskRequest::in_session(*id, q));
                     assert!(
                         response.is_ok()
                             || response.error_kind.as_deref() == Some("unknown_session"),
@@ -1347,7 +1354,7 @@ mod tests {
         });
 
         // The engine still serves fresh sessions after the churn.
-        let after = engine.ask_round(&[AskRequest::new(q)]).remove(0);
+        let after = ask(&engine, AskRequest::new(q));
         assert!(after.is_ok());
     }
 
@@ -1457,5 +1464,26 @@ mod tests {
         // The out-of-band writer shape matches the in-band one.
         let tagged = engine.stats_value_tagged("tcp");
         assert_eq!(tagged.get("transport").and_then(Value::as_str), Some("tcp"));
+    }
+
+    #[test]
+    fn a_non_utf8_line_answers_in_band_and_the_stdio_loop_serves_on() {
+        let engine = engine(1);
+        let mut output = Vec::new();
+        let input = std::io::Cursor::new(b"\xff\n{\"stats\": true}\n".to_vec());
+        assert_eq!(engine.serve_stdio(input, &mut output), StdioEnd::Eof);
+        let output = String::from_utf8(output).expect("responses are UTF-8");
+        let lines: Vec<&str> = output.lines().collect();
+        assert_eq!(lines.len(), 2, "{output}");
+        let refused = serde_json::from_str(lines[0]).expect("a JSON response");
+        assert_eq!(refused.get("error_kind").and_then(Value::as_str), Some("invalid_json"));
+        let stats = serde_json::from_str(lines[1]).expect("a JSON response");
+        assert!(stats.get("stats_version").is_some(), "{output}");
+
+        // `exit` stops the loop before the line behind it.
+        let mut output = Vec::new();
+        let input = std::io::Cursor::new(b"exit\n{\"stats\": true}\n".to_vec());
+        assert_eq!(engine.serve_stdio(input, &mut output), StdioEnd::Stopped);
+        assert!(output.is_empty());
     }
 }

@@ -1,23 +1,25 @@
 //! # cachemind-serve
 //!
-//! The CacheMind serving subsystem: a batched, multi-session front-end
-//! over one shared, sharded trace database.
+//! The CacheMind serving subsystem: a multi-session front-end over one
+//! shared, sharded trace database, where every request is one protocol
+//! line.
 //!
-//! * [`engine::ServeEngine`] — the session manager and worker-pool event
-//!   loop. Many concurrent [`ChatSession`](cachemind_core::chat::ChatSession)s
-//!   share a single `Arc`'d [`ShardedTraceDatabase`](cachemind_tracedb::shard::ShardedTraceDatabase);
-//!   each *round* batches the pending question of every session and
-//!   answers them in parallel on `SERVE_NUM_THREADS` workers.
+//! * [`engine::ServeEngine`] — the session manager. Many concurrent
+//!   [`ChatSession`](cachemind_core::chat::ChatSession)s share a single
+//!   `Arc`'d [`ShardedTraceDatabase`](cachemind_tracedb::shard::ShardedTraceDatabase);
+//!   [`ServeEngine::serve_line`] parses, dispatches and renders one
+//!   request line, the one path behind every transport, and
+//!   [`ServeEngine::serve_stdio`] runs it over a line stream.
 //! * [`protocol`] — the newline-delimited JSON wire format
 //!   ([`AskRequest`] / [`AskResponse`], plus the session-lifecycle
 //!   [`Request::Close`]) with in-band errors and
 //!   per-request timing. The full v1/v2 specification lives in
 //!   `docs/PROTOCOL.md`.
 //! * [`load`] — the synthetic load driver behind
-//!   `cachemind-serve --load-driver`: replays N sessions × M questions and
+//!   `cachemind-serve --load-driver`: replays N sessions × M questions as
+//!   protocol lines, in process or over a real TCP socket (`--tcp`), and
 //!   reports throughput and latency percentiles as JSON
-//!   (`BENCH_serve.json`), in-process or over a real TCP socket
-//!   (`--tcp`).
+//!   (`BENCH_serve.json`).
 //! * [`net`] — the TCP transport behind `cachemind-serve --tcp`: an
 //!   acceptor thread, a bounded connection table with per-connection
 //!   reader/writer threads, a bounded work queue feeding the
@@ -25,22 +27,22 @@
 //!   control, per-connection session ownership, and graceful shutdown.
 //!
 //! Determinism is the backbone: answers, transcripts and the aggregate
-//! report are byte-identical for any worker count, which is what the
-//! `serve determinism` integration tests and the CI smoke step diff.
+//! report are byte-identical for any transport and worker count, which is
+//! what the `serve determinism` integration tests and the CI smoke steps
+//! diff.
 //!
 //! # Quickstart
 //!
 //! ```rust
 //! use cachemind_serve::engine::{ServeConfig, ServeEngine};
-//! use cachemind_serve::protocol::AskRequest;
 //! use cachemind_tracedb::TraceDatabaseBuilder;
 //!
 //! let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().unwrap();
-//! let engine = ServeEngine::over(db, ServeConfig { threads: Some(2), ..Default::default() });
-//! let responses = engine.ask_round(&[AskRequest::new(
-//!     "What is the overall miss rate of the mcf workload under LRU?",
-//! )]);
-//! assert!(responses[0].is_ok());
+//! let engine = ServeEngine::over(db, ServeConfig::default());
+//! let line = r#"{"question": "What is the overall miss rate of the mcf workload under LRU?"}"#;
+//! let outcome = engine.serve_line(line, false, "stdin", None);
+//! assert_eq!(outcome.opened_session, Some(1));
+//! assert!(outcome.rendered.contains("\"answer\""));
 //! ```
 
 pub mod engine;
@@ -48,7 +50,7 @@ pub mod load;
 pub mod net;
 pub mod protocol;
 
-pub use engine::{LineOutcome, ServeConfig, ServeEngine};
-pub use load::{run_load_driver, run_load_driver_tcp, LoadOutcome, LoadSpec};
+pub use engine::{LineOutcome, ServeConfig, ServeEngine, StdioEnd};
+pub use load::{run_load_driver, LoadOutcome, LoadSpec, LoadTarget};
 pub use net::{NetConfig, SessionScope, TcpServer};
 pub use protocol::{AskRequest, AskResponse, ProtocolError, Request};

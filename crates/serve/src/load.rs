@@ -1,13 +1,16 @@
-//! The synthetic load driver: N sessions × M questions, answered in
-//! batched rounds, with a JSON throughput/latency report.
+//! The synthetic load driver: N sessions × M questions sent as protocol
+//! lines, in process or over TCP, with a JSON throughput/latency report.
 //!
 //! Question synthesis is a pure function of `(store, session, turn)` —
 //! templates cycle over the store's real workloads, policies and trace
 //! rows — so a run is fully reproducible. The report separates
 //! deterministic content (answers, transcripts, aggregate counters) from
 //! wall-clock content (throughput, latency percentiles); the former is
-//! byte-identical across `SERVE_NUM_THREADS`, the latter seeds
-//! `BENCH_serve.json`.
+//! byte-identical across transports and `SERVE_NUM_THREADS`, the latter
+//! seeds `BENCH_serve.json`.
+
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 
 use serde_json::Value;
 
@@ -16,7 +19,7 @@ use cachemind_tracedb::store::TraceStore;
 use cachemind_tracedb::ScenarioSelector;
 
 use crate::engine::ServeEngine;
-use crate::protocol::{AskRequest, AskResponse};
+use crate::protocol::{AskRequest, AskResponse, Request};
 
 /// Load-driver shape: how many sessions, how many questions each, and —
 /// for protocol-v2 runs — which scenario each session pins at open.
@@ -24,7 +27,7 @@ use crate::protocol::{AskRequest, AskResponse};
 pub struct LoadSpec {
     /// Concurrent sessions to open.
     pub sessions: usize,
-    /// Questions per session (one per round).
+    /// Questions per session.
     pub questions: usize,
     /// Scenario selectors pinned to sessions round-robin (session `s`
     /// pins `scenarios[s % len]`). Empty = the v1 driver: unscoped
@@ -152,22 +155,21 @@ pub struct LoadOutcome {
     pub questions: Vec<Vec<String>>,
     /// `responses[s][t]` — the matching response.
     pub responses: Vec<Vec<AskResponse>>,
-    /// Wall-clock time for all rounds, in microseconds.
+    /// Wall-clock time for the ask phase, in microseconds.
     pub total_micros: u64,
     /// How the engine came up, when the caller measured it (the serve
     /// binary does; library callers may leave `None`).
     pub startup: Option<StartupTiming>,
-    /// How the questions travelled: `"stdin"` (in-process rounds, the
-    /// classic driver) or `"tcp"` (real socket round-trips via
-    /// [`run_load_driver_tcp`]). Rendered in the report's `timing` block
-    /// only — the deterministic half must stay byte-identical across
+    /// How the questions travelled: `"stdin"` ([`LoadTarget::InProcess`])
+    /// or `"tcp"` ([`LoadTarget::Tcp`]). Rendered in the report's `timing`
+    /// block only — the deterministic half must stay byte-identical across
     /// transports, which is exactly what the cross-transport CI `cmp`
     /// checks.
     pub transport: String,
 }
 
 impl LoadOutcome {
-    /// Every per-request latency, ascending.
+    /// Every client-observed per-line latency, ascending.
     pub fn sorted_latencies(&self) -> Vec<u64> {
         let mut all: Vec<u64> = self.responses.iter().flatten().map(|r| r.micros).collect();
         all.sort_unstable();
@@ -326,88 +328,78 @@ impl LoadOutcome {
     }
 }
 
-/// Replays `spec.sessions × spec.questions` synthetic questions through
-/// the engine, one batched round per turn (every session's next question
-/// answered together). With `spec.scenarios` set, session `s` opens
-/// pinned to `scenarios[s % len]` and asks the scenario-aware question
-/// set; without, this is the v1 driver bit-for-bit.
-pub fn run_load_driver(engine: &ServeEngine, spec: LoadSpec) -> LoadOutcome {
-    let session_ids: Vec<u64> =
-        (0..spec.sessions).map(|s| engine.open_session_pinned(spec.pin_for(s))).collect();
-    let questions: Vec<Vec<String>> = (0..spec.sessions)
-        .map(|s| {
-            let pin = spec.pin_for(s);
-            (0..spec.questions)
-                .map(|t| synthetic_question_scoped(engine.store(), s, spec.question_turn(t), &pin))
-                .collect()
+/// Where the load driver sends its protocol lines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LoadTarget {
+    /// The driving engine itself, through [`ServeEngine::serve_line`] on
+    /// the stdin transport.
+    InProcess,
+    /// A running `cachemind-serve --tcp` server, one connection per
+    /// session. The driving engine then only synthesizes questions and
+    /// supplies the report's configuration echo.
+    Tcp(SocketAddr),
+}
+
+/// One session's line channel to the server under load.
+enum LineClient<'a> {
+    InProcess(&'a ServeEngine),
+    Tcp { stream: TcpStream, reader: BufReader<TcpStream> },
+}
+
+impl LineClient<'_> {
+    fn connect(engine: &ServeEngine, target: LoadTarget) -> std::io::Result<LineClient<'_>> {
+        Ok(match target {
+            LoadTarget::InProcess => LineClient::InProcess(engine),
+            LoadTarget::Tcp(addr) => {
+                let stream = TcpStream::connect(addr)?;
+                stream.set_nodelay(true).ok();
+                let reader = BufReader::new(stream.try_clone()?);
+                LineClient::Tcp { stream, reader }
+            }
         })
-        .collect();
-
-    let mut responses: Vec<Vec<AskResponse>> =
-        (0..spec.sessions).map(|_| Vec::with_capacity(spec.questions)).collect();
-    // Driver timing rides the engine's metrics registry: one span for the
-    // whole drive (its return value is the report's `total_micros`) and one
-    // `serve.round` sample per batched turn.
-    let drive_span = engine.metrics().span(cachemind_obs::names::SERVE_LOAD_DRIVE);
-    for turn in 0..spec.questions {
-        let round_span = engine.metrics().span(cachemind_obs::names::SERVE_ROUND);
-        let round: Vec<AskRequest> = session_ids
-            .iter()
-            .enumerate()
-            .map(|(s, id)| AskRequest::in_session(*id, questions[s][turn].clone()))
-            .collect();
-        for (s, response) in engine.ask_round(&round).into_iter().enumerate() {
-            responses[s].push(response);
-        }
-        round_span.finish();
     }
-    let total_micros = drive_span.finish();
 
-    LoadOutcome {
-        spec,
-        questions,
-        responses,
-        total_micros,
-        startup: None,
-        transport: "stdin".into(),
+    /// Sends one protocol line and returns the response line.
+    fn round_trip(&mut self, line: &str) -> std::io::Result<String> {
+        match self {
+            LineClient::InProcess(engine) => {
+                Ok(engine.serve_line(line, false, "stdin", None).rendered)
+            }
+            LineClient::Tcp { stream, reader } => {
+                stream.write_all(line.as_bytes())?;
+                stream.write_all(b"\n")?;
+                stream.flush()?;
+                let mut response = String::new();
+                if reader.read_line(&mut response)? == 0 {
+                    return Err(protocol_io_error("server closed the connection mid-drive"));
+                }
+                Ok(response.trim().to_string())
+            }
+        }
     }
 }
 
-/// Replays the same `spec.sessions × spec.questions` synthetic load
-/// against a *running* TCP server (`cachemind-serve --tcp`), measuring
-/// real socket round-trips.
+fn protocol_io_error(detail: impl std::fmt::Display) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, detail.to_string())
+}
+
+/// Replays `spec.sessions × spec.questions` synthetic questions as
+/// protocol lines against `target`. With `spec.scenarios` set, session `s`
+/// opens pinned to `scenarios[s % len]` and asks the scenario-aware
+/// question set.
 ///
-/// `engine` is a local reference engine over the same database the
-/// server fronts — it synthesizes the questions (a pure function of the
-/// store) and supplies the report's configuration echo; no request is
-/// answered through it.
-///
-/// Sessions are opened *serially, in session order* over one connection
-/// each, so a fresh server assigns ids 1..N exactly as the in-process
-/// driver would — the keystone of cross-transport byte-identity. The ask
-/// phase then runs every connection concurrently, each asking its
-/// questions in lockstep (send, await response, repeat), so per-session
-/// turn order matches the in-process rounds while the server sees real
-/// concurrent traffic. Per-request latencies are client-measured
-/// round-trip times; they (and everything else wall-clock) stay out of
-/// the deterministic report.
-pub fn run_load_driver_tcp(
+/// Both transports run this same code. Sessions open serially, in
+/// session order, with `{"open": true}` lines, so a fresh engine assigns
+/// ids 1..N whatever the transport. Then one thread per session asks its
+/// questions in lockstep (send, await the response, repeat): every
+/// session's turns arrive in order while the engine sees concurrent
+/// traffic. Latency is the client-observed time per line; it (and
+/// everything else wall-clock) stays out of the deterministic report.
+pub fn run_load_driver(
     engine: &ServeEngine,
     spec: LoadSpec,
-    addr: impl std::net::ToSocketAddrs,
+    target: LoadTarget,
 ) -> std::io::Result<LoadOutcome> {
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::TcpStream;
-
-    fn protocol_io_error(detail: impl std::fmt::Display) -> std::io::Error {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, detail.to_string())
-    }
-
-    let addr = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| protocol_io_error("server address resolved to nothing"))?;
-
     let questions: Vec<Vec<String>> = (0..spec.sessions)
         .map(|s| {
             let pin = spec.pin_for(s);
@@ -417,68 +409,40 @@ pub fn run_load_driver_tcp(
         })
         .collect();
 
-    struct Client {
-        stream: TcpStream,
-        reader: BufReader<TcpStream>,
-        session: u64,
-    }
-
-    fn round_trip(client: &mut Client, line: &str) -> std::io::Result<String> {
-        client.stream.write_all(line.as_bytes())?;
-        client.stream.write_all(b"\n")?;
-        client.stream.flush()?;
-        let mut response = String::new();
-        if client.reader.read_line(&mut response)? == 0 {
-            return Err(protocol_io_error("server closed the connection mid-drive"));
-        }
-        Ok(response.trim().to_string())
-    }
-
-    // Phase 1 (serial): one connection per session, opened in session
-    // order, so the server's id assignment replays the in-process
-    // driver's exactly.
+    // Phase 1 (serial): one client per session, opened in session order.
     let mut clients = Vec::with_capacity(spec.sessions);
     for s in 0..spec.sessions {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true).ok();
-        let reader = BufReader::new(stream.try_clone()?);
-        let mut client = Client { stream, reader, session: 0 };
+        let mut client = LineClient::connect(engine, target)?;
         let pin = spec.pin_for(s);
-        let open = crate::protocol::Request::Open {
-            session: None,
-            scenario: (!pin.is_unscoped()).then_some(pin),
-        };
-        let response = round_trip(&mut client, &open.to_json())?;
+        let open = Request::Open { session: None, scenario: (!pin.is_unscoped()).then_some(pin) };
+        let response = client.round_trip(&open.to_json())?;
         let opened = AskResponse::from_json(&response).map_err(protocol_io_error)?;
         if !opened.is_ok() {
             return Err(protocol_io_error(format!("open refused: {response}")));
         }
-        client.session = opened.session;
-        clients.push(client);
+        clients.push((client, opened.session));
     }
 
-    // Phase 2 (concurrent): every connection asks its questions in
-    // lockstep, all connections in flight at once.
+    // Phase 2 (concurrent): every client asks its questions in lockstep,
+    // all clients in flight at once.
     let drive_span = engine.metrics().span(cachemind_obs::names::SERVE_LOAD_DRIVE);
     let responses: std::io::Result<Vec<Vec<AskResponse>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = clients
             .into_iter()
-            .enumerate()
-            .map(|(s, mut client)| {
-                let questions = &questions[s];
+            .zip(&questions)
+            .map(|((mut client, session), questions)| {
                 scope.spawn(move || -> std::io::Result<Vec<AskResponse>> {
                     let mut answered = Vec::with_capacity(questions.len());
                     for question in questions {
-                        let request = AskRequest::in_session(client.session, question.clone());
+                        let request = AskRequest::in_session(session, question.clone());
                         let started = std::time::Instant::now();
-                        let line = round_trip(&mut client, &request.to_json())?;
-                        let rtt = started.elapsed().as_micros() as u64;
+                        let line = client.round_trip(&request.to_json())?;
+                        let micros = started.elapsed().as_micros() as u64;
                         let mut response =
                             AskResponse::from_json(&line).map_err(protocol_io_error)?;
-                        // The latency that matters over TCP is the full
-                        // client-observed round trip, not the server-side
+                        // The client-observed time, not the server's
                         // answering slice.
-                        response.micros = rtt;
+                        response.micros = micros;
                         answered.push(response);
                     }
                     Ok(answered)
@@ -490,13 +454,17 @@ pub fn run_load_driver_tcp(
     let responses = responses?;
     let total_micros = drive_span.finish();
 
+    let transport = match target {
+        LoadTarget::InProcess => "stdin",
+        LoadTarget::Tcp(_) => "tcp",
+    };
     Ok(LoadOutcome {
         spec,
         questions,
         responses,
         total_micros,
         startup: None,
-        transport: "tcp".into(),
+        transport: transport.into(),
     })
 }
 
@@ -513,6 +481,10 @@ mod tests {
             .try_build_sharded()
             .expect("demo build");
         ServeEngine::over(db, config)
+    }
+
+    fn drive(engine: &ServeEngine, spec: LoadSpec) -> LoadOutcome {
+        run_load_driver(engine, spec, LoadTarget::InProcess).expect("in-process drive")
     }
 
     #[test]
@@ -532,7 +504,7 @@ mod tests {
     #[test]
     fn load_driver_answers_everything() {
         let engine = engine(2);
-        let outcome = run_load_driver(
+        let outcome = drive(
             &engine,
             LoadSpec { sessions: 3, questions: 2, scenarios: vec![], repeat_period: 0 },
         );
@@ -558,7 +530,7 @@ mod tests {
     fn repeat_period_recycles_questions_and_hits_the_answer_cache() {
         let engine = engine(2);
         let spec = LoadSpec { sessions: 2, questions: 6, repeat_period: 3, ..Default::default() };
-        let outcome = run_load_driver(&engine, spec);
+        let outcome = drive(&engine, spec);
         assert_eq!(outcome.errors(), 0);
         for s in 0..2 {
             for t in 3..6 {
@@ -587,15 +559,14 @@ mod tests {
         // runs keep the legacy bytes.
         let report = outcome.render(&engine, false);
         assert!(report.contains("\"repeat_period\": 3"), "{report}");
-        let plain =
-            run_load_driver(&engine, LoadSpec { sessions: 1, questions: 1, ..Default::default() });
+        let plain = drive(&engine, LoadSpec { sessions: 1, questions: 1, ..Default::default() });
         assert!(!plain.render(&engine, false).contains("repeat_period"));
     }
 
     #[test]
     fn startup_timing_renders_only_in_the_timing_block() {
         let engine = engine(1);
-        let mut outcome = run_load_driver(
+        let mut outcome = drive(
             &engine,
             LoadSpec { sessions: 1, questions: 1, scenarios: vec![], repeat_period: 0 },
         );
@@ -635,7 +606,7 @@ mod tests {
             ],
             repeat_period: 0,
         };
-        let outcome = run_load_driver(&engine, spec);
+        let outcome = drive(&engine, spec);
         assert_eq!(outcome.errors(), 0);
 
         // Find an estimated-IPC turn per session and check each response

@@ -10,7 +10,7 @@
 //! `session` is optional in requests — omitting it (or sending `null`)
 //! opens a fresh session and the response carries the assigned id. Errors
 //! come back in-band as `{"session": ..., "error": "...", "error_kind":
-//! "..."}` so a batch of requests always yields a response per request;
+//! "..."}` so every request line yields exactly one response line;
 //! `error_kind` is a stable machine-matchable discriminator
 //! (`invalid_json` | `bad_request` | `unknown_session` | `overloaded`).
 //!

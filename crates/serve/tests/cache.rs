@@ -9,8 +9,13 @@
 
 use cachemind_obs::names::{RETRIEVAL_CACHE_HITS, RETRIEVAL_CACHE_INSERTS};
 use cachemind_serve::engine::{ServeConfig, ServeEngine};
-use cachemind_serve::load::{run_load_driver, LoadSpec};
+use cachemind_serve::load::{run_load_driver, LoadOutcome, LoadSpec, LoadTarget};
 use cachemind_tracedb::TraceDatabaseBuilder;
+
+/// Drives `spec` in process through the engine's protocol-line path.
+fn drive(engine: &ServeEngine, spec: LoadSpec) -> LoadOutcome {
+    run_load_driver(engine, spec, LoadTarget::InProcess).expect("in-process drive")
+}
 
 fn engine(threads: usize, answer_cache: bool) -> ServeEngine {
     let config =
@@ -26,9 +31,9 @@ fn engine(threads: usize, answer_cache: bool) -> ServeEngine {
 /// the two deterministic reports.
 fn drive_pair(threads: usize, spec: &LoadSpec) -> (String, String) {
     let on = engine(threads, true);
-    let on_outcome = run_load_driver(&on, spec.clone());
+    let on_outcome = drive(&on, spec.clone());
     let off = engine(threads, false);
-    let off_outcome = run_load_driver(&off, spec.clone());
+    let off_outcome = drive(&off, spec.clone());
 
     // The cache-on run actually cached: the repeated-question mix must
     // produce hits, otherwise this test proves nothing.

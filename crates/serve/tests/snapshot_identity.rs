@@ -12,8 +12,13 @@ use std::path::PathBuf;
 
 use cachemind_core::system::RetrieverKind;
 use cachemind_serve::engine::{build_database, ServeConfig, ServeEngine};
-use cachemind_serve::load::{run_load_driver, LoadSpec};
+use cachemind_serve::load::{run_load_driver, LoadOutcome, LoadSpec, LoadTarget};
 use cachemind_tracedb::{ScenarioSelector, TraceDatabaseBuilder};
+
+/// Drives `spec` in process through the engine's protocol-line path.
+fn drive(engine: &ServeEngine, spec: LoadSpec) -> LoadOutcome {
+    run_load_driver(engine, spec, LoadTarget::InProcess).expect("in-process drive")
+}
 
 fn temp_snapshot(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("cachemind_{}_{}.snap", name, std::process::id()))
@@ -36,7 +41,7 @@ fn snapshot_served_v1_driver_matches_fresh_build_across_worker_counts() {
     let spec = LoadSpec { sessions: 5, questions: 3, scenarios: vec![], repeat_period: 0 };
     let config = ServeConfig { threads: Some(1), shards: 3, ..Default::default() };
     let fresh = ServeEngine::over(db, config.clone());
-    let reference_outcome = run_load_driver(&fresh, spec.clone());
+    let reference_outcome = drive(&fresh, spec.clone());
     let reference = reference_outcome.render(&fresh, false);
 
     for threads in [1usize, 2, 8] {
@@ -45,7 +50,7 @@ fn snapshot_served_v1_driver_matches_fresh_build_across_worker_counts() {
             ServeConfig { threads: Some(threads), ..config.clone() },
         )
         .expect("snapshot loads");
-        let outcome = run_load_driver(&engine, spec.clone());
+        let outcome = drive(&engine, spec.clone());
         assert_eq!(outcome.errors(), 0, "{threads} workers");
         let report = outcome.render(&engine, false);
         assert_eq!(
@@ -84,7 +89,7 @@ fn snapshot_served_v2_driver_matches_fresh_build_across_worker_counts() {
         repeat_period: 0,
     };
     let fresh = ServeEngine::over(db, config.clone());
-    let reference_outcome = run_load_driver(&fresh, spec.clone());
+    let reference_outcome = drive(&fresh, spec.clone());
     assert_eq!(reference_outcome.errors(), 0);
     let reference = reference_outcome.render(&fresh, false);
     // The scenario path actually exercised per-machine grounding.
@@ -97,7 +102,7 @@ fn snapshot_served_v2_driver_matches_fresh_build_across_worker_counts() {
             ServeConfig { threads: Some(threads), ..config.clone() },
         )
         .expect("snapshot loads");
-        let outcome = run_load_driver(&engine, spec.clone());
+        let outcome = drive(&engine, spec.clone());
         assert_eq!(outcome.errors(), 0, "{threads} workers");
         let report = outcome.render(&engine, false);
         assert_eq!(

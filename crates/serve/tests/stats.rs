@@ -1,7 +1,7 @@
 //! The in-band telemetry contract, pinned end to end:
 //!
 //! * after a load-driver run, the engine's stats counters equal the
-//!   driver's own question/error totals exactly — including the
+//!   driver's own open/question/error totals exactly — including the
 //!   `serve.ask` latency histogram's sample count;
 //! * a `{"stats": true}` line answers in-band with the versioned stats
 //!   object, and never counts itself (the response after driving N
@@ -14,10 +14,14 @@
 //!   says so in `tracedb.lazy_decode_traces`.
 
 use cachemind_serve::engine::{ServeConfig, ServeEngine};
-use cachemind_serve::load::{run_load_driver, LoadSpec};
-use cachemind_serve::protocol::AskRequest;
+use cachemind_serve::load::{run_load_driver, LoadOutcome, LoadSpec, LoadTarget};
 use cachemind_tracedb::{TraceDatabaseBuilder, TraceStore};
 use serde_json::Value;
+
+/// Drives `spec` in process through the engine's protocol-line path.
+fn drive(engine: &ServeEngine, spec: LoadSpec) -> LoadOutcome {
+    run_load_driver(engine, spec, LoadTarget::InProcess).expect("in-process drive")
+}
 
 fn engine(threads: usize) -> ServeEngine {
     let config = ServeConfig { threads: Some(threads), shards: 3, ..Default::default() };
@@ -56,14 +60,15 @@ fn served_counter(engine: &ServeEngine, name: &str) -> u64 {
 fn stats_counters_match_the_load_driver_totals() {
     let engine = engine(4);
     let spec = LoadSpec { sessions: 4, questions: 3, scenarios: vec![], repeat_period: 0 };
-    let outcome = run_load_driver(&engine, spec);
+    let outcome = drive(&engine, spec);
     let driven = (outcome.answered() + outcome.errors()) as u64;
     assert_eq!(driven, 12, "4 sessions x 3 questions");
 
     let stats = engine.stats_value();
     assert_eq!(count(&stats, &["stats_version"]), 2);
     assert_eq!(count(&stats, &["requests", "ask"]), driven, "ask counter == driven questions");
-    assert_eq!(count(&stats, &["requests", "total"]), driven, "nothing else was requested");
+    assert_eq!(count(&stats, &["requests", "open"]), 4, "one open line per session");
+    assert_eq!(count(&stats, &["requests", "total"]), 16, "nothing else was requested");
     assert_eq!(count(&stats, &["errors", "total"]), outcome.errors() as u64);
     assert_eq!(count(&stats, &["sessions", "opened"]), 4);
     assert_eq!(count(&stats, &["sessions", "open"]), 4, "driver leaves its sessions open");
@@ -73,8 +78,6 @@ fn stats_counters_match_the_load_driver_totals() {
     // question, and its per-stage siblings were populated by the drive.
     let ask = field(&stats, &["metrics", "histograms", "serve.ask"]);
     assert_eq!(count(ask, &["count"]), driven, "one ask-latency sample per question");
-    let rounds = field(&stats, &["metrics", "histograms", "serve.round"]);
-    assert_eq!(count(rounds, &["count"]), 3, "one round span per turn");
     let drive = field(&stats, &["metrics", "histograms", "serve.load_drive"]);
     assert_eq!(count(drive, &["count"]), 1, "one span for the whole drive");
     assert_eq!(count(&stats, &["metrics", "version"]), 1, "snapshot schema is versioned");
@@ -83,12 +86,11 @@ fn stats_counters_match_the_load_driver_totals() {
 #[test]
 fn stats_requests_answer_in_band_and_never_count_themselves() {
     let engine = engine(2);
-    let response = engine
-        .ask_round(&[AskRequest::new(
-            "What is the overall miss rate of the mcf workload under LRU?",
-        )])
-        .remove(0);
-    assert!(response.is_ok());
+    let asked = serve(
+        &engine,
+        r#"{"question": "What is the overall miss rate of the mcf workload under LRU?"}"#,
+    );
+    assert!(!asked.contains("\"error\""), "{asked}");
 
     // First stats response: 1 ask, 0 stats — the read does not count
     // itself.
@@ -137,12 +139,12 @@ fn metrics_never_perturb_the_deterministic_report() {
     // deterministic reports: telemetry is a wall-clock side channel only.
     let spec = LoadSpec { sessions: 3, questions: 2, scenarios: vec![], repeat_period: 0 };
     let quiet = engine(2);
-    let quiet_outcome = run_load_driver(&quiet, spec.clone());
+    let quiet_outcome = drive(&quiet, spec.clone());
 
     let noisy = engine(2);
     let _ = serve(&noisy, "not json at all");
     let _ = serve(&noisy, "{\"stats\": true}");
-    let noisy_outcome = run_load_driver(&noisy, spec);
+    let noisy_outcome = drive(&noisy, spec);
     // The warm-up asked nothing, so both drives see identical session ids
     // and identical questions.
     assert_eq!(

@@ -27,10 +27,15 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cachemind_serve::engine::{ServeConfig, ServeEngine};
-use cachemind_serve::load::{run_load_driver, run_load_driver_tcp, LoadSpec};
+use cachemind_serve::load::{run_load_driver, LoadOutcome, LoadSpec, LoadTarget};
 use cachemind_serve::net::{self, NetConfig, SessionScope, TcpServer};
 use cachemind_tracedb::TraceDatabaseBuilder;
 use serde_json::Value;
+
+/// Drives `spec` in process through the engine's protocol-line path.
+fn drive(engine: &ServeEngine, spec: LoadSpec) -> LoadOutcome {
+    run_load_driver(engine, spec, LoadTarget::InProcess).expect("in-process drive")
+}
 
 const QUESTION: &str = "What is the overall miss rate of the mcf workload under LRU?";
 
@@ -137,7 +142,7 @@ fn tcp_driver_matches_stdin_byte_for_byte_across_worker_counts() {
     let spec = LoadSpec { sessions: 4, questions: 3, scenarios: vec![], repeat_period: 0 };
     let config = ServeConfig { threads: Some(1), shards: 3, ..Default::default() };
     let local = ServeEngine::from_snapshot(&path, config.clone()).expect("snapshot loads");
-    let reference_outcome = run_load_driver(&local, spec.clone());
+    let reference_outcome = drive(&local, spec.clone());
     assert_eq!(reference_outcome.errors(), 0);
     let reference = reference_outcome.render(&local, false);
 
@@ -149,8 +154,8 @@ fn tcp_driver_matches_stdin_byte_for_byte_across_worker_counts() {
         .expect("snapshot loads");
         let server = TcpServer::start(Arc::new(served), "127.0.0.1:0", NetConfig::default())
             .expect("bind ephemeral");
-        let outcome =
-            run_load_driver_tcp(&local, spec.clone(), server.local_addr()).expect("tcp drive");
+        let outcome = run_load_driver(&local, spec.clone(), LoadTarget::Tcp(server.local_addr()))
+            .expect("tcp drive");
         assert_eq!(outcome.errors(), 0, "{threads} workers");
         let report = outcome.render(&local, false);
         assert_eq!(
@@ -383,46 +388,34 @@ fn conn_scope_reaps_sessions_and_global_scope_keeps_them() {
 #[test]
 fn tcp_and_stdin_drives_land_in_the_same_stats_registry() {
     // Identical drives, one per transport; global scope so no reaper
-    // skews the session gauges. The request/error/session stats must
-    // agree exactly — it is one engine registry either way.
+    // skews the session gauges. Both drivers send the same protocol
+    // lines, so the request/error/session stats must agree exactly — it
+    // is one engine registry either way.
     let spec = LoadSpec { sessions: 4, questions: 3, scenarios: vec![], repeat_period: 0 };
 
     let stdin_engine = engine(2);
-    let stdin_outcome = run_load_driver(&stdin_engine, spec.clone());
+    let stdin_outcome = drive(&stdin_engine, spec.clone());
     assert_eq!(stdin_outcome.errors(), 0);
     let stdin_stats = stdin_engine.stats_value();
 
     let server =
         start_server(2, NetConfig { session_scope: SessionScope::Global, ..NetConfig::default() });
     let driver = engine(2);
-    let tcp_outcome = run_load_driver_tcp(&driver, spec, server.local_addr()).expect("tcp drive");
+    let tcp_outcome =
+        run_load_driver(&driver, spec, LoadTarget::Tcp(server.local_addr())).expect("tcp drive");
     assert_eq!(tcp_outcome.errors(), 0);
 
     // Read the server's stats the way any client would: in-band over the
     // socket. The response reflects the drive and never counts itself.
     let mut client = Client::connect(server.local_addr());
     let tcp_stats = client.round_trip("{\"stats\": true}");
-    for section in ["errors", "sessions"] {
+    for section in ["requests", "errors", "sessions"] {
         assert_eq!(
             field(&tcp_stats, &[section]),
             field(&stdin_stats, &[section]),
             "the {section} stats diverged between transports"
         );
     }
-    // The one legitimate request-mix difference: the socket driver opens
-    // its sessions with explicit protocol requests, the in-process one
-    // through the engine API. Asks agree exactly; opens match the
-    // sessions opened.
-    assert_eq!(
-        count(&tcp_stats, &["requests", "ask"]),
-        count(&stdin_stats, &["requests", "ask"]),
-        "ask counts diverged between transports"
-    );
-    assert_eq!(
-        count(&tcp_stats, &["requests", "open"]),
-        count(&tcp_stats, &["sessions", "opened"]),
-        "one open request per opened session"
-    );
     assert_eq!(text(&tcp_stats, &["transport"]), "tcp");
     server.shutdown();
 }

@@ -1,12 +1,13 @@
 //! Minimal serving-subsystem tour: build a sharded database, open two chat
-//! sessions, answer one batched round, and print the transcripts.
+//! sessions and ask three questions as protocol lines, and print the
+//! transcripts.
 //!
 //! ```sh
 //! cargo run --release --example serve_round
 //! ```
 
 use cachemind_suite::serve::engine::{ServeConfig, ServeEngine};
-use cachemind_suite::serve::protocol::AskRequest;
+use cachemind_suite::serve::protocol::{AskRequest, AskResponse, Request};
 use cachemind_suite::tracedb::{TraceDatabaseBuilder, TraceStore};
 
 fn main() {
@@ -16,19 +17,22 @@ fn main() {
         .expect("demo names are valid");
     println!("sharded database: {} traces across {} shards", db.len(), db.num_shards());
 
-    let engine = ServeEngine::over(db, ServeConfig { threads: Some(2), ..Default::default() });
-    let alice = engine.open_session();
-    let bob = engine.open_session();
+    let engine = ServeEngine::over(db, ServeConfig::default());
+    // Every request is one protocol line, exactly as a stdin or TCP
+    // client would send it.
+    let serve = |request: Request| {
+        let rendered = engine.serve_line(&request.to_json(), false, "stdin", None).rendered;
+        AskResponse::from_json(&rendered).expect("an ask-shaped response")
+    };
+    let alice = serve(Request::Open { session: None, scenario: None }).session;
+    let bob = serve(Request::Open { session: None, scenario: None }).session;
 
-    let round = vec![
-        AskRequest::in_session(
-            alice,
-            "What is the overall miss rate of the mcf workload under LRU?",
-        ),
-        AskRequest::in_session(bob, "Which policy has the lowest miss rate in astar?"),
-        AskRequest::in_session(alice, "List all unique PCs in the mcf trace under LRU."),
-    ];
-    for response in engine.ask_round(&round) {
+    for (session, question) in [
+        (alice, "What is the overall miss rate of the mcf workload under LRU?"),
+        (bob, "Which policy has the lowest miss rate in astar?"),
+        (alice, "List all unique PCs in the mcf trace under LRU."),
+    ] {
+        let response = serve(Request::Ask(AskRequest::in_session(session, question)));
         println!("\nsession {} turn {}:", response.session, response.turn);
         println!("  {}", response.answer.as_deref().unwrap_or("<error>"));
     }
