@@ -1,7 +1,8 @@
-//! Criterion suite over the replay hot path.
+//! The workspace's criterion micro-benchmarks: the replay hot path, the
+//! annotated replay behind the trace database, and retrieval.
 //!
-//! Three layers, innermost first, so a regression can be localised at a
-//! glance (see `docs/PERFORMANCE.md` for how to read the trajectory):
+//! Replay layers first, innermost first, so a regression can be localised
+//! at a glance (see `docs/PERFORMANCE.md` for how to read the trajectory):
 //!
 //! * `cache_access` — raw [`SetAssociativeCache`] probe/fill throughput
 //!   under LRU, no oracle, no record bookkeeping: the floor every other
@@ -15,11 +16,24 @@
 //!   every cell amortises.
 //! * `tracedb_build` — the end-to-end `quick_demo` trace-database build,
 //!   the closest proxy for the serve path's cold start.
+//! * `policy_replay` — the annotated [`LlcReplay::run`] per policy: the
+//!   per-access record path every trace-database entry is built from.
+//! * `retrieval_latency` — one hit/miss question per retriever (the
+//!   Figure 9 latency column), plus `intent_parse`, the question parser
+//!   every ask starts with.
 //!
-//! Run with `cargo bench -p cachemind-benchsuite --bench hotpath`.
+//! End-to-end numbers (sweep throughput, served asks, cold start) come
+//! from perfbench, not from here.
+//!
+//! Run with `cargo bench -p cachemind-bench --bench hotpath`.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
+use cachemind_lang::intent::QueryIntent;
+use cachemind_retrieval::dense::DenseIndexRetriever;
+use cachemind_retrieval::ranger::RangerRetriever;
+use cachemind_retrieval::retriever::Retriever;
+use cachemind_retrieval::sieve::SieveRetriever;
 use cachemind_sim::cache::SetAssociativeCache;
 use cachemind_sim::config::{CacheConfig, HierarchyConfig, MachineConfig};
 use cachemind_sim::replacement::{AccessContext, RecencyPolicy};
@@ -125,12 +139,66 @@ fn tracedb_build(c: &mut Criterion) {
     group.finish();
 }
 
+fn policy_replay(c: &mut Criterion) {
+    let workload = cachemind_workloads::mcf::generate(Scale::Tiny);
+    let replay = LlcReplay::new(CacheConfig::new("LLC", 8, 8, 6), &workload.accesses);
+    let mut group = c.benchmark_group("policy_replay");
+    group.throughput(Throughput::Elements(workload.accesses.len() as u64));
+    for name in ["lru", "belady", "srrip", "ship", "hawkeye", "mockingjay", "parrot", "mlp"] {
+        group.bench_function(BenchmarkId::from_parameter(name), |b| {
+            b.iter(|| replay.run(cachemind_policies::by_name(name).expect("known policy")))
+        });
+    }
+    group.finish();
+}
+
+fn retrieval_latency(c: &mut Criterion) {
+    let db = TraceDatabaseBuilder::quick_demo().build();
+    let row = db.get("mcf_evictions_lru").expect("trace").frame.rows()[10].clone();
+    let question = format!(
+        "Does the memory access with PC {} and address {} result in a cache hit or miss \
+         for the mcf workload and LRU replacement policy?",
+        row.pc, row.address
+    );
+    let workloads = db.workloads();
+    let policies = db.policies();
+    let intent = QueryIntent::parse(
+        &question,
+        &workloads.iter().map(String::as_str).collect::<Vec<_>>(),
+        &policies.iter().map(String::as_str).collect::<Vec<_>>(),
+    );
+
+    let sieve = SieveRetriever::new();
+    let ranger = RangerRetriever::new();
+    let dense = DenseIndexRetriever::build(&db, 4);
+    let mut group = c.benchmark_group("retrieval_latency");
+    group.bench_function(BenchmarkId::new("sieve", "hitmiss"), |b| {
+        b.iter(|| sieve.retrieve(&db, &intent))
+    });
+    group.bench_function(BenchmarkId::new("ranger", "hitmiss"), |b| {
+        b.iter(|| ranger.retrieve(&db, &intent))
+    });
+    group.bench_function(BenchmarkId::new("dense", "hitmiss"), |b| {
+        b.iter(|| dense.retrieve(&db, &intent))
+    });
+    group.finish();
+
+    let q = "Which policy has the lowest miss rate for PC 0x409270 in astar?";
+    c.bench_function("intent_parse", |b| {
+        b.iter(|| {
+            QueryIntent::parse(q, &["astar", "lbm", "mcf"], &["belady", "lru", "mlp", "parrot"])
+        })
+    });
+}
+
 criterion_group!(
     hotpath,
     cache_access,
     cell_replay,
     scenario_prepare,
     prepare_split,
-    tracedb_build
+    tracedb_build,
+    policy_replay,
+    retrieval_latency
 );
 criterion_main!(hotpath);

@@ -37,7 +37,7 @@ fn scale() -> Scale {
     }
 }
 
-fn build_db() -> TraceDatabase {
+fn trace_db() -> TraceDatabase {
     eprintln!("building trace database ({:?}) ...", scale());
     if scale() == Scale::Tiny {
         TraceDatabaseBuilder::quick_demo().build()
@@ -81,7 +81,7 @@ fn main() {
     match args.first().map(String::as_str) {
         Some("ask") => {
             let question = args.get(1).cloned().unwrap_or_else(|| usage());
-            let mind = CacheMind::new(build_db())
+            let mind = CacheMind::new(trace_db())
                 .with_retriever(retriever_kind(&args))
                 .with_backend(backend_kind(&args));
             let answer = mind.ask_query(&Query::new(question));
@@ -95,7 +95,7 @@ fn main() {
             }
         }
         Some("chat") => {
-            let mind = CacheMind::new(build_db())
+            let mind = CacheMind::new(trace_db())
                 .with_retriever(retriever_kind(&args))
                 .with_backend(backend_kind(&args));
             let mut chat = ChatSession::new(mind);
@@ -115,7 +115,7 @@ fn main() {
             }
         }
         Some("bench") => {
-            let db = build_db();
+            let db = trace_db();
             let catalog = Catalog::generate(&db);
             let sieve = SieveRetriever::new();
             let ranger = RangerRetriever::new();
@@ -142,7 +142,7 @@ fn main() {
             );
         }
         Some("probes") => {
-            let db = build_db();
+            let db = trace_db();
             let probes = probe_queries(&db);
             let dense = DenseIndexRetriever::build(&db, 4);
             for report in [
@@ -203,7 +203,7 @@ fn main() {
         Some("export") => {
             let trace_id = args.get(1).cloned().unwrap_or_else(|| usage());
             let path = args.get(2).cloned().unwrap_or_else(|| usage());
-            let db = build_db();
+            let db = trace_db();
             let entry = db.get(&trace_id).unwrap_or_else(|| {
                 eprintln!(
                     "unknown trace {trace_id:?}; available: {}",

@@ -27,8 +27,8 @@
 //!   exact totals without cross-test contamination).
 //! * **The process-global registry** ([`global`]) — the default sink for
 //!   library stages without an owner (sweep prepare/replay, trace-database
-//!   build, snapshot save/load/verify), which single-workload binaries
-//!   (`sweep_grid`, `build_db`) read back for their bench records.
+//!   build, snapshot save/verify), which `sweep_grid` reads back for its
+//!   bench record.
 //!
 //! The canonical metric names live in [`names`]; the bucket layout and
 //! span taxonomy are documented in `docs/OBSERVABILITY.md`.
@@ -65,8 +65,6 @@ pub mod names {
     pub const TRACEDB_BUILD: &str = "tracedb.build";
     /// Snapshot encode + write (the save path), per save.
     pub const TRACEDB_SNAPSHOT_SAVE: &str = "tracedb.snapshot_save";
-    /// Snapshot read + decode (eager load path), per load.
-    pub const TRACEDB_SNAPSHOT_LOAD: &str = "tracedb.snapshot_load";
     /// Snapshot read + full checksum verification (lazy open path), per
     /// open.
     pub const TRACEDB_SNAPSHOT_VERIFY: &str = "tracedb.snapshot_verify";
@@ -94,8 +92,6 @@ pub mod names {
     pub const SERVE_ASK: &str = "serve.ask";
     /// Response rendering in the serve event loop, per line.
     pub const SERVE_RESPOND: &str = "serve.respond";
-    /// One whole load-driver ask phase, per run.
-    pub const SERVE_LOAD_DRIVE: &str = "serve.load_drive";
     /// Counter: protocol `question` (ask) requests.
     pub const SERVE_REQUESTS_ASK: &str = "serve.requests.ask";
     /// Counter: protocol `open` requests.
@@ -175,7 +171,6 @@ mod tests {
             names::SWEEP_CELL_REPLAY,
             names::TRACEDB_BUILD,
             names::TRACEDB_SNAPSHOT_SAVE,
-            names::TRACEDB_SNAPSHOT_LOAD,
             names::TRACEDB_SNAPSHOT_VERIFY,
             names::TRACEDB_LAZY_DECODE,
             names::TRACEDB_LAZY_DECODE_SEGMENTS,
@@ -188,7 +183,6 @@ mod tests {
             names::SERVE_PARSE,
             names::SERVE_ASK,
             names::SERVE_RESPOND,
-            names::SERVE_LOAD_DRIVE,
             names::SERVE_REQUESTS_ASK,
             names::SERVE_REQUESTS_OPEN,
             names::SERVE_REQUESTS_CLOSE,

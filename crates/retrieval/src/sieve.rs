@@ -33,7 +33,6 @@ use crate::retriever::{resolve_trace_slots, Retriever};
 /// The Sieve retriever.
 #[derive(Debug, Clone)]
 pub struct SieveRetriever {
-    semantic: bool,
     slice_cap: usize,
 }
 
@@ -44,17 +43,9 @@ impl Default for SieveRetriever {
 }
 
 impl SieveRetriever {
-    /// Creates the retriever with semantic key matching enabled and the
-    /// default 50-row slice cap.
+    /// Creates the retriever with the default 50-row slice cap.
     pub fn new() -> Self {
-        SieveRetriever { semantic: true, slice_cap: 50 }
-    }
-
-    /// Disables the semantic (fuzzy) stage of trace-level filtering —
-    /// the symbolic-only ablation.
-    pub fn without_semantic(mut self) -> Self {
-        self.semantic = false;
-        self
+        SieveRetriever { slice_cap: 50 }
     }
 
     /// Overrides the slice cap.
@@ -178,7 +169,7 @@ impl Retriever for SieveRetriever {
     }
 
     fn retrieve(&self, db: &dyn TraceStore, intent: &QueryIntent) -> RetrievedContext {
-        let (workload, policy) = resolve_trace_slots(db, intent, self.semantic);
+        let (workload, policy) = resolve_trace_slots(db, intent, true);
         let expert = CacheStatisticalExpert::new();
         let mut facts: Vec<Fact> = Vec::new();
         // The machine scope is resolved once per retrieval and handed to

@@ -7,30 +7,28 @@
 //!
 //! # synthetic load driver: N sessions x M questions as protocol lines,
 //! # in process, or against a running server with --tcp ADDR
-//! cachemind-serve --load-driver [--sessions N] [--questions M]
-//!                 [--report BENCH_serve.json] [--no-timing] [...]
+//! cachemind-serve --load-driver [--sessions N] [--questions M] [...]
 //!
 //! # snapshot lifecycle: build once offline, serve instantly afterwards
 //! cachemind-serve --build-db db.snap [--scale ...] [--machines ...]
-//! cachemind-serve --db-path db.snap [--startup-compare] [...]
+//! cachemind-serve --db-path db.snap [...]
 //! ```
 //!
 //! Every transport serves one protocol line at a time through
 //! `ServeEngine::serve_line`. The TCP worker-pool width comes from
-//! `--threads`, else `SERVE_NUM_THREADS`, else the machine. With
-//! `--no-timing` the load driver prints only the deterministic report (no
-//! thread count, no wall-clock fields) — the form CI diffs across
-//! transports and thread counts. `--report PATH` additionally writes the
-//! full report including throughput and client-observed latency
-//! percentiles.
+//! `--threads`, else `SERVE_NUM_THREADS`, else the machine. The load
+//! driver prints only the deterministic report (no thread count, no
+//! wall-clock fields) — the form CI diffs across transports and thread
+//! counts. Timing is what the server measured: `--stats-json PATH` writes
+//! the engine's metrics snapshot, startup spans included.
 //!
 //! `--build-db PATH` runs the simulation build and writes the sharded
 //! database to `PATH` as a versioned snapshot, without serving. `--db-path
 //! PATH` starts the engine from such a snapshot instead of simulating —
-//! answers are byte-identical to a fresh build, startup is near-instant —
-//! and `--startup-compare` additionally times the equivalent in-process
-//! build so the report's `timing.startup` block carries the speedup
-//! denominator.
+//! answers are byte-identical to a fresh build, startup is near-instant.
+//! The engine records its startup as a `tracedb.build` span (simulated)
+//! or a `tracedb.snapshot_verify` span (snapshot), so the two startups
+//! compare through their stats snapshots.
 
 use std::io::Write as _;
 use std::net::ToSocketAddrs;
@@ -39,7 +37,7 @@ use std::time::Instant;
 
 use cachemind_core::system::RetrieverKind;
 use cachemind_serve::engine::{build_database, ServeConfig, ServeEngine, StdioEnd};
-use cachemind_serve::load::{run_load_driver, LoadSpec, LoadTarget, StartupTiming};
+use cachemind_serve::load::{run_load_driver, LoadSpec, LoadTarget};
 use cachemind_serve::net::{self, NetConfig, SessionScope, TcpServer};
 use cachemind_tracedb::ScenarioSelector;
 use cachemind_workloads::workload::Scale;
@@ -66,11 +64,11 @@ fn usage() -> ! {
     eprintln!(
         "usage: cachemind-serve [--load-driver] [--sessions N] [--questions M]\n\
          \x20                      [--retriever sieve|ranger] [--scale tiny|small|full]\n\
-         \x20                      [--shards S] [--threads N] [--report PATH] [--no-timing]\n\
+         \x20                      [--shards S] [--threads N]\n\
          \x20                      [--machines table2,small] [--prefetchers nextline,stride4]\n\
          \x20                      [--scenarios @table2,@small] [--max-idle-rounds R]\n\
          \x20                      [--repeat-period N] [--no-answer-cache]\n\
-         \x20                      [--build-db PATH | --db-path PATH [--startup-compare]]\n\
+         \x20                      [--build-db PATH | --db-path PATH]\n\
          \x20                      [--stats-json PATH]\n\
          \x20                      [--tcp ADDR [--port-file PATH] [--max-connections N]\n\
          \x20                       [--queue N] [--session-scope conn|global]]\n\
@@ -87,8 +85,7 @@ fn usage() -> ! {
          \x20   cache-on/cache-off A/B runs;\n\
          --build-db simulates the configured database and writes it to PATH as a\n\
          \x20   versioned snapshot, then exits (no serving);\n\
-         --db-path starts the engine from such a snapshot instead of simulating\n\
-         \x20   (--startup-compare also times the equivalent in-process build);\n\
+         --db-path starts the engine from such a snapshot instead of simulating;\n\
          --stats-json writes the engine's metrics snapshot (the {{\"stats\": true}}\n\
          \x20   response shape) to PATH on shutdown;\n\
          --tcp serves the same newline-JSON protocol on ADDR (use port 0 for an\n\
@@ -97,8 +94,8 @@ fn usage() -> ! {
          \x20   in-band with error_kind \"overloaded\"; --session-scope conn reaps a\n\
          \x20   connection's sessions at disconnect, global matches stdin semantics);\n\
          --tcp with --load-driver drives a *running* server at ADDR over real\n\
-         \x20   sockets instead of in process (the deterministic --no-timing\n\
-         \x20   report is byte-identical either way);\n\
+         \x20   sockets instead of in process (the deterministic report is\n\
+         \x20   byte-identical either way);\n\
          --shutdown-server asks the server at --tcp ADDR to shut down gracefully.\n\
          without --load-driver, serves newline-delimited JSON requests from stdin:\n\
          \x20   {{\"question\": \"...\", \"session\": 3}}   (omit session to open one)\n\
@@ -243,68 +240,32 @@ fn main() {
         return;
     }
 
-    let startup;
-    let engine = match flag(&args, "--db-path") {
+    let started = Instant::now();
+    let (engine, source) = match flag(&args, "--db-path") {
         Some(path) => {
-            // Optional reference build: the denominator of the snapshot
-            // speedup, timed before the load so the engine's own startup
-            // number is unpolluted.
-            let reference_build_micros = if has(&args, "--startup-compare") {
-                let started = Instant::now();
-                if let Err(e) = build_database(&config) {
-                    eprintln!("error: --startup-compare build failed: {e}");
-                    std::process::exit(1);
-                }
-                Some(started.elapsed().as_micros() as u64)
-            } else {
-                None
-            };
             eprintln!("[cachemind-serve] loading trace-database snapshot {path} ...");
-            let started = Instant::now();
-            let engine = match ServeEngine::from_snapshot(&path, config) {
-                Ok(engine) => engine,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(1);
-                }
-            };
-            let micros = started.elapsed().as_micros() as u64;
-            startup =
-                Some(StartupTiming { source: "snapshot".into(), micros, reference_build_micros });
-            engine
+            (ServeEngine::from_snapshot(&path, config).map_err(|e| e.to_string()), "snapshot")
         }
         None => {
             eprintln!(
                 "[cachemind-serve] building sharded trace database ({:?}, {} shards) ...",
                 config.scale, config.shards
             );
-            let started = Instant::now();
-            let engine = match ServeEngine::build(config) {
-                Ok(engine) => engine,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(1);
-                }
-            };
-            let micros = started.elapsed().as_micros() as u64;
-            startup = Some(StartupTiming {
-                source: "build".into(),
-                micros,
-                reference_build_micros: None,
-            });
-            engine
+            (ServeEngine::build(config).map_err(|e| e.to_string()), "build")
         }
     };
-    if let Some(s) = &startup {
-        eprintln!(
-            "[cachemind-serve] ready in {} ms ({}): {} traces across {} shards, {} worker threads",
-            s.micros / 1000,
-            s.source,
-            engine.store().len(),
-            engine.config().shards,
-            engine.num_threads()
-        );
-    }
+    let engine = engine.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
+    eprintln!(
+        "[cachemind-serve] ready in {} ms ({source}): {} traces across {} shards, {} worker \
+         threads",
+        started.elapsed().as_millis(),
+        engine.store().len(),
+        engine.config().shards,
+        engine.num_threads()
+    );
 
     if has(&args, "--load-driver") {
         let spec = LoadSpec {
@@ -329,24 +290,14 @@ fn main() {
             }
             None => LoadTarget::InProcess,
         };
-        let mut outcome = match run_load_driver(&engine, spec, target) {
+        let outcome = match run_load_driver(&engine, spec, target) {
             Ok(outcome) => outcome,
             Err(e) => {
                 eprintln!("error: load drive failed: {e}");
                 std::process::exit(1);
             }
         };
-        outcome.startup = startup;
-        let with_timing = !has(&args, "--no-timing");
-        println!("{}", outcome.render(&engine, with_timing));
-        if let Some(path) = flag(&args, "--report") {
-            let full = outcome.render(&engine, true);
-            if let Err(e) = std::fs::write(&path, full + "\n") {
-                eprintln!("error: cannot write {path:?}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("[cachemind-serve] wrote full report to {path}");
-        }
+        println!("{}", outcome.render(&engine));
         match &tcp_addr {
             // In socket mode the interesting stats live in the *server*:
             // fetch them in-band over the socket, exactly as any client

@@ -235,9 +235,18 @@ impl ServeEngine {
     /// Unknown workload/policy/machine-preset/prefetcher names surface as
     /// a clean [`BuildError`] — validation happens before any shard worker
     /// runs.
-    pub fn build(config: ServeConfig) -> Result<Self, BuildError> {
+    ///
+    /// The build also lands in this engine's registry as a
+    /// `tracedb.build` span (the library records it globally), so a
+    /// server's own stats carry its startup cost, as a snapshot-backed
+    /// engine's carry `tracedb.snapshot_verify`.
+    pub fn build(mut config: ServeConfig) -> Result<Self, BuildError> {
+        let registry = MetricsRegistry::new();
+        let build_span = registry.span(names::TRACEDB_BUILD);
         let db = build_database(&config)?;
-        Ok(Self::over(db, config))
+        build_span.finish();
+        config.shards = config.shards.max(1);
+        Ok(Self::over_registry(Arc::new(db), config, registry))
     }
 
     /// Starts an engine over a database loaded from a snapshot file

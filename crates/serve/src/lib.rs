@@ -18,8 +18,8 @@
 //! * [`load`] — the synthetic load driver behind
 //!   `cachemind-serve --load-driver`: replays N sessions × M questions as
 //!   protocol lines, in process or over a real TCP socket (`--tcp`), and
-//!   reports throughput and latency percentiles as JSON
-//!   (`BENCH_serve.json`).
+//!   prints a deterministic JSON report. Timing comes from the server's
+//!   own metrics (`{"stats": true}`, `--stats-json`).
 //! * [`net`] — the TCP transport behind `cachemind-serve --tcp`: an
 //!   acceptor thread, a bounded connection table with per-connection
 //!   reader/writer threads, a bounded work queue feeding the

@@ -1,13 +1,14 @@
 //! The synthetic load driver: N sessions × M questions sent as protocol
-//! lines, in process or over TCP, with a JSON throughput/latency report.
+//! lines, in process or over TCP, with a deterministic JSON report.
 //!
 //! Question synthesis is a pure function of `(store, session, turn)` —
 //! templates cycle over the store's real workloads, policies and trace
-//! rows — so a run is fully reproducible. The report separates
-//! deterministic content (answers, transcripts, aggregate counters) from
-//! wall-clock content (throughput, latency percentiles); the former is
-//! byte-identical across transports and `SERVE_NUM_THREADS`, the latter
-//! seeds `BENCH_serve.json`.
+//! rows — so a run is fully reproducible. The report holds only
+//! deterministic content (answers, verdicts, aggregate counters), so it is
+//! byte-identical across transports and `SERVE_NUM_THREADS`. Timing is the
+//! server's own business: its spans land in the engine's metrics registry
+//! (`{"stats": true}`, `--stats-json`), and end-to-end numbers come from
+//! perfbench.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -129,23 +130,6 @@ pub fn synthetic_question_scoped(
     }
 }
 
-/// How the engine behind a load run came up: built in-process or loaded
-/// from an on-disk snapshot — and how long that took. Wall-clock content,
-/// so it renders only in the report's `timing` block (the deterministic
-/// half stays byte-identical across startup modes).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StartupTiming {
-    /// `"build"` (simulated at startup) or `"snapshot"` (loaded from a
-    /// file written by `cachemind-serve --build-db`).
-    pub source: String,
-    /// Microseconds from startup start to a ready engine.
-    pub micros: u64,
-    /// For snapshot startups run with `--startup-compare`: how long the
-    /// equivalent in-process build took, the denominator of the snapshot
-    /// speedup.
-    pub reference_build_micros: Option<u64>,
-}
-
 /// Everything a load-driver run produced.
 #[derive(Debug)]
 pub struct LoadOutcome {
@@ -155,27 +139,9 @@ pub struct LoadOutcome {
     pub questions: Vec<Vec<String>>,
     /// `responses[s][t]` — the matching response.
     pub responses: Vec<Vec<AskResponse>>,
-    /// Wall-clock time for the ask phase, in microseconds.
-    pub total_micros: u64,
-    /// How the engine came up, when the caller measured it (the serve
-    /// binary does; library callers may leave `None`).
-    pub startup: Option<StartupTiming>,
-    /// How the questions travelled: `"stdin"` ([`LoadTarget::InProcess`])
-    /// or `"tcp"` ([`LoadTarget::Tcp`]). Rendered in the report's `timing`
-    /// block only — the deterministic half must stay byte-identical across
-    /// transports, which is exactly what the cross-transport CI `cmp`
-    /// checks.
-    pub transport: String,
 }
 
 impl LoadOutcome {
-    /// Every client-observed per-line latency, ascending.
-    pub fn sorted_latencies(&self) -> Vec<u64> {
-        let mut all: Vec<u64> = self.responses.iter().flatten().map(|r| r.micros).collect();
-        all.sort_unstable();
-        all
-    }
-
     /// Number of requests answered without error.
     pub fn answered(&self) -> usize {
         self.responses.iter().flatten().filter(|r| r.is_ok()).count()
@@ -186,10 +152,10 @@ impl LoadOutcome {
         self.responses.iter().flatten().filter(|r| !r.is_ok()).count()
     }
 
-    /// The deterministic half of the report: configuration echo, per-turn
-    /// answers, and aggregate counters. Byte-identical across
-    /// `SERVE_NUM_THREADS` (no thread count, no wall-clock content).
-    pub fn deterministic_value(&self, engine: &ServeEngine) -> Value {
+    /// Renders the report as pretty JSON: configuration echo, per-turn
+    /// answers, and aggregate counters. Byte-identical across transports
+    /// and `SERVE_NUM_THREADS` (no thread count, no wall-clock content).
+    pub fn render(&self, engine: &ServeEngine) -> String {
         let config = engine.config();
         let mut conf = Value::object();
         conf.insert(
@@ -271,60 +237,7 @@ impl LoadOutcome {
         root.insert("config", conf);
         root.insert("aggregate", aggregate);
         root.insert("sessions", Value::Array(sessions));
-        root
-    }
-
-    /// The full report: deterministic content plus the wall-clock `timing`
-    /// block (worker count, throughput, latency percentiles).
-    pub fn report_value(&self, engine: &ServeEngine) -> Value {
-        let mut root = self.deterministic_value(engine);
-        let latencies = self.sorted_latencies();
-        let percentile = |q: f64| -> u64 {
-            if latencies.is_empty() {
-                return 0;
-            }
-            let idx = ((latencies.len() - 1) as f64 * q).round() as usize;
-            latencies[idx]
-        };
-        let questions = (self.spec.sessions * self.spec.questions).max(1);
-        let seconds = self.total_micros as f64 / 1_000_000.0;
-        let mut latency = Value::object();
-        latency.insert("p50", Value::from(percentile(0.50)));
-        latency.insert("p95", Value::from(percentile(0.95)));
-        latency.insert("p99", Value::from(percentile(0.99)));
-        latency.insert("max", Value::from(latencies.last().copied().unwrap_or(0)));
-        let mut timing = Value::object();
-        timing.insert("transport", Value::from(self.transport.as_str()));
-        timing.insert("threads", Value::from(engine.num_threads()));
-        if let Some(startup) = &self.startup {
-            let mut s = Value::object();
-            s.insert("source", Value::from(startup.source.as_str()));
-            s.insert("micros", Value::from(startup.micros));
-            if let Some(build) = startup.reference_build_micros {
-                s.insert("reference_build_micros", Value::from(build));
-            }
-            timing.insert("startup", s);
-        }
-        timing.insert("total_micros", Value::from(self.total_micros));
-        timing.insert(
-            "throughput_qps",
-            Value::from(if seconds > 0.0 { questions as f64 / seconds } else { 0.0 }),
-        );
-        timing.insert("latency_micros", latency);
-        // The engine's full metrics snapshot (per-stage histograms, request
-        // counters) — wall-clock content, so it lives under `timing` and
-        // never leaks into the deterministic half.
-        timing.insert("metrics", engine.metrics().snapshot().to_value());
-        root.insert("timing", timing);
-        root
-    }
-
-    /// Renders the report as pretty JSON; `with_timing` selects between
-    /// the full report and the deterministic half.
-    pub fn render(&self, engine: &ServeEngine, with_timing: bool) -> String {
-        let value =
-            if with_timing { self.report_value(engine) } else { self.deterministic_value(engine) };
-        serde_json::to_string_pretty(&value).expect("shim serialization is infallible")
+        serde_json::to_string_pretty(&root).expect("shim serialization is infallible")
     }
 }
 
@@ -393,8 +306,7 @@ fn protocol_io_error(detail: impl std::fmt::Display) -> std::io::Error {
 /// ids 1..N whatever the transport. Then one thread per session asks its
 /// questions in lockstep (send, await the response, repeat): every
 /// session's turns arrive in order while the engine sees concurrent
-/// traffic. Latency is the client-observed time per line; it (and
-/// everything else wall-clock) stays out of the deterministic report.
+/// traffic.
 pub fn run_load_driver(
     engine: &ServeEngine,
     spec: LoadSpec,
@@ -425,7 +337,6 @@ pub fn run_load_driver(
 
     // Phase 2 (concurrent): every client asks its questions in lockstep,
     // all clients in flight at once.
-    let drive_span = engine.metrics().span(cachemind_obs::names::SERVE_LOAD_DRIVE);
     let responses: std::io::Result<Vec<Vec<AskResponse>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = clients
             .into_iter()
@@ -435,15 +346,8 @@ pub fn run_load_driver(
                     let mut answered = Vec::with_capacity(questions.len());
                     for question in questions {
                         let request = AskRequest::in_session(session, question.clone());
-                        let started = std::time::Instant::now();
                         let line = client.round_trip(&request.to_json())?;
-                        let micros = started.elapsed().as_micros() as u64;
-                        let mut response =
-                            AskResponse::from_json(&line).map_err(protocol_io_error)?;
-                        // The client-observed time, not the server's
-                        // answering slice.
-                        response.micros = micros;
-                        answered.push(response);
+                        answered.push(AskResponse::from_json(&line).map_err(protocol_io_error)?);
                     }
                     Ok(answered)
                 })
@@ -451,21 +355,7 @@ pub fn run_load_driver(
             .collect();
         handles.into_iter().map(|handle| handle.join().expect("client thread")).collect()
     });
-    let responses = responses?;
-    let total_micros = drive_span.finish();
-
-    let transport = match target {
-        LoadTarget::InProcess => "stdin",
-        LoadTarget::Tcp(_) => "tcp",
-    };
-    Ok(LoadOutcome {
-        spec,
-        questions,
-        responses,
-        total_micros,
-        startup: None,
-        transport: transport.into(),
-    })
+    Ok(LoadOutcome { spec, questions, responses: responses? })
 }
 
 #[cfg(test)]
@@ -516,14 +406,11 @@ mod tests {
                 assert_eq!(response.turn, t + 1, "session {s} turn {t}");
             }
         }
-        let rendered = outcome.render(&engine, true);
-        assert!(rendered.contains("\"throughput_qps\""));
-        assert!(rendered.contains("\"transport\": \"stdin\""), "{rendered}");
-        let deterministic = outcome.render(&engine, false);
-        assert!(!deterministic.contains("micros"));
-        assert!(!deterministic.contains("threads"));
-        assert!(!deterministic.contains("scenario"), "v1 reports carry no scenario field");
-        assert!(!deterministic.contains("transport"), "transport is timing-block content");
+        let report = outcome.render(&engine);
+        assert!(!report.contains("micros"));
+        assert!(!report.contains("threads"));
+        assert!(!report.contains("scenario"), "v1 reports carry no scenario field");
+        assert!(!report.contains("transport"), "the report never names its transport");
     }
 
     #[test]
@@ -557,31 +444,10 @@ mod tests {
         );
         // The period is recorded in the deterministic report; period-0
         // runs keep the legacy bytes.
-        let report = outcome.render(&engine, false);
+        let report = outcome.render(&engine);
         assert!(report.contains("\"repeat_period\": 3"), "{report}");
         let plain = drive(&engine, LoadSpec { sessions: 1, questions: 1, ..Default::default() });
-        assert!(!plain.render(&engine, false).contains("repeat_period"));
-    }
-
-    #[test]
-    fn startup_timing_renders_only_in_the_timing_block() {
-        let engine = engine(1);
-        let mut outcome = drive(
-            &engine,
-            LoadSpec { sessions: 1, questions: 1, scenarios: vec![], repeat_period: 0 },
-        );
-        outcome.startup = Some(StartupTiming {
-            source: "snapshot".into(),
-            micros: 1234,
-            reference_build_micros: Some(99999),
-        });
-        let full = outcome.render(&engine, true);
-        assert!(full.contains("\"startup\""), "{full}");
-        assert!(full.contains("\"source\": \"snapshot\""), "{full}");
-        assert!(full.contains("\"reference_build_micros\": 99999"), "{full}");
-        let deterministic = outcome.render(&engine, false);
-        assert!(!deterministic.contains("startup"), "startup timing is wall-clock content");
-        assert!(!deterministic.contains("snapshot"));
+        assert!(!plain.render(&engine).contains("repeat_period"));
     }
 
     #[test]
@@ -623,7 +489,7 @@ mod tests {
         assert!(cited[1].starts_with("small@"), "session 1 cites small: {}", cited[1]);
 
         // The deterministic report records each session's pin.
-        let report = outcome.render(&engine, false);
+        let report = outcome.render(&engine);
         assert!(report.contains("\"scenario\": \"@table2\""), "{report}");
         assert!(report.contains("\"scenario\": \"@small\""), "{report}");
     }

@@ -61,7 +61,7 @@
 //! flushes every writer, then joins all threads — in-flight requests are
 //! never dropped. The determinism contract carries over: answers are a
 //! pure function of `(store, question, scope)`, so the load driver's
-//! deterministic `--no-timing` report over TCP is byte-identical to the
+//! deterministic report over TCP is byte-identical to the
 //! stdin-mode report at any worker count.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};

@@ -55,7 +55,7 @@ fn drive_pair(threads: usize, spec: &LoadSpec) -> (String, String) {
         "cache-off engine must not touch the cache"
     );
 
-    (on_outcome.render(&on, false), off_outcome.render(&off, false))
+    (on_outcome.render(&on), off_outcome.render(&off))
 }
 
 #[test]

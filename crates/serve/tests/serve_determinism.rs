@@ -48,7 +48,7 @@ fn load_driver_is_byte_identical_across_worker_counts() {
     for threads in [1usize, 2, 8] {
         let engine = engine_with(threads, RetrieverKind::Sieve);
         let outcome = drive(&engine, spec.clone());
-        reports.push((threads, outcome.render(&engine, false)));
+        reports.push((threads, outcome.render(&engine)));
     }
     let (_, reference) = &reports[0];
     for (threads, report) in &reports[1..] {
@@ -119,7 +119,7 @@ fn scenario_pinned_load_driver_is_byte_identical_across_worker_counts() {
         let engine = ServeEngine::build(config).expect("presets valid");
         let outcome = drive(&engine, spec.clone());
         assert_eq!(outcome.errors(), 0, "{threads} workers");
-        reports.push((threads, outcome.render(&engine, false)));
+        reports.push((threads, outcome.render(&engine)));
     }
     let (_, reference) = &reports[0];
     for (threads, report) in &reports[1..] {

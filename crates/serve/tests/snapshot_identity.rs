@@ -42,7 +42,7 @@ fn snapshot_served_v1_driver_matches_fresh_build_across_worker_counts() {
     let config = ServeConfig { threads: Some(1), shards: 3, ..Default::default() };
     let fresh = ServeEngine::over(db, config.clone());
     let reference_outcome = drive(&fresh, spec.clone());
-    let reference = reference_outcome.render(&fresh, false);
+    let reference = reference_outcome.render(&fresh);
 
     for threads in [1usize, 2, 8] {
         let engine = ServeEngine::from_snapshot(
@@ -52,7 +52,7 @@ fn snapshot_served_v1_driver_matches_fresh_build_across_worker_counts() {
         .expect("snapshot loads");
         let outcome = drive(&engine, spec.clone());
         assert_eq!(outcome.errors(), 0, "{threads} workers");
-        let report = outcome.render(&engine, false);
+        let report = outcome.render(&engine);
         assert_eq!(
             answers_fnv64(&report),
             answers_fnv64(&reference),
@@ -91,7 +91,7 @@ fn snapshot_served_v2_driver_matches_fresh_build_across_worker_counts() {
     let fresh = ServeEngine::over(db, config.clone());
     let reference_outcome = drive(&fresh, spec.clone());
     assert_eq!(reference_outcome.errors(), 0);
-    let reference = reference_outcome.render(&fresh, false);
+    let reference = reference_outcome.render(&fresh);
     // The scenario path actually exercised per-machine grounding.
     assert!(reference.contains("\"machine\": \"table2@"), "{reference}");
     assert!(reference.contains("\"machine\": \"small@"), "{reference}");
@@ -104,7 +104,7 @@ fn snapshot_served_v2_driver_matches_fresh_build_across_worker_counts() {
         .expect("snapshot loads");
         let outcome = drive(&engine, spec.clone());
         assert_eq!(outcome.errors(), 0, "{threads} workers");
-        let report = outcome.render(&engine, false);
+        let report = outcome.render(&engine);
         assert_eq!(
             answers_fnv64(&report),
             answers_fnv64(&reference),

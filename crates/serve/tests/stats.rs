@@ -11,7 +11,10 @@
 //! * metrics stay out of the deterministic report: driving load with
 //!   metrics on changes no deterministic byte;
 //! * a snapshot-backed engine decodes only the frames its asks read, and
-//!   says so in `tracedb.lazy_decode_traces`.
+//!   says so in `tracedb.lazy_decode_traces`;
+//! * each engine's stats carry its own startup span — `tracedb.build` for
+//!   a simulated start, `tracedb.snapshot_verify` for a snapshot start —
+//!   the two numbers CI's snapshot-startup gate divides.
 
 use cachemind_serve::engine::{ServeConfig, ServeEngine};
 use cachemind_serve::load::{run_load_driver, LoadOutcome, LoadSpec, LoadTarget};
@@ -75,11 +78,9 @@ fn stats_counters_match_the_load_driver_totals() {
     assert_eq!(count(&stats, &["sessions", "closed"]), 0);
 
     // The per-request latency histogram saw exactly one sample per driven
-    // question, and its per-stage siblings were populated by the drive.
+    // question.
     let ask = field(&stats, &["metrics", "histograms", "serve.ask"]);
     assert_eq!(count(ask, &["count"]), driven, "one ask-latency sample per question");
-    let drive = field(&stats, &["metrics", "histograms", "serve.load_drive"]);
-    assert_eq!(count(drive, &["count"]), 1, "one span for the whole drive");
     assert_eq!(count(&stats, &["metrics", "version"]), 1, "snapshot schema is versioned");
 }
 
@@ -148,13 +149,13 @@ fn metrics_never_perturb_the_deterministic_report() {
     // The warm-up asked nothing, so both drives see identical session ids
     // and identical questions.
     assert_eq!(
-        quiet_outcome.render(&quiet, false),
-        noisy_outcome.render(&noisy, false),
+        quiet_outcome.render(&quiet),
+        noisy_outcome.render(&noisy),
         "metrics traffic must not change a deterministic byte"
     );
-    // But the full report carries the divergent metrics snapshot.
-    let noisy_full = noisy_outcome.render(&noisy, true);
-    assert!(noisy_full.contains("\"serve.errors.invalid_json\": 1"), "{noisy_full}");
+    // But the noisy engine's own stats carry the divergent traffic.
+    let noisy_stats = noisy.stats_value();
+    assert_eq!(count(&noisy_stats, &["metrics", "counters", "serve.errors.invalid_json"]), 1);
 }
 
 #[test]
@@ -186,5 +187,28 @@ fn snapshot_backed_engine_decodes_only_the_frames_an_ask_reads() {
     assert!(!pinned.contains("\"error\""), "{pinned}");
     let after = decoded(&engine);
     assert!((1..traces).contains(&after), "decoded {after} of {traces} frames");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn each_engine_records_its_own_startup_span() {
+    let histograms =
+        |engine: &ServeEngine| field(&engine.stats_value(), &["metrics", "histograms"]).clone();
+
+    let built = ServeEngine::build(ServeConfig::default()).expect("default build");
+    let stats = histograms(&built);
+    let build = field(&stats, &["tracedb.build"]);
+    assert_eq!(count(build, &["count"]), 1, "one span for the one build");
+    assert!(count(build, &["sum"]) > 0, "a simulated build takes measurable time");
+    assert!(stats.get("tracedb.snapshot_verify").is_none(), "a built engine opened no snapshot");
+
+    let path =
+        std::env::temp_dir().join(format!("cachemind_stats_startup_{}.snap", std::process::id()));
+    let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().expect("demo build");
+    db.save(&path).expect("save snapshot");
+    let loaded = ServeEngine::from_snapshot(&path, ServeConfig::default()).expect("snapshot loads");
+    let stats = histograms(&loaded);
+    assert_eq!(count(field(&stats, &["tracedb.snapshot_verify"]), &["count"]), 1);
+    assert!(stats.get("tracedb.build").is_none(), "a snapshot engine simulated nothing");
     std::fs::remove_file(&path).ok();
 }

@@ -144,7 +144,7 @@ fn tcp_driver_matches_stdin_byte_for_byte_across_worker_counts() {
     let local = ServeEngine::from_snapshot(&path, config.clone()).expect("snapshot loads");
     let reference_outcome = drive(&local, spec.clone());
     assert_eq!(reference_outcome.errors(), 0);
-    let reference = reference_outcome.render(&local, false);
+    let reference = reference_outcome.render(&local);
 
     for threads in [1usize, 2, 8] {
         let served = ServeEngine::from_snapshot(
@@ -157,7 +157,7 @@ fn tcp_driver_matches_stdin_byte_for_byte_across_worker_counts() {
         let outcome = run_load_driver(&local, spec.clone(), LoadTarget::Tcp(server.local_addr()))
             .expect("tcp drive");
         assert_eq!(outcome.errors(), 0, "{threads} workers");
-        let report = outcome.render(&local, false);
+        let report = outcome.render(&local);
         assert_eq!(
             answers_fnv64(&report),
             answers_fnv64(&reference),
@@ -167,10 +167,7 @@ fn tcp_driver_matches_stdin_byte_for_byte_across_worker_counts() {
             report, reference,
             "tcp deterministic report diverged from stdin at {threads} workers"
         );
-        // The transport shows up in the timing block only — the full
-        // render says tcp, the deterministic half says nothing.
-        let full = outcome.render(&local, true);
-        assert!(full.contains("\"transport\": \"tcp\""), "{full}");
+        // The report never says which transport carried it.
         assert!(!report.contains("transport"), "{report}");
         server.shutdown();
     }

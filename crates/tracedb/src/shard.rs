@@ -85,31 +85,12 @@ impl ShardedTraceDatabase {
         self.assignment.get(key).copied()
     }
 
-    /// Serializes the database into the versioned snapshot byte format
-    /// ([`crate::snapshot::write_snapshot`]): byte-stable across runs and
-    /// thread counts.
-    pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        crate::snapshot::write_snapshot(self)
-    }
-
-    /// Deserializes a database from snapshot bytes
-    /// ([`crate::snapshot::read_snapshot`]).
-    pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, crate::snapshot::SnapshotError> {
-        crate::snapshot::read_snapshot(bytes)
-    }
-
     /// Writes the database to `path` as a snapshot file.
     pub fn save(
         &self,
         path: impl AsRef<std::path::Path>,
     ) -> Result<(), crate::snapshot::SnapshotError> {
         crate::snapshot::save_to_path(self, path.as_ref())
-    }
-
-    /// Loads a database from a snapshot file written by
-    /// [`ShardedTraceDatabase::save`].
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self, crate::snapshot::SnapshotError> {
-        crate::snapshot::load_from_path(path.as_ref())
     }
 
     /// Merges all shards into a single monolithic [`TraceDatabase`],

@@ -1158,13 +1158,6 @@ pub fn save_to_path(db: &ShardedTraceDatabase, path: &Path) -> Result<(), Snapsh
     Ok(())
 }
 
-/// Loads a snapshot file written by [`save_to_path`] / [`write_snapshot`].
-pub fn load_from_path(path: &Path) -> Result<ShardedTraceDatabase, SnapshotError> {
-    let _span = cachemind_obs::global().span(cachemind_obs::names::TRACEDB_SNAPSHOT_LOAD);
-    let bytes = std::fs::read(path)?;
-    read_snapshot(&bytes)
-}
-
 /// A snapshot whose *every* checksum has been verified but whose entries
 /// have not been decoded yet — the instant-startup half of snapshot
 /// serving.

@@ -364,7 +364,7 @@ fn corruption_errors_are_specifically_typed() {
 
 #[test]
 fn missing_file_surfaces_as_io_error() {
-    let err = ShardedTraceDatabase::load("/nonexistent/path/db.snap").unwrap_err();
+    let err = VerifiedSnapshot::open("/nonexistent/path/db.snap").unwrap_err();
     assert!(matches!(err, SnapshotError::Io { .. }), "{err:?}");
 }
 
