@@ -52,8 +52,7 @@ pub const METRICS_SNAPSHOT_VERSION: u64 = 1;
 pub mod names {
     /// Sweep stage 1 (stream transform + scenario prepare), per grid run.
     pub const SWEEP_PREPARE: &str = "sweep.prepare";
-    /// Sweep stage 2 (per-cell policy replay + canonical sort), per grid
-    /// run.
+    /// Sweep stage 2 (per-cell policy replay), per grid run.
     pub const SWEEP_REPLAY: &str = "sweep.replay";
     /// Counter: scenario-grid cells that reused an already-prepared
     /// stage-1 scenario instead of re-preparing (cells − triples per run).

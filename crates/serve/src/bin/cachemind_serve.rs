@@ -3,7 +3,7 @@
 //! ```text
 //! # serve newline-delimited JSON requests from stdin
 //! cachemind-serve [--retriever sieve|ranger] [--scale tiny|small|full]
-//!                 [--shards S] [--threads N] [--max-idle-rounds R]
+//!                 [--threads N] [--max-idle-rounds R]
 //!
 //! # synthetic load driver: N sessions x M questions as protocol lines,
 //! # in process, or against a running server with --tcp ADDR
@@ -64,7 +64,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: cachemind-serve [--load-driver] [--sessions N] [--questions M]\n\
          \x20                      [--retriever sieve|ranger] [--scale tiny|small|full]\n\
-         \x20                      [--shards S] [--threads N]\n\
+         \x20                      [--threads N]\n\
          \x20                      [--machines table2,small] [--prefetchers nextline,stride4]\n\
          \x20                      [--scenarios @table2,@small] [--max-idle-rounds R]\n\
          \x20                      [--repeat-period N] [--no-answer-cache]\n\
@@ -154,7 +154,6 @@ fn main() {
     let config = ServeConfig {
         retriever,
         scale,
-        shards: usize_flag(&args, "--shards", ServeConfig::default().shards),
         threads: flag(&args, "--threads").map(|v| {
             v.parse().unwrap_or_else(|_| {
                 eprintln!("error: --threads expects a positive integer, got {v:?}");
@@ -212,10 +211,7 @@ fn main() {
     // Offline snapshot build: simulate, save, exit — the serving start
     // that follows (--db-path) then skips simulation entirely.
     if let Some(path) = flag(&args, "--build-db") {
-        eprintln!(
-            "[cachemind-serve] building sharded trace database ({:?}, {} shards) ...",
-            config.scale, config.shards
-        );
+        eprintln!("[cachemind-serve] building sharded trace database ({:?}) ...", config.scale);
         let started = Instant::now();
         let db = match build_database(&config) {
             Ok(db) => db,
@@ -247,10 +243,7 @@ fn main() {
             (ServeEngine::from_snapshot(&path, config).map_err(|e| e.to_string()), "snapshot")
         }
         None => {
-            eprintln!(
-                "[cachemind-serve] building sharded trace database ({:?}, {} shards) ...",
-                config.scale, config.shards
-            );
+            eprintln!("[cachemind-serve] building sharded trace database ({:?}) ...", config.scale);
             (ServeEngine::build(config).map_err(|e| e.to_string()), "build")
         }
     };
@@ -263,7 +256,7 @@ fn main() {
          threads",
         started.elapsed().as_millis(),
         engine.store().len(),
-        engine.config().shards,
+        engine.store().shard_count(),
         engine.num_threads()
     );
 

@@ -45,8 +45,6 @@ pub struct ServeConfig {
     pub backend: BackendKind,
     /// Trace-database scale.
     pub scale: Scale,
-    /// Shard count for the sharded build.
-    pub shards: usize,
     /// TCP worker threads; `None` reads `SERVE_NUM_THREADS`, falling back
     /// to the machine's available parallelism.
     pub threads: Option<usize>,
@@ -80,7 +78,6 @@ impl Default for ServeConfig {
             retriever: RetrieverKind::Sieve,
             backend: BackendKind::Gpt4o,
             scale: Scale::Tiny,
-            shards: TraceDatabaseBuilder::DEFAULT_SHARDS,
             threads: None,
             machines: Vec::new(),
             prefetchers: Vec::new(),
@@ -240,20 +237,18 @@ impl ServeEngine {
     /// `tracedb.build` span (the library records it globally), so a
     /// server's own stats carry its startup cost, as a snapshot-backed
     /// engine's carry `tracedb.snapshot_verify`.
-    pub fn build(mut config: ServeConfig) -> Result<Self, BuildError> {
+    pub fn build(config: ServeConfig) -> Result<Self, BuildError> {
         let registry = MetricsRegistry::new();
         let build_span = registry.span(names::TRACEDB_BUILD);
         let db = build_database(&config)?;
         build_span.finish();
-        config.shards = config.shards.max(1);
         Ok(Self::over_registry(Arc::new(db), config, registry))
     }
 
     /// Starts an engine over a database loaded from a snapshot file
     /// written by [`ShardedTraceDatabase::save`] (see
     /// `cachemind_tracedb::snapshot`) — the instant-startup path: no
-    /// simulation runs. The snapshot's own shard count wins over
-    /// `config.shards` (the file records the physical layout).
+    /// simulation runs.
     ///
     /// `config.scale`, `machines` and `prefetchers` describe *builds*, so
     /// they are ignored here beyond being echoed in [`ServeEngine::config`];
@@ -264,7 +259,7 @@ impl ServeEngine {
     /// banner and the listen loop come up without paying the decode.
     pub fn from_snapshot(
         path: impl AsRef<std::path::Path>,
-        mut config: ServeConfig,
+        config: ServeConfig,
     ) -> Result<Self, SnapshotError> {
         let registry = MetricsRegistry::new();
         // The open/verify span also lands in this engine's registry (the
@@ -273,7 +268,6 @@ impl ServeEngine {
         let verify_span = registry.span(names::TRACEDB_SNAPSHOT_VERIFY);
         let snapshot = VerifiedSnapshot::open(path)?;
         verify_span.finish();
-        config.shards = snapshot.num_shards().max(1);
         let store: Arc<dyn TraceStore> =
             Arc::new(LazyTraceDatabase::new(snapshot).with_metrics(&registry));
         Ok(Self::over_registry(store, config, registry))
@@ -285,18 +279,14 @@ impl ServeEngine {
     ///
     /// Panics if `config.retriever` is [`RetrieverKind::Dense`] (not a
     /// serving retriever; see [`ServeConfig::retriever`]).
-    pub fn over(db: ShardedTraceDatabase, mut config: ServeConfig) -> Self {
-        // The builder clamps to one shard minimum; keep the recorded config
-        // in agreement with the physical layout it describes.
-        config.shards = config.shards.max(1);
+    pub fn over(db: ShardedTraceDatabase, config: ServeConfig) -> Self {
         Self::over_store(Arc::new(db), config)
     }
 
     /// Starts an engine over any [`TraceStore`] — the common tail of
     /// [`ServeEngine::over`] (eager, in-memory) and
     /// [`ServeEngine::from_snapshot`] (lazy, snapshot-backed). `config` is
-    /// recorded as given; callers reconcile `config.shards` with the
-    /// store's physical layout first.
+    /// recorded as given.
     ///
     /// # Panics
     ///
@@ -864,7 +854,6 @@ pub fn build_database(config: &ServeConfig) -> Result<ShardedTraceDatabase, Buil
     }
     TraceDatabaseBuilder::new()
         .scale(config.scale)
-        .shards(config.shards)
         .machines(machines)
         .prefetchers(prefetchers)
         .try_build_sharded()
@@ -912,11 +901,9 @@ mod tests {
     use crate::protocol::Request;
 
     fn engine(threads: usize) -> ServeEngine {
-        let config = ServeConfig { threads: Some(threads), shards: 3, ..Default::default() };
-        let db = TraceDatabaseBuilder::quick_demo()
-            .shards(config.shards)
-            .try_build_sharded()
-            .expect("demo build");
+        let config = ServeConfig { threads: Some(threads), ..Default::default() };
+        let db =
+            TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().expect("demo build");
         ServeEngine::over(db, config)
     }
 
@@ -982,7 +969,6 @@ mod tests {
     fn pinned_sessions_scope_every_turn_to_their_machine() {
         let config = ServeConfig {
             threads: Some(2),
-            shards: 3,
             retriever: RetrieverKind::Ranger,
             machines: vec!["table2".into(), "small".into()],
             ..Default::default()
@@ -1023,12 +1009,8 @@ mod tests {
 
     #[test]
     fn v2_opening_requests_pin_their_scenario() {
-        let config = ServeConfig {
-            threads: Some(1),
-            shards: 2,
-            machines: vec!["small".into()],
-            ..Default::default()
-        };
+        let config =
+            ServeConfig { threads: Some(1), machines: vec!["small".into()], ..Default::default() };
         let engine = ServeEngine::build(config).expect("preset is valid");
         let opening = AskRequest::new("What is the estimated IPC for mcf under LRU?")
             .with_scenario(ScenarioSelector::all().with_machine("small"));
@@ -1115,7 +1097,6 @@ mod tests {
     fn prefetcher_pinned_sessions_answer_from_qualified_traces() {
         let config = ServeConfig {
             threads: Some(2),
-            shards: 3,
             retriever: RetrieverKind::Ranger,
             machines: vec!["table2".into()],
             prefetchers: vec!["stride4".into()],
@@ -1153,22 +1134,17 @@ mod tests {
 
     #[test]
     fn from_snapshot_answers_like_a_fresh_build() {
-        let config = ServeConfig { threads: Some(2), shards: 3, ..Default::default() };
-        let db = TraceDatabaseBuilder::quick_demo()
-            .shards(config.shards)
-            .try_build_sharded()
-            .expect("demo build");
+        let config = ServeConfig { threads: Some(2), ..Default::default() };
+        let db =
+            TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().expect("demo build");
         let path =
             std::env::temp_dir().join(format!("cachemind_engine_{}.snap", std::process::id()));
         db.save(&path).expect("save snapshot");
         let fresh = ServeEngine::over(db, config.clone());
-        // Deliberately wrong shard count in the config: the snapshot's
-        // physical layout must win.
-        let loaded = ServeEngine::from_snapshot(&path, ServeConfig { shards: 999, ..config })
-            .expect("snapshot loads");
+        let loaded = ServeEngine::from_snapshot(&path, config).expect("snapshot loads");
         std::fs::remove_file(&path).ok();
 
-        assert_eq!(loaded.config().shards, 3, "snapshot shard count wins");
+        assert_eq!(loaded.store().shard_count(), 3, "the snapshot records the shard count");
         assert_eq!(loaded.store().len(), fresh.store().len());
         let q = "What is the overall miss rate of the mcf workload under LRU?";
         let a = ask(&fresh, AskRequest::new(q));
@@ -1187,16 +1163,10 @@ mod tests {
 
     #[test]
     fn idle_sessions_are_reaped_after_the_configured_rounds() {
-        let config = ServeConfig {
-            threads: Some(1),
-            shards: 3,
-            max_idle_rounds: Some(2),
-            ..Default::default()
-        };
-        let db = TraceDatabaseBuilder::quick_demo()
-            .shards(config.shards)
-            .try_build_sharded()
-            .expect("demo build");
+        let config =
+            ServeConfig { threads: Some(1), max_idle_rounds: Some(2), ..Default::default() };
+        let db =
+            TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().expect("demo build");
         let engine = ServeEngine::over(db, config);
         let active = engine.open_session();
         let idle = engine.open_session();
@@ -1228,16 +1198,10 @@ mod tests {
 
     #[test]
     fn open_requests_tick_the_round_clock_and_reap_idle_sessions() {
-        let config = ServeConfig {
-            threads: Some(1),
-            shards: 3,
-            max_idle_rounds: Some(2),
-            ..Default::default()
-        };
-        let db = TraceDatabaseBuilder::quick_demo()
-            .shards(config.shards)
-            .try_build_sharded()
-            .expect("demo build");
+        let config =
+            ServeConfig { threads: Some(1), max_idle_rounds: Some(2), ..Default::default() };
+        let db =
+            TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().expect("demo build");
         let engine = ServeEngine::over(db, config);
 
         // A session abandoned at round 0; all later traffic is opens and
@@ -1288,12 +1252,9 @@ mod tests {
         assert_eq!(count("inserts"), Some(1));
 
         // A cache-off engine reports only the flag.
-        let config =
-            ServeConfig { threads: Some(1), shards: 3, answer_cache: false, ..Default::default() };
-        let db = TraceDatabaseBuilder::quick_demo()
-            .shards(config.shards)
-            .try_build_sharded()
-            .expect("demo build");
+        let config = ServeConfig { threads: Some(1), answer_cache: false, ..Default::default() };
+        let db =
+            TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().expect("demo build");
         let off = ServeEngine::over(db, config);
         ask(&off, AskRequest::new(q));
         let stats = off.stats_value();
@@ -1304,12 +1265,8 @@ mod tests {
 
     #[test]
     fn open_requests_acknowledge_without_burning_a_question() {
-        let config = ServeConfig {
-            threads: Some(1),
-            shards: 2,
-            machines: vec!["small".into()],
-            ..Default::default()
-        };
+        let config =
+            ServeConfig { threads: Some(1), machines: vec!["small".into()], ..Default::default() };
         let engine = ServeEngine::build(config).expect("preset is valid");
         let pin = ScenarioSelector::all().with_machine("small");
         let resp = open(&engine, Some(pin.clone()));

@@ -365,11 +365,9 @@ mod tests {
     use cachemind_tracedb::TraceDatabaseBuilder;
 
     fn engine(threads: usize) -> ServeEngine {
-        let config = ServeConfig { threads: Some(threads), shards: 3, ..Default::default() };
-        let db = TraceDatabaseBuilder::quick_demo()
-            .shards(config.shards)
-            .try_build_sharded()
-            .expect("demo build");
+        let config = ServeConfig { threads: Some(threads), ..Default::default() };
+        let db =
+            TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().expect("demo build");
         ServeEngine::over(db, config)
     }
 
@@ -457,7 +455,6 @@ mod tests {
 
         let config = ServeConfig {
             threads: Some(2),
-            shards: 3,
             retriever: RetrieverKind::Ranger,
             machines: vec!["table2".into(), "small".into()],
             ..Default::default()

@@ -795,11 +795,9 @@ mod tests {
 
     #[test]
     fn server_starts_serves_one_line_and_shuts_down() {
-        let config = ServeConfig { threads: Some(2), shards: 2, ..Default::default() };
-        let db = TraceDatabaseBuilder::quick_demo()
-            .shards(config.shards)
-            .try_build_sharded()
-            .expect("demo build");
+        let config = ServeConfig { threads: Some(2), ..Default::default() };
+        let db =
+            TraceDatabaseBuilder::quick_demo().shards(2).try_build_sharded().expect("demo build");
         let engine = Arc::new(ServeEngine::over(db, config));
         let server = TcpServer::start(Arc::clone(&engine), "127.0.0.1:0", NetConfig::default())
             .expect("bind ephemeral port");

@@ -18,12 +18,8 @@ fn drive(engine: &ServeEngine, spec: LoadSpec) -> LoadOutcome {
 }
 
 fn engine(threads: usize, answer_cache: bool) -> ServeEngine {
-    let config =
-        ServeConfig { threads: Some(threads), shards: 3, answer_cache, ..Default::default() };
-    let db = TraceDatabaseBuilder::quick_demo()
-        .shards(config.shards)
-        .try_build_sharded()
-        .expect("demo build");
+    let config = ServeConfig { threads: Some(threads), answer_cache, ..Default::default() };
+    let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().expect("demo build");
     ServeEngine::over(db, config)
 }
 

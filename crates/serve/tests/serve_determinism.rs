@@ -33,11 +33,8 @@ fn ask(engine: &ServeEngine, request: AskRequest) -> AskResponse {
 }
 
 fn engine_with(threads: usize, retriever: RetrieverKind) -> ServeEngine {
-    let config = ServeConfig { threads: Some(threads), shards: 3, retriever, ..Default::default() };
-    let db = TraceDatabaseBuilder::quick_demo()
-        .shards(config.shards)
-        .try_build_sharded()
-        .expect("demo build");
+    let config = ServeConfig { threads: Some(threads), retriever, ..Default::default() };
+    let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().expect("demo build");
     ServeEngine::over(db, config)
 }
 
@@ -111,7 +108,6 @@ fn scenario_pinned_load_driver_is_byte_identical_across_worker_counts() {
     for threads in [1usize, 2, 8] {
         let config = ServeConfig {
             threads: Some(threads),
-            shards: 3,
             retriever: RetrieverKind::Ranger,
             machines: vec!["table2".into(), "small".into()],
             ..Default::default()
@@ -135,14 +131,12 @@ fn scenario_pinned_load_driver_is_byte_identical_across_worker_counts() {
     // extra machine-qualified traces are invisible to unscoped queries.
     let multi = ServeEngine::build(ServeConfig {
         threads: Some(2),
-        shards: 3,
         machines: vec!["table2".into(), "small".into()],
         ..Default::default()
     })
     .expect("presets valid");
     let plain =
-        ServeEngine::build(ServeConfig { threads: Some(2), shards: 3, ..Default::default() })
-            .expect("build");
+        ServeEngine::build(ServeConfig { threads: Some(2), ..Default::default() }).expect("build");
     let v1 = LoadSpec { sessions: 3, questions: 3, scenarios: vec![], repeat_period: 0 };
     let a = drive(&multi, v1.clone());
     let b = drive(&plain, v1);
@@ -164,7 +158,6 @@ fn prefetcher_pinned_session_is_byte_identical_across_worker_counts() {
     for threads in [1usize, 2, 8] {
         let config = ServeConfig {
             threads: Some(threads),
-            shards: 3,
             retriever: RetrieverKind::Ranger,
             machines: vec!["table2".into()],
             prefetchers: vec!["stride4".into()],
@@ -196,7 +189,6 @@ fn prefetcher_axis_leaves_primary_entries_byte_identical() {
         .expect("plain build");
     let multi = ServeEngine::build(ServeConfig {
         threads: Some(2),
-        shards: 3,
         machines: vec!["table2".into()],
         prefetchers: vec!["stride4".into()],
         ..Default::default()

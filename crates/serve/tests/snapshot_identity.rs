@@ -39,7 +39,7 @@ fn snapshot_served_v1_driver_matches_fresh_build_across_worker_counts() {
     db.save(&path).expect("save snapshot");
 
     let spec = LoadSpec { sessions: 5, questions: 3, scenarios: vec![], repeat_period: 0 };
-    let config = ServeConfig { threads: Some(1), shards: 3, ..Default::default() };
+    let config = ServeConfig { threads: Some(1), ..Default::default() };
     let fresh = ServeEngine::over(db, config.clone());
     let reference_outcome = drive(&fresh, spec.clone());
     let reference = reference_outcome.render(&fresh);
@@ -70,7 +70,6 @@ fn snapshot_served_v1_driver_matches_fresh_build_across_worker_counts() {
 fn snapshot_served_v2_driver_matches_fresh_build_across_worker_counts() {
     let config = ServeConfig {
         threads: Some(1),
-        shards: 3,
         retriever: RetrieverKind::Ranger,
         machines: vec!["table2".into(), "small".into()],
         ..Default::default()

@@ -27,11 +27,8 @@ fn drive(engine: &ServeEngine, spec: LoadSpec) -> LoadOutcome {
 }
 
 fn engine(threads: usize) -> ServeEngine {
-    let config = ServeConfig { threads: Some(threads), shards: 3, ..Default::default() };
-    let db = TraceDatabaseBuilder::quick_demo()
-        .shards(config.shards)
-        .try_build_sharded()
-        .expect("demo build");
+    let config = ServeConfig { threads: Some(threads), ..Default::default() };
+    let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().expect("demo build");
     ServeEngine::over(db, config)
 }
 

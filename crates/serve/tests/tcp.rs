@@ -40,11 +40,8 @@ fn drive(engine: &ServeEngine, spec: LoadSpec) -> LoadOutcome {
 const QUESTION: &str = "What is the overall miss rate of the mcf workload under LRU?";
 
 fn engine(threads: usize) -> ServeEngine {
-    let config = ServeConfig { threads: Some(threads), shards: 3, ..Default::default() };
-    let db = TraceDatabaseBuilder::quick_demo()
-        .shards(config.shards)
-        .try_build_sharded()
-        .expect("demo build");
+    let config = ServeConfig { threads: Some(threads), ..Default::default() };
+    let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().expect("demo build");
     ServeEngine::over(db, config)
 }
 
@@ -140,7 +137,7 @@ fn tcp_driver_matches_stdin_byte_for_byte_across_worker_counts() {
     db.save(&path).expect("save snapshot");
 
     let spec = LoadSpec { sessions: 4, questions: 3, scenarios: vec![], repeat_period: 0 };
-    let config = ServeConfig { threads: Some(1), shards: 3, ..Default::default() };
+    let config = ServeConfig { threads: Some(1), ..Default::default() };
     let local = ServeEngine::from_snapshot(&path, config.clone()).expect("snapshot loads");
     let reference_outcome = drive(&local, spec.clone());
     assert_eq!(reference_outcome.errors(), 0);

@@ -57,7 +57,7 @@ pub use hierarchy::{CacheHierarchy, HierarchyReport};
 pub use mshr::Mshr;
 pub use prefetch::{Prefetcher, PrefetcherKind};
 pub use replacement::{AccessContext, Decision, RecencyPolicy, ReplacementPolicy};
-pub use replay::{EvictionRecord, LlcReplay, MissType, ReplayReport, ReplaySummary};
+pub use replay::{EvictionRecord, LlcReplay, MissType, ReplayReport};
 pub use reuse::ReuseOracle;
 pub use scenario::{ScenarioSelector, SelectorParseError};
 pub use stats::CacheStats;
@@ -75,7 +75,7 @@ pub mod prelude {
     pub use crate::hierarchy::{CacheHierarchy, HierarchyReport};
     pub use crate::prefetch::{Prefetcher, PrefetcherKind};
     pub use crate::replacement::{AccessContext, Decision, RecencyPolicy, ReplacementPolicy};
-    pub use crate::replay::{EvictionRecord, LlcReplay, MissType, ReplayReport, ReplaySummary};
+    pub use crate::replay::{EvictionRecord, LlcReplay, MissType, ReplayReport};
     pub use crate::reuse::ReuseOracle;
     pub use crate::scenario::{ScenarioSelector, SelectorParseError};
     pub use crate::stats::CacheStats;

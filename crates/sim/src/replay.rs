@@ -111,7 +111,7 @@ impl EvictionRecord {
 pub struct ReplayReport {
     /// Stable policy name (`"lru"`, `"belady"`, ...).
     pub policy: String,
-    /// Per-access records.
+    /// Per-access records (empty from [`LlcReplay::run_summary`]).
     pub records: Vec<EvictionRecord>,
     /// Aggregate counters.
     pub stats: CacheStats,
@@ -124,6 +124,13 @@ pub struct ReplayReport {
     pub conflict_misses: u64,
     /// Compulsory-miss count.
     pub compulsory_misses: u64,
+    /// Prefetch accesses that filled a line (prefetch misses, not
+    /// bypassed).
+    pub prefetch_fills: u64,
+    /// Demand hits served from a still-pending prefetched line: a prefetch
+    /// fill marks its line pending, and an eviction or any other demand
+    /// access to the line clears it.
+    pub useful_prefetches: u64,
 }
 
 impl ReplayReport {
@@ -156,40 +163,6 @@ impl ReplayReport {
             .filter_map(|r| r.recency.map(|rec| (rec as f64, r.is_miss as u8 as f64)))
             .collect();
         pearson(&pairs)
-    }
-}
-
-/// Record-free results of one policy replay — what
-/// [`LlcReplay::run_summary`] returns. Carries exactly the aggregates the
-/// sweep engine reduces into a `ScenarioCell`, including the streaming
-/// equivalent of `prefetch_usefulness` over the (never materialised)
-/// records.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ReplaySummary {
-    /// Stable policy name (`"lru"`, `"belady"`, ...).
-    pub policy: String,
-    /// Aggregate counters.
-    pub stats: CacheStats,
-    /// Evictions where the evicted line was needed sooner than the
-    /// inserted line.
-    pub wrong_evictions: u64,
-    /// Capacity-miss count.
-    pub capacity_misses: u64,
-    /// Conflict-miss count.
-    pub conflict_misses: u64,
-    /// Compulsory-miss count.
-    pub compulsory_misses: u64,
-    /// Prefetch accesses that filled a line (prefetch misses, not
-    /// bypassed).
-    pub prefetch_fills: u64,
-    /// Demand hits served from a still-pending prefetched line.
-    pub useful_prefetches: u64,
-}
-
-impl ReplaySummary {
-    /// Miss rate over the replayed stream.
-    pub fn miss_rate(&self) -> f64 {
-        self.stats.miss_rate()
     }
 }
 
@@ -294,19 +267,6 @@ impl ShadowFaLru {
     }
 }
 
-/// Everything `run_core` accumulates; sliced into [`ReplayReport`] or
-/// [`ReplaySummary`] by the public entry points.
-struct CoreOut {
-    records: Vec<EvictionRecord>,
-    stats: CacheStats,
-    wrong_evictions: u64,
-    capacity_misses: u64,
-    conflict_misses: u64,
-    compulsory_misses: u64,
-    prefetch_fills: u64,
-    useful_prefetches: u64,
-}
-
 /// Replays an LLC access stream against a replacement policy, producing the
 /// fully-annotated trace.
 ///
@@ -381,37 +341,15 @@ impl LlcReplay {
     /// Runs the replay with `policy`, consuming nothing so multiple policies
     /// can replay the identical stream.
     pub fn run<P: ReplacementPolicy>(&self, policy: P) -> ReplayReport {
-        let policy_name = policy.name().to_owned();
-        let out = self.run_core::<P, true>(policy);
-        ReplayReport {
-            policy: policy_name,
-            records: out.records,
-            stats: out.stats,
-            wrong_evictions: out.wrong_evictions,
-            capacity_misses: out.capacity_misses,
-            conflict_misses: out.conflict_misses,
-            compulsory_misses: out.compulsory_misses,
-        }
+        self.run_core::<P, true>(policy)
     }
 
     /// Runs the replay without materialising per-access records — the
     /// fast path for consumers that only reduce to aggregates (the sweep
-    /// engine). Counters are identical to [`LlcReplay::run`]'s, and
-    /// `(prefetch_fills, useful_prefetches)` equals what
-    /// `prefetch_usefulness` would report over the full records.
-    pub fn run_summary<P: ReplacementPolicy>(&self, policy: P) -> ReplaySummary {
-        let policy_name = policy.name().to_owned();
-        let out = self.run_core::<P, false>(policy);
-        ReplaySummary {
-            policy: policy_name,
-            stats: out.stats,
-            wrong_evictions: out.wrong_evictions,
-            capacity_misses: out.capacity_misses,
-            conflict_misses: out.conflict_misses,
-            compulsory_misses: out.compulsory_misses,
-            prefetch_fills: out.prefetch_fills,
-            useful_prefetches: out.useful_prefetches,
-        }
+    /// engine). Every counter is identical to [`LlcReplay::run`]'s; only
+    /// `records` is left empty.
+    pub fn run_summary<P: ReplacementPolicy>(&self, policy: P) -> ReplayReport {
+        self.run_core::<P, false>(policy)
     }
 
     /// The shared replay core. `EMIT` selects full record emission (the
@@ -419,7 +357,8 @@ impl LlcReplay {
     /// the cache and the wrong-eviction accounting identically (and read
     /// the same precomputed shadow residency), so every counter agrees
     /// between the two.
-    fn run_core<P: ReplacementPolicy, const EMIT: bool>(&self, policy: P) -> CoreOut {
+    fn run_core<P: ReplacementPolicy, const EMIT: bool>(&self, policy: P) -> ReplayReport {
+        let policy_name = policy.name().to_owned();
         let mut cache = SetAssociativeCache::new(self.config.clone(), policy);
         let n = self.stream.len();
         let num_lines = self.oracle.num_lines();
@@ -434,9 +373,9 @@ impl LlcReplay {
         // reverse map. Slots are only read after an eviction, which implies
         // an earlier fill wrote them.
         let mut way_line_id: Vec<u32> = vec![NIL; self.config.capacity_lines()];
-        // Streaming prefetch-usefulness state (summary mode only).
-        let mut pending: Vec<bool> =
-            if EMIT { Vec::new() } else { vec![false; num_lines as usize] };
+        // Streaming prefetch-usefulness state: whether each line holds a
+        // prefetch no demand access has consumed yet.
+        let mut pending: Vec<bool> = vec![false; num_lines as usize];
 
         // Fixed ring buffer replacing the VecDeque history (record mode only).
         let hist_cap = if EMIT { self.history_len } else { 0 };
@@ -559,31 +498,29 @@ impl LlcReplay {
                         hist_len += 1;
                     }
                 }
-            } else {
-                // Streaming `prefetch_usefulness` over the records this mode
-                // never materialises: the eviction clears its pending line,
-                // then the access either fills (prefetch miss), consumes
-                // (demand hit on pending) or clears (other demand) its line.
-                if evicted_id != NIL {
-                    pending[evicted_id as usize] = false;
-                }
-                if access.kind == AccessKind::Prefetch {
-                    if !outcome.hit && !outcome.bypassed {
-                        prefetch_fills += 1;
-                        pending[lid] = true;
-                    }
-                } else if outcome.hit && pending[lid] {
-                    useful_prefetches += 1;
-                    pending[lid] = false;
-                } else {
-                    pending[lid] = false;
-                }
             }
 
-            let _ = miss_type;
+            // Prefetch usefulness: the eviction clears its pending line,
+            // then the access either fills (prefetch miss), consumes
+            // (demand hit on pending) or clears (other demand) its line.
+            if evicted_id != NIL {
+                pending[evicted_id as usize] = false;
+            }
+            if access.kind == AccessKind::Prefetch {
+                if !outcome.hit && !outcome.bypassed {
+                    prefetch_fills += 1;
+                    pending[lid] = true;
+                }
+            } else if outcome.hit && pending[lid] {
+                useful_prefetches += 1;
+                pending[lid] = false;
+            } else {
+                pending[lid] = false;
+            }
         }
 
-        CoreOut {
+        ReplayReport {
+            policy: policy_name,
             records,
             stats: *cache.stats(),
             wrong_evictions,
@@ -759,36 +696,103 @@ mod tests {
         assert!((-1.0..=1.0).contains(&c));
     }
 
+    /// The prefetch-usefulness oracle: walks a replay's records, returning
+    /// `(fills, useful)`. A prefetch *fill* (prefetch miss) marks its line
+    /// pending; a demand hit on a pending line is a *useful* prefetch;
+    /// eviction or any other demand access clears the line.
+    fn prefetch_usefulness(records: &[EvictionRecord], line_bits: u32) -> (u64, u64) {
+        let mut pending = std::collections::HashSet::new();
+        let mut fills = 0u64;
+        let mut useful = 0u64;
+        for r in records {
+            if let Some(evicted) = r.evicted_address {
+                pending.remove(&(evicted.value() >> line_bits));
+            }
+            let line = r.address.value() >> line_bits;
+            if r.kind == AccessKind::Prefetch {
+                if r.is_miss && !r.bypassed {
+                    fills += 1;
+                    pending.insert(line);
+                }
+            } else if !r.is_miss && pending.remove(&line) {
+                useful += 1;
+            } else {
+                pending.remove(&line);
+            }
+        }
+        (fills, useful)
+    }
+
     /// The record-free path must reproduce every counter of the full path,
-    /// including the streaming prefetch-usefulness walk, on a mixed
-    /// demand/prefetch stream with evictions and bypass-free churn.
+    /// and both paths' streaming prefetch usefulness must equal the record
+    /// walk: on a hand-mixed demand/prefetch stream with evictions and
+    /// churn, and on a demand stream rewritten by the stride and next-line
+    /// prefetchers.
     #[test]
     fn summary_matches_full_run() {
-        let mut s = Vec::new();
+        use crate::prefetch::{Prefetcher, PrefetcherKind};
+
+        let mut mixed = Vec::new();
         for i in 0..400u64 {
             let pc = Pc::new(0x400000 + (i % 5));
             // Prefetch a fresh line, consume it with a demand load on the
             // next access (useful prefetch), and otherwise churn a working
             // set (16 lines) larger than capacity (8 lines) so evictions
             // clear pending prefetches and exercise the miss taxonomy.
-            s.push(match i % 5 {
+            mixed.push(match i % 5 {
                 0 => MemoryAccess::prefetch(pc, Address::new((1000 + i) * 64), i),
                 1 => MemoryAccess::load(pc, Address::new((1000 + i - 1) * 64), i),
                 _ => MemoryAccess::load(pc, Address::new((i % 16) * 64), i),
             });
         }
-        let replay = LlcReplay::new(CacheConfig::new("t", 2, 2, 6), &s);
-        let full = replay.run(RecencyPolicy::lru());
-        let summary = replay.run_summary(RecencyPolicy::lru());
-        assert_eq!(summary.policy, full.policy);
-        assert_eq!(summary.stats, full.stats);
-        assert_eq!(summary.wrong_evictions, full.wrong_evictions);
-        assert_eq!(summary.capacity_misses, full.capacity_misses);
-        assert_eq!(summary.conflict_misses, full.conflict_misses);
-        assert_eq!(summary.compulsory_misses, full.compulsory_misses);
-        let (fills, useful) = crate::sweep::prefetch_usefulness(&full.records, 6);
-        assert!(fills > 0 && useful > 0, "stream must exercise the walk");
-        assert_eq!(summary.prefetch_fills, fills);
-        assert_eq!(summary.useful_prefetches, useful);
+        // Two strided walks (two lines and one line per step, one PC each)
+        // interleaved with a small hot set.
+        let demand: Vec<MemoryAccess> = (0..600u64)
+            .map(|i| {
+                let k = i / 3;
+                match i % 3 {
+                    0 => MemoryAccess::load(Pc::new(0x401000), Address::new(k * 128), i),
+                    1 => MemoryAccess::load(Pc::new(0x401100), Address::new(0x10_0000 + k * 64), i),
+                    _ => MemoryAccess::load(Pc::new(0x401200), Address::new((k % 6) * 64), i),
+                }
+            })
+            .collect();
+        // The transformed streams replay on 16 lines, enough for a
+        // prefetched line to survive until its demand access.
+        let streams = [
+            (mixed, CacheConfig::new("t", 2, 2, 6)),
+            (
+                Prefetcher::new(PrefetcherKind::Stride { degree: 4 }).transform(&demand),
+                CacheConfig::new("t", 2, 4, 6),
+            ),
+            (
+                Prefetcher::new(PrefetcherKind::NextLine).transform(&demand),
+                CacheConfig::new("t", 2, 4, 6),
+            ),
+        ];
+        for (n, (s, config)) in streams.into_iter().enumerate() {
+            let replay = LlcReplay::new(config, &s);
+            let full = replay.run(RecencyPolicy::lru());
+            let summary = replay.run_summary(RecencyPolicy::lru());
+            assert!(summary.records.is_empty(), "stream {n}");
+            assert_eq!(summary.policy, full.policy, "stream {n}");
+            assert_eq!(summary.stats, full.stats, "stream {n}");
+            assert_eq!(summary.wrong_evictions, full.wrong_evictions, "stream {n}");
+            assert_eq!(summary.capacity_misses, full.capacity_misses, "stream {n}");
+            assert_eq!(summary.conflict_misses, full.conflict_misses, "stream {n}");
+            assert_eq!(summary.compulsory_misses, full.compulsory_misses, "stream {n}");
+            let (fills, useful) = prefetch_usefulness(&full.records, 6);
+            assert!(fills > 0 && useful > 0, "stream {n} must exercise the walk");
+            assert_eq!(
+                (full.prefetch_fills, full.useful_prefetches),
+                (fills, useful),
+                "stream {n}"
+            );
+            assert_eq!(
+                (summary.prefetch_fills, summary.useful_prefetches),
+                (fills, useful),
+                "stream {n}"
+            );
+        }
     }
 }

@@ -11,21 +11,25 @@
 //! [`ScenarioGrid`] is the one sweep engine. Each cell transforms the
 //! workload stream through a [`Prefetcher`], replays it on a
 //! [`MachineConfig`] (the full hierarchy, or
-//! [`MachineConfig::llc_only`] for bare LLC-geometry sweeps), and reduces
-//! to a [`ScenarioCell`] carrying the miss taxonomy, prefetch
-//! accuracy/coverage and [`IpcModel`]-derived IPC.
+//! [`MachineConfig::llc_only`] for bare LLC-geometry sweeps), and
+//! [`GridCell::metrics`] derives its prefetch accuracy/coverage and
+//! [`IpcModel`] IPC from the replay's counters.
 //!
-//! [`ScenarioGrid::run`] parallelises with rayon in two stages:
+//! [`ScenarioGrid::run_cells`] parallelises with rayon in two stages:
 //!
 //! 1. one task per `(workload, machine, prefetcher)` triple transforms the
 //!    stream, runs the hierarchy filter (full-machine mode) and builds the
 //!    [`LlcReplay`] (stream copy + reuse oracle) exactly once; the
 //!    [`PreparedScenario`] is held behind an [`Arc`] and shared by every
 //!    policy replaying the triple;
-//! 2. one task per `(triple, policy)` cell runs the record-free
-//!    [`LlcReplay::run_summary`] fast path and reduces it to a
-//!    [`ScenarioCell`] — the summary carries the identical counters the
-//!    full record-emitting replay would produce.
+//! 2. one task per `(triple, policy)` cell hands the caller's visitor the
+//!    [`GridCell`] and a fresh policy.
+//!
+//! It has two clients. [`ScenarioGrid::run`] replays each cell on the
+//! record-free [`LlcReplay::run_summary`] fast path and reduces it to a
+//! [`ScenarioCell`]. The trace-database builder in `cachemind-tracedb`
+//! replays each cell with the record-emitting [`LlcReplay::run`] and stores
+//! the records as a trace. Both replay paths produce the same counters.
 //!
 //! **Determinism is a contract, not an accident.** Each cell's result
 //! depends only on its own inputs, and the engine aggregates by collecting
@@ -46,12 +50,12 @@ use std::sync::Arc;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::access::{AccessKind, MemoryAccess};
+use crate::access::MemoryAccess;
 use crate::config::MachineConfig;
 use crate::hierarchy::CacheHierarchy;
 use crate::prefetch::{Prefetcher, PrefetcherKind};
 use crate::replacement::ReplacementPolicy;
-use crate::replay::{EvictionRecord, LlcReplay};
+use crate::replay::{LlcReplay, ReplayReport};
 use crate::timing::IpcModel;
 
 /// A named access stream to sweep over (typically one workload's demand
@@ -84,8 +88,8 @@ impl SweepStream {
 }
 
 /// Order-preserving parallel map over independent sweep configurations —
-/// the primitive behind both [`ScenarioGrid::run`] stages, exposed so the
-/// figure binaries (`figure5_quality`, `figure6_fewshot`,
+/// the primitive behind both [`ScenarioGrid::run_cells`] stages, exposed so
+/// the figure binaries (`figure5_quality`, `figure6_fewshot`,
 /// `ablation_sweeps`, ...) can spread their per-backend / per-parameter
 /// replays across cores under the same determinism contract: each output
 /// cell depends only on its own input, and results come back in input
@@ -101,9 +105,8 @@ where
 }
 
 /// The policy-independent half of one scenario cell — stage 1 of the
-/// scenario pipeline, shared by [`ScenarioGrid::run`] and the trace-database
-/// builder: the prepared [`LlcReplay`] (stream copy + reuse oracle) and, for
-/// full machines, the baseline hierarchy counters the
+/// scenario pipeline: the prepared [`LlcReplay`] (stream copy + reuse
+/// oracle) and, for full machines, the baseline hierarchy counters the
 /// [`IpcModel`] reads.
 #[derive(Debug)]
 pub struct PreparedScenario {
@@ -166,7 +169,86 @@ struct PreparedTriple {
     scenario: Arc<PreparedScenario>,
 }
 
-/// Errors surfaced by [`ScenarioGrid::run`].
+/// One `(stream, machine, prefetcher, policy)` cell as
+/// [`ScenarioGrid::run_cells`] hands it to its caller: the prepared
+/// stage-1 scenario of the cell's triple plus the axis values.
+#[derive(Debug, Clone, Copy)]
+pub struct GridCell<'a> {
+    /// The triple's prepared replay, shared by every policy of the triple.
+    pub scenario: &'a PreparedScenario,
+    /// The workload stream (before the prefetcher transform).
+    pub stream: &'a SweepStream,
+    /// The machine the cell replays on.
+    pub machine: &'a MachineConfig,
+    /// The prefetcher that rewrote the stream.
+    pub prefetcher: PrefetcherKind,
+    /// The policy name.
+    pub policy: &'a str,
+    /// Memory-level-parallelism override for the cell's IPC model.
+    pub mlp_override: Option<f64>,
+}
+
+/// What a cell derives from its replay counters and its machine.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct CellMetrics {
+    /// Prefetch accesses that actually filled a line: prefetch misses in
+    /// the LLC replay (LLC-only machines) or anywhere in the hierarchy
+    /// (full machines).
+    pub prefetch_fills: u64,
+    /// Demand accesses served from a line a prefetch brought in, at the
+    /// level the demand found it.
+    pub useful_prefetches: u64,
+    /// `useful_prefetches / prefetch_fills` (0 when nothing was fetched).
+    pub prefetch_accuracy: f64,
+    /// `useful_prefetches / (useful_prefetches + demand_misses)` — the
+    /// fraction of would-be misses the prefetcher covered.
+    pub prefetch_coverage: f64,
+    /// Model-estimated IPC.
+    pub ipc: f64,
+}
+
+impl GridCell<'_> {
+    /// Reduces one replay of this cell — [`LlcReplay::run`] or
+    /// [`LlcReplay::run_summary`], whose counters agree — to its derived
+    /// metrics.
+    pub fn metrics(&self, report: &ReplayReport) -> CellMetrics {
+        let hierarchy = self.scenario.hierarchy.as_ref();
+        // LLC-only cells take the replay's streaming usefulness counters;
+        // full-machine cells take the hierarchy's, because a useful
+        // prefetch is typically consumed by an L1 hit the LLC replay never
+        // sees.
+        let (prefetch_fills, useful_prefetches) = match hierarchy {
+            Some(h) => (h.prefetch_fills, h.useful_prefetches),
+            None => (report.prefetch_fills, report.useful_prefetches),
+        };
+        let mut model = IpcModel::from_config(&self.machine.hierarchy);
+        if let Some(mlp) = self.mlp_override {
+            model = model.with_mlp(mlp);
+        }
+        let demand_misses = report.stats.demand_misses;
+        let ipc = match hierarchy {
+            Some(h) => model.ipc(h, demand_misses),
+            None => {
+                // LLC-only mode: demand accesses pay the LLC hit latency,
+                // demand misses pay DRAM; prefetches do not stall the core.
+                let demand_accesses = report.stats.accesses - report.stats.prefetches;
+                let demand_hits = demand_accesses.saturating_sub(demand_misses);
+                model.ipc_from_llc(self.stream.instr_count, demand_hits, demand_misses)
+            }
+        };
+        let prefetch_accuracy = if prefetch_fills == 0 {
+            0.0
+        } else {
+            useful_prefetches as f64 / prefetch_fills as f64
+        };
+        let covered = useful_prefetches + demand_misses;
+        let prefetch_coverage =
+            if covered == 0 { 0.0 } else { useful_prefetches as f64 / covered as f64 };
+        CellMetrics { prefetch_fills, useful_prefetches, prefetch_accuracy, prefetch_coverage, ipc }
+    }
+}
+
+/// Errors surfaced by [`ScenarioGrid::run`] and [`ScenarioGrid::run_cells`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SweepError {
     /// The policy factory returned `None` for a requested policy name.
@@ -307,36 +389,6 @@ pub struct ScenarioGrid {
     /// Optional memory-level-parallelism override applied to every cell's
     /// IPC model (pointer-chasing studies use 1.0).
     pub mlp_override: Option<f64>,
-}
-
-/// Walks a replay's records and counts prefetch usefulness, returning
-/// `(fills, useful)`: a prefetch *fill* (prefetch miss) marks its line
-/// pending; a demand hit on a pending line is a *useful* prefetch; eviction
-/// or a demand miss clears the line. This is the LLC-only counterpart of
-/// the hierarchy's own usefulness counters (full machines consume useful
-/// prefetches at L1, which an LLC replay never sees); the trace-database
-/// builder reuses it to annotate prefetcher-qualified entries.
-pub fn prefetch_usefulness(records: &[EvictionRecord], line_bits: u32) -> (u64, u64) {
-    let mut pending: HashSet<u64> = HashSet::new();
-    let mut fills = 0u64;
-    let mut useful = 0u64;
-    for r in records {
-        if let Some(evicted) = r.evicted_address {
-            pending.remove(&(evicted.value() >> line_bits));
-        }
-        let line = r.address.value() >> line_bits;
-        if r.kind == AccessKind::Prefetch {
-            if r.is_miss && !r.bypassed {
-                fills += 1;
-                pending.insert(line);
-            }
-        } else if !r.is_miss && pending.remove(&line) {
-            useful += 1;
-        } else {
-            pending.remove(&line);
-        }
-    }
-    (fills, useful)
 }
 
 fn axis_totals<'c, K>(cells: &'c [ScenarioCell], key: K) -> Vec<AxisTotal>
@@ -488,14 +540,21 @@ impl ScenarioGrid {
         })
     }
 
-    /// Runs the full grid in parallel.
+    /// Runs the grid's stages in parallel and hands every `(triple,
+    /// policy)` cell to `visit`, returning its outputs in `(stream, machine,
+    /// prefetcher, policy)` axis order.
     ///
-    /// `make_policy` is called once per cell, on the worker thread that
-    /// replays the cell, so policies need not be `Send`/`Sync` themselves —
-    /// only the factory must be shareable.
-    pub fn run<F>(&self, make_policy: F) -> Result<ScenarioReport, SweepError>
+    /// The grid is validated first. Stage 1 then prepares each `(stream,
+    /// machine, prefetcher)` triple exactly once; stage 2 runs one task per
+    /// cell, calling `visit` with the cell and a fresh policy from
+    /// `make_policy`. Both run on the worker threads, so policies need not
+    /// be `Send`/`Sync` themselves — only the factory and the visitor must
+    /// be shareable.
+    pub fn run_cells<F, V, O>(&self, make_policy: F, visit: V) -> Result<Vec<O>, SweepError>
     where
         F: Fn(&str) -> Option<Box<dyn ReplacementPolicy>> + Sync,
+        V: Fn(GridCell<'_>, Box<dyn ReplacementPolicy>) -> O + Sync,
+        O: Send,
     {
         self.validate(&make_policy)?;
 
@@ -513,81 +572,65 @@ impl ScenarioGrid {
             .add((self.cells() - prepared.len()) as u64);
         let replay_span = cachemind_obs::global().span(cachemind_obs::names::SWEEP_REPLAY);
 
-        // Stage 2: one task per (triple, policy) cell, on the record-free
-        // summary fast path.
+        // Stage 2: one task per (triple, policy) cell.
         let cell_inputs: Vec<(usize, usize)> = (0..prepared.len())
             .flat_map(|t| (0..self.policies.len()).map(move |p| (t, p)))
             .collect();
-        let mut cells: Vec<ScenarioCell> = sweep_cells(cell_inputs, |(t, p)| {
+        let outputs = sweep_cells(cell_inputs, |(t, p)| {
             let cell_span = cachemind_obs::global().span(cachemind_obs::names::SWEEP_CELL_REPLAY);
             let triple = &prepared[t];
-            let scenario = Arc::clone(&triple.scenario);
-            let stream = &self.streams[triple.stream];
-            let machine = &self.machines[triple.machine];
-            let policy_name = &self.policies[p];
-            let policy = make_policy(policy_name).expect("policy resolved during validation");
-            let summary = scenario.replay.run_summary(policy);
-            // LLC-only cells take the replay's streaming usefulness
-            // counters (identical to `prefetch_usefulness` over the full
-            // records); full-machine cells take the hierarchy's, because a
-            // useful prefetch is typically consumed by an L1 hit the LLC
-            // replay never sees.
-            let (prefetch_fills, useful_prefetches) = match &scenario.hierarchy {
-                Some(hreport) => (hreport.prefetch_fills, hreport.useful_prefetches),
-                None => (summary.prefetch_fills, summary.useful_prefetches),
+            let policy = &self.policies[p];
+            let cell = GridCell {
+                scenario: &triple.scenario,
+                stream: &self.streams[triple.stream],
+                machine: &self.machines[triple.machine],
+                prefetcher: self.prefetchers[triple.prefetcher],
+                policy,
+                mlp_override: self.mlp_override,
             };
+            let output =
+                visit(cell, make_policy(policy).expect("policy resolved during validation"));
+            cell_span.finish();
+            output
+        });
+        replay_span.finish();
+        Ok(outputs)
+    }
 
-            let mut model = IpcModel::from_config(&machine.hierarchy);
-            if let Some(mlp) = self.mlp_override {
-                model = model.with_mlp(mlp);
-            }
-            let demand_misses = summary.stats.demand_misses;
-            let ipc = match &scenario.hierarchy {
-                Some(hreport) => model.ipc(hreport, demand_misses),
-                None => {
-                    // LLC-only mode: demand accesses pay the LLC hit
-                    // latency, demand misses pay DRAM; prefetches do not
-                    // stall the core.
-                    let demand_accesses = summary.stats.accesses - summary.stats.prefetches;
-                    let demand_hits = demand_accesses.saturating_sub(demand_misses);
-                    model.ipc_from_llc(stream.instr_count, demand_hits, demand_misses)
-                }
-            };
-            let prefetch_accuracy = if prefetch_fills == 0 {
-                0.0
-            } else {
-                useful_prefetches as f64 / prefetch_fills as f64
-            };
-            let covered = useful_prefetches + demand_misses;
-            let prefetch_coverage =
-                if covered == 0 { 0.0 } else { useful_prefetches as f64 / covered as f64 };
-
-            let cell = ScenarioCell {
-                workload: stream.name.clone(),
-                machine: machine.machine_label(),
-                prefetcher: self.prefetchers[triple.prefetcher].label(),
-                policy: policy_name.clone(),
+    /// Runs the full grid in parallel ([`ScenarioGrid::run_cells`]) on the
+    /// record-free [`LlcReplay::run_summary`] path and reduces every cell
+    /// to a [`ScenarioCell`].
+    pub fn run<F>(&self, make_policy: F) -> Result<ScenarioReport, SweepError>
+    where
+        F: Fn(&str) -> Option<Box<dyn ReplacementPolicy>> + Sync,
+    {
+        let mut cells = self.run_cells(make_policy, |cell, policy| {
+            let summary = cell.scenario.replay.run_summary(policy);
+            let metrics = cell.metrics(&summary);
+            ScenarioCell {
+                workload: cell.stream.name.clone(),
+                machine: cell.machine.machine_label(),
+                prefetcher: cell.prefetcher.label(),
+                policy: cell.policy.to_owned(),
                 accesses: summary.stats.accesses,
                 hits: summary.stats.hits,
                 misses: summary.stats.misses,
                 miss_rate: summary.miss_rate(),
-                demand_misses,
+                demand_misses: summary.stats.demand_misses,
                 compulsory_misses: summary.compulsory_misses,
                 capacity_misses: summary.capacity_misses,
                 conflict_misses: summary.conflict_misses,
                 wrong_evictions: summary.wrong_evictions,
                 evictions: summary.stats.evictions,
                 prefetches: summary.stats.prefetches,
-                prefetch_fills,
-                useful_prefetches,
-                prefetch_accuracy,
-                prefetch_coverage,
-                instr_count: stream.instr_count,
-                ipc,
-            };
-            cell_span.finish();
-            cell
-        });
+                prefetch_fills: metrics.prefetch_fills,
+                useful_prefetches: metrics.useful_prefetches,
+                prefetch_accuracy: metrics.prefetch_accuracy,
+                prefetch_coverage: metrics.prefetch_coverage,
+                instr_count: cell.stream.instr_count,
+                ipc: metrics.ipc,
+            }
+        })?;
 
         // Canonical order before any reduction: aggregation must not
         // observe scheduling order.
@@ -603,7 +646,6 @@ impl ScenarioGrid {
         let policy_totals = axis_totals(&cells, |c| c.policy.as_str());
         let prefetcher_totals = axis_totals(&cells, |c| c.prefetcher.as_str());
         let machine_totals = axis_totals(&cells, |c| c.machine.as_str());
-        replay_span.finish();
 
         Ok(ScenarioReport { cells, policy_totals, prefetcher_totals, machine_totals })
     }

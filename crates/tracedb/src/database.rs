@@ -5,15 +5,17 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use cachemind_policies::by_name as policy_by_name;
-use cachemind_sim::access::MemoryAccess;
 use cachemind_sim::config::{CacheConfig, MachineConfig};
 use cachemind_sim::prefetch::PrefetcherKind;
-use cachemind_sim::sweep::{prefetch_usefulness, prepare_scenario, transform_stream};
-use cachemind_sim::timing::IpcModel;
+use cachemind_sim::replacement::ReplacementPolicy;
+use cachemind_sim::sweep::{
+    prepare_scenario, sweep_cells, transform_stream, CellMetrics, GridCell, ScenarioGrid,
+    SweepError, SweepStream,
+};
+use cachemind_workloads::program::ProgramImage;
 use cachemind_workloads::workload::{Scale, Workload};
 use cachemind_workloads::{by_name as workload_by_name, DATABASE_WORKLOADS};
 
@@ -296,11 +298,11 @@ impl TraceStore for TraceDatabase {
     }
 }
 
-/// An unresolvable builder configuration: the name does not exist in the
-/// workload or policy registry.
+/// An invalid builder configuration: a name no registry knows, or a build
+/// grid the sweep engine rejects.
 ///
 /// Surfaced by [`TraceDatabaseBuilder::try_build`] and friends *before* any
-/// simulation starts, so shard workers never panic mid-build and service
+/// replay starts, so build workers never panic mid-build and service
 /// layers can turn the failure into a clean protocol error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildError {
@@ -314,6 +316,9 @@ pub enum BuildError {
     /// A prefetcher name [`PrefetcherKind::parse`] does not know (surfaced
     /// by service layers that resolve prefetcher names before building).
     UnknownPrefetcher(String),
+    /// The build's scenario grid is invalid: no workloads or no policies,
+    /// or a workload, policy or machine label configured twice.
+    Grid(SweepError),
 }
 
 impl fmt::Display for BuildError {
@@ -323,11 +328,15 @@ impl fmt::Display for BuildError {
             BuildError::UnknownPolicy(name) => write!(f, "unknown policy {name:?}"),
             BuildError::UnknownMachine(name) => write!(f, "unknown machine preset {name:?}"),
             BuildError::UnknownPrefetcher(name) => write!(f, "unknown prefetcher {name:?}"),
+            BuildError::Grid(e) => write!(f, "invalid build grid: {e}"),
         }
     }
 }
 
 impl std::error::Error for BuildError {}
+
+/// Each built workload's description and program image, by workload name.
+type Sources = BTreeMap<String, (String, Arc<ProgramImage>)>;
 
 /// Builds a [`TraceDatabase`] by simulating workloads under policies.
 ///
@@ -344,21 +353,6 @@ impl std::error::Error for BuildError {}
 ///     .build();
 /// assert_eq!(db.len(), 2);
 /// ```
-/// The policy-independent half of one `workload × machine × prefetcher`
-/// build cell: the machine, the active prefetcher, and the prepared
-/// scenario ([`cachemind_sim::sweep::PreparedScenario`] — LLC replay with
-/// reuse oracle, plus the baseline hierarchy counters feeding the IPC
-/// model on full machines).
-#[derive(Debug)]
-struct PreparedReplay {
-    machine: MachineConfig,
-    label: String,
-    prefetcher: PrefetcherKind,
-    prefetcher_label: String,
-    scenario: cachemind_sim::sweep::PreparedScenario,
-    primary: bool,
-}
-
 #[derive(Debug, Clone)]
 pub struct TraceDatabaseBuilder {
     workloads: Vec<String>,
@@ -459,8 +453,9 @@ impl TraceDatabaseBuilder {
     /// extra machine contributes one machine-qualified trace per
     /// `workload × policy` pair ([`TraceId::scoped`]), replayed under that
     /// machine's LLC (full machines filter the stream through L1/L2 first)
-    /// with its own [`IpcModel`] estimate — so one database can answer
-    /// per-machine questions for many scenarios at once.
+    /// with its own [`IpcModel`](cachemind_sim::timing::IpcModel) estimate
+    /// — so one database can answer per-machine questions for many
+    /// scenarios at once.
     pub fn machine(mut self, machine: MachineConfig) -> Self {
         self.extra_machines.push(machine);
         self
@@ -479,7 +474,7 @@ impl TraceDatabaseBuilder {
     /// per `workload × machine × policy` cell: the workload stream is
     /// rewritten through the prefetcher model
     /// ([`transform_stream`], the same stage-1 machinery
-    /// [`ScenarioGrid`](cachemind_sim::sweep::ScenarioGrid) runs) *before*
+    /// [`ScenarioGrid`] runs) *before*
     /// the hierarchy filter and replay, the entry's key gains the
     /// `+<prefetcher>` qualification ([`TraceId::qualified`]), and its
     /// metadata records the prefetcher sentence (label, accuracy,
@@ -522,133 +517,6 @@ impl TraceDatabaseBuilder {
         self
     }
 
-    /// Prepares the policy-independent half of a `workload × machine ×
-    /// prefetcher` replay via the sweep engine's stage-1 machinery
-    /// ([`prepare_scenario`]): the LLC access stream (already
-    /// prefetcher-transformed by the caller; filtered through L1/L2 for
-    /// full machines), the reuse oracle, and — for full machines — the
-    /// baseline hierarchy counters the IPC model reads. A `None` machine
-    /// slot selects the primary (builder-LLC) machine, whose
-    /// baseline-prefetcher entries keep the legacy byte-identical shape.
-    fn prepare_replay(
-        &self,
-        workload: &Workload,
-        accesses: &[MemoryAccess],
-        slot: Option<&MachineConfig>,
-        prefetcher: PrefetcherKind,
-    ) -> PreparedReplay {
-        let (machine, primary) = match slot {
-            None => (MachineConfig::llc_only(self.llc.clone()), true),
-            Some(m) => (m.clone(), false),
-        };
-        let scenario = prepare_scenario(&machine, accesses, workload.instr_count);
-        PreparedReplay {
-            label: machine.machine_label(),
-            prefetcher,
-            prefetcher_label: prefetcher.label(),
-            scenario,
-            machine,
-            primary,
-        }
-    }
-
-    /// Simulates one `(workload, machine, prefetcher, policy)` cell into
-    /// its trace entry.
-    fn build_entry(
-        &self,
-        wname: &str,
-        workload: &Workload,
-        program: &Arc<cachemind_workloads::program::ProgramImage>,
-        prepared: &PreparedReplay,
-        pname: &str,
-    ) -> TraceEntry {
-        let policy = policy_by_name(pname).expect("policy validated before simulation");
-        let report = prepared.scenario.replay.run(policy);
-        let rows: Vec<TraceRow> = report
-            .records
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                let keep = self.keep_snapshots_every > 0 && i % self.keep_snapshots_every == 0;
-                TraceRow::from_record(r, keep)
-            })
-            .collect();
-        // The scenario sentence: which machine the trace replayed on and
-        // the model-estimated IPC (full machines use the hierarchy
-        // counters, LLC-only machines the same estimate a scenario cell
-        // on this machine reports). The stream is already
-        // prefetcher-transformed, so covered demand misses raise the IPC.
-        let model = IpcModel::from_config(&prepared.machine.hierarchy);
-        let demand_misses = report.stats.demand_misses;
-        let ipc = match &prepared.scenario.hierarchy {
-            Some(hreport) => model.ipc(hreport, demand_misses),
-            None => {
-                let demand_accesses = report.stats.accesses - report.stats.prefetches;
-                let demand_hits = demand_accesses.saturating_sub(demand_misses);
-                model.ipc_from_llc(workload.instr_count, demand_hits, demand_misses)
-            }
-        };
-        // Prefetch usefulness, as the scenario grid counts it: the
-        // hierarchy's counters on full machines (useful prefetches are
-        // consumed by L1 hits the LLC replay never sees), the replay-walk
-        // oracle on LLC-only machines. Baseline cells skip the walk — the
-        // untransformed stream carries no prefetches.
-        let (prefetch_fills, useful_prefetches) =
-            match (&prepared.scenario.hierarchy, prepared.prefetcher) {
-                (_, PrefetcherKind::None) => (0, 0),
-                (Some(hreport), _) => (hreport.prefetch_fills, hreport.useful_prefetches),
-                (None, _) => prefetch_usefulness(
-                    &report.records,
-                    prepared.machine.hierarchy.llc.line_size_log2,
-                ),
-            };
-        let prefetch_accuracy = if prefetch_fills == 0 {
-            0.0
-        } else {
-            useful_prefetches as f64 / prefetch_fills as f64
-        };
-        let covered = useful_prefetches + demand_misses;
-        let prefetch_coverage =
-            if covered == 0 { 0.0 } else { useful_prefetches as f64 / covered as f64 };
-        let metadata = match prepared.prefetcher {
-            PrefetcherKind::None => meta::render_scenario(&report, &prepared.label, ipc),
-            _ => meta::render_scenario_prefetched(
-                &report,
-                &prepared.label,
-                &prepared.prefetcher_label,
-                ipc,
-                prefetch_accuracy,
-                prefetch_coverage,
-            ),
-        };
-        let description = format!(
-            "Workload: {}. Replacement Policy: {}. {}",
-            wname,
-            policy_description(pname),
-            workload.description
-        );
-        let id = TraceId::qualified(
-            wname,
-            pname,
-            (!prepared.primary).then_some(prepared.label.as_str()),
-            (prepared.prefetcher != PrefetcherKind::None)
-                .then_some(prepared.prefetcher_label.as_str()),
-        );
-        TraceEntry {
-            id,
-            frame: TraceFrame::new(rows, Arc::clone(program)),
-            metadata,
-            description,
-            machine: prepared.label.clone(),
-            prefetcher: prepared.prefetcher_label.clone(),
-            prefetch_fills,
-            useful_prefetches,
-            prefetch_accuracy,
-            prefetch_coverage,
-            ipc,
-        }
-    }
-
     /// Validates every configured name against the registries, failing fast
     /// (and deterministically: first offending workload in configuration
     /// order, then first offending policy) before any simulation runs.
@@ -666,107 +534,134 @@ impl TraceDatabaseBuilder {
         Ok(())
     }
 
+    /// The build's scenario grid: the generated workload streams ×
+    /// `[primary LLC-only machine, extra machines…]` × `[none, extra
+    /// prefetchers…]` × the policies. Also returns what the entries need
+    /// beyond the grid: each workload's description and program image,
+    /// keyed by workload name.
+    fn grid(&self, workloads: Vec<(String, Workload)>) -> (ScenarioGrid, Sources) {
+        let mut sources = Sources::new();
+        let streams = workloads
+            .into_iter()
+            .map(|(name, w)| {
+                sources.insert(name.clone(), (w.description, Arc::new(w.program)));
+                SweepStream::new(name, w.accesses).with_instr_count(w.instr_count)
+            })
+            .collect();
+        let primary = MachineConfig::llc_only(self.llc.clone());
+        let grid = ScenarioGrid {
+            policies: self.policies.clone(),
+            streams,
+            machines: std::iter::once(primary).chain(self.extra_machines.iter().cloned()).collect(),
+            prefetchers: std::iter::once(PrefetcherKind::None)
+                .chain(self.extra_prefetchers.iter().copied())
+                .collect(),
+            mlp_override: None,
+        };
+        (grid, sources)
+    }
+
+    /// Simulates one grid cell into its trace entry: the record-emitting
+    /// replay, sampled into rows, with the cell's derived metrics in the
+    /// metadata. `primary` is the primary machine's label, whose entries
+    /// keep unqualified keys.
+    fn entry(
+        &self,
+        sources: &Sources,
+        primary: &str,
+        cell: GridCell<'_>,
+        policy: Box<dyn ReplacementPolicy>,
+    ) -> TraceEntry {
+        let report = cell.scenario.replay.run(policy);
+        let rows: Vec<TraceRow> = report
+            .records
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let keep = self.keep_snapshots_every > 0 && i % self.keep_snapshots_every == 0;
+                TraceRow::from_record(r, keep)
+            })
+            .collect();
+        let label = cell.machine.machine_label();
+        let prefetcher_label = cell.prefetcher.label();
+        let baseline = cell.prefetcher == PrefetcherKind::None;
+        let mut metrics = cell.metrics(&report);
+        if baseline {
+            // Baseline entries record no prefetch usefulness: their stream
+            // was never rewritten by a prefetcher.
+            metrics = CellMetrics { ipc: metrics.ipc, ..CellMetrics::default() };
+        }
+        let metadata = if baseline {
+            meta::render_scenario(&report, &label, metrics.ipc)
+        } else {
+            meta::render_scenario_prefetched(
+                &report,
+                &label,
+                &prefetcher_label,
+                metrics.ipc,
+                metrics.prefetch_accuracy,
+                metrics.prefetch_coverage,
+            )
+        };
+        let wname = cell.stream.name.as_str();
+        let (workload_description, program) = &sources[wname];
+        let description = format!(
+            "Workload: {}. Replacement Policy: {}. {}",
+            wname,
+            policy_description(cell.policy),
+            workload_description
+        );
+        let id = TraceId::qualified(
+            wname,
+            cell.policy,
+            (label != primary).then_some(label.as_str()),
+            (!baseline).then_some(prefetcher_label.as_str()),
+        );
+        TraceEntry {
+            id,
+            frame: TraceFrame::new(rows, Arc::clone(program)),
+            metadata,
+            description,
+            machine: label,
+            prefetcher: prefetcher_label,
+            prefetch_fills: metrics.prefetch_fills,
+            useful_prefetches: metrics.useful_prefetches,
+            prefetch_accuracy: metrics.prefetch_accuracy,
+            prefetch_coverage: metrics.prefetch_coverage,
+            ipc: metrics.ipc,
+        }
+    }
+
     /// Simulates everything and assembles the sharded database.
     ///
-    /// Work is spread across rayon workers in stages mirroring
-    /// [`ScenarioGrid`](cachemind_sim::sweep::ScenarioGrid): one task per
-    /// workload generates the access stream, one per `workload ×
-    /// prefetcher` rewrites it through the prefetcher model, one per
-    /// `workload × machine × prefetcher` builds the shared replay (reuse
-    /// oracle + hierarchy filter), then one task per grid cell runs the
-    /// policy replay. Entries are routed to shards by the deterministic
+    /// The build is a client of the sweep engine: workloads are generated
+    /// one task each, then [`ScenarioGrid::run_cells`] prepares each
+    /// `workload × machine × prefetcher` triple once (prefetcher
+    /// transform, hierarchy filter, reuse oracle) and runs one task per
+    /// grid cell, which replays the policy into a trace entry. Entries are
+    /// routed to shards by the deterministic
     /// [`shard_index`](crate::store::shard_index) assignment, so the result
     /// is identical no matter how many threads ran the build.
     ///
     /// Unknown workload or policy names surface as a [`BuildError`] before
-    /// any simulation starts — shard workers never panic on bad names.
+    /// any simulation starts, and an invalid grid (a duplicate machine
+    /// label, say) as [`BuildError::Grid`] — workers never panic on bad
+    /// configuration.
     pub fn try_build_sharded(self) -> Result<ShardedTraceDatabase, BuildError> {
         self.validate()?;
         let _span = cachemind_obs::global().span(cachemind_obs::names::TRACEDB_BUILD);
-
-        // Stage 1: one task per workload — trace generation is the
-        // machine-independent part, shared by every machine slot.
-        type Prepared = (String, Workload, Arc<cachemind_workloads::program::ProgramImage>);
-        let prepared: Vec<Result<Prepared, BuildError>> = self
-            .workloads
-            .clone()
-            .into_par_iter()
-            .map(|wname| {
-                let workload = workload_by_name(&wname, self.scale)
-                    .ok_or_else(|| BuildError::UnknownWorkload(wname.clone()))?;
-                let program = Arc::new(workload.program.clone());
-                Ok((wname, workload, program))
-            })
-            .collect();
-        let mut workloads = Vec::with_capacity(prepared.len());
-        for result in prepared {
-            workloads.push(result?);
-        }
-
-        // Stage 1b: one task per workload × extra prefetcher — the
-        // prefetcher transform is machine-independent (the sweep engine's
-        // stage 1a), so every machine slot shares one rewritten stream.
-        // Prefetcher slot 0 is the untransformed baseline.
-        let num_extra_prefetchers = self.extra_prefetchers.len();
-        let wp: Vec<(usize, usize)> = (0..workloads.len())
-            .flat_map(|w| (0..num_extra_prefetchers).map(move |p| (w, p)))
-            .collect();
-        let rewritten: Vec<Vec<MemoryAccess>> = wp
-            .into_par_iter()
-            .map(|(w, p)| {
-                transform_stream(self.extra_prefetchers[p], &workloads[w].1.accesses)
-                    .expect("extra prefetchers are never PrefetcherKind::None")
-            })
-            .collect();
-        let stream_for = |w: usize, p: usize| -> &[MemoryAccess] {
-            if p == 0 {
-                &workloads[w].1.accesses
-            } else {
-                &rewritten[w * num_extra_prefetchers + (p - 1)]
-            }
-        };
-
-        // Stage 1c: one task per workload × machine × prefetcher — the
-        // reuse oracle (and, for full machines, the L1/L2 filter) is the
-        // expensive policy-independent part, shared by every policy
-        // replaying the triple. Slot 0 is the primary machine / baseline.
-        let machine_slots = 1 + self.extra_machines.len();
-        let prefetcher_slots = 1 + num_extra_prefetchers;
-        let wmp: Vec<(usize, usize, usize)> = (0..workloads.len())
-            .flat_map(|w| {
-                (0..machine_slots).flat_map(move |m| (0..prefetcher_slots).map(move |p| (w, m, p)))
-            })
-            .collect();
-        let replays: Vec<PreparedReplay> = wmp
-            .into_par_iter()
-            .map(|(w, m, p)| {
-                let slot = if m == 0 { None } else { Some(&self.extra_machines[m - 1]) };
-                let kind =
-                    if p == 0 { PrefetcherKind::None } else { self.extra_prefetchers[p - 1] };
-                self.prepare_replay(&workloads[w].1, stream_for(w, p), slot, kind)
-            })
-            .collect();
-
-        // Stage 2: one task per (workload, machine, prefetcher, policy)
-        // cell.
-        let num_policies = self.policies.len();
-        let cells: Vec<(usize, usize, usize, usize)> = (0..workloads.len())
-            .flat_map(|w| {
-                (0..machine_slots).flat_map(move |m| {
-                    (0..prefetcher_slots)
-                        .flat_map(move |f| (0..num_policies).map(move |p| (w, m, f, p)))
-                })
-            })
-            .collect();
-        let entries: Vec<TraceEntry> = cells
-            .into_par_iter()
-            .map(|(w, m, f, p)| {
-                let (wname, workload, program) = &workloads[w];
-                let prepared = &replays[(w * machine_slots + m) * prefetcher_slots + f];
-                self.build_entry(wname, workload, program, prepared, &self.policies[p])
-            })
-            .collect();
-
+        let workloads = sweep_cells(self.workloads.clone(), |name| {
+            let workload = workload_by_name(&name, self.scale)
+                .ok_or_else(|| BuildError::UnknownWorkload(name.clone()))?;
+            Ok((name, workload))
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, BuildError>>()?;
+        let (grid, sources) = self.grid(workloads);
+        let primary = grid.machines[0].machine_label();
+        let entries = grid
+            .run_cells(policy_by_name, |cell, policy| self.entry(&sources, &primary, cell, policy))
+            .map_err(BuildError::Grid)?;
         Ok(ShardedTraceDatabase::from_entries(entries, self.num_shards, Some(self.llc.clone())))
     }
 
@@ -777,29 +672,40 @@ impl TraceDatabaseBuilder {
     }
 
     /// The serial reference implementation of [`TraceDatabaseBuilder::try_build`]:
-    /// a plain double loop over `workload × policy` on the calling thread.
-    /// Kept as the oracle the parallel/sharded builds are tested against.
+    /// plain loops over the same grid on the calling thread, through the
+    /// sweep engine's stage functions ([`transform_stream`],
+    /// [`prepare_scenario`]) and the same per-cell entry reduction. Kept as
+    /// the oracle the parallel/sharded builds are tested against.
     pub fn build_serial(self) -> Result<TraceDatabase, BuildError> {
         self.validate()?;
         let _span = cachemind_obs::global().span(cachemind_obs::names::TRACEDB_BUILD);
+        let mut workloads = Vec::with_capacity(self.workloads.len());
+        for name in &self.workloads {
+            let workload = workload_by_name(name, self.scale)
+                .ok_or_else(|| BuildError::UnknownWorkload(name.clone()))?;
+            workloads.push((name.clone(), workload));
+        }
+        let (grid, sources) = self.grid(workloads);
+        let primary = grid.machines[0].machine_label();
         let mut db = TraceDatabase { llc: Some(self.llc.clone()), ..TraceDatabase::default() };
-        for wname in &self.workloads {
-            let workload: Workload = workload_by_name(wname, self.scale)
-                .ok_or_else(|| BuildError::UnknownWorkload(wname.clone()))?;
-            let program = Arc::new(workload.program.clone());
-            for p in 0..=self.extra_prefetchers.len() {
-                let kind =
-                    if p == 0 { PrefetcherKind::None } else { self.extra_prefetchers[p - 1] };
-                let transformed = transform_stream(kind, &workload.accesses);
-                let accesses: &[MemoryAccess] = match &transformed {
-                    Some(rewritten) => rewritten,
-                    None => &workload.accesses,
-                };
-                for m in 0..=self.extra_machines.len() {
-                    let slot = if m == 0 { None } else { Some(&self.extra_machines[m - 1]) };
-                    let prepared = self.prepare_replay(&workload, accesses, slot, kind);
-                    for pname in &self.policies {
-                        db.insert(self.build_entry(wname, &workload, &program, &prepared, pname));
+        for stream in &grid.streams {
+            for &prefetcher in &grid.prefetchers {
+                let transformed = transform_stream(prefetcher, &stream.accesses);
+                let accesses = transformed.as_deref().unwrap_or(&stream.accesses);
+                for machine in &grid.machines {
+                    let scenario = prepare_scenario(machine, accesses, stream.instr_count);
+                    for policy in &grid.policies {
+                        let cell = GridCell {
+                            scenario: &scenario,
+                            stream,
+                            machine,
+                            prefetcher,
+                            policy,
+                            mlp_override: None,
+                        };
+                        let replacement =
+                            policy_by_name(policy).expect("policy validated before simulation");
+                        db.insert(self.entry(&sources, &primary, cell, replacement));
                     }
                 }
             }
@@ -811,10 +717,11 @@ impl TraceDatabaseBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if a workload or policy name is unknown (the builder is the
-    /// trusted configuration surface at this call site; services that take
-    /// names from the network use [`TraceDatabaseBuilder::try_build`] and
-    /// surface [`BuildError`] instead).
+    /// Panics on any [`BuildError`] — an unknown name or an invalid grid
+    /// (the builder is the trusted configuration surface at this call site;
+    /// services that take names from the network use
+    /// [`TraceDatabaseBuilder::try_build`] and surface [`BuildError`]
+    /// instead).
     pub fn build(self) -> TraceDatabase {
         self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -1176,6 +1083,20 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_machine_labels_are_a_build_error() {
+        let table2 = MachineConfig::preset("table2").expect("preset");
+        let err = TraceDatabaseBuilder::quick_demo()
+            .workloads(["mcf"])
+            .policies(["lru"])
+            .machines([table2.clone(), table2.clone()])
+            .try_build_sharded()
+            .unwrap_err();
+        let key = format!("machine:{}", table2.machine_label());
+        assert_eq!(err, BuildError::Grid(SweepError::DuplicateKey(key.clone())));
+        assert_eq!(err.to_string(), format!("invalid build grid: duplicate grid key {key:?}"));
+    }
+
+    #[test]
     fn parallel_build_matches_serial_reference() {
         let make = || {
             TraceDatabaseBuilder::new()
@@ -1195,6 +1116,23 @@ mod tests {
             }
             assert_eq!(parallel.llc_config(), serial.llc_config());
         }
+    }
+
+    /// Pins the simulated database bytes: the snapshot digest of a build
+    /// covering LLC-only and full-machine cells, baseline and prefetched.
+    /// Any change here means the build no longer produces the same traces.
+    #[test]
+    fn built_database_bytes_are_pinned() {
+        use crate::snapshot::write_snapshot;
+        use crate::store::fnv64;
+        let db = TraceDatabaseBuilder::quick_demo()
+            .machine(MachineConfig::preset("table2").expect("preset"))
+            .machine(MachineConfig::preset("small").expect("preset"))
+            .prefetcher(PrefetcherKind::Stride { degree: 4 })
+            .shards(3)
+            .try_build_sharded()
+            .expect("valid names");
+        assert_eq!(fnv64(&write_snapshot(&db)), 10_903_614_992_282_940_118);
     }
 
     #[test]

@@ -244,6 +244,8 @@ mod tests {
             capacity_misses: 133_542,
             conflict_misses: 0,
             compulsory_misses: 0,
+            prefetch_fills: 0,
+            useful_prefetches: 0,
         }
     }
 

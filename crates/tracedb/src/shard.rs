@@ -1,14 +1,12 @@
 //! [`ShardedTraceDatabase`] — the trace store partitioned into
 //! independently-built shards.
 //!
-//! The builder assigns every `workload × policy` pair to a shard with the
-//! deterministic [`shard_index`] function and
-//! builds the shards in parallel (one simulation per pair, oracle shared
-//! per workload). Reads compose the shards back into a single ascending
-//! key space behind the [`TraceStore`] surface, so retrieval and the
-//! system layer cannot tell a sharded store from a monolithic one — the
-//! serve layer, however, can see the shard structure and uses it to group
-//! batched queries.
+//! The builder simulates every trace on the sweep engine and assigns each
+//! entry to a shard with the deterministic [`shard_index`] function of its
+//! key. Reads compose the shards back into a single ascending key space
+//! behind the [`TraceStore`] surface, so retrieval, the system layer and
+//! the serve layer cannot tell a sharded store from a monolithic one; the
+//! shard count only shapes the snapshot's segments.
 
 use std::collections::{BTreeMap, BTreeSet};
 

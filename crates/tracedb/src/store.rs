@@ -4,7 +4,7 @@
 //!
 //! Retrievers and the CacheMind system layer are written against this
 //! trait, so they work unchanged whether the traces live in one `BTreeMap`
-//! or are partitioned across shards built in parallel. The trait is
+//! or are partitioned across shards. The trait is
 //! object-safe (`&dyn TraceStore`) because the system layer holds an
 //! `Arc<dyn TraceStore>` shared by many concurrent chat sessions.
 
@@ -67,8 +67,8 @@ pub trait TraceStore: std::fmt::Debug + Send + Sync {
 
     /// The shard a trace key is (or would be) assigned to. Monolithic
     /// stores map everything to shard 0. The assignment is a pure function
-    /// of the key, so callers may use it as a deterministic scheduling key
-    /// for batched work.
+    /// of the key and the shard count, independent of how the store was
+    /// built.
     fn shard_of(&self, _key: &str) -> usize {
         0
     }

@@ -32,7 +32,6 @@ fn db() -> &'static cachemind_suite::tracedb::ShardedTraceDatabase {
     static DB: OnceLock<cachemind_suite::tracedb::ShardedTraceDatabase> = OnceLock::new();
     DB.get_or_init(|| {
         let config = ServeConfig {
-            shards: 3,
             machines: vec!["table2".into(), "small".into()],
             prefetchers: vec!["stride4".into()],
             ..Default::default()
