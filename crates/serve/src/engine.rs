@@ -31,7 +31,9 @@ use cachemind_tracedb::store::TraceStore;
 use cachemind_tracedb::{ScenarioSelector, TraceDatabaseBuilder};
 use cachemind_workloads::workload::Scale;
 
-use crate::protocol::{AskRequest, AskResponse, ProtocolError, Response, STATS_VERSION};
+use crate::protocol::{
+    AskRequest, AskResponse, ProtocolError, Response, MAX_LINE_BYTES, STATS_VERSION,
+};
 use serde_json::Value;
 
 /// Serving configuration.
@@ -638,15 +640,26 @@ impl ServeEngine {
     /// Lines are framed the way the TCP reader frames them: split on
     /// `\n`, decoded lossily (a line of invalid UTF-8 answers in-band as
     /// `invalid_json` rather than ending the stream), trimmed, and skipped
-    /// when blank. `exit` or `quit` stop without a response; a
-    /// `{"shutdown": true}` line stops after its acknowledgement. A read
-    /// error ends the input like EOF.
+    /// when blank. A line longer than [`MAX_LINE_BYTES`] is answered once
+    /// as `line_too_long` and skipped up to its newline, so at most
+    /// `MAX_LINE_BYTES + 1` bytes are ever buffered. `exit` or `quit` stop
+    /// without a response; a `{"shutdown": true}` line stops after its
+    /// acknowledgement. A read error ends the input like EOF.
     pub fn serve_stdio(&self, mut input: impl BufRead, mut output: impl Write) -> StdioEnd {
+        // One byte past the cap tells an over-long line from one that fits.
+        let limit = MAX_LINE_BYTES as u64 + 1;
         let mut buffer = Vec::new();
         loop {
             buffer.clear();
-            if matches!(input.read_until(b'\n', &mut buffer), Ok(0) | Err(_)) {
+            let read = std::io::Read::take(&mut input, limit).read_until(b'\n', &mut buffer);
+            if matches!(read, Ok(0) | Err(_)) {
                 return StdioEnd::Eof;
+            }
+            if buffer.len() as u64 == limit && buffer.last() != Some(&b'\n') {
+                let _ = writeln!(output, "{}", self.refuse_long_line());
+                let _ = output.flush();
+                let _ = input.skip_until(b'\n');
+                continue;
             }
             let line = String::from_utf8_lossy(&buffer);
             let line = line.trim();
@@ -663,6 +676,16 @@ impl ServeEngine {
                 return StdioEnd::Stopped;
             }
         }
+    }
+
+    /// The one in-band answer to a request line longer than
+    /// [`MAX_LINE_BYTES`], counted under `line_too_long` like any other
+    /// error. Both transports call it once per over-long line, without
+    /// parsing the line.
+    pub(crate) fn refuse_long_line(&self) -> String {
+        let error = ProtocolError::LineTooLong;
+        self.metrics.error(error.kind());
+        AskResponse::failure(0, &error).to_json(true)
     }
 
     /// The versioned stats object answering `{"stats": true}`: session
@@ -1451,5 +1474,38 @@ mod tests {
         let input = std::io::Cursor::new(b"exit\n{\"stats\": true}\n".to_vec());
         assert_eq!(engine.serve_stdio(input, &mut output), StdioEnd::Stopped);
         assert!(output.is_empty());
+    }
+
+    #[test]
+    fn an_over_long_stdin_line_is_one_error_and_the_loop_serves_on() {
+        let engine = engine(1);
+        let q = "{\"question\": \"What is the overall miss rate of the mcf workload under LRU?\"}";
+        let mut input = vec![b'x'; 2 << 20];
+        input.push(b'\n');
+        input.extend_from_slice(format!("{q}\n{{\"stats\": true}}\n").as_bytes());
+        let mut output = Vec::new();
+        assert_eq!(engine.serve_stdio(std::io::Cursor::new(input), &mut output), StdioEnd::Eof);
+        let output = String::from_utf8(output).expect("responses are UTF-8");
+        let lines: Vec<&str> = output.lines().collect();
+        assert_eq!(lines.len(), 3, "{output}");
+        let refused = serde_json::from_str(lines[0]).expect("a JSON response");
+        assert_eq!(refused.get("error_kind").and_then(Value::as_str), Some("line_too_long"));
+        let answered = serde_json::from_str(lines[1]).expect("a JSON response");
+        assert!(answered.get("error_kind").is_none(), "{output}");
+        assert!(answered.get("answer").and_then(Value::as_str).is_some_and(|a| !a.is_empty()));
+        let stats = serde_json::from_str(lines[2]).expect("a JSON response");
+        let errors = stats.get("errors").expect("stats carry errors");
+        assert_eq!(errors.get("total").and_then(Value::as_u64), Some(1), "{output}");
+        let by_kind = errors.get("by_kind").and_then(|k| k.get("line_too_long"));
+        assert_eq!(by_kind.and_then(Value::as_u64), Some(1), "{output}");
+
+        // A line of exactly the cap is served, not refused.
+        let mut input = vec![b' '; MAX_LINE_BYTES - q.len()];
+        input.extend_from_slice(q.as_bytes());
+        input.push(b'\n');
+        let mut output = Vec::new();
+        engine.serve_stdio(std::io::Cursor::new(input), &mut output);
+        let output = String::from_utf8(output).expect("responses are UTF-8");
+        assert!(!output.contains("error_kind"), "{output}");
     }
 }

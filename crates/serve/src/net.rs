@@ -34,7 +34,10 @@
 //!   *not* processed, and the connection survives. Malformed lines are
 //!   *not* a transport error either: they travel to the engine like any
 //!   other line and come back as in-band `invalid_json`, exactly as on
-//!   stdin. Only EOF or a socket error tears a connection down.
+//!   stdin. A line longer than [`MAX_LINE_BYTES`] is answered once with
+//!   `error_kind:"line_too_long"` and its bytes are dropped up to its
+//!   newline, so a reader buffers at most one cap plus one socket read.
+//!   Only EOF or a socket error tears a connection down.
 //! * **Workers** — `SERVE_NUM_THREADS` threads popping the shared queue
 //!   and calling [`ServeEngine::serve_line`], so TCP traffic flows
 //!   through the same parse/dispatch/render path (and the same metrics
@@ -75,7 +78,7 @@ use cachemind_obs::names;
 use serde_json::Value;
 
 use crate::engine::ServeEngine;
-use crate::protocol::{AskResponse, ProtocolError};
+use crate::protocol::{AskResponse, ProtocolError, MAX_LINE_BYTES};
 
 /// How long a blocked reader waits before re-checking the shutdown flag.
 /// Also bounds how stale an idle acceptor's view of the flag can be.
@@ -573,6 +576,8 @@ fn accept_connection(shared: &Arc<Shared>, stream: TcpStream, peer: SocketAddr) 
 /// response count. On shutdown it drains the complete lines it has
 /// already buffered before exiting — a read timeout (not a socket
 /// shutdown) is what unblocks it, so no buffered request is discarded.
+/// A line past [`MAX_LINE_BYTES`] is answered `line_too_long` as soon as
+/// the cap is crossed, and the rest of it is dropped as it arrives.
 fn reader_loop(shared: &Arc<Shared>, conn: &Arc<ConnState>, mut stream: TcpStream) {
     let mut buffer: Vec<u8> = Vec::new();
     // `buffer[..start]` is already framed; `buffer[start..scanned]` is
@@ -583,15 +588,28 @@ fn reader_loop(shared: &Arc<Shared>, conn: &Arc<ConnState>, mut stream: TcpStrea
     let mut scanned = 0usize;
     let mut scratch = [0u8; 4096];
     let mut next_seq = 0u64;
+    // Inside an over-long line that was already answered: drop bytes up
+    // to and including its newline.
+    let mut discarding = false;
     loop {
         // Frame every complete line currently buffered.
         while let Some(offset) = buffer[scanned..].iter().position(|&b| b == b'\n') {
             let newline = scanned + offset;
             let span = shared.metrics.read.start_span();
             shared.metrics.bytes_in.add((newline + 1 - start) as u64);
-            let line = String::from_utf8_lossy(&buffer[start..newline]).trim().to_string();
+            let raw = &buffer[start..newline];
             start = newline + 1;
             scanned = start;
+            if std::mem::take(&mut discarding) {
+                span.finish();
+                continue;
+            }
+            if raw.len() > MAX_LINE_BYTES {
+                refuse_long_line(shared, conn, &mut next_seq);
+                span.finish();
+                continue;
+            }
+            let line = String::from_utf8_lossy(raw).trim().to_string();
             if line.is_empty() {
                 span.finish();
                 continue;
@@ -611,6 +629,14 @@ fn reader_loop(shared: &Arc<Shared>, conn: &Arc<ConnState>, mut stream: TcpStrea
         }
         buffer.drain(..start);
         start = 0;
+        if !discarding && buffer.len() > MAX_LINE_BYTES {
+            refuse_long_line(shared, conn, &mut next_seq);
+            discarding = true;
+        }
+        if discarding {
+            shared.metrics.bytes_in.add(buffer.len() as u64);
+            buffer.clear();
+        }
         scanned = buffer.len();
         if shared.shutting_down() {
             break;
@@ -629,6 +655,14 @@ fn reader_loop(shared: &Arc<Shared>, conn: &Arc<ConnState>, mut stream: TcpStrea
         }
     }
     let _ = conn.writer_tx.send(WriterMsg::Finish { total: next_seq });
+}
+
+/// Answers an over-long line in-band under the connection's next
+/// sequence number, so the writer keeps it in request order.
+fn refuse_long_line(shared: &Shared, conn: &ConnState, next_seq: &mut u64) {
+    let line = shared.engine.refuse_long_line();
+    let _ = conn.writer_tx.send(WriterMsg::Response { seq: *next_seq, line });
+    *next_seq += 1;
 }
 
 /// A worker: pops framed lines and serves them through the engine's

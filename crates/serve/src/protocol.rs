@@ -12,7 +12,10 @@
 //! come back in-band as `{"session": ..., "error": "...", "error_kind":
 //! "..."}` so every request line yields exactly one response line;
 //! `error_kind` is a stable machine-matchable discriminator
-//! (`invalid_json` | `bad_request` | `unknown_session` | `overloaded`).
+//! (`invalid_json` | `bad_request` | `unknown_session` | `overloaded` |
+//! `line_too_long`). A line longer than [`MAX_LINE_BYTES`] is answered
+//! once with `line_too_long` and skipped up to its newline, on both
+//! transports.
 //!
 //! # Protocol v2: scenario-scoped asks
 //!
@@ -91,6 +94,13 @@ pub const PROTOCOL_V1: u64 = 1;
 /// added the `cache` object (whole-answer cache entries/hits/misses).
 pub const STATS_VERSION: u64 = 2;
 
+/// The longest request line either transport accepts, in bytes, not
+/// counting the newline. A longer line is answered once in-band with
+/// [`ProtocolError::LineTooLong`], and its bytes are discarded up to the
+/// next newline, so a client that never sends one cannot grow the
+/// server's buffers without bound.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// A protocol-level failure, reported in-band per request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProtocolError {
@@ -105,6 +115,9 @@ pub enum ProtocolError {
     /// processed; retrying after a drain is safe. Only the TCP transport
     /// emits this — stdin mode is inherently paced by its single reader.
     Overloaded(String),
+    /// The request line ran past [`MAX_LINE_BYTES`] without a newline.
+    /// It was not processed; the transport discarded it up to its newline.
+    LineTooLong,
 }
 
 impl ProtocolError {
@@ -117,6 +130,7 @@ impl ProtocolError {
             ProtocolError::BadRequest(_) => "bad_request",
             ProtocolError::UnknownSession(_) => "unknown_session",
             ProtocolError::Overloaded(_) => "overloaded",
+            ProtocolError::LineTooLong => "line_too_long",
         }
     }
 }
@@ -128,6 +142,9 @@ impl std::fmt::Display for ProtocolError {
             ProtocolError::BadRequest(detail) => write!(f, "bad request: {detail}"),
             ProtocolError::UnknownSession(id) => write!(f, "unknown session {id}"),
             ProtocolError::Overloaded(detail) => write!(f, "overloaded: {detail}"),
+            ProtocolError::LineTooLong => {
+                write!(f, "line too long: over {MAX_LINE_BYTES} bytes without a newline")
+            }
         }
     }
 }
@@ -731,6 +748,7 @@ mod tests {
             (ProtocolError::BadRequest("x".into()), "bad_request"),
             (ProtocolError::UnknownSession(4), "unknown_session"),
             (ProtocolError::Overloaded("queue full".into()), "overloaded"),
+            (ProtocolError::LineTooLong, "line_too_long"),
         ] {
             assert_eq!(error.kind(), kind);
             let resp = AskResponse::failure(0, &error);

@@ -15,6 +15,8 @@
 //!   exits — nothing is silently dropped;
 //! * a long line framed across many socket reads and a short line behind
 //!   it in the same write answer once each, in order;
+//! * a line past the 1 MiB cap answers one `line_too_long` error, and the
+//!   ask behind it and the server stay live;
 //! * per-connection sessions are reaped on disconnect under
 //!   `--session-scope conn` and survive it under `global`;
 //! * after identical drives, the server's in-band stats equal the
@@ -336,6 +338,48 @@ fn a_long_line_and_a_short_one_in_one_write_get_two_ordered_responses() {
     let mut rest = String::new();
     client.reader.read_to_string(&mut rest).expect("drain to EOF");
     assert!(rest.is_empty(), "nothing after the two responses: {rest:?}");
+    server.shutdown();
+}
+
+#[test]
+fn an_over_long_line_is_one_error_and_the_connection_serves_on() {
+    let server = start_server(1, NetConfig::default());
+    let mut client = Client::connect(server.local_addr());
+
+    // 2 MiB with no newline: the refusal arrives before the newline is
+    // sent, so the reader did not wait for the end of the line (a reader
+    // that did would trip the read timeout instead of hanging the test).
+    let timeout = Some(Duration::from_secs(30));
+    client.reader.get_ref().set_read_timeout(timeout).expect("read timeout");
+    let chunk = vec![b'x'; 256 * 1024];
+    for _ in 0..8 {
+        client.writer.write_all(&chunk).expect("write long line");
+    }
+    client.writer.flush().expect("flush long line");
+    let refused = client.recv();
+    assert_eq!(text(&refused, &["error_kind"]), "line_too_long", "{refused:?}");
+
+    // The newline ends the discarded line; the ask behind it is served.
+    client.writer.write_all(b"\n").expect("end the long line");
+    client.send(&format!("{{\"question\": \"{QUESTION}\"}}"));
+    let answer = client.recv();
+    assert!(is_ok(&answer), "{answer:?}");
+    assert!(!text(&answer, &["answer"]).is_empty(), "{answer:?}");
+
+    // The server is still live: the same connection and a fresh one both
+    // answer, and the refusal was counted once.
+    let stats = client.round_trip("{\"stats\": true}");
+    assert_eq!(count(&stats, &["errors", "by_kind", "line_too_long"]), 1, "{stats:?}");
+    assert_eq!(count(&stats, &["errors", "total"]), 1, "{stats:?}");
+    let mut fresh = Client::connect(server.local_addr());
+    let answer = fresh.round_trip(&format!("{{\"question\": \"{QUESTION}\"}}"));
+    assert!(is_ok(&answer), "{answer:?}");
+
+    // Exactly three responses on the first connection.
+    client.writer.shutdown(std::net::Shutdown::Write).expect("half-close");
+    let mut rest = String::new();
+    client.reader.read_to_string(&mut rest).expect("drain to EOF");
+    assert!(rest.is_empty(), "nothing after the three responses: {rest:?}");
     server.shutdown();
 }
 

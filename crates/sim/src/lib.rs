@@ -8,9 +8,9 @@
 //!
 //! 1. **Eviction-annotated LLC traces** — one record per last-level-cache
 //!    access carrying PC, address, set, hit/miss, miss type, the evicted
-//!    line, reuse distances, recency, a snapshot of the resident lines, a
-//!    recent-access history, and the policy's per-line eviction scores
-//!    (§4.3 of the paper). Those records are produced by [`replay::LlcReplay`].
+//!    line, reuse distances and recency (§4.3 of the paper). Those records
+//!    are produced by [`replay::LlcReplay`]; the paper's set-snapshot
+//!    columns are derived on demand by replaying a stream prefix.
 //! 2. **First-order IPC estimates** so that use-case interventions (bypass,
 //!    software prefetch, Mockingjay retraining) can be measured as speedups.
 //!    Those come from [`timing::IpcModel`].

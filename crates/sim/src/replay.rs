@@ -5,18 +5,22 @@
 //! replacement policy and emits an [`EvictionRecord`] per access carrying:
 //! hit/miss outcome, miss taxonomy (compulsory/capacity/conflict, via a
 //! fully-associative LRU shadow cache), the evicted line and its reuse
-//! distance, the accessed line's reuse distance and recency, a snapshot of
-//! the resident `(address, pc)` pairs, the recent access history, and the
-//! policy's per-line eviction scores.
+//! distance, and the accessed line's reuse distance and recency. A record
+//! owns no heap memory.
+//!
+//! The paper's set-snapshot columns (resident lines, recent access history,
+//! per-line eviction scores) are not recorded: the replay is deterministic,
+//! so the state of set S before access i is exactly what replaying the
+//! stream prefix `..i` through [`SetAssociativeCache::set_view`] and
+//! [`ReplacementPolicy::line_scores_into`] shows.
 //!
 //! The replay loop is allocation-free in steady state: line addresses are
-//! pre-split into `(LineAddr, SetId)` at construction, the shadow cache and
-//! the resident-next-use table are flat arrays indexed by the oracle's
-//! dense line ids (no per-access hashing), the access history lives in a
-//! fixed ring buffer, and eviction scores go through one reused scratch
-//! buffer. [`LlcReplay::run_summary`] additionally skips record emission
-//! entirely for consumers (like the sweep engine) that only need the
-//! aggregate counters — see `docs/PERFORMANCE.md`.
+//! pre-split into `(LineAddr, SetId)` at construction, and the shadow cache
+//! and the resident-next-use table are flat arrays indexed by the oracle's
+//! dense line ids (no per-access hashing). [`LlcReplay::run_summary`]
+//! additionally skips record emission entirely for consumers (like the
+//! sweep engine) that only need the aggregate counters — see
+//! `docs/PERFORMANCE.md`.
 
 use serde::{Deserialize, Serialize};
 
@@ -79,14 +83,6 @@ pub struct EvictionRecord {
     /// Accesses since the accessed line was last touched (`None` = first
     /// touch).
     pub recency: Option<u64>,
-    /// Snapshot of `(line base address, inserting PC)` for the accessed set,
-    /// taken before the access.
-    pub resident_lines: Vec<(Address, Pc)>,
-    /// The last few `(pc, address)` accesses preceding this one.
-    pub access_history: Vec<(Pc, Address)>,
-    /// The policy's per-line eviction scores `(line base address, score)`
-    /// for the accessed set, taken before the access.
-    pub eviction_scores: Vec<(Address, u64)>,
     /// Whether the policy bypassed the fill.
     pub bypassed: bool,
 }
@@ -299,7 +295,6 @@ pub struct LlcReplay {
     /// shared by every policy replay instead of being re-simulated per
     /// cell.
     in_shadow: Vec<bool>,
-    history_len: usize,
 }
 
 impl LlcReplay {
@@ -318,14 +313,7 @@ impl LlcReplay {
         let sets = (0..oracle.len()).map(|i| oracle.line(i).set(config.sets_log2)).collect();
         let mut shadow = ShadowFaLru::new(config.capacity_lines(), oracle.num_lines());
         let in_shadow = (0..oracle.len()).map(|i| shadow.touch(oracle.line_id(i))).collect();
-        LlcReplay { config, stream, oracle, sets, in_shadow, history_len: 8 }
-    }
-
-    /// Number of `(pc, address)` entries kept in each record's access
-    /// history (default 8).
-    pub fn with_history_len(mut self, len: usize) -> Self {
-        self.history_len = len;
-        self
+        LlcReplay { config, stream, oracle, sets, in_shadow }
     }
 
     /// The reuse oracle for the prepared stream.
@@ -377,14 +365,6 @@ impl LlcReplay {
         // prefetch no demand access has consumed yet.
         let mut pending: Vec<bool> = vec![false; num_lines as usize];
 
-        // Fixed ring buffer replacing the VecDeque history (record mode only).
-        let hist_cap = if EMIT { self.history_len } else { 0 };
-        let mut hist_buf: Vec<(Pc, Address)> = vec![(Pc::new(0), Address::new(0)); hist_cap];
-        let mut hist_pos = 0usize;
-        let mut hist_len = 0usize;
-        // Reused eviction-score scratch: one allocation for the whole run.
-        let mut scores_buf: Vec<u64> = Vec::with_capacity(ways);
-
         let mut records = Vec::with_capacity(if EMIT { n } else { 0 });
         let mut wrong_evictions = 0;
         let mut capacity_misses = 0;
@@ -399,29 +379,6 @@ impl LlcReplay {
             let lid = self.oracle.line_id(i) as usize;
             let set = self.sets[i];
             let next_use = self.oracle.next_use(i);
-
-            // Pre-access snapshots (record mode only).
-            let mut resident_lines = Vec::new();
-            let mut eviction_scores = Vec::new();
-            let mut access_history = Vec::new();
-            if EMIT {
-                let view = cache.set_view(set);
-                cache.line_scores_into(set, idx, &mut scores_buf);
-                resident_lines.reserve_exact(ways);
-                eviction_scores.reserve_exact(ways);
-                for w in 0..view.len() {
-                    if let Some(l) = view.line(w) {
-                        let base = l.base_address(line_bits);
-                        resident_lines.push((base, view.insert_pc(w)));
-                        eviction_scores.push((base, scores_buf[w]));
-                    }
-                }
-                // Most recent first.
-                access_history.reserve_exact(hist_len);
-                for k in 1..=hist_len {
-                    access_history.push(hist_buf[(hist_pos + hist_cap - k) % hist_cap]);
-                }
-            }
 
             // Miss classification uses the precomputed shadow residency
             // (the shadow state before this access touched it).
@@ -486,18 +443,8 @@ impl LlcReplay {
                     accessed_reuse_distance: self.oracle.forward_reuse_distance(i),
                     evicted_reuse_distance,
                     recency: self.oracle.recency(i),
-                    resident_lines,
-                    access_history,
-                    eviction_scores,
                     bypassed: outcome.bypassed,
                 });
-                if hist_cap > 0 {
-                    hist_buf[hist_pos] = (access.pc, access.address);
-                    hist_pos = (hist_pos + 1) % hist_cap;
-                    if hist_len < hist_cap {
-                        hist_len += 1;
-                    }
-                }
             }
 
             // Prefetch usefulness: the eviction clears its pending line,
@@ -676,15 +623,8 @@ mod tests {
     }
 
     #[test]
-    fn history_and_snapshot_are_pre_access() {
-        let s = stream(&[0x0, 0x40, 0x80]);
-        let replay = LlcReplay::new(CacheConfig::small_llc(), &s).with_history_len(2);
-        let report = replay.run(RecencyPolicy::lru());
-        assert!(report.records[0].access_history.is_empty());
-        assert_eq!(report.records[2].access_history.len(), 2);
-        // Most recent first.
-        assert_eq!(report.records[2].access_history[0].1, Address::new(0x40));
-        assert!(report.records[0].resident_lines.is_empty());
+    fn records_own_no_heap_memory() {
+        assert!(!std::mem::needs_drop::<EvictionRecord>());
     }
 
     #[test]

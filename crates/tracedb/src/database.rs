@@ -359,7 +359,6 @@ pub struct TraceDatabaseBuilder {
     policies: Vec<String>,
     scale: Scale,
     llc: CacheConfig,
-    keep_snapshots_every: usize,
     num_shards: usize,
     extra_machines: Vec<MachineConfig>,
     extra_prefetchers: Vec<PrefetcherKind>,
@@ -390,7 +389,6 @@ impl TraceDatabaseBuilder {
                 .collect(),
             scale: Scale::Small,
             llc: Self::experiment_llc(),
-            keep_snapshots_every: 1,
             num_shards: Self::DEFAULT_SHARDS,
             extra_machines: Vec::new(),
             extra_prefetchers: Vec::new(),
@@ -435,13 +433,6 @@ impl TraceDatabaseBuilder {
     /// Overrides the LLC geometry.
     pub fn llc(mut self, config: CacheConfig) -> Self {
         self.llc = config;
-        self
-    }
-
-    /// Keeps the bulky snapshot columns (resident lines, history, scores)
-    /// on every `n`-th row only (1 = every row, 0 = never).
-    pub fn keep_snapshots_every(mut self, n: usize) -> Self {
-        self.keep_snapshots_every = n;
         self
     }
 
@@ -562,7 +553,7 @@ impl TraceDatabaseBuilder {
     }
 
     /// Simulates one grid cell into its trace entry: the record-emitting
-    /// replay, sampled into rows, with the cell's derived metrics in the
+    /// replay, converted into rows, with the cell's derived metrics in the
     /// metadata. `primary` is the primary machine's label, whose entries
     /// keep unqualified keys.
     fn entry(
@@ -573,15 +564,7 @@ impl TraceDatabaseBuilder {
         policy: Box<dyn ReplacementPolicy>,
     ) -> TraceEntry {
         let report = cell.scenario.replay.run(policy);
-        let rows: Vec<TraceRow> = report
-            .records
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                let keep = self.keep_snapshots_every > 0 && i % self.keep_snapshots_every == 0;
-                TraceRow::from_record(r, keep)
-            })
-            .collect();
+        let rows: Vec<TraceRow> = report.records.iter().map(TraceRow::from_record).collect();
         let label = cell.machine.machine_label();
         let prefetcher_label = cell.prefetcher.label();
         let baseline = cell.prefetcher == PrefetcherKind::None;
@@ -1132,31 +1115,6 @@ mod tests {
             .shards(3)
             .try_build_sharded()
             .expect("valid names");
-        assert_eq!(fnv64(&write_snapshot(&db)), 10_903_614_992_282_940_118);
-    }
-
-    #[test]
-    fn snapshot_sampling_reduces_stored_context() {
-        let full = TraceDatabaseBuilder::new()
-            .workloads(["mcf"])
-            .policies(["lru"])
-            .scale(Scale::Tiny)
-            .build();
-        let sampled = TraceDatabaseBuilder::new()
-            .workloads(["mcf"])
-            .policies(["lru"])
-            .scale(Scale::Tiny)
-            .keep_snapshots_every(16)
-            .build();
-        let count_hist = |db: &TraceDatabase| {
-            db.get("mcf_evictions_lru")
-                .unwrap()
-                .frame
-                .rows()
-                .iter()
-                .filter(|r| !r.access_history.is_empty())
-                .count()
-        };
-        assert!(count_hist(&sampled) < count_hist(&full));
+        assert_eq!(fnv64(&write_snapshot(&db)), 7_103_088_967_135_754_851);
     }
 }

@@ -139,9 +139,6 @@ mod tests {
             accessed_reuse_distance: Some(2304),
             evicted_reuse_distance: None,
             recency: Some(55),
-            resident_lines: Vec::new(),
-            access_history: Vec::new(),
-            eviction_scores: Vec::new(),
             bypassed: false,
         }
     }

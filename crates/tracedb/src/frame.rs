@@ -219,7 +219,7 @@ impl TraceFrame {
     }
 
     /// Renders the frame as CSV, one row per access, with the paper's
-    /// column names (snapshot columns are summarised by their lengths).
+    /// column names for the stored columns.
     /// Intended for exporting artifacts and interoperating with pandas.
     pub fn to_csv(&self) -> String {
         let mut out = String::from(
@@ -287,9 +287,6 @@ mod tests {
                 accessed_reuse_distance: Some(i),
                 evicted_reuse_distance: None,
                 recency: None,
-                resident_lines: Vec::new(),
-                access_history: Vec::new(),
-                eviction_scores: Vec::new(),
                 bypassed: false,
             });
         }

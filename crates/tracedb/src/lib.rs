@@ -8,8 +8,8 @@
 //!
 //! * a **frame** ([`TraceFrame`]) of per-access records following the
 //!   paper's 19-column schema (PC, address, set, hit/miss, miss type,
-//!   evicted line, reuse distances, recency, function/assembly context,
-//!   cache snapshots, eviction scores),
+//!   evicted line, reuse distances, recency, function/assembly context;
+//!   the set-snapshot columns are derived by replay, not stored),
 //! * a **metadata** string summarising whole-trace statistics in the
 //!   paper's "Cache Performance Summary" format, and
 //! * a **description** of the workload and policy.

@@ -5,12 +5,17 @@ use serde::{Deserialize, Serialize};
 use cachemind_sim::addr::{Address, Pc, SetId};
 use cachemind_sim::replay::{EvictionRecord, MissType};
 
-/// One per-access record, mirroring the paper's dataframe columns.
+/// One per-access record, mirroring the paper's dataframe columns. A row
+/// owns no heap memory.
 ///
 /// Text-valued columns that derive from the PC (`function_name`,
 /// `function_code`, `assembly_code`) are not stored per row; the owning
 /// [`crate::frame::TraceFrame`] joins them from the workload's program image
-/// on demand, which keeps million-row frames compact.
+/// on demand, which keeps million-row frames compact. The set-snapshot
+/// columns (`current_cache_lines`, `recent_access_history`,
+/// `cache_line_eviction_scores`) are not stored either: no answer reads
+/// them, and the deterministic replay reproduces them (see
+/// [`crate::schema`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceRow {
     /// Position within the LLC access stream.
@@ -35,12 +40,6 @@ pub struct TraceRow {
     pub evicted_reuse_distance: Option<u64>,
     /// `accessed_address_recency_numeric`.
     pub recency: Option<u64>,
-    /// `current_cache_lines` — `(line base address, inserting PC)` snapshot.
-    pub resident_lines: Vec<(Address, Pc)>,
-    /// `recent_access_history` — most recent first.
-    pub access_history: Vec<(Pc, Address)>,
-    /// `cache_line_eviction_scores` — `(line base address, score)`.
-    pub eviction_scores: Vec<(Address, u64)>,
     /// Whether the fill was bypassed by the policy.
     pub bypassed: bool,
 }
@@ -74,9 +73,8 @@ impl TraceRow {
         }
     }
 
-    /// Converts a simulator eviction record into a database row, optionally
-    /// dropping the bulky snapshot columns.
-    pub fn from_record(record: &EvictionRecord, keep_snapshots: bool) -> Self {
+    /// Converts a simulator eviction record into a database row.
+    pub fn from_record(record: &EvictionRecord) -> Self {
         TraceRow {
             index: record.index,
             pc: record.pc,
@@ -89,13 +87,6 @@ impl TraceRow {
             accessed_reuse_distance: record.accessed_reuse_distance,
             evicted_reuse_distance: record.evicted_reuse_distance,
             recency: record.recency,
-            resident_lines: if keep_snapshots { record.resident_lines.clone() } else { Vec::new() },
-            access_history: if keep_snapshots { record.access_history.clone() } else { Vec::new() },
-            eviction_scores: if keep_snapshots {
-                record.eviction_scores.clone()
-            } else {
-                Vec::new()
-            },
             bypassed: record.bypassed,
         }
     }
@@ -118,11 +109,13 @@ mod tests {
             accessed_reuse_distance: Some(10),
             evicted_reuse_distance: None,
             recency,
-            resident_lines: Vec::new(),
-            access_history: Vec::new(),
-            eviction_scores: Vec::new(),
             bypassed: false,
         }
+    }
+
+    #[test]
+    fn rows_own_no_heap_memory() {
+        assert!(!std::mem::needs_drop::<TraceRow>());
     }
 
     #[test]

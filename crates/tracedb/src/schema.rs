@@ -13,6 +13,16 @@ pub struct Column {
 }
 
 /// The full per-access schema of §4.3, in paper order.
+///
+/// This is the schema Ranger is shown, not the storage layout. The
+/// set-snapshot columns — `current_cache_lines` (with its address-only
+/// projection `current_cache_line_addresses`), `recent_access_history` and
+/// `cache_line_eviction_scores` — are described to Ranger but not stored
+/// in a [`crate::record::TraceRow`]: no answer reads them, and the
+/// simulator is deterministic, so the state of set S before access i is
+/// derived by replaying the stream prefix through the policy
+/// ([`cachemind_sim::cache::SetAssociativeCache::set_view`] and
+/// [`cachemind_sim::replacement::ReplacementPolicy::line_scores_into`]).
 pub const COLUMNS: &[Column] = &[
     Column { name: "program_counter", description: "Instruction identity (e.g., 0x401d9b)" },
     Column {

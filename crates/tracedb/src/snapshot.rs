@@ -29,42 +29,36 @@
 //! Every entry carries its full [`TraceEntry`] payload — trace id (as
 //! label-table indices), metadata and description strings, machine and
 //! prefetcher labels, prefetch counters, IPC, and the complete row frame
-//! (miss taxonomy, reuse distances, snapshot columns). Strings that repeat
-//! across entries (workload, policy, machine, prefetcher names) are
-//! interned once in the header's label tables; program images are interned
-//! once per distinct image and shared by [`Arc`] on load, exactly as the
-//! builder shares them.
+//! (outcome, miss taxonomy, evicted line, reuse distances, recency).
+//! Strings that repeat across entries (workload, policy, machine,
+//! prefetcher names) are interned once in the header's label tables;
+//! program images are interned once per distinct image and shared by
+//! [`Arc`] on load, exactly as the builder shares them.
 //!
 //! Each entry's rows are preceded by their row count and the byte length
-//! of their encoded payload (format v2), so a reader can step over one
+//! of their encoded payload (since format v2), so a reader can step over one
 //! trace's rows without decoding them. The eager reader requires every
 //! payload to decode to exactly its declared length.
 //!
-//! # Row compression
+//! # Row encoding
 //!
-//! Rows dominate the byte budget, so they are LEB128-varint encoded with
-//! three cross-row delta modes that exploit how consecutive trace rows
-//! relate (each mode falls back to a raw encoding whenever its invariant
-//! does not hold, so arbitrary rows still round-trip exactly):
-//!
-//! * `access_history` is a sliding window — usually one new head (the
-//!   row's own `(pc, address)`, stored once) plus a shared tail of the
-//!   previous row's history;
-//! * `resident_lines` frequently repeats the previous row's snapshot
-//!   verbatim (hits do not change cache contents);
-//! * `eviction_scores` lists the same line addresses as `resident_lines`
-//!   in the same order, so only the scores are stored (scores are written
-//!   `score.wrapping_add(1)` so the `u64::MAX` "never evict" sentinel
-//!   encodes in one byte).
+//! Rows dominate the byte budget. Each row is two flag bytes followed by
+//! LEB128 varints: the index as a delta from the previous row's, the PC,
+//! the address, the set, and then only those of the four optional scalars
+//! (evicted address, the two reuse distances, recency) whose presence bit
+//! is set. A row carries only the columns some answer reads: the paper's
+//! set-snapshot columns are derived by replay, never stored (see
+//! [`crate::schema`]). The reserved flag bits must be zero; a row that sets
+//! one is [`SnapshotError::Corrupt`].
 //!
 //! # Determinism
 //!
 //! [`write_snapshot`] is a pure function of the database *contents*:
 //! entries are walked in ascending key order, label tables are sorted,
-//! program interning follows first use in that same order, and every
-//! delta-mode choice is a deterministic function of the rows — so the
-//! bytes are identical no matter how many threads built the database, and
-//! save → load → save reproduces the first byte stream exactly.
+//! program interning follows first use in that same order, and every row
+//! encodes as a pure function of itself and its predecessor's index — so
+//! the bytes are identical no matter how many threads built the database,
+//! and save → load → save reproduces the first byte stream exactly.
 //!
 //! # Corruption safety
 //!
@@ -112,7 +106,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CMDBSNAP";
 /// The format version this build writes and reads. Any layout change —
 /// new field, reordered section, different encoding — must bump this (the
 /// golden-bytes fixture test fails loudly otherwise).
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// A failure loading (or writing) a snapshot. The reader returns a typed
 /// error for every malformed input — it never panics and never yields a
@@ -448,46 +442,13 @@ fn skip_program(c: &mut Cursor<'_>) -> Result<(), SnapshotError> {
     Ok(())
 }
 
-// Row flag layout. Byte one packs the enums and the history mode; byte
-// two packs the two snapshot-column modes and the presence bits of the
-// four optional scalars.
-const HIST_RAW: u8 = 0; // count + (pc, addr) varint pairs
-const HIST_TAIL: u8 = 1; // n_new + n_shared + new pairs; tail from prev row
-const HIST_SLIDE: u8 = 2; // head is (row.pc, row.address); n_shared tail
-const RES_RAW: u8 = 0; // count + (addr, pc) varint pairs
-const RES_SAME: u8 = 1; // identical to the previous row's resident_lines
-const SCORES_RAW: u8 = 0; // count + (addr, score+1) varint pairs
-const SCORES_SAME: u8 = 1; // identical to the previous row's eviction_scores
-const SCORES_ALIGNED: u8 = 2; // addresses = resident_lines'; scores only
+// Row flag layout. The kind byte packs the enums; the presence byte
+// flags which of the four optional scalars follow. Every other bit is
+// reserved and must be zero.
+const KIND_RESERVED: u8 = 0b1100_0000;
+const PRESENCE_RESERVED: u8 = 0b1111_0000;
 
-fn put_row(out: &mut Vec<u8>, row: &TraceRow, prev: Option<&TraceRow>, prev_index: u64) {
-    let prev_hist: &[(Pc, Address)] = prev.map(|p| p.access_history.as_slice()).unwrap_or(&[]);
-    let prev_res: &[(Address, Pc)] = prev.map(|p| p.resident_lines.as_slice()).unwrap_or(&[]);
-    let prev_scores: &[(Address, u64)] = prev.map(|p| p.eviction_scores.as_slice()).unwrap_or(&[]);
-
-    let hist = &row.access_history;
-    let hist_mode = if !hist.is_empty()
-        && hist[0] == (row.pc, row.address)
-        && hist.len() - 1 <= prev_hist.len()
-        && hist[1..] == prev_hist[..hist.len() - 1]
-    {
-        HIST_SLIDE
-    } else if shared_tail(hist, prev_hist) > 0 {
-        HIST_TAIL
-    } else {
-        HIST_RAW
-    };
-    let res_mode = if row.resident_lines.as_slice() == prev_res { RES_SAME } else { RES_RAW };
-    let scores_mode = if row.eviction_scores.as_slice() == prev_scores {
-        SCORES_SAME
-    } else if row.eviction_scores.len() == row.resident_lines.len()
-        && row.eviction_scores.iter().zip(&row.resident_lines).all(|(s, r)| s.0 == r.0)
-    {
-        SCORES_ALIGNED
-    } else {
-        SCORES_RAW
-    };
-
+fn put_row(out: &mut Vec<u8>, row: &TraceRow, prev_index: u64) {
     let flags = match row.kind {
         AccessKind::Load => 0u8,
         AccessKind::Store => 1,
@@ -500,16 +461,13 @@ fn put_row(out: &mut Vec<u8>, row: &TraceRow, prev: Option<&TraceRow>, prev_inde
             Some(MissType::Compulsory) => 1,
             Some(MissType::Capacity) => 2,
             Some(MissType::Conflict) => 3,
-        } << 4
-        | hist_mode << 6;
-    let flags2 = res_mode
-        | scores_mode << 2
-        | (row.evicted_address.is_some() as u8) << 4
-        | (row.accessed_reuse_distance.is_some() as u8) << 5
-        | (row.evicted_reuse_distance.is_some() as u8) << 6
-        | (row.recency.is_some() as u8) << 7;
+        } << 4;
+    let present = (row.evicted_address.is_some() as u8)
+        | (row.accessed_reuse_distance.is_some() as u8) << 1
+        | (row.evicted_reuse_distance.is_some() as u8) << 2
+        | (row.recency.is_some() as u8) << 3;
     put_u8(out, flags);
-    put_u8(out, flags2);
+    put_u8(out, present);
 
     put_varint(out, row.index.wrapping_sub(prev_index));
     put_varint(out, row.pc.value());
@@ -526,68 +484,16 @@ fn put_row(out: &mut Vec<u8>, row: &TraceRow, prev: Option<&TraceRow>, prev_inde
     {
         put_varint(out, value);
     }
-
-    match hist_mode {
-        HIST_SLIDE => put_varint(out, (hist.len() - 1) as u64),
-        HIST_TAIL => {
-            let shared = shared_tail(hist, prev_hist);
-            put_varint(out, (hist.len() - shared) as u64);
-            put_varint(out, shared as u64);
-            for (pc, addr) in &hist[..hist.len() - shared] {
-                put_varint(out, pc.value());
-                put_varint(out, addr.value());
-            }
-        }
-        _ => {
-            put_varint(out, hist.len() as u64);
-            for (pc, addr) in hist {
-                put_varint(out, pc.value());
-                put_varint(out, addr.value());
-            }
-        }
-    }
-    if res_mode == RES_RAW {
-        put_varint(out, row.resident_lines.len() as u64);
-        for (addr, pc) in &row.resident_lines {
-            put_varint(out, addr.value());
-            put_varint(out, pc.value());
-        }
-    }
-    match scores_mode {
-        SCORES_ALIGNED => {
-            for (_, score) in &row.eviction_scores {
-                put_varint(out, score.wrapping_add(1));
-            }
-        }
-        SCORES_RAW => {
-            put_varint(out, row.eviction_scores.len() as u64);
-            for (addr, score) in &row.eviction_scores {
-                put_varint(out, addr.value());
-                put_varint(out, score.wrapping_add(1));
-            }
-        }
-        _ => {}
-    }
 }
 
-/// The longest tail of `cur` that is a prefix of `prev` — the shared
-/// portion of a sliding access-history window. Deterministic (always the
-/// maximum), which keeps save → load → save byte-identical.
-fn shared_tail<T: PartialEq>(cur: &[T], prev: &[T]) -> usize {
-    (0..=cur.len().min(prev.len())).rev().find(|&k| cur[cur.len() - k..] == prev[..k]).unwrap_or(0)
-}
-
-fn read_row(
-    c: &mut Cursor<'_>,
-    prev: Option<&TraceRow>,
-    prev_index: u64,
-) -> Result<TraceRow, SnapshotError> {
-    let prev_hist: &[(Pc, Address)] = prev.map(|p| p.access_history.as_slice()).unwrap_or(&[]);
-    let prev_res: &[(Address, Pc)] = prev.map(|p| p.resident_lines.as_slice()).unwrap_or(&[]);
-    let prev_scores: &[(Address, u64)] = prev.map(|p| p.eviction_scores.as_slice()).unwrap_or(&[]);
-
+fn read_row(c: &mut Cursor<'_>, prev_index: u64) -> Result<TraceRow, SnapshotError> {
     let flags = c.u8()?;
-    let flags2 = c.u8()?;
+    let present = c.u8()?;
+    if flags & KIND_RESERVED != 0 || present & PRESENCE_RESERVED != 0 {
+        return Err(SnapshotError::Corrupt {
+            detail: format!("reserved row flag bits set ({flags:#04x}, {present:#04x})"),
+        });
+    }
     let kind = match flags & 0b11 {
         0 => AccessKind::Load,
         1 => AccessKind::Store,
@@ -602,9 +508,6 @@ fn read_row(
         2 => Some(MissType::Capacity),
         _ => Some(MissType::Conflict),
     };
-    let hist_mode = flags >> 6;
-    let res_mode = flags2 & 0b11;
-    let scores_mode = (flags2 >> 2) & 0b11;
 
     let index = prev_index.wrapping_add(c.varint()?);
     let pc = Pc::new(c.varint()?);
@@ -612,89 +515,11 @@ fn read_row(
     let set = SetId::new(c.varint()? as usize);
     let mut opts = [None; 4];
     for (bit, slot) in opts.iter_mut().enumerate() {
-        if flags2 & (1 << (4 + bit)) != 0 {
+        if present & (1 << bit) != 0 {
             *slot = Some(c.varint()?);
         }
     }
     let [evicted_address, accessed_reuse_distance, evicted_reuse_distance, recency] = opts;
-    let evicted_address = evicted_address.map(Address::new);
-
-    let access_history = match hist_mode {
-        HIST_SLIDE => {
-            let shared = c.varint()? as usize;
-            if shared > prev_hist.len() {
-                return Err(SnapshotError::Corrupt {
-                    detail: format!("history tail {shared} exceeds previous row"),
-                });
-            }
-            let mut hist = Vec::with_capacity(1 + shared);
-            hist.push((pc, address));
-            hist.extend_from_slice(&prev_hist[..shared]);
-            hist
-        }
-        HIST_TAIL => {
-            let n_new = c.varint()? as usize;
-            let shared = c.varint()? as usize;
-            if shared > prev_hist.len() {
-                return Err(SnapshotError::Corrupt {
-                    detail: format!("history tail {shared} exceeds previous row"),
-                });
-            }
-            let mut hist = Vec::with_capacity(n_new.min(1 << 20) + shared);
-            for _ in 0..n_new {
-                let pc = Pc::new(c.varint()?);
-                let addr = Address::new(c.varint()?);
-                hist.push((pc, addr));
-            }
-            hist.extend_from_slice(&prev_hist[..shared]);
-            hist
-        }
-        HIST_RAW => {
-            let n = c.varint()? as usize;
-            let mut hist = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                let pc = Pc::new(c.varint()?);
-                let addr = Address::new(c.varint()?);
-                hist.push((pc, addr));
-            }
-            hist
-        }
-        mode => return Err(SnapshotError::Corrupt { detail: format!("bad history mode {mode}") }),
-    };
-    let resident_lines = match res_mode {
-        RES_SAME => prev_res.to_vec(),
-        RES_RAW => {
-            let n = c.varint()? as usize;
-            let mut lines = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                let addr = Address::new(c.varint()?);
-                let pc = Pc::new(c.varint()?);
-                lines.push((addr, pc));
-            }
-            lines
-        }
-        mode => return Err(SnapshotError::Corrupt { detail: format!("bad resident mode {mode}") }),
-    };
-    let eviction_scores = match scores_mode {
-        SCORES_SAME => prev_scores.to_vec(),
-        SCORES_ALIGNED => {
-            let mut scores = Vec::with_capacity(resident_lines.len());
-            for (addr, _) in &resident_lines {
-                scores.push((*addr, c.varint()?.wrapping_sub(1)));
-            }
-            scores
-        }
-        SCORES_RAW => {
-            let n = c.varint()? as usize;
-            let mut scores = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                let addr = Address::new(c.varint()?);
-                scores.push((addr, c.varint()?.wrapping_sub(1)));
-            }
-            scores
-        }
-        mode => return Err(SnapshotError::Corrupt { detail: format!("bad scores mode {mode}") }),
-    };
 
     Ok(TraceRow {
         index,
@@ -704,13 +529,10 @@ fn read_row(
         set,
         is_miss,
         miss_type,
-        evicted_address,
+        evicted_address: evicted_address.map(Address::new),
         accessed_reuse_distance,
         evicted_reuse_distance,
         recency,
-        resident_lines,
-        access_history,
-        eviction_scores,
         bypassed,
     })
 }
@@ -845,12 +667,10 @@ pub fn write_snapshot(db: &ShardedTraceDatabase) -> Vec<u8> {
             // The payload length goes before the rows; patched once known.
             let len_at = seg.len();
             put_u64(&mut seg, 0);
-            let mut prev: Option<&TraceRow> = None;
             let mut prev_index = 0u64;
             for row in rows {
-                put_row(&mut seg, row, prev, prev_index);
+                put_row(&mut seg, row, prev_index);
                 prev_index = row.index;
-                prev = Some(row);
             }
             let payload_len = (seg.len() - len_at - 8) as u64;
             seg[len_at..len_at + 8].copy_from_slice(&payload_len.to_le_bytes());
@@ -1119,7 +939,7 @@ fn decode_rows(payload: &[u8], count: usize) -> Result<Vec<TraceRow>, SnapshotEr
     let mut rows: Vec<TraceRow> = Vec::with_capacity(count.min(payload.len()));
     let mut prev_index = 0u64;
     for _ in 0..count {
-        let row = read_row(&mut c, rows.last(), prev_index).map_err(|e| match e {
+        let row = read_row(&mut c, prev_index).map_err(|e| match e {
             SnapshotError::Truncated { .. } => SnapshotError::Corrupt {
                 detail: format!("row payload of {} bytes ends before {count} rows", payload.len()),
             },
@@ -1167,10 +987,9 @@ pub fn save_to_path(db: &ShardedTraceDatabase, path: &Path) -> Result<(), Snapsh
 /// checksum and that no bytes trail the last segment, so all realistic
 /// corruption — bit rot, truncation, a partial write — fails fast with a
 /// typed [`SnapshotError`] before the process claims to be ready. Entry
-/// materialization ([`decode`]) is the expensive half (hundreds of
-/// thousands of small allocations); it operates on the already-verified
-/// bytes, which are shared by [`Arc`] so lazily decoded frames can keep
-/// pointing into them.
+/// materialization ([`decode`]) is the expensive half (every row of every
+/// trace); it operates on the already-verified bytes, which are shared by
+/// [`Arc`] so lazily decoded frames can keep pointing into them.
 ///
 /// A checksum-valid file whose payload is structurally malformed (only
 /// producible by deliberately forging checksums) still fails `decode`

@@ -235,9 +235,6 @@ mod tests {
                 accessed_reuse_distance: *reuse,
                 evicted_reuse_distance: evicted.map(|_| 50),
                 recency: None,
-                resident_lines: Vec::new(),
-                access_history: Vec::new(),
-                eviction_scores: Vec::new(),
                 bypassed: false,
             });
         }

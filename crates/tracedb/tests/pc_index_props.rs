@@ -68,9 +68,6 @@ fn synth_frame(rng: &mut Mix) -> TraceFrame {
                 accessed_reuse_distance: rng.chance(4).then(|| rng.below(1 << 40)).or(Some(3)),
                 evicted_reuse_distance: rng.chance(3).then(|| rng.below(1 << 40)),
                 recency: rng.chance(2).then(|| rng.below(64)),
-                resident_lines: Vec::new(),
-                access_history: Vec::new(),
-                eviction_scores: Vec::new(),
                 bypassed: false,
             }
         })

@@ -1,15 +1,15 @@
 //! Golden-bytes test for the snapshot format.
 //!
-//! `tests/fixtures/golden_v2.snap` is a committed snapshot of a small
+//! `tests/fixtures/golden_v3.snap` is a committed snapshot of a small
 //! hand-constructed database (no simulation output — the fixture must not
 //! move when simulator behaviour changes). Two invariants are pinned:
 //!
 //! * today's **writer** reproduces the fixture byte-for-byte, and
 //! * today's **reader** loads the fixture into the expected entries.
 //!
-//! `golden_v1.snap`, the fixture of the previous format version, stays
-//! committed unchanged as a negative fixture: every reader must reject it
-//! with a typed version mismatch.
+//! `golden_v1.snap` and `golden_v2.snap`, the fixtures of the previous
+//! format versions, stay committed unchanged as negative fixtures: every
+//! reader must reject them with a typed version mismatch.
 //!
 //! If either fails, the format changed: bump
 //! [`cachemind_tracedb::SNAPSHOT_VERSION`], regenerate the fixture as
@@ -28,7 +28,7 @@ use cachemind_tracedb::snapshot::{read_snapshot, write_snapshot, VerifiedSnapsho
 use cachemind_tracedb::SnapshotError;
 
 fn fixture_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_v2.snap")
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_v3.snap")
 }
 
 /// The golden database: fully hand-specified, covering both qualified and
@@ -57,12 +57,6 @@ fn golden_db() -> ShardedTraceDatabase {
         accessed_reuse_distance: Some(512),
         evicted_reuse_distance: Some(4096),
         recency: Some(65),
-        resident_lines: vec![
-            (Address::new(0x7f3a_0a00), Pc::new(0x40_0004)),
-            (Address::new(0x7f3a_0a40), Pc::new(0x40_0008)),
-        ],
-        access_history: vec![(Pc::new(0x40_0008), Address::new(0x7f3a_0a40))],
-        eviction_scores: vec![(Address::new(0x7f3a_0a00), 9000)],
         bypassed: false,
     };
     let sparse_row = TraceRow {
@@ -77,9 +71,6 @@ fn golden_db() -> ShardedTraceDatabase {
         accessed_reuse_distance: None,
         evicted_reuse_distance: None,
         recency: None,
-        resident_lines: Vec::new(),
-        access_history: Vec::new(),
-        eviction_scores: Vec::new(),
         bypassed: true,
     };
 
@@ -139,7 +130,7 @@ fn golden_db() -> ShardedTraceDatabase {
 #[test]
 fn writer_reproduces_golden_bytes() {
     let expected = std::fs::read(fixture_path()).expect(
-        "missing tests/fixtures/golden_v2.snap — run \
+        "missing tests/fixtures/golden_v3.snap — run \
          `cargo test -p cachemind-tracedb --test snapshot_golden -- --ignored` to generate it",
     );
     let actual = write_snapshot(&golden_db());
@@ -178,11 +169,14 @@ fn reader_loads_golden_fixture() {
 
 #[test]
 fn previous_version_fixture_is_rejected_with_a_typed_mismatch() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_v1.snap");
-    let bytes = std::fs::read(path).expect("v1 fixture present");
-    let expected = SnapshotError::VersionMismatch { found: 1 };
-    assert_eq!(read_snapshot(&bytes).unwrap_err(), expected);
-    assert_eq!(VerifiedSnapshot::verify(bytes).unwrap_err(), expected);
+    for found in [1, 2] {
+        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join(format!("tests/fixtures/golden_v{found}.snap"));
+        let bytes = std::fs::read(path).expect("previous-version fixture present");
+        let expected = SnapshotError::VersionMismatch { found };
+        assert_eq!(read_snapshot(&bytes).unwrap_err(), expected);
+        assert_eq!(VerifiedSnapshot::verify(bytes).unwrap_err(), expected);
+    }
 }
 
 /// Regenerates the committed fixture. Run explicitly after an intentional
@@ -192,7 +186,7 @@ fn previous_version_fixture_is_rejected_with_a_typed_mismatch() {
 /// cargo test -p cachemind-tracedb --test snapshot_golden -- --ignored
 /// ```
 #[test]
-#[ignore = "writes tests/fixtures/golden_v2.snap; run only to regenerate"]
+#[ignore = "writes tests/fixtures/golden_v3.snap; run only to regenerate"]
 fn regenerate_golden_fixture() {
     let path = fixture_path();
     std::fs::create_dir_all(path.parent().expect("fixture dir")).expect("mkdir fixtures");

@@ -92,15 +92,6 @@ fn synth_row(rng: &mut Mix, index: u64) -> TraceRow {
         accessed_reuse_distance: rng.chance(2).then(|| rng.below(1 << 20)),
         evicted_reuse_distance: rng.chance(3).then(|| rng.below(1 << 20)),
         recency: rng.chance(2).then(|| rng.below(1 << 16)),
-        resident_lines: (0..rng.below(4))
-            .map(|_| (Address::new(rng.next() & 0xffff_c0), Pc::new(0x40_0000 + rng.below(64) * 4)))
-            .collect(),
-        access_history: (0..rng.below(4))
-            .map(|_| (Pc::new(0x40_0000 + rng.below(64) * 4), Address::new(rng.next() & 0xffff_c0)))
-            .collect(),
-        eviction_scores: (0..rng.below(3))
-            .map(|_| (Address::new(rng.next() & 0xffff_c0), rng.below(1 << 32)))
-            .collect(),
         bypassed: rng.chance(8),
     }
 }
@@ -398,7 +389,7 @@ fn forge_checksums(bytes: &mut [u8], start: usize) {
     bytes[start - 8..start].copy_from_slice(&header.to_le_bytes());
 }
 
-/// The position of the first entry's `row count` field, parsed from the v2
+/// The position of the first entry's `row count` field, parsed from the v3
 /// entry layout: label ids, two optional qualifiers, grounded labels,
 /// metadata and description strings, program id, then five 8-byte
 /// counters and floats.
@@ -479,7 +470,7 @@ fn malformed_rows_behind_forged_checksums_empty_only_their_frame() {
     let start = segment_start(&bytes);
     let payload_at = first_row_count_at(&bytes, start) + 4 + 8;
     let mut b = bytes.clone();
-    b[payload_at] |= 0b1100_0000; // history mode 3 does not exist
+    b[payload_at] |= 0b1000_0000; // a reserved flag bit of the first row
     forge_checksums(&mut b, start);
     assert!(matches!(read_snapshot(&b), Err(SnapshotError::Corrupt { .. })));
 
