@@ -4,23 +4,43 @@
 //! it into an assistive chat tool" (§1). Sessions retain intermediate
 //! results so multi-turn analyses — the Figure 10–13 insight transcripts —
 //! can build on earlier answers.
+//!
+//! A session keeps its last [`MAX_KEPT_EXCHANGES`] question/answer pairs
+//! and counts every answered turn, so a session that never closes holds
+//! bounded memory while its turn numbers keep counting. Logging a turn
+//! only appends text; recall builds its vector index when called.
 
-use cachemind_lang::memory::{ConversationMemory, Role};
+use std::collections::VecDeque;
+
+use cachemind_lang::memory::{ConversationMemory, Role, MAX_KEPT_TURNS};
 
 use crate::system::{Answer, CacheMind, Query};
+
+/// The most `(question, answer)` exchanges a [`ChatSession`] keeps: 256,
+/// one question turn and one answer turn each in its memory. A served
+/// exchange keeps about 0.7 KB across the transcript and the memory, so a
+/// session at the cap holds about 180 KB. A question is at most one
+/// protocol line (1 MiB), which bounds the worst case.
+pub const MAX_KEPT_EXCHANGES: usize = MAX_KEPT_TURNS / 2;
 
 /// A multi-turn chat session over one CacheMind instance.
 #[derive(Debug)]
 pub struct ChatSession {
     mind: CacheMind,
     memory: ConversationMemory,
-    transcript: Vec<(String, String)>,
+    transcript: VecDeque<(String, String)>,
+    turns: usize,
 }
 
 impl ChatSession {
-    /// Starts a session keeping the last 8 turns verbatim.
+    /// Starts a session whose memory window is the last 8 turns.
     pub fn new(mind: CacheMind) -> Self {
-        ChatSession { mind, memory: ConversationMemory::new(8), transcript: Vec::new() }
+        ChatSession {
+            mind,
+            memory: ConversationMemory::new(8),
+            transcript: VecDeque::new(),
+            turns: 0,
+        }
     }
 
     /// The underlying system.
@@ -38,10 +58,8 @@ impl ChatSession {
     /// scoped form of [`ChatSession::ask`]; the turn is recorded in memory
     /// and the transcript.
     pub fn ask_query(&mut self, query: &Query) -> Answer {
-        self.memory.push(Role::User, &query.text);
         let answer = self.mind.ask_query(query);
-        self.memory.push(Role::Assistant, &answer.text);
-        self.transcript.push((query.text.clone(), answer.text.clone()));
+        self.log(&query.text, &answer.text);
         answer
     }
 
@@ -51,20 +69,30 @@ impl ChatSession {
     pub fn log(&mut self, question: &str, response: &str) {
         self.memory.push(Role::User, question);
         self.memory.push(Role::Assistant, response);
-        self.transcript.push((question.to_owned(), response.to_owned()));
+        if self.transcript.len() == MAX_KEPT_EXCHANGES {
+            self.transcript.pop_front();
+        }
+        self.transcript.push_back((question.to_owned(), response.to_owned()));
+        self.turns += 1;
     }
 
-    /// Recalls past turns relevant to `query` from vector memory.
+    /// Recalls kept turns relevant to `query` from vector memory.
     pub fn recall(&self, query: &str, k: usize) -> Vec<String> {
         self.memory.recall(query, k)
     }
 
-    /// The full `(question, answer)` transcript.
-    pub fn transcript(&self) -> &[(String, String)] {
-        &self.transcript
+    /// Every turn the session answered, those no longer kept included.
+    pub fn turns(&self) -> usize {
+        self.turns
     }
 
-    /// Renders the transcript in the paper's condensed format
+    /// The kept `(question, answer)` transcript, oldest first: the last
+    /// [`MAX_KEPT_EXCHANGES`] exchanges.
+    pub fn transcript(&self) -> impl ExactSizeIterator<Item = &(String, String)> {
+        self.transcript.iter()
+    }
+
+    /// Renders the kept transcript in the paper's condensed format
     /// (Figures 10–13).
     pub fn render_transcript(&self) -> String {
         let mut out = String::new();
@@ -93,5 +121,21 @@ mod tests {
         assert!(recalled[0].contains("unique PCs"));
         let rendered = chat.render_transcript();
         assert!(rendered.contains("User: List all unique PCs"));
+    }
+
+    #[test]
+    fn session_keeps_the_last_exchanges_and_counts_every_turn() {
+        let mut chat = ChatSession::new(CacheMind::new(TraceDatabaseBuilder::quick_demo().build()));
+        for i in 0..MAX_KEPT_EXCHANGES + 10 {
+            chat.log(&format!("question {i}"), &format!("answer {i}"));
+        }
+        assert_eq!(chat.turns(), MAX_KEPT_EXCHANGES + 10);
+        assert_eq!(chat.transcript().len(), MAX_KEPT_EXCHANGES);
+        let first = chat.transcript().next().expect("kept exchanges");
+        assert_eq!(first, &("question 10".to_owned(), "answer 10".to_owned()));
+        let recalled = chat.recall("question", 2 * (MAX_KEPT_EXCHANGES + 10));
+        assert_eq!(recalled.len(), 2 * MAX_KEPT_EXCHANGES);
+        assert!(recalled.iter().all(|t| t != "question 9" && t != "answer 9"));
+        assert!(recalled.iter().any(|t| t == "question 10"));
     }
 }

@@ -234,12 +234,14 @@ impl CacheMind {
     }
 
     /// Parses a question against the database vocabulary within a
-    /// scenario scope (a session-pinned or wire-level selector).
-    pub fn parse_scoped(&self, question: &str, scope: &ScenarioSelector) -> QueryIntent {
+    /// scenario scope (a session-pinned or wire-level selector); `lower`
+    /// is the question lowercased, shared with exploration routing.
+    fn parse_lowered(&self, question: &str, lower: &str, scope: &ScenarioSelector) -> QueryIntent {
         let workloads = self.db.workloads();
         let policies = self.db.policies();
-        QueryIntent::parse_scoped(
+        QueryIntent::parse_lowered(
             question,
+            lower,
             &workloads.iter().map(String::as_str).collect::<Vec<_>>(),
             &policies.iter().map(String::as_str).collect::<Vec<_>>(),
             scope,
@@ -260,12 +262,11 @@ impl CacheMind {
     /// that goes beyond the eleven benchmark categories — straight to the
     /// Ranger plan runtime: "list all unique PCs", "list unique cache
     /// sets", "group PCs by reuse/ETR variance", "identify hot and cold
-    /// sets". Takes the parsed intent so a query's scenario scope rides
-    /// into the exploration plans too. Returns `None` when the question is
-    /// not an exploration command.
-    fn try_exploration(&self, question: &str, intent: &QueryIntent) -> Option<Answer> {
+    /// sets". Takes the lowercased question, and the parsed intent so a
+    /// query's scenario scope rides into the exploration plans too.
+    /// Returns `None` when the question is not an exploration command.
+    fn try_exploration(&self, lower: &str, intent: &QueryIntent) -> Option<Answer> {
         use cachemind_retrieval::plan::Plan;
-        let lower = question.to_lowercase();
         let workload = intent.workload.clone().or_else(|| self.db.workloads().first().cloned())?;
         let policy = intent.policy.clone().unwrap_or_else(|| "lru".to_owned());
 
@@ -304,9 +305,10 @@ impl CacheMind {
     /// [`CacheMind::ask_query`], bypassing the whole-answer cache.
     fn answer(&self, query: &Query) -> Answer {
         let question = query.text.as_str();
-        let intent = self.parse_scoped(question, &query.selector);
+        let lower = question.to_lowercase();
+        let intent = self.parse_lowered(question, &lower, &query.selector);
         if query.options.explore {
-            if let Some(answer) = self.try_exploration(question, &intent) {
+            if let Some(answer) = self.try_exploration(&lower, &intent) {
                 return answer;
             }
         }

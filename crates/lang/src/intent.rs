@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use cachemind_sim::addr::{Address, Pc};
 use cachemind_sim::scenario::ScenarioSelector;
 
-use crate::token::{hex_literals, words};
+use crate::token::{tokenize, Token};
 
 /// Benchmark tier (Table 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -199,22 +199,43 @@ impl QueryIntent {
         policies: &[&str],
         scope: &ScenarioSelector,
     ) -> QueryIntent {
+        QueryIntent::parse_lowered(question, &question.to_lowercase(), workloads, policies, scope)
+    }
+
+    /// [`QueryIntent::parse_scoped`] for a caller that already holds
+    /// `lower`, the question lowercased with [`str::to_lowercase`], so the
+    /// text is lowercased once per ask. The question is tokenized once
+    /// here.
+    pub fn parse_lowered(
+        question: &str,
+        lower: &str,
+        workloads: &[&str],
+        policies: &[&str],
+        scope: &ScenarioSelector,
+    ) -> QueryIntent {
         let selector = inline_selector(question, workloads).merged_over(scope);
-        let ws = words(question);
-        let has = |w: &str| ws.iter().any(|x| x == w);
-        let has_phrase = |p: &str| question.to_lowercase().contains(p);
+        let tokens = tokenize(question);
+        let ws: Vec<&str> = tokens
+            .iter()
+            .filter_map(|t| match t {
+                Token::Word(w) => Some(w.as_str()),
+                _ => None,
+            })
+            .collect();
+        let has = |w: &str| ws.contains(&w);
+        let has_phrase = |p: &str| lower.contains(p);
 
         let workload = ws
             .iter()
-            .find(|w| workloads.contains(&w.as_str()))
-            .cloned()
+            .find(|w| workloads.contains(w))
+            .map(|w| (*w).to_owned())
             .or_else(|| selector.workload.clone().filter(|w| workloads.contains(&w.as_str())));
         let mut mentioned: Vec<String> = {
             let mut seen = std::collections::HashSet::new();
             ws.iter()
-                .filter(|w| policies.contains(&w.as_str()))
-                .filter(|w| seen.insert((*w).clone()))
-                .cloned()
+                .filter(|w| policies.contains(w))
+                .filter(|w| seen.insert(**w))
+                .map(|w| (*w).to_owned())
                 .collect()
         };
         if mentioned.is_empty() {
@@ -225,7 +246,13 @@ impl QueryIntent {
 
         // Slot extraction: PCs are small (< 2^32, code addresses), data
         // addresses are large in our traces; fall back to order.
-        let hexes = hex_literals(question);
+        let hexes: Vec<u64> = tokens
+            .iter()
+            .filter_map(|t| match t {
+                Token::Hex(h) => Some(*h),
+                _ => None,
+            })
+            .collect();
         let (pc, address) = match hexes.len() {
             0 => (None, None),
             1 => {

@@ -4,8 +4,10 @@
 //! it into an assistive chat tool. This enables reasoning across multiple
 //! queries by retaining intermediate results, previous contexts, and
 //! trace-level insights." (§1). The three standard layers are implemented:
-//! a sliding buffer of recent turns, extractive summaries of evicted turns,
-//! and a vector store over everything for similarity recall.
+//! a sliding window of recent turns, extractive summaries of the turns
+//! before it, and vector recall over every kept turn. Only the turns are
+//! stored, capped at [`MAX_KEPT_TURNS`]; the summaries and the recall
+//! index are built when asked for, so recording a turn stays cheap.
 
 use std::collections::VecDeque;
 
@@ -41,83 +43,90 @@ pub struct Turn {
     pub text: String,
 }
 
+/// The most turns a [`ConversationMemory`] keeps: the last 256
+/// question/answer exchanges of a session. Older turns are dropped, so a
+/// session that never closes holds bounded memory.
+pub const MAX_KEPT_TURNS: usize = 512;
+
 /// The conversation-memory layer.
+///
+/// It keeps only the turns themselves, at most [`MAX_KEPT_TURNS`] of them.
+/// Recording a turn appends its text and does nothing else. The layers
+/// are worked out when asked: [`ConversationMemory::recent`] is the last
+/// `max_turns` kept turns, [`ConversationMemory::summaries`] summarises
+/// the kept turns before them, and [`ConversationMemory::recall`] builds
+/// its vector index over the kept turns on each call.
 #[derive(Debug)]
 pub struct ConversationMemory {
-    buffer: VecDeque<Turn>,
+    turns: VecDeque<Turn>,
     max_turns: usize,
-    summaries: Vec<String>,
-    store: VectorStore,
-    stored: usize,
+    total: usize,
 }
 
 impl ConversationMemory {
-    /// Creates a memory keeping the most recent `max_turns` turns verbatim.
+    /// Creates a memory whose recent window is the last `max_turns` turns.
     ///
     /// # Panics
     ///
     /// Panics if `max_turns` is zero.
     pub fn new(max_turns: usize) -> Self {
         assert!(max_turns > 0, "memory must keep at least one turn");
-        ConversationMemory {
-            buffer: VecDeque::new(),
-            max_turns,
-            summaries: Vec::new(),
-            store: VectorStore::new(64),
-            stored: 0,
-        }
+        ConversationMemory { turns: VecDeque::new(), max_turns, total: 0 }
     }
 
-    /// Records a turn; old turns overflow into summaries + the vector store.
+    /// Records a turn, dropping the oldest kept turn past
+    /// [`MAX_KEPT_TURNS`].
     pub fn push(&mut self, role: Role, text: &str) {
-        self.store.add(&format!("turn-{}", self.stored), text);
-        self.stored += 1;
-        self.buffer.push_back(Turn { role, text: text.to_owned() });
-        while self.buffer.len() > self.max_turns {
-            let old = self.buffer.pop_front().expect("non-empty buffer");
-            self.summaries.push(summarize(&old));
+        if self.turns.len() == MAX_KEPT_TURNS {
+            self.turns.pop_front();
         }
+        self.turns.push_back(Turn { role, text: text.to_owned() });
+        self.total += 1;
     }
 
     /// Recent turns, oldest first.
     pub fn recent(&self) -> impl Iterator<Item = &Turn> {
-        self.buffer.iter()
+        self.turns.iter().skip(self.turns.len().saturating_sub(self.max_turns))
     }
 
-    /// Summaries of evicted turns, oldest first.
-    pub fn summaries(&self) -> &[String] {
-        &self.summaries
+    /// Summaries of the kept turns older than the recent window, oldest
+    /// first.
+    pub fn summaries(&self) -> Vec<String> {
+        let older = self.turns.len().saturating_sub(self.max_turns);
+        self.turns.iter().take(older).map(summarize).collect()
     }
 
-    /// Recalls up to `k` past turns similar to `query` from the vector
-    /// memory (may include turns still in the buffer).
+    /// Recalls up to `k` kept turns similar to `query` (the recent window
+    /// included), most similar first. The index is built here, from the
+    /// kept turns in the order they were recorded.
     pub fn recall(&self, query: &str, k: usize) -> Vec<String> {
-        self.store
-            .search(query, k)
-            .into_iter()
-            .map(|hit| self.store.text(hit.index).to_owned())
-            .collect()
+        let mut store = VectorStore::new(64);
+        for (i, turn) in self.turns.iter().enumerate() {
+            store.add(&format!("turn-{i}"), &turn.text);
+        }
+        store.search(query, k).into_iter().map(|hit| store.text(hit.index).to_owned()).collect()
     }
 
     /// Renders the memory context for the next prompt: summaries first,
     /// then the verbatim recent window.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        if !self.summaries.is_empty() {
+        let summaries = self.summaries();
+        if !summaries.is_empty() {
             out.push_str("Earlier in this session:\n");
-            for s in &self.summaries {
+            for s in &summaries {
                 out.push_str(&format!("- {s}\n"));
             }
         }
-        for t in &self.buffer {
+        for t in self.recent() {
             out.push_str(&format!("{}: {}\n", t.role.label(), t.text));
         }
         out
     }
 
-    /// Total turns ever recorded.
+    /// Total turns ever recorded, dropped ones included.
     pub fn total_turns(&self) -> usize {
-        self.stored
+        self.total
     }
 }
 
@@ -166,6 +175,61 @@ mod tests {
         let text = m.render();
         assert!(text.contains("Earlier in this session"));
         assert!(text.contains("Assistant: Answer with numbers."));
+    }
+
+    #[test]
+    fn kept_turns_are_capped_and_counted_past_the_cap() {
+        let mut m = ConversationMemory::new(4);
+        for i in 0..MAX_KEPT_TURNS + 10 {
+            m.push(Role::User, &format!("question number {i}"));
+        }
+        assert_eq!(m.total_turns(), MAX_KEPT_TURNS + 10);
+        assert_eq!(m.recent().count(), 4);
+        assert_eq!(m.summaries().len(), MAX_KEPT_TURNS - 4);
+        assert!(m.summaries()[0].ends_with("question number 10"));
+        let all = m.recall("question number", MAX_KEPT_TURNS + 10);
+        assert_eq!(all.len(), MAX_KEPT_TURNS);
+        assert!(!all.iter().any(|t| t == "question number 9"), "dropped turns are not recalled");
+    }
+
+    /// Words drawn from a small vocabulary, so turns and queries share
+    /// tokens and recall ranks by real similarity, not only by ties.
+    fn sentence(words: &[usize]) -> String {
+        const VOCAB: [&str; 12] = [
+            "miss", "rate", "belady", "lru", "pc", "0x401e31", "etr", "variance", "astar", "mcf",
+            "hot", "sets",
+        ];
+        words.iter().map(|&w| VOCAB[w % VOCAB.len()]).collect::<Vec<_>>().join(" ")
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
+
+        /// Building the index on `recall` returns exactly the hits of a
+        /// store filled eagerly with the same pushes in the same order.
+        #[test]
+        fn recall_matches_an_eagerly_filled_store(
+            turns in proptest::collection::vec(proptest::collection::vec(0usize..16, 0..8), 0..40),
+            query in proptest::collection::vec(0usize..16, 0..6),
+            window in 1usize..6,
+            k in 0usize..10,
+        ) {
+            let mut memory = ConversationMemory::new(window);
+            let mut eager = VectorStore::new(64);
+            for (i, words) in turns.iter().enumerate() {
+                let text = sentence(words);
+                let role = if i % 2 == 0 { Role::User } else { Role::Assistant };
+                memory.push(role, &text);
+                eager.add(&format!("turn-{i}"), &text);
+            }
+            let query = sentence(&query);
+            let expected: Vec<String> = eager
+                .search(&query, k)
+                .into_iter()
+                .map(|hit| eager.text(hit.index).to_owned())
+                .collect();
+            proptest::prop_assert_eq!(memory.recall(&query, k), expected);
+        }
     }
 
     #[test]

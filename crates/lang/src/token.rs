@@ -39,8 +39,9 @@ pub fn tokenize(input: &str) -> Vec<Token> {
         if buf.is_empty() {
             return;
         }
-        let word = std::mem::take(buf);
-        let lower = word.to_lowercase();
+        // The one allocation per word; `buf` keeps its capacity.
+        let lower = buf.to_lowercase();
+        buf.clear();
         if let Some(hex) = lower.strip_prefix("0x") {
             if let Ok(v) = u64::from_str_radix(hex, 16) {
                 out.push(Token::Hex(v));

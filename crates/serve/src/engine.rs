@@ -433,9 +433,11 @@ impl ServeEngine {
         self.lock_sessions().sessions.get(&session).map(|s| s.pinned.clone())
     }
 
-    /// The `(question, answer)` transcript of a session.
+    /// The kept `(question, answer)` transcript of a session (its last
+    /// [`MAX_KEPT_EXCHANGES`](cachemind_core::chat::MAX_KEPT_EXCHANGES)
+    /// exchanges).
     pub fn transcript(&self, session: u64) -> Option<Vec<(String, String)>> {
-        self.lock_sessions().sessions.get(&session).map(|s| s.chat.transcript().to_vec())
+        self.lock_sessions().sessions.get(&session).map(|s| s.chat.transcript().cloned().collect())
     }
 
     /// Vector-memory recall within one session (for isolation checks and
@@ -455,7 +457,7 @@ impl ServeEngine {
             .remove(&session)
             .map(|state| {
                 self.metrics.sessions_closed.inc();
-                state.chat.transcript().len()
+                state.chat.turns()
             })
             .ok_or(ProtocolError::UnknownSession(session))
     }
@@ -509,7 +511,7 @@ impl ServeEngine {
             Some(id) => match table.sessions.get_mut(&id) {
                 Some(state) => {
                     state.last_active_round = round;
-                    AskResponse::opened(id, state.chat.transcript().len(), &state.pinned)
+                    AskResponse::opened(id, state.chat.turns(), &state.pinned)
                 }
                 None => self.unknown_session(id),
             },
@@ -829,7 +831,7 @@ impl ServeEngine {
                 session.chat.log(&query.text, &answer.text);
                 AskResponse {
                     session: session_id,
-                    turn: session.chat.transcript().len(),
+                    turn: session.chat.turns(),
                     answer: Some(answer.text),
                     verdict: Some(format!("{:?}", answer.verdict)),
                     machine,
@@ -1114,6 +1116,25 @@ mod tests {
         // Ids are never reused: the next open continues the sequence.
         let c = engine.open_session();
         assert!(c > b, "ids must stay monotonic after a close");
+    }
+
+    #[test]
+    fn turns_count_past_the_kept_transcript() {
+        use cachemind_core::chat::MAX_KEPT_EXCHANGES;
+        let engine = engine(1);
+        let id = engine.open_session();
+        let question = "What is the overall miss rate of the mcf workload under LRU?";
+        for _ in 0..MAX_KEPT_EXCHANGES {
+            ask(&engine, AskRequest::in_session(id, question));
+        }
+        let last = ask(&engine, AskRequest::in_session(id, question));
+        assert!(last.is_ok());
+        assert_eq!(last.turn, MAX_KEPT_EXCHANGES + 1, "turns keep counting past the cap");
+        assert_eq!(engine.transcript(id).unwrap().len(), MAX_KEPT_EXCHANGES);
+        assert_eq!(probe(&engine, id).turn, MAX_KEPT_EXCHANGES + 1);
+        let closed = close(&engine, id);
+        assert!(closed.closed);
+        assert_eq!(closed.turn, MAX_KEPT_EXCHANGES + 1, "close acknowledges every turn");
     }
 
     #[test]
