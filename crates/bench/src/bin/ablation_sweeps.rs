@@ -2,29 +2,33 @@
 //! Ranger schema card, dense index stride — plus the machine-axis
 //! ablations (DRAM latency, prefetcher kind) opened by the scenario grid.
 //!
-//! Every swept parameter point is an independent harness run; the
+//! Every swept parameter point is an independent benchmark run; the
 //! `insights::ablation` module spreads them across cores with the sweep
 //! engine's `sweep_cells` primitive and `ScenarioGrid`, so the sweeps no
 //! longer replay configurations serially (output stays byte-identical for
 //! any `RAYON_NUM_THREADS`).
 
+use std::sync::Arc;
+
 use cachemind_benchsuite::catalog::Catalog;
 use cachemind_core::insights::ablation;
 use cachemind_sim::prefetch::PrefetcherKind;
+use cachemind_tracedb::store::TraceStore;
 
 fn main() {
-    let db = cachemind_bench::load_db();
+    let db = Arc::new(cachemind_bench::load_db());
     let catalog = Catalog::generate(&db);
+    let store: Arc<dyn TraceStore> = db.clone();
 
     println!("Ablation — Sieve slice cap vs Count-category accuracy");
     cachemind_bench::rule(60);
-    for p in ablation::sieve_slice_cap(&db, &catalog, &[5, 50, 500, 1_000_000]) {
+    for p in ablation::sieve_slice_cap(&store, &catalog, &[5, 50, 500, 1_000_000]) {
         println!("  cap {:>9} -> {}", p.parameter, cachemind_bench::pct(p.metric));
     }
 
     println!("\nAblation — Ranger schema card vs Arithmetic accuracy");
     cachemind_bench::rule(60);
-    for p in ablation::ranger_schema(&db, &catalog) {
+    for p in ablation::ranger_schema(&store, &catalog) {
         println!(
             "  schema {} -> {}",
             if p.parameter == 1 { "on " } else { "off" },

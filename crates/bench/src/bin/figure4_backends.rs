@@ -1,13 +1,11 @@
 //! Figure 4: accuracy of CacheMind with five LLM backends across the eleven
 //! CacheMindBench categories (Sieve retrieval held fixed).
 
-use cachemind_benchsuite::catalog::Catalog;
 use cachemind_core::eval;
 
 fn main() {
-    let db = cachemind_bench::load_db();
-    let catalog = Catalog::generate(&db);
-    let fig = eval::figure4(&db, &catalog);
+    let (store, catalog) = cachemind_bench::load_suite();
+    let fig = eval::figure4(&store, &catalog);
 
     println!("Figure 4 — accuracy by category x backend (Sieve retrieval)");
     cachemind_bench::rule(110);

@@ -2,18 +2,16 @@
 //! (Low/Medium/High) for each backend. "Retrieval quality is the
 //! precondition for cache replacement policy high level reasoning."
 //!
-//! The per-backend harness runs ride the sweep engine
+//! The per-backend benchmark runs ride the sweep engine
 //! (`cachemind_sim::sweep::sweep_cells` inside `eval::figure5`), so the
 //! five backends evaluate in parallel instead of replaying serially; the
 //! printed table is byte-identical for any `RAYON_NUM_THREADS`.
 
-use cachemind_benchsuite::catalog::Catalog;
 use cachemind_core::eval;
 
 fn main() {
-    let db = cachemind_bench::load_db();
-    let catalog = Catalog::generate(&db);
-    let fig = eval::figure5(&db, &catalog);
+    let (store, catalog) = cachemind_bench::load_suite();
+    let fig = eval::figure5(&store, &catalog);
 
     println!("Figure 5 — accuracy vs retrieval-context quality (controlled degradation)");
     cachemind_bench::rule(72);

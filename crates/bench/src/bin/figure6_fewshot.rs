@@ -7,15 +7,13 @@
 //! sweep engine (`sweep_cells` inside `eval::figure6`) rather than
 //! serially; output is byte-identical for any `RAYON_NUM_THREADS`.
 
-use cachemind_benchsuite::catalog::Catalog;
 use cachemind_core::eval;
 use cachemind_lang::context::RetrievedContext;
 use cachemind_lang::profiles::BackendKind;
 use cachemind_lang::prompt::{Example, PromptBuilder};
 
 fn main() {
-    let db = cachemind_bench::load_db();
-    let catalog = Catalog::generate(&db);
+    let (store, catalog) = cachemind_bench::load_suite();
 
     // Render the Figure 6 one-shot prompt itself.
     println!("Figure 6 — the one-shot prompt (Cache Hit/Miss category)");
@@ -33,7 +31,7 @@ fn main() {
     println!("Few-shot ablation (per backend: shots -> total / trick accuracy)");
     cachemind_bench::rule(78);
     for backend in [BackendKind::Gpt4o, BackendKind::O3, BackendKind::Gpt35Turbo] {
-        let fig = eval::figure6(&db, &catalog, backend);
+        let fig = eval::figure6(&store, &catalog, backend);
         print!("{:<20}", backend.label());
         for (shots, total, trick) in &fig.rows {
             print!(

@@ -1,13 +1,11 @@
 //! Figure 7: distribution of reasoning (rubric) scores per backend —
 //! o3 is bimodal, GPT-4o consistently competent.
 
-use cachemind_benchsuite::catalog::Catalog;
 use cachemind_core::eval;
 
 fn main() {
-    let db = cachemind_bench::load_db();
-    let catalog = Catalog::generate(&db);
-    let fig = eval::figure7(&db, &catalog);
+    let (store, catalog) = cachemind_bench::load_suite();
+    let fig = eval::figure7(&store, &catalog);
 
     println!("Figure 7 — rubric-score histograms over the 25 reasoning questions");
     cachemind_bench::rule(76);

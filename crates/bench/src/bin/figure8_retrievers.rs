@@ -1,13 +1,11 @@
 //! Figure 8: CacheMind-Sieve vs CacheMind-Ranger across the trace-grounded
 //! categories (generator held fixed at GPT-4o).
 
-use cachemind_benchsuite::catalog::Catalog;
 use cachemind_core::eval;
 
 fn main() {
-    let db = cachemind_bench::load_db();
-    let catalog = Catalog::generate(&db);
-    let fig = eval::figure8(&db, &catalog);
+    let (store, catalog) = cachemind_bench::load_suite();
+    let fig = eval::figure8(&store, &catalog);
 
     println!("Figure 8 — Sieve vs Ranger by trace-grounded category (GPT-4o generator)");
     cachemind_bench::rule(72);

@@ -5,7 +5,11 @@
 //! controlled by the `CACHEMIND_SCALE` environment variable
 //! (`tiny` | `small` | `full`, default `small`).
 
+use std::sync::Arc;
+
+use cachemind_benchsuite::catalog::Catalog;
 use cachemind_tracedb::database::{TraceDatabase, TraceDatabaseBuilder};
+use cachemind_tracedb::store::TraceStore;
 use cachemind_workloads::workload::Scale;
 
 /// The scale selected through `CACHEMIND_SCALE` (default: `Small`).
@@ -25,6 +29,15 @@ pub fn load_db() -> TraceDatabase {
     let total_rows: usize = db.entries().map(|e| e.frame.len()).sum();
     eprintln!("[cachemind-bench] database ready: {} traces, {} rows total", db.len(), total_rows);
     db
+}
+
+/// Builds the evaluation database and its CacheMindBench catalog, and
+/// hands the database back as the shared store the figure builders ask
+/// through.
+pub fn load_suite() -> (Arc<dyn TraceStore>, Catalog) {
+    let db = load_db();
+    let catalog = Catalog::generate(&db);
+    (Arc::new(db), catalog)
 }
 
 /// Prints a horizontal rule sized to `width`.

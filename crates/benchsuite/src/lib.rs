@@ -10,9 +10,11 @@
 //! computed over the full frames with the same statistics code the paper's
 //! verification used, independent of any retriever.
 //!
-//! The [`harness`] module runs a retriever × generator pair over the suite
-//! and aggregates category/tier/total accuracy — the engine behind
-//! Figures 4, 5, 6, 7 and 8.
+//! The [`report`] module aggregates scored answers into category, tier,
+//! quality and rubric-histogram accuracy — the numbers behind Figures 4–8.
+//! The suite defines the benchmark only: it depends on no retriever, and
+//! the system under test (`cachemind-core`'s `eval::bench`) asks each
+//! question through the same pipeline serve runs.
 //!
 //! # Example
 //!
@@ -26,19 +28,19 @@
 //! ```
 
 pub mod catalog;
-pub mod harness;
 pub mod question;
+pub mod report;
 pub mod scoring;
 
 pub use catalog::Catalog;
-pub use harness::{BenchReport, HarnessConfig, QuestionResult};
 pub use question::{Expected, Question};
+pub use report::{BenchReport, QuestionResult};
 pub use scoring::score;
 
 /// Commonly used types, for glob import.
 pub mod prelude {
     pub use crate::catalog::Catalog;
-    pub use crate::harness::{BenchReport, HarnessConfig, QuestionResult};
     pub use crate::question::{Expected, Question};
+    pub use crate::report::{BenchReport, QuestionResult};
     pub use crate::scoring::score;
 }

@@ -15,16 +15,14 @@
 use std::io::{BufRead, Write as _};
 
 use cachemind_benchsuite::catalog::Catalog;
-use cachemind_benchsuite::harness::{self, HarnessConfig};
-use cachemind_core::insights;
 use cachemind_core::system::{CacheMind, Query, RetrieverKind};
 use cachemind_core::ChatSession;
+use cachemind_core::{eval, insights};
 use cachemind_lang::intent::{QueryCategory, Tier};
 use cachemind_lang::profiles::BackendKind;
 use cachemind_retrieval::dense::DenseIndexRetriever;
 use cachemind_retrieval::probes::{probe_queries, run_probes};
 use cachemind_retrieval::ranger::RangerRetriever;
-use cachemind_retrieval::retriever::Retriever;
 use cachemind_retrieval::sieve::SieveRetriever;
 use cachemind_tracedb::database::{TraceDatabase, TraceDatabaseBuilder};
 use cachemind_workloads::workload::Scale;
@@ -117,19 +115,10 @@ fn main() {
         Some("bench") => {
             let db = trace_db();
             let catalog = Catalog::generate(&db);
-            let sieve = SieveRetriever::new();
-            let ranger = RangerRetriever::new();
-            let retriever: &dyn Retriever = match retriever_kind(&args) {
-                RetrieverKind::Sieve => &sieve,
-                _ => &ranger,
-            };
-            let report = harness::run(
-                &db,
-                retriever,
-                backend_kind(&args),
-                &catalog,
-                &HarnessConfig::default(),
-            );
+            let mind = CacheMind::new(db)
+                .with_retriever(retriever_kind(&args))
+                .with_backend(backend_kind(&args));
+            let report = eval::bench(&mind, &catalog);
             println!("CacheMindBench — {} + {}", report.retriever, report.backend);
             for category in QueryCategory::ALL {
                 println!("{:<30} {:>7.2}%", category.label(), report.category_accuracy(category));

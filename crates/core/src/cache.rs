@@ -140,8 +140,8 @@ mod tests {
         // see each other's hit/miss counts.
         let registry = cachemind_obs::MetricsRegistry::new();
         CacheMind::new(TraceDatabaseBuilder::quick_demo().build())
-            .with_retriever(RetrieverKind::Ranger)
             .with_metrics(&registry)
+            .with_retriever(RetrieverKind::Ranger)
             .with_answer_cache(true)
     }
 

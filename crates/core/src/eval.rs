@@ -1,5 +1,12 @@
-//! Figure-level data builders: one function per evaluation artefact of the
-//! paper, all driven by [`cachemind_benchsuite::harness`].
+//! CacheMindBench scoring and the figure-level data builders: one function
+//! per evaluation artefact of the paper.
+//!
+//! [`bench()`] scores a configured [`CacheMind`] over the catalog by asking
+//! every question through [`CacheMind::ask_query`] — the pipeline serve
+//! runs — so Figures 4–8, the ablations and `cachemind bench` measure the
+//! served system. Each figure configuration is a `CacheMind` built from
+//! the stock builders: a backend, a retriever (Figure 5 wraps Sieve in
+//! [`Degraded`]) and k-shot examples.
 //!
 //! Every builder that evaluates several independent configurations
 //! (backends, shot counts, retrievers) spreads them across cores with
@@ -8,17 +15,78 @@
 //! replaying configurations serially while their outputs stay
 //! byte-identical for any thread count.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use cachemind_benchsuite::catalog::Catalog;
-use cachemind_benchsuite::harness::{self, BenchReport, HarnessConfig};
+use cachemind_benchsuite::report::{BenchReport, QuestionResult};
+use cachemind_benchsuite::scoring::score;
 use cachemind_lang::context::ContextQuality;
+use cachemind_lang::generator::GeneratorAnswer;
 use cachemind_lang::intent::{QueryCategory, Tier};
 use cachemind_lang::profiles::BackendKind;
-use cachemind_retrieval::ranger::RangerRetriever;
+use cachemind_lang::prompt::Example;
+use cachemind_retrieval::quality::Degraded;
 use cachemind_retrieval::sieve::SieveRetriever;
 use cachemind_sim::sweep::sweep_cells;
-use cachemind_tracedb::database::TraceDatabase;
+use cachemind_tracedb::store::TraceStore;
+
+use crate::system::{CacheMind, Query, RetrieverKind};
+
+/// Scores every catalog question answered by `mind` through
+/// [`CacheMind::ask_query`]: the answer's verdict earns the points, and
+/// its retrieved context's grade is recorded for Figure 5.
+pub fn bench(mind: &CacheMind, catalog: &Catalog) -> BenchReport {
+    let results = catalog
+        .questions()
+        .iter()
+        .map(|q| {
+            let answer = mind.ask_query(&Query::new(q.text.as_str()));
+            let quality = answer.context.quality;
+            let answer = GeneratorAnswer { text: answer.text, verdict: answer.verdict };
+            QuestionResult {
+                id: q.id.clone(),
+                category: q.category,
+                quality,
+                points: score(q, &answer),
+                max: q.max_points(),
+                verdict: answer.verdict,
+            }
+        })
+        .collect();
+    BenchReport {
+        backend: mind.backend().label().to_owned(),
+        retriever: mind.retriever_name().to_owned(),
+        results,
+    }
+}
+
+/// The first `shots` in-context examples (0 = zero-shot, 1 = one-shot,
+/// 3 = few-shot): Figure 6's Hit/Miss example plus two generic companions.
+fn shot_examples(shots: usize) -> Vec<Example> {
+    let mut pool = vec![
+        Example::figure6(),
+        Example {
+            context: "The miss rate for PC 0x4037ba is 44.69% over 1200 accesses.".to_owned(),
+            question: "What is the miss rate for PC 0x4037ba in mcf with PARROT?".to_owned(),
+            answer: "44.69%".to_owned(),
+        },
+        Example {
+            context: "Premise check failed: PC 0x4037aa appears only in mcf.".to_owned(),
+            question: "Does PC 0x4037aa in lbm access address 0x1b73be82e3f?".to_owned(),
+            answer: "TRICK — the premise is inconsistent with the trace.".to_owned(),
+        },
+    ];
+    pool.truncate(shots);
+    pool
+}
+
+/// The paper's default system over `store`: Sieve retrieval, GPT-4o,
+/// zero-shot.
+fn mind(store: &Arc<dyn TraceStore>) -> CacheMind {
+    CacheMind::shared(Arc::clone(store))
+}
 
 /// Figure 4: accuracy per category for each backend (Sieve retrieval).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -32,11 +100,9 @@ pub struct Figure4 {
 }
 
 /// Builds Figure 4.
-pub fn figure4(db: &TraceDatabase, catalog: &Catalog) -> Figure4 {
-    let sieve = SieveRetriever::new();
-    let config = HarnessConfig::default();
+pub fn figure4(store: &Arc<dyn TraceStore>, catalog: &Catalog) -> Figure4 {
     let reports: Vec<BenchReport> =
-        sweep_cells(BackendKind::ALL.to_vec(), |b| harness::run(db, &sieve, b, catalog, &config));
+        sweep_cells(BackendKind::ALL.to_vec(), |b| bench(&mind(store).with_backend(b), catalog));
     let rows = QueryCategory::ALL
         .iter()
         .map(|&cat| {
@@ -58,11 +124,10 @@ pub struct Figure5 {
 }
 
 /// Builds Figure 5 (controlled context degradation).
-pub fn figure5(db: &TraceDatabase, catalog: &Catalog) -> Figure5 {
-    let sieve = SieveRetriever::new();
-    let config = HarnessConfig { degrade_buckets: true, ..Default::default() };
+pub fn figure5(store: &Arc<dyn TraceStore>, catalog: &Catalog) -> Figure5 {
     let rows = sweep_cells(BackendKind::ALL.to_vec(), |b| {
-        let report = harness::run(db, &sieve, b, catalog, &config);
+        let degraded = mind(store).with_custom_retriever(Degraded(SieveRetriever::new()));
+        let report = bench(&degraded.with_backend(b), catalog);
         (
             b.label().to_owned(),
             [
@@ -83,16 +148,10 @@ pub struct Figure6 {
 }
 
 /// Builds Figure 6's ablation for one backend.
-pub fn figure6(db: &TraceDatabase, catalog: &Catalog, backend: BackendKind) -> Figure6 {
-    let sieve = SieveRetriever::new();
+pub fn figure6(store: &Arc<dyn TraceStore>, catalog: &Catalog, backend: BackendKind) -> Figure6 {
     let rows = sweep_cells(vec![0usize, 1, 3], |shots| {
-        let report = harness::run(
-            db,
-            &sieve,
-            backend,
-            catalog,
-            &HarnessConfig { shots, ..Default::default() },
-        );
+        let report =
+            bench(&mind(store).with_backend(backend).with_examples(shot_examples(shots)), catalog);
         (shots, report.total(), report.category_accuracy(QueryCategory::Trick))
     });
     Figure6 { rows }
@@ -106,11 +165,9 @@ pub struct Figure7 {
 }
 
 /// Builds Figure 7.
-pub fn figure7(db: &TraceDatabase, catalog: &Catalog) -> Figure7 {
-    let sieve = SieveRetriever::new();
-    let config = HarnessConfig::default();
+pub fn figure7(store: &Arc<dyn TraceStore>, catalog: &Catalog) -> Figure7 {
     let rows = sweep_cells(BackendKind::ALL.to_vec(), |b| {
-        let report = harness::run(db, &sieve, b, catalog, &config);
+        let report = bench(&mind(store).with_backend(b), catalog);
         (b.label().to_owned(), report.score_histogram())
     });
     Figure7 { rows }
@@ -128,15 +185,9 @@ pub struct Figure8 {
 }
 
 /// Builds Figure 8 with the paper's GPT-4o generator held fixed.
-pub fn figure8(db: &TraceDatabase, catalog: &Catalog) -> Figure8 {
-    let config = HarnessConfig::default();
-    let backend = BackendKind::Gpt4o;
-    let mut reports = sweep_cells(vec![false, true], |use_ranger| {
-        if use_ranger {
-            harness::run(db, &RangerRetriever::new(), backend, catalog, &config)
-        } else {
-            harness::run(db, &SieveRetriever::new(), backend, catalog, &config)
-        }
+pub fn figure8(store: &Arc<dyn TraceStore>, catalog: &Catalog) -> Figure8 {
+    let mut reports = sweep_cells(vec![RetrieverKind::Sieve, RetrieverKind::Ranger], |kind| {
+        bench(&mind(store).with_retriever(kind), catalog)
     });
     let ranger = reports.pop().expect("ranger report");
     let sieve = reports.pop().expect("sieve report");
@@ -169,10 +220,25 @@ mod tests {
     use super::*;
     use cachemind_tracedb::TraceDatabaseBuilder;
 
-    fn setup() -> (TraceDatabase, Catalog) {
+    fn setup() -> (Arc<dyn TraceStore>, Catalog) {
         let db = TraceDatabaseBuilder::quick_demo().build();
         let catalog = Catalog::generate(&db);
-        (db, catalog)
+        (Arc::new(db), catalog)
+    }
+
+    #[test]
+    fn bench_reports_the_configured_system() {
+        let (store, catalog) = setup();
+        for (kind, name) in [
+            (RetrieverKind::Sieve, "sieve"),
+            (RetrieverKind::Ranger, "ranger"),
+            (RetrieverKind::Dense, "dense"),
+        ] {
+            let mind = mind(&store).with_retriever(kind).with_backend(BackendKind::O3);
+            let report = bench(&mind, &catalog);
+            assert_eq!((report.retriever.as_str(), report.backend.as_str()), (name, "o3"));
+            assert_eq!(report.results.len(), catalog.questions().len());
+        }
     }
 
     #[test]
@@ -237,5 +303,6 @@ mod tests {
         assert!(fig.ara_total.0 > fig.ara_total.1, "sieve must win ARA: {:?}", fig.ara_total);
         let count = fig.rows.iter().find(|(l, ..)| l == "Count").unwrap();
         assert!(count.2 > count.1, "ranger repairs Count: {count:?}");
+        assert!(count.2 >= 60.0, "ranger's complete counts score: {count:?}");
     }
 }

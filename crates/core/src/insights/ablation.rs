@@ -1,7 +1,7 @@
 //! Runnable ablation studies for the design choices DESIGN.md §5 calls out.
 //!
 //! Each study returns the swept parameter alongside the metric it moves, so
-//! the bench harness (and tests) can assert the direction of the effect:
+//! the figure binaries (and tests) can assert the direction of the effect:
 //!
 //! * Sieve's slice cap — the single knob behind the Count/Arithmetic
 //!   collapse of Figures 4/8.
@@ -16,12 +16,12 @@
 //! * Prefetcher kind — accuracy/coverage/IPC of the hardware prefetcher
 //!   models on a streaming workload.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use cachemind_benchsuite::catalog::Catalog;
-use cachemind_benchsuite::harness::{self, HarnessConfig};
 use cachemind_lang::intent::QueryCategory;
-use cachemind_lang::profiles::BackendKind;
 use cachemind_retrieval::dense::DenseIndexRetriever;
 use cachemind_retrieval::probes::{probe_queries, run_probes};
 use cachemind_retrieval::ranger::RangerRetriever;
@@ -30,7 +30,11 @@ use cachemind_sim::config::MachineConfig;
 use cachemind_sim::prefetch::PrefetcherKind;
 use cachemind_sim::sweep::{sweep_cells, ScenarioGrid, SweepStream};
 use cachemind_tracedb::database::TraceDatabase;
+use cachemind_tracedb::store::TraceStore;
 use cachemind_workloads::workload::Scale;
+
+use crate::eval::bench;
+use crate::system::CacheMind;
 
 /// One swept configuration and the metric it produced.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -47,14 +51,14 @@ pub struct AblationPoint {
 /// complete, recovering the category; the paper's configuration (a small
 /// fixed window) is what zeroes it.
 pub fn sieve_slice_cap(
-    db: &TraceDatabase,
+    store: &Arc<dyn TraceStore>,
     catalog: &Catalog,
     caps: &[usize],
 ) -> Vec<AblationPoint> {
     sweep_cells(caps.to_vec(), |cap| {
         let sieve = SieveRetriever::new().with_slice_cap(cap);
         let report =
-            harness::run(db, &sieve, BackendKind::Gpt4o, catalog, &HarnessConfig::default());
+            bench(&CacheMind::shared(Arc::clone(store)).with_custom_retriever(sieve), catalog);
         AblationPoint { parameter: cap, metric: report.category_accuracy(QueryCategory::Count) }
     })
 }
@@ -62,17 +66,12 @@ pub fn sieve_slice_cap(
 /// Ranger with and without the schema card: Arithmetic accuracy.
 ///
 /// Returns `[without, with]` (parameter 0 = schema hidden, 1 = shown).
-pub fn ranger_schema(db: &TraceDatabase, catalog: &Catalog) -> Vec<AblationPoint> {
+pub fn ranger_schema(store: &Arc<dyn TraceStore>, catalog: &Catalog) -> Vec<AblationPoint> {
     sweep_cells(
         vec![(0usize, RangerRetriever::new().without_schema()), (1, RangerRetriever::new())],
         |(parameter, retriever)| {
-            let report = harness::run(
-                db,
-                &retriever,
-                BackendKind::Gpt4o,
-                catalog,
-                &HarnessConfig::default(),
-            );
+            let mind = CacheMind::shared(Arc::clone(store)).with_custom_retriever(retriever);
+            let report = bench(&mind, catalog);
             AblationPoint { parameter, metric: report.category_accuracy(QueryCategory::Arithmetic) }
         },
     )
@@ -160,10 +159,10 @@ mod tests {
     use super::*;
     use cachemind_tracedb::database::TraceDatabaseBuilder;
 
-    fn setup() -> (TraceDatabase, Catalog) {
+    fn setup() -> (Arc<dyn TraceStore>, Catalog) {
         let db = TraceDatabaseBuilder::quick_demo().build();
         let catalog = Catalog::generate(&db);
-        (db, catalog)
+        (Arc::new(db), catalog)
     }
 
     #[test]
@@ -194,7 +193,7 @@ mod tests {
 
     #[test]
     fn dense_stride_trades_coverage() {
-        let (db, _) = setup();
+        let db = TraceDatabaseBuilder::quick_demo().build();
         let points = dense_stride(&db, &[1, 64]);
         // Denser indexing can only help (or tie) the probe success rate.
         assert!(points[0].metric >= points[1].metric, "{points:?}");

@@ -14,8 +14,9 @@
 //!   signature optimisation, Mockingjay stable-PC retraining, software
 //!   prefetch insertion, and set-hotness analysis, plus the Belady-vs-PARROT
 //!   per-PC inversion study.
-//! * [`eval`] — figure-level data builders over
-//!   [`cachemind_benchsuite::harness`], one per table/figure of the paper.
+//! * [`eval`] — CacheMindBench scoring through [`CacheMind::ask_query`]
+//!   and the figure-level data builders, one per table/figure of the
+//!   paper.
 //!
 //! # Quickstart
 //!

@@ -139,17 +139,24 @@ pub struct Answer {
 /// Owns a shared handle to the trace store, a retriever and a generator
 /// backend; turning a natural-language question into a trace-grounded
 /// answer is one [`CacheMind::ask_query`] call.
-#[derive(Debug)]
 pub struct CacheMind {
     db: Arc<dyn TraceStore>,
-    retriever: RetrieverKind,
+    retriever: Box<dyn Retriever + Send + Sync>,
     backend: SimulatedBackend,
     shots: Vec<Example>,
-    sieve: SieveRetriever,
-    ranger: RangerRetriever,
-    dense: Option<DenseIndexRetriever>,
     metrics: cachemind_obs::MetricsRegistry,
     answers: Option<crate::cache::AnswerCache>,
+}
+
+impl std::fmt::Debug for CacheMind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CacheMind")
+            .field("retriever", &self.retriever.name())
+            .field("backend", &self.backend)
+            .field("shots", &self.shots.len())
+            .field("answer_cache", &self.answers.is_some())
+            .finish_non_exhaustive()
+    }
 }
 
 impl CacheMind {
@@ -164,24 +171,32 @@ impl CacheMind {
     pub fn shared(db: Arc<dyn TraceStore>) -> Self {
         CacheMind {
             db,
-            retriever: RetrieverKind::Sieve,
+            retriever: Box::new(SieveRetriever::new()),
             backend: SimulatedBackend::new(BackendKind::Gpt4o),
             shots: Vec::new(),
-            sieve: SieveRetriever::new(),
-            ranger: RangerRetriever::new(),
-            dense: None,
             metrics: cachemind_obs::global().clone(),
             answers: None,
         }
     }
 
-    /// Selects the retriever.
-    pub fn with_retriever(mut self, kind: RetrieverKind) -> Self {
-        if kind == RetrieverKind::Dense && self.dense.is_none() {
-            self.dense = Some(DenseIndexRetriever::build(&*self.db, 4));
-        }
-        self.retriever = kind;
-        self
+    /// Selects one of the stock retrievers. A Ranger records its plan
+    /// spans into the registry set by [`CacheMind::with_metrics`], so call
+    /// that first; the dense baseline builds its index here.
+    pub fn with_retriever(self, kind: RetrieverKind) -> Self {
+        let retriever: Box<dyn Retriever + Send + Sync> = match kind {
+            RetrieverKind::Sieve => Box::new(SieveRetriever::new()),
+            RetrieverKind::Ranger => Box::new(RangerRetriever::new().with_metrics(&self.metrics)),
+            RetrieverKind::Dense => Box::new(DenseIndexRetriever::build(&*self.db, 4)),
+        };
+        CacheMind { retriever, ..self }
+    }
+
+    /// Routes retrieval through any [`Retriever`] — an ablated Sieve or
+    /// Ranger, or a decorator such as
+    /// [`Degraded`](cachemind_retrieval::quality::Degraded). The retriever
+    /// keeps whatever telemetry sink it was built with.
+    pub fn with_custom_retriever(self, retriever: impl Retriever + Send + Sync + 'static) -> Self {
+        CacheMind { retriever: Box::new(retriever), ..self }
     }
 
     /// Selects the generator backend.
@@ -196,12 +211,12 @@ impl CacheMind {
         self
     }
 
-    /// Redirects retrieval-stage telemetry (plan compile/run spans, and
-    /// the answer-cache counters of any *subsequently* enabled cache) to
-    /// `metrics` instead of the process-global registry — the serve layer
+    /// Redirects the telemetry of parts built *after* this call — a
+    /// Ranger's plan compile/run spans ([`CacheMind::with_retriever`]) and
+    /// the answer-cache counters ([`CacheMind::with_answer_cache`]) — to
+    /// `metrics` instead of the process-global registry. The serve layer
     /// passes each engine's own registry down here.
     pub fn with_metrics(mut self, metrics: &cachemind_obs::MetricsRegistry) -> Self {
-        self.ranger = self.ranger.with_metrics(metrics);
         self.metrics = metrics.clone();
         self
     }
@@ -248,14 +263,14 @@ impl CacheMind {
         )
     }
 
-    fn active_retriever(&self) -> &dyn Retriever {
-        match self.retriever {
-            RetrieverKind::Sieve => &self.sieve,
-            RetrieverKind::Ranger => &self.ranger,
-            RetrieverKind::Dense => {
-                self.dense.as_ref().expect("dense index built in with_retriever")
-            }
-        }
+    /// The generator backend answering this system's questions.
+    pub(crate) fn backend(&self) -> BackendKind {
+        self.backend.kind()
+    }
+
+    /// The name of the retriever grounding this system's answers.
+    pub(crate) fn retriever_name(&self) -> &'static str {
+        self.retriever.name()
     }
 
     /// Routes *exploration commands* — the Figure 10–13 chat vocabulary
@@ -312,7 +327,7 @@ impl CacheMind {
                 return answer;
             }
         }
-        let context = self.active_retriever().retrieve(&*self.db, &intent);
+        let context = self.retriever.retrieve(&*self.db, &intent);
         let mut builder = PromptBuilder::new();
         for ex in &self.shots {
             builder = builder.example(ex.clone());

@@ -429,4 +429,21 @@ mod tests {
         let req = hitmiss_request(ContextQuality::High, vec![outcome_fact(false)]);
         assert_eq!(a.answer(&req), b.answer(&req));
     }
+
+    #[test]
+    fn seeded_answers_are_deterministic_and_differ_from_the_default_seed() {
+        let base = SimulatedBackend::new(BackendKind::Gpt35Turbo);
+        let seeded = || SimulatedBackend::new(BackendKind::Gpt35Turbo).with_seed(1234);
+        let (seeded1, seeded2) = (seeded(), seeded());
+        let mut differs = false;
+        for i in 0..100 {
+            let mut req = hitmiss_request(ContextQuality::High, vec![outcome_fact(i % 2 == 0)]);
+            req.question = format!("{} variant {i}", req.question);
+            let answer = seeded1.answer(&req);
+            assert_eq!(answer, seeded2.answer(&req), "one seed, one answer");
+            differs |= answer.verdict != base.answer(&req).verdict;
+        }
+        // The capability model is stochastic across seeds.
+        assert!(differs, "a seed change should alter some verdicts");
+    }
 }

@@ -49,6 +49,7 @@ pub use dense::DenseIndexRetriever;
 pub use optimize::optimize;
 pub use plan::{AggColumn, AggFunc, Plan, RankAxis, RankMetric};
 pub use probes::{probe_queries, ProbeReport};
+pub use quality::Degraded;
 pub use ranger::RangerRetriever;
 pub use retriever::Retriever;
 pub use sieve::SieveRetriever;
@@ -59,6 +60,7 @@ pub mod prelude {
     pub use crate::optimize::optimize;
     pub use crate::plan::{AggColumn, AggFunc, Plan, RankAxis, RankMetric};
     pub use crate::probes::{probe_queries, ProbeReport};
+    pub use crate::quality::Degraded;
     pub use crate::ranger::RangerRetriever;
     pub use crate::retriever::Retriever;
     pub use crate::sieve::SieveRetriever;

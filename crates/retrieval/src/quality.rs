@@ -3,6 +3,9 @@
 use cachemind_lang::context::{ContextQuality, Fact, RetrievedContext};
 use cachemind_lang::intent::{QueryCategory, QueryIntent};
 use cachemind_lang::profiles::{text_seed, unit_draw};
+use cachemind_tracedb::store::TraceStore;
+
+use crate::retriever::Retriever;
 
 /// Grades a fact bundle for an intent: `High` when the facts directly
 /// answer the category, `Medium` when only supporting material was found,
@@ -101,6 +104,23 @@ pub fn bucket_for(question: &str) -> ContextQuality {
     }
 }
 
+/// A retriever whose every context is degraded to its question's
+/// [`bucket_for`] level — Figure 5's controlled-quality sweep as a
+/// decorator, so the degraded runs ask through the same pipeline as every
+/// other configuration. Keeps the inner retriever's name.
+#[derive(Debug, Clone)]
+pub struct Degraded<R>(pub R);
+
+impl<R: Retriever> Retriever for Degraded<R> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn retrieve(&self, db: &dyn TraceStore, intent: &QueryIntent) -> RetrievedContext {
+        degrade(&self.0.retrieve(db, intent), bucket_for(&intent.raw))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,6 +170,25 @@ mod tests {
         let low = degrade(&ctx, ContextQuality::Low);
         assert_eq!(low.quality, ContextQuality::Low);
         assert!(low.facts.is_empty());
+    }
+
+    #[test]
+    fn degraded_retriever_applies_the_question_bucket() {
+        use crate::sieve::SieveRetriever;
+        use cachemind_tracedb::TraceDatabaseBuilder;
+
+        let db = TraceDatabaseBuilder::quick_demo().build();
+        let sieve = SieveRetriever::new();
+        let degraded = Degraded(sieve.clone());
+        assert_eq!(degraded.name(), "sieve");
+        let mut seen = std::collections::HashSet::new();
+        for pc in ["0x401380", "0x4037ba", "0x401dc9", "0x4037aa", "0x40", "0x41"] {
+            let i = intent(&format!("What is the miss rate for PC {pc} in mcf under lru?"));
+            let want = degrade(&sieve.retrieve(&db, &i), bucket_for(&i.raw));
+            assert_eq!(degraded.retrieve(&db, &i), want, "{pc}");
+            seen.insert(bucket_for(&i.raw));
+        }
+        assert!(seen.len() > 1, "questions should land in different buckets: {seen:?}");
     }
 
     #[test]

@@ -312,9 +312,9 @@ impl ServeEngine {
             "the dense baseline is not servable; use Sieve or Ranger"
         );
         let mind = CacheMind::shared(Arc::clone(&store))
+            .with_metrics(&registry)
             .with_retriever(config.retriever)
             .with_backend(config.backend)
-            .with_metrics(&registry)
             .with_answer_cache(config.answer_cache);
         ServeEngine {
             store,

@@ -15,7 +15,11 @@
 //! * each engine's stats carry its own startup span — `tracedb.build` for
 //!   a simulated start, `tracedb.snapshot_verify` for a snapshot start —
 //!   the two numbers CI's snapshot-startup gate divides.
+//! * a Ranger engine's plan compile/run spans land in the engine's own
+//!   registry, not in the process-global one.
 
+use cachemind_core::system::RetrieverKind;
+use cachemind_obs::names::{RETRIEVAL_PLAN_COMPILE, RETRIEVAL_PLAN_RUN};
 use cachemind_serve::engine::{ServeConfig, ServeEngine};
 use cachemind_serve::load::{run_load_driver, LoadOutcome, LoadSpec, LoadTarget};
 use cachemind_tracedb::{TraceDatabaseBuilder, TraceStore};
@@ -208,4 +212,32 @@ fn each_engine_records_its_own_startup_span() {
     assert_eq!(count(field(&stats, &["tracedb.snapshot_verify"]), &["count"]), 1);
     assert!(stats.get("tracedb.build").is_none(), "a snapshot engine simulated nothing");
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn ranger_plan_spans_land_in_the_engine_registry() {
+    let config = ServeConfig { retriever: RetrieverKind::Ranger, ..Default::default() };
+    let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().expect("demo build");
+    let ranger = ServeEngine::over(db, config);
+    let sieve = engine(1);
+    for question in [
+        "What is the overall miss rate of the mcf workload under LRU?",
+        "Which policy has the lowest miss rate in astar?",
+        "What is the overall miss rate of the lbm workload under Belady?",
+    ] {
+        for engine in [&ranger, &sieve] {
+            let asked = serve(engine, &format!(r#"{{"question": "{question}"}}"#));
+            assert!(!asked.contains("\"error\""), "{asked}");
+        }
+    }
+
+    let histograms =
+        |engine: &ServeEngine| field(&engine.stats_value(), &["metrics", "histograms"]).clone();
+    let (ranger, sieve) = (histograms(&ranger), histograms(&sieve));
+    let global = cachemind_obs::global().snapshot();
+    for name in [RETRIEVAL_PLAN_COMPILE, RETRIEVAL_PLAN_RUN] {
+        assert!(count(field(&ranger, &[name]), &["count"]) > 0, "{name} missing from {ranger:?}");
+        assert!(sieve.get(name).is_none(), "a Sieve engine compiles no plans: {name}");
+        assert_eq!(global.histogram(name).map_or(0, |h| h.count), 0, "{name} leaked to global");
+    }
 }

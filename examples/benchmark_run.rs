@@ -1,28 +1,26 @@
 //! Run CacheMindBench end to end for one retriever x backend pair and print
 //! the per-category breakdown — a miniature of the paper's Figure 4 row.
+//! Every question is asked through `CacheMind::ask_query`, the pipeline the
+//! serve layer runs.
 //!
-//! Run with: `cargo run --release --example benchmark_run [sieve|ranger]`
+//! Run with: `cargo run --release --example benchmark_run [sieve|ranger|dense]`
 
-use cachemind_benchsuite::harness::{self, HarnessConfig};
+use cachemind_suite::core::eval;
 use cachemind_suite::prelude::*;
 
 fn main() {
-    let retriever_name = std::env::args().nth(1).unwrap_or_else(|| "ranger".to_owned());
+    let retriever = match std::env::args().nth(1).as_deref() {
+        Some("sieve") => RetrieverKind::Sieve,
+        None | Some("ranger") => RetrieverKind::Ranger,
+        Some("dense") => RetrieverKind::Dense,
+        Some(other) => panic!("unknown retriever {other:?} (use sieve, ranger or dense)"),
+    };
 
     println!("Building database and generating the 100-question suite ...");
     let db = TraceDatabaseBuilder::quick_demo().build();
     let catalog = Catalog::generate(&db);
-
-    let sieve = SieveRetriever::new();
-    let ranger = RangerRetriever::new();
-    let retriever: &dyn Retriever = match retriever_name.as_str() {
-        "sieve" => &sieve,
-        "ranger" => &ranger,
-        other => panic!("unknown retriever {other:?} (use sieve or ranger)"),
-    };
-
-    let report =
-        harness::run(&db, retriever, BackendKind::Gpt4o, &catalog, &HarnessConfig::default());
+    let mind = CacheMind::new(db).with_retriever(retriever).with_backend(BackendKind::Gpt4o);
+    let report = eval::bench(&mind, &catalog);
 
     println!("\nCacheMindBench — retriever: {}, backend: {}", report.retriever, report.backend);
     println!("{}", "-".repeat(56));

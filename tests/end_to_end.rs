@@ -1,7 +1,7 @@
 //! End-to-end integration: simulate → store → retrieve → generate → score,
 //! across crate boundaries.
 
-use cachemind_suite::benchsuite::harness::{self, HarnessConfig};
+use cachemind_suite::core::eval;
 use cachemind_suite::prelude::*;
 
 fn demo_db() -> TraceDatabase {
@@ -41,13 +41,7 @@ fn full_pipeline_produces_verifiable_answers() {
 fn benchmark_pipeline_round_trips_all_categories() {
     let db = demo_db();
     let catalog = Catalog::generate(&db);
-    let report = harness::run(
-        &db,
-        &RangerRetriever::new(),
-        BackendKind::Gpt4o,
-        &catalog,
-        &HarnessConfig::default(),
-    );
+    let report = eval::bench(&CacheMind::new(db).with_retriever(RetrieverKind::Ranger), &catalog);
     assert_eq!(report.results.len(), 100);
     for category in QueryCategory::ALL {
         let n = report.results.iter().filter(|r| r.category == category).count();

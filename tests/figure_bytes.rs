@@ -14,6 +14,7 @@
 //! ```
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use cachemind_suite::core::eval;
 use cachemind_suite::core::insights::ablation;
@@ -32,6 +33,7 @@ fn section(name: &str, json: Result<String, serde_json::Error>) -> String {
 fn figures_json() -> String {
     let db = TraceDatabaseBuilder::quick_demo().build();
     let catalog = Catalog::generate(&db);
+    let db: Arc<dyn TraceStore> = Arc::new(db);
     let sections = [
         section("figure4", serde_json::to_string_pretty(&eval::figure4(&db, &catalog))),
         section("figure5", serde_json::to_string_pretty(&eval::figure5(&db, &catalog))),

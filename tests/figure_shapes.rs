@@ -1,14 +1,16 @@
 //! Figure-level shape assertions: the qualitative results the paper reports
 //! must emerge from the implementation (see EXPERIMENTS.md).
 
+use std::sync::Arc;
+
 use cachemind_suite::core::eval;
 use cachemind_suite::prelude::*;
 use cachemind_suite::retrieval::probes::{probe_queries, run_probes};
 
-fn setup() -> (TraceDatabase, Catalog) {
+fn setup() -> (Arc<dyn TraceStore>, Catalog) {
     let db = TraceDatabaseBuilder::quick_demo().build();
     let catalog = Catalog::generate(&db);
-    (db, catalog)
+    (Arc::new(db), catalog)
 }
 
 #[test]
@@ -67,7 +69,7 @@ fn figure8_retriever_split() {
 
 #[test]
 fn figure9_retrieval_ordering_and_magnitudes() {
-    let (db, _) = setup();
+    let db = TraceDatabaseBuilder::quick_demo().build();
     let probes = probe_queries(&db);
     let dense = DenseIndexRetriever::build(&db, 4);
     let d = run_probes(&db, &dense, &probes);
@@ -86,7 +88,7 @@ fn figure9_retrieval_ordering_and_magnitudes() {
 
 #[test]
 fn belady_upper_bounds_every_database_policy() {
-    let (db, _) = setup();
+    let db = TraceDatabaseBuilder::quick_demo().build();
     for w in db.workloads() {
         let opt_misses = db
             .get(&format!("{w}_evictions_belady"))
