@@ -139,6 +139,7 @@ pub struct Answer {
 /// Owns a shared handle to the trace store, a retriever and a generator
 /// backend; turning a natural-language question into a trace-grounded
 /// answer is one [`CacheMind::ask_query`] call.
+#[derive(Debug)]
 pub struct CacheMind {
     db: Arc<dyn TraceStore>,
     retriever: Box<dyn Retriever + Send + Sync>,
@@ -146,17 +147,6 @@ pub struct CacheMind {
     shots: Vec<Example>,
     metrics: cachemind_obs::MetricsRegistry,
     answers: Option<crate::cache::AnswerCache>,
-}
-
-impl std::fmt::Debug for CacheMind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CacheMind")
-            .field("retriever", &self.retriever.name())
-            .field("backend", &self.backend)
-            .field("shots", &self.shots.len())
-            .field("answer_cache", &self.answers.is_some())
-            .finish_non_exhaustive()
-    }
 }
 
 impl CacheMind {

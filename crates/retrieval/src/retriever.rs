@@ -13,7 +13,7 @@ use cachemind_tracedb::store::TraceStore;
 /// — call sites pass either and the reference coerces.
 ///
 /// [`TraceDatabase`]: cachemind_tracedb::database::TraceDatabase
-pub trait Retriever {
+pub trait Retriever: std::fmt::Debug {
     /// Stable retriever name (`"sieve"`, `"ranger"`, `"dense"`).
     fn name(&self) -> &'static str;
 
