@@ -1,9 +1,10 @@
 //! Parallel scenario sweep driver: workload × machine × prefetcher ×
 //! policy.
 //!
-//! Replays every requested workload under every requested policy using the
-//! rayon-parallel sweep engine, then prints the canonical report. The
-//! output is byte-identical for any `RAYON_NUM_THREADS` setting —
+//! Replays every requested workload under every requested policy on the
+//! parallel sweep engine, whose `RAYON_NUM_THREADS` workers claim grid
+//! items one at a time, then prints the canonical report. The output is
+//! byte-identical for any `RAYON_NUM_THREADS` setting —
 //! determinism across thread counts is part of the sweep engine's contract.
 //!
 //! Both modes run [`cachemind_sim::sweep::ScenarioGrid`] and print its
@@ -44,7 +45,7 @@
 
 use cachemind_sim::config::{CacheConfig, MachineConfig};
 use cachemind_sim::prefetch::PrefetcherKind;
-use cachemind_sim::sweep::{ScenarioGrid, SweepStream};
+use cachemind_sim::sweep::{worker_count, ScenarioGrid, SweepStream};
 use cachemind_workloads::workload::Scale;
 
 /// The default policy set: online baselines, modern RRIP-family policies,
@@ -177,7 +178,7 @@ fn main() {
         );
     }
 
-    let threads = rayon::current_num_threads();
+    let threads = worker_count();
     let started = std::time::Instant::now();
     let (mode, machines, prefetchers) = if scenario_mode {
         // Machine axis: named presets × DRAM latency variants.

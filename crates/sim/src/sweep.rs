@@ -15,7 +15,11 @@
 //! [`GridCell::metrics`] derives its prefetch accuracy/coverage and
 //! [`IpcModel`] IPC from the replay's counters.
 //!
-//! [`ScenarioGrid::run_cells`] parallelises with rayon in two stages:
+//! [`ScenarioGrid::run_cells`] parallelises in two stages, each through
+//! [`sweep_cells`]: [`worker_count`] scoped threads (`RAYON_NUM_THREADS`,
+//! else the available parallelism) claim the stage's items one at a time
+//! from a shared queue, so a slow item never holds up items queued behind
+//! it on the same worker:
 //!
 //! 1. one task per `(workload, machine, prefetcher)` triple transforms the
 //!    stream, runs the hierarchy filter (full-machine mode) and builds the
@@ -45,9 +49,10 @@
 //! `cachemind-bench` wires up.
 
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::num::NonZeroUsize;
+use std::sync::{Arc, Mutex};
+use std::thread;
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::access::MemoryAccess;
@@ -87,6 +92,17 @@ impl SweepStream {
     }
 }
 
+/// Number of worker threads a parallel sweep stage uses:
+/// `RAYON_NUM_THREADS` when it holds a positive integer (`1` runs every
+/// stage inline on the caller), otherwise the available parallelism. Read
+/// per stage, so a driver can change it between runs.
+pub fn worker_count() -> usize {
+    match std::env::var("RAYON_NUM_THREADS").ok().and_then(|v| v.parse::<usize>().ok()) {
+        Some(n) if n >= 1 => n,
+        _ => thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1),
+    }
+}
+
 /// Order-preserving parallel map over independent sweep configurations —
 /// the primitive behind both [`ScenarioGrid::run_cells`] stages, exposed so
 /// the figure binaries (`figure5_quality`, `figure6_fewshot`,
@@ -95,13 +111,52 @@ impl SweepStream {
 /// cell depends only on its own input, and results come back in input
 /// order no matter how many worker threads ran them or in what order they
 /// finished.
+///
+/// Runs on [`worker_count`] workers, capped at the item count; each worker
+/// claims the next unclaimed item when it finishes its last, so uneven
+/// item costs balance across workers instead of waiting on the slowest
+/// fixed share.
 pub fn sweep_cells<T, O, F>(items: Vec<T>, f: F) -> Vec<O>
 where
     T: Send,
     O: Send,
     F: Fn(T) -> O + Sync,
 {
-    items.into_par_iter().map(f).collect()
+    sweep_cells_on(worker_count(), items, f)
+}
+
+/// [`sweep_cells`] on an explicit worker count.
+fn sweep_cells_on<T, O, F>(workers: usize, items: Vec<T>, f: F) -> Vec<O>
+where
+    T: Send,
+    O: Send,
+    F: Fn(T) -> O + Sync,
+{
+    let workers = workers.min(items.len());
+    if workers <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let queue = Mutex::new(items.into_iter().enumerate());
+    // The guard drops when `claim` returns, so `f` runs with the queue
+    // unlocked.
+    let claim = || queue.lock().expect("no worker panics holding the queue").next();
+    let mut done: Vec<(usize, O)> = thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    std::iter::from_fn(&claim).map(|(i, item)| (i, f(item))).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|handle| {
+                handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+    done.sort_unstable_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, output)| output).collect()
 }
 
 /// The policy-independent half of one scenario cell — stage 1 of the
@@ -764,6 +819,46 @@ mod tests {
             .prefetcher(PrefetcherKind::None);
         grid.policies = policies.iter().map(|s| (*s).to_owned()).collect();
         grid
+    }
+
+    #[test]
+    fn sweep_cells_preserves_order() {
+        let input: Vec<u64> = (0..1000).collect();
+        let expected: Vec<u64> = input.iter().map(|x| x * 2).collect();
+        for workers in [1, 2, 3, 8] {
+            assert_eq!(sweep_cells_on(workers, input.clone(), |x| x * 2), expected);
+        }
+    }
+
+    #[test]
+    fn sweep_cells_empty_input() {
+        assert!(sweep_cells_on(4, Vec::<u64>::new(), |x| x).is_empty());
+        assert!(sweep_cells(Vec::<u64>::new(), |x| x).is_empty());
+    }
+
+    #[test]
+    fn sweep_cells_workers_claim_items_one_at_a_time() {
+        // Item 0 blocks until the other seven are done. A worker that
+        // claims the next item when it is free runs all seven while item 0
+        // waits; a fixed split would queue items 1-3 behind item 0 on the
+        // same worker and never finish them.
+        use std::sync::Condvar;
+        use std::time::Duration;
+        let (finished, all_finished) = (Mutex::new(0), Condvar::new());
+        let out = sweep_cells_on(2, (0..8).collect(), |i: usize| {
+            let mut count = finished.lock().expect("counter");
+            if i == 0 {
+                let wait = Duration::from_secs(5);
+                let (_count, waited) =
+                    all_finished.wait_timeout_while(count, wait, |n| *n < 7).expect("counter");
+                assert!(!waited.timed_out(), "items 1-7 never ran while item 0 waited");
+            } else {
+                *count += 1;
+                all_finished.notify_all();
+            }
+            i
+        });
+        assert_eq!(out, (0..8).collect::<Vec<_>>());
     }
 
     #[test]

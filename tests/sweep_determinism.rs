@@ -3,9 +3,11 @@
 //! reports (table and JSON renderings both) — for a grid of LLC-only
 //! machines *and* a grid of full machines × prefetchers.
 //!
-//! These tests drive thread count through `RAYON_NUM_THREADS`, which the
-//! rayon shim re-reads per parallel stage. They run in one `#[test]` so the
-//! env-var mutation cannot race a sibling test in this binary.
+//! These tests drive the worker count through `RAYON_NUM_THREADS`, which
+//! `sweep_cells` re-reads per parallel stage; its workers claim items one
+//! at a time, so which worker runs which cell varies from run to run. They
+//! run in one `#[test]` so the env-var mutation cannot race a sibling test
+//! in this binary.
 
 use cachemind_suite::policies::by_name;
 use cachemind_suite::prelude::*;
