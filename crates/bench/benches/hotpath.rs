@@ -39,7 +39,7 @@ use cachemind_sim::config::{CacheConfig, HierarchyConfig, MachineConfig};
 use cachemind_sim::replacement::{AccessContext, RecencyPolicy};
 use cachemind_sim::replay::LlcReplay;
 use cachemind_sim::sweep::prepare_scenario;
-use cachemind_tracedb::TraceDatabaseBuilder;
+use cachemind_tracedb::{TraceDatabaseBuilder, TraceStore};
 use cachemind_workloads::{by_name, Scale};
 
 /// The LLC geometry the trace database replays against: 256 sets x 8 ways.

@@ -5,6 +5,7 @@ use cachemind_lang::intent::QueryCategory;
 use cachemind_sim::addr::Pc;
 use cachemind_tracedb::database::{TraceDatabase, TraceEntry};
 use cachemind_tracedb::stats::CacheStatisticalExpert;
+use cachemind_tracedb::store::TraceStore;
 
 use crate::question::{Expected, Question};
 

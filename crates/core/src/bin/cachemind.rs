@@ -25,6 +25,7 @@ use cachemind_retrieval::probes::{probe_queries, run_probes};
 use cachemind_retrieval::ranger::RangerRetriever;
 use cachemind_retrieval::sieve::SieveRetriever;
 use cachemind_tracedb::database::{TraceDatabase, TraceDatabaseBuilder};
+use cachemind_tracedb::store::TraceStore;
 use cachemind_workloads::workload::Scale;
 
 fn scale() -> Scale {
@@ -194,10 +195,7 @@ fn main() {
             let path = args.get(2).cloned().unwrap_or_else(|| usage());
             let db = trace_db();
             let entry = db.get(&trace_id).unwrap_or_else(|| {
-                eprintln!(
-                    "unknown trace {trace_id:?}; available: {}",
-                    db.trace_ids().collect::<Vec<_>>().join(", ")
-                );
+                eprintln!("unknown trace {trace_id:?}; available: {}", db.trace_keys().join(", "));
                 std::process::exit(1);
             });
             std::fs::write(&path, entry.frame.to_csv()).expect("write CSV");

@@ -1,11 +1,12 @@
 //! The CacheMind system: query-first, retrieval-augmented answering.
 //!
 //! [`CacheMind`] holds its trace store behind an `Arc<dyn TraceStore>`, so
-//! one database — monolithic or sharded — can be shared by any number of
-//! concurrent sessions (the serve layer's whole premise). Answering is a
-//! pure function of the query and the store, which is what lets the serve
-//! layer answer a round's queries on any number of workers without
-//! changing a byte. [`CacheMind::ask_query`] is the one way to ask.
+//! one database — built in process or opened from a snapshot — can be
+//! shared by any number of concurrent sessions (the serve layer's whole
+//! premise). Answering is a pure function of the query and the store,
+//! which is what lets the serve layer answer a round's queries on any
+//! number of workers without changing a byte. [`CacheMind::ask_query`] is
+//! the one way to ask.
 
 use std::sync::Arc;
 
@@ -96,12 +97,6 @@ impl Query {
         Query { text: text.into(), selector, options: QueryOptions::default() }
     }
 
-    /// Replaces the selector.
-    pub fn with_selector(mut self, selector: ScenarioSelector) -> Self {
-        self.selector = selector;
-        self
-    }
-
     /// Replaces the options.
     pub fn with_options(mut self, options: QueryOptions) -> Self {
         self.options = options;
@@ -157,7 +152,7 @@ impl CacheMind {
     }
 
     /// Creates the system over an already-shared trace store (the serve
-    /// layer hands every session the same `Arc` of one sharded database).
+    /// layer hands every session the same `Arc` of one database).
     pub fn shared(db: Arc<dyn TraceStore>) -> Self {
         CacheMind {
             db,
@@ -446,7 +441,7 @@ mod tests {
     #[test]
     fn sharded_store_answers_like_the_monolith() {
         let sharded =
-            TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().expect("valid names");
+            TraceDatabaseBuilder::quick_demo().shards(3).try_build().expect("valid names");
         let shared = CacheMind::shared(Arc::new(sharded));
         let flat = mind();
         for q in [

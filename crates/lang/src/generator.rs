@@ -334,7 +334,7 @@ mod tests {
     fn grounded_hitmiss_is_mostly_correct() {
         // Across many question variants the accuracy should be close to the
         // backend's competence.
-        let mut backend = SimulatedBackend::new(BackendKind::Gpt4o);
+        let backend = SimulatedBackend::new(BackendKind::Gpt4o);
         let mut correct = 0;
         let n = 500;
         for i in 0..n {
@@ -359,8 +359,8 @@ mod tests {
 
     #[test]
     fn premise_violation_triggers_trick_handling() {
-        let mut robust = SimulatedBackend::new(BackendKind::Gpt4o);
-        let mut fragile = SimulatedBackend::new(BackendKind::Gpt35Turbo);
+        let robust = SimulatedBackend::new(BackendKind::Gpt4o);
+        let fragile = SimulatedBackend::new(BackendKind::Gpt35Turbo);
         let mut req = hitmiss_request(ContextQuality::High, Vec::new());
         req.context
             .facts
@@ -381,8 +381,8 @@ mod tests {
 
     #[test]
     fn missing_context_honesty_depends_on_backend() {
-        let mut honest = SimulatedBackend::new(BackendKind::Gpt4o);
-        let mut liar = SimulatedBackend::new(BackendKind::O3);
+        let honest = SimulatedBackend::new(BackendKind::Gpt4o);
+        let liar = SimulatedBackend::new(BackendKind::O3);
         let req = hitmiss_request(ContextQuality::Low, Vec::new());
         assert_eq!(honest.answer(&req).verdict, Verdict::NotFound);
         assert_ne!(liar.answer(&req).verdict, Verdict::NotFound);
@@ -390,7 +390,7 @@ mod tests {
 
     #[test]
     fn example_context_bleed_for_weak_backends() {
-        let mut backend = SimulatedBackend::new(BackendKind::Gpt35Turbo);
+        let backend = SimulatedBackend::new(BackendKind::Gpt35Turbo);
         let mut req = hitmiss_request(ContextQuality::Low, Vec::new());
         req.examples.push(Example::figure6());
         let a = backend.answer(&req);
@@ -400,7 +400,7 @@ mod tests {
 
     #[test]
     fn freeform_quality_capped_by_context() {
-        let mut backend = SimulatedBackend::new(BackendKind::Gpt4o);
+        let backend = SimulatedBackend::new(BackendKind::Gpt4o);
         let q = "Why does Belady outperform LRU on PC 0x409270 in astar?";
         let mut max_low = 0u8;
         for i in 0..50 {
@@ -424,8 +424,8 @@ mod tests {
 
     #[test]
     fn answers_are_deterministic() {
-        let mut a = SimulatedBackend::new(BackendKind::Gpt4oMini);
-        let mut b = SimulatedBackend::new(BackendKind::Gpt4oMini);
+        let a = SimulatedBackend::new(BackendKind::Gpt4oMini);
+        let b = SimulatedBackend::new(BackendKind::Gpt4oMini);
         let req = hitmiss_request(ContextQuality::High, vec![outcome_fact(false)]);
         assert_eq!(a.answer(&req), b.answer(&req));
     }

@@ -60,7 +60,7 @@ pub mod names {
     /// One policy replay of one scenario cell, per cell (the per-cell
     /// latency histogram behind the per-run [`SWEEP_REPLAY`] span).
     pub const SWEEP_CELL_REPLAY: &str = "sweep.cell_replay";
-    /// Sharded trace-database build (simulation + tabulation), per build.
+    /// Trace-database build (simulation + tabulation), per build.
     pub const TRACEDB_BUILD: &str = "tracedb.build";
     /// Snapshot encode + write (the save path), per save.
     pub const TRACEDB_SNAPSHOT_SAVE: &str = "tracedb.snapshot_save";
@@ -68,11 +68,13 @@ pub mod names {
     /// open.
     pub const TRACEDB_SNAPSHOT_VERIFY: &str = "tracedb.snapshot_verify";
     /// One trace frame's row decode on first touch, per decoded frame of a
-    /// lazy snapshot store.
+    /// store opened from a snapshot.
     pub const TRACEDB_LAZY_DECODE: &str = "tracedb.lazy_decode";
-    /// Counter: shard segments whose entry headers lazy stores read.
+    /// Counter: snapshot segments whose entry headers were decoded when a
+    /// store was opened from a snapshot.
     pub const TRACEDB_LAZY_DECODE_SEGMENTS: &str = "tracedb.lazy_decode_segments";
-    /// Counter: trace frames whose rows lazy stores decoded.
+    /// Counter: trace frames of stores opened from a snapshot whose rows
+    /// were decoded on first touch.
     pub const TRACEDB_LAZY_DECODE_TRACES: &str = "tracedb.lazy_decode_traces";
     /// Ranger plan compilation, per retrieval.
     pub const RETRIEVAL_PLAN_COMPILE: &str = "retrieval.plan_compile";

@@ -71,12 +71,6 @@ impl DenseIndexRetriever {
         DenseIndexRetriever { store, refs, top_k: 3 }
     }
 
-    /// Overrides the number of chunks retrieved per query.
-    pub fn with_top_k(mut self, k: usize) -> Self {
-        self.top_k = k.max(1);
-        self
-    }
-
     /// Number of indexed chunks.
     pub fn len(&self) -> usize {
         self.refs.len()

@@ -9,6 +9,7 @@ use cachemind_lang::context::{Fact, RetrievedContext};
 use cachemind_lang::intent::{QueryCategory, QueryIntent};
 use cachemind_tracedb::database::TraceDatabase;
 use cachemind_tracedb::stats::CacheStatisticalExpert;
+use cachemind_tracedb::store::TraceStore;
 
 use crate::retriever::Retriever;
 

@@ -7,10 +7,9 @@ use cachemind_tracedb::store::TraceStore;
 /// A retrieval strategy: maps a parsed query to a context bundle over the
 /// external trace database.
 ///
-/// Retrievers are written against the [`TraceStore`] trait, so they work
-/// identically over a monolithic [`TraceDatabase`] and a
-/// [`ShardedTraceDatabase`](cachemind_tracedb::shard::ShardedTraceDatabase)
-/// — call sites pass either and the reference coerces.
+/// Retrievers are written against the [`TraceStore`] trait, the read
+/// surface of the one store, [`TraceDatabase`] — whether it was built in
+/// process or opened from a snapshot.
 ///
 /// [`TraceDatabase`]: cachemind_tracedb::database::TraceDatabase
 pub trait Retriever: std::fmt::Debug {

@@ -22,7 +22,7 @@
 //! counts. Timing is what the server measured: `--stats-json PATH` writes
 //! the engine's metrics snapshot, startup spans included.
 //!
-//! `--build-db PATH` runs the simulation build and writes the sharded
+//! `--build-db PATH` runs the simulation build and writes the
 //! database to `PATH` as a versioned snapshot, without serving. `--db-path
 //! PATH` starts the engine from such a snapshot instead of simulating —
 //! answers are byte-identical to a fresh build, startup is near-instant.
@@ -39,7 +39,7 @@ use cachemind_core::system::RetrieverKind;
 use cachemind_serve::engine::{build_database, ServeConfig, ServeEngine, StdioEnd};
 use cachemind_serve::load::{run_load_driver, LoadSpec, LoadTarget};
 use cachemind_serve::net::{self, NetConfig, SessionScope, TcpServer};
-use cachemind_tracedb::ScenarioSelector;
+use cachemind_tracedb::{ScenarioSelector, TraceStore};
 use cachemind_workloads::workload::Scale;
 
 fn flag(args: &[String], name: &str) -> Option<String> {
@@ -211,7 +211,7 @@ fn main() {
     // Offline snapshot build: simulate, save, exit — the serving start
     // that follows (--db-path) then skips simulation entirely.
     if let Some(path) = flag(&args, "--build-db") {
-        eprintln!("[cachemind-serve] building sharded trace database ({:?}) ...", config.scale);
+        eprintln!("[cachemind-serve] building trace database ({:?}) ...", config.scale);
         let started = Instant::now();
         let db = match build_database(&config) {
             Ok(db) => db,
@@ -229,8 +229,8 @@ fn main() {
         eprintln!(
             "[cachemind-serve] wrote snapshot {path} ({bytes} bytes, {} traces, {} shards) — \
              build took {} ms",
-            cachemind_tracedb::store::TraceStore::len(&db),
-            db.num_shards(),
+            db.len(),
+            db.shard_count(),
             build_micros / 1000
         );
         return;
@@ -243,7 +243,7 @@ fn main() {
             (ServeEngine::from_snapshot(&path, config).map_err(|e| e.to_string()), "snapshot")
         }
         None => {
-            eprintln!("[cachemind-serve] building sharded trace database ({:?}) ...", config.scale);
+            eprintln!("[cachemind-serve] building trace database ({:?}) ...", config.scale);
             (ServeEngine::build(config).map_err(|e| e.to_string()), "build")
         }
     };

@@ -1,7 +1,7 @@
 //! [`ServeEngine`] — the multi-session query-serving front-end.
 //!
 //! One engine owns many concurrent [`ChatSession`]s over a single shared
-//! (`Arc`) sharded trace database. Every transport serves one protocol
+//! (`Arc`) trace database. Every transport serves one protocol
 //! line at a time through [`ServeEngine::serve_line`]: parse, dispatch,
 //! render. An ask resolves its session under the session lock, is
 //! answered outside it through the stateless CacheMind pipeline, and is
@@ -24,9 +24,8 @@ use cachemind_lang::profiles::BackendKind;
 use cachemind_obs::{names, Counter, HistogramHandle, MetricsRegistry};
 use cachemind_sim::config::MachineConfig;
 use cachemind_sim::prefetch::PrefetcherKind;
-use cachemind_tracedb::database::BuildError;
-use cachemind_tracedb::shard::ShardedTraceDatabase;
-use cachemind_tracedb::snapshot::{LazyTraceDatabase, SnapshotError, VerifiedSnapshot};
+use cachemind_tracedb::database::{BuildError, TraceDatabase};
+use cachemind_tracedb::snapshot::{SnapshotError, VerifiedSnapshot};
 use cachemind_tracedb::store::TraceStore;
 use cachemind_tracedb::{ScenarioSelector, TraceDatabaseBuilder};
 use cachemind_workloads::workload::Scale;
@@ -210,21 +209,19 @@ pub struct ServeEngine {
     /// This engine's own metric handles — per-engine (not process-global),
     /// so a server's `stats` snapshot counts exactly its own traffic.
     metrics: EngineMetrics,
-    /// The store's canonical machine labels, snapshotted on first use (the
+    /// The store's canonical machine labels, read once at startup (the
     /// store is immutable for the engine's lifetime): used to canonicalize
     /// preset-name scopes into keyed lookups and to resolve the machine a
-    /// scoped answer cites. Lazy so a snapshot-backed engine
-    /// ([`ServeEngine::from_snapshot`]) does not force a decode at
-    /// startup.
-    machine_labels: std::sync::OnceLock<Vec<String>>,
-    /// The store's canonical prefetcher labels, snapshotted like
+    /// scoped answer cites. Reading them decodes no trace rows.
+    machine_labels: Vec<String>,
+    /// The store's canonical prefetcher labels, read like
     /// `machine_labels`: used to resolve the prefetcher a scoped answer's
     /// grounded evidence cites.
-    prefetcher_labels: std::sync::OnceLock<Vec<String>>,
+    prefetcher_labels: Vec<String>,
 }
 
 impl ServeEngine {
-    /// Builds the sharded trace database described by `config` and starts
+    /// Builds the trace database described by `config` and starts
     /// an engine over it. `config.machines` preset names add
     /// machine-qualified traces to the build and `config.prefetchers`
     /// prefetcher names add prefetcher-qualified (transformed-stream)
@@ -232,7 +229,7 @@ impl ServeEngine {
     /// per-prefetcher entries to answer from.
     ///
     /// Unknown workload/policy/machine-preset/prefetcher names surface as
-    /// a clean [`BuildError`] — validation happens before any shard worker
+    /// a clean [`BuildError`] — validation happens before any build worker
     /// runs.
     ///
     /// The build also lands in this engine's registry as a
@@ -248,17 +245,18 @@ impl ServeEngine {
     }
 
     /// Starts an engine over a database loaded from a snapshot file
-    /// written by [`ShardedTraceDatabase::save`] (see
+    /// written by [`TraceDatabase::save`] (see
     /// `cachemind_tracedb::snapshot`) — the instant-startup path: no
     /// simulation runs.
     ///
     /// `config.scale`, `machines` and `prefetchers` describe *builds*, so
     /// they are ignored here beyond being echoed in [`ServeEngine::config`];
     /// the snapshot determines which traces exist.
-    /// The snapshot is checksum-verified in full before this returns (any
-    /// corruption is a startup error, never a mid-round surprise), but the
-    /// entries themselves decode lazily on the first query — the ready
-    /// banner and the listen loop come up without paying the decode.
+    /// The snapshot is checksum-verified in full and every entry header is
+    /// decoded before this returns (any corruption, a forged entry header
+    /// included, is a startup error, never a mid-round surprise), but each
+    /// trace's rows decode only when a query first reads them — the ready
+    /// banner and the listen loop come up without paying the row decode.
     pub fn from_snapshot(
         path: impl AsRef<std::path::Path>,
         config: ServeConfig,
@@ -270,40 +268,27 @@ impl ServeEngine {
         let verify_span = registry.span(names::TRACEDB_SNAPSHOT_VERIFY);
         let snapshot = VerifiedSnapshot::open(path)?;
         verify_span.finish();
-        let store: Arc<dyn TraceStore> =
-            Arc::new(LazyTraceDatabase::new(snapshot).with_metrics(&registry));
-        Ok(Self::over_registry(store, config, registry))
+        let db = snapshot.into_database(&registry)?;
+        Ok(Self::over_registry(Arc::new(db), config, registry))
     }
 
-    /// Starts an engine over an already-built sharded database.
+    /// Starts an engine over an already-built database.
     ///
     /// # Panics
     ///
     /// Panics if `config.retriever` is [`RetrieverKind::Dense`] (not a
     /// serving retriever; see [`ServeConfig::retriever`]).
-    pub fn over(db: ShardedTraceDatabase, config: ServeConfig) -> Self {
-        Self::over_store(Arc::new(db), config)
+    pub fn over(db: TraceDatabase, config: ServeConfig) -> Self {
+        Self::over_registry(Arc::new(db), config, MetricsRegistry::new())
     }
 
-    /// Starts an engine over any [`TraceStore`] — the common tail of
-    /// [`ServeEngine::over`] (eager, in-memory) and
-    /// [`ServeEngine::from_snapshot`] (lazy, snapshot-backed). `config` is
-    /// recorded as given.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.retriever` is [`RetrieverKind::Dense`] (not a
-    /// serving retriever; see [`ServeConfig::retriever`]).
-    fn over_store(store: Arc<dyn TraceStore>, config: ServeConfig) -> Self {
-        Self::over_registry(store, config, MetricsRegistry::new())
-    }
-
-    /// The common tail with an explicit metrics registry —
-    /// [`ServeEngine::from_snapshot`] passes the registry its lazy store
-    /// already records into, so decode telemetry and request telemetry
-    /// land in one snapshot.
+    /// The common tail of every constructor, with an explicit metrics
+    /// registry — [`ServeEngine::from_snapshot`] passes the registry its
+    /// store's frames already record decodes into, so decode telemetry and
+    /// request telemetry land in one snapshot. `config` is recorded as
+    /// given.
     fn over_registry(
-        store: Arc<dyn TraceStore>,
+        store: Arc<TraceDatabase>,
         config: ServeConfig,
         registry: MetricsRegistry,
     ) -> Self {
@@ -311,7 +296,9 @@ impl ServeEngine {
             config.retriever != RetrieverKind::Dense,
             "the dense baseline is not servable; use Sieve or Ranger"
         );
-        let mind = CacheMind::shared(Arc::clone(&store))
+        let machine_labels = store.machines();
+        let prefetcher_labels = store.prefetchers();
+        let mind = CacheMind::shared(Arc::clone(&store) as Arc<dyn TraceStore>)
             .with_metrics(&registry)
             .with_retriever(config.retriever)
             .with_backend(config.backend)
@@ -322,8 +309,8 @@ impl ServeEngine {
             sessions: Mutex::new(SessionTable::default()),
             config,
             metrics: EngineMetrics::new(registry),
-            machine_labels: std::sync::OnceLock::new(),
-            prefetcher_labels: std::sync::OnceLock::new(),
+            machine_labels,
+            prefetcher_labels,
         }
     }
 
@@ -332,17 +319,6 @@ impl ServeEngine {
     /// reports, or read the serialized form via [`ServeEngine::stats_value`].
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics.registry
-    }
-
-    /// The store's canonical machine labels, computed on first use (this
-    /// forces a lazy snapshot store to decode).
-    fn machine_labels(&self) -> &[String] {
-        self.machine_labels.get_or_init(|| self.store.machines())
-    }
-
-    /// The store's canonical prefetcher labels, computed on first use.
-    fn prefetcher_labels(&self) -> &[String] {
-        self.prefetcher_labels.get_or_init(|| self.store.prefetchers())
     }
 
     /// Rewrites a scope's machine from a preset *name* (`table2`) to the
@@ -355,8 +331,8 @@ impl ServeEngine {
     /// sorted order, the same entry the unresolved scan would have found.
     fn canonicalize(&self, selector: ScenarioSelector) -> ScenarioSelector {
         match &selector.machine {
-            Some(machine) if !self.machine_labels().iter().any(|l| l == machine) => {
-                match self.machine_labels().iter().find(|l| selector.matches_machine(l)) {
+            Some(machine) if !self.machine_labels.iter().any(|l| l == machine) => {
+                match self.machine_labels.iter().find(|l| selector.matches_machine(l)) {
                     Some(label) => {
                         let label = label.clone();
                         selector.with_machine(label)
@@ -813,8 +789,8 @@ impl ServeEngine {
             (None, None)
         } else {
             (
-                cited_machine(self.machine_labels(), &answer),
-                cited_prefetcher(self.prefetcher_labels(), &answer),
+                cited_machine(&self.machine_labels, &answer),
+                cited_prefetcher(&self.prefetcher_labels, &answer),
             )
         };
 
@@ -858,12 +834,12 @@ impl ServeEngine {
     }
 }
 
-/// Builds the sharded trace database a [`ServeConfig`] describes — the
+/// Builds the trace database a [`ServeConfig`] describes — the
 /// shared build path behind [`ServeEngine::build`], the
 /// `cachemind-serve --build-db` offline mode, and the snapshot benches.
 /// Unknown machine-preset/prefetcher names surface as a clean
-/// [`BuildError`] before any shard worker runs.
-pub fn build_database(config: &ServeConfig) -> Result<ShardedTraceDatabase, BuildError> {
+/// [`BuildError`] before any build worker runs.
+pub fn build_database(config: &ServeConfig) -> Result<TraceDatabase, BuildError> {
     let mut machines = Vec::with_capacity(config.machines.len());
     for name in &config.machines {
         machines.push(
@@ -881,7 +857,7 @@ pub fn build_database(config: &ServeConfig) -> Result<ShardedTraceDatabase, Buil
         .scale(config.scale)
         .machines(machines)
         .prefetchers(prefetchers)
-        .try_build_sharded()
+        .try_build()
 }
 
 /// The canonical machine label a scoped answer's grounded evidence cites:
@@ -927,8 +903,7 @@ mod tests {
 
     fn engine(threads: usize) -> ServeEngine {
         let config = ServeConfig { threads: Some(threads), ..Default::default() };
-        let db =
-            TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().expect("demo build");
+        let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build().expect("demo build");
         ServeEngine::over(db, config)
     }
 
@@ -1179,8 +1154,7 @@ mod tests {
     #[test]
     fn from_snapshot_answers_like_a_fresh_build() {
         let config = ServeConfig { threads: Some(2), ..Default::default() };
-        let db =
-            TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().expect("demo build");
+        let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build().expect("demo build");
         let path =
             std::env::temp_dir().join(format!("cachemind_engine_{}.snap", std::process::id()));
         db.save(&path).expect("save snapshot");
@@ -1209,8 +1183,7 @@ mod tests {
     fn idle_sessions_are_reaped_after_the_configured_rounds() {
         let config =
             ServeConfig { threads: Some(1), max_idle_rounds: Some(2), ..Default::default() };
-        let db =
-            TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().expect("demo build");
+        let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build().expect("demo build");
         let engine = ServeEngine::over(db, config);
         let active = engine.open_session();
         let idle = engine.open_session();
@@ -1244,8 +1217,7 @@ mod tests {
     fn open_requests_tick_the_round_clock_and_reap_idle_sessions() {
         let config =
             ServeConfig { threads: Some(1), max_idle_rounds: Some(2), ..Default::default() };
-        let db =
-            TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().expect("demo build");
+        let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build().expect("demo build");
         let engine = ServeEngine::over(db, config);
 
         // A session abandoned at round 0; all later traffic is opens and
@@ -1297,8 +1269,7 @@ mod tests {
 
         // A cache-off engine reports only the flag.
         let config = ServeConfig { threads: Some(1), answer_cache: false, ..Default::default() };
-        let db =
-            TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().expect("demo build");
+        let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build().expect("demo build");
         let off = ServeEngine::over(db, config);
         ask(&off, AskRequest::new(q));
         let stats = off.stats_value();

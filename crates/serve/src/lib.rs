@@ -1,12 +1,12 @@
 //! # cachemind-serve
 //!
 //! The CacheMind serving subsystem: a multi-session front-end over one
-//! shared, sharded trace database, where every request is one protocol
-//! line.
+//! shared trace database, where every request is one protocol line.
 //!
 //! * [`engine::ServeEngine`] — the session manager. Many concurrent
 //!   [`ChatSession`](cachemind_core::chat::ChatSession)s share a single
-//!   `Arc`'d [`ShardedTraceDatabase`](cachemind_tracedb::shard::ShardedTraceDatabase);
+//!   `Arc`'d [`TraceDatabase`](cachemind_tracedb::TraceDatabase), built in
+//!   process or opened from a snapshot;
 //!   [`ServeEngine::serve_line`] parses, dispatches and renders one
 //!   request line, the one path behind every transport, and
 //!   [`ServeEngine::serve_stdio`] runs it over a line stream.
@@ -37,7 +37,7 @@
 //! use cachemind_serve::engine::{ServeConfig, ServeEngine};
 //! use cachemind_tracedb::TraceDatabaseBuilder;
 //!
-//! let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().unwrap();
+//! let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build().unwrap();
 //! let engine = ServeEngine::over(db, ServeConfig::default());
 //! let line = r#"{"question": "What is the overall miss rate of the mcf workload under LRU?"}"#;
 //! let outcome = engine.serve_line(line, false, "stdin", None);

@@ -366,8 +366,7 @@ mod tests {
 
     fn engine(threads: usize) -> ServeEngine {
         let config = ServeConfig { threads: Some(threads), ..Default::default() };
-        let db =
-            TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().expect("demo build");
+        let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build().expect("demo build");
         ServeEngine::over(db, config)
     }
 

@@ -34,7 +34,7 @@ fn ask(engine: &ServeEngine, request: AskRequest) -> AskResponse {
 
 fn engine_with(threads: usize, retriever: RetrieverKind) -> ServeEngine {
     let config = ServeConfig { threads: Some(threads), retriever, ..Default::default() };
-    let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().expect("demo build");
+    let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build().expect("demo build");
     ServeEngine::over(db, config)
 }
 
@@ -92,7 +92,7 @@ fn concurrent_driver_matches_serial_line_replay() {
 #[test]
 fn scenario_pinned_load_driver_is_byte_identical_across_worker_counts() {
     // The PR's acceptance criterion: two sessions pinned to different
-    // MachineConfig presets over one shared sharded database return
+    // MachineConfig presets over one shared database return
     // per-machine IPC answers citing the correct machine label, and the
     // deterministic report is byte-identical for any worker count.
     let spec = LoadSpec {
@@ -185,7 +185,7 @@ fn prefetcher_axis_leaves_primary_entries_byte_identical() {
     let plain = TraceDatabaseBuilder::new()
         .scale(cachemind_workloads::Scale::Tiny)
         .shards(3)
-        .try_build_sharded()
+        .try_build()
         .expect("plain build");
     let multi = ServeEngine::build(ServeConfig {
         threads: Some(2),
@@ -253,8 +253,7 @@ fn session_memory_never_enters_prompts() {
     // Prompts are a pure function of (question, retrieval, shots): a mind
     // that has answered many other questions renders the same prompt as a
     // fresh one, so no conversation state can leak between sessions.
-    let store =
-        TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().expect("demo build");
+    let store = TraceDatabaseBuilder::quick_demo().shards(3).try_build().expect("demo build");
     let shared = CacheMind::shared(std::sync::Arc::new(store));
     let poison = "List all unique PCs in the mcf trace under LRU.";
     let _ = shared.ask_query(&poison.into());
@@ -274,7 +273,7 @@ fn sharded_build_is_identical_to_serial_build_end_to_end() {
     let engine = engine_with(2, RetrieverKind::Sieve);
     let store = engine.store();
     assert_eq!(store.len(), serial.len());
-    assert_eq!(store.trace_keys(), serial.trace_ids().map(str::to_owned).collect::<Vec<_>>());
+    assert_eq!(store.trace_keys(), serial.trace_keys());
     for key in store.trace_keys() {
         let sharded_entry = store.get(&key).expect("sharded entry");
         let serial_entry = serial.get(&key).expect("serial entry");

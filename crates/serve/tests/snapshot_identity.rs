@@ -35,7 +35,7 @@ fn answers_fnv64(report: &str) -> &str {
 #[test]
 fn snapshot_served_v1_driver_matches_fresh_build_across_worker_counts() {
     let path = temp_snapshot("identity_v1");
-    let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().expect("demo build");
+    let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build().expect("demo build");
     db.save(&path).expect("save snapshot");
 
     let spec = LoadSpec { sessions: 5, questions: 3, scenarios: vec![], repeat_period: 0 };

@@ -32,7 +32,7 @@ fn drive(engine: &ServeEngine, spec: LoadSpec) -> LoadOutcome {
 
 fn engine(threads: usize) -> ServeEngine {
     let config = ServeConfig { threads: Some(threads), ..Default::default() };
-    let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().expect("demo build");
+    let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build().expect("demo build");
     ServeEngine::over(db, config)
 }
 
@@ -163,7 +163,7 @@ fn metrics_never_perturb_the_deterministic_report() {
 fn snapshot_backed_engine_decodes_only_the_frames_an_ask_reads() {
     let path =
         std::env::temp_dir().join(format!("cachemind_stats_lazy_{}.snap", std::process::id()));
-    let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().expect("demo build");
+    let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build().expect("demo build");
     db.save(&path).expect("save snapshot");
     let traces = TraceStore::len(&db) as u64;
     let row =
@@ -205,7 +205,7 @@ fn each_engine_records_its_own_startup_span() {
 
     let path =
         std::env::temp_dir().join(format!("cachemind_stats_startup_{}.snap", std::process::id()));
-    let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().expect("demo build");
+    let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build().expect("demo build");
     db.save(&path).expect("save snapshot");
     let loaded = ServeEngine::from_snapshot(&path, ServeConfig::default()).expect("snapshot loads");
     let stats = histograms(&loaded);
@@ -217,7 +217,7 @@ fn each_engine_records_its_own_startup_span() {
 #[test]
 fn ranger_plan_spans_land_in_the_engine_registry() {
     let config = ServeConfig { retriever: RetrieverKind::Ranger, ..Default::default() };
-    let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().expect("demo build");
+    let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build().expect("demo build");
     let ranger = ServeEngine::over(db, config);
     let sieve = engine(1);
     for question in [

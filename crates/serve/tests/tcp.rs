@@ -43,7 +43,7 @@ const QUESTION: &str = "What is the overall miss rate of the mcf workload under 
 
 fn engine(threads: usize) -> ServeEngine {
     let config = ServeConfig { threads: Some(threads), ..Default::default() };
-    let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().expect("demo build");
+    let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build().expect("demo build");
     ServeEngine::over(db, config)
 }
 
@@ -135,7 +135,7 @@ fn eventually(what: &str, mut check: impl FnMut() -> bool) {
 fn tcp_driver_matches_stdin_byte_for_byte_across_worker_counts() {
     // Snapshot-started servers, exactly like CI's `--db-path` smoke.
     let path = temp_snapshot("tcp_identity");
-    let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build_sharded().expect("demo build");
+    let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build().expect("demo build");
     db.save(&path).expect("save snapshot");
 
     let spec = LoadSpec { sessions: 4, questions: 3, scenarios: vec![], repeat_period: 0 };

@@ -286,12 +286,6 @@ impl<P: ReplacementPolicy> SetAssociativeCache<P> {
         &self.policy
     }
 
-    /// The replacement policy (exclusive access, e.g. to reconfigure a
-    /// bypass list between runs).
-    pub fn policy_mut(&mut self) -> &mut P {
-        &mut self.policy
-    }
-
     /// The set an address maps to.
     pub fn set_of(&self, address: Address) -> SetId {
         self.config.set_of(address)

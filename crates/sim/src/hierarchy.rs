@@ -37,13 +37,6 @@ pub struct HierarchyReport {
     pub instr_count: u64,
 }
 
-impl HierarchyReport {
-    /// Demand misses that had to go to DRAM under the baseline LLC policy.
-    pub fn dram_accesses(&self) -> u64 {
-        self.llc.demand_misses
-    }
-}
-
 /// Sentinel tag marking an invalid way (same convention as the main
 /// [`crate::cache::SetAssociativeCache`] storage).
 const INVALID_TAG: LineAddr = LineAddr::new(u64::MAX);

@@ -39,7 +39,6 @@ pub mod addr;
 pub mod cache;
 pub mod config;
 pub mod hierarchy;
-pub mod mshr;
 pub mod prefetch;
 pub mod replacement;
 pub mod replay;
@@ -54,7 +53,6 @@ pub use addr::{Address, LineAddr, Pc, SetId};
 pub use cache::{AccessOutcome, LineMeta, SetAssociativeCache, SetView, SetViewBuf};
 pub use config::{CacheConfig, DramConfig, HierarchyConfig, MachineConfig, ProcessorConfig};
 pub use hierarchy::{CacheHierarchy, HierarchyReport};
-pub use mshr::Mshr;
 pub use prefetch::{Prefetcher, PrefetcherKind};
 pub use replacement::{AccessContext, Decision, RecencyPolicy, ReplacementPolicy};
 pub use replay::{EvictionRecord, LlcReplay, MissType, ReplayReport};

@@ -22,7 +22,6 @@ use cachemind_workloads::{by_name as workload_by_name, DATABASE_WORKLOADS};
 use crate::frame::TraceFrame;
 use crate::meta;
 use crate::record::TraceRow;
-use crate::shard::ShardedTraceDatabase;
 use crate::store::TraceStore;
 
 /// A parsed trace identifier, optionally qualified with the scenario the
@@ -188,6 +187,12 @@ pub struct TraceEntry {
 }
 
 /// The external store: trace id -> entry.
+///
+/// The one in-memory store. Its frames are either decoded (built by the
+/// builder, or read eagerly by [`read_snapshot`](crate::snapshot::read_snapshot))
+/// or decode their rows on first touch (opened from a snapshot by
+/// [`VerifiedSnapshot::into_database`](crate::snapshot::VerifiedSnapshot::into_database)).
+/// Every read goes through [`TraceStore`].
 #[derive(Debug, Clone, Default)]
 pub struct TraceDatabase {
     entries: BTreeMap<String, TraceEntry>,
@@ -196,12 +201,26 @@ pub struct TraceDatabase {
     workloads: BTreeSet<String>,
     policies: BTreeSet<String>,
     llc: Option<CacheConfig>,
+    /// How many segments a snapshot of this store splits its entries into
+    /// (see [`TraceStore::shard_count`]); 0 reads as 1.
+    shards: usize,
 }
 
 impl TraceDatabase {
     /// Creates an empty database.
     pub fn new() -> Self {
         TraceDatabase::default()
+    }
+
+    /// Assembles a database from prebuilt entries, written to snapshots in
+    /// `shards` segments (clamped to at least 1). Later duplicates of a
+    /// key replace earlier ones, as with [`TraceDatabase::insert`].
+    pub fn from_entries(entries: Vec<TraceEntry>, shards: usize, llc: Option<CacheConfig>) -> Self {
+        let mut db = TraceDatabase { llc, shards: shards.max(1), ..TraceDatabase::default() };
+        for entry in entries {
+            db.insert(entry);
+        }
+        db
     }
 
     /// Inserts an entry, replacing any previous trace with the same id.
@@ -211,66 +230,18 @@ impl TraceDatabase {
         self.entries.insert(entry.id.key(), entry);
     }
 
-    /// Looks up a trace by its `<workload>_evictions_<policy>` key.
-    pub fn get(&self, key: &str) -> Option<&TraceEntry> {
-        self.entries.get(key)
-    }
-
-    /// Looks up a trace by parsed id.
-    pub fn get_id(&self, id: &TraceId) -> Option<&TraceEntry> {
-        self.entries.get(&id.key())
-    }
-
-    /// All trace keys, sorted.
-    pub fn trace_ids(&self) -> impl Iterator<Item = &str> {
-        self.entries.keys().map(String::as_str)
-    }
-
-    /// All entries.
-    pub fn entries(&self) -> impl Iterator<Item = &TraceEntry> {
-        self.entries.values()
-    }
-
-    /// Distinct workload names present, sorted.
-    pub fn workloads(&self) -> Vec<String> {
-        self.workloads.iter().cloned().collect()
-    }
-
-    /// Distinct policy names present, sorted.
-    pub fn policies(&self) -> Vec<String> {
-        self.policies.iter().cloned().collect()
-    }
-
-    /// The LLC geometry the traces were produced under (if built by the
-    /// builder).
-    pub fn llc_config(&self) -> Option<&CacheConfig> {
-        self.llc.as_ref()
-    }
-
-    /// Number of stored traces.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the database is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Records the LLC geometry the traces were produced under.
-    pub fn set_llc_config(&mut self, config: CacheConfig) {
-        self.llc = Some(config);
-    }
-
-    /// Consumes the database, yielding its entries in ascending key order.
-    pub fn into_entries(self) -> impl Iterator<Item = TraceEntry> {
-        self.entries.into_values()
+    /// Writes the database to `path` as a snapshot file.
+    pub fn save(
+        &self,
+        path: impl AsRef<std::path::Path>,
+    ) -> Result<(), crate::snapshot::SnapshotError> {
+        crate::snapshot::save_to_path(self, path.as_ref())
     }
 }
 
 impl TraceStore for TraceDatabase {
     fn get(&self, key: &str) -> Option<&TraceEntry> {
-        TraceDatabase::get(self, key)
+        self.entries.get(key)
     }
 
     fn trace_keys(&self) -> Vec<String> {
@@ -282,19 +253,23 @@ impl TraceStore for TraceDatabase {
     }
 
     fn workloads(&self) -> Vec<String> {
-        TraceDatabase::workloads(self)
+        self.workloads.iter().cloned().collect()
     }
 
     fn policies(&self) -> Vec<String> {
-        TraceDatabase::policies(self)
+        self.policies.iter().cloned().collect()
     }
 
     fn llc_config(&self) -> Option<&CacheConfig> {
-        TraceDatabase::llc_config(self)
+        self.llc.as_ref()
     }
 
     fn len(&self) -> usize {
-        TraceDatabase::len(self)
+        self.entries.len()
+    }
+
+    fn shard_count(&self) -> usize {
+        self.shards.max(1)
     }
 }
 
@@ -344,6 +319,7 @@ type Sources = BTreeMap<String, (String, Arc<ProgramImage>)>;
 ///
 /// ```rust
 /// use cachemind_tracedb::database::TraceDatabaseBuilder;
+/// use cachemind_tracedb::TraceStore;
 /// use cachemind_workloads::Scale;
 ///
 /// let db = TraceDatabaseBuilder::new()
@@ -495,14 +471,14 @@ impl TraceDatabaseBuilder {
         self
     }
 
-    /// The default shard count for [`TraceDatabaseBuilder::try_build_sharded`].
+    /// The default snapshot segment count of a built database.
     ///
-    /// A fixed constant — **not** the worker count — so the physical layout
-    /// of the database is identical regardless of how many threads built it.
+    /// A fixed constant — **not** the worker count — so a snapshot's layout
+    /// is identical regardless of how many threads built the database.
     pub const DEFAULT_SHARDS: usize = 4;
 
-    /// Sets the number of shards the sharded build partitions the
-    /// `workload × policy` pairs into (clamped to at least 1).
+    /// Sets the number of segments a snapshot of the built database splits
+    /// its entries into (clamped to at least 1).
     pub fn shards(mut self, n: usize) -> Self {
         self.num_shards = n.max(1);
         self
@@ -615,22 +591,21 @@ impl TraceDatabaseBuilder {
         }
     }
 
-    /// Simulates everything and assembles the sharded database.
+    /// Simulates everything in parallel and assembles the database.
     ///
     /// The build is a client of the sweep engine: workloads are generated
     /// one task each, then [`ScenarioGrid::run_cells`] prepares each
     /// `workload × machine × prefetcher` triple once (prefetcher
     /// transform, hierarchy filter, reuse oracle) and runs one task per
     /// grid cell, which replays the policy into a trace entry. Entries are
-    /// routed to shards by the deterministic
-    /// [`shard_index`](crate::store::shard_index) assignment, so the result
-    /// is identical no matter how many threads ran the build.
+    /// keyed, so the result is identical no matter how many threads ran
+    /// the build.
     ///
     /// Unknown workload or policy names surface as a [`BuildError`] before
     /// any simulation starts, and an invalid grid (a duplicate machine
     /// label, say) as [`BuildError::Grid`] — workers never panic on bad
     /// configuration.
-    pub fn try_build_sharded(self) -> Result<ShardedTraceDatabase, BuildError> {
+    pub fn try_build(self) -> Result<TraceDatabase, BuildError> {
         self.validate()?;
         let _span = cachemind_obs::global().span(cachemind_obs::names::TRACEDB_BUILD);
         let workloads = sweep_cells(self.workloads.clone(), |name| {
@@ -645,20 +620,14 @@ impl TraceDatabaseBuilder {
         let entries = grid
             .run_cells(policy_by_name, |cell, policy| self.entry(&sources, &primary, cell, policy))
             .map_err(BuildError::Grid)?;
-        Ok(ShardedTraceDatabase::from_entries(entries, self.num_shards, Some(self.llc.clone())))
-    }
-
-    /// Simulates everything in parallel and assembles a monolithic
-    /// database (the sharded build, unified).
-    pub fn try_build(self) -> Result<TraceDatabase, BuildError> {
-        Ok(self.try_build_sharded()?.into_unified())
+        Ok(TraceDatabase::from_entries(entries, self.num_shards, Some(self.llc.clone())))
     }
 
     /// The serial reference implementation of [`TraceDatabaseBuilder::try_build`]:
     /// plain loops over the same grid on the calling thread, through the
     /// sweep engine's stage functions ([`transform_stream`],
     /// [`prepare_scenario`]) and the same per-cell entry reduction. Kept as
-    /// the oracle the parallel/sharded builds are tested against.
+    /// the oracle the parallel build is tested against.
     pub fn build_serial(self) -> Result<TraceDatabase, BuildError> {
         self.validate()?;
         let _span = cachemind_obs::global().span(cachemind_obs::names::TRACEDB_BUILD);
@@ -670,7 +639,8 @@ impl TraceDatabaseBuilder {
         }
         let (grid, sources) = self.grid(workloads);
         let primary = grid.machines[0].machine_label();
-        let mut db = TraceDatabase { llc: Some(self.llc.clone()), ..TraceDatabase::default() };
+        let mut db =
+            TraceDatabase::from_entries(Vec::new(), self.num_shards, Some(self.llc.clone()));
         for stream in &grid.streams {
             for &prefetcher in &grid.prefetchers {
                 let transformed = transform_stream(prefetcher, &stream.accesses);
@@ -783,9 +753,9 @@ mod tests {
 
         // Primary entries are byte-identical to the machine-free build.
         assert_eq!(multi.len(), 3 * plain.len(), "one extra entry set per machine");
-        for key in plain.trace_ids() {
-            let a = plain.get(key).expect("plain entry");
-            let b = multi.get(key).expect("primary entry survives");
+        for key in plain.trace_keys() {
+            let a = plain.get(&key).expect("plain entry");
+            let b = multi.get(&key).expect("primary entry survives");
             assert_eq!(a.metadata, b.metadata, "{key}");
             assert_eq!(a.frame.rows(), b.frame.rows(), "{key}");
             assert_eq!(a.machine, b.machine, "{key}");
@@ -859,9 +829,9 @@ mod tests {
         // One entry per machine slot × prefetcher slot × pair; primary
         // baseline entries are byte-identical to the axis-free build.
         assert_eq!(multi.len(), 4 * plain.len());
-        for key in plain.trace_ids() {
-            let a = plain.get(key).expect("plain entry");
-            let b = multi.get(key).expect("primary entry survives");
+        for key in plain.trace_keys() {
+            let a = plain.get(&key).expect("plain entry");
+            let b = multi.get(&key).expect("primary entry survives");
             assert_eq!(a.metadata, b.metadata, "{key}");
             assert_eq!(a.frame.rows(), b.frame.rows(), "{key}");
             assert_eq!(b.prefetcher, "none", "{key}");
@@ -1051,7 +1021,7 @@ mod tests {
             .workloads(["spectre"])
             .policies(["lru"])
             .scale(Scale::Tiny)
-            .try_build_sharded()
+            .try_build()
             .unwrap_err();
         assert_eq!(err, BuildError::UnknownWorkload("spectre".into()));
 
@@ -1072,7 +1042,7 @@ mod tests {
             .workloads(["mcf"])
             .policies(["lru"])
             .machines([table2.clone(), table2.clone()])
-            .try_build_sharded()
+            .try_build()
             .unwrap_err();
         let key = format!("machine:{}", table2.machine_label());
         assert_eq!(err, BuildError::Grid(SweepError::DuplicateKey(key.clone())));
@@ -1113,7 +1083,7 @@ mod tests {
             .machine(MachineConfig::preset("small").expect("preset"))
             .prefetcher(PrefetcherKind::Stride { degree: 4 })
             .shards(3)
-            .try_build_sharded()
+            .try_build()
             .expect("valid names");
         assert_eq!(fnv64(&write_snapshot(&db)), 7_103_088_967_135_754_851);
     }

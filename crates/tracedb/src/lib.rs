@@ -44,10 +44,7 @@ pub use database::{BuildError, TraceDatabase, TraceDatabaseBuilder, TraceEntry, 
 pub use filter::Predicate;
 pub use frame::TraceFrame;
 pub use record::TraceRow;
-pub use shard::ShardedTraceDatabase;
-pub use snapshot::{
-    LazyTraceDatabase, SnapshotError, VerifiedSnapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
-};
+pub use snapshot::{SnapshotError, VerifiedSnapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use stats::{CacheStatisticalExpert, PcStats, SetStats};
 pub use store::{fnv64, shard_index, TraceStore};
 
@@ -64,7 +61,6 @@ pub mod prelude {
     pub use crate::filter::Predicate;
     pub use crate::frame::TraceFrame;
     pub use crate::record::TraceRow;
-    pub use crate::shard::ShardedTraceDatabase;
     pub use crate::snapshot::SnapshotError;
     pub use crate::stats::{CacheStatisticalExpert, PcStats, SetStats};
     pub use crate::store::TraceStore;

@@ -1,4 +1,4 @@
-//! Persistent on-disk snapshots of a [`ShardedTraceDatabase`] — the
+//! Persistent on-disk snapshots of a [`TraceDatabase`] — the
 //! offline-build / online-serve split.
 //!
 //! Every serve process used to rebuild its trace database from scratch by
@@ -73,11 +73,11 @@
 //! [`VerifiedSnapshot`] splits loading into its two halves: `open` reads
 //! the file and verifies *every* checksum (so all realistic corruption —
 //! bit rot, truncation, partial writes — fails fast at startup), while
-//! `decode` materializes the entries. A serving process wraps it in a
-//! [`LazyTraceDatabase`], which reads entry headers on first use and
-//! decodes each trace's rows only when something reads them, making
-//! cold-start an order of magnitude faster than an in-process simulation
-//! build and leaving untouched traces undecoded.
+//! [`VerifiedSnapshot::into_database`] decodes every entry header into a
+//! [`TraceDatabase`] whose frames decode their rows only when something
+//! reads them. That makes cold-start an order of magnitude faster than an
+//! in-process simulation build and leaves untouched traces undecoded.
+//! [`read_snapshot`] reads the same layout eagerly, rows included.
 //! Segment checksums use [`fnv64_wide`] — eight interleaved FNV-1a lanes
 //! folded with FNV-1a — because a single FNV chain is a serial data
 //! dependency that caps verification near 0.6 GB/s; the laned variant
@@ -94,11 +94,10 @@ use cachemind_sim::config::CacheConfig;
 use cachemind_sim::replay::MissType;
 use cachemind_workloads::program::ProgramImage;
 
-use crate::database::{TraceEntry, TraceId};
+use crate::database::{TraceDatabase, TraceEntry, TraceId};
 use crate::frame::TraceFrame;
 use crate::record::TraceRow;
-use crate::shard::ShardedTraceDatabase;
-use crate::store::{fnv64, TraceStore};
+use crate::store::{fnv64, shard_index, TraceStore};
 
 /// The 8-byte magic prefix of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CMDBSNAP";
@@ -599,18 +598,20 @@ fn label_at<'t>(labels: &'t [String], idx: u32, what: &str) -> Result<&'t str, S
 // Writer
 // ---------------------------------------------------------------------------
 
-/// Serializes a sharded database into the versioned snapshot byte format.
+/// Serializes a database into the versioned snapshot byte format.
 ///
-/// Deterministic: the bytes are a pure function of the database contents
-/// (entries in ascending key order, sorted label tables, first-use program
+/// Each entry goes to segment [`shard_index`] of its key and the
+/// database's [`TraceStore::shard_count`]. Deterministic: the bytes are a
+/// pure function of the database contents and segment count (entries in
+/// ascending key order, sorted label tables, first-use program
 /// interning), independent of thread count and build history.
-pub fn write_snapshot(db: &ShardedTraceDatabase) -> Vec<u8> {
+pub fn write_snapshot(db: &TraceDatabase) -> Vec<u8> {
     // Label tables: sorted distinct strings over every entry.
     let mut workloads = std::collections::BTreeSet::new();
     let mut policies = std::collections::BTreeSet::new();
     let mut machines = std::collections::BTreeSet::new();
     let mut prefetchers = std::collections::BTreeSet::new();
-    for entry in TraceStore::entries(db) {
+    for entry in db.entries() {
         workloads.insert(entry.id.workload.clone());
         policies.insert(entry.id.policy.clone());
         machines.insert(entry.machine.clone());
@@ -632,7 +633,7 @@ pub fn write_snapshot(db: &ShardedTraceDatabase) -> Vec<u8> {
     // ascending key walk — the same walk the loader re-interns in.
     let mut programs: Vec<Arc<ProgramImage>> = Vec::new();
     let mut program_of_entry: BTreeMap<String, u32> = BTreeMap::new();
-    for entry in TraceStore::entries(db) {
+    for entry in db.entries() {
         let program = entry.frame.program();
         let idx = programs.iter().position(|p| **p == *program).unwrap_or_else(|| {
             programs.push(Arc::new(program.clone()));
@@ -641,13 +642,16 @@ pub fn write_snapshot(db: &ShardedTraceDatabase) -> Vec<u8> {
         program_of_entry.insert(entry.id.key(), idx as u32);
     }
 
-    // Shard segments: entries in ascending key order within each shard.
-    let mut segments: Vec<(u32, Vec<u8>)> = Vec::with_capacity(db.num_shards());
-    for shard in db.shards() {
+    // Shard segments: entries in ascending key order within each segment.
+    let shards = db.shard_count();
+    let mut by_segment: Vec<Vec<&TraceEntry>> = vec![Vec::new(); shards];
+    for entry in db.entries() {
+        by_segment[shard_index(&entry.id.key(), shards)].push(entry);
+    }
+    let mut segments: Vec<(u32, Vec<u8>)> = Vec::with_capacity(shards);
+    for entries in by_segment {
         let mut seg = Vec::new();
-        let mut count = 0u32;
-        for entry in shard.entries() {
-            count += 1;
+        for entry in &entries {
             put_u32(&mut seg, workloads.id(&entry.id.workload));
             put_u32(&mut seg, policies.id(&entry.id.policy));
             put_opt_u32(&mut seg, entry.id.machine.as_deref().map(|m| machines.id(m)));
@@ -675,7 +679,7 @@ pub fn write_snapshot(db: &ShardedTraceDatabase) -> Vec<u8> {
             let payload_len = (seg.len() - len_at - 8) as u64;
             seg[len_at..len_at + 8].copy_from_slice(&payload_len.to_le_bytes());
         }
-        segments.push((count, seg));
+        segments.push((entries.len() as u32, seg));
     }
 
     // Header: everything the segments reference, plus the segment
@@ -683,14 +687,14 @@ pub fn write_snapshot(db: &ShardedTraceDatabase) -> Vec<u8> {
     let mut header = Vec::new();
     header.extend_from_slice(&SNAPSHOT_MAGIC);
     put_u32(&mut header, SNAPSHOT_VERSION);
-    match TraceStore::llc_config(db) {
+    match db.llc_config() {
         None => put_u8(&mut header, 0),
         Some(cfg) => {
             put_u8(&mut header, 1);
             put_cache_config(&mut header, cfg);
         }
     }
-    put_u32(&mut header, db.num_shards() as u32);
+    put_u32(&mut header, segments.len() as u32);
     workloads.write(&mut header);
     policies.write(&mut header);
     machines.write(&mut header);
@@ -916,18 +920,6 @@ impl Layout {
     fn trace_count(&self) -> usize {
         self.segments.iter().map(|s| s.entries as usize).sum()
     }
-
-    fn database(&self, entries: Vec<TraceEntry>) -> ShardedTraceDatabase {
-        ShardedTraceDatabase::from_entries(entries, self.segments.len().max(1), self.llc.clone())
-    }
-
-    /// Decodes every entry and every row payload.
-    fn decode(&self, bytes: &[u8]) -> Result<ShardedTraceDatabase, SnapshotError> {
-        let entries = self.entries(bytes, |payload, nrows, program| {
-            Ok(TraceFrame::new(decode_rows(&bytes[payload], nrows)?, program))
-        })?;
-        Ok(self.database(entries))
-    }
 }
 
 /// Decodes one entry's row payload, which must hold exactly `count` rows
@@ -967,12 +959,30 @@ fn decode_rows(payload: &[u8], count: usize) -> Result<Vec<TraceRow>, SnapshotEr
 /// decoded into entries, so a corrupted file yields a typed
 /// [`SnapshotError`], never a partial database. Each entry's row payload
 /// must decode to exactly its declared length.
-pub fn read_snapshot(bytes: &[u8]) -> Result<ShardedTraceDatabase, SnapshotError> {
-    Layout::verify(bytes)?.decode(bytes)
+pub fn read_snapshot(bytes: &[u8]) -> Result<TraceDatabase, SnapshotError> {
+    let layout = Layout::verify(bytes)?;
+    let entries = layout.entries(bytes, |payload, nrows, program| {
+        Ok(TraceFrame::new(decode_rows(&bytes[payload], nrows)?, program))
+    })?;
+    Ok(TraceDatabase::from_entries(entries, layout.segments.len(), layout.llc))
+}
+
+/// The keys of each segment of a snapshot, in segment order.
+#[cfg(test)]
+pub(crate) fn segment_keys(bytes: &[u8]) -> Result<Vec<Vec<String>>, SnapshotError> {
+    let layout = Layout::verify(bytes)?;
+    let mut keys = Vec::new();
+    for segment in &layout.segments {
+        let one = Layout { segments: vec![segment.clone()], ..layout.clone() };
+        let entries =
+            one.entries(bytes, |_, _, program| Ok(TraceFrame::new(Vec::new(), program)))?;
+        keys.push(entries.iter().map(|e| e.id.key()).collect());
+    }
+    Ok(keys)
 }
 
 /// Writes `db` to `path` in the snapshot format ([`write_snapshot`]).
-pub fn save_to_path(db: &ShardedTraceDatabase, path: &Path) -> Result<(), SnapshotError> {
+pub fn save_to_path(db: &TraceDatabase, path: &Path) -> Result<(), SnapshotError> {
     let _span = cachemind_obs::global().span(cachemind_obs::names::TRACEDB_SNAPSHOT_SAVE);
     std::fs::write(path, write_snapshot(db))?;
     Ok(())
@@ -986,16 +996,8 @@ pub fn save_to_path(db: &ShardedTraceDatabase, path: &Path) -> Result<(), Snapsh
 /// and decodes the header, then verifies every segment's bounds and
 /// checksum and that no bytes trail the last segment, so all realistic
 /// corruption — bit rot, truncation, a partial write — fails fast with a
-/// typed [`SnapshotError`] before the process claims to be ready. Entry
-/// materialization ([`decode`]) is the expensive half (every row of every
-/// trace); it operates on the already-verified bytes, which are shared by
-/// [`Arc`] so lazily decoded frames can keep pointing into them.
-///
-/// A checksum-valid file whose payload is structurally malformed (only
-/// producible by deliberately forging checksums) still fails `decode`
-/// with a typed error, never a panic.
-///
-/// [`decode`]: VerifiedSnapshot::decode
+/// typed [`SnapshotError`] before the process claims to be ready.
+/// [`VerifiedSnapshot::into_database`] then opens the store.
 #[derive(Clone)]
 pub struct VerifiedSnapshot {
     bytes: Arc<Vec<u8>>,
@@ -1006,8 +1008,8 @@ impl std::fmt::Debug for VerifiedSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VerifiedSnapshot")
             .field("bytes", &self.bytes.len())
-            .field("shards", &self.num_shards())
-            .field("trace_count", &self.trace_count())
+            .field("shards", &self.layout.segments.len())
+            .field("trace_count", &self.layout.trace_count())
             .finish()
     }
 }
@@ -1028,20 +1030,42 @@ impl VerifiedSnapshot {
         Ok(VerifiedSnapshot { bytes: Arc::new(bytes), layout })
     }
 
-    /// The shard count the snapshot's header declares.
-    pub fn num_shards(&self) -> usize {
-        self.layout.segments.len()
-    }
-
-    /// Total entries across all shard segments, from the directory.
-    pub fn trace_count(&self) -> usize {
-        self.layout.trace_count()
-    }
-
-    /// Materializes the whole database, rows included, from the verified
-    /// bytes.
-    pub fn decode(&self) -> Result<ShardedTraceDatabase, SnapshotError> {
-        self.layout.decode(&self.bytes)
+    /// Opens the store: decodes every entry header (ids, labels, metadata,
+    /// counters, row counts) and skips over every row payload. Each
+    /// [`TraceFrame`] decodes its own rows on first touch
+    /// ([`TraceFrame::rows`], the PC index, filters, CSV export); keys,
+    /// metadata, name sets and [`TraceFrame::len`] never decode a row, so
+    /// an ask that reads only metadata decodes no frame at all.
+    ///
+    /// Decode telemetry goes to `metrics`: the segments read here add to
+    /// `tracedb.lazy_decode_segments`, and each frame decode later is timed
+    /// by the `tracedb.lazy_decode` span and counted in
+    /// `tracedb.lazy_decode_traces`.
+    ///
+    /// A malformed entry header (only producible by forging checksums) is
+    /// a [`SnapshotError::Corrupt`]. A malformed row payload cannot surface
+    /// through a `&self` reader, so it degrades only its own frame, which
+    /// reads as empty; [`read_snapshot`] reports it as an error instead.
+    pub fn into_database(
+        self,
+        metrics: &cachemind_obs::MetricsRegistry,
+    ) -> Result<TraceDatabase, SnapshotError> {
+        let VerifiedSnapshot { bytes, layout } = self;
+        let decode_span = metrics.histogram(cachemind_obs::names::TRACEDB_LAZY_DECODE);
+        let decoded = metrics.counter(cachemind_obs::names::TRACEDB_LAZY_DECODE_TRACES);
+        let entries = layout.entries(&bytes, |range, nrows, program| {
+            let payload = RowPayload {
+                bytes: Arc::clone(&bytes),
+                range,
+                decode_span: decode_span.clone(),
+                decoded: decoded.clone(),
+            };
+            Ok(TraceFrame::lazy(payload, nrows, program))
+        })?;
+        metrics
+            .counter(cachemind_obs::names::TRACEDB_LAZY_DECODE_SEGMENTS)
+            .add(layout.segments.len() as u64);
+        Ok(TraceDatabase::from_entries(entries, layout.segments.len(), layout.llc))
     }
 }
 
@@ -1070,168 +1094,17 @@ impl RowPayload {
     }
 }
 
-/// A [`TraceStore`] over a [`VerifiedSnapshot`] that decodes each trace's
-/// rows the first time something reads them.
-///
-/// Construction is as fast as [`VerifiedSnapshot::open`] — all checksums
-/// verified, nothing decoded. [`TraceStore::len`] and
-/// [`TraceStore::shard_count`] answer from the verified header. The first
-/// entry-level query decodes the entry headers only (ids, labels, metadata,
-/// counters, row counts) and skips over every row payload; each
-/// [`TraceFrame`] then decodes its own rows on first touch
-/// ([`TraceFrame::rows`], the PC index, filters, CSV export). Keys,
-/// metadata, name sets and [`TraceFrame::len`] never decode a row, so an
-/// ask that reads only metadata decodes no frame at all.
-///
-/// Decode cannot fail for files whose checksums verified unless the
-/// checksums themselves were forged. In that pathological case nothing
-/// panics — typed errors having no channel through `&self` accessors —
-/// and the damage is contained as narrowly as the format allows: malformed
-/// entry headers degrade the whole store to an *empty* database, and a
-/// malformed row payload degrades only its own frame, which reads as
-/// empty.
-#[derive(Debug)]
-pub struct LazyTraceDatabase {
-    snapshot: VerifiedSnapshot,
-    db: std::sync::OnceLock<ShardedTraceDatabase>,
-    metrics: cachemind_obs::MetricsRegistry,
-}
-
-impl LazyTraceDatabase {
-    /// Wraps a verified snapshot; no decoding happens until first query.
-    /// Decode telemetry goes to the process-global registry unless
-    /// [`LazyTraceDatabase::with_metrics`] redirects it.
-    pub fn new(snapshot: VerifiedSnapshot) -> Self {
-        LazyTraceDatabase {
-            snapshot,
-            db: std::sync::OnceLock::new(),
-            metrics: cachemind_obs::global().clone(),
-        }
-    }
-
-    /// Redirects decode telemetry (the `tracedb.lazy_decode` span and the
-    /// `tracedb.lazy_decode_*` counters) to `metrics` — e.g. a serve
-    /// engine's own registry.
-    pub fn with_metrics(mut self, metrics: &cachemind_obs::MetricsRegistry) -> Self {
-        self.metrics = metrics.clone();
-        self
-    }
-
-    /// The underlying verified snapshot.
-    pub fn snapshot(&self) -> &VerifiedSnapshot {
-        &self.snapshot
-    }
-
-    /// The database of entry headers, read on first call; its frames
-    /// decode their rows on first touch.
-    pub fn force(&self) -> &ShardedTraceDatabase {
-        self.db.get_or_init(|| {
-            let VerifiedSnapshot { bytes, layout } = &self.snapshot;
-            let decode_span = self.metrics.histogram(cachemind_obs::names::TRACEDB_LAZY_DECODE);
-            let decoded = self.metrics.counter(cachemind_obs::names::TRACEDB_LAZY_DECODE_TRACES);
-            let entries = layout.entries(bytes, |range, nrows, program| {
-                let payload = RowPayload {
-                    bytes: Arc::clone(bytes),
-                    range,
-                    decode_span: decode_span.clone(),
-                    decoded: decoded.clone(),
-                };
-                Ok(TraceFrame::lazy(payload, nrows, program))
-            });
-            self.metrics
-                .counter(cachemind_obs::names::TRACEDB_LAZY_DECODE_SEGMENTS)
-                .add(layout.segments.len() as u64);
-            layout.database(entries.unwrap_or_default())
-        })
-    }
-}
-
-impl TraceStore for LazyTraceDatabase {
-    fn get(&self, key: &str) -> Option<&TraceEntry> {
-        self.force().get(key)
-    }
-
-    fn get_id(&self, id: &TraceId) -> Option<&TraceEntry> {
-        self.force().get_id(id)
-    }
-
-    fn trace_keys(&self) -> Vec<String> {
-        self.force().trace_keys()
-    }
-
-    fn entries<'a>(&'a self) -> Box<dyn Iterator<Item = &'a TraceEntry> + 'a> {
-        self.force().entries()
-    }
-
-    fn workloads(&self) -> Vec<String> {
-        self.force().workloads()
-    }
-
-    fn policies(&self) -> Vec<String> {
-        self.force().policies()
-    }
-
-    fn llc_config(&self) -> Option<&CacheConfig> {
-        self.force().llc_config()
-    }
-
-    /// Answered from the verified segment directory — does not decode.
-    fn len(&self) -> usize {
-        self.snapshot.trace_count()
-    }
-
-    /// Answered from the verified header — does not decode.
-    fn shard_count(&self) -> usize {
-        self.snapshot.num_shards().max(1)
-    }
-
-    fn shard_of(&self, key: &str) -> usize {
-        self.force().shard_of(key)
-    }
-
-    fn machines(&self) -> Vec<String> {
-        self.force().machines()
-    }
-
-    fn prefetchers(&self) -> Vec<String> {
-        self.force().prefetchers()
-    }
-
-    fn select<'a>(
-        &'a self,
-        selector: &cachemind_sim::scenario::ScenarioSelector,
-    ) -> Box<dyn Iterator<Item = &'a TraceEntry> + 'a> {
-        self.force().select(selector)
-    }
-
-    fn get_scoped(
-        &self,
-        id: &TraceId,
-        selector: &cachemind_sim::scenario::ScenarioSelector,
-    ) -> Option<&TraceEntry> {
-        self.force().get_scoped(id, selector)
-    }
-
-    fn get_scoped_resolved(
-        &self,
-        id: &TraceId,
-        scope: &cachemind_sim::scenario::ScenarioSelector,
-    ) -> Option<&TraceEntry> {
-        self.force().get_scoped_resolved(id, scope)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::database::TraceDatabaseBuilder;
 
-    fn demo_db() -> ShardedTraceDatabase {
+    fn demo_db() -> TraceDatabase {
         TraceDatabaseBuilder::quick_demo()
             .workloads(["mcf", "lbm"])
             .policies(["lru", "belady"])
             .shards(3)
-            .try_build_sharded()
+            .try_build()
             .expect("demo build")
     }
 
@@ -1240,11 +1113,11 @@ mod tests {
         let db = demo_db();
         let bytes = write_snapshot(&db);
         let loaded = read_snapshot(&bytes).expect("round trip");
-        assert_eq!(TraceStore::len(&loaded), TraceStore::len(&db));
-        assert_eq!(loaded.num_shards(), db.num_shards());
-        assert_eq!(TraceStore::llc_config(&loaded), TraceStore::llc_config(&db));
+        assert_eq!(loaded.len(), db.len());
+        assert_eq!(loaded.shard_count(), db.shard_count());
+        assert_eq!(loaded.llc_config(), db.llc_config());
         assert_eq!(loaded.trace_keys(), db.trace_keys());
-        for (a, b) in TraceStore::entries(&loaded).zip(TraceStore::entries(&db)) {
+        for (a, b) in loaded.entries().zip(db.entries()) {
             assert_eq!(a.id, b.id);
             assert_eq!(a.metadata, b.metadata);
             assert_eq!(a.description, b.description);
@@ -1274,8 +1147,8 @@ mod tests {
         let db = demo_db();
         let loaded = read_snapshot(&write_snapshot(&db)).expect("load");
         // Both mcf entries decode to one shared Arc, like the builder's.
-        let a = TraceStore::get(&loaded, "mcf_evictions_lru").expect("entry");
-        let b = TraceStore::get(&loaded, "mcf_evictions_belady").expect("entry");
+        let a = loaded.get("mcf_evictions_lru").expect("entry");
+        let b = loaded.get("mcf_evictions_belady").expect("entry");
         assert!(std::ptr::eq(a.frame.program(), b.frame.program()), "programs must be interned");
     }
 

@@ -1,10 +1,8 @@
-//! [`TraceStore`] — the query surface shared by the monolithic
-//! [`TraceDatabase`](crate::database::TraceDatabase) and the
-//! [`ShardedTraceDatabase`](crate::shard::ShardedTraceDatabase).
+//! [`TraceStore`] — the query surface of the
+//! [`TraceDatabase`](crate::database::TraceDatabase).
 //!
-//! Retrievers and the CacheMind system layer are written against this
-//! trait, so they work unchanged whether the traces live in one `BTreeMap`
-//! or are partitioned across shards. The trait is
+//! Every read of the store goes through this trait; retrievers and the
+//! CacheMind system layer are written against it. The trait is
 //! object-safe (`&dyn TraceStore`) because the system layer holds an
 //! `Arc<dyn TraceStore>` shared by many concurrent chat sessions.
 
@@ -59,18 +57,20 @@ pub trait TraceStore: std::fmt::Debug + Send + Sync {
         self.len() == 0
     }
 
-    /// Number of physical shards behind the store (1 for a monolithic
-    /// database).
+    /// Number of segments a snapshot of the store splits its entries
+    /// into. Only the load report and the ready banner read it; it stays
+    /// on the trait because the benchmark crate's counting store overrides
+    /// it.
     fn shard_count(&self) -> usize {
         1
     }
 
-    /// The shard a trace key is (or would be) assigned to. Monolithic
-    /// stores map everything to shard 0. The assignment is a pure function
-    /// of the key and the shard count, independent of how the store was
-    /// built.
-    fn shard_of(&self, _key: &str) -> usize {
-        0
+    /// The snapshot segment a trace key is (or would be) written to:
+    /// [`shard_index`] of the key and [`TraceStore::shard_count`]. Nothing
+    /// in the workspace calls it; it stays on the trait because the
+    /// benchmark crate's counting store overrides it.
+    fn shard_of(&self, key: &str) -> usize {
+        shard_index(key, self.shard_count())
     }
 
     /// Distinct canonical machine labels present, sorted — one per machine
@@ -199,7 +199,7 @@ impl<T: TraceStore + ?Sized> TraceStore for &T {
     }
 }
 
-/// FNV-1a over arbitrary bytes — the stable hash behind shard assignment
+/// FNV-1a over arbitrary bytes — the stable hash behind segment assignment
 /// and the serve layer's report checksums. (`cachemind-lang` keeps its own
 /// private copies for embeddings/profiles; crate layering prevents sharing
 /// one implementation with it.)
@@ -214,10 +214,10 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// The deterministic shard assignment used across the workspace:
-/// [`fnv64`] over the trace key, reduced modulo the shard count. A pure
-/// function of `(key, shards)` — independent of build order, thread count,
-/// and insertion history.
+/// The deterministic snapshot segment assignment: [`fnv64`] over the trace
+/// key, reduced modulo the segment count. A pure function of
+/// `(key, shards)` — independent of build order, thread count, and
+/// insertion history.
 pub fn shard_index(key: &str, shards: usize) -> usize {
     debug_assert!(shards > 0, "shard count must be positive");
     (fnv64(key.as_bytes()) % shards.max(1) as u64) as usize

@@ -35,7 +35,7 @@ fn fixture_path() -> PathBuf {
 /// unqualified trace ids, shared program images, every `Option` arm, the
 /// full miss taxonomy, and adversarial floats (−0.0 and a quiet NaN) so
 /// bit-exact f64 handling stays pinned.
-fn golden_db() -> ShardedTraceDatabase {
+fn golden_db() -> TraceDatabase {
     let mut b = cachemind_workloads::program::ProgramBuilder::new(0x40_0000);
     b.function(
         "mainSimpleSort",
@@ -124,7 +124,7 @@ fn golden_db() -> ShardedTraceDatabase {
         },
     ];
     let llc = CacheConfig::new("LLC", 5, 4, 6).with_latency(26).with_mshr(16);
-    ShardedTraceDatabase::from_entries(entries, 2, Some(llc))
+    TraceDatabase::from_entries(entries, 2, Some(llc))
 }
 
 #[test]
@@ -147,7 +147,7 @@ fn reader_loads_golden_fixture() {
     let db = read_snapshot(&bytes).expect("golden fixture loads");
     let reference = golden_db();
 
-    assert_eq!(db.num_shards(), 2);
+    assert_eq!(db.shard_count(), 2);
     assert_eq!(db.trace_keys(), reference.trace_keys());
     assert_eq!(db.llc_config(), reference.llc_config());
 

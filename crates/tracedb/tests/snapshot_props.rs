@@ -6,15 +6,17 @@
 //!   with every field bit-identical, the second save byte-identical to the
 //!   first, and the loaded store answering `select` / `get_scoped` exactly
 //!   like the original;
-//! * **lazy equals eager** — a [`LazyTraceDatabase`] over the same bytes,
-//!   its frames touched in random order from two threads, yields the
-//!   entries and rows the eager reader does, decoding each frame once;
+//! * **lazy equals eager** — the store [`VerifiedSnapshot::into_database`]
+//!   opens over the same bytes, its frames touched in random order from
+//!   two threads, yields the entries and rows the eager reader does,
+//!   decoding each frame once;
 //! * **corruption** — truncating the byte stream at *every* prefix length
 //!   (which covers every section boundary) and flipping a bit at every
 //!   byte position must yield a typed [`SnapshotError`] — never a panic,
 //!   never a partial database. Payloads behind forged checksums (a row
 //!   payload length off by one, malformed rows) are typed errors for the
-//!   eager reader and never panic the lazy store.
+//!   eager reader and never panic the lazy store; a forged entry header is
+//!   a typed error for both.
 
 use std::sync::Arc;
 
@@ -24,9 +26,7 @@ use cachemind_sim::addr::{Address, Pc, SetId};
 use cachemind_sim::config::CacheConfig;
 use cachemind_sim::replay::MissType;
 use cachemind_tracedb::prelude::*;
-use cachemind_tracedb::snapshot::{
-    fnv64_wide, read_snapshot, write_snapshot, LazyTraceDatabase, VerifiedSnapshot,
-};
+use cachemind_tracedb::snapshot::{fnv64_wide, read_snapshot, write_snapshot, VerifiedSnapshot};
 use cachemind_tracedb::{fnv64, SnapshotError};
 use cachemind_workloads::program::{ProgramBuilder, ProgramImage};
 use proptest::prelude::*;
@@ -96,11 +96,11 @@ fn synth_row(rng: &mut Mix, index: u64) -> TraceRow {
     }
 }
 
-/// Builds a randomly-shaped sharded database: random workload/policy label
+/// Builds a randomly-shaped database: random workload/policy label
 /// sets, optional machine/prefetcher qualifications, random row payloads,
 /// and adversarial float values (NaN, −0.0, subnormals) to pin the
 /// bit-exact f64 round-trip.
-fn synth_db(seed: u64, shards: usize) -> ShardedTraceDatabase {
+fn synth_db(seed: u64, shards: usize) -> TraceDatabase {
     let mut rng = Mix(seed);
     let workload_names = ["wa", "wb", "wλ"];
     let policy_names = ["lru", "belady", "pX"];
@@ -141,7 +141,7 @@ fn synth_db(seed: u64, shards: usize) -> ShardedTraceDatabase {
     }
     let llc =
         rng.chance(4).then(|| CacheConfig::new("LLC", 6, 4, 6).with_latency(26).with_mshr(16));
-    ShardedTraceDatabase::from_entries(entries, shards, llc)
+    TraceDatabase::from_entries(entries, shards, llc)
 }
 
 fn assert_same_entry(a: &TraceEntry, b: &TraceEntry) {
@@ -168,7 +168,7 @@ proptest! {
         let first = write_snapshot(&db);
         let loaded = read_snapshot(&first).expect("snapshot loads");
 
-        prop_assert_eq!(loaded.num_shards(), db.num_shards());
+        prop_assert_eq!(loaded.shard_count(), db.shard_count());
         prop_assert_eq!(loaded.trace_keys(), db.trace_keys());
         prop_assert_eq!(loaded.llc_config(), db.llc_config());
         for (a, b) in loaded.entries().zip(db.entries()) {
@@ -211,8 +211,10 @@ proptest! {
         let bytes = write_snapshot(&synth_db(seed, shards));
         let eager = read_snapshot(&bytes).expect("snapshot loads");
         let metrics = MetricsRegistry::new();
-        let lazy = LazyTraceDatabase::new(VerifiedSnapshot::verify(bytes).expect("verifies"))
-            .with_metrics(&metrics);
+        let lazy = VerifiedSnapshot::verify(bytes)
+            .expect("verifies")
+            .into_database(&metrics)
+            .expect("entry headers decode");
 
         prop_assert_eq!(lazy.len(), eager.len());
         prop_assert_eq!(lazy.shard_count(), eager.shard_count());
@@ -266,7 +268,7 @@ proptest! {
 /// A small fixed database for the exhaustive corruption sweeps (every
 /// prefix length, every byte) — kept tiny so the O(bytes²) truncation scan
 /// stays fast.
-fn tiny_db() -> ShardedTraceDatabase {
+fn tiny_db() -> TraceDatabase {
     synth_db(7, 3)
 }
 
@@ -428,7 +430,7 @@ fn two_entry_bytes() -> Vec<u8> {
             ipc: 1.0,
         })
         .collect();
-    write_snapshot(&ShardedTraceDatabase::from_entries(entries, 1, None))
+    write_snapshot(&TraceDatabase::from_entries(entries, 1, None))
 }
 
 #[test]
@@ -475,7 +477,10 @@ fn malformed_rows_behind_forged_checksums_empty_only_their_frame() {
     assert!(matches!(read_snapshot(&b), Err(SnapshotError::Corrupt { .. })));
 
     let eager = read_snapshot(&bytes).expect("untouched bytes load");
-    let lazy = LazyTraceDatabase::new(VerifiedSnapshot::verify(b).expect("checksums forged"));
+    let lazy = VerifiedSnapshot::verify(b)
+        .expect("checksums forged")
+        .into_database(&MetricsRegistry::new())
+        .expect("entry headers still decode");
     assert_eq!(lazy.trace_keys(), eager.trace_keys());
     let broken = lazy.get("wa_evictions_lru").expect("entry headers still decode");
     assert_eq!(broken.frame.len(), 6, "the declared count, before the decode");
@@ -486,4 +491,22 @@ fn malformed_rows_behind_forged_checksums_empty_only_their_frame() {
     assert_eq!(broken.frame.to_csv().lines().count(), 1, "header only");
     let intact = lazy.get("wa_evictions_mru").expect("entry");
     assert_same_entry(intact, eager.get("wa_evictions_mru").expect("entry"));
+}
+
+#[test]
+fn forged_entry_header_is_a_typed_error_at_open() {
+    let bytes = two_entry_bytes();
+    let start = segment_start(&bytes);
+    let mut b = bytes.clone();
+    // The first entry's workload label index, far past the one label.
+    b[start..start + 4].copy_from_slice(&99u32.to_le_bytes());
+    forge_checksums(&mut b, start);
+    let snapshot = VerifiedSnapshot::verify(b.clone()).expect("the forged file verifies");
+    match snapshot.into_database(&MetricsRegistry::new()) {
+        Err(SnapshotError::Corrupt { detail }) => {
+            assert!(detail.contains("workload label index 99"), "{detail}");
+        }
+        other => panic!("a forged entry header must not open: {other:?}"),
+    }
+    assert!(matches!(read_snapshot(&b), Err(SnapshotError::Corrupt { .. })));
 }

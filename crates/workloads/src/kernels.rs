@@ -89,21 +89,6 @@ pub fn sequential_scan(b: &mut StreamBuilder, pc: Pc, base: u64, lines: u64) {
     }
 }
 
-/// A strided walk (`stride` in lines) of `count` accesses.
-pub fn strided_walk(b: &mut StreamBuilder, pc: Pc, base: u64, stride: u64, count: u64) {
-    for i in 0..count {
-        b.load(pc, base + i * stride * LINE);
-    }
-}
-
-/// `count` uniform-random line touches within a `lines`-sized region.
-pub fn random_touches(b: &mut StreamBuilder, pc: Pc, base: u64, lines: u64, count: u64) {
-    for _ in 0..count {
-        let l = b.rng().gen_range(0..lines);
-        b.load(pc, base + l * LINE);
-    }
-}
-
 /// Builds a shuffled ring permutation of `n` nodes (a derangement-style
 /// cycle covering all nodes), used by pointer-chasing generators.
 pub fn shuffled_ring(rng: &mut StdRng, n: usize) -> Vec<usize> {

@@ -10,7 +10,7 @@ fn main() {
     //    annotated per access (PC, address, set, hit/miss, reuse, ...).
     println!("Building the trace database (tiny demo scale) ...");
     let db = TraceDatabaseBuilder::quick_demo().build();
-    println!("  {} traces: {}", db.len(), db.trace_ids().collect::<Vec<_>>().join(", "));
+    println!("  {} traces: {}", db.len(), db.trace_keys().join(", "));
 
     // Pick a real record so questions have verifiable answers.
     let entry = db.get("mcf_evictions_lru").expect("built trace");

@@ -1,4 +1,4 @@
-//! Minimal serving-subsystem tour: build a sharded database, open two chat
+//! Minimal serving-subsystem tour: build a trace database, open two chat
 //! sessions and ask three questions as protocol lines, and print the
 //! transcripts.
 //!
@@ -11,11 +11,8 @@ use cachemind_suite::serve::protocol::{AskRequest, AskResponse, Request};
 use cachemind_suite::tracedb::{TraceDatabaseBuilder, TraceStore};
 
 fn main() {
-    let db = TraceDatabaseBuilder::quick_demo()
-        .shards(3)
-        .try_build_sharded()
-        .expect("demo names are valid");
-    println!("sharded database: {} traces across {} shards", db.len(), db.num_shards());
+    let db = TraceDatabaseBuilder::quick_demo().try_build().expect("demo names are valid");
+    println!("trace database: {} traces", db.len());
 
     let engine = ServeEngine::over(db, ServeConfig::default());
     // Every request is one protocol line, exactly as a stdin or TCP

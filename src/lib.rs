@@ -11,7 +11,7 @@
 //! use cachemind_suite::prelude::*;
 //!
 //! let db = TraceDatabaseBuilder::quick_demo().build();
-//! assert!(db.trace_ids().count() > 0);
+//! assert!(!db.trace_keys().is_empty());
 //! ```
 
 pub use cachemind_benchsuite as benchsuite;

@@ -4,7 +4,10 @@
 //! `tests/fixtures/figures_quick_demo_v1.json` holds the JSON of every
 //! figure builder over the `quick_demo` database. Scoring goes through the
 //! whole ask pipeline — parse, retrieve, generate, score — so any change
-//! that moves a single verdict, point or context grade fails here.
+//! that moves a single verdict, point or context grade fails here. The
+//! same fixture pins the figures over that database written to a snapshot
+//! and opened again, so the catalog and every figure builder also run
+//! over frames that decode their rows on first touch.
 //!
 //! A deliberate change to the figure data regenerates the fixture with the
 //! `#[ignore]`d test below:
@@ -18,7 +21,10 @@ use std::sync::Arc;
 
 use cachemind_suite::core::eval;
 use cachemind_suite::core::insights::ablation;
+use cachemind_suite::obs::MetricsRegistry;
 use cachemind_suite::prelude::*;
+use cachemind_suite::tracedb::snapshot::{write_snapshot, VerifiedSnapshot};
+use cachemind_suite::tracedb::TraceDatabase;
 
 fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/figures_quick_demo_v1.json")
@@ -29,9 +35,8 @@ fn section(name: &str, json: Result<String, serde_json::Error>) -> String {
     format!("  \"{name}\": {}", json.replace('\n', "\n  "))
 }
 
-/// Every pinned figure as one JSON object, one key per builder.
-fn figures_json() -> String {
-    let db = TraceDatabaseBuilder::quick_demo().build();
+/// Every pinned figure over `db` as one JSON object, one key per builder.
+fn figures_json(db: TraceDatabase) -> String {
     let catalog = Catalog::generate(&db);
     let db: Arc<dyn TraceStore> = Arc::new(db);
     let sections = [
@@ -65,12 +70,24 @@ fn figure_data_matches_the_quick_demo_fixture() {
         "figures_quick_demo_v1.json missing; run \
          `cargo test --test figure_bytes -- --ignored` to generate it",
     );
-    assert_eq!(figures_json(), expected, "figure data drifted from the quick_demo fixture");
+    let db = TraceDatabaseBuilder::quick_demo().build();
+    assert_eq!(figures_json(db), expected, "figure data drifted from the quick_demo fixture");
+}
+
+#[test]
+fn snapshot_opened_figure_data_matches_the_quick_demo_fixture() {
+    let expected = std::fs::read_to_string(fixture_path()).expect("figure fixture present");
+    let bytes = write_snapshot(&TraceDatabaseBuilder::quick_demo().build());
+    let db = VerifiedSnapshot::verify(bytes)
+        .and_then(|snapshot| snapshot.into_database(&MetricsRegistry::new()))
+        .expect("snapshot opens");
+    assert_eq!(figures_json(db), expected, "figures over a snapshot-opened store drifted");
 }
 
 /// Rewrites the fixture from the current figure builders.
 #[test]
 #[ignore = "writes tests/fixtures/figures_quick_demo_v1.json; run only to regenerate"]
 fn regenerate_figure_fixture() {
-    std::fs::write(fixture_path(), figures_json()).expect("write fixture");
+    let db = TraceDatabaseBuilder::quick_demo().build();
+    std::fs::write(fixture_path(), figures_json(db)).expect("write fixture");
 }

@@ -54,8 +54,8 @@ const CASES: &[(&str, &str, &str)] = &[
 
 /// The same multi-machine store the equivalence harness uses, so the
 /// pinned scopes name real machines.
-fn db() -> &'static cachemind_suite::tracedb::ShardedTraceDatabase {
-    static DB: OnceLock<cachemind_suite::tracedb::ShardedTraceDatabase> = OnceLock::new();
+fn db() -> &'static cachemind_suite::tracedb::TraceDatabase {
+    static DB: OnceLock<cachemind_suite::tracedb::TraceDatabase> = OnceLock::new();
     DB.get_or_init(|| {
         let config = ServeConfig {
             machines: vec!["table2".into(), "small".into()],

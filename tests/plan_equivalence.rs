@@ -28,8 +28,8 @@ use cachemind_suite::tracedb::store::TraceStore;
 
 /// The shared multi-machine, multi-prefetcher store — built once; every
 /// test case reads it immutably.
-fn db() -> &'static cachemind_suite::tracedb::ShardedTraceDatabase {
-    static DB: OnceLock<cachemind_suite::tracedb::ShardedTraceDatabase> = OnceLock::new();
+fn db() -> &'static cachemind_suite::tracedb::TraceDatabase {
+    static DB: OnceLock<cachemind_suite::tracedb::TraceDatabase> = OnceLock::new();
     DB.get_or_init(|| {
         let config = ServeConfig {
             machines: vec!["table2".into(), "small".into()],
