@@ -405,3 +405,117 @@ proptest! {
         }
     }
 }
+
+/// One level of the reference hierarchy: the policy-facing cache under
+/// plain LRU, indexed by the access's line address under its own geometry.
+fn reference_level(
+    cache: &mut SetAssociativeCache<RecencyPolicy>,
+    index: u64,
+    access: &MemoryAccess,
+) -> AccessOutcome {
+    let line = access.address.line(cache.config().line_size_log2);
+    let set = cache.set_of_line(line);
+    cache.access(&AccessContext::with_oracle(index, access.pc, line, set, access.kind, NEVER))
+}
+
+/// `CacheHierarchy::run` restated on `SetAssociativeCache<RecencyPolicy>`
+/// levels under LRU (L1I/L1D, L2, LLC), with pending prefetched lines in a
+/// plain `HashSet`. Returns the LLC stream, the
+/// L1I/L1D/L2/LLC counters, prefetch fills and useful prefetches.
+fn reference_hierarchy(
+    config: &HierarchyConfig,
+    accesses: &[MemoryAccess],
+) -> (Vec<MemoryAccess>, [CacheStats; 4], u64, u64) {
+    let level = |c: &CacheConfig| SetAssociativeCache::new(c.clone(), RecencyPolicy::lru());
+    let (mut l1i, mut l1d) = (level(&config.l1i), level(&config.l1d));
+    let (mut l2, mut llc) = (level(&config.l2), level(&config.llc));
+    let mut pending = std::collections::HashSet::new();
+    let (mut stream, mut fills, mut useful) = (Vec::new(), 0u64, 0u64);
+    for (i, access) in accesses.iter().enumerate() {
+        let index = i as u64;
+        // Pending lines live in the LLC's line space.
+        let line = access.address.value() >> config.llc.line_size_log2;
+        let is_prefetch = access.kind == AccessKind::Prefetch;
+        let was_pending = !is_prefetch && pending.remove(&line);
+        let l1 = if access.kind == AccessKind::Fetch { &mut l1i } else { &mut l1d };
+        if reference_level(l1, index, access).hit {
+            useful += u64::from(was_pending);
+            continue;
+        }
+        if is_prefetch {
+            fills += 1;
+            pending.insert(line);
+        }
+        if reference_level(&mut l2, index, access).hit {
+            useful += u64::from(was_pending);
+            continue;
+        }
+        stream.push(*access);
+        let out = reference_level(&mut llc, index, access);
+        useful += u64::from(out.hit && was_pending);
+        if let Some(evicted) = out.evicted {
+            pending.remove(&evicted.line.value());
+        }
+    }
+    let stats = [*l1i.stats(), *l1d.stats(), *l2.stats(), *llc.stats()];
+    (stream, stats, fills, useful)
+}
+
+/// A small cache geometry decoded from one byte: 1–4 sets, 1–4 ways and
+/// 32-, 64- or 128-byte lines.
+fn small_geometry(name: &str, code: u8) -> CacheConfig {
+    let code = code as u32;
+    CacheConfig::new(name, code % 3, (code / 3 % 4) as usize + 1, 5 + code / 12 % 3)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The hierarchy filter agrees with a reference built from the
+    /// policy-facing cache: same LLC stream, same per-level counters and
+    /// the same prefetch fills and useful prefetches, on random small
+    /// geometries (every level, the LLC included, evicts often) and mixed
+    /// load/store/fetch/prefetch streams.
+    #[test]
+    fn hierarchy_filter_matches_set_associative_reference(
+        l1i in 0u8..36,
+        l1d in 0u8..36,
+        l2 in 0u8..36,
+        llc in 0u8..36,
+        codes in proptest::collection::vec(0u16..512, 1..400)
+    ) {
+        let config = HierarchyConfig {
+            l1i: small_geometry("L1I", l1i),
+            l1d: small_geometry("L1D", l1d),
+            l2: small_geometry("L2", l2),
+            llc: small_geometry("LLC", llc),
+            ..HierarchyConfig::small()
+        };
+        // The low two bits pick the kind; the rest one of 128 32-byte
+        // chunks (4 KiB), far more than any generated level holds.
+        let accesses: Vec<MemoryAccess> = codes
+            .iter()
+            .enumerate()
+            .map(|(i, &code)| {
+                let chunk = (code >> 2) as u64;
+                let pc = Pc::new(0x400000 + (chunk % 7) * 4);
+                let addr = Address::new(0x10000 + chunk * 32);
+                match code & 3 {
+                    0 => MemoryAccess::load(pc, addr, i as u64),
+                    1 => MemoryAccess::store(pc, addr, i as u64),
+                    2 => MemoryAccess::fetch(pc, addr, i as u64),
+                    _ => MemoryAccess::prefetch(pc, addr, i as u64),
+                }
+            })
+            .collect();
+        let report = CacheHierarchy::new(config.clone()).run(&accesses, accesses.len() as u64);
+        let (stream, [ri, rd, r2, rl], fills, useful) = reference_hierarchy(&config, &accesses);
+        prop_assert_eq!(&report.llc_stream, &stream);
+        prop_assert_eq!(report.l1i, ri);
+        prop_assert_eq!(report.l1d, rd);
+        prop_assert_eq!(report.l2, r2);
+        prop_assert_eq!(report.llc, rl);
+        prop_assert_eq!(report.prefetch_fills, fills);
+        prop_assert_eq!(report.useful_prefetches, useful);
+    }
+}
