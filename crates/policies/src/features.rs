@@ -2,6 +2,7 @@
 //! feature hashing and a small deterministic RNG.
 
 use cachemind_sim::addr::SetId;
+pub use cachemind_sim::hash::{mix64, Mix64Build, Mix64Hasher};
 
 /// Lazily-grown per-(set, way) state storage.
 ///
@@ -51,55 +52,10 @@ impl<T: Clone> PerWayTable<T> {
     }
 }
 
-/// A 64-bit finalizer-style hash (SplitMix64 mixing function) for feature
-/// hashing. Deterministic across runs and platforms.
-pub fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Hashes a feature id and value into a table of `1 << bits` buckets.
 pub fn feature_bucket(feature_id: u64, value: u64, bits: u32) -> usize {
     (mix64(feature_id.wrapping_mul(0x100_0000_01B3) ^ value) & ((1 << bits) - 1)) as usize
 }
-
-/// A [`mix64`]-based `Hasher` for policy-internal maps on integer keys.
-///
-/// The std `HashMap`'s default SipHash costs more than the rest of a
-/// sampler probe combined; this mixer is a fraction of that and
-/// deterministic across runs. Only safe where map *iteration order* is
-/// never observed (lookups, inserts and removals only) — per-key state is
-/// layout-independent, so simulated outcomes cannot change.
-#[derive(Debug, Clone, Default)]
-pub struct Mix64Hasher(u64);
-
-impl std::hash::Hasher for Mix64Hasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Composite-key fallback: fold 8-byte chunks through the mixer.
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.0 = mix64(self.0 ^ u64::from_le_bytes(buf));
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = mix64(self.0 ^ x);
-    }
-
-    fn write_usize(&mut self, x: usize) {
-        self.write_u64(x as u64);
-    }
-}
-
-/// `BuildHasher` plugging [`Mix64Hasher`] into `HashMap`/`HashSet`.
-pub type Mix64Build = std::hash::BuildHasherDefault<Mix64Hasher>;
 
 /// A tiny deterministic PRNG (SplitMix64) for policies that need randomness
 /// (BRRIP's occasional near-insertions, random replacement).

@@ -11,6 +11,7 @@ use serde::{Deserialize, Serialize};
 use crate::access::{AccessKind, MemoryAccess};
 use crate::addr::{Address, LineAddr};
 use crate::config::{CacheConfig, HierarchyConfig};
+use crate::hash::Mix64Build;
 use crate::stats::CacheStats;
 
 /// Result of running a workload through the hierarchy.
@@ -37,10 +38,6 @@ pub struct HierarchyReport {
     pub instr_count: u64,
 }
 
-/// Sentinel tag marking an invalid way (same convention as the main
-/// [`crate::cache::SetAssociativeCache`] storage).
-const INVALID_TAG: LineAddr = LineAddr::new(u64::MAX);
-
 /// What one filter-cache access produced: a hit flag plus the evicted line,
 /// the only outcome data the hierarchy filter consumes.
 struct FilterOutcome {
@@ -53,86 +50,81 @@ struct FilterOutcome {
 /// The filter replays every workload access through L1/L2 (and the LLC for
 /// the baseline counters) under plain LRU, and only ever reads the
 /// hit/miss counters and the evicted line address — never per-line PCs,
-/// insertion indices or dirty bits. This lean twin of
-/// [`crate::cache::SetAssociativeCache`] therefore keeps just the tag and
-/// last-touch columns, halving the per-access work of the hottest loop in
-/// sweep stage 1 while making *identical* hit/fill/evict decisions:
+/// insertion indices, dirty bits or way numbers. This lean twin of
+/// [`crate::cache::SetAssociativeCache`] therefore keeps just each set's
+/// valid tags, in recency order, most recent first:
 ///
-/// * hit  = first way whose tag matches (same probe order);
-/// * fill = first invalid way — ways fill in index order, so the `filled`
-///   counter names the same way the invalid-tag scan would find;
-/// * victim = the valid way with the smallest `last_touch`, first such way
-///   on (impossible) ties — exactly `RecencyPolicy::lru`'s `min_by_key`.
+/// * hit  = the matched tag rotates to the front;
+/// * fill = on a set that is not full, the new tag goes in at the front;
+/// * evict = on a full set, the last tag (the least recent line) leaves
+///   and the new tag goes in at the front.
+///
+/// Within a set every line's last touch is distinct, so the last tag is
+/// exactly the line `RecencyPolicy::lru` evicts (the valid way with the
+/// smallest last touch): the hit/miss and eviction decisions are identical,
+/// with no per-way last-touch column and no victim scan. Hot lines sit at
+/// the front, so a probe for a recently used line stops early.
 #[derive(Debug)]
 struct FilterCache {
     line_size_log2: u32,
     sets_log2: u32,
     ways: usize,
+    /// `ways` slots per set; the first `filled[set]` hold the set's valid
+    /// tags, most recent first.
     tags: Vec<LineAddr>,
-    last_touch: Vec<u64>,
-    /// Valid-way count per set. Fills always claim the lowest-index
-    /// invalid way and evictions replace in place, so the first invalid
-    /// way *is* the fill count — tracking it skips the invalid-tag scan
-    /// on every cold miss.
+    /// Valid-tag count per set.
     filled: Vec<u16>,
     stats: CacheStats,
 }
 
 impl FilterCache {
     fn new(config: &CacheConfig) -> Self {
-        let capacity = config.capacity_lines();
         FilterCache {
             line_size_log2: config.line_size_log2,
             sets_log2: config.sets_log2,
             ways: config.ways,
-            tags: vec![INVALID_TAG; capacity],
-            last_touch: vec![0; capacity],
+            tags: vec![LineAddr::new(0); config.capacity_lines()],
             filled: vec![0; 1 << config.sets_log2],
             stats: CacheStats::default(),
         }
     }
 
     #[inline]
-    fn access(&mut self, index: u64, address: Address, kind: AccessKind) -> FilterOutcome {
+    fn access(&mut self, address: Address, kind: AccessKind) -> FilterOutcome {
         // Tags are full line addresses (matching the policy-facing cache,
         // which stores `AccessContext::line`); the set index masks the low
         // line-address bits.
         let line = address.line(self.line_size_log2);
-        let set = line.set(self.sets_log2);
-        let base = set.index() * self.ways;
-        // Only `filled` ways hold valid tags; the scan never needs to look
-        // past them (fills claim ways in index order, see `filled`).
-        let filled = self.filled[set.index()] as usize;
-        let set_tags = &mut self.tags[base..base + filled];
+        let set = line.set(self.sets_log2).index();
+        let base = set * self.ways;
+        let filled = self.filled[set] as usize;
+        let set_tags = &mut self.tags[base..base + self.ways];
 
-        if let Some(way) = set_tags.iter().position(|&tag| tag == line) {
-            self.last_touch[base + way] = index;
-            self.stats.record_hit(kind);
-            return FilterOutcome { hit: true, evicted: None };
-        }
-
-        self.stats.record_miss(kind);
-        if filled < self.ways {
-            self.tags[base + filled] = line;
-            self.last_touch[base + filled] = index;
-            self.filled[set.index()] = filled as u16 + 1;
-            return FilterOutcome { hit: false, evicted: None };
-        }
-
-        // LRU victim: first way with the minimal last touch, as
-        // `min_by_key` over ways in order would pick.
-        let touches = &self.last_touch[base..base + self.ways];
-        let mut victim = 0;
-        for (way, &touch) in touches.iter().enumerate().skip(1) {
-            if touch < touches[victim] {
-                victim = way;
+        let hit = set_tags[..filled].iter().position(|&tag| tag == line);
+        // `end` is the slot the more recent tags shift down into: the hit
+        // tag's own slot, the free slot, or the evicted last slot. A hit on
+        // the front tag, the common case, moves nothing.
+        let (end, evicted) = match hit {
+            Some(pos) => {
+                self.stats.record_hit(kind);
+                (pos, None)
             }
+            None if filled < self.ways => {
+                self.stats.record_miss(kind);
+                self.filled[set] += 1;
+                (filled, None)
+            }
+            None => {
+                self.stats.record_miss(kind);
+                self.stats.evictions += 1;
+                (filled - 1, Some(set_tags[filled - 1]))
+            }
+        };
+        if end > 0 {
+            set_tags.copy_within(..end, 1);
         }
-        let evicted = set_tags[victim];
-        set_tags[victim] = line;
-        self.last_touch[base + victim] = index;
-        self.stats.evictions += 1;
-        FilterOutcome { hit: false, evicted: Some(evicted) }
+        set_tags[0] = line;
+        FilterOutcome { hit: hit.is_some(), evicted }
     }
 }
 
@@ -192,11 +184,10 @@ impl CacheHierarchy {
         // Keyed in the LLC's line space so eviction keys (LLC `LineAddr`
         // values) and access keys always agree, whatever the L1 line size.
         let line_bits = self.config.llc.line_size_log2;
-        let mut prefetched: std::collections::HashSet<u64> = std::collections::HashSet::new();
+        let mut prefetched: std::collections::HashSet<u64, Mix64Build> = Default::default();
         let mut prefetch_fills = 0u64;
         let mut useful_prefetches = 0u64;
-        for (i, access) in accesses.iter().enumerate() {
-            let idx = i as u64;
+        for access in accesses {
             let line = access.address.value() >> line_bits;
             let is_prefetch = access.kind == AccessKind::Prefetch;
             // A pending line only becomes *useful* if this demand access is
@@ -209,7 +200,7 @@ impl CacheHierarchy {
                 AccessKind::Fetch => &mut self.l1i,
                 _ => &mut self.l1d,
             };
-            let l1_out = l1.access(idx, access.address, access.kind);
+            let l1_out = l1.access(access.address, access.kind);
             if l1_out.hit {
                 if was_pending {
                     useful_prefetches += 1;
@@ -220,7 +211,7 @@ impl CacheHierarchy {
                 prefetch_fills += 1;
                 prefetched.insert(line);
             }
-            let l2_out = self.l2.access(idx, access.address, access.kind);
+            let l2_out = self.l2.access(access.address, access.kind);
             if l2_out.hit {
                 if was_pending {
                     useful_prefetches += 1;
@@ -230,7 +221,7 @@ impl CacheHierarchy {
             // The access reaches the LLC; this is the stream that policy
             // replays consume.
             llc_stream.push(*access);
-            let llc_out = self.llc.access(idx, access.address, access.kind);
+            let llc_out = self.llc.access(access.address, access.kind);
             if llc_out.hit && was_pending {
                 useful_prefetches += 1;
             }

@@ -38,6 +38,7 @@ pub mod access;
 pub mod addr;
 pub mod cache;
 pub mod config;
+pub mod hash;
 pub mod hierarchy;
 pub mod prefetch;
 pub mod replacement;

@@ -12,6 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::access::{AccessKind, MemoryAccess};
 use crate::addr::{Address, Pc};
+use crate::hash::mix64;
 
 /// Which hardware prefetcher to model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -67,14 +68,6 @@ struct StrideEntry {
     last_line: u64,
     stride: i64,
     confident: bool,
-}
-
-/// SplitMix64 finalizer (same mixer as the reuse oracle's interner).
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 const EMPTY_PC: u64 = u64::MAX;

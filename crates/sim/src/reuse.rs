@@ -9,26 +9,19 @@
 
 use crate::access::MemoryAccess;
 use crate::addr::LineAddr;
+use crate::hash::mix64;
 
 /// Sentinel meaning "never referenced again".
 pub const NEVER: u64 = u64::MAX;
 
-/// SplitMix64 finalizer — the multiplicative mixer behind the interner's
-/// open-addressing probe. Deterministic across runs and platforms.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 const EMPTY_KEY: u64 = u64::MAX;
 
+/// One interner slot: 16 bytes, four to a 64-byte cache line.
 #[derive(Clone, Copy)]
 struct InternSlot {
     key: u64,
     /// Stream index of the most recent access to the line.
-    last: usize,
+    last: u32,
     /// Dense id assigned at first touch.
     id: u32,
 }
@@ -41,43 +34,23 @@ struct InternSlot {
 struct LineInterner {
     slots: Vec<InternSlot>,
     mask: usize,
-    len: usize,
 }
 
 impl LineInterner {
-    fn new() -> Self {
-        let cap = 4096;
+    /// A table for a stream of `len` accesses. The stream holds at most
+    /// `len` distinct lines, so sizing it for a load factor of at most 3/4
+    /// up front means it never rehashes and always keeps an empty slot.
+    fn for_stream_len(len: usize) -> Self {
+        let cap = (len + len / 3 + 1).next_power_of_two();
         LineInterner {
             slots: vec![InternSlot { key: EMPTY_KEY, last: 0, id: 0 }; cap],
             mask: cap - 1,
-            len: 0,
-        }
-    }
-
-    fn grow(&mut self) {
-        let cap = self.slots.len() * 2;
-        let old = std::mem::replace(
-            &mut self.slots,
-            vec![InternSlot { key: EMPTY_KEY, last: 0, id: 0 }; cap],
-        );
-        self.mask = cap - 1;
-        for slot in old {
-            if slot.key != EMPTY_KEY {
-                let mut h = mix64(slot.key) as usize & self.mask;
-                while self.slots[h].key != EMPTY_KEY {
-                    h = (h + 1) & self.mask;
-                }
-                self.slots[h] = slot;
-            }
         }
     }
 
     /// The slot holding `key`, or the empty slot where it belongs.
     fn probe(&mut self, key: u64) -> &mut InternSlot {
         debug_assert_ne!(key, EMPTY_KEY, "line address collides with the interner sentinel");
-        if self.len * 4 >= self.slots.len() * 3 {
-            self.grow();
-        }
         let mut h = mix64(key) as usize & self.mask;
         loop {
             let k = self.slots[h].key;
@@ -114,29 +87,34 @@ impl ReuseOracle {
     }
 
     /// Builds the oracle from a pre-extracted line-address stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream holds 2³² or more accesses: the interner keeps
+    /// stream indices as `u32`.
     pub fn from_lines(lines: Vec<LineAddr>) -> Self {
         let n = lines.len();
+        let n32 = u32::try_from(n).expect("reuse oracle streams hold fewer than 2^32 accesses");
         let mut next_use = vec![NEVER; n];
         let mut prev_use = vec![NEVER; n];
         let mut first_touch = vec![false; n];
         let mut line_ids = vec![0u32; n];
         let mut num_lines = 0u32;
 
-        let mut last_seen = LineInterner::new();
-        for (i, &line) in lines.iter().enumerate() {
+        let mut last_seen = LineInterner::for_stream_len(n);
+        for (i, &line) in (0..n32).zip(&lines) {
             let slot = last_seen.probe(line.value());
             if slot.key == EMPTY_KEY {
                 slot.key = line.value();
                 slot.last = i;
                 slot.id = num_lines;
-                last_seen.len += 1;
-                first_touch[i] = true;
-                line_ids[i] = num_lines;
+                first_touch[i as usize] = true;
+                line_ids[i as usize] = num_lines;
                 num_lines += 1;
             } else {
-                next_use[slot.last] = i as u64;
-                prev_use[i] = slot.last as u64;
-                line_ids[i] = slot.id;
+                next_use[slot.last as usize] = u64::from(i);
+                prev_use[i as usize] = u64::from(slot.last);
+                line_ids[i as usize] = slot.id;
                 slot.last = i;
             }
         }
