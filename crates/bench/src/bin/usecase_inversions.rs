@@ -11,8 +11,8 @@ fn main() {
     println!("Belady vs PARROT — per-PC inversions");
     cachemind_bench::rule(78);
     println!(
-        "{:<10} {:>16} {:>16} {:>12}  {}",
-        "Workload", "Belady hit", "PARROT hit", "#inversions", "inverted PCs"
+        "{:<10} {:>16} {:>16} {:>12}  inverted PCs",
+        "Workload", "Belady hit", "PARROT hit", "#inversions"
     );
     cachemind_bench::rule(78);
     for row in &rows {

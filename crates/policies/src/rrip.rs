@@ -238,17 +238,16 @@ mod tests {
         use cachemind_sim::cache::{LineMeta, SetViewBuf};
         let mut p = RripPolicy::drrip();
         // Misses in the SRRIP leader set (set 0) push PSEL toward BRRIP.
-        let lines = SetViewBuf::from_metas(&vec![
-            Some(LineMeta {
+        let lines = SetViewBuf::from_metas(
+            &[Some(LineMeta {
                 line: Address::new(0).line(6),
                 last_pc: Pc::new(0),
                 insert_pc: Pc::new(0),
                 inserted_at: 0,
                 last_touch: 0,
                 dirty: false,
-            });
-            2
-        ]);
+            }); 2],
+        );
         let ctx = AccessContext::with_oracle(
             5,
             Pc::new(0x1),

@@ -35,7 +35,7 @@ pub fn resolve_trace_slots(
     let policies = db.policies();
     let resolve = |want: Option<String>, vocab: &[String]| -> Option<String> {
         let w = want?;
-        if vocab.iter().any(|v| *v == w) {
+        if vocab.contains(&w) {
             return Some(w);
         }
         if semantic {
