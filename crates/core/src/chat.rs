@@ -107,6 +107,7 @@ impl ChatSession {
 mod tests {
     use super::*;
     use crate::system::RetrieverKind;
+    use cachemind_lang::vector::VectorStore;
     use cachemind_tracedb::TraceDatabaseBuilder;
 
     #[test]
@@ -137,5 +138,23 @@ mod tests {
         assert_eq!(recalled.len(), 2 * MAX_KEPT_EXCHANGES);
         assert!(recalled.iter().all(|t| t != "question 9" && t != "answer 9"));
         assert!(recalled.iter().any(|t| t == "question 10"));
+
+        // Recall past the cap is a store filled eagerly with the kept
+        // exchanges, question then answer, oldest first.
+        let mut eager = VectorStore::new(64);
+        for (i, n) in (10..MAX_KEPT_EXCHANGES + 10).enumerate() {
+            eager.add(&format!("turn-{}", 2 * i), &format!("question {n}"));
+            eager.add(&format!("turn-{}", 2 * i + 1), &format!("answer {n}"));
+        }
+        for query in ["question 17", "answer 200", "answer 9", "question", "turn"] {
+            for k in [0, 1, 3, 40, 2 * MAX_KEPT_EXCHANGES + 5] {
+                let expected: Vec<String> = eager
+                    .search(query, k)
+                    .into_iter()
+                    .map(|hit| eager.text(hit.index).to_owned())
+                    .collect();
+                assert_eq!(chat.recall(query, k), expected, "query {query:?}, k {k}");
+            }
+        }
     }
 }

@@ -1096,17 +1096,45 @@ mod tests {
     #[test]
     fn turns_count_past_the_kept_transcript() {
         use cachemind_core::chat::MAX_KEPT_EXCHANGES;
+        use cachemind_lang::vector::VectorStore;
         let engine = engine(1);
         let id = engine.open_session();
-        let question = "What is the overall miss rate of the mcf workload under LRU?";
-        for _ in 0..MAX_KEPT_EXCHANGES {
-            ask(&engine, AskRequest::in_session(id, question));
+        let questions = [
+            "What is the overall miss rate of the mcf workload under LRU?",
+            "Which policy has the lowest miss rate on astar?",
+            "List all unique PCs in the mcf trace under LRU.",
+        ];
+        let mut exchanges = Vec::new();
+        let mut last = None;
+        for i in 0..=MAX_KEPT_EXCHANGES {
+            let question = questions[i % questions.len()];
+            let response = ask(&engine, AskRequest::in_session(id, question));
+            assert!(response.is_ok());
+            exchanges.push((question.to_owned(), response.answer.clone().expect("an answer")));
+            last = Some(response);
         }
-        let last = ask(&engine, AskRequest::in_session(id, question));
-        assert!(last.is_ok());
+        let last = last.expect("asked");
         assert_eq!(last.turn, MAX_KEPT_EXCHANGES + 1, "turns keep counting past the cap");
-        assert_eq!(engine.transcript(id).unwrap().len(), MAX_KEPT_EXCHANGES);
+        let kept = &exchanges[1..];
+        assert_eq!(engine.transcript(id).unwrap(), kept, "the oldest exchange is dropped");
         assert_eq!(probe(&engine, id).turn, MAX_KEPT_EXCHANGES + 1);
+
+        // Recall is a store filled eagerly with the kept exchanges,
+        // question then answer, oldest first.
+        let mut eager = VectorStore::new(64);
+        for (i, text) in kept.iter().flat_map(|(q, a)| [q, a]).enumerate() {
+            eager.add(&format!("turn-{i}"), text);
+        }
+        for query in ["miss rate of mcf", "lowest miss rate policy", "unique PCs", "0x401"] {
+            for k in [0, 1, 5, 2 * MAX_KEPT_EXCHANGES + 2] {
+                let expected: Vec<String> = eager
+                    .search(query, k)
+                    .into_iter()
+                    .map(|hit| eager.text(hit.index).to_owned())
+                    .collect();
+                assert_eq!(engine.recall(id, query, k).unwrap(), expected, "{query:?}, k {k}");
+            }
+        }
         let closed = close(&engine, id);
         assert!(closed.closed);
         assert_eq!(closed.turn, MAX_KEPT_EXCHANGES + 1, "close acknowledges every turn");
