@@ -1,7 +1,7 @@
 //! The whole-answer cache: `(canonical query text, canonical selector,
 //! db fingerprint)` → [`Answer`].
 //!
-//! Answering is a pure function of `(store, question, selector, options)`
+//! Answering is a pure function of `(store, question, selector)`
 //! — the property the serve layer's `answers_fnv64` checksums already
 //! prove — so replaying a stored answer is indistinguishable from
 //! recomputing it. The cache key captures every input of that function:
@@ -16,7 +16,6 @@
 //!   [`ScenarioSelector`](cachemind_sim::scenario::ScenarioSelector) in its
 //!   canonical text form (the serve layer canonicalizes preset machine
 //!   names before asking, so aliases of one scope share entries).
-//! * **options** — the exploration-routing flag.
 //! * **question text** — verbatim.
 //!
 //! Lookups and inserts count into the owning [`MetricsRegistry`] under
@@ -28,8 +27,9 @@ use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
 use cachemind_obs::{names, Counter, MetricsRegistry};
+use cachemind_sim::hash::fnv64;
 use cachemind_tracedb::snapshot::fnv64_wide;
-use cachemind_tracedb::store::{fnv64, TraceStore};
+use cachemind_tracedb::store::TraceStore;
 
 use crate::system::Answer;
 

@@ -5,42 +5,33 @@
 //! results so multi-turn analyses — the Figure 10–13 insight transcripts —
 //! can build on earlier answers.
 //!
-//! A session keeps its last [`MAX_KEPT_EXCHANGES`] question/answer pairs
-//! and counts every answered turn, so a session that never closes holds
-//! bounded memory while its turn numbers keep counting. Logging a turn
-//! only appends text; recall builds its vector index when called.
+//! A session keeps its last
+//! [`MAX_KEPT_EXCHANGES`](cachemind_lang::memory::MAX_KEPT_EXCHANGES)
+//! question/answer pairs and counts every answered turn, so a session
+//! that never closes holds bounded memory while its turn numbers keep
+//! counting. The exchange log ([`ConversationMemory`]) is the session's
+//! only state besides its mind: logging a turn only appends text, and
+//! recall builds its vector index when called.
 
-use std::collections::VecDeque;
-
-use cachemind_lang::memory::{ConversationMemory, Role, MAX_KEPT_TURNS};
+use cachemind_lang::memory::ConversationMemory;
 
 use crate::system::{Answer, CacheMind, Query};
 
-/// The most `(question, answer)` exchanges a [`ChatSession`] keeps: 256,
-/// one question turn and one answer turn each in its memory. A served
-/// exchange keeps about 0.7 KB across the transcript and the memory, so a
-/// session at the cap holds about 180 KB. A question is at most one
+/// A multi-turn chat session over one CacheMind instance. A served
+/// exchange keeps about 0.35 KB, so a session at the cap of
+/// [`MAX_KEPT_EXCHANGES`](cachemind_lang::memory::MAX_KEPT_EXCHANGES)
+/// holds about 90 KB. A question is at most one
 /// protocol line (1 MiB), which bounds the worst case.
-pub const MAX_KEPT_EXCHANGES: usize = MAX_KEPT_TURNS / 2;
-
-/// A multi-turn chat session over one CacheMind instance.
 #[derive(Debug)]
 pub struct ChatSession {
     mind: CacheMind,
     memory: ConversationMemory,
-    transcript: VecDeque<(String, String)>,
-    turns: usize,
 }
 
 impl ChatSession {
-    /// Starts a session whose memory window is the last 8 turns.
+    /// Starts a session with an empty exchange log.
     pub fn new(mind: CacheMind) -> Self {
-        ChatSession {
-            mind,
-            memory: ConversationMemory::new(8),
-            transcript: VecDeque::new(),
-            turns: 0,
-        }
+        ChatSession { mind, memory: ConversationMemory::new() }
     }
 
     /// The underlying system.
@@ -48,15 +39,13 @@ impl ChatSession {
         &self.mind
     }
 
-    /// Asks a question within the session; the turn is recorded in memory
-    /// and the transcript.
+    /// Asks a question within the session; the exchange is logged.
     pub fn ask(&mut self, question: &str) -> Answer {
         self.ask_query(&Query::new(question))
     }
 
     /// Asks a typed, scenario-scoped query within the session — the
-    /// scoped form of [`ChatSession::ask`]; the turn is recorded in memory
-    /// and the transcript.
+    /// scoped form of [`ChatSession::ask`]; the exchange is logged.
     pub fn ask_query(&mut self, query: &Query) -> Answer {
         let answer = self.mind.ask_query(query);
         self.log(&query.text, &answer.text);
@@ -67,36 +56,32 @@ impl ChatSession {
     /// plans directly but still log chat-style turns, as in the paper's
     /// condensed transcripts).
     pub fn log(&mut self, question: &str, response: &str) {
-        self.memory.push(Role::User, question);
-        self.memory.push(Role::Assistant, response);
-        if self.transcript.len() == MAX_KEPT_EXCHANGES {
-            self.transcript.pop_front();
-        }
-        self.transcript.push_back((question.to_owned(), response.to_owned()));
-        self.turns += 1;
+        self.memory.push(question, response);
     }
 
-    /// Recalls kept turns relevant to `query` from vector memory.
+    /// Recalls kept questions and answers relevant to `query` from vector
+    /// memory.
     pub fn recall(&self, query: &str, k: usize) -> Vec<String> {
         self.memory.recall(query, k)
     }
 
     /// Every turn the session answered, those no longer kept included.
     pub fn turns(&self) -> usize {
-        self.turns
+        self.memory.turns()
     }
 
     /// The kept `(question, answer)` transcript, oldest first: the last
-    /// [`MAX_KEPT_EXCHANGES`] exchanges.
+    /// [`MAX_KEPT_EXCHANGES`](cachemind_lang::memory::MAX_KEPT_EXCHANGES)
+    /// exchanges.
     pub fn transcript(&self) -> impl ExactSizeIterator<Item = &(String, String)> {
-        self.transcript.iter()
+        self.memory.exchanges()
     }
 
     /// Renders the kept transcript in the paper's condensed format
     /// (Figures 10–13).
     pub fn render_transcript(&self) -> String {
         let mut out = String::new();
-        for (q, a) in &self.transcript {
+        for (q, a) in self.transcript() {
             out.push_str(&format!("User: {q}\nAssistant: {a}\n\n"));
         }
         out
@@ -107,6 +92,7 @@ impl ChatSession {
 mod tests {
     use super::*;
     use crate::system::RetrieverKind;
+    use cachemind_lang::memory::MAX_KEPT_EXCHANGES;
     use cachemind_lang::vector::VectorStore;
     use cachemind_tracedb::TraceDatabaseBuilder;
 

@@ -38,7 +38,7 @@ pub mod system;
 
 pub use cache::AnswerCache;
 pub use chat::ChatSession;
-pub use system::{Answer, CacheMind, Query, QueryOptions, RetrieverKind};
+pub use system::{Answer, CacheMind, Query, RetrieverKind};
 
 /// Commonly used types, for glob import.
 pub mod prelude {
@@ -46,7 +46,7 @@ pub mod prelude {
     pub use crate::chat::ChatSession;
     pub use crate::eval;
     pub use crate::insights;
-    pub use crate::system::{Answer, CacheMind, Query, QueryOptions, RetrieverKind};
+    pub use crate::system::{Answer, CacheMind, Query, RetrieverKind};
     pub use cachemind_benchsuite::prelude::*;
     pub use cachemind_lang::prelude::*;
     pub use cachemind_retrieval::prelude::*;

@@ -35,25 +35,9 @@ pub enum RetrieverKind {
     Dense,
 }
 
-/// Options modulating how a query is answered.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueryOptions {
-    /// Route the Figure 10–13 exploration vocabulary ("list all unique
-    /// PCs", ...) straight to the Ranger plan runtime before the RAG
-    /// pipeline. On by default; disable to force retrieval-augmented
-    /// answering even for exploration commands.
-    pub explore: bool,
-}
-
-impl Default for QueryOptions {
-    fn default() -> Self {
-        QueryOptions { explore: true }
-    }
-}
-
-/// A typed query: the question text plus its scenario scope and options —
-/// the input of [`CacheMind::ask_query`]. A bare string converts into an
-/// unscoped query (`mind.ask_query(&"...".into())`).
+/// A typed query: the question text plus its scenario scope — the input
+/// of [`CacheMind::ask_query`]. A bare string converts into an unscoped
+/// query (`mind.ask_query(&"...".into())`).
 ///
 /// The selector uses the canonical scenario grammar
 /// `workload@machine+prefetcher/policy` (every component optional — see
@@ -82,8 +66,6 @@ pub struct Query {
     /// machine/prefetcher scope for retrieval. Inline `@machine` syntax in
     /// `text` wins per-field over this selector.
     pub selector: ScenarioSelector,
-    /// Answering options.
-    pub options: QueryOptions,
 }
 
 impl Query {
@@ -94,13 +76,7 @@ impl Query {
 
     /// A query scoped by a selector.
     pub fn scoped(text: impl Into<String>, selector: ScenarioSelector) -> Self {
-        Query { text: text.into(), selector, options: QueryOptions::default() }
-    }
-
-    /// Replaces the options.
-    pub fn with_options(mut self, options: QueryOptions) -> Self {
-        self.options = options;
-        self
+        Query { text: text.into(), selector }
     }
 }
 
@@ -207,7 +183,7 @@ impl CacheMind {
     }
 
     /// Enables (or disables) the whole-answer cache: answers keyed by
-    /// `(db fingerprint, canonical selector, options, question text)` are
+    /// `(db fingerprint, canonical selector, question text)` are
     /// replayed instead of recomputed. Answering is deterministic, so the
     /// cache is semantics-free — [`CacheMind::ask_query`] returns
     /// byte-identical answers with it on or off. Call after
@@ -307,10 +283,8 @@ impl CacheMind {
         let question = query.text.as_str();
         let lower = question.to_lowercase();
         let intent = self.parse_lowered(question, &lower, &query.selector);
-        if query.options.explore {
-            if let Some(answer) = self.try_exploration(&lower, &intent) {
-                return answer;
-            }
+        if let Some(answer) = self.try_exploration(&lower, &intent) {
+            return answer;
         }
         let context = self.retriever.retrieve(&*self.db, &intent);
         let mut builder = PromptBuilder::new();
@@ -329,23 +303,17 @@ impl CacheMind {
     }
 
     /// The whole-answer cache key for a query: db fingerprint, canonical
-    /// selector, options, and the verbatim question text — every input of
-    /// the pure answering function (see `crate::cache` for the anatomy).
+    /// selector and the verbatim question text — every input of the pure
+    /// answering function (see `crate::cache` for the anatomy).
     /// Checked *before* intent parsing, so a hit skips the whole pipeline.
     fn answer_key(&self, query: &Query, cache: &crate::cache::AnswerCache) -> String {
-        format!(
-            "{:016x}|{}|{}|{}",
-            cache.fingerprint(&*self.db),
-            query.selector,
-            u8::from(query.options.explore),
-            query.text,
-        )
+        format!("{:016x}|{}|{}", cache.fingerprint(&*self.db), query.selector, query.text)
     }
 
     /// Answers a typed query — the one ask entry point: the query's
     /// selector scopes parsing (slot defaults) and retrieval (machine /
     /// prefetcher scope), inline `@machine` syntax in the text wins
-    /// per-field, and the options gate exploration-command routing. With
+    /// per-field, and exploration commands route to the plan runtime. With
     /// the whole-answer cache enabled, a hit replays the stored answer and
     /// a miss answers then stores.
     pub fn ask_query(&self, query: &Query) -> Answer {
@@ -487,16 +455,5 @@ mod tests {
         let fact = primary.context.facts.first().expect("IPC fact").render();
         let label = m.database().get("mcf_evictions_lru").unwrap().machine.clone();
         assert!(fact.contains(&label), "unscoped answers stay primary: {fact}");
-    }
-
-    #[test]
-    fn query_options_gate_exploration_routing() {
-        let m = mind();
-        let q = "List all unique PCs in the mcf trace under LRU.";
-        let explored = m.ask_query(&Query::new(q));
-        assert!(explored.prompt.contains("program_counter.unique"), "plan runtime");
-        let rag = m.ask_query(&Query::new(q).with_options(QueryOptions { explore: false }));
-        assert!(!rag.prompt.contains("program_counter.unique"), "forced RAG path");
-        assert!(rag.prompt.contains("SYSTEM:"), "RAG prompt rendered");
     }
 }

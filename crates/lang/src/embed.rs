@@ -7,6 +7,7 @@
 //! embedding-based RAG over traces, where "records differ only by small
 //! numerical or bit-level changes" (§6.2).
 
+use cachemind_sim::hash::{fnv64, mix64};
 use serde::{Deserialize, Serialize};
 
 use crate::token::{tokenize, Token};
@@ -23,20 +24,11 @@ impl Default for HashedEmbedder {
     }
 }
 
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 fn token_seed(token: &Token) -> u64 {
     match token {
-        Token::Word(w) => w
-            .bytes()
-            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01B3)),
-        Token::Hex(h) => mix(*h ^ 0x48),
-        Token::Number(n) => mix(*n ^ 0x4E),
+        Token::Word(w) => fnv64(w.as_bytes()),
+        Token::Hex(h) => mix64(*h ^ 0x48),
+        Token::Number(n) => mix64(*n ^ 0x4E),
     }
 }
 
@@ -63,7 +55,7 @@ impl HashedEmbedder {
             let seed = token_seed(&token);
             // Each token contributes to 8 dimensions with signed weights.
             for k in 0..8u64 {
-                let h = mix(seed ^ k.wrapping_mul(0x9E37_79B9));
+                let h = mix64(seed ^ k.wrapping_mul(0x9E37_79B9));
                 let dim = (h % self.dims as u64) as usize;
                 let sign = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
                 v[dim] += sign;

@@ -17,8 +17,8 @@
 //! * [`generator`]: a *grounded reasoner* that computes answers only from
 //!   the retrieved facts, wrapped in per-backend [`profiles`] — seeded
 //!   stochastic capability models calibrated to the paper's Figure 4; and
-//! * [`memory`]: the conversation-memory layer (sliding buffer + summaries
-//!   + vector recall) that turns the generator into a chat assistant.
+//! * [`memory`]: the conversation-memory layer (a capped exchange log +
+//!   vector recall) that turns the generator into a chat assistant.
 //!
 //! # Example
 //!

@@ -1,144 +1,70 @@
-//! Conversation memory: sliding buffer + summaries + vector recall.
+//! Conversation memory: the session's exchange log plus vector recall.
 //!
 //! "We augmented the Generator LLM with conversation memory buffer, turning
 //! it into an assistive chat tool. This enables reasoning across multiple
 //! queries by retaining intermediate results, previous contexts, and
-//! trace-level insights." (§1). The three standard layers are implemented:
-//! a sliding window of recent turns, extractive summaries of the turns
-//! before it, and vector recall over every kept turn. Only the turns are
-//! stored, capped at [`MAX_KEPT_TURNS`]; the summaries and the recall
-//! index are built when asked for, so recording a turn stays cheap.
+//! trace-level insights." (§1). The memory is the log of
+//! `(question, answer)` exchanges itself, capped at
+//! [`MAX_KEPT_EXCHANGES`], plus a count of every exchange. Recall builds
+//! its vector index when asked for, so recording an exchange stays cheap.
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::vector::VectorStore;
 
-/// Who produced a turn.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Role {
-    /// The human architect.
-    User,
-    /// CacheMind.
-    Assistant,
-}
+/// The most `(question, answer)` exchanges a [`ConversationMemory`]
+/// keeps. Older exchanges are dropped, so a session that never closes
+/// holds bounded memory.
+pub const MAX_KEPT_EXCHANGES: usize = 256;
 
-impl Role {
-    /// Display label.
-    pub const fn label(self) -> &'static str {
-        match self {
-            Role::User => "User",
-            Role::Assistant => "Assistant",
-        }
-    }
-}
-
-/// One conversation turn.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Turn {
-    /// Speaker.
-    pub role: Role,
-    /// Text content.
-    pub text: String,
-}
-
-/// The most turns a [`ConversationMemory`] keeps: the last 256
-/// question/answer exchanges of a session. Older turns are dropped, so a
-/// session that never closes holds bounded memory.
-pub const MAX_KEPT_TURNS: usize = 512;
-
-/// The conversation-memory layer.
+/// The conversation-memory layer: the last [`MAX_KEPT_EXCHANGES`]
+/// exchanges, oldest first, and the number of exchanges ever recorded.
 ///
-/// It keeps only the turns themselves, at most [`MAX_KEPT_TURNS`] of them.
-/// Recording a turn appends its text and does nothing else. The layers
-/// are worked out when asked: [`ConversationMemory::recent`] is the last
-/// `max_turns` kept turns, [`ConversationMemory::summaries`] summarises
-/// the kept turns before them, and [`ConversationMemory::recall`] builds
-/// its vector index over the kept turns on each call.
-#[derive(Debug)]
+/// Recording an exchange appends its two strings and does nothing else.
+/// [`ConversationMemory::recall`] builds its vector index over the kept
+/// exchanges on each call.
+#[derive(Debug, Default)]
 pub struct ConversationMemory {
-    turns: VecDeque<Turn>,
-    max_turns: usize,
+    exchanges: VecDeque<(String, String)>,
     total: usize,
 }
 
 impl ConversationMemory {
-    /// Creates a memory whose recent window is the last `max_turns` turns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_turns` is zero.
-    pub fn new(max_turns: usize) -> Self {
-        assert!(max_turns > 0, "memory must keep at least one turn");
-        ConversationMemory { turns: VecDeque::new(), max_turns, total: 0 }
+    /// An empty memory.
+    pub fn new() -> Self {
+        ConversationMemory::default()
     }
 
-    /// Records a turn, dropping the oldest kept turn past
-    /// [`MAX_KEPT_TURNS`].
-    pub fn push(&mut self, role: Role, text: &str) {
-        if self.turns.len() == MAX_KEPT_TURNS {
-            self.turns.pop_front();
+    /// Records an exchange, dropping the oldest kept one past
+    /// [`MAX_KEPT_EXCHANGES`].
+    pub fn push(&mut self, question: &str, answer: &str) {
+        if self.exchanges.len() == MAX_KEPT_EXCHANGES {
+            self.exchanges.pop_front();
         }
-        self.turns.push_back(Turn { role, text: text.to_owned() });
+        self.exchanges.push_back((question.to_owned(), answer.to_owned()));
         self.total += 1;
     }
 
-    /// Recent turns, oldest first.
-    pub fn recent(&self) -> impl Iterator<Item = &Turn> {
-        self.turns.iter().skip(self.turns.len().saturating_sub(self.max_turns))
+    /// The kept exchanges, oldest first.
+    pub fn exchanges(&self) -> impl ExactSizeIterator<Item = &(String, String)> {
+        self.exchanges.iter()
     }
 
-    /// Summaries of the kept turns older than the recent window, oldest
-    /// first.
-    pub fn summaries(&self) -> Vec<String> {
-        let older = self.turns.len().saturating_sub(self.max_turns);
-        self.turns.iter().take(older).map(summarize).collect()
+    /// Every exchange ever recorded, dropped ones included.
+    pub fn turns(&self) -> usize {
+        self.total
     }
 
-    /// Recalls up to `k` kept turns similar to `query` (the recent window
-    /// included), most similar first. The index is built here, from the
-    /// kept turns in the order they were recorded.
+    /// Recalls up to `k` kept questions and answers similar to `query`,
+    /// most similar first. The index is built here, over each kept
+    /// exchange's question then answer, oldest first.
     pub fn recall(&self, query: &str, k: usize) -> Vec<String> {
         let mut store = VectorStore::new(64);
-        for (i, turn) in self.turns.iter().enumerate() {
-            store.add(&format!("turn-{i}"), &turn.text);
+        for (i, text) in self.exchanges.iter().flat_map(|(q, a)| [q, a]).enumerate() {
+            store.add(&format!("turn-{i}"), text);
         }
         store.search(query, k).into_iter().map(|hit| store.text(hit.index).to_owned()).collect()
     }
-
-    /// Renders the memory context for the next prompt: summaries first,
-    /// then the verbatim recent window.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let summaries = self.summaries();
-        if !summaries.is_empty() {
-            out.push_str("Earlier in this session:\n");
-            for s in &summaries {
-                out.push_str(&format!("- {s}\n"));
-            }
-        }
-        for t in self.recent() {
-            out.push_str(&format!("{}: {}\n", t.role.label(), t.text));
-        }
-        out
-    }
-
-    /// Total turns ever recorded, dropped ones included.
-    pub fn total_turns(&self) -> usize {
-        self.total
-    }
-}
-
-/// Naive extractive summary: the first sentence, truncated.
-fn summarize(turn: &Turn) -> String {
-    let first = turn.text.split(['.', '\n']).next().unwrap_or("").trim();
-    let mut s = format!("{} said: {first}", turn.role.label());
-    if s.len() > 120 {
-        s.truncate(117);
-        s.push_str("...");
-    }
-    s
 }
 
 #[cfg(test)]
@@ -146,49 +72,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn buffer_slides_and_summarizes() {
-        let mut m = ConversationMemory::new(2);
-        m.push(Role::User, "List all unique PCs in the trace.");
-        m.push(Role::Assistant, "4184b0, 4184c0, 418502.");
-        m.push(Role::User, "Compute mean ETR per PC.");
-        assert_eq!(m.recent().count(), 2);
-        assert_eq!(m.summaries().len(), 1);
-        assert!(m.summaries()[0].contains("unique PCs"));
-        assert_eq!(m.total_turns(), 3);
-    }
-
-    #[test]
     fn recall_finds_similar_turns() {
-        let mut m = ConversationMemory::new(2);
-        m.push(Role::User, "Group PCs by ETR variance for mockingjay training.");
-        m.push(Role::User, "What is the weather like?");
-        m.push(Role::User, "List hot cache sets in astar.");
+        let mut m = ConversationMemory::new();
+        m.push("Group PCs by ETR variance for mockingjay training.", "What is the weather like?");
+        m.push("List hot cache sets in astar.", "Sets 3 and 7.");
         let recalled = m.recall("PCs with low ETR variance", 1);
         assert!(recalled[0].contains("ETR variance"));
     }
 
     #[test]
-    fn render_contains_both_layers() {
-        let mut m = ConversationMemory::new(1);
-        m.push(Role::User, "First question about miss rates.");
-        m.push(Role::Assistant, "Answer with numbers.");
-        let text = m.render();
-        assert!(text.contains("Earlier in this session"));
-        assert!(text.contains("Assistant: Answer with numbers."));
-    }
-
-    #[test]
     fn kept_turns_are_capped_and_counted_past_the_cap() {
-        let mut m = ConversationMemory::new(4);
-        for i in 0..MAX_KEPT_TURNS + 10 {
-            m.push(Role::User, &format!("question number {i}"));
+        let mut m = ConversationMemory::new();
+        for i in 0..MAX_KEPT_EXCHANGES + 10 {
+            m.push(&format!("question number {i}"), &format!("answer number {i}"));
         }
-        assert_eq!(m.total_turns(), MAX_KEPT_TURNS + 10);
-        assert_eq!(m.recent().count(), 4);
-        assert_eq!(m.summaries().len(), MAX_KEPT_TURNS - 4);
-        assert!(m.summaries()[0].ends_with("question number 10"));
-        let all = m.recall("question number", MAX_KEPT_TURNS + 10);
-        assert_eq!(all.len(), MAX_KEPT_TURNS);
+        assert_eq!(m.turns(), MAX_KEPT_EXCHANGES + 10);
+        assert_eq!(m.exchanges().len(), MAX_KEPT_EXCHANGES);
+        assert_eq!(m.exchanges().next().unwrap().0, "question number 10");
+        let all = m.recall("question number", 2 * (MAX_KEPT_EXCHANGES + 10));
+        assert_eq!(all.len(), 2 * MAX_KEPT_EXCHANGES);
         assert!(!all.iter().any(|t| t == "question number 9"), "dropped turns are not recalled");
     }
 
@@ -206,21 +108,29 @@ mod tests {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
 
         /// Building the index on `recall` returns exactly the hits of a
-        /// store filled eagerly with the same pushes in the same order.
+        /// store filled eagerly with the kept exchanges, question then
+        /// answer, in the order they were pushed — past the cap too.
         #[test]
         fn recall_matches_an_eagerly_filled_store(
-            turns in proptest::collection::vec(proptest::collection::vec(0usize..16, 0..8), 0..40),
+            turns in proptest::collection::vec(proptest::collection::vec(0usize..16, 0..8), 0..80),
+            filler in 0usize..MAX_KEPT_EXCHANGES + 40,
             query in proptest::collection::vec(0usize..16, 0..6),
-            window in 1usize..6,
             k in 0usize..10,
         ) {
-            let mut memory = ConversationMemory::new(window);
+            let texts: Vec<(String, String)> = (0..filler)
+                .map(|i| (format!("filler {i}"), format!("lru {i}")))
+                .chain(turns.chunks(2).map(|pair| {
+                    (sentence(&pair[0]), pair.get(1).map_or_else(String::new, |a| sentence(a)))
+                }))
+                .collect();
+            let mut memory = ConversationMemory::new();
+            for (question, answer) in &texts {
+                memory.push(question, answer);
+            }
+            let kept = &texts[texts.len().saturating_sub(MAX_KEPT_EXCHANGES)..];
             let mut eager = VectorStore::new(64);
-            for (i, words) in turns.iter().enumerate() {
-                let text = sentence(words);
-                let role = if i % 2 == 0 { Role::User } else { Role::Assistant };
-                memory.push(role, &text);
-                eager.add(&format!("turn-{i}"), &text);
+            for (i, text) in kept.iter().flat_map(|(q, a)| [q, a]).enumerate() {
+                eager.add(&format!("turn-{i}"), text);
             }
             let query = sentence(&query);
             let expected: Vec<String> = eager
@@ -228,13 +138,8 @@ mod tests {
                 .into_iter()
                 .map(|hit| eager.text(hit.index).to_owned())
                 .collect();
+            proptest::prop_assert_eq!(memory.turns(), texts.len());
             proptest::prop_assert_eq!(memory.recall(&query, k), expected);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one turn")]
-    fn zero_capacity_rejected() {
-        let _ = ConversationMemory::new(0);
     }
 }

@@ -1,25 +1,26 @@
 //! [`ServeEngine`] — the multi-session query-serving front-end.
 //!
-//! One engine owns many concurrent [`ChatSession`]s over a single shared
-//! (`Arc`) trace database. Every transport serves one protocol
-//! line at a time through [`ServeEngine::serve_line`]: parse, dispatch,
-//! render. An ask resolves its session under the session lock, is
+//! One engine owns many concurrent sessions over a single shared (`Arc`)
+//! trace database; a session is its exchange log
+//! ([`ConversationMemory`]) plus its pinned scenario. Every transport
+//! serves one protocol line at a time through
+//! [`ServeEngine::serve_line`]: parse, dispatch, render. An ask resolves its session under the session lock, is
 //! answered outside it through the stateless CacheMind pipeline, and is
-//! logged into the session's conversation memory under the lock again,
+//! logged into the session's exchange log under the lock again,
 //! so concurrent callers (the TCP worker pool) only serialize on
 //! bookkeeping.
 //!
 //! Determinism contract: answering is a pure function of `(store,
 //! question)`, and each session's turns are logged in the order its
-//! client sent them — so every response, transcript and memory state is
+//! client sent them — so every response and exchange log is
 //! byte-identical however many threads drive the engine.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use cachemind_core::chat::ChatSession;
 use cachemind_core::system::{CacheMind, Query, RetrieverKind};
+use cachemind_lang::memory::ConversationMemory;
 use cachemind_lang::profiles::BackendKind;
 use cachemind_obs::{names, Counter, HistogramHandle, MetricsRegistry};
 use cachemind_sim::config::MachineConfig;
@@ -103,10 +104,10 @@ impl ServeConfig {
     }
 }
 
-/// One served session: the chat state plus its pinned scenario scope.
+/// One served session: its exchange log plus its pinned scenario scope.
 #[derive(Debug)]
 struct SessionState {
-    chat: ChatSession,
+    memory: ConversationMemory,
     /// The session's default scenario scope, pinned at open (unscoped for
     /// v1 sessions). A request-level `scenario` overrides it per turn.
     pinned: ScenarioSelector,
@@ -202,7 +203,6 @@ pub enum StdioEnd {
 /// The serving front-end: session manager + the one protocol-line path.
 #[derive(Debug)]
 pub struct ServeEngine {
-    store: Arc<dyn TraceStore>,
     mind: CacheMind,
     sessions: Mutex<SessionTable>,
     config: ServeConfig,
@@ -298,13 +298,12 @@ impl ServeEngine {
         );
         let machine_labels = store.machines();
         let prefetcher_labels = store.prefetchers();
-        let mind = CacheMind::shared(Arc::clone(&store) as Arc<dyn TraceStore>)
+        let mind = CacheMind::shared(store)
             .with_metrics(&registry)
             .with_retriever(config.retriever)
             .with_backend(config.backend)
             .with_answer_cache(config.answer_cache);
         ServeEngine {
-            store,
             mind,
             sessions: Mutex::new(SessionTable::default()),
             config,
@@ -346,7 +345,7 @@ impl ServeEngine {
 
     /// The shared trace store.
     pub fn store(&self) -> &dyn TraceStore {
-        &*self.store
+        self.mind.database()
     }
 
     /// The engine configuration.
@@ -372,25 +371,16 @@ impl ServeEngine {
         self.lock_sessions().sessions.len()
     }
 
-    /// Inserts a fresh session with a pinned scenario scope, stamped
-    /// active at the table's current round, and returns its id. The
-    /// session wraps its own [`CacheMind`] sharing the engine's store.
-    ///
-    /// Serving answers always flow through the engine's shared pipeline
-    /// (`self.mind`); the per-session mind is configured identically by
-    /// construction, so a session used directly (outside the engine)
-    /// answers exactly as the engine would.
+    /// Inserts a fresh session with a pinned scenario scope and an empty
+    /// exchange log, stamped active at the table's current round, and
+    /// returns its id.
     fn insert_session(&self, table: &mut SessionTable, pinned: ScenarioSelector) -> u64 {
         self.metrics.sessions_opened.inc();
         table.last_id += 1;
-        let chat = ChatSession::new(
-            CacheMind::shared(Arc::clone(&self.store))
-                .with_retriever(self.config.retriever)
-                .with_backend(self.config.backend),
-        );
+        let memory = ConversationMemory::new();
         table
             .sessions
-            .insert(table.last_id, SessionState { chat, pinned, last_active_round: table.round });
+            .insert(table.last_id, SessionState { memory, pinned, last_active_round: table.round });
         table.last_id
     }
 
@@ -410,16 +400,16 @@ impl ServeEngine {
     }
 
     /// The kept `(question, answer)` transcript of a session (its last
-    /// [`MAX_KEPT_EXCHANGES`](cachemind_core::chat::MAX_KEPT_EXCHANGES)
+    /// [`MAX_KEPT_EXCHANGES`](cachemind_lang::memory::MAX_KEPT_EXCHANGES)
     /// exchanges).
     pub fn transcript(&self, session: u64) -> Option<Vec<(String, String)>> {
-        self.lock_sessions().sessions.get(&session).map(|s| s.chat.transcript().cloned().collect())
+        self.lock_sessions().sessions.get(&session).map(|s| s.memory.exchanges().cloned().collect())
     }
 
     /// Vector-memory recall within one session (for isolation checks and
     /// the chat tooling).
     pub fn recall(&self, session: u64, query: &str, k: usize) -> Option<Vec<String>> {
-        self.lock_sessions().sessions.get(&session).map(|s| s.chat.recall(query, k))
+        self.lock_sessions().sessions.get(&session).map(|s| s.memory.recall(query, k))
     }
 
     /// Closes a session, removing it (and its conversation memory) from
@@ -433,7 +423,7 @@ impl ServeEngine {
             .remove(&session)
             .map(|state| {
                 self.metrics.sessions_closed.inc();
-                state.chat.turns()
+                state.memory.turns()
             })
             .ok_or(ProtocolError::UnknownSession(session))
     }
@@ -487,7 +477,7 @@ impl ServeEngine {
             Some(id) => match table.sessions.get_mut(&id) {
                 Some(state) => {
                     state.last_active_round = round;
-                    AskResponse::opened(id, state.chat.turns(), &state.pinned)
+                    AskResponse::opened(id, state.memory.turns(), &state.pinned)
                 }
                 None => self.unknown_session(id),
             },
@@ -804,10 +794,10 @@ impl ServeEngine {
                 // Stamp with max: a concurrent later ask may already have
                 // moved this session's clock past ours.
                 session.last_active_round = session.last_active_round.max(round);
-                session.chat.log(&query.text, &answer.text);
+                session.memory.push(&query.text, &answer.text);
                 AskResponse {
                     session: session_id,
-                    turn: session.chat.turns(),
+                    turn: session.memory.turns(),
                     answer: Some(answer.text),
                     verdict: Some(format!("{:?}", answer.verdict)),
                     machine,
@@ -1095,7 +1085,7 @@ mod tests {
 
     #[test]
     fn turns_count_past_the_kept_transcript() {
-        use cachemind_core::chat::MAX_KEPT_EXCHANGES;
+        use cachemind_lang::memory::MAX_KEPT_EXCHANGES;
         use cachemind_lang::vector::VectorStore;
         let engine = engine(1);
         let id = engine.open_session();

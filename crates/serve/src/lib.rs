@@ -4,7 +4,9 @@
 //! shared trace database, where every request is one protocol line.
 //!
 //! * [`engine::ServeEngine`] — the session manager. Many concurrent
-//!   [`ChatSession`](cachemind_core::chat::ChatSession)s share a single
+//!   sessions, each an exchange log
+//!   ([`ConversationMemory`](cachemind_lang::memory::ConversationMemory))
+//!   plus a pinned scenario, are answered by one pipeline over a single
 //!   `Arc`'d [`TraceDatabase`](cachemind_tracedb::TraceDatabase), built in
 //!   process or opened from a snapshot;
 //!   [`ServeEngine::serve_line`] parses, dispatches and renders one

@@ -16,6 +16,7 @@ use std::net::{SocketAddr, TcpStream};
 use serde_json::Value;
 
 use cachemind_core::system::RetrieverKind;
+use cachemind_sim::hash::fnv64;
 use cachemind_tracedb::store::TraceStore;
 use cachemind_tracedb::ScenarioSelector;
 
@@ -69,10 +70,6 @@ impl LoadSpec {
         }
     }
 }
-
-/// The checksum the aggregate report uses to pin every answer without
-/// embedding megabytes of text twice — the workspace's shared FNV-1a.
-pub use cachemind_tracedb::store::fnv64;
 
 /// The deterministic question a given `(session, turn)` asks, synthesized
 /// from the store's actual vocabulary and trace rows.
@@ -173,6 +170,8 @@ impl LoadOutcome {
 
         let mut sessions = Vec::new();
         let mut answer_bytes = 0usize;
+        // FNV-1a pins every answer without embedding megabytes of text
+        // twice.
         let mut digest: u64 = fnv64(&[]);
         let mut verdicts: std::collections::BTreeMap<String, usize> = Default::default();
         for (s, (qs, rs)) in self.questions.iter().zip(&self.responses).enumerate() {

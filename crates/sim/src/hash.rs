@@ -1,10 +1,13 @@
-//! The workspace's one integer mixer: SplitMix64's finalizer, plus a
-//! `Hasher` built on it for maps and sets keyed by integers.
+//! The workspace's one integer mixer and one byte hash: SplitMix64's
+//! finalizer, a `Hasher` built on it for maps and sets keyed by integers,
+//! and FNV-1a over bytes.
 //!
 //! The reuse oracle's line interner, the stride prefetcher's PC table, the
-//! hierarchy filter's pending-prefetch set and the learned policies'
-//! feature hashing all use it. It is deterministic across runs and
-//! platforms.
+//! hierarchy filter's pending-prefetch set, the learned policies' feature
+//! hashing and the language layer's embeddings use the mixer. Snapshot
+//! segment assignment and checksums, the answer cache's shards, the serve
+//! layer's report checksums and the embeddings' word seeds use FNV-1a.
+//! Both are deterministic across runs and platforms.
 
 /// SplitMix64 finalizer: a 64-bit bijective mix with full avalanche.
 pub fn mix64(mut x: u64) -> u64 {
@@ -49,3 +52,13 @@ impl std::hash::Hasher for Mix64Hasher {
 
 /// `BuildHasher` plugging [`Mix64Hasher`] into `HashMap`/`HashSet`.
 pub type Mix64Build = std::hash::BuildHasherDefault<Mix64Hasher>;
+
+/// The 64-bit FNV-1a offset basis.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The 64-bit FNV-1a prime.
+pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a over arbitrary bytes.
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(FNV_OFFSET, |hash, &byte| (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME))
+}

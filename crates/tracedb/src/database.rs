@@ -1077,7 +1077,7 @@ mod tests {
     #[test]
     fn built_database_bytes_are_pinned() {
         use crate::snapshot::write_snapshot;
-        use crate::store::fnv64;
+        use cachemind_sim::hash::fnv64;
         let db = TraceDatabaseBuilder::quick_demo()
             .machine(MachineConfig::preset("table2").expect("preset"))
             .machine(MachineConfig::preset("small").expect("preset"))

@@ -46,7 +46,7 @@ pub use frame::TraceFrame;
 pub use record::TraceRow;
 pub use snapshot::{SnapshotError, VerifiedSnapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use stats::{CacheStatisticalExpert, PcStats, SetStats};
-pub use store::{fnv64, shard_index, TraceStore};
+pub use store::{shard_index, TraceStore};
 
 // The scenario-scope type of the selector-filtered query surface
 // ([`TraceStore::select`], [`TraceStore::get_scoped`]), re-exported so

@@ -91,13 +91,14 @@ use std::sync::Arc;
 use cachemind_sim::access::AccessKind;
 use cachemind_sim::addr::{Address, Pc, SetId};
 use cachemind_sim::config::CacheConfig;
+use cachemind_sim::hash::{fnv64, FNV_OFFSET, FNV_PRIME};
 use cachemind_sim::replay::MissType;
 use cachemind_workloads::program::ProgramImage;
 
 use crate::database::{TraceDatabase, TraceEntry, TraceId};
 use crate::frame::TraceFrame;
 use crate::record::TraceRow;
-use crate::store::{fnv64, shard_index, TraceStore};
+use crate::store::{shard_index, TraceStore};
 
 /// The 8-byte magic prefix of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CMDBSNAP";
@@ -175,9 +176,6 @@ impl From<std::io::Error> for SnapshotError {
 // Checksums
 // ---------------------------------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// Wide (8-lane interleaved) FNV-1a over arbitrary bytes.
 ///
 /// Byte `i` feeds lane `i % 8`, each lane running the standard FNV-1a
@@ -200,13 +198,11 @@ pub fn fnv64_wide(bytes: &[u8]) -> u64 {
     for (lane, &byte) in lanes.iter_mut().zip(chunks.remainder()) {
         *lane = (*lane ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
     }
-    let mut hash = FNV_OFFSET;
-    for lane in lanes {
-        for byte in lane.to_le_bytes() {
-            hash = (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-        }
+    let mut folded = [0u8; 8 * LANES];
+    for (out, lane) in folded.chunks_exact_mut(8).zip(lanes) {
+        out.copy_from_slice(&lane.to_le_bytes());
     }
-    hash
+    fnv64(&folded)
 }
 
 // ---------------------------------------------------------------------------

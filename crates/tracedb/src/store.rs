@@ -7,6 +7,7 @@
 //! `Arc<dyn TraceStore>` shared by many concurrent chat sessions.
 
 use cachemind_sim::config::CacheConfig;
+use cachemind_sim::hash::fnv64;
 use cachemind_sim::scenario::ScenarioSelector;
 
 use crate::database::{TraceEntry, TraceId};
@@ -197,21 +198,6 @@ impl<T: TraceStore + ?Sized> TraceStore for &T {
     fn shard_of(&self, key: &str) -> usize {
         (**self).shard_of(key)
     }
-}
-
-/// FNV-1a over arbitrary bytes — the stable hash behind segment assignment
-/// and the serve layer's report checksums. (`cachemind-lang` keeps its own
-/// private copies for embeddings/profiles; crate layering prevents sharing
-/// one implementation with it.)
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = FNV_OFFSET;
-    for byte in bytes {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
 }
 
 /// The deterministic snapshot segment assignment: [`fnv64`] over the trace

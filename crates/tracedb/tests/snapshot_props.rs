@@ -24,10 +24,11 @@ use cachemind_obs::{names, MetricsRegistry};
 use cachemind_sim::access::AccessKind;
 use cachemind_sim::addr::{Address, Pc, SetId};
 use cachemind_sim::config::CacheConfig;
+use cachemind_sim::hash::fnv64;
 use cachemind_sim::replay::MissType;
 use cachemind_tracedb::prelude::*;
 use cachemind_tracedb::snapshot::{fnv64_wide, read_snapshot, write_snapshot, VerifiedSnapshot};
-use cachemind_tracedb::{fnv64, SnapshotError};
+use cachemind_tracedb::SnapshotError;
 use cachemind_workloads::program::{ProgramBuilder, ProgramImage};
 use proptest::prelude::*;
 
