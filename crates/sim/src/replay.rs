@@ -55,39 +55,59 @@ impl MissType {
     }
 }
 
-/// One fully-annotated LLC access — the row type of the external database.
+/// One fully-annotated LLC access — the row type of the external trace
+/// database, stored there as the replay emits it. Field docs name the
+/// paper's dataframe column each one fills. A record owns no heap memory.
+///
+/// The text columns that derive from the PC (`function_name`,
+/// `function_code`, `assembly_code`) are not stored per record: the trace
+/// database joins them from the workload's program image on demand. Nor
+/// are the set-snapshot columns, which the deterministic replay reproduces
+/// (see the module docs).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EvictionRecord {
     /// Position within the LLC stream.
     pub index: u64,
-    /// Program counter issuing the access.
+    /// `program_counter`: the PC issuing the access.
     pub pc: Pc,
-    /// Full byte address accessed.
+    /// `memory_address`: the full byte address accessed.
     pub address: Address,
     /// Access kind (load/store/fetch/prefetch) — the "access types"
     /// dimension the paper's gem5 extension adds.
     pub kind: crate::access::AccessKind,
-    /// The cache set the access mapped to.
+    /// `cache_set_id`: the cache set the access mapped to.
     pub set: SetId,
-    /// Whether the access missed.
+    /// `is_miss` (and the textual `evict` column, [`Self::evict_label`]).
     pub is_miss: bool,
-    /// Miss taxonomy (misses only).
+    /// `miss_type`: the miss taxonomy (misses only).
     pub miss_type: Option<MissType>,
-    /// Line evicted by this access, if any (reconstructed byte address).
+    /// `evicted_address`: the line evicted by this access, if any
+    /// (reconstructed byte address).
     pub evicted_address: Option<Address>,
-    /// Forward reuse distance of the accessed line (accesses until needed
-    /// again; `None` = never needed again).
+    /// `accessed_address_reuse_distance_numeric`: forward reuse distance of
+    /// the accessed line (accesses until needed again; `None` = never
+    /// needed again).
     pub accessed_reuse_distance: Option<u64>,
-    /// Forward reuse distance of the evicted line at eviction time.
+    /// `evicted_address_reuse_distance_numeric`: forward reuse distance of
+    /// the evicted line at eviction time.
     pub evicted_reuse_distance: Option<u64>,
-    /// Accesses since the accessed line was last touched (`None` = first
-    /// touch).
+    /// `accessed_address_recency_numeric`: accesses since the accessed line
+    /// was last touched (`None` = first touch).
     pub recency: Option<u64>,
     /// Whether the policy bypassed the fill.
     pub bypassed: bool,
 }
 
 impl EvictionRecord {
+    /// The textual `evict` column value ("Cache Hit"/"Cache Miss").
+    pub fn evict_label(&self) -> &'static str {
+        if self.is_miss {
+            "Cache Miss"
+        } else {
+            "Cache Hit"
+        }
+    }
+
     /// Qualitative recency label, matching the paper's textual
     /// `accessed_address_recency` column ("first access", "very recent",
     /// "recent", "distant", "very distant").
@@ -99,6 +119,11 @@ impl EvictionRecord {
             Some(d) if d <= 16384 => "distant",
             Some(_) => "very distant",
         }
+    }
+
+    /// The textual `miss_type` column value (empty for a hit).
+    pub fn miss_type_label(&self) -> &'static str {
+        self.miss_type.map_or("", MissType::label)
     }
 }
 
@@ -625,6 +650,36 @@ mod tests {
     #[test]
     fn records_own_no_heap_memory() {
         assert!(!std::mem::needs_drop::<EvictionRecord>());
+    }
+
+    #[test]
+    fn labels_match_paper_vocabulary() {
+        let report = LlcReplay::new(CacheConfig::small_llc(), &stream(&[0x0, 0x0]))
+            .run(RecencyPolicy::lru());
+        let (miss, hit) = (report.records[0].clone(), report.records[1].clone());
+        assert_eq!((miss.evict_label(), hit.evict_label()), ("Cache Miss", "Cache Hit"));
+        assert_eq!((miss.miss_type_label(), hit.miss_type_label()), ("Compulsory", ""));
+        let capacity = EvictionRecord { miss_type: Some(MissType::Capacity), ..miss.clone() };
+        assert_eq!(capacity.miss_type_label(), "Capacity");
+        // Each recency bucket at its inclusive upper bound, then one past it.
+        let labels: Vec<&str> =
+            [None, Some(64), Some(65), Some(1024), Some(1025), Some(16384), Some(16385)]
+                .into_iter()
+                .map(|recency| EvictionRecord { recency, ..hit.clone() }.recency_label())
+                .collect();
+        assert_eq!(
+            labels,
+            [
+                "first access",
+                "very recent",
+                "recent",
+                "recent",
+                "distant",
+                "distant",
+                "very distant"
+            ]
+        );
+        assert_eq!((miss.recency_label(), hit.recency_label()), ("first access", "very recent"));
     }
 
     #[test]

@@ -176,18 +176,6 @@ impl ReuseOracle {
         let p = self.prev_use[i];
         (p != NEVER).then(|| i as u64 - p)
     }
-
-    /// A qualitative label for the recency value, as the paper's
-    /// `accessed_address_recency` textual column.
-    pub fn recency_label(&self, i: usize) -> &'static str {
-        match self.recency(i) {
-            None => "first access",
-            Some(d) if d <= 64 => "very recent",
-            Some(d) if d <= 1024 => "recent",
-            Some(d) if d <= 16384 => "distant",
-            Some(_) => "very distant",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -224,13 +212,6 @@ mod tests {
         assert_eq!(o.forward_reuse_distance(1), None);
         assert_eq!(o.recency(2), Some(2));
         assert_eq!(o.recency(0), None);
-    }
-
-    #[test]
-    fn recency_labels_are_ordered() {
-        let o = oracle(&[1, 1]);
-        assert_eq!(o.recency_label(0), "first access");
-        assert_eq!(o.recency_label(1), "very recent");
     }
 
     #[test]

@@ -21,7 +21,6 @@ use cachemind_workloads::{by_name as workload_by_name, DATABASE_WORKLOADS};
 
 use crate::frame::TraceFrame;
 use crate::meta;
-use crate::record::TraceRow;
 use crate::store::TraceStore;
 
 /// A parsed trace identifier, optionally qualified with the scenario the
@@ -529,8 +528,8 @@ impl TraceDatabaseBuilder {
     }
 
     /// Simulates one grid cell into its trace entry: the record-emitting
-    /// replay, converted into rows, with the cell's derived metrics in the
-    /// metadata. `primary` is the primary machine's label, whose entries
+    /// replay, whose records become the frame's rows, with the cell's
+    /// derived metrics in the metadata. `primary` is the primary machine's label, whose entries
     /// keep unqualified keys.
     fn entry(
         &self,
@@ -540,7 +539,6 @@ impl TraceDatabaseBuilder {
         policy: Box<dyn ReplacementPolicy>,
     ) -> TraceEntry {
         let report = cell.scenario.replay.run(policy);
-        let rows: Vec<TraceRow> = report.records.iter().map(TraceRow::from_record).collect();
         let label = cell.machine.machine_label();
         let prefetcher_label = cell.prefetcher.label();
         let baseline = cell.prefetcher == PrefetcherKind::None;
@@ -550,6 +548,8 @@ impl TraceDatabaseBuilder {
             // was never rewritten by a prefetcher.
             metrics = CellMetrics { ipc: metrics.ipc, ..CellMetrics::default() };
         }
+        // The metadata reads the records, so it renders before they move
+        // into the frame.
         let metadata = if baseline {
             meta::render_scenario(&report, &label, metrics.ipc)
         } else {
@@ -578,7 +578,7 @@ impl TraceDatabaseBuilder {
         );
         TraceEntry {
             id,
-            frame: TraceFrame::new(rows, Arc::clone(program)),
+            frame: TraceFrame::new(report.records, Arc::clone(program)),
             metadata,
             description,
             machine: label,

@@ -4,11 +4,9 @@
 use serde::{Deserialize, Serialize};
 
 use cachemind_sim::addr::{Address, Pc, SetId};
-use cachemind_sim::replay::MissType;
+use cachemind_sim::replay::{EvictionRecord, MissType};
 
-use crate::record::TraceRow;
-
-/// A composable predicate over [`TraceRow`]s.
+/// A composable predicate over [`EvictionRecord`]s.
 ///
 /// ```rust
 /// use cachemind_tracedb::filter::Predicate;
@@ -98,7 +96,7 @@ impl Predicate {
     }
 
     /// Evaluates the predicate against one row.
-    pub fn matches(&self, row: &TraceRow) -> bool {
+    pub fn matches(&self, row: &EvictionRecord) -> bool {
         match self {
             Predicate::True => true,
             Predicate::PcEquals(pc) => row.pc == *pc,
@@ -126,8 +124,8 @@ impl Predicate {
 mod tests {
     use super::*;
 
-    fn row() -> TraceRow {
-        TraceRow {
+    fn row() -> EvictionRecord {
+        EvictionRecord {
             index: 7,
             pc: Pc::new(0x401e31),
             address: Address::new(0x35e798a637f),

@@ -3,10 +3,10 @@
 use std::sync::{Arc, OnceLock};
 
 use cachemind_sim::addr::Pc;
+use cachemind_sim::replay::EvictionRecord;
 use cachemind_workloads::program::ProgramImage;
 
 use crate::filter::Predicate;
-use crate::record::TraceRow;
 use crate::snapshot::RowPayload;
 
 /// A frame of trace rows plus the program image that maps PCs to code.
@@ -25,7 +25,7 @@ use crate::snapshot::RowPayload;
 /// and `is_empty` answer from the stored row count without decoding.
 #[derive(Clone)]
 pub struct TraceFrame {
-    rows: OnceLock<Vec<TraceRow>>,
+    rows: OnceLock<Vec<EvictionRecord>>,
     /// The row count, known before the rows are decoded.
     len: usize,
     /// Where undecoded rows come from; `None` for frames built in memory.
@@ -45,7 +45,7 @@ struct PcIndex {
 }
 
 impl PcIndex {
-    fn build(rows: &[TraceRow]) -> Self {
+    fn build(rows: &[EvictionRecord]) -> Self {
         let mut pairs: Vec<(Pc, u32)> = rows
             .iter()
             .enumerate()
@@ -91,7 +91,7 @@ impl std::fmt::Debug for TraceFrame {
 
 impl TraceFrame {
     /// Creates a frame over `rows` with `program` as the code-lookup source.
-    pub fn new(rows: Vec<TraceRow>, program: Arc<ProgramImage>) -> Self {
+    pub fn new(rows: Vec<EvictionRecord>, program: Arc<ProgramImage>) -> Self {
         TraceFrame {
             len: rows.len(),
             rows: OnceLock::from(rows),
@@ -124,7 +124,7 @@ impl TraceFrame {
     }
 
     /// All rows, in stream order.
-    pub fn rows(&self) -> &[TraceRow] {
+    pub fn rows(&self) -> &[EvictionRecord] {
         self.rows
             .get_or_init(|| self.payload.as_ref().map_or_else(Vec::new, |p| p.decode(self.len)))
     }
@@ -149,7 +149,7 @@ impl TraceFrame {
     }
 
     /// The rows issued by `pc`, in stream order.
-    pub fn rows_for_pc(&self, pc: Pc) -> impl ExactSizeIterator<Item = &TraceRow> + '_ {
+    pub fn rows_for_pc(&self, pc: Pc) -> impl ExactSizeIterator<Item = &EvictionRecord> + '_ {
         let rows = self.rows();
         self.pc_index().postings(pc).iter().map(|&id| &rows[id as usize])
     }
@@ -159,9 +159,9 @@ impl TraceFrame {
     fn matching<'a, 'p>(
         &'a self,
         predicate: &'p Predicate,
-    ) -> impl Iterator<Item = &'a TraceRow> + use<'a, 'p> {
+    ) -> impl Iterator<Item = &'a EvictionRecord> + use<'a, 'p> {
         let rows = self.rows();
-        let (scan, ids): (&[TraceRow], &[u32]) = match predicate.pc_key() {
+        let (scan, ids): (&[EvictionRecord], &[u32]) = match predicate.pc_key() {
             Some(pc) => (&[], self.pc_index().postings(pc)),
             None => (rows, &[]),
         };
@@ -171,12 +171,12 @@ impl TraceFrame {
     }
 
     /// Rows matching `predicate`, in stream order (borrowed).
-    pub fn filter(&self, predicate: &Predicate) -> Vec<&TraceRow> {
+    pub fn filter(&self, predicate: &Predicate) -> Vec<&EvictionRecord> {
         self.matching(predicate).collect()
     }
 
     /// The first row matching `predicate` in stream order.
-    pub fn first(&self, predicate: &Predicate) -> Option<&TraceRow> {
+    pub fn first(&self, predicate: &Predicate) -> Option<&EvictionRecord> {
         self.matching(predicate).next()
     }
 
@@ -275,7 +275,7 @@ mod tests {
     fn frame() -> TraceFrame {
         let mut rows = Vec::new();
         for i in 0..10u64 {
-            rows.push(TraceRow {
+            rows.push(EvictionRecord {
                 index: i,
                 pc: Pc::new(0x400000 + (i % 3) * 4),
                 address: Address::new(0x1000 + i * 64),

@@ -33,17 +33,16 @@ pub mod database;
 pub mod filter;
 pub mod frame;
 pub mod meta;
-pub mod record;
 pub mod schema;
 pub mod shard;
 pub mod snapshot;
 pub mod stats;
 pub mod store;
 
+pub use cachemind_sim::replay::EvictionRecord;
 pub use database::{BuildError, TraceDatabase, TraceDatabaseBuilder, TraceEntry, TraceId};
 pub use filter::Predicate;
 pub use frame::TraceFrame;
-pub use record::TraceRow;
 pub use snapshot::{SnapshotError, VerifiedSnapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use stats::{CacheStatisticalExpert, PcStats, SetStats};
 pub use store::{shard_index, TraceStore};
@@ -60,9 +59,9 @@ pub mod prelude {
     };
     pub use crate::filter::Predicate;
     pub use crate::frame::TraceFrame;
-    pub use crate::record::TraceRow;
     pub use crate::snapshot::SnapshotError;
     pub use crate::stats::{CacheStatisticalExpert, PcStats, SetStats};
     pub use crate::store::TraceStore;
+    pub use crate::EvictionRecord;
     pub use crate::{ScenarioSelector, SelectorParseError};
 }

@@ -18,7 +18,7 @@ pub struct Column {
 /// set-snapshot columns — `current_cache_lines` (with its address-only
 /// projection `current_cache_line_addresses`), `recent_access_history` and
 /// `cache_line_eviction_scores` — are described to Ranger but not stored
-/// in a [`crate::record::TraceRow`]: no answer reads them, and the
+/// in an [`crate::EvictionRecord`]: no answer reads them, and the
 /// simulator is deterministic, so the state of set S before access i is
 /// derived by replaying the stream prefix through the policy
 /// ([`cachemind_sim::cache::SetAssociativeCache::set_view`] and

@@ -92,12 +92,11 @@ use cachemind_sim::access::AccessKind;
 use cachemind_sim::addr::{Address, Pc, SetId};
 use cachemind_sim::config::CacheConfig;
 use cachemind_sim::hash::{fnv64, FNV_OFFSET, FNV_PRIME};
-use cachemind_sim::replay::MissType;
+use cachemind_sim::replay::{EvictionRecord, MissType};
 use cachemind_workloads::program::ProgramImage;
 
 use crate::database::{TraceDatabase, TraceEntry, TraceId};
 use crate::frame::TraceFrame;
-use crate::record::TraceRow;
 use crate::store::{shard_index, TraceStore};
 
 /// The 8-byte magic prefix of every snapshot file.
@@ -443,7 +442,7 @@ fn skip_program(c: &mut Cursor<'_>) -> Result<(), SnapshotError> {
 const KIND_RESERVED: u8 = 0b1100_0000;
 const PRESENCE_RESERVED: u8 = 0b1111_0000;
 
-fn put_row(out: &mut Vec<u8>, row: &TraceRow, prev_index: u64) {
+fn put_row(out: &mut Vec<u8>, row: &EvictionRecord, prev_index: u64) {
     let flags = match row.kind {
         AccessKind::Load => 0u8,
         AccessKind::Store => 1,
@@ -481,7 +480,7 @@ fn put_row(out: &mut Vec<u8>, row: &TraceRow, prev_index: u64) {
     }
 }
 
-fn read_row(c: &mut Cursor<'_>, prev_index: u64) -> Result<TraceRow, SnapshotError> {
+fn read_row(c: &mut Cursor<'_>, prev_index: u64) -> Result<EvictionRecord, SnapshotError> {
     let flags = c.u8()?;
     let present = c.u8()?;
     if flags & KIND_RESERVED != 0 || present & PRESENCE_RESERVED != 0 {
@@ -516,7 +515,7 @@ fn read_row(c: &mut Cursor<'_>, prev_index: u64) -> Result<TraceRow, SnapshotErr
     }
     let [evicted_address, accessed_reuse_distance, evicted_reuse_distance, recency] = opts;
 
-    Ok(TraceRow {
+    Ok(EvictionRecord {
         index,
         pc,
         address,
@@ -921,10 +920,10 @@ impl Layout {
 /// Decodes one entry's row payload, which must hold exactly `count` rows
 /// and nothing after them. The payload sits inside a checksum-verified
 /// segment, so running out of bytes early is corruption, not truncation.
-fn decode_rows(payload: &[u8], count: usize) -> Result<Vec<TraceRow>, SnapshotError> {
+fn decode_rows(payload: &[u8], count: usize) -> Result<Vec<EvictionRecord>, SnapshotError> {
     let mut c = Cursor::new(payload, "row payload");
     // Every row takes at least one byte, which caps a forged count.
-    let mut rows: Vec<TraceRow> = Vec::with_capacity(count.min(payload.len()));
+    let mut rows: Vec<EvictionRecord> = Vec::with_capacity(count.min(payload.len()));
     let mut prev_index = 0u64;
     for _ in 0..count {
         let row = read_row(&mut c, prev_index).map_err(|e| match e {
@@ -1081,7 +1080,7 @@ impl RowPayload {
     /// Decodes `count` rows, timed by the `tracedb.lazy_decode` span and
     /// counted in `tracedb.lazy_decode_traces`. A malformed payload (only
     /// possible behind forged checksums) decodes to no rows.
-    pub(crate) fn decode(&self, count: usize) -> Vec<TraceRow> {
+    pub(crate) fn decode(&self, count: usize) -> Vec<EvictionRecord> {
         let span = self.decode_span.start_span();
         let rows = decode_rows(&self.bytes[self.range.clone()], count).unwrap_or_default();
         span.finish();

@@ -6,10 +6,10 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 
 use cachemind_sim::addr::{Address, Pc};
+use cachemind_sim::replay::EvictionRecord;
 
 use crate::filter::Predicate;
 use crate::frame::TraceFrame;
-use crate::record::TraceRow;
 
 /// Per-PC statistics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -164,7 +164,7 @@ impl CacheStatisticalExpert {
 
 /// Accumulates one PC's statistics over its rows, taken in stream order
 /// so the reuse means sum in the same order on every path.
-fn pc_stats_over<'a>(pc: Pc, rows: impl Iterator<Item = &'a TraceRow>) -> PcStats {
+fn pc_stats_over<'a>(pc: Pc, rows: impl Iterator<Item = &'a EvictionRecord>) -> PcStats {
     let (mut accesses, mut misses, mut evictions) = (0u64, 0u64, 0u64);
     let (mut reuse, mut evicted_reuse) = (Vec::new(), Vec::new());
     for row in rows {
@@ -223,7 +223,7 @@ mod tests {
         .iter()
         .enumerate()
         {
-            rows.push(TraceRow {
+            rows.push(EvictionRecord {
                 index: i as u64,
                 pc: Pc::new(*pc),
                 address: Address::new(0x5000 + i as u64 * 64),

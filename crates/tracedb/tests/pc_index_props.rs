@@ -55,7 +55,7 @@ fn synth_frame(rng: &mut Mix) -> TraceFrame {
     let rows = (0..len)
         .map(|index| {
             let is_miss = rng.chance(2);
-            TraceRow {
+            EvictionRecord {
                 index,
                 pc: pool_pc(rng, FRAME_PCS),
                 address: address(rng),
@@ -121,11 +121,11 @@ fn predicates(rng: &mut Mix) -> Vec<Predicate> {
 }
 
 /// The reference: a scan of every row.
-fn naive<'a>(frame: &'a TraceFrame, predicate: &Predicate) -> Vec<&'a TraceRow> {
+fn naive<'a>(frame: &'a TraceFrame, predicate: &Predicate) -> Vec<&'a EvictionRecord> {
     frame.rows().iter().filter(|r| predicate.matches(r)).collect()
 }
 
-fn same_rows(a: &[&TraceRow], b: &[&TraceRow]) -> bool {
+fn same_rows(a: &[&EvictionRecord], b: &[&EvictionRecord]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| std::ptr::eq(*x, *y))
 }
 
@@ -135,7 +135,7 @@ fn bits(v: Option<f64>) -> Option<u64> {
 
 /// Per-PC statistics by a scan, written out independently of the expert.
 fn naive_pc_stats(frame: &TraceFrame, pc: Pc) -> Option<PcStats> {
-    let rows: Vec<&TraceRow> = frame.rows().iter().filter(|r| r.pc == pc).collect();
+    let rows: Vec<&EvictionRecord> = frame.rows().iter().filter(|r| r.pc == pc).collect();
     if rows.is_empty() {
         return None;
     }
@@ -183,13 +183,13 @@ fn check_frame(frame: &TraceFrame, rng: &mut Mix) -> Result<(), TestCaseError> {
         prop_assert!(same_rows(&frame.filter(&predicate), &expected), "filter {:?}", predicate);
         prop_assert_eq!(frame.count(&predicate), expected.len(), "count {:?}", predicate);
         prop_assert!(
-            frame.first(&predicate).map(|r| r as *const TraceRow)
-                == expected.first().map(|r| *r as *const TraceRow),
+            frame.first(&predicate).map(|r| r as *const EvictionRecord)
+                == expected.first().map(|r| *r as *const EvictionRecord),
             "first {:?}",
             predicate
         );
         let selected = frame.select(&predicate);
-        let cloned: Vec<TraceRow> = expected.iter().map(|r| (*r).clone()).collect();
+        let cloned: Vec<EvictionRecord> = expected.iter().map(|r| (*r).clone()).collect();
         prop_assert!(selected.rows() == cloned.as_slice(), "select {:?}", predicate);
         if let Some(pc) = predicate.pc_key() {
             prop_assert!(expected.iter().all(|r| r.pc == pc), "pc_key {:?} is unsound", predicate);
@@ -199,7 +199,7 @@ fn check_frame(frame: &TraceFrame, rng: &mut Mix) -> Result<(), TestCaseError> {
     let expert = CacheStatisticalExpert::new();
     for raw in 0..POOL_PCS {
         let pc = Pc::new(0x40_0000 + raw * 4);
-        let expected: Vec<&TraceRow> = frame.rows().iter().filter(|r| r.pc == pc).collect();
+        let expected: Vec<&EvictionRecord> = frame.rows().iter().filter(|r| r.pc == pc).collect();
         prop_assert_eq!(frame.contains_pc(pc), !expected.is_empty());
         prop_assert!(same_rows(&frame.rows_for_pc(pc).collect::<Vec<_>>(), &expected));
         prop_assert_eq!(frame.rows_for_pc(pc).len(), expected.len());

@@ -43,8 +43,10 @@ fn opened_snapshot_holds_a_fresh_replay_and_its_per_pc_counts() {
         let policy = policy_by_name(&entry.id.policy).expect("known policy");
         let report = LlcReplay::new(llc.clone(), &workload.accesses).run(policy);
         assert!(!report.records.is_empty(), "{key}");
-        let rows: Vec<TraceRow> = report.records.iter().map(TraceRow::from_record).collect();
-        assert!(entry.frame.rows() == &rows[..], "{key}: stored rows differ from the replay");
+        assert!(
+            entry.frame.rows() == &report.records[..],
+            "{key}: stored rows differ from the replay"
+        );
 
         let mut counts: BTreeMap<Pc, Counts> = BTreeMap::new();
         for record in &report.records {

@@ -45,7 +45,7 @@ fn golden_db() -> TraceDatabase {
     b.function("refresh_potential", "node->potential = ...;", &["mov (%rdi),%rax"]);
     let program = Arc::new(b.build());
 
-    let full_row = TraceRow {
+    let full_row = EvictionRecord {
         index: 0,
         pc: Pc::new(0x40_0000),
         address: Address::new(0x7f3a_1b40),
@@ -59,7 +59,7 @@ fn golden_db() -> TraceDatabase {
         recency: Some(65),
         bypassed: false,
     };
-    let sparse_row = TraceRow {
+    let sparse_row = EvictionRecord {
         index: 1,
         pc: Pc::new(0x40_0008),
         address: Address::new(0x7f3a_1b80),

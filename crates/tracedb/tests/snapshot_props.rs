@@ -65,9 +65,9 @@ fn synth_program(name: &str) -> Arc<ProgramImage> {
     Arc::new(b.build())
 }
 
-fn synth_row(rng: &mut Mix, index: u64) -> TraceRow {
+fn synth_row(rng: &mut Mix, index: u64) -> EvictionRecord {
     let is_miss = rng.chance(2);
-    TraceRow {
+    EvictionRecord {
         index,
         pc: Pc::new(0x40_0000 + rng.below(64) * 4),
         address: Address::new(rng.next() & 0xffff_ffff_ffc0),

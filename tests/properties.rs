@@ -85,9 +85,7 @@ proptest! {
         let trace = trace_from_lines(&lines);
         let replay = LlcReplay::new(CacheConfig::new("t", 1, 2, 6), &trace);
         let report = replay.run(RecencyPolicy::lru());
-        let rows: Vec<TraceRow> =
-            report.records.iter().map(TraceRow::from_record).collect();
-        let frame = TraceFrame::new(rows, std::sync::Arc::new(ProgramImage::new()));
+        let frame = TraceFrame::new(report.records, std::sync::Arc::new(ProgramImage::new()));
         let pred = Predicate::PcEquals(Pc::new(0x400000 + (pc_pick as u64 % 5) * 4))
             .and(Predicate::IsMiss(true));
         let filtered = frame.filter(&pred);
