@@ -662,23 +662,17 @@ mod tests {
         let capacity = EvictionRecord { miss_type: Some(MissType::Capacity), ..miss.clone() };
         assert_eq!(capacity.miss_type_label(), "Capacity");
         // Each recency bucket at its inclusive upper bound, then one past it.
-        let labels: Vec<&str> =
-            [None, Some(64), Some(65), Some(1024), Some(1025), Some(16384), Some(16385)]
-                .into_iter()
-                .map(|recency| EvictionRecord { recency, ..hit.clone() }.recency_label())
-                .collect();
-        assert_eq!(
-            labels,
-            [
-                "first access",
-                "very recent",
-                "recent",
-                "recent",
-                "distant",
-                "distant",
-                "very distant"
-            ]
-        );
+        for (recency, label) in [
+            (None, "first access"),
+            (Some(64), "very recent"),
+            (Some(65), "recent"),
+            (Some(1024), "recent"),
+            (Some(1025), "distant"),
+            (Some(16384), "distant"),
+            (Some(16385), "very distant"),
+        ] {
+            assert_eq!(EvictionRecord { recency, ..hit.clone() }.recency_label(), label);
+        }
         assert_eq!((miss.recency_label(), hit.recency_label()), ("first access", "very recent"));
     }
 

@@ -529,8 +529,8 @@ impl TraceDatabaseBuilder {
 
     /// Simulates one grid cell into its trace entry: the record-emitting
     /// replay, whose records become the frame's rows, with the cell's
-    /// derived metrics in the metadata. `primary` is the primary machine's label, whose entries
-    /// keep unqualified keys.
+    /// derived metrics in the metadata. `primary` is the primary machine's
+    /// label, whose entries keep unqualified keys.
     fn entry(
         &self,
         sources: &Sources,

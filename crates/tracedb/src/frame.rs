@@ -9,7 +9,8 @@ use cachemind_workloads::program::ProgramImage;
 use crate::filter::Predicate;
 use crate::snapshot::RowPayload;
 
-/// A frame of trace rows plus the program image that maps PCs to code.
+/// A frame of trace rows (the replay's [`EvictionRecord`]s) plus the
+/// program image that maps PCs to code.
 ///
 /// Equivalent to the paper's pandas `data_frame`, with text columns
 /// (`function_name`, `function_code`, `assembly_code`) joined lazily from

@@ -62,6 +62,5 @@ pub mod prelude {
     pub use crate::snapshot::SnapshotError;
     pub use crate::stats::{CacheStatisticalExpert, PcStats, SetStats};
     pub use crate::store::TraceStore;
-    pub use crate::EvictionRecord;
-    pub use crate::{ScenarioSelector, SelectorParseError};
+    pub use crate::{EvictionRecord, ScenarioSelector, SelectorParseError};
 }
