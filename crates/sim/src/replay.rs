@@ -661,6 +661,14 @@ mod tests {
         assert_eq!((miss.miss_type_label(), hit.miss_type_label()), ("Compulsory", ""));
         let capacity = EvictionRecord { miss_type: Some(MissType::Capacity), ..miss.clone() };
         assert_eq!(capacity.miss_type_label(), "Capacity");
+    }
+
+    #[test]
+    fn recency_labels_are_ordered() {
+        let report = LlcReplay::new(CacheConfig::small_llc(), &stream(&[0x0, 0x0]))
+            .run(RecencyPolicy::lru());
+        let (first, again) = (&report.records[0], &report.records[1]);
+        assert_eq!((first.recency_label(), again.recency_label()), ("first access", "very recent"));
         // Each recency bucket at its inclusive upper bound, then one past it.
         for (recency, label) in [
             (None, "first access"),
@@ -671,9 +679,8 @@ mod tests {
             (Some(16384), "distant"),
             (Some(16385), "very distant"),
         ] {
-            assert_eq!(EvictionRecord { recency, ..hit.clone() }.recency_label(), label);
+            assert_eq!(EvictionRecord { recency, ..again.clone() }.recency_label(), label);
         }
-        assert_eq!((miss.recency_label(), hit.recency_label()), ("first access", "very recent"));
     }
 
     #[test]
