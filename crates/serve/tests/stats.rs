@@ -11,7 +11,8 @@
 //! * metrics stay out of the deterministic report: driving load with
 //!   metrics on changes no deterministic byte;
 //! * a snapshot-backed engine decodes only the frames its asks read, and
-//!   says so in `tracedb.lazy_decode_traces`;
+//!   says so in `tracedb.lazy_decode_traces`; a Ranger row-count ask
+//!   decodes none;
 //! * each engine's stats carry its own startup span — `tracedb.build` for
 //!   a simulated start, `tracedb.snapshot_verify` for a snapshot start —
 //!   the two numbers CI's snapshot-startup gate divides.
@@ -188,6 +189,26 @@ fn snapshot_backed_engine_decodes_only_the_frames_an_ask_reads() {
     assert!(!pinned.contains("\"error\""), "{pinned}");
     let after = decoded(&engine);
     assert!((1..traces).contains(&after), "decoded {after} of {traces} frames");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn ranger_row_count_ask_on_a_snapshot_decodes_no_frame() {
+    let path = std::env::temp_dir()
+        .join(format!("cachemind_stats_ranger_lazy_{}.snap", std::process::id()));
+    let db = TraceDatabaseBuilder::quick_demo().shards(3).try_build().expect("demo build");
+    db.save(&path).expect("save snapshot");
+    drop(db);
+
+    let config = ServeConfig { retriever: RetrieverKind::Ranger, ..Default::default() };
+    let engine = ServeEngine::from_snapshot(&path, config).expect("snapshot loads");
+    let asked = serve(
+        &engine,
+        r#"{"question": "How many rows are in the lbm eviction trace under belady?"}"#,
+    );
+    assert!(!asked.contains("\"error\""), "{asked}");
+    let decoded = served_counter(&engine, "tracedb.lazy_decode_traces");
+    assert_eq!(decoded, 0, "a bare row count reads the stored length, not the rows");
     std::fs::remove_file(&path).ok();
 }
 
