@@ -113,6 +113,10 @@ pub struct Answer {
 #[derive(Debug)]
 pub struct CacheMind {
     db: Arc<dyn TraceStore>,
+    /// The store's workload and policy names, read once: the store is
+    /// immutable, so every ask borrows them.
+    workloads: Vec<String>,
+    policies: Vec<String>,
     retriever: Box<dyn Retriever + Send + Sync>,
     backend: SimulatedBackend,
     shots: Vec<Example>,
@@ -131,6 +135,8 @@ impl CacheMind {
     /// layer hands every session the same `Arc` of one database).
     pub fn shared(db: Arc<dyn TraceStore>) -> Self {
         CacheMind {
+            workloads: db.workloads(),
+            policies: db.policies(),
             db,
             retriever: Box::new(SieveRetriever::new()),
             backend: SimulatedBackend::new(BackendKind::Gpt4o),
@@ -213,15 +219,7 @@ impl CacheMind {
     /// scenario scope (a session-pinned or wire-level selector); `lower`
     /// is the question lowercased, shared with exploration routing.
     fn parse_lowered(&self, question: &str, lower: &str, scope: &ScenarioSelector) -> QueryIntent {
-        let workloads = self.db.workloads();
-        let policies = self.db.policies();
-        QueryIntent::parse_lowered(
-            question,
-            lower,
-            &workloads.iter().map(String::as_str).collect::<Vec<_>>(),
-            &policies.iter().map(String::as_str).collect::<Vec<_>>(),
-            scope,
-        )
+        QueryIntent::parse_lowered(question, lower, &self.workloads, &self.policies, scope)
     }
 
     /// The generator backend answering this system's questions.
@@ -243,7 +241,7 @@ impl CacheMind {
     /// Returns `None` when the question is not an exploration command.
     fn try_exploration(&self, lower: &str, intent: &QueryIntent) -> Option<Answer> {
         use cachemind_retrieval::plan::Plan;
-        let workload = intent.workload.clone().or_else(|| self.db.workloads().first().cloned())?;
+        let workload = intent.workload.clone().or_else(|| self.workloads.first().cloned())?;
         let policy = intent.policy.clone().unwrap_or_else(|| "lru".to_owned());
 
         let plan = if lower.contains("unique pc") || lower.contains("all pcs") {

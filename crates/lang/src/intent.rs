@@ -162,7 +162,7 @@ fn plausible_machine(machine: &str) -> bool {
 /// [`PrefetcherKind`](cachemind_sim::prefetch::PrefetcherKind). Quoted
 /// emails, `C++` and other incidental `@`/`+` text are ignored rather
 /// than silently scoping retrieval to a scenario that does not exist.
-fn inline_selector(question: &str, workloads: &[&str]) -> ScenarioSelector {
+fn inline_selector(question: &str, workloads: &[impl AsRef<str>]) -> ScenarioSelector {
     question
         .split_whitespace()
         .map(|tok| tok.trim_matches(|c: char| ".,;:!?()\"'".contains(c)))
@@ -171,10 +171,15 @@ fn inline_selector(question: &str, workloads: &[&str]) -> ScenarioSelector {
         .find(|sel| {
             let anchored = sel.machine.is_some() || sel.prefetcher.is_some();
             anchored
-                && sel.workload.as_deref().is_none_or(|w| workloads.contains(&w))
+                && sel.workload.as_deref().is_none_or(|w| names_contain(workloads, w))
                 && sel.machine.as_deref().is_none_or(plausible_machine)
         })
         .unwrap_or_default()
+}
+
+/// Whether a vocabulary holds `name`.
+fn names_contain(names: &[impl AsRef<str>], name: &str) -> bool {
+    names.iter().any(|n| n.as_ref() == name)
 }
 
 impl QueryIntent {
@@ -204,13 +209,13 @@ impl QueryIntent {
 
     /// [`QueryIntent::parse_scoped`] for a caller that already holds
     /// `lower`, the question lowercased with [`str::to_lowercase`], so the
-    /// text is lowercased once per ask. The question is tokenized once
-    /// here.
-    pub fn parse_lowered(
+    /// text is lowercased once per ask, and that may hold its vocabularies
+    /// as owned names. The question is tokenized once here.
+    pub fn parse_lowered<S: AsRef<str>>(
         question: &str,
         lower: &str,
-        workloads: &[&str],
-        policies: &[&str],
+        workloads: &[S],
+        policies: &[S],
         scope: &ScenarioSelector,
     ) -> QueryIntent {
         let selector = inline_selector(question, workloads).merged_over(scope);
@@ -227,19 +232,19 @@ impl QueryIntent {
 
         let workload = ws
             .iter()
-            .find(|w| workloads.contains(w))
+            .find(|w| names_contain(workloads, w))
             .map(|w| (*w).to_owned())
-            .or_else(|| selector.workload.clone().filter(|w| workloads.contains(&w.as_str())));
+            .or_else(|| selector.workload.clone().filter(|w| names_contain(workloads, w)));
         let mut mentioned: Vec<String> = {
             let mut seen = std::collections::HashSet::new();
             ws.iter()
-                .filter(|w| policies.contains(w))
+                .filter(|w| names_contain(policies, w))
                 .filter(|w| seen.insert(**w))
                 .map(|w| (*w).to_owned())
                 .collect()
         };
         if mentioned.is_empty() {
-            if let Some(p) = selector.policy.clone().filter(|p| policies.contains(&p.as_str())) {
+            if let Some(p) = selector.policy.clone().filter(|p| names_contain(policies, p)) {
                 mentioned.push(p);
             }
         }
