@@ -47,7 +47,7 @@ pub mod sieve;
 
 pub use dense::DenseIndexRetriever;
 pub use optimize::optimize;
-pub use plan::{AggColumn, AggFunc, Plan, RankAxis, RankMetric};
+pub use plan::{AggColumn, AggFunc, Plan};
 pub use probes::{probe_queries, ProbeReport};
 pub use quality::Degraded;
 pub use ranger::RangerRetriever;
@@ -57,8 +57,7 @@ pub use sieve::SieveRetriever;
 /// Commonly used types, for glob import.
 pub mod prelude {
     pub use crate::dense::DenseIndexRetriever;
-    pub use crate::optimize::optimize;
-    pub use crate::plan::{AggColumn, AggFunc, Plan, RankAxis, RankMetric};
+    pub use crate::plan::{AggColumn, AggFunc, Plan};
     pub use crate::probes::{probe_queries, ProbeReport};
     pub use crate::quality::Degraded;
     pub use crate::ranger::RangerRetriever;

@@ -1,141 +1,26 @@
-//! The plan-rewrite pass: selector pushdown, chain collapse, and
-//! multi-step lookup hoisting.
+//! The plan optimizer's entry point, kept as the identity.
 //!
-//! Ranger compiles a naive [`Plan`] from the parsed intent; [`optimize`]
-//! rewrites it into an equivalent plan that executes faster:
-//!
-//! 1. **Pushdown** — the [`ScenarioSelector`] machine scope is resolved
-//!    once at rewrite time and *baked into* the optimized node, so
-//!    execution resolves entries through keyed
-//!    [`TraceStore::select`](cachemind_tracedb::store::TraceStore::select)
-//!    / [`get_scoped_resolved`](cachemind_tracedb::store::TraceStore::get_scoped_resolved)
-//!    paths instead of post-filtering full scans.
-//! 2. **Chain collapse** — trivial chains become single nodes:
-//!    [`Plan::Lookup`]'s filter-then-take-first becomes the first-match
-//!    [`Plan::TakeFirst`]; a filter-free [`Plan::CountRows`] becomes the
-//!    frame-length read [`Plan::TraceLen`].
-//! 3. **Hoisting** — the four multi-step `Compare*` plans, which resolve
-//!    one scoped lookup per ranked value, become a single
-//!    [`Plan::BatchRank`] whose runtime scans the scope once and memoizes
-//!    every entry by key.
-//!
-//! The pass is **semantics-free**: for every plan `p` and selector `s`,
-//! `optimize(p, s).run_scoped(db, s)` returns byte-identical facts (and
-//! errors) to `p.run_scoped(db, s)`. The rewrite-equivalence proptest in
-//! `tests/plan_equivalence.rs` pins this over random plans, selectors, and
-//! multi-machine databases; `tests/golden_plans.rs` pins the rewritten
-//! shapes themselves.
+//! Ranger executes the plan it compiles and renders that same plan for
+//! code-generation answers. The store is an in-memory map, so rewriting a
+//! plan into a second, executor-only plan saves nothing that the executor
+//! cannot keep itself (a filter-free [`Plan::CountRows`] already reads the
+//! frame's row count). The benchmark's pipeline copy still calls
+//! [`optimize`], so the function stays until that copy is deleted.
 
 use cachemind_sim::scenario::ScenarioSelector;
 
-use crate::plan::{Plan, RankAxis, RankMetric};
+use crate::plan::Plan;
 
-/// Rewrites a plan into an equivalent, faster one for execution under
-/// `selector` (see the module docs for the three rewrite families).
-///
-/// The rewrite is total and idempotent: non-rewritable plans (tables,
-/// bundles, aggregates, exploration plans) and already-optimized nodes
-/// pass through unchanged. Because optimized nodes bake in the machine
-/// scope, the equivalence guarantee is for running the optimized plan
-/// under the *same* selector it was optimized for — which is how Ranger
-/// drives it: compile, optimize, run, all against one intent.
+/// Returns `plan` unchanged: the plan Ranger runs is the plan it compiled,
+/// under any `selector`.
 #[must_use]
-pub fn optimize(plan: Plan, selector: &ScenarioSelector) -> Plan {
-    let scope = selector.machine_scope();
-    match plan {
-        Plan::Lookup { workload, policy, pc, address } => {
-            Plan::TakeFirst { workload, policy, pc, address, scope }
-        }
-        Plan::CountRows { workload, policy, pc: None, address: None, misses_only: false } => {
-            Plan::TraceLen { workload, policy, scope }
-        }
-        Plan::CompareIpcAcrossPolicies { workload } => Plan::BatchRank {
-            axis: RankAxis::Policies,
-            anchor: workload,
-            metric: RankMetric::Ipc,
-            pc: None,
-            scope,
-        },
-        Plan::CompareIpcAcrossWorkloads { policy } => Plan::BatchRank {
-            axis: RankAxis::Workloads,
-            anchor: policy,
-            metric: RankMetric::Ipc,
-            pc: None,
-            scope,
-        },
-        Plan::CompareAcrossPolicies { workload, pc } => Plan::BatchRank {
-            axis: RankAxis::Policies,
-            anchor: workload,
-            metric: RankMetric::MissRate,
-            pc,
-            scope,
-        },
-        Plan::CompareAcrossWorkloads { policy } => Plan::BatchRank {
-            axis: RankAxis::Workloads,
-            anchor: policy,
-            metric: RankMetric::MissRate,
-            pc: None,
-            scope,
-        },
-        other => other,
-    }
+pub fn optimize(plan: Plan, _selector: &ScenarioSelector) -> Plan {
+    plan
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cachemind_obs::{Counter, MetricsRegistry};
-    use cachemind_sim::config::CacheConfig;
-    use cachemind_tracedb::database::{TraceEntry, TraceId};
-    use cachemind_tracedb::store::TraceStore;
-    use cachemind_tracedb::TraceDatabaseBuilder;
-
-    fn db() -> cachemind_tracedb::TraceDatabase {
-        TraceDatabaseBuilder::quick_demo().build()
-    }
-
-    #[test]
-    fn rewrites_produce_the_expected_shapes() {
-        let sel = ScenarioSelector::parse("mcf@table2/lru").unwrap();
-        let scope = sel.machine_scope();
-
-        let lookup =
-            Plan::Lookup { workload: "mcf".into(), policy: "lru".into(), pc: None, address: None };
-        assert_eq!(
-            optimize(lookup, &sel),
-            Plan::TakeFirst {
-                workload: "mcf".into(),
-                policy: "lru".into(),
-                pc: None,
-                address: None,
-                scope: scope.clone(),
-            }
-        );
-
-        let bare_count = Plan::CountRows {
-            workload: "mcf".into(),
-            policy: "lru".into(),
-            pc: None,
-            address: None,
-            misses_only: false,
-        };
-        assert_eq!(
-            optimize(bare_count, &sel),
-            Plan::TraceLen { workload: "mcf".into(), policy: "lru".into(), scope: scope.clone() }
-        );
-
-        let compare = Plan::CompareIpcAcrossPolicies { workload: "mcf".into() };
-        assert_eq!(
-            optimize(compare, &sel),
-            Plan::BatchRank {
-                axis: RankAxis::Policies,
-                anchor: "mcf".into(),
-                metric: RankMetric::Ipc,
-                pc: None,
-                scope,
-            }
-        );
-    }
 
     #[test]
     fn filtered_counts_and_tables_pass_through() {
@@ -158,114 +43,5 @@ mod tests {
         let plan = Plan::CompareAcrossWorkloads { policy: "lru".into() };
         let once = optimize(plan, &sel);
         assert_eq!(optimize(once.clone(), &sel), once);
-    }
-
-    #[test]
-    fn optimized_plans_run_byte_identically() {
-        let db = db();
-        let sel = ScenarioSelector::all();
-        let plans = [
-            Plan::Lookup { workload: "mcf".into(), policy: "lru".into(), pc: None, address: None },
-            Plan::CountRows {
-                workload: "lbm".into(),
-                policy: "belady".into(),
-                pc: None,
-                address: None,
-                misses_only: false,
-            },
-            Plan::CompareIpcAcrossPolicies { workload: "mcf".into() },
-            Plan::CompareIpcAcrossWorkloads { policy: "lru".into() },
-            Plan::CompareAcrossPolicies { workload: "astar".into(), pc: None },
-            Plan::CompareAcrossWorkloads { policy: "belady".into() },
-        ];
-        for plan in plans {
-            let naive = plan.run_scoped(&db, &sel);
-            let optimized = optimize(plan.clone(), &sel).run_scoped(&db, &sel);
-            assert_eq!(naive, optimized, "rewrite changed semantics for {plan:?}");
-        }
-    }
-
-    /// A store wrapper that counts resolution traffic through the metrics
-    /// registry — the pin for the resolve-once fix and for BatchRank's
-    /// one-scan contract.
-    #[derive(Debug)]
-    struct CountingStore {
-        inner: cachemind_tracedb::TraceDatabase,
-        scoped_lookups: Counter,
-        scans: Counter,
-    }
-
-    impl CountingStore {
-        fn new(registry: &MetricsRegistry) -> Self {
-            CountingStore {
-                inner: db(),
-                scoped_lookups: registry.counter("test.store.scoped_lookups"),
-                scans: registry.counter("test.store.scans"),
-            }
-        }
-    }
-
-    impl TraceStore for CountingStore {
-        fn get(&self, key: &str) -> Option<&TraceEntry> {
-            self.inner.get(key)
-        }
-        fn trace_keys(&self) -> Vec<String> {
-            self.inner.trace_keys()
-        }
-        fn entries<'a>(&'a self) -> Box<dyn Iterator<Item = &'a TraceEntry> + 'a> {
-            TraceStore::entries(&self.inner)
-        }
-        fn workloads(&self) -> Vec<String> {
-            TraceStore::workloads(&self.inner)
-        }
-        fn policies(&self) -> Vec<String> {
-            TraceStore::policies(&self.inner)
-        }
-        fn llc_config(&self) -> Option<&CacheConfig> {
-            TraceStore::llc_config(&self.inner)
-        }
-        fn len(&self) -> usize {
-            TraceStore::len(&self.inner)
-        }
-        fn select<'a>(
-            &'a self,
-            selector: &ScenarioSelector,
-        ) -> Box<dyn Iterator<Item = &'a TraceEntry> + 'a> {
-            self.scans.inc();
-            self.inner.select(selector)
-        }
-        fn get_scoped_resolved(
-            &self,
-            id: &TraceId,
-            scope: &ScenarioSelector,
-        ) -> Option<&TraceEntry> {
-            self.scoped_lookups.inc();
-            self.inner.get_scoped_resolved(id, scope)
-        }
-    }
-
-    #[test]
-    fn multi_step_plans_resolve_each_branch_once_and_batch_rank_scans_once() {
-        let registry = MetricsRegistry::new();
-        let store = CountingStore::new(&registry);
-        let sel = ScenarioSelector::all();
-        let plan = Plan::CompareIpcAcrossPolicies { workload: "mcf".into() };
-
-        // Naive execution: exactly one scoped lookup per policy — the
-        // machine scope is resolved once per run, not once per branch
-        // (each lookup goes through get_scoped_resolved directly).
-        let policies = TraceStore::policies(&store).len() as u64;
-        let naive = plan.run_scoped(&store, &sel).unwrap();
-        assert_eq!(store.scoped_lookups.get(), policies, "one resolved lookup per policy");
-        // quick_demo has no qualified entries, so no keyed miss falls
-        // through to the linear fallback scan.
-        assert_eq!(store.scans.get(), 0, "no fallback scans for unscoped lookups");
-
-        // Optimized execution: zero per-branch lookups, one scoped scan.
-        let optimized_plan = optimize(plan, &sel);
-        let optimized = optimized_plan.run_scoped(&store, &sel).unwrap();
-        assert_eq!(store.scoped_lookups.get(), policies, "BatchRank adds no scoped lookups");
-        assert_eq!(store.scans.get(), 1, "BatchRank performs exactly one scan");
-        assert_eq!(naive, optimized);
     }
 }

@@ -3,12 +3,12 @@
 //! In the paper, Ranger's retrieval LLM emits executable Python against the
 //! documented schema and a runtime executes it over `loaded_data` (Fig. 3).
 //! The reproduction keeps both halves but replaces Python with a small,
-//! sandboxed plan language: [`Plan`] is "the generated code", [`Plan::run`]
-//! is the execution runtime, and [`Plan::render_code`] prints the
-//! Python-equivalent for display and for the Code Generation benchmark
-//! category.
+//! sandboxed plan language: [`Plan`] is "the generated code",
+//! [`Plan::run_scoped`] is the execution runtime, and [`Plan::render_code`]
+//! prints the Python-equivalent for display and for the Code Generation
+//! benchmark category. Ranger runs the plan it compiles and renders that
+//! same plan.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 use cachemind_lang::context::Fact;
 use cachemind_sim::addr::{Address, Pc};
 use cachemind_sim::scenario::ScenarioSelector;
-use cachemind_tracedb::database::TraceId;
+use cachemind_tracedb::database::{TraceEntry, TraceId};
 use cachemind_tracedb::filter::Predicate;
 use cachemind_tracedb::meta;
 use cachemind_tracedb::stats::CacheStatisticalExpert;
@@ -88,26 +88,6 @@ impl AggFunc {
     }
 }
 
-/// The axis a [`Plan::BatchRank`] ranks over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RankAxis {
-    /// Rank every policy for one anchored workload
-    /// ([`Plan::CompareIpcAcrossPolicies`] / [`Plan::CompareAcrossPolicies`]).
-    Policies,
-    /// Rank every workload under one anchored policy
-    /// ([`Plan::CompareIpcAcrossWorkloads`] / [`Plan::CompareAcrossWorkloads`]).
-    Workloads,
-}
-
-/// The metric a [`Plan::BatchRank`] extracts per ranked entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RankMetric {
-    /// Estimated IPC from the metadata's scenario sentence.
-    Ipc,
-    /// Miss-rate percent (whole trace from metadata, or per-PC from stats).
-    MissRate,
-}
-
 /// Errors from plan execution.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PlanError {
@@ -134,9 +114,9 @@ impl std::error::Error for PlanError {}
 /// not filters); *which machine's and prefetcher's* trace a plan reads is
 /// decided at execution time by the [`ScenarioSelector`] scope handed to
 /// [`Plan::run_scoped`], which threads every trace lookup through
-/// [`TraceStore::get_scoped`] — so one plan answers from whichever
+/// [`TraceStore::get_scoped_resolved`] — so one plan answers from whichever
 /// qualified entry (`<workload>_evictions_<policy>[@machine][+prefetcher]`)
-/// the scope picks. [`Plan::run`] is the unscoped wrapper.
+/// the scope picks.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Plan {
     /// Look up the outcome of a `{workload, policy, pc?, addr?}` tuple.
@@ -196,7 +176,8 @@ pub enum Plan {
         /// Policy name.
         policy: String,
     },
-    /// Count rows matching the filters (full-frame iteration).
+    /// Count rows matching the filters (full-frame iteration; a filter-free
+    /// count reads the stored row count).
     CountRows {
         /// Workload name.
         workload: String,
@@ -278,52 +259,6 @@ pub enum Plan {
         /// Policy name.
         policy: String,
     },
-    /// Optimizer-produced collapse of [`Plan::Lookup`]: the filter-then-
-    /// take-first chain becomes a single first-match scan that stops at the
-    /// first qualifying row instead of materializing every match, with the
-    /// scenario scope pushed down (baked in) at optimize time. Emitted only
-    /// by [`optimize`](crate::optimize::optimize), never compiled directly.
-    TakeFirst {
-        /// Workload name.
-        workload: String,
-        /// Policy name.
-        policy: String,
-        /// PC filter.
-        pc: Option<Pc>,
-        /// Byte-address filter.
-        address: Option<Address>,
-        /// The machine scope baked in by the optimizer; execution ignores
-        /// the runtime scope and resolves against this one.
-        scope: ScenarioSelector,
-    },
-    /// Optimizer-produced collapse of a filter-free [`Plan::CountRows`]:
-    /// the full-frame predicate walk becomes a direct frame-length read.
-    TraceLen {
-        /// Workload name.
-        workload: String,
-        /// Policy name.
-        policy: String,
-        /// The machine scope baked in by the optimizer.
-        scope: ScenarioSelector,
-    },
-    /// Optimizer-produced hoist of the four multi-step `Compare*` plans:
-    /// the per-axis-value scoped lookups (each a full [`TraceStore::
-    /// get_scoped`] resolution) are batched into ONE scoped scan whose
-    /// entries are memoized by trace key, then each axis value resolves
-    /// against the memo with `get_scoped`'s exact precedence.
-    BatchRank {
-        /// Which axis is ranked.
-        axis: RankAxis,
-        /// The pinned value on the other axis (workload name when ranking
-        /// policies, policy name when ranking workloads).
-        anchor: String,
-        /// The metric extracted per entry.
-        metric: RankMetric,
-        /// Optional PC scope (miss-rate ranking only).
-        pc: Option<Pc>,
-        /// The machine scope baked in by the optimizer.
-        scope: ScenarioSelector,
-    },
 }
 
 impl Plan {
@@ -332,22 +267,35 @@ impl Plan {
         workload: &str,
         policy: &str,
         scope: &ScenarioSelector,
-    ) -> Result<&'d cachemind_tracedb::database::TraceEntry, PlanError> {
+    ) -> Result<&'d TraceEntry, PlanError> {
         let id = TraceId::new(workload, policy);
         db.get_scoped_resolved(&id, scope).ok_or_else(|| PlanError::UnknownTrace(id.key()))
     }
 
-    /// Executes the plan against the database with no scenario scope —
-    /// [`Plan::run_scoped`] over the unscoped selector, byte-identical to
-    /// the pre-selector runtime.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError::UnknownTrace`] for a bad key and
-    /// [`PlanError::EmptyResult`] when the filters matched nothing — the
-    /// runtime signal Ranger turns into a premise check.
-    pub fn run(&self, db: &dyn TraceStore) -> Result<Vec<Fact>, PlanError> {
-        self.run_scoped(db, &ScenarioSelector::all())
+    /// The four `Compare*` plans: one value per `ranked` name, each read
+    /// from the trace `trace_of(name)` resolves to in scope, in the
+    /// store's sorted name order. Names with no trace in scope, or whose
+    /// trace yields no `(value, metric)`, are skipped.
+    fn rank(
+        db: &dyn TraceStore,
+        scope: &ScenarioSelector,
+        ranked: Vec<String>,
+        trace_of: impl Fn(&str) -> TraceId,
+        value_of: impl Fn(&TraceEntry) -> Option<(f64, String)>,
+    ) -> Result<Vec<Fact>, PlanError> {
+        let facts: Vec<Fact> = ranked
+            .into_iter()
+            .filter_map(|name| {
+                let entry = db.get_scoped_resolved(&trace_of(&name), scope)?;
+                let (value, metric) = value_of(entry)?;
+                Some(Fact::PolicyValue { policy: name, metric, value })
+            })
+            .collect();
+        if facts.is_empty() {
+            Err(PlanError::EmptyResult)
+        } else {
+            Ok(facts)
+        }
     }
 
     /// Executes the plan against the database, scoping every trace lookup
@@ -358,27 +306,16 @@ impl Plan {
     ///
     /// # Errors
     ///
-    /// See [`Plan::run`].
+    /// Returns [`PlanError::UnknownTrace`] for a bad key and
+    /// [`PlanError::EmptyResult`] when the filters matched nothing — the
+    /// runtime signal Ranger turns into a premise check.
     pub fn run_scoped(
         &self,
         db: &dyn TraceStore,
         scope: &ScenarioSelector,
     ) -> Result<Vec<Fact>, PlanError> {
-        // Resolve the machine scope ONCE per run. Multi-step plans
-        // (compares, rankings) used to re-derive it inside every
-        // `get_scoped` call — one clone of both selector strings per
-        // branch; now every branch shares this resolution.
-        let resolved = scope.machine_scope();
-        self.run_resolved(db, &resolved)
-    }
-
-    /// [`Plan::run_scoped`] over an already-resolved machine scope (see
-    /// [`TraceStore::get_scoped_resolved`] for the precondition).
-    fn run_resolved(
-        &self,
-        db: &dyn TraceStore,
-        scope: &ScenarioSelector,
-    ) -> Result<Vec<Fact>, PlanError> {
+        // Resolved once per run: every lookup of a multi-step plan shares it.
+        let scope = &scope.machine_scope();
         let expert = CacheStatisticalExpert::new();
         match self {
             Plan::Lookup { workload, policy, pc, address } => {
@@ -425,97 +362,66 @@ impl Plan {
                     complete: true,
                 }])
             }
-            Plan::CompareIpcAcrossPolicies { workload } => {
-                let mut facts = Vec::new();
-                for policy in db.policies() {
-                    let Ok(entry) = Self::entry(db, workload, &policy, scope) else { continue };
-                    if let Some(ipc) = meta::extract_ipc(&entry.metadata) {
-                        facts.push(Fact::PolicyValue {
-                            policy,
-                            metric: format!(
-                                "estimated IPC{}",
-                                meta::scenario_citation_suffix(&entry.metadata)
-                            ),
-                            value: ipc,
-                        });
-                    }
-                }
-                if facts.is_empty() {
-                    Err(PlanError::EmptyResult)
-                } else {
-                    Ok(facts)
-                }
-            }
-            Plan::CompareIpcAcrossWorkloads { policy } => {
-                let mut facts = Vec::new();
-                for w in db.workloads() {
-                    let Ok(entry) = Self::entry(db, &w, policy, scope) else { continue };
-                    if let Some(ipc) = meta::extract_ipc(&entry.metadata) {
-                        facts.push(Fact::PolicyValue {
-                            policy: w,
-                            metric: format!(
-                                "estimated IPC under {policy}{}",
-                                meta::scenario_citation_suffix(&entry.metadata)
-                            ),
-                            value: ipc,
-                        });
-                    }
-                }
-                if facts.is_empty() {
-                    Err(PlanError::EmptyResult)
-                } else {
-                    Ok(facts)
-                }
-            }
-            Plan::CompareAcrossPolicies { workload, pc } => {
-                let mut facts = Vec::new();
-                for policy in db.policies() {
-                    let Ok(entry) = Self::entry(db, workload, &policy, scope) else { continue };
-                    let value = match pc {
-                        Some(pc) => {
-                            expert.pc_stats(&entry.frame, *pc).map(|s| s.miss_rate() * 100.0)
-                        }
-                        None => meta::extract_percent(&entry.metadata, "miss rate"),
+            Plan::CompareIpcAcrossPolicies { workload } => Self::rank(
+                db,
+                scope,
+                db.policies(),
+                |policy| TraceId::new(workload, policy),
+                |entry| {
+                    let ipc = meta::extract_ipc(&entry.metadata)?;
+                    Some((
+                        ipc,
+                        format!("estimated IPC{}", meta::scenario_citation_suffix(&entry.metadata)),
+                    ))
+                },
+            ),
+            Plan::CompareIpcAcrossWorkloads { policy } => Self::rank(
+                db,
+                scope,
+                db.workloads(),
+                |workload| TraceId::new(workload, policy),
+                |entry| {
+                    let ipc = meta::extract_ipc(&entry.metadata)?;
+                    let suffix = meta::scenario_citation_suffix(&entry.metadata);
+                    Some((ipc, format!("estimated IPC under {policy}{suffix}")))
+                },
+            ),
+            Plan::CompareAcrossPolicies { workload, pc } => Self::rank(
+                db,
+                scope,
+                db.policies(),
+                |policy| TraceId::new(workload, policy),
+                |entry| {
+                    let rate = match pc {
+                        Some(pc) => expert.pc_stats(&entry.frame, *pc)?.miss_rate() * 100.0,
+                        None => meta::extract_percent(&entry.metadata, "miss rate")?,
                     };
-                    if let Some(v) = value {
-                        facts.push(Fact::PolicyValue {
-                            policy,
-                            metric: "miss rate %".to_owned(),
-                            value: v,
-                        });
-                    }
-                }
-                if facts.is_empty() {
-                    Err(PlanError::EmptyResult)
-                } else {
-                    Ok(facts)
-                }
-            }
-            Plan::CompareAcrossWorkloads { policy } => {
-                let mut facts = Vec::new();
-                for w in db.workloads() {
-                    let Ok(entry) = Self::entry(db, &w, policy, scope) else { continue };
-                    if let Some(rate) = meta::extract_percent(&entry.metadata, "miss rate") {
-                        facts.push(Fact::PolicyValue {
-                            policy: w,
-                            metric: format!("miss rate % under {policy}"),
-                            value: rate,
-                        });
-                    }
-                }
-                if facts.is_empty() {
-                    Err(PlanError::EmptyResult)
-                } else {
-                    Ok(facts)
-                }
-            }
+                    Some((rate, "miss rate %".to_owned()))
+                },
+            ),
+            Plan::CompareAcrossWorkloads { policy } => Self::rank(
+                db,
+                scope,
+                db.workloads(),
+                |workload| TraceId::new(workload, policy),
+                |entry| {
+                    let rate = meta::extract_percent(&entry.metadata, "miss rate")?;
+                    Some((rate, format!("miss rate % under {policy}")))
+                },
+            ),
             Plan::CountRows { workload, policy, pc, address, misses_only } => {
                 let entry = Self::entry(db, workload, policy, scope)?;
                 let mut pred = Predicate::pc_address(*pc, *address);
                 if *misses_only {
                     pred = pred.and(Predicate::IsMiss(true));
                 }
-                let count = entry.frame.count(&pred);
+                // A filter-free count is the frame's row count, which a
+                // snapshot-opened frame knows without decoding its rows.
+                let count = if matches!(pred, Predicate::True) {
+                    entry.frame.len()
+                } else {
+                    entry.frame.count(&pred)
+                };
                 if count == 0 {
                     return Err(PlanError::EmptyResult);
                 }
@@ -691,126 +597,6 @@ impl Plan {
                     text: format!("Hot Sets = {hot:?}, Cold Sets = {cold:?}"),
                 }])
             }
-            Plan::TakeFirst { workload, policy, pc, address, scope: baked } => {
-                let entry = Self::entry(db, workload, policy, baked)?;
-                let row = entry
-                    .frame
-                    .first(&Predicate::pc_address(*pc, *address))
-                    .ok_or(PlanError::EmptyResult)?;
-                Ok(vec![Fact::Outcome {
-                    pc: Some(row.pc),
-                    address: Some(row.address),
-                    workload: workload.clone(),
-                    policy: policy.clone(),
-                    is_miss: row.is_miss,
-                    evicted: row.evicted_address.map(|e| (e, row.evicted_reuse_distance)),
-                    inserted_reuse: row.accessed_reuse_distance,
-                }])
-            }
-            Plan::TraceLen { workload, policy, scope: baked } => {
-                let entry = Self::entry(db, workload, policy, baked)?;
-                let count = entry.frame.len();
-                if count == 0 {
-                    return Err(PlanError::EmptyResult);
-                }
-                Ok(vec![Fact::CountValue {
-                    what: format!("matching accesses in {workload}_{policy}"),
-                    value: count as u64,
-                    complete: true,
-                }])
-            }
-            Plan::BatchRank { axis, anchor, metric, pc, scope: baked } => {
-                // ONE scoped scan replaces the per-axis-value `get_scoped`
-                // resolutions of the naive compare plans. The scan pins the
-                // anchored slot, memoizes every in-scope entry by trace key,
-                // and records the first entry of each axis group (ascending
-                // key order) — exactly the set and order `get_scoped` would
-                // consider per value, so resolution below can mirror its
-                // precedence byte for byte.
-                let mut pinned = baked.clone();
-                match axis {
-                    RankAxis::Policies => pinned.workload = Some(anchor.clone()),
-                    RankAxis::Workloads => pinned.policy = Some(anchor.clone()),
-                }
-                let mut by_key: BTreeMap<String, &cachemind_tracedb::database::TraceEntry> =
-                    BTreeMap::new();
-                let mut groups: BTreeMap<&str, &cachemind_tracedb::database::TraceEntry> =
-                    BTreeMap::new();
-                for e in db.select(&pinned) {
-                    by_key.insert(e.id.key(), e);
-                    let group = match axis {
-                        RankAxis::Policies => e.id.policy.as_str(),
-                        RankAxis::Workloads => e.id.workload.as_str(),
-                    };
-                    groups.entry(group).or_insert(e);
-                }
-                // get_scoped's qualified-key candidate shapes, hoisted out
-                // of the loop (they depend only on the scope).
-                let machine = baked.machine.as_deref();
-                let prefetcher = baked.prefetcher.as_deref().filter(|p| *p != "none");
-                let pairs = [(machine, prefetcher), (machine, None), (None, prefetcher)];
-                let mut facts = Vec::new();
-                for (group, first) in &groups {
-                    let (w, p) = match axis {
-                        RankAxis::Policies => (anchor.as_str(), *group),
-                        RankAxis::Workloads => (*group, anchor.as_str()),
-                    };
-                    // Precedence mirror: unqualified entry, then the
-                    // qualified key shapes, then first-in-scope fallback.
-                    let id = TraceId::new(w, p);
-                    let mut entry = by_key.get(&id.key()).copied();
-                    if entry.is_none() {
-                        for (i, &(m, pf)) in pairs.iter().enumerate() {
-                            if (m.is_none() && pf.is_none()) || pairs[..i].contains(&(m, pf)) {
-                                continue;
-                            }
-                            let candidate = TraceId::qualified(w, p, m, pf);
-                            if candidate == id {
-                                continue;
-                            }
-                            if let Some(e) = by_key.get(&candidate.key()) {
-                                entry = Some(*e);
-                                break;
-                            }
-                        }
-                    }
-                    let entry = entry.unwrap_or(*first);
-                    let value = match metric {
-                        RankMetric::Ipc => meta::extract_ipc(&entry.metadata),
-                        RankMetric::MissRate => match pc {
-                            Some(pc) => {
-                                expert.pc_stats(&entry.frame, *pc).map(|s| s.miss_rate() * 100.0)
-                            }
-                            None => meta::extract_percent(&entry.metadata, "miss rate"),
-                        },
-                    };
-                    let Some(value) = value else { continue };
-                    let metric_name = match (*metric, *axis) {
-                        (RankMetric::Ipc, RankAxis::Policies) => format!(
-                            "estimated IPC{}",
-                            meta::scenario_citation_suffix(&entry.metadata)
-                        ),
-                        (RankMetric::Ipc, RankAxis::Workloads) => format!(
-                            "estimated IPC under {anchor}{}",
-                            meta::scenario_citation_suffix(&entry.metadata)
-                        ),
-                        (RankMetric::MissRate, RankAxis::Policies) => "miss rate %".to_owned(),
-                        (RankMetric::MissRate, RankAxis::Workloads) => {
-                            format!("miss rate % under {anchor}")
-                        }
-                    };
-                    facts.push(Fact::PolicyValue {
-                        policy: group.to_string(),
-                        metric: metric_name,
-                        value,
-                    });
-                }
-                if facts.is_empty() {
-                    Err(PlanError::EmptyResult)
-                } else {
-                    Ok(facts)
-                }
-            }
         }
     }
 
@@ -932,55 +718,6 @@ impl Plan {
                  result = f\"hot: {{rates.nlargest(5).index.tolist()}}, \
                  cold: {{rates.nsmallest(5).index.tolist()}}\""
             ),
-            Plan::TakeFirst { workload, policy, pc, address, scope } => {
-                let mut filters = String::new();
-                if let Some(pc) = pc {
-                    filters.push_str(&format!("df = df[df.program_counter == {pc}]\n"));
-                }
-                if let Some(addr) = address {
-                    filters.push_str(&format!("df = df[df.memory_address == {addr}]\n"));
-                }
-                format!(
-                    "# plan-optimizer: Lookup collapsed to a first-match scan (scope \"{scope}\")\n\
-                     df = loaded_data[\"{workload}_evictions_{policy}\"][\"data_frame\"]\n\
-                     {filters}row = df.iloc[0]\n\
-                     result = f\"Cache result: {{row.evict}}\""
-                )
-            }
-            Plan::TraceLen { workload, policy, scope } => format!(
-                "# plan-optimizer: CountRows collapsed to the frame length (scope \"{scope}\")\n\
-                 df = loaded_data[\"{workload}_evictions_{policy}\"][\"data_frame\"]\n\
-                 result = f\"count: {{len(df)}}\""
-            ),
-            Plan::BatchRank { axis, anchor, metric, pc, scope } => {
-                let (axis_name, key_test) = match axis {
-                    RankAxis::Policies => ("policy", format!("key.startswith(\"{anchor}\")")),
-                    RankAxis::Workloads => ("workload", format!("key.endswith(\"{anchor}\")")),
-                };
-                let metric_expr = match metric {
-                    RankMetric::Ipc => {
-                        "re.search(r\"estimated IPC of ([0-9.]+)\", entry[\"metadata\"]).group(1)"
-                            .to_owned()
-                    }
-                    RankMetric::MissRate => match pc {
-                        Some(p) => format!(
-                            "entry[\"data_frame\"]\
-                             .query(\"program_counter == {p}\").is_miss.mean()"
-                        ),
-                        None => {
-                            "re.search(r\"([0-9.]+)% miss rate\", entry[\"metadata\"]).group(1)"
-                                .to_owned()
-                        }
-                    },
-                };
-                format!(
-                    "# plan-optimizer: per-{axis_name} lookups hoisted into one scoped scan \
-                     (scope \"{scope}\")\n\
-                     entries = {{key: loaded_data[key] for key in loaded_data if {key_test}}}\n\
-                     values = {{key: {metric_expr} for key, entry in entries.items()}}\n\
-                     result = str(sorted(values.items(), key=lambda kv: kv[1], reverse=True))"
-                )
-            }
         }
     }
 }
@@ -988,6 +725,8 @@ impl Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cachemind_obs::{Counter, MetricsRegistry};
+    use cachemind_sim::config::CacheConfig;
     use cachemind_tracedb::TraceDatabaseBuilder;
 
     fn db() -> cachemind_tracedb::TraceDatabase {
@@ -1004,7 +743,7 @@ mod tests {
             pc: Some(row.pc),
             address: Some(row.address),
         };
-        let facts = plan.run(&db).unwrap();
+        let facts = plan.run_scoped(&db, &ScenarioSelector::all()).unwrap();
         assert!(matches!(facts[0], Fact::Outcome { is_miss, .. } if is_miss == row.is_miss));
     }
 
@@ -1012,7 +751,10 @@ mod tests {
     fn unknown_trace_is_an_error() {
         let db = db();
         let plan = Plan::WorkloadMissRate { workload: "specjbb".into(), policy: "lru".into() };
-        assert!(matches!(plan.run(&db), Err(PlanError::UnknownTrace(_))));
+        assert!(matches!(
+            plan.run_scoped(&db, &ScenarioSelector::all()),
+            Err(PlanError::UnknownTrace(_))
+        ));
     }
 
     #[test]
@@ -1028,7 +770,7 @@ mod tests {
             address: None,
             misses_only: false,
         };
-        let facts = plan.run(&db).unwrap();
+        let facts = plan.run_scoped(&db, &ScenarioSelector::all()).unwrap();
         assert!(
             matches!(facts[0], Fact::CountValue { value, complete: true, .. } if value == truth)
         );
@@ -1052,7 +794,7 @@ mod tests {
             column: AggColumn::AccessedReuse,
             func: AggFunc::Mean,
         };
-        let facts = plan.run(&db).unwrap();
+        let facts = plan.run_scoped(&db, &ScenarioSelector::all()).unwrap();
         let Fact::NumericValue { value, .. } = &facts[0] else { panic!() };
         assert!((value - truth).abs() < 1e-9);
     }
@@ -1061,11 +803,11 @@ mod tests {
     fn tables_render_rows() {
         let db = db();
         let per_pc = Plan::PerPcTable { workload: "astar".into(), policy: "lru".into(), limit: 5 };
-        let facts = per_pc.run(&db).unwrap();
+        let facts = per_pc.run_scoped(&db, &ScenarioSelector::all()).unwrap();
         let Fact::Snippet { text, .. } = &facts[0] else { panic!() };
         assert!(text.contains("miss_rate="));
         let per_set = Plan::PerSetTable { workload: "astar".into(), policy: "lru".into() };
-        let facts = per_set.run(&db).unwrap();
+        let facts = per_set.run_scoped(&db, &ScenarioSelector::all()).unwrap();
         let Fact::Snippet { text, .. } = &facts[0] else { panic!() };
         assert!(text.contains("hit_rate="));
     }
@@ -1090,24 +832,26 @@ mod tests {
         // milc is not in the quick demo; use mcf.
         assert!(entry.is_none());
 
-        let pcs =
-            Plan::UniquePcs { workload: "mcf".into(), policy: "lru".into() }.run(&db).unwrap();
+        let pcs = Plan::UniquePcs { workload: "mcf".into(), policy: "lru".into() }
+            .run_scoped(&db, &ScenarioSelector::all())
+            .unwrap();
         let Fact::CountValue { value, .. } = &pcs[0] else { panic!() };
         assert_eq!(*value as usize, db.get("mcf_evictions_lru").unwrap().frame.unique_pcs().len());
 
-        let sets =
-            Plan::UniqueSets { workload: "mcf".into(), policy: "lru".into() }.run(&db).unwrap();
+        let sets = Plan::UniqueSets { workload: "mcf".into(), policy: "lru".into() }
+            .run_scoped(&db, &ScenarioSelector::all())
+            .unwrap();
         assert!(matches!(sets[0], Fact::CountValue { .. }));
 
         let grouped =
             Plan::GroupPcsByReuseVariance { workload: "mcf".into(), policy: "lru".into() }
-                .run(&db)
+                .run_scoped(&db, &ScenarioSelector::all())
                 .unwrap();
         let Fact::Snippet { text, .. } = &grouped[0] else { panic!() };
         assert!(text.contains("LowVar") && text.contains("HighVar"));
 
         let hotcold = Plan::HotColdSets { workload: "astar".into(), policy: "belady".into() }
-            .run(&db)
+            .run_scoped(&db, &ScenarioSelector::all())
             .unwrap();
         let Fact::Snippet { text, .. } = &hotcold[0] else { panic!() };
         assert!(text.contains("Hot Sets") && text.contains("Cold Sets"));
@@ -1130,7 +874,7 @@ mod tests {
     fn ipc_plans_cite_machine_and_rank_policies() {
         let db = db();
         let facts = Plan::WorkloadIpc { workload: "mcf".into(), policy: "lru".into() }
-            .run(&db)
+            .run_scoped(&db, &ScenarioSelector::all())
             .expect("ipc plan runs");
         let Fact::NumericValue { what, value, complete } = &facts[0] else {
             panic!("expected numeric fact: {facts:?}")
@@ -1141,7 +885,7 @@ mod tests {
         assert!((value - entry.ipc).abs() < 1e-6, "{value} vs {}", entry.ipc);
 
         let facts = Plan::CompareIpcAcrossPolicies { workload: "mcf".into() }
-            .run(&db)
+            .run_scoped(&db, &ScenarioSelector::all())
             .expect("comparison runs");
         assert_eq!(facts.len(), db.policies().len());
         let ipc_of = |name: &str| {
@@ -1156,7 +900,10 @@ mod tests {
         assert!(ipc_of("belady") >= ipc_of("lru"), "OPT must not be slower");
 
         let unknown = Plan::WorkloadIpc { workload: "specjbb".into(), policy: "lru".into() };
-        assert!(matches!(unknown.run(&db), Err(PlanError::UnknownTrace(_))));
+        assert!(matches!(
+            unknown.run_scoped(&db, &ScenarioSelector::all()),
+            Err(PlanError::UnknownTrace(_))
+        ));
 
         for plan in [
             Plan::WorkloadIpc { workload: "mcf".into(), policy: "lru".into() },
@@ -1166,6 +913,72 @@ mod tests {
             assert!(code.contains("result ="), "missing result binding: {code}");
             assert!(code.contains("estimated IPC"), "code must parse the IPC: {code}");
         }
+    }
+
+    /// A store wrapper that counts resolution traffic through the metrics
+    /// registry.
+    #[derive(Debug)]
+    struct CountingStore {
+        inner: cachemind_tracedb::TraceDatabase,
+        scoped_lookups: Counter,
+        scans: Counter,
+    }
+
+    impl TraceStore for CountingStore {
+        fn get(&self, key: &str) -> Option<&TraceEntry> {
+            self.inner.get(key)
+        }
+        fn trace_keys(&self) -> Vec<String> {
+            self.inner.trace_keys()
+        }
+        fn entries<'a>(&'a self) -> Box<dyn Iterator<Item = &'a TraceEntry> + 'a> {
+            TraceStore::entries(&self.inner)
+        }
+        fn workloads(&self) -> Vec<String> {
+            TraceStore::workloads(&self.inner)
+        }
+        fn policies(&self) -> Vec<String> {
+            TraceStore::policies(&self.inner)
+        }
+        fn llc_config(&self) -> Option<&CacheConfig> {
+            TraceStore::llc_config(&self.inner)
+        }
+        fn len(&self) -> usize {
+            TraceStore::len(&self.inner)
+        }
+        fn select<'a>(
+            &'a self,
+            selector: &ScenarioSelector,
+        ) -> Box<dyn Iterator<Item = &'a TraceEntry> + 'a> {
+            self.scans.inc();
+            self.inner.select(selector)
+        }
+        fn get_scoped_resolved(
+            &self,
+            id: &TraceId,
+            scope: &ScenarioSelector,
+        ) -> Option<&TraceEntry> {
+            self.scoped_lookups.inc();
+            self.inner.get_scoped_resolved(id, scope)
+        }
+    }
+
+    #[test]
+    fn multi_step_plans_resolve_each_branch_once() {
+        let registry = MetricsRegistry::new();
+        let store = CountingStore {
+            inner: db(),
+            scoped_lookups: registry.counter("test.store.scoped_lookups"),
+            scans: registry.counter("test.store.scans"),
+        };
+        let plan = Plan::CompareIpcAcrossPolicies { workload: "mcf".into() };
+        let facts = plan.run_scoped(&store, &ScenarioSelector::all()).unwrap();
+        let policies = TraceStore::policies(&store).len() as u64;
+        assert_eq!(facts.len() as u64, policies);
+        assert_eq!(store.scoped_lookups.get(), policies, "one resolved lookup per policy");
+        // quick_demo has no qualified entries, so no keyed miss falls
+        // through to the linear fallback scan.
+        assert_eq!(store.scans.get(), 0, "no fallback scans for unscoped lookups");
     }
 
     #[test]

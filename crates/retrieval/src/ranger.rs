@@ -17,7 +17,6 @@ use cachemind_lang::intent::{QueryCategory, QueryIntent, Tier};
 use cachemind_tracedb::schema;
 use cachemind_tracedb::store::TraceStore;
 
-use crate::optimize::optimize;
 use crate::plan::{AggColumn, AggFunc, Plan, PlanError};
 use crate::quality::grade;
 use crate::retriever::{resolve_trace_slots, Retriever};
@@ -218,14 +217,10 @@ impl Retriever for RangerRetriever {
         let Some(plan) = compiled else {
             return RetrievedContext::empty("ranger");
         };
-        // Execute the optimized rewrite (pushdown + collapse + hoisting);
-        // the rewrite-equivalence harness pins its facts byte-identical to
-        // the naive plan's. The *naive* plan stays the one rendered for
-        // code-generation answers below — the optimizer accelerates
-        // execution without changing what "the generated code" looks like.
-        let optimized = optimize(plan.clone(), &intent.selector);
+        // The plan that runs is the plan rendered for code-generation
+        // answers below.
         let run_span = self.metrics.span(cachemind_obs::names::RETRIEVAL_PLAN_RUN);
-        let run_result = optimized.run_scoped(db, &intent.selector.machine_scope());
+        let run_result = plan.run_scoped(db, &intent.selector);
         run_span.finish();
         let mut facts = match run_result {
             Ok(facts) => facts,
@@ -361,7 +356,7 @@ mod tests {
         let plan = Plan::WorkloadIpc { workload: "mcf".into(), policy: "lru".into() };
 
         // Unscoped: the primary machine answers, exactly as before.
-        let unscoped = plan.run(&db).expect("primary runs");
+        let unscoped = plan.run_scoped(&db, &ScenarioSelector::all()).expect("primary runs");
         let primary = db.get("mcf_evictions_lru").unwrap();
         let Fact::NumericValue { value, what, .. } = &unscoped[0] else { panic!("IPC fact") };
         assert!((value - primary.ipc).abs() < 1e-6);
@@ -370,7 +365,8 @@ mod tests {
         // Scoped: each machine cites its own label and IPC.
         for name in ["table2", "small"] {
             let scope = ScenarioSelector::all().with_machine(name);
-            let entry = db.get_scoped(&TraceId::new("mcf", "lru"), &scope).expect("scoped entry");
+            let entry =
+                db.get_scoped_resolved(&TraceId::new("mcf", "lru"), &scope).expect("scoped entry");
             let facts = plan.run_scoped(&db, &scope).expect("scoped run");
             let Fact::NumericValue { value, what, .. } = &facts[0] else { panic!("IPC fact") };
             assert!((value - entry.ipc).abs() < 1e-6, "{name}: {value} vs {}", entry.ipc);
@@ -386,7 +382,10 @@ mod tests {
             panic!("expected an IPC fact: {:?}", ctx.facts);
         };
         let small = db
-            .get_scoped(&TraceId::new("mcf", "lru"), &ScenarioSelector::all().with_machine("small"))
+            .get_scoped_resolved(
+                &TraceId::new("mcf", "lru"),
+                &ScenarioSelector::all().with_machine("small"),
+            )
             .unwrap();
         assert!((value - small.ipc).abs() < 1e-6);
         assert!(what.contains(&small.machine), "{what}");

@@ -422,7 +422,10 @@ mod tests {
             .machine(MachineConfig::preset("small").expect("preset"))
             .build();
         let scoped_entry = db
-            .get_scoped(&TraceId::new("mcf", "lru"), &ScenarioSelector::all().with_machine("small"))
+            .get_scoped_resolved(
+                &TraceId::new("mcf", "lru"),
+                &ScenarioSelector::all().with_machine("small"),
+            )
             .expect("small entry");
         let q = "What is the estimated IPC for mcf@small under LRU?";
         let ctx = SieveRetriever::new().retrieve(&db, &intent(&db, q));

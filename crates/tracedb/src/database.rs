@@ -40,7 +40,7 @@ use crate::store::TraceStore;
 /// keep the unqualified legacy key, so a database without extra machines
 /// or prefetchers is byte-identical to what earlier builders produced;
 /// qualified traces are addressed through
-/// [`TraceStore::get_scoped`].
+/// [`TraceStore::get_scoped_resolved`].
 ///
 /// Because canonical machine labels themselves contain `@` and `+`
 /// (`table2@llc2048x16+dram160`), [`TraceId::parse`] is right-anchored the
@@ -769,19 +769,21 @@ mod tests {
         assert!(labels.iter().any(|l| l.starts_with("small@")), "{labels:?}");
 
         let id = TraceId::new("mcf", "lru");
-        let unscoped = multi.get_scoped(&id, &ScenarioSelector::all()).expect("primary");
+        let unscoped = multi.get_scoped_resolved(&id, &ScenarioSelector::all()).expect("primary");
         assert_eq!(unscoped.id.machine, None, "unscoped lookups stay on the primary machine");
         let on_table2 = multi
-            .get_scoped(&id, &ScenarioSelector::all().with_machine("table2"))
+            .get_scoped_resolved(&id, &ScenarioSelector::all().with_machine("table2"))
             .expect("table2 entry");
         assert!(on_table2.machine.starts_with("table2@"));
         assert_eq!(meta::extract_machine(&on_table2.metadata), Some(on_table2.machine.as_str()));
         let on_small = multi
-            .get_scoped(&id, &ScenarioSelector::all().with_machine("small"))
+            .get_scoped_resolved(&id, &ScenarioSelector::all().with_machine("small"))
             .expect("small entry");
         assert!(on_small.machine.starts_with("small@"));
         assert!(
-            multi.get_scoped(&id, &ScenarioSelector::all().with_machine("cray-1")).is_none(),
+            multi
+                .get_scoped_resolved(&id, &ScenarioSelector::all().with_machine("cray-1"))
+                .is_none(),
             "unknown machines select nothing"
         );
 
@@ -841,9 +843,9 @@ mod tests {
 
         // A +stride4 scope lands on the qualified entry, on either machine.
         let id = TraceId::new("mcf", "lru");
-        let baseline = multi.get_scoped(&id, &ScenarioSelector::all()).expect("baseline");
+        let baseline = multi.get_scoped_resolved(&id, &ScenarioSelector::all()).expect("baseline");
         let pf = ScenarioSelector::parse("+stride4").expect("selector");
-        let strided = multi.get_scoped(&id, &pf).expect("prefetcher-qualified entry");
+        let strided = multi.get_scoped_resolved(&id, &pf).expect("prefetcher-qualified entry");
         assert_eq!(strided.prefetcher, "stride4");
         assert_eq!(strided.id.prefetcher.as_deref(), Some("stride4"));
         assert_eq!(strided.id.machine, None, "machine-unscoped stays primary");
@@ -855,11 +857,13 @@ mod tests {
         assert_eq!(meta::extract_prefetcher(&baseline.metadata), None);
 
         let both = ScenarioSelector::parse("@table2+stride4").expect("selector");
-        let on_table2 = multi.get_scoped(&id, &both).expect("fully qualified entry");
+        let on_table2 = multi.get_scoped_resolved(&id, &both).expect("fully qualified entry");
         assert!(on_table2.machine.starts_with("table2@"));
         assert_eq!(on_table2.prefetcher, "stride4");
         assert!(
-            multi.get_scoped(&id, &ScenarioSelector::parse("+nextline").unwrap()).is_none(),
+            multi
+                .get_scoped_resolved(&id, &ScenarioSelector::parse("+nextline").unwrap())
+                .is_none(),
             "unbuilt prefetchers select nothing"
         );
 

@@ -48,7 +48,7 @@ pub use stats::{CacheStatisticalExpert, PcStats, SetStats};
 pub use store::{shard_index, TraceStore};
 
 // The scenario-scope type of the selector-filtered query surface
-// ([`TraceStore::select`], [`TraceStore::get_scoped`]), re-exported so
+// ([`TraceStore::select`], [`TraceStore::get_scoped_resolved`]), re-exported so
 // store users need not depend on `cachemind-sim` directly.
 pub use cachemind_sim::scenario::{ScenarioSelector, SelectorParseError};
 

@@ -21,7 +21,7 @@ use crate::database::{TraceEntry, TraceId};
 /// Keys follow the qualified grammar of [`TraceId`]
 /// (`<workload>_evictions_<policy>[@machine][+prefetcher]`); the
 /// selector-filtered surface — [`TraceStore::select`],
-/// [`TraceStore::get_scoped`], [`TraceStore::machines`],
+/// [`TraceStore::get_scoped_resolved`], [`TraceStore::machines`],
 /// [`TraceStore::prefetchers`] — scopes reads by a
 /// [`ScenarioSelector`] so one multi-scenario store can answer
 /// per-machine, per-prefetcher questions without its unscoped behaviour
@@ -105,10 +105,13 @@ pub trait TraceStore: std::fmt::Debug + Send + Sync {
         }))
     }
 
-    /// Looks up the trace for `(workload, policy)` within a selector's
-    /// *machine scope* (machine + prefetcher; the selector's workload and
-    /// policy fields are slot defaults for intent resolution, not filters
-    /// here — the id already names the pair).
+    /// Looks up the trace for `(workload, policy)` within a *machine
+    /// scope*: machine + prefetcher, with workload and policy cleared (see
+    /// [`ScenarioSelector::machine_scope`]; the id already names the pair).
+    /// A scope whose workload/policy halves are still set would also
+    /// filter the linear-scan fallback by them, so callers resolve first;
+    /// a multi-step plan resolves once per run and passes the scope to
+    /// every branch.
     ///
     /// The unqualified primary-machine baseline entry wins when it
     /// satisfies the scope (so unscoped queries behave exactly as before);
@@ -120,19 +123,6 @@ pub trait TraceStore: std::fmt::Debug + Send + Sync {
     /// A scope prefetcher of `"none"` selects the unqualified baseline
     /// entries, which carry that label. `None` when no entry for the pair
     /// lies in scope.
-    fn get_scoped(&self, id: &TraceId, selector: &ScenarioSelector) -> Option<&TraceEntry> {
-        self.get_scoped_resolved(id, &selector.machine_scope())
-    }
-
-    /// [`TraceStore::get_scoped`] over a scope that is *already* a machine
-    /// scope (workload/policy cleared — see
-    /// [`ScenarioSelector::machine_scope`]): the resolve-once entry point.
-    /// Multi-step plans derive the machine scope once per run and pass it
-    /// down to every branch instead of re-deriving (and re-allocating) it
-    /// per trace lookup. Passing a selector whose workload/policy halves
-    /// are still set would additionally filter the linear-scan fallback by
-    /// those fields, which is not the `get_scoped` contract — callers
-    /// resolve first.
     fn get_scoped_resolved(&self, id: &TraceId, scope: &ScenarioSelector) -> Option<&TraceEntry> {
         let in_scope = |entry: &TraceEntry| {
             scope.matches_machine(&entry.machine)

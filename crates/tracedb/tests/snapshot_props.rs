@@ -4,8 +4,8 @@
 //!
 //! * **round-trip** — randomly-shaped databases survive save → load → save
 //!   with every field bit-identical, the second save byte-identical to the
-//!   first, and the loaded store answering `select` / `get_scoped` exactly
-//!   like the original;
+//!   first, and the loaded store answering `select` / `get_scoped_resolved`
+//!   exactly like the original;
 //! * **lazy equals eager** — the store [`VerifiedSnapshot::into_database`]
 //!   opens over the same bytes, its frames touched in random order from
 //!   two threads, yields the entries and rows the eager reader does,
@@ -200,9 +200,9 @@ proptest! {
             for key in db.trace_keys() {
                 let id = TraceId::parse(&key).expect("stored keys parse");
                 let base = TraceId::new(&id.workload, &id.policy);
-                let a = db.get_scoped(&base, selector).map(|e| e.id.key());
-                let b = loaded.get_scoped(&base, selector).map(|e| e.id.key());
-                prop_assert_eq!(a, b, "get_scoped diverged for {} under {}", key, selector);
+                let a = db.get_scoped_resolved(&base, selector).map(|e| e.id.key());
+                let b = loaded.get_scoped_resolved(&base, selector).map(|e| e.id.key());
+                prop_assert_eq!(a, b, "get_scoped_resolved diverged for {} under {}", key, selector);
             }
         }
     }

@@ -1,13 +1,10 @@
-//! Golden plan-shape fixture for the query-plan optimizer.
+//! Golden plan-shape fixture for Ranger's planner.
 //!
 //! `tests/fixtures/golden_plans_v1.json` pins, for a set of canonical
-//! questions, the **naive** plan the ranger compiles, the **optimized**
-//! plan the rewrite pass produces, and the rendered retrieval code. The
-//! equivalence harness (`tests/plan_equivalence.rs`) proves rewrites
-//! preserve semantics; this fixture proves they keep producing the
-//! *intended shapes* — a regression that silently stops pushing a
-//! selector down (or starts rewriting a plan it should leave alone)
-//! fails here even though the answers stay correct.
+//! questions, the **naive** plan Ranger compiles (and runs) and its
+//! rendered retrieval code, the bytes a code-generation answer shows.
+//! `tests/plan_equivalence.rs` pins the facts plans produce; this fixture
+//! pins which plan a question compiles to.
 //!
 //! To regenerate after an intentional planner change:
 //!
@@ -21,26 +18,25 @@ use std::sync::OnceLock;
 
 use cachemind_suite::lang::QueryIntent;
 use cachemind_suite::prelude::*;
-use cachemind_suite::retrieval::{optimize, RangerRetriever};
+use cachemind_suite::retrieval::RangerRetriever;
 use cachemind_suite::serve::engine::{build_database, ServeConfig};
 use cachemind_suite::tracedb::store::TraceStore;
 use serde_json::Value;
 
 const FIXTURE: &str = include_str!("fixtures/golden_plans_v1.json");
 
-/// One canonical question per rewrite family, plus pass-through shapes
-/// that the optimizer must leave untouched. The selector column exercises
-/// every scope form the pushdown bakes in: unscoped, machine, machine +
-/// prefetcher.
+/// Canonical questions for the lookup, count, ranking and miss-rate plans.
+/// The selector column exercises every scope form: unscoped, machine,
+/// machine + prefetcher.
 const CASES: &[(&str, &str, &str)] = &[
     (
-        "lookup-pushdown",
+        "lookup",
         "Does the memory access with PC 0x4008f0 and address 0x7f3a00010000 result in a \
          cache hit or a cache miss for mcf under lru?",
         "",
     ),
     ("trace-length", "How many rows are in the lbm eviction trace under belady?", "@table2"),
-    ("filtered-count-passthrough", "How many times did PC 0x400b20 miss in astar under lru?", ""),
+    ("filtered-count", "How many times did PC 0x400b20 miss in astar under lru?", ""),
     ("policy-rank-ipc", "Which policy gives the highest IPC on mcf?", "@small"),
     ("policy-rank-miss-rate", "Which policy has the lowest miss rate for lbm?", "@table2"),
     ("workload-rank-ipc", "Which workload achieves the best IPC under belady?", "@table2+stride4"),
@@ -49,10 +45,10 @@ const CASES: &[(&str, &str, &str)] = &[
         "Which workload suffers the highest miss rate under lru?",
         "@small",
     ),
-    ("miss-rate-passthrough", "What is the overall miss rate of the mcf workload under lru?", ""),
+    ("miss-rate", "What is the overall miss rate of the mcf workload under lru?", ""),
 ];
 
-/// The same multi-machine store the equivalence harness uses, so the
+/// The same multi-machine store `tests/plan_equivalence.rs` uses, so the
 /// pinned scopes name real machines.
 fn db() -> &'static cachemind_suite::tracedb::TraceDatabase {
     static DB: OnceLock<cachemind_suite::tracedb::TraceDatabase> = OnceLock::new();
@@ -73,7 +69,7 @@ fn to_value(value: &cachemind_suite::retrieval::Plan) -> Value {
     serde_json::from_str(&text).expect("serialized plan parses back")
 }
 
-/// Compiles and optimizes every canonical case into the fixture document.
+/// Compiles every canonical case into the fixture document.
 fn golden_value() -> Value {
     let db = db();
     let workloads = db.workloads();
@@ -93,15 +89,13 @@ fn golden_value() -> Value {
         let naive = ranger
             .compile(db, &intent)
             .unwrap_or_else(|| panic!("canonical question {name:?} must compile"));
-        let optimized = optimize(naive.clone(), &selector);
 
         let mut entry = Value::object();
         entry.insert("name", Value::from(*name));
         entry.insert("question", Value::from(*question));
         entry.insert("selector", Value::from(*scope));
         entry.insert("naive", to_value(&naive));
-        entry.insert("optimized", to_value(&optimized));
-        entry.insert("code", Value::from(optimized.render_code()));
+        entry.insert("code", Value::from(naive.render_code()));
         plans.push(entry);
     }
 
@@ -125,36 +119,6 @@ fn canonical_plan_shapes_match_the_golden_fixture() {
          is intentional, regenerate with `cargo test --test golden_plans -- \
          --ignored regenerate` and review the diff"
     );
-}
-
-/// Sanity floor under the byte comparison: the fixture itself must show
-/// that every rewrite family actually fired (the optimized shapes differ
-/// from the naive ones where a rewrite exists, and match where none does).
-#[test]
-fn fixture_demonstrates_every_rewrite_family() {
-    let doc = serde_json::from_str(FIXTURE).expect("fixture parses");
-    let plans = doc.get("plans").and_then(Value::as_array).expect("plans array");
-    assert_eq!(plans.len(), CASES.len());
-    let rewritten = |name: &str| {
-        let entry = plans
-            .iter()
-            .find(|e| e.get("name").and_then(Value::as_str) == Some(name))
-            .unwrap_or_else(|| panic!("fixture entry {name:?} missing"));
-        entry.get("naive") != entry.get("optimized")
-    };
-    for family in [
-        "lookup-pushdown",
-        "trace-length",
-        "policy-rank-ipc",
-        "policy-rank-miss-rate",
-        "workload-rank-ipc",
-        "workload-rank-miss-rate",
-    ] {
-        assert!(rewritten(family), "{family} must be rewritten by the optimizer");
-    }
-    for passthrough in ["filtered-count-passthrough", "miss-rate-passthrough"] {
-        assert!(!rewritten(passthrough), "{passthrough} must pass through unchanged");
-    }
 }
 
 /// Regenerates the fixture in place. Ignored so it never runs in CI; run

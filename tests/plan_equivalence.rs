@@ -10,12 +10,14 @@
 //! here.
 //!
 //! Each result is computed through the path Ranger serves,
-//! `optimize(plan, selector).run_scoped(db, selector)`.
+//! `plan.run_scoped(db, selector)`. The digest was recorded when Ranger
+//! still ran a rewritten copy of each plan, and the plan it compiled now
+//! runs to the same bytes.
 
 use std::sync::OnceLock;
 
 use cachemind_suite::prelude::*;
-use cachemind_suite::retrieval::{optimize, AggColumn, AggFunc, Plan};
+use cachemind_suite::retrieval::{AggColumn, AggFunc, Plan};
 use cachemind_suite::serve::engine::{build_database, ServeConfig};
 use cachemind_suite::sim::hash::fnv64;
 use cachemind_suite::tracedb::store::TraceStore;
@@ -112,7 +114,7 @@ fn grid_rendering() -> (String, usize) {
         for workload in &workloads {
             for policy in &policies {
                 for plan in templates(workload, policy) {
-                    let facts = optimize(plan, &selector).run_scoped(db(), &selector);
+                    let facts = plan.run_scoped(db(), &selector);
                     rendered.push_str(&format!("{facts:?}\n"));
                     cases += 1;
                 }
