@@ -10,9 +10,7 @@
 //! here.
 //!
 //! Each result is computed through the path Ranger serves,
-//! `plan.run_scoped(db, selector)`. The digest was recorded when Ranger
-//! still ran a rewritten copy of each plan, and the plan it compiled now
-//! runs to the same bytes.
+//! `plan.run_scoped(db, selector)`.
 
 use std::sync::OnceLock;
 
