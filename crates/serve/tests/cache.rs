@@ -7,10 +7,13 @@
 //! a cached answer ever leaks a stale or scope-confused byte, these
 //! tests catch it before the throughput numbers can be trusted.
 
+use cachemind_core::system::RetrieverKind;
 use cachemind_obs::names::{RETRIEVAL_CACHE_HITS, RETRIEVAL_CACHE_INSERTS};
-use cachemind_serve::engine::{ServeConfig, ServeEngine};
+use cachemind_serve::engine::{build_database, ServeConfig, ServeEngine};
 use cachemind_serve::load::{run_load_driver, LoadOutcome, LoadSpec, LoadTarget};
+use cachemind_sim::scenario::ScenarioSelector;
 use cachemind_tracedb::TraceDatabaseBuilder;
+use serde_json::Value;
 
 /// Drives `spec` in process through the engine's protocol-line path.
 fn drive(engine: &ServeEngine, spec: LoadSpec) -> LoadOutcome {
@@ -76,4 +79,49 @@ fn unrepeated_mix_is_also_cache_invariant() {
     let spec = LoadSpec { sessions: 2, questions: 4, scenarios: vec![], repeat_period: 0 };
     let (on, off) = drive_pair(2, &spec);
     assert_eq!(on, off, "insert-only cache traffic changed a deterministic byte");
+}
+
+#[test]
+fn scoped_cache_hits_replay_their_cited_labels() {
+    // Scoped (v2) turns carry the machine and prefetcher labels their
+    // evidence cites. A repeated scoped ask that hits the cache must replay
+    // those labels too, or the cache-on report loses fields the cache-off
+    // report has.
+    let config = ServeConfig {
+        threads: Some(2),
+        retriever: RetrieverKind::Ranger,
+        machines: vec!["table2".into(), "small".into()],
+        prefetchers: vec!["stride4".into()],
+        ..Default::default()
+    };
+    let db = build_database(&config).expect("table2+small+stride4 build");
+    let scenarios = ["@table2", "@small", "astar@table2+stride4/lru"]
+        .map(|s| ScenarioSelector::parse(s).expect("selector"))
+        .to_vec();
+    let spec = LoadSpec { sessions: 6, questions: 6, scenarios, repeat_period: 3 };
+
+    let on = ServeEngine::over(db.clone(), config.clone());
+    let on_report = drive(&on, spec.clone()).render(&on);
+    let off = ServeEngine::over(db, ServeConfig { answer_cache: false, ..config });
+    let off_report = drive(&off, spec.clone()).render(&off);
+
+    let snap = on.metrics().snapshot();
+    assert!(snap.counter(RETRIEVAL_CACHE_HITS) > 0, "the scoped repeated mix never hit");
+    assert_eq!(on_report, off_report, "a scoped cache hit changed a deterministic byte");
+
+    // The byte-identity above only covers labels if repeated turns cite
+    // some: every session re-asks its first turns, so a turn past the
+    // period that carries a label was served from the cache.
+    let report = serde_json::from_str(&off_report).expect("report parses");
+    let cited = |field: &str, label: &str| {
+        report.get("sessions").and_then(Value::as_array).expect("sessions").iter().any(|s| {
+            let turns = s.get("turns").and_then(Value::as_array).expect("turns");
+            turns[spec.repeat_period..].iter().any(|turn| {
+                turn.get(field).and_then(Value::as_str).is_some_and(|v| v.starts_with(label))
+            })
+        })
+    };
+    assert!(cited("machine", "table2@"), "no repeated turn cites table2: {off_report}");
+    assert!(cited("machine", "small@"), "no repeated turn cites small: {off_report}");
+    assert!(cited("prefetcher", "stride4"), "no repeated turn cites stride4: {off_report}");
 }
