@@ -1,10 +1,11 @@
-//! The whole-answer cache: `(canonical query text, canonical selector,
-//! db fingerprint)` → [`Answer`].
+//! The whole-answer cache: `(db fingerprint, canonical selector,
+//! question text)` → a stored reply.
 //!
 //! Answering is a pure function of `(store, question, selector)`
 //! — the property the serve layer's `answers_fnv64` checksums already
-//! prove — so replaying a stored answer is indistinguishable from
-//! recomputing it. The cache key captures every input of that function:
+//! prove — so replaying a stored reply is indistinguishable from
+//! recomputing it. The cache key ([`AnswerCache::key`]) captures every
+//! input of that function:
 //!
 //! * **db fingerprint** — a wide-FNV digest over the store's trace keys,
 //!   metadata, and row counts (the same [`fnv64_wide`] machinery the
@@ -17,6 +18,12 @@
 //!   canonical text form (the serve layer canonicalizes preset machine
 //!   names before asking, so aliases of one scope share entries).
 //! * **question text** — verbatim.
+//!
+//! The stored value is generic: the serve engine, which owns the cache,
+//! stores only the reply it renders (text, verdict and cited labels).
+//! The `Answer` default type and [`AnswerCache::new`] exist only because
+//! the benchmark's pipeline copy still caches whole [`Answer`]s; they go
+//! when that copy is deleted.
 //!
 //! Lookups and inserts count into the owning [`MetricsRegistry`] under
 //! the `retrieval.cache.*` names, which is how serve's `{"stats":true}`
@@ -31,16 +38,16 @@ use cachemind_sim::hash::fnv64;
 use cachemind_tracedb::snapshot::fnv64_wide;
 use cachemind_tracedb::store::TraceStore;
 
-use crate::system::Answer;
+use crate::system::{Answer, Query};
 
 /// Number of independently locked map shards.
 const SHARDS: usize = 8;
 
-/// A sharded, metrics-instrumented whole-answer cache (see the module
-/// docs for the key anatomy).
+/// A sharded, metrics-instrumented whole-answer cache of `V` values (see
+/// the module docs for the key anatomy and the `Answer` default).
 #[derive(Debug)]
-pub struct AnswerCache {
-    shards: [Mutex<HashMap<String, Answer>>; SHARDS],
+pub struct AnswerCache<V = Answer> {
+    shards: [Mutex<HashMap<String, V>>; SHARDS],
     fingerprint: OnceLock<u64>,
     hits: Counter,
     misses: Counter,
@@ -48,9 +55,18 @@ pub struct AnswerCache {
 }
 
 impl AnswerCache {
+    /// An empty cache of whole [`Answer`]s, for the benchmark's pipeline
+    /// copy only (see the module docs); every other caller names its
+    /// value type and calls [`AnswerCache::in_registry`].
+    pub fn new(metrics: &MetricsRegistry) -> Self {
+        AnswerCache::in_registry(metrics)
+    }
+}
+
+impl<V: Clone> AnswerCache<V> {
     /// An empty cache whose counters register into `metrics` under the
     /// `retrieval.cache.*` names.
-    pub fn new(metrics: &MetricsRegistry) -> Self {
+    pub fn in_registry(metrics: &MetricsRegistry) -> Self {
         AnswerCache {
             shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
             fingerprint: OnceLock::new(),
@@ -79,12 +95,18 @@ impl AnswerCache {
         })
     }
 
-    fn shard(&self, key: &str) -> &Mutex<HashMap<String, Answer>> {
+    /// The key of `query` asked of `db`:
+    /// `{fingerprint:016x}|{selector}|{question}`.
+    pub fn key(&self, db: &dyn TraceStore, query: &Query) -> String {
+        format!("{:016x}|{}|{}", self.fingerprint(db), query.selector, query.text)
+    }
+
+    fn shard(&self, key: &str) -> &Mutex<HashMap<String, V>> {
         &self.shards[(fnv64(key.as_bytes()) % SHARDS as u64) as usize]
     }
 
-    /// Looks up a stored answer, counting a hit or a miss.
-    pub fn get(&self, key: &str) -> Option<Answer> {
+    /// Looks up a stored value, counting a hit or a miss.
+    pub fn get(&self, key: &str) -> Option<V> {
         let found = self.shard(key).lock().expect("answer cache shard lock").get(key).cloned();
         match &found {
             Some(_) => self.hits.inc(),
@@ -93,25 +115,25 @@ impl AnswerCache {
         found
     }
 
-    /// Stores an answer, counting the insert. Concurrent inserts under
-    /// one key are benign: answering is deterministic, so both writers
-    /// store byte-identical values.
-    pub fn insert(&self, key: String, answer: Answer) {
-        self.shard(&key).lock().expect("answer cache shard lock").insert(key, answer);
+    /// Stores a value, counting the insert. Concurrent inserts under one
+    /// key are benign: answering is deterministic, so both writers store
+    /// byte-identical values.
+    pub fn insert(&self, key: String, value: V) {
+        self.shard(&key).lock().expect("answer cache shard lock").insert(key, value);
         self.inserts.inc();
     }
 
-    /// Number of stored answers across all shards.
+    /// Number of stored values across all shards.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().expect("answer cache shard lock").len()).sum()
     }
 
-    /// Whether the cache holds no answers.
+    /// Whether the cache holds no values.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Total lookups that replayed a stored answer.
+    /// Total lookups that replayed a stored value.
     pub fn hits(&self) -> u64 {
         self.hits.get()
     }
@@ -121,7 +143,7 @@ impl AnswerCache {
         self.misses.get()
     }
 
-    /// Total answers stored after misses.
+    /// Total values stored after misses.
     pub fn inserts(&self) -> u64 {
         self.inserts.get()
     }
@@ -130,70 +152,7 @@ impl AnswerCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::{CacheMind, Query, RetrieverKind};
-    use cachemind_sim::scenario::ScenarioSelector;
     use cachemind_tracedb::TraceDatabaseBuilder;
-
-    fn mind_with_cache() -> CacheMind {
-        // A private registry per test: counter handles are shared by name
-        // within a registry, so minds sharing the global registry would
-        // see each other's hit/miss counts.
-        let registry = cachemind_obs::MetricsRegistry::new();
-        CacheMind::new(TraceDatabaseBuilder::quick_demo().build())
-            .with_metrics(&registry)
-            .with_retriever(RetrieverKind::Ranger)
-            .with_answer_cache(true)
-    }
-
-    #[test]
-    fn repeated_questions_hit_and_replay_identical_answers() {
-        let m = mind_with_cache();
-        let q = "What is the overall miss rate of the lbm workload under LRU?";
-        let first = m.ask_query(&q.into());
-        let cache = m.answer_cache().expect("cache enabled");
-        assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.inserts(), 1);
-        assert_eq!(cache.len(), 1);
-        let second = m.ask_query(&q.into());
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(first.text, second.text);
-        assert_eq!(first.prompt, second.prompt);
-        assert_eq!(first.verdict, second.verdict);
-    }
-
-    #[test]
-    fn distinct_selectors_never_alias() {
-        let m = mind_with_cache();
-        let q = "What is the estimated IPC for mcf under LRU?";
-        m.ask_query(&Query::new(q));
-        m.ask_query(&Query::scoped(q, ScenarioSelector::all().with_machine("quick_demo")));
-        let cache = m.answer_cache().expect("cache enabled");
-        assert_eq!(cache.len(), 2, "scoped and unscoped queries use distinct keys");
-        assert_eq!(cache.hits(), 0);
-    }
-
-    #[test]
-    fn cached_answers_match_uncached_byte_for_byte() {
-        let cached = mind_with_cache();
-        let plain = CacheMind::new(TraceDatabaseBuilder::quick_demo().build())
-            .with_retriever(RetrieverKind::Ranger);
-        let questions = [
-            "What is the overall miss rate of the lbm workload under LRU?",
-            "Which policy gives the highest IPC on mcf?",
-            "List all unique PCs in the mcf trace under LRU.",
-            "What is the overall miss rate of the lbm workload under LRU?",
-        ];
-        for q in questions {
-            let a = cached.ask_query(&q.into());
-            let b = plain.ask_query(&q.into());
-            assert_eq!(a.text, b.text, "{q}");
-            assert_eq!(a.prompt, b.prompt, "{q}");
-            assert_eq!(a.verdict, b.verdict, "{q}");
-        }
-        assert_eq!(cached.answer_cache().unwrap().hits(), 1, "the duplicate hit");
-    }
 
     #[test]
     fn fingerprint_distinguishes_databases() {

@@ -14,6 +14,9 @@
 //!   signature optimisation, Mockingjay stable-PC retraining, software
 //!   prefetch insertion, and set-hotness analysis, plus the Belady-vs-PARROT
 //!   per-PC inversion study.
+//! * [`cache::AnswerCache`] — the sharded whole-answer cache map, keyed by
+//!   store fingerprint, selector and question, that the serve engine keeps
+//!   in front of the pipeline.
 //! * [`eval`] — CacheMindBench scoring through [`CacheMind::ask_query`]
 //!   and the figure-level data builders, one per table/figure of the
 //!   paper.

@@ -121,7 +121,6 @@ pub struct CacheMind {
     backend: SimulatedBackend,
     shots: Vec<Example>,
     metrics: cachemind_obs::MetricsRegistry,
-    answers: Option<crate::cache::AnswerCache>,
 }
 
 impl CacheMind {
@@ -142,7 +141,6 @@ impl CacheMind {
             backend: SimulatedBackend::new(BackendKind::Gpt4o),
             shots: Vec::new(),
             metrics: cachemind_obs::global().clone(),
-            answers: None,
         }
     }
 
@@ -179,30 +177,12 @@ impl CacheMind {
     }
 
     /// Redirects the telemetry of parts built *after* this call — a
-    /// Ranger's plan compile/run spans ([`CacheMind::with_retriever`]) and
-    /// the answer-cache counters ([`CacheMind::with_answer_cache`]) — to
-    /// `metrics` instead of the process-global registry. The serve layer
-    /// passes each engine's own registry down here.
+    /// Ranger's plan compile/run spans ([`CacheMind::with_retriever`]) —
+    /// to `metrics` instead of the process-global registry. The serve
+    /// layer passes each engine's own registry down here.
     pub fn with_metrics(mut self, metrics: &cachemind_obs::MetricsRegistry) -> Self {
         self.metrics = metrics.clone();
         self
-    }
-
-    /// Enables (or disables) the whole-answer cache: answers keyed by
-    /// `(db fingerprint, canonical selector, question text)` are
-    /// replayed instead of recomputed. Answering is deterministic, so the
-    /// cache is semantics-free — [`CacheMind::ask_query`] returns
-    /// byte-identical answers with it on or off. Call after
-    /// [`CacheMind::with_metrics`] so the `retrieval.cache.*` counters land
-    /// in the owner's registry.
-    pub fn with_answer_cache(mut self, enabled: bool) -> Self {
-        self.answers = enabled.then(|| crate::cache::AnswerCache::new(&self.metrics));
-        self
-    }
-
-    /// The whole-answer cache, when enabled.
-    pub fn answer_cache(&self) -> Option<&crate::cache::AnswerCache> {
-        self.answers.as_ref()
     }
 
     /// The underlying trace store.
@@ -275,9 +255,13 @@ impl CacheMind {
         })
     }
 
-    /// The parse → explore-or-retrieve → generate pipeline behind
-    /// [`CacheMind::ask_query`], bypassing the whole-answer cache.
-    fn answer(&self, query: &Query) -> Answer {
+    /// Answers a typed query — the one ask entry point: the query's
+    /// selector scopes parsing (slot defaults) and retrieval (machine /
+    /// prefetcher scope), inline `@machine` syntax in the text wins
+    /// per-field, and exploration commands route to the plan runtime.
+    /// Every call runs the whole parse → explore-or-retrieve → generate
+    /// pipeline; the serve engine keeps the answer cache in front of it.
+    pub fn ask_query(&self, query: &Query) -> Answer {
         let question = query.text.as_str();
         let lower = question.to_lowercase();
         let intent = self.parse_lowered(question, &lower, &query.selector);
@@ -293,38 +277,12 @@ impl CacheMind {
         let request = GeneratorRequest {
             question: question.to_owned(),
             intent,
-            context: context.clone(),
+            context,
             examples: self.shots.clone(),
         };
         let GeneratorAnswer { text, verdict } = self.backend.answer(&request);
+        let GeneratorRequest { context, .. } = request;
         Answer { text, verdict, context, prompt }
-    }
-
-    /// The whole-answer cache key for a query: db fingerprint, canonical
-    /// selector and the verbatim question text — every input of the pure
-    /// answering function (see `crate::cache` for the anatomy).
-    /// Checked *before* intent parsing, so a hit skips the whole pipeline.
-    fn answer_key(&self, query: &Query, cache: &crate::cache::AnswerCache) -> String {
-        format!("{:016x}|{}|{}", cache.fingerprint(&*self.db), query.selector, query.text)
-    }
-
-    /// Answers a typed query — the one ask entry point: the query's
-    /// selector scopes parsing (slot defaults) and retrieval (machine /
-    /// prefetcher scope), inline `@machine` syntax in the text wins
-    /// per-field, and exploration commands route to the plan runtime. With
-    /// the whole-answer cache enabled, a hit replays the stored answer and
-    /// a miss answers then stores.
-    pub fn ask_query(&self, query: &Query) -> Answer {
-        let Some(cache) = &self.answers else {
-            return self.answer(query);
-        };
-        let key = self.answer_key(query, cache);
-        if let Some(hit) = cache.get(&key) {
-            return hit;
-        }
-        let answer = self.answer(query);
-        cache.insert(key, answer.clone());
-        answer
     }
 }
 

@@ -4,9 +4,10 @@
 //! trace database; a session is its exchange log
 //! ([`ConversationMemory`]) plus its pinned scenario. Every transport
 //! serves one protocol line at a time through
-//! [`ServeEngine::serve_line`]: parse, dispatch, render. An ask resolves its session under the session lock, is
-//! answered outside it through the stateless CacheMind pipeline, and is
-//! logged into the session's exchange log under the lock again,
+//! [`ServeEngine::serve_line`]: parse, dispatch, render. An ask resolves
+//! its session under the session lock, is answered outside it — from the
+//! engine's answer cache, else through the stateless CacheMind pipeline —
+//! and is logged into the session's exchange log under the lock again,
 //! so concurrent callers (the TCP worker pool) only serialize on
 //! bookkeeping.
 //!
@@ -19,7 +20,9 @@ use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use cachemind_core::cache::AnswerCache;
 use cachemind_core::system::{CacheMind, Query, RetrieverKind};
+use cachemind_lang::context::Fact;
 use cachemind_lang::memory::ConversationMemory;
 use cachemind_lang::profiles::BackendKind;
 use cachemind_obs::{names, Counter, HistogramHandle, MetricsRegistry};
@@ -66,11 +69,11 @@ pub struct ServeConfig {
     /// live until closed, the pre-reaping behaviour. A value of 0 is
     /// clamped to 1.
     pub max_idle_rounds: Option<u64>,
-    /// Whether the engine's [`CacheMind`] keeps a whole-answer cache
-    /// (answers keyed by db fingerprint + canonical selector + question).
-    /// Answering is deterministic, so the cache never changes a byte of
-    /// any response — on by default; `--no-answer-cache` turns it off for
-    /// A/B measurement.
+    /// Whether the engine keeps a whole-answer cache (served replies keyed
+    /// by db fingerprint + canonical selector + question). Answering is
+    /// deterministic, so the cache never changes a byte of any response —
+    /// on by default; `--no-answer-cache` turns it off for A/B
+    /// measurement.
     pub answer_cache: bool,
 }
 
@@ -174,6 +177,21 @@ impl EngineMetrics {
     }
 }
 
+/// What the answer cache stores per key: exactly the fields of an ask
+/// response that come from answering, computed once on a miss. The
+/// retrieved facts and the rendered prompt stay out — serve reads the
+/// facts only to find the cited labels, and never reads the prompt.
+#[derive(Debug, Clone)]
+struct Reply {
+    text: String,
+    /// The `{:?}` rendering of the answer's verdict.
+    verdict: String,
+    /// The machine label a scoped answer's evidence cites.
+    machine: Option<String>,
+    /// The prefetcher label a scoped answer's evidence cites.
+    prefetcher: Option<String>,
+}
+
 /// What serving one protocol line did, beyond the rendered response —
 /// the session-lifecycle side effects a connection-scoped transport
 /// tracks (see [`ServeEngine::serve_line`]).
@@ -204,6 +222,8 @@ pub enum StdioEnd {
 #[derive(Debug)]
 pub struct ServeEngine {
     mind: CacheMind,
+    /// The whole-answer cache in front of `mind`, when enabled.
+    answers: Option<AnswerCache<Reply>>,
     sessions: Mutex<SessionTable>,
     config: ServeConfig,
     /// This engine's own metric handles — per-engine (not process-global),
@@ -301,10 +321,11 @@ impl ServeEngine {
         let mind = CacheMind::shared(store)
             .with_metrics(&registry)
             .with_retriever(config.retriever)
-            .with_backend(config.backend)
-            .with_answer_cache(config.answer_cache);
+            .with_backend(config.backend);
+        let answers = config.answer_cache.then(|| AnswerCache::in_registry(&registry));
         ServeEngine {
             mind,
+            answers,
             sessions: Mutex::new(SessionTable::default()),
             config,
             metrics: EngineMetrics::new(registry),
@@ -699,7 +720,7 @@ impl ServeEngine {
         // so a `--no-answer-cache` server reports `enabled: false` and
         // nothing else.
         let mut cache = Value::object();
-        match self.mind.answer_cache() {
+        match &self.answers {
             Some(answers) => {
                 cache.insert("enabled", Value::from(true));
                 cache.insert("entries", Value::from(answers.len() as u64));
@@ -767,22 +788,12 @@ impl ServeEngine {
             }
         };
 
-        // Phase 1 (unlocked): answer through the shared stateless
-        // pipeline. Scoped (v2) asks also report the machine and
-        // prefetcher labels their grounded evidence cites; v1 responses
-        // keep the legacy bytes exactly.
+        // Phase 1 (unlocked): reply from the answer cache or the shared
+        // stateless pipeline.
         let query = Query::scoped(request.question.clone(), self.canonicalize(selector));
         let span = self.metrics.ask_latency.start_span();
-        let answer = self.mind.ask_query(&query);
+        let reply = self.reply(&query);
         let micros = span.finish();
-        let (machine, prefetcher) = if query.selector.machine_scope().is_unscoped() {
-            (None, None)
-        } else {
-            (
-                cited_machine(&self.machine_labels, &answer),
-                cited_prefetcher(&self.prefetcher_labels, &answer),
-            )
-        };
 
         // Phase 2 (locked): log the turn into the session and reap.
         let mut table = self.lock_sessions();
@@ -794,14 +805,14 @@ impl ServeEngine {
                 // Stamp with max: a concurrent later ask may already have
                 // moved this session's clock past ours.
                 session.last_active_round = session.last_active_round.max(round);
-                session.memory.push(&query.text, &answer.text);
+                session.memory.push(&query.text, &reply.text);
                 AskResponse {
                     session: session_id,
                     turn: session.memory.turns(),
-                    answer: Some(answer.text),
-                    verdict: Some(format!("{:?}", answer.verdict)),
-                    machine,
-                    prefetcher,
+                    answer: Some(reply.text),
+                    verdict: Some(reply.verdict),
+                    machine: reply.machine,
+                    prefetcher: reply.prefetcher,
                     scenario: None,
                     closed: false,
                     error: None,
@@ -813,6 +824,38 @@ impl ServeEngine {
         };
         self.reap_idle(&mut table);
         response
+    }
+
+    /// The reply to `query`: with the answer cache on, a hit replays the
+    /// stored reply and a miss answers, then stores.
+    fn reply(&self, query: &Query) -> Reply {
+        let Some(cache) = &self.answers else {
+            return self.answer(query);
+        };
+        let key = cache.key(self.mind.database(), query);
+        if let Some(hit) = cache.get(&key) {
+            return hit;
+        }
+        let reply = self.answer(query);
+        cache.insert(key, reply.clone());
+        reply
+    }
+
+    /// Answers `query` through the pipeline. Scoped (v2) asks also report
+    /// the machine and prefetcher labels their grounded evidence cites;
+    /// v1 responses keep the legacy bytes exactly.
+    fn answer(&self, query: &Query) -> Reply {
+        let answer = self.mind.ask_query(query);
+        let (machine, prefetcher) = if query.selector.machine_scope().is_unscoped() {
+            (None, None)
+        } else {
+            let facts: Vec<String> = answer.context.facts.iter().map(Fact::render).collect();
+            (
+                cited_machine(&self.machine_labels, &facts),
+                cited_prefetcher(&self.prefetcher_labels, &facts),
+            )
+        };
+        Reply { text: answer.text, verdict: format!("{:?}", answer.verdict), machine, prefetcher }
     }
 
     /// The in-band failure for a session that does not exist (never
@@ -851,36 +894,39 @@ pub fn build_database(config: &ServeConfig) -> Result<TraceDatabase, BuildError>
 }
 
 /// The canonical machine label a scoped answer's grounded evidence cites:
-/// the store label that appears in one of the retrieved facts. `None`
+/// the store label that appears in one of the rendered `facts`. `None`
 /// when the evidence cites no machine (e.g. a hit/miss lookup, whose
 /// facts carry no scenario sentence). Of the labels that match, the
 /// *longest* wins — one canonical label can be a prefix of another
 /// (`...dram160` / `...dram1600`), and substring containment alone would
 /// report the shorter one.
-fn cited_machine(labels: &[String], answer: &cachemind_core::system::Answer) -> Option<String> {
+fn cited_machine(labels: &[String], facts: &[String]) -> Option<String> {
     labels
         .iter()
-        .filter(|label| answer.context.facts.iter().any(|f| f.render().contains(label.as_str())))
+        .filter(|label| facts.iter().any(|f| f.contains(label.as_str())))
         .max_by_key(|label| (label.len(), (*label).clone()))
         .cloned()
 }
 
 /// The canonical prefetcher label a scoped answer's grounded evidence
 /// cites: a store label that appears as `prefetcher <label>` in one of the
-/// retrieved facts — the phrase owned by
+/// rendered `facts` — the phrase owned by
 /// `cachemind_tracedb::meta::ipc_citation` /
 /// `meta::scenario_citation_suffix` and the metadata's prefetcher
 /// sentence, so the match target has one definition. `None` when the
 /// evidence names no prefetcher — baseline traces never do, so unscoped
 /// and v1 traffic is unaffected. Longest label wins, mirroring
 /// [`cited_machine`] (`stride4` vs a hypothetical `stride42`).
-fn cited_prefetcher(labels: &[String], answer: &cachemind_core::system::Answer) -> Option<String> {
+fn cited_prefetcher(labels: &[String], facts: &[String]) -> Option<String> {
+    const PHRASE: &str = "prefetcher ";
     labels
         .iter()
         .filter(|label| label.as_str() != "none")
         .filter(|label| {
-            let needle = format!("prefetcher {label}");
-            answer.context.facts.iter().any(|f| f.render().contains(&needle))
+            facts.iter().any(|f| {
+                f.match_indices(PHRASE)
+                    .any(|(at, _)| f[at + PHRASE.len()..].starts_with(label.as_str()))
+            })
         })
         .max_by_key(|label| (label.len(), (*label).clone()))
         .cloned()
@@ -1294,6 +1340,93 @@ mod tests {
         let cache = stats.get("cache").expect("cache object present even when disabled");
         assert_eq!(cache.get("enabled").and_then(Value::as_bool), Some(false));
         assert!(cache.get("hits").is_none(), "no counters for a disabled cache");
+    }
+
+    /// A Ranger engine over the demo store, with or without the answer
+    /// cache.
+    fn ranger_engine(answer_cache: bool) -> ServeEngine {
+        let config = ServeConfig {
+            threads: Some(1),
+            retriever: RetrieverKind::Ranger,
+            answer_cache,
+            ..Default::default()
+        };
+        ServeEngine::over(TraceDatabaseBuilder::quick_demo().build(), config)
+    }
+
+    /// The engine's `retrieval.cache.*` hits, misses and inserts, and its
+    /// stored entry count.
+    fn cache_counts(engine: &ServeEngine) -> (u64, u64, u64, usize) {
+        let snap = engine.metrics().snapshot();
+        let entries = engine.answers.as_ref().map_or(0, AnswerCache::len);
+        (
+            snap.counter(names::RETRIEVAL_CACHE_HITS),
+            snap.counter(names::RETRIEVAL_CACHE_MISSES),
+            snap.counter(names::RETRIEVAL_CACHE_INSERTS),
+            entries,
+        )
+    }
+
+    /// Serves one line without timing: the bytes a client reads.
+    fn served(engine: &ServeEngine, request: AskRequest) -> String {
+        engine.serve_line(&Request::Ask(request).to_json(), false, "stdin", None).rendered
+    }
+
+    #[test]
+    fn repeated_questions_hit_and_replay_identical_answers() {
+        let engine = ranger_engine(true);
+        let q = "What is the overall miss rate of the lbm workload under LRU?";
+        let session = engine.open_session();
+        let first = ask(&engine, AskRequest::in_session(session, q));
+        assert_eq!(cache_counts(&engine), (0, 1, 1, 1), "one miss, then one insert");
+        let second = ask(&engine, AskRequest::in_session(session, q));
+        assert_eq!(cache_counts(&engine), (1, 1, 1, 1), "the repeat replayed the stored reply");
+        assert_eq!(second.turn, 2, "a replayed reply still logs its turn");
+        assert_eq!(first.answer, second.answer);
+        assert_eq!(first.verdict, second.verdict);
+        assert!(first.verdict.as_deref().is_some_and(|v| v.starts_with("Number(")));
+    }
+
+    #[test]
+    fn distinct_selectors_never_alias() {
+        let engine = ranger_engine(true);
+        let q = "What is the estimated IPC for mcf under LRU?";
+        let unscoped = ask(&engine, AskRequest::new(q));
+        let scope = ScenarioSelector::all().with_machine(engine.machine_labels[0].clone());
+        let scoped = ask(&engine, AskRequest::new(q).with_scenario(scope));
+        assert_eq!(
+            cache_counts(&engine),
+            (0, 2, 2, 2),
+            "scoped and unscoped asks use distinct keys"
+        );
+        assert_eq!(unscoped.machine, None, "an unscoped reply cites no machine");
+        assert_eq!(
+            scoped.machine.as_ref(),
+            Some(&engine.machine_labels[0]),
+            "a scoped reply cites its machine"
+        );
+    }
+
+    #[test]
+    fn cached_answers_match_uncached_byte_for_byte() {
+        let cached = ranger_engine(true);
+        let plain = ranger_engine(false);
+        let scope = ScenarioSelector::all().with_machine(cached.machine_labels[0].clone());
+        let requests = [
+            AskRequest::new("What is the overall miss rate of the lbm workload under LRU?"),
+            AskRequest::new("Which policy gives the highest IPC on mcf?"),
+            AskRequest::new("List all unique PCs in the mcf trace under LRU."),
+            AskRequest::new("What is the estimated IPC for mcf under LRU?")
+                .with_scenario(scope.clone()),
+            AskRequest::new("What is the overall miss rate of the lbm workload under LRU?"),
+            AskRequest::new("What is the estimated IPC for mcf under LRU?").with_scenario(scope),
+        ];
+        for request in requests {
+            let line = request.to_json();
+            assert_eq!(served(&cached, request.clone()), served(&plain, request), "{line}");
+        }
+        assert_eq!(cache_counts(&cached), (2, 4, 4, 4), "the two duplicates hit");
+        assert_eq!(cache_counts(&plain), (0, 0, 0, 0), "a cache-off engine counts nothing");
     }
 
     #[test]
