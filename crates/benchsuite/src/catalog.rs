@@ -4,7 +4,6 @@
 use cachemind_lang::intent::QueryCategory;
 use cachemind_sim::addr::Pc;
 use cachemind_tracedb::database::{TraceDatabase, TraceEntry};
-use cachemind_tracedb::stats::CacheStatisticalExpert;
 use cachemind_tracedb::store::TraceStore;
 
 use crate::question::{Expected, Question};
@@ -71,6 +70,34 @@ fn entries_in_order(db: &TraceDatabase) -> Vec<&TraceEntry> {
     db.entries().collect()
 }
 
+/// `(pc, accesses, misses)` for every PC of a trace, ascending by PC.
+///
+/// Ground truth shares no code with the answers it grades: a plain loop
+/// over every row, with no statistical expert, PC index or predicate, so
+/// a fault in the answer path moves the score instead of the key.
+fn per_pc_counts(entry: &TraceEntry) -> Vec<(Pc, u64, u64)> {
+    let mut counts = std::collections::BTreeMap::new();
+    for row in entry.frame.rows() {
+        let (accesses, misses) = counts.entry(row.pc).or_insert((0u64, 0u64));
+        *accesses += 1;
+        *misses += row.is_miss as u64;
+    }
+    counts.into_iter().map(|(pc, (accesses, misses))| (pc, accesses, misses)).collect()
+}
+
+/// One PC's miss rate in `[0, 1]` by the same plain loop; `None` when
+/// the PC issued no access.
+fn pc_miss_rate(entry: &TraceEntry, pc: Pc) -> Option<f64> {
+    let (mut accesses, mut misses) = (0u64, 0u64);
+    for row in entry.frame.rows() {
+        if row.pc == pc {
+            accesses += 1;
+            misses += row.is_miss as u64;
+        }
+    }
+    (accesses > 0).then(|| misses as f64 / accesses as f64)
+}
+
 /// Upper-cases the policy for question text, as the paper writes them.
 fn policy_caps(p: &str) -> String {
     match p {
@@ -121,7 +148,6 @@ fn gen_hitmiss(db: &TraceDatabase, n: usize) -> Vec<Question> {
 }
 
 fn gen_missrate(db: &TraceDatabase, n: usize) -> Vec<Question> {
-    let expert = CacheStatisticalExpert::new();
     let mut out = Vec::new();
     let mut seen = std::collections::HashSet::new();
     let entries = entries_in_order(db);
@@ -135,7 +161,7 @@ fn gen_missrate(db: &TraceDatabase, n: usize) -> Vec<Question> {
             i += 1;
             continue;
         }
-        if let Some(stats) = expert.pc_stats(&entry.frame, pc) {
+        if let Some(rate) = pc_miss_rate(entry, pc) {
             out.push(Question {
                 id: format!("tg-missrate-{:02}", out.len() + 1),
                 text: format!(
@@ -146,7 +172,7 @@ fn gen_missrate(db: &TraceDatabase, n: usize) -> Vec<Question> {
                     policy_caps(&entry.id.policy)
                 ),
                 category: QueryCategory::MissRate,
-                expected: Expected::Number { value: stats.miss_rate() * 100.0, tolerance: 0.05 },
+                expected: Expected::Number { value: rate * 100.0, tolerance: 0.05 },
             });
         }
         i += 1;
@@ -174,15 +200,14 @@ fn gen_missrate(db: &TraceDatabase, n: usize) -> Vec<Question> {
 /// Per-policy miss rates for a PC, in the same (sorted) policy order and
 /// with the same stable ranking the retriever/generator pipeline uses.
 fn policy_ranking(db: &TraceDatabase, workload: &str, pc: Pc, minimum: bool) -> Vec<(String, f64)> {
-    let expert = CacheStatisticalExpert::new();
     let mut values = Vec::new();
     for policy in db.policies() {
         let Some(entry) = db.get_id(&cachemind_tracedb::database::TraceId::new(workload, &policy))
         else {
             continue;
         };
-        if let Some(stats) = expert.pc_stats(&entry.frame, pc) {
-            values.push((policy, stats.miss_rate() * 100.0));
+        if let Some(rate) = pc_miss_rate(entry, pc) {
+            values.push((policy, rate * 100.0));
         }
     }
     if minimum {
@@ -503,7 +528,6 @@ fn gen_codegen(db: &TraceDatabase, n: usize) -> Vec<Question> {
 }
 
 fn gen_policy_analysis(db: &TraceDatabase, n: usize) -> Vec<Question> {
-    let expert = CacheStatisticalExpert::new();
     let mut out = Vec::new();
     for w in db.workloads() {
         if out.len() >= n {
@@ -515,12 +539,10 @@ fn gen_policy_analysis(db: &TraceDatabase, n: usize) -> Vec<Question> {
             if out.len() >= n {
                 break;
             }
-            let (Some(b), Some(l)) =
-                (expert.pc_stats(&belady.frame, pc), expert.pc_stats(&lru.frame, pc))
-            else {
+            let (Some(b), Some(l)) = (pc_miss_rate(belady, pc), pc_miss_rate(lru, pc)) else {
                 continue;
             };
-            if b.miss_rate() + 0.02 < l.miss_rate() && out.len() < n {
+            if b + 0.02 < l && out.len() < n {
                 out.push(Question {
                     id: format!("ara-policy-{:02}", out.len() + 1),
                     text: format!(
@@ -584,23 +606,24 @@ fn gen_workload_analysis(db: &TraceDatabase, n: usize) -> Vec<Question> {
 }
 
 fn gen_semantic_analysis(db: &TraceDatabase, n: usize) -> Vec<Question> {
-    let expert = CacheStatisticalExpert::new();
     let mut out = Vec::new();
     for entry in entries_in_order(db) {
         if out.len() >= n {
             break;
         }
         // Pick the PC with the highest hit rate and enough traffic.
-        let mut stats = expert.per_pc(&entry.frame);
-        stats.retain(|s| s.accesses >= 10);
-        stats.sort_by(|a, b| b.hit_rate().total_cmp(&a.hit_rate()));
-        let Some(best) = stats.first() else { continue };
+        let hit_rate =
+            |&(_, accesses, misses): &(Pc, u64, u64)| (accesses - misses) as f64 / accesses as f64;
+        let mut stats = per_pc_counts(entry);
+        stats.retain(|&(_, accesses, _)| accesses >= 10);
+        stats.sort_by(|a, b| hit_rate(b).total_cmp(&hit_rate(a)));
+        let Some(&(best_pc, _, _)) = stats.first() else { continue };
         out.push(Question {
             id: format!("ara-semantic-{:02}", out.len() + 1),
             text: format!(
                 "Why does PC {} have a high hit rate in the {} workload under {}? Examine \
                  the assembly context and analyze the access pattern.",
-                best.pc,
+                best_pc,
                 entry.id.workload,
                 policy_caps(&entry.id.policy)
             ),
