@@ -15,11 +15,12 @@ use serde::{Deserialize, Serialize};
 
 use cachemind_lang::context::Fact;
 use cachemind_sim::addr::{Address, Pc};
+use cachemind_sim::replay::EvictionRecord;
 use cachemind_sim::scenario::ScenarioSelector;
 use cachemind_tracedb::database::{TraceEntry, TraceId};
 use cachemind_tracedb::filter::Predicate;
 use cachemind_tracedb::meta;
-use cachemind_tracedb::stats::CacheStatisticalExpert;
+use cachemind_tracedb::stats::{CacheStatisticalExpert, ColumnStats, PcSummary};
 use cachemind_tracedb::store::TraceStore;
 
 /// Numeric columns a plan may aggregate.
@@ -34,6 +35,25 @@ pub enum AggColumn {
 }
 
 impl AggColumn {
+    /// The column's value in one row, when it has one.
+    fn value(self, row: &EvictionRecord) -> Option<f64> {
+        match self {
+            AggColumn::AccessedReuse => row.accessed_reuse_distance,
+            AggColumn::EvictedReuse => row.evicted_reuse_distance,
+            AggColumn::Recency => row.recency,
+        }
+        .map(|d| d as f64)
+    }
+
+    /// The column's statistics in a PC summary.
+    fn of(self, summary: &PcSummary) -> Option<ColumnStats> {
+        match self {
+            AggColumn::AccessedReuse => summary.accessed_reuse,
+            AggColumn::EvictedReuse => summary.evicted_reuse,
+            AggColumn::Recency => summary.recency,
+        }
+    }
+
     /// The schema column name.
     pub const fn column_name(self) -> &'static str {
         match self {
@@ -60,21 +80,14 @@ pub enum AggFunc {
 }
 
 impl AggFunc {
-    fn apply(self, values: &[f64]) -> Option<f64> {
-        if values.is_empty() {
-            return None;
+    const fn pick(self, stats: &ColumnStats) -> f64 {
+        match self {
+            AggFunc::Mean => stats.mean,
+            AggFunc::Sum => stats.sum,
+            AggFunc::Max => stats.max,
+            AggFunc::Min => stats.min,
+            AggFunc::Std => stats.std,
         }
-        let n = values.len() as f64;
-        Some(match self {
-            AggFunc::Mean => values.iter().sum::<f64>() / n,
-            AggFunc::Sum => values.iter().sum(),
-            AggFunc::Max => values.iter().copied().fold(f64::MIN, f64::max),
-            AggFunc::Min => values.iter().copied().fold(f64::MAX, f64::min),
-            AggFunc::Std => {
-                let mean = values.iter().sum::<f64>() / n;
-                (values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n).sqrt()
-            }
-        })
     }
 
     const fn python_name(self) -> &'static str {
@@ -411,16 +424,25 @@ impl Plan {
             ),
             Plan::CountRows { workload, policy, pc, address, misses_only } => {
                 let entry = Self::entry(db, workload, policy, scope)?;
-                let mut pred = Predicate::pc_address(*pc, *address);
-                if *misses_only {
-                    pred = pred.and(Predicate::IsMiss(true));
-                }
-                // A filter-free count is the frame's row count, which a
-                // snapshot-opened frame knows without decoding its rows.
-                let count = if matches!(pred, Predicate::True) {
-                    entry.frame.len()
-                } else {
-                    entry.frame.count(&pred)
+                let count = match (pc, address) {
+                    // A PC's counts are in its summary.
+                    (Some(pc), None) => entry.frame.pc_summary(*pc).map_or(0, |s| {
+                        if *misses_only {
+                            s.stats.misses
+                        } else {
+                            s.stats.accesses
+                        }
+                    }) as usize,
+                    // A filter-free count is the frame's row count, which a
+                    // snapshot-opened frame knows without decoding its rows.
+                    (None, None) if !*misses_only => entry.frame.len(),
+                    _ => {
+                        let mut pred = Predicate::pc_address(*pc, *address);
+                        if *misses_only {
+                            pred = pred.and(Predicate::IsMiss(true));
+                        }
+                        entry.frame.count(&pred)
+                    }
                 };
                 if count == 0 {
                     return Err(PlanError::EmptyResult);
@@ -433,24 +455,18 @@ impl Plan {
             }
             Plan::Aggregate { workload, policy, pc, column, func } => {
                 let entry = Self::entry(db, workload, policy, scope)?;
-                let mut pred = Predicate::True;
-                if let Some(pc) = pc {
-                    pred = pred.and(Predicate::PcEquals(*pc));
-                }
-                let values: Vec<f64> = entry
-                    .frame
-                    .filter(&pred)
-                    .into_iter()
-                    .filter_map(|r| match column {
-                        AggColumn::AccessedReuse => r.accessed_reuse_distance.map(|d| d as f64),
-                        AggColumn::EvictedReuse => r.evicted_reuse_distance.map(|d| d as f64),
-                        AggColumn::Recency => r.recency.map(|d| d as f64),
-                    })
-                    .collect();
-                let value = func.apply(&values).ok_or(PlanError::EmptyResult)?;
+                let stats = match pc {
+                    Some(pc) => entry.frame.pc_summary(*pc).and_then(|s| column.of(s)),
+                    None => {
+                        let values: Vec<f64> =
+                            entry.frame.rows().iter().filter_map(|r| column.value(r)).collect();
+                        ColumnStats::of(&values)
+                    }
+                };
+                let stats = stats.ok_or(PlanError::EmptyResult)?;
                 Ok(vec![Fact::NumericValue {
                     what: format!("{} of {}", func.python_name(), column.column_name()),
-                    value,
+                    value: func.pick(&stats),
                     complete: true,
                 }])
             }
@@ -983,11 +999,12 @@ mod tests {
 
     #[test]
     fn aggfunc_math() {
-        assert_eq!(AggFunc::Mean.apply(&[1.0, 3.0]), Some(2.0));
-        assert_eq!(AggFunc::Sum.apply(&[1.0, 3.0]), Some(4.0));
-        assert_eq!(AggFunc::Max.apply(&[1.0, 3.0]), Some(3.0));
-        assert_eq!(AggFunc::Min.apply(&[1.0, 3.0]), Some(1.0));
-        assert_eq!(AggFunc::Std.apply(&[2.0, 2.0]), Some(0.0));
-        assert_eq!(AggFunc::Mean.apply(&[]), None);
+        let stats = ColumnStats::of(&[1.0, 3.0]).unwrap();
+        assert_eq!(AggFunc::Mean.pick(&stats), 2.0);
+        assert_eq!(AggFunc::Sum.pick(&stats), 4.0);
+        assert_eq!(AggFunc::Max.pick(&stats), 3.0);
+        assert_eq!(AggFunc::Min.pick(&stats), 1.0);
+        assert_eq!(AggFunc::Std.pick(&ColumnStats::of(&[2.0, 2.0]).unwrap()), 0.0);
+        assert_eq!(ColumnStats::of(&[]), None);
     }
 }

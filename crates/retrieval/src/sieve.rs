@@ -85,7 +85,7 @@ impl SieveRetriever {
             return Some(Fact::PremiseViolation { reason });
         }
         if let Some(addr) = intent.address {
-            let pair_exists = entry.frame.rows_for_pc(pc).any(|r| r.address == addr);
+            let pair_exists = entry.frame.rows_at(pc, addr).len() > 0;
             if !pair_exists {
                 return Some(Fact::PremiseViolation {
                     reason: format!("PC {pc} never accesses address {addr} in this trace"),

@@ -95,6 +95,19 @@ impl Predicate {
         }
     }
 
+    /// The byte address every matching row must carry, when the predicate
+    /// pins one: an `AddressEquals` at the root or reached through `And`
+    /// only, as [`pc_key`] finds a `PcEquals`.
+    ///
+    /// [`pc_key`]: Predicate::pc_key
+    pub fn address_key(&self) -> Option<Address> {
+        match self {
+            Predicate::AddressEquals(address) => Some(*address),
+            Predicate::And(a, b) => a.address_key().or_else(|| b.address_key()),
+            _ => None,
+        }
+    }
+
     /// Evaluates the predicate against one row.
     pub fn matches(&self, row: &EvictionRecord) -> bool {
         match self {

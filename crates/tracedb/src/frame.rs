@@ -2,12 +2,13 @@
 
 use std::sync::{Arc, OnceLock};
 
-use cachemind_sim::addr::Pc;
+use cachemind_sim::addr::{Address, Pc};
 use cachemind_sim::replay::EvictionRecord;
 use cachemind_workloads::program::ProgramImage;
 
 use crate::filter::Predicate;
 use crate::snapshot::RowPayload;
+use crate::stats::PcSummary;
 
 /// A frame of trace rows (the replay's [`EvictionRecord`]s) plus the
 /// program image that maps PCs to code.
@@ -18,7 +19,18 @@ use crate::snapshot::RowPayload;
 ///
 /// Every PC-scoped read goes through a per-PC index of the rows, built on
 /// first use and kept for the frame's lifetime (the rows never change
-/// after construction). It is derived state: snapshots do not store it.
+/// after construction). Two more derived structures, each also built on
+/// its first use, serve the PC-scoped asks without walking a PC's rows:
+/// a [`PcSummary`] per distinct PC ([`pc_summary`], [`pc_summaries`]),
+/// and each PC's row ids re-sorted by `(address, row id)` (4 B per row),
+/// which [`rows_at`] and every read whose predicate pins both a PC and an
+/// address ([`Predicate::address_key`]) binary-search. All three are
+/// derived state: snapshots do not store them, and `len`, `pcs` and
+/// `contains_pc` build neither of the last two.
+///
+/// [`pc_summary`]: TraceFrame::pc_summary
+/// [`pc_summaries`]: TraceFrame::pc_summaries
+/// [`rows_at`]: TraceFrame::rows_at
 ///
 /// A frame read lazily from a snapshot holds its encoded row payload and
 /// decodes it on the first read of any row (`rows`, the PC index,
@@ -33,6 +45,10 @@ pub struct TraceFrame {
     payload: Option<RowPayload>,
     program: Arc<ProgramImage>,
     pc_index: OnceLock<PcIndex>,
+    /// One summary per entry of `pc_index.pcs`, in the same order.
+    summaries: OnceLock<Vec<PcSummary>>,
+    /// `pc_index.postings` with each PC's range sorted by `(address, id)`.
+    by_address: OnceLock<Vec<u32>>,
 }
 
 /// The distinct PCs of a frame, ascending, each with the ids of its rows
@@ -71,9 +87,14 @@ impl PcIndex {
         index
     }
 
+    /// The `postings` range of `pcs[i]`.
+    fn range(&self, i: usize) -> std::ops::Range<usize> {
+        self.starts[i] as usize..self.starts[i + 1] as usize
+    }
+
     fn postings(&self, pc: Pc) -> &[u32] {
         match self.pcs.binary_search(&pc) {
-            Ok(i) => &self.postings[self.starts[i] as usize..self.starts[i + 1] as usize],
+            Ok(i) => &self.postings[self.range(i)],
             Err(_) => &[],
         }
     }
@@ -99,6 +120,8 @@ impl TraceFrame {
             payload: None,
             program,
             pc_index: OnceLock::new(),
+            summaries: OnceLock::new(),
+            by_address: OnceLock::new(),
         }
     }
 
@@ -110,6 +133,8 @@ impl TraceFrame {
             payload: Some(payload),
             program,
             pc_index: OnceLock::new(),
+            summaries: OnceLock::new(),
+            by_address: OnceLock::new(),
         }
     }
 
@@ -149,23 +174,76 @@ impl TraceFrame {
         self.pc_index().pcs.binary_search(&pc).is_ok()
     }
 
-    /// The rows issued by `pc`, in stream order.
-    pub fn rows_for_pc(&self, pc: Pc) -> impl ExactSizeIterator<Item = &EvictionRecord> + '_ {
+    /// The rows issued by `pc` to `address` (byte-exact), in stream order:
+    /// a binary search of the PC's address-ordered row ids.
+    pub fn rows_at(
+        &self,
+        pc: Pc,
+        address: Address,
+    ) -> impl ExactSizeIterator<Item = &EvictionRecord> + '_ {
         let rows = self.rows();
-        self.pc_index().postings(pc).iter().map(|&id| &rows[id as usize])
+        self.ids_at(pc, address).iter().map(|&id| &rows[id as usize])
+    }
+
+    /// The ids of `pc`'s rows at `address`, ascending.
+    fn ids_at(&self, pc: Pc, address: Address) -> &[u32] {
+        let index = self.pc_index();
+        let Ok(i) = index.pcs.binary_search(&pc) else { return &[] };
+        let rows = self.rows();
+        let by_address = self.by_address.get_or_init(|| {
+            let mut ids = index.postings.clone();
+            for i in 0..index.pcs.len() {
+                // Ids are unique, so the order is total; equal addresses
+                // keep their ids ascending, i.e. in stream order.
+                ids[index.range(i)].sort_unstable_by_key(|&id| (rows[id as usize].address, id));
+            }
+            ids
+        });
+        let ids = &by_address[index.range(i)];
+        let lo = ids.partition_point(|&id| rows[id as usize].address < address);
+        let hi = lo + ids[lo..].partition_point(|&id| rows[id as usize].address == address);
+        &ids[lo..hi]
+    }
+
+    /// The summaries of every distinct PC, ascending by PC. Built on first
+    /// use from each PC's rows in stream order.
+    pub fn pc_summaries(&self) -> &[PcSummary] {
+        self.summaries.get_or_init(|| {
+            let index = self.pc_index();
+            let rows = self.rows();
+            index
+                .pcs
+                .iter()
+                .enumerate()
+                .map(|(i, &pc)| {
+                    let ids = &index.postings[index.range(i)];
+                    PcSummary::over(pc, ids.iter().map(|&id| &rows[id as usize]))
+                })
+                .collect()
+        })
+    }
+
+    /// The summary of `pc`'s rows, if any row was issued by `pc`.
+    pub fn pc_summary(&self, pc: Pc) -> Option<&PcSummary> {
+        let i = self.pc_index().pcs.binary_search(&pc).ok()?;
+        Some(&self.pc_summaries()[i])
     }
 
     /// Rows matching `predicate`, in stream order. A predicate that pins a
-    /// PC ([`Predicate::pc_key`]) is evaluated over that PC's rows only.
+    /// PC ([`Predicate::pc_key`]) is evaluated over that PC's rows only,
+    /// and one that also pins an address ([`Predicate::address_key`]) over
+    /// that PC's rows at the address only.
     fn matching<'a, 'p>(
         &'a self,
         predicate: &'p Predicate,
     ) -> impl Iterator<Item = &'a EvictionRecord> + use<'a, 'p> {
         let rows = self.rows();
-        let (scan, ids): (&[EvictionRecord], &[u32]) = match predicate.pc_key() {
-            Some(pc) => (&[], self.pc_index().postings(pc)),
-            None => (rows, &[]),
-        };
+        let (scan, ids): (&[EvictionRecord], &[u32]) =
+            match (predicate.pc_key(), predicate.address_key()) {
+                (Some(pc), Some(address)) => (&[], self.ids_at(pc, address)),
+                (Some(pc), None) => (&[], self.pc_index().postings(pc)),
+                (None, _) => (rows, &[]),
+            };
         scan.iter()
             .chain(ids.iter().map(|&id| &rows[id as usize]))
             .filter(move |r| predicate.matches(r))
@@ -315,6 +393,23 @@ mod tests {
         let f = frame();
         assert_eq!(f.unique_pcs().len(), 3);
         assert_eq!(f.unique_sets(), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn premise_and_row_count_reads_build_no_summary_or_address_order() {
+        let f = frame();
+        let pc = Pc::new(0x400000);
+        assert_eq!(f.len(), 10);
+        assert!(f.contains_pc(pc));
+        assert_eq!(f.pcs().len(), 3);
+        assert!(f.summaries.get().is_none() && f.by_address.get().is_none());
+        // A PC-only read uses the postings in stream order, not the summary.
+        assert_eq!(f.count(&Predicate::PcEquals(pc)), 4);
+        assert!(f.summaries.get().is_none() && f.by_address.get().is_none());
+        assert_eq!(f.pc_summary(pc).map(|s| s.stats.accesses), Some(4));
+        assert!(f.by_address.get().is_none());
+        assert_eq!(f.rows_at(pc, Address::new(0x1000)).len(), 1);
+        assert!(f.by_address.get().is_some());
     }
 
     #[test]

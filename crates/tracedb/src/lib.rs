@@ -44,7 +44,7 @@ pub use database::{BuildError, TraceDatabase, TraceDatabaseBuilder, TraceEntry, 
 pub use filter::Predicate;
 pub use frame::TraceFrame;
 pub use snapshot::{SnapshotError, VerifiedSnapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
-pub use stats::{CacheStatisticalExpert, PcStats, SetStats};
+pub use stats::{CacheStatisticalExpert, ColumnStats, PcStats, PcSummary, SetStats};
 pub use store::{shard_index, TraceStore};
 
 // The scenario-scope type of the selector-filtered query surface
@@ -60,7 +60,7 @@ pub mod prelude {
     pub use crate::filter::Predicate;
     pub use crate::frame::TraceFrame;
     pub use crate::snapshot::SnapshotError;
-    pub use crate::stats::{CacheStatisticalExpert, PcStats, SetStats};
+    pub use crate::stats::{CacheStatisticalExpert, ColumnStats, PcStats, PcSummary, SetStats};
     pub use crate::store::TraceStore;
     pub use crate::{EvictionRecord, ScenarioSelector, SelectorParseError};
 }

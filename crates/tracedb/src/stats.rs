@@ -61,6 +61,98 @@ impl PcStats {
     }
 }
 
+/// Count, sum, mean, population standard deviation, minimum and maximum
+/// of one numeric column over some rows, summed in the order given.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct ColumnStats {
+    /// Rows with a value in the column.
+    pub count: u64,
+    /// Sum of the values.
+    pub sum: f64,
+    /// `sum / count`.
+    pub mean: f64,
+    /// Population standard deviation.
+    pub std: f64,
+    /// Smallest value.
+    pub min: f64,
+    /// Largest value.
+    pub max: f64,
+}
+
+impl ColumnStats {
+    /// The statistics of `values`; `None` when there are none.
+    ///
+    /// Every mean and deviation in [`PcStats`] and every aggregate a plan
+    /// reports comes from here, whether read from a frame's per-PC
+    /// summary or computed by a scan, so both give the same bits.
+    pub fn of(values: &[f64]) -> Option<ColumnStats> {
+        if values.is_empty() {
+            return None;
+        }
+        let n = values.len() as f64;
+        let sum = values.iter().sum::<f64>();
+        let mean = sum / n;
+        let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
+        Some(ColumnStats {
+            count: values.len() as u64,
+            sum,
+            mean,
+            std: var.sqrt(),
+            min: values.iter().copied().fold(f64::MAX, f64::min),
+            max: values.iter().copied().fold(f64::MIN, f64::max),
+        })
+    }
+}
+
+/// One PC's statistics over its rows in stream order: its [`PcStats`]
+/// plus the [`ColumnStats`] of each numeric column. A frame computes one
+/// per distinct PC on first use ([`TraceFrame::pc_summary`]).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct PcSummary {
+    /// The PC's counters, means and deviation.
+    pub stats: PcStats,
+    /// `accessed_address_reuse_distance_numeric`.
+    pub accessed_reuse: Option<ColumnStats>,
+    /// `evicted_address_reuse_distance_numeric`.
+    pub evicted_reuse: Option<ColumnStats>,
+    /// `accessed_address_recency_numeric`.
+    pub recency: Option<ColumnStats>,
+}
+
+impl PcSummary {
+    /// Summarises `pc`'s rows, which must come in stream order so the
+    /// sums run in the same order on every path.
+    pub(crate) fn over<'a>(pc: Pc, rows: impl Iterator<Item = &'a EvictionRecord>) -> PcSummary {
+        let (mut accesses, mut misses, mut evictions) = (0u64, 0u64, 0u64);
+        let (mut reuse, mut evicted_reuse, mut recency) = (Vec::new(), Vec::new(), Vec::new());
+        for row in rows {
+            accesses += 1;
+            misses += row.is_miss as u64;
+            evictions += row.evicted_address.is_some() as u64;
+            reuse.extend(row.accessed_reuse_distance.map(|d| d as f64));
+            evicted_reuse.extend(row.evicted_reuse_distance.map(|d| d as f64));
+            recency.extend(row.recency.map(|d| d as f64));
+        }
+        let accessed_reuse = ColumnStats::of(&reuse);
+        let evicted_reuse = ColumnStats::of(&evicted_reuse);
+        PcSummary {
+            stats: PcStats {
+                pc,
+                accesses,
+                hits: accesses - misses,
+                misses,
+                mean_accessed_reuse: accessed_reuse.map(|c| c.mean),
+                mean_evicted_reuse: evicted_reuse.map(|c| c.mean),
+                reuse_stddev: accessed_reuse.map(|c| c.std),
+                evictions_caused: evictions,
+            },
+            accessed_reuse,
+            evicted_reuse,
+            recency: ColumnStats::of(&recency),
+        }
+    }
+}
+
 /// Per-set statistics (the set-hotness use case).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SetStats {
@@ -93,14 +185,16 @@ impl CacheStatisticalExpert {
         CacheStatisticalExpert
     }
 
-    /// Per-PC statistics over the whole frame, ascending by PC.
+    /// Per-PC statistics over the whole frame, ascending by PC (read from
+    /// the frame's per-PC summary).
     pub fn per_pc(&self, frame: &TraceFrame) -> Vec<PcStats> {
-        frame.pcs().iter().map(|&pc| pc_stats_over(pc, frame.rows_for_pc(pc))).collect()
+        frame.pc_summaries().iter().map(|s| s.stats.clone()).collect()
     }
 
-    /// Statistics for one PC, if it appears in the frame.
+    /// Statistics for one PC, if it appears in the frame (read from the
+    /// frame's per-PC summary).
     pub fn pc_stats(&self, frame: &TraceFrame, pc: Pc) -> Option<PcStats> {
-        frame.contains_pc(pc).then(|| pc_stats_over(pc, frame.rows_for_pc(pc)))
+        frame.pc_summary(pc).map(|s| s.stats.clone())
     }
 
     /// Per-set statistics, ascending by set index.
@@ -147,7 +241,7 @@ impl CacheStatisticalExpert {
     /// All recorded outcomes for accesses by `pc` to `address` (byte-exact),
     /// in stream order. `true` = miss.
     pub fn outcomes_for(&self, frame: &TraceFrame, pc: Pc, address: Address) -> Vec<bool> {
-        frame.rows_for_pc(pc).filter(|r| r.address == address).map(|r| r.is_miss).collect()
+        frame.rows_at(pc, address).map(|r| r.is_miss).collect()
     }
 
     /// Mean of the `evicted_address_reuse_distance_numeric` column over a
@@ -158,48 +252,8 @@ impl CacheStatisticalExpert {
             .into_iter()
             .filter_map(|r| r.evicted_reuse_distance.map(|d| d as f64))
             .collect();
-        mean_stddev(&values).0
+        ColumnStats::of(&values).map(|c| c.mean)
     }
-}
-
-/// Accumulates one PC's statistics over its rows, taken in stream order
-/// so the reuse means sum in the same order on every path.
-fn pc_stats_over<'a>(pc: Pc, rows: impl Iterator<Item = &'a EvictionRecord>) -> PcStats {
-    let (mut accesses, mut misses, mut evictions) = (0u64, 0u64, 0u64);
-    let (mut reuse, mut evicted_reuse) = (Vec::new(), Vec::new());
-    for row in rows {
-        accesses += 1;
-        misses += row.is_miss as u64;
-        if let Some(d) = row.accessed_reuse_distance {
-            reuse.push(d as f64);
-        }
-        if let Some(d) = row.evicted_reuse_distance {
-            evicted_reuse.push(d as f64);
-        }
-        evictions += row.evicted_address.is_some() as u64;
-    }
-    let (mean, sd) = mean_stddev(&reuse);
-    let (emean, _) = mean_stddev(&evicted_reuse);
-    PcStats {
-        pc,
-        accesses,
-        hits: accesses - misses,
-        misses,
-        mean_accessed_reuse: mean,
-        mean_evicted_reuse: emean,
-        reuse_stddev: sd,
-        evictions_caused: evictions,
-    }
-}
-
-fn mean_stddev(values: &[f64]) -> (Option<f64>, Option<f64>) {
-    if values.is_empty() {
-        return (None, None);
-    }
-    let n = values.len() as f64;
-    let mean = values.iter().sum::<f64>() / n;
-    let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
-    (Some(mean), Some(var.sqrt()))
 }
 
 #[cfg(test)]

@@ -1,12 +1,13 @@
 //! Property tests for the frame's per-PC index.
 //!
 //! Every read the index serves — `filter`, `first`, `count`, `select`,
-//! `contains_pc`, `rows_for_pc`, `pcs`, `unique_pcs` and the statistical
-//! expert's `pc_stats` / `per_pc` / `outcomes_for` — must equal a naive
-//! scan over all rows exactly: the same rows in the same order, and
-//! bit-equal floats. Frames are random (empty ones included), PCs are
-//! drawn from a pool wider than any frame's, and predicate trees nest
-//! `PcEquals` under `And`, `Or` and `Not`.
+//! `contains_pc`, `rows_at`, `pcs`, `unique_pcs`, the per-PC summaries
+//! and the statistical expert's `pc_stats` / `per_pc` / `outcomes_for` —
+//! must equal a naive scan over all rows exactly: the same rows in the
+//! same order, and bit-equal floats. Frames are random (empty ones
+//! included), PCs are drawn from a pool wider than any frame's, addresses
+//! repeat within and across PCs, and predicate trees nest `PcEquals` and
+//! `AddressEquals` under `And`, `Or` and `Not`.
 
 use std::sync::Arc;
 
@@ -101,13 +102,43 @@ fn tree(rng: &mut Mix, depth: u32) -> Predicate {
     }
 }
 
+/// An address no frame holds.
+const ABSENT: Address = Address::new(0xdead_0000);
+
+/// PC and address pins, each alone and together, for `pc`: an address
+/// the PC repeats, one the frame holds only under other PCs, one no row
+/// holds, and a random one; in either order under `And`, with a third
+/// conjunct, and under `Or` and `Not`.
+fn pc_address_predicates(frame: &TraceFrame, pc: Pc, rng: &mut Mix) -> Vec<Predicate> {
+    let own: Vec<Address> = frame.rows().iter().filter(|r| r.pc == pc).map(|r| r.address).collect();
+    let mut addresses = vec![ABSENT, address(rng)];
+    addresses.extend(own.iter().copied().find(|a| own.iter().filter(|b| *b == a).count() > 1));
+    addresses.extend(own.first().copied());
+    addresses.extend(frame.rows().iter().map(|r| r.address).find(|a| !own.contains(a)));
+    let mut out = Vec::new();
+    for a in addresses {
+        out.extend([
+            Predicate::pc_address(Some(pc), Some(a)),
+            Predicate::AddressEquals(a).and(Predicate::PcEquals(pc)),
+            Predicate::pc_address(Some(pc), Some(a)).and(Predicate::IsMiss(true)),
+            Predicate::IsMiss(false).and(Predicate::AddressEquals(a).and(Predicate::PcEquals(pc))),
+            Predicate::pc_address(Some(pc), Some(a)).or(Predicate::IsMiss(true)),
+            Predicate::pc_address(Some(pc), Some(a)).not(),
+            Predicate::PcEquals(pc).and(Predicate::AddressEquals(a).not()),
+            Predicate::AddressEquals(a),
+        ]);
+    }
+    out
+}
+
 /// Random trees plus fixed shapes that put a PC pin under every
 /// combinator, so each case exercises both the narrowed and the full
 /// scan.
-fn predicates(rng: &mut Mix) -> Vec<Predicate> {
+fn predicates(frame: &TraceFrame, rng: &mut Mix) -> Vec<Predicate> {
     let pc = pool_pc(rng, POOL_PCS);
     let other = leaf(rng);
-    let mut out = vec![
+    let mut out = pc_address_predicates(frame, pc, rng);
+    out.extend([
         Predicate::PcEquals(pc),
         Predicate::pc_address(Some(pc), Some(address(rng))),
         Predicate::IsMiss(true).and(Predicate::PcEquals(pc)),
@@ -115,7 +146,7 @@ fn predicates(rng: &mut Mix) -> Vec<Predicate> {
         Predicate::PcEquals(pc).or(other.clone()),
         Predicate::PcEquals(pc).not(),
         other.and(Predicate::PcEquals(pc).not()),
-    ];
+    ]);
     out.extend((0..8).map(|_| tree(rng, 4)));
     out
 }
@@ -176,9 +207,60 @@ fn same_stats(a: &PcStats, b: &PcStats) -> bool {
         && bits(a.reuse_stddev) == bits(b.reuse_stddev)
 }
 
+/// One column's statistics by a stream-order scan, written out
+/// independently of `ColumnStats::of`.
+fn naive_column(values: &[f64]) -> Option<ColumnStats> {
+    if values.is_empty() {
+        return None;
+    }
+    let n = values.len() as f64;
+    let mut sum = 0.0f64;
+    for v in values {
+        sum += v;
+    }
+    let mean = sum / n;
+    let mut squares = 0.0f64;
+    for v in values {
+        squares += (v - mean) * (v - mean);
+    }
+    let (mut min, mut max) = (values[0], values[0]);
+    for &v in values {
+        min = min.min(v);
+        max = max.max(v);
+    }
+    Some(ColumnStats { count: values.len() as u64, sum, mean, std: (squares / n).sqrt(), min, max })
+}
+
+/// A PC's summary by a scan of every row.
+fn naive_summary(frame: &TraceFrame, pc: Pc) -> Option<PcSummary> {
+    let rows: Vec<&EvictionRecord> = frame.rows().iter().filter(|r| r.pc == pc).collect();
+    let column = |value: fn(&EvictionRecord) -> Option<u64>| {
+        naive_column(&rows.iter().filter_map(|r| value(r)).map(|d| d as f64).collect::<Vec<_>>())
+    };
+    Some(PcSummary {
+        stats: naive_pc_stats(frame, pc)?,
+        accessed_reuse: column(|r| r.accessed_reuse_distance),
+        evicted_reuse: column(|r| r.evicted_reuse_distance),
+        recency: column(|r| r.recency),
+    })
+}
+
+fn same_column(a: &Option<ColumnStats>, b: &Option<ColumnStats>) -> bool {
+    let fields =
+        |c: &ColumnStats| (c.count, [c.sum, c.mean, c.std, c.min, c.max].map(f64::to_bits));
+    a.as_ref().map(fields) == b.as_ref().map(fields)
+}
+
+fn same_summary(a: &PcSummary, b: &PcSummary) -> bool {
+    same_stats(&a.stats, &b.stats)
+        && same_column(&a.accessed_reuse, &b.accessed_reuse)
+        && same_column(&a.evicted_reuse, &b.evicted_reuse)
+        && same_column(&a.recency, &b.recency)
+}
+
 /// Checks every indexed read of `frame` against the naive scan.
 fn check_frame(frame: &TraceFrame, rng: &mut Mix) -> Result<(), TestCaseError> {
-    for predicate in predicates(rng) {
+    for predicate in predicates(frame, rng) {
         let expected = naive(frame, &predicate);
         prop_assert!(same_rows(&frame.filter(&predicate), &expected), "filter {:?}", predicate);
         prop_assert_eq!(frame.count(&predicate), expected.len(), "count {:?}", predicate);
@@ -194,6 +276,13 @@ fn check_frame(frame: &TraceFrame, rng: &mut Mix) -> Result<(), TestCaseError> {
         if let Some(pc) = predicate.pc_key() {
             prop_assert!(expected.iter().all(|r| r.pc == pc), "pc_key {:?} is unsound", predicate);
         }
+        if let Some(a) = predicate.address_key() {
+            prop_assert!(
+                expected.iter().all(|r| r.address == a),
+                "address_key {:?} is unsound",
+                predicate
+            );
+        }
     }
 
     let expert = CacheStatisticalExpert::new();
@@ -201,17 +290,25 @@ fn check_frame(frame: &TraceFrame, rng: &mut Mix) -> Result<(), TestCaseError> {
         let pc = Pc::new(0x40_0000 + raw * 4);
         let expected: Vec<&EvictionRecord> = frame.rows().iter().filter(|r| r.pc == pc).collect();
         prop_assert_eq!(frame.contains_pc(pc), !expected.is_empty());
-        prop_assert!(same_rows(&frame.rows_for_pc(pc).collect::<Vec<_>>(), &expected));
-        prop_assert_eq!(frame.rows_for_pc(pc).len(), expected.len());
         match (expert.pc_stats(frame, pc), naive_pc_stats(frame, pc)) {
             (None, None) => {}
             (Some(a), Some(b)) => prop_assert!(same_stats(&a, &b), "pc_stats {}", pc),
             (a, b) => prop_assert!(false, "pc_stats {}: {:?} vs {:?}", pc, a, b),
         }
-        let addr = address(rng);
-        let outcomes: Vec<bool> =
-            expected.iter().filter(|r| r.address == addr).map(|r| r.is_miss).collect();
-        prop_assert_eq!(expert.outcomes_for(frame, pc, addr), outcomes);
+        let mut addresses = vec![address(rng), ABSENT];
+        addresses.extend(expected.iter().map(|r| r.address));
+        for addr in addresses {
+            let at: Vec<&EvictionRecord> =
+                expected.iter().copied().filter(|r| r.address == addr).collect();
+            prop_assert!(same_rows(&frame.rows_at(pc, addr).collect::<Vec<_>>(), &at));
+            let outcomes: Vec<bool> = at.iter().map(|r| r.is_miss).collect();
+            prop_assert_eq!(expert.outcomes_for(frame, pc, addr), outcomes);
+        }
+        match (frame.pc_summary(pc), naive_summary(frame, pc)) {
+            (None, None) => {}
+            (Some(a), Some(b)) => prop_assert!(same_summary(a, &b), "pc_summary {}", pc),
+            (a, b) => prop_assert!(false, "pc_summary {}: {:?} vs {:?}", pc, a, b),
+        }
     }
 
     let mut distinct: Vec<Pc> = frame.rows().iter().map(|r| r.pc).collect();
@@ -222,6 +319,10 @@ fn check_frame(frame: &TraceFrame, rng: &mut Mix) -> Result<(), TestCaseError> {
     prop_assert_eq!(per_pc.len(), distinct.len());
     for (stats, pc) in per_pc.iter().zip(&distinct) {
         prop_assert!(same_stats(stats, &naive_pc_stats(frame, *pc).unwrap()), "per_pc {}", pc);
+    }
+    prop_assert_eq!(frame.pc_summaries().len(), distinct.len());
+    for (summary, pc) in frame.pc_summaries().iter().zip(&distinct) {
+        prop_assert!(same_summary(summary, &naive_summary(frame, *pc).unwrap()), "summary {}", pc);
     }
 
     let mut first_seen = Vec::new();
@@ -273,4 +374,17 @@ fn pc_key_descends_through_and_only() {
     assert_eq!(pinned.clone().not().pc_key(), None);
     assert_eq!(pinned.not().not().pc_key(), None);
     assert_eq!(Predicate::PcIn(vec![pc]).pc_key(), None);
+}
+
+#[test]
+fn address_key_descends_through_and_only() {
+    let a = Address::new(0x1040);
+    let pinned = Predicate::AddressEquals(a);
+    assert_eq!(pinned.address_key(), Some(a));
+    assert_eq!(Predicate::pc_address(Some(Pc::new(0x40_0010)), Some(a)).address_key(), Some(a));
+    assert_eq!(Predicate::IsMiss(true).and(pinned.clone()).address_key(), Some(a));
+    assert_eq!(Predicate::pc_address(Some(Pc::new(0x40_0010)), None).address_key(), None);
+    assert_eq!(pinned.clone().or(Predicate::True).address_key(), None);
+    assert_eq!(pinned.clone().not().address_key(), None);
+    assert_eq!(Predicate::LineOf(a).address_key(), None);
 }
