@@ -63,7 +63,7 @@ impl PcStats {
 
 /// Count, sum, mean, population standard deviation, minimum and maximum
 /// of one numeric column over some rows, summed in the order given.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColumnStats {
     /// Rows with a value in the column.
     pub count: u64,
@@ -107,7 +107,7 @@ impl ColumnStats {
 /// One PC's statistics over its rows in stream order: its [`PcStats`]
 /// plus the [`ColumnStats`] of each numeric column. A frame computes one
 /// per distinct PC on first use ([`TraceFrame::pc_summary`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PcSummary {
     /// The PC's counters, means and deviation.
     pub stats: PcStats,
