@@ -78,8 +78,9 @@ pub fn run(scale: Scale, bypass_count: usize) -> BypassReport {
         })
         .collect();
     // "high reuse distance and/or near-zero hit rate": sort by hit rate
-    // ascending, break ties by reuse distance descending.
-    candidates.sort_by(|a, b| a.1.total_cmp(&b.1).then(b.2.total_cmp(&a.2)));
+    // ascending, break ties by reuse distance descending, then by PC so the
+    // order never depends on hash-map iteration.
+    candidates.sort_by(|a, b| a.1.total_cmp(&b.1).then(b.2.total_cmp(&a.2)).then(a.0.cmp(&b.0)));
     let bypassed_pcs: Vec<Pc> = candidates
         .iter()
         .filter(|(_, hit_rate, _)| *hit_rate < 0.25)

@@ -66,7 +66,9 @@ pub fn run(scale: Scale) -> MockingjayReport {
     };
     let mut scored: Vec<(Pc, f64)> =
         samples.iter().filter(|(_, v)| v.len() >= 20).map(|(pc, v)| (*pc, cv(v))).collect();
-    scored.sort_by(|a, b| a.1.total_cmp(&b.1));
+    // Equal CVs fall back to PC order, so the split never depends on
+    // hash-map iteration.
+    scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
     let split = scored.len() / 2;
     let stable_pcs: Vec<Pc> = scored[..split.max(1)].iter().map(|(pc, _)| *pc).collect();
     let noisy_pcs: Vec<Pc> = scored[split.max(1)..].iter().map(|(pc, _)| *pc).collect();

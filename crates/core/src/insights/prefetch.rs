@@ -62,8 +62,11 @@ pub fn run(scale: Scale, distance: usize) -> PrefetchReport {
         e.1 += r.is_miss as u64;
     }
     let total_misses: u64 = miss_by_pc.values().map(|(_, m)| m).sum();
-    let (&dominant_pc, &(accesses, misses)) =
-        miss_by_pc.iter().max_by_key(|(_, (_, m))| *m).expect("non-empty trace");
+    // Equal miss counts go to the lowest PC, independent of hash order.
+    let (&dominant_pc, &(accesses, misses)) = miss_by_pc
+        .iter()
+        .max_by_key(|(pc, (_, m))| (*m, std::cmp::Reverse(**pc)))
+        .expect("non-empty trace");
 
     // The fix: regenerate the benchmark with prefetches inserted, then
     // measure both variants as scenario cells. Pointer chasing serialises
