@@ -13,13 +13,13 @@
 //! each grounded in its own machine's (and, with `--prefetchers`, its own
 //! prefetcher's) scenario sentence.
 
-use cachemind_bench::scale_from_env;
 use cachemind_core::system::{CacheMind, Query, RetrieverKind};
 use cachemind_sim::config::MachineConfig;
 use cachemind_sim::prefetch::PrefetcherKind;
 use cachemind_sim::scenario::ScenarioSelector;
 use cachemind_tracedb::database::TraceDatabaseBuilder;
 use cachemind_tracedb::store::TraceStore;
+use cachemind_workloads::workload::Scale;
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
@@ -27,6 +27,10 @@ fn flag(args: &[String], name: &str) -> Option<String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let scale = Scale::from_env().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     let machine_names: Vec<String> = flag(&args, "--machines")
         .unwrap_or_else(|| "table2,small".to_owned())
         .split(',')
@@ -71,12 +75,12 @@ fn main() {
     eprintln!(
         "[scenario_queries] building trace database at {:?} scale for {} extra machine(s) and \
          {} extra prefetcher(s) ...",
-        scale_from_env(),
+        scale,
         machines.len(),
         prefetchers.len()
     );
     let db = TraceDatabaseBuilder::new()
-        .scale(scale_from_env())
+        .scale(scale)
         .machines(machines)
         .prefetchers(prefetchers)
         .build();

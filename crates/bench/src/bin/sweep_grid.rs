@@ -161,7 +161,7 @@ fn main() {
         }
     }
 
-    let scale = cachemind_bench::scale_from_env();
+    let scale = Scale::from_env().unwrap_or_else(|e| fail(e));
     let policies = parse_list(policies_arg, &DEFAULT_POLICIES);
     let workload_names = parse_list(workloads_arg, &DEFAULT_WORKLOADS);
     let scenario_mode = machines_arg.is_some() || prefetchers_arg.is_some() || dram_arg.is_some();

@@ -14,11 +14,10 @@ use cachemind_workloads::workload::Scale;
 
 /// The scale selected through `CACHEMIND_SCALE` (default: `Small`).
 pub fn scale_from_env() -> Scale {
-    match std::env::var("CACHEMIND_SCALE").as_deref() {
-        Ok("tiny") => Scale::Tiny,
-        Ok("full") => Scale::Full,
-        _ => Scale::Small,
-    }
+    Scale::from_env().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
 }
 
 /// Builds the evaluation database at the configured scale.

@@ -122,15 +122,10 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let scale = match flag(&args, "--scale").as_deref() {
-        None | Some("tiny") => Scale::Tiny,
-        Some("small") => Scale::Small,
-        Some("full") => Scale::Full,
-        Some(other) => {
-            eprintln!("error: unknown scale {other:?} (expected tiny, small or full)");
-            std::process::exit(2);
-        }
-    };
+    let scale = flag(&args, "--scale").map_or(Ok(Scale::Tiny), |v| v.parse()).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     let machines: Vec<String> = flag(&args, "--machines")
         .map(|v| v.split(',').map(str::trim).filter(|s| !s.is_empty()).map(str::to_owned).collect())
         .unwrap_or_default();

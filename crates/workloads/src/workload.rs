@@ -31,6 +31,30 @@ impl Scale {
             Scale::Full => 150,
         }
     }
+
+    /// The scale named by the `CACHEMIND_SCALE` environment variable
+    /// (`tiny`, `small` or `full`), and `Small` when it is unset. Any other
+    /// value is an error, never a silent default.
+    pub fn from_env() -> Result<Scale, String> {
+        match std::env::var("CACHEMIND_SCALE") {
+            Ok(value) => value.parse(),
+            Err(std::env::VarError::NotPresent) => Ok(Scale::Small),
+            Err(e) => Err(format!("CACHEMIND_SCALE: {e}")),
+        }
+    }
+}
+
+impl std::str::FromStr for Scale {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Scale, String> {
+        match s {
+            "tiny" => Ok(Scale::Tiny),
+            "small" => Ok(Scale::Small),
+            "full" => Ok(Scale::Full),
+            other => Err(format!("unknown scale {other:?} (expected tiny, small or full)")),
+        }
+    }
 }
 
 /// A generated workload: its access stream plus the program image that maps
@@ -72,5 +96,20 @@ mod tests {
     fn scale_factors_are_ordered() {
         assert!(Scale::Tiny.factor() < Scale::Small.factor());
         assert!(Scale::Small.factor() < Scale::Full.factor());
+    }
+
+    #[test]
+    fn scale_names_parse() {
+        assert_eq!("tiny".parse(), Ok(Scale::Tiny));
+        assert_eq!("small".parse(), Ok(Scale::Small));
+        assert_eq!("full".parse(), Ok(Scale::Full));
+    }
+
+    #[test]
+    fn unknown_scale_names_are_rejected() {
+        for name in ["ful", "Tiny", "", " small"] {
+            let err = name.parse::<Scale>().unwrap_err();
+            assert!(err.contains("expected tiny, small or full"), "{name:?}: {err}");
+        }
     }
 }
