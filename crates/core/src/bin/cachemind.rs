@@ -4,44 +4,35 @@
 //! cachemind ask "<question>" [--retriever sieve|ranger|dense] [--backend NAME]
 //! cachemind chat                      # interactive session on stdin
 //! cachemind bench [--retriever NAME]  # run CacheMindBench, print breakdown
-//! cachemind probes                    # the Figure 9 retrieval comparison
-//! cachemind insight <bypass|mockingjay|prefetch|sets|inversions>
+//! cachemind reproduce <name|all>      # print a table, figure or use case
 //! cachemind export <trace_id> <file.csv>
 //! ```
 //!
-//! The database is built at `Scale::Tiny` by default; set
-//! `CACHEMIND_SCALE=small` for the paper-scale run.
+//! `CACHEMIND_SCALE` (`tiny` | `small` | `full`, default `small`) sets the
+//! scale of every subcommand; any other value exits with status 2.
+//! `reproduce` builds its trace database with
+//! `TraceDatabaseBuilder::new().scale(..)`; the other subcommands use the
+//! `quick_demo` database at Tiny. `cachemind reproduce all` prints every
+//! name of `cachemind_core::reproduce::NAMES` in order over one database.
 
 use std::io::{BufRead, Write as _};
 
 use cachemind_benchsuite::catalog::Catalog;
 use cachemind_core::system::{CacheMind, Query, RetrieverKind};
 use cachemind_core::ChatSession;
-use cachemind_core::{eval, insights};
+use cachemind_core::{eval, reproduce};
 use cachemind_lang::intent::{QueryCategory, Tier};
 use cachemind_lang::profiles::BackendKind;
-use cachemind_retrieval::dense::DenseIndexRetriever;
-use cachemind_retrieval::probes::{probe_queries, run_probes};
-use cachemind_retrieval::ranger::RangerRetriever;
-use cachemind_retrieval::sieve::SieveRetriever;
 use cachemind_tracedb::database::{TraceDatabase, TraceDatabaseBuilder};
 use cachemind_tracedb::store::TraceStore;
 use cachemind_workloads::workload::Scale;
 
-fn scale() -> Scale {
-    match std::env::var("CACHEMIND_SCALE").as_deref() {
-        Ok("small") => Scale::Small,
-        Ok("full") => Scale::Full,
-        _ => Scale::Tiny,
-    }
-}
-
-fn trace_db() -> TraceDatabase {
-    eprintln!("building trace database ({:?}) ...", scale());
-    if scale() == Scale::Tiny {
+fn trace_db(scale: Scale) -> TraceDatabase {
+    eprintln!("building trace database ({scale:?}) ...");
+    if scale == Scale::Tiny {
         TraceDatabaseBuilder::quick_demo().build()
     } else {
-        TraceDatabaseBuilder::new().scale(scale()).build()
+        TraceDatabaseBuilder::new().scale(scale).build()
     }
 }
 
@@ -69,7 +60,7 @@ fn flag(args: &[String], name: &str) -> Option<String> {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: cachemind <ask|chat|bench|probes|insight|export> [...]\n\
+        "usage: cachemind <ask|chat|bench|reproduce|export> [...]\n\
          see crates/core/src/bin/cachemind.rs for details"
     );
     std::process::exit(2)
@@ -77,10 +68,14 @@ fn usage() -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let scale = Scale::from_env().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    });
     match args.first().map(String::as_str) {
         Some("ask") => {
             let question = args.get(1).cloned().unwrap_or_else(|| usage());
-            let mind = CacheMind::new(trace_db())
+            let mind = CacheMind::new(trace_db(scale))
                 .with_retriever(retriever_kind(&args))
                 .with_backend(backend_kind(&args));
             let answer = mind.ask_query(&Query::new(question));
@@ -94,7 +89,7 @@ fn main() {
             }
         }
         Some("chat") => {
-            let mind = CacheMind::new(trace_db())
+            let mind = CacheMind::new(trace_db(scale))
                 .with_retriever(retriever_kind(&args))
                 .with_backend(backend_kind(&args));
             let mut chat = ChatSession::new(mind);
@@ -114,7 +109,7 @@ fn main() {
             }
         }
         Some("bench") => {
-            let db = trace_db();
+            let db = trace_db(scale);
             let catalog = Catalog::generate(&db);
             let mind = CacheMind::new(db)
                 .with_retriever(retriever_kind(&args))
@@ -131,69 +126,22 @@ fn main() {
                 report.total()
             );
         }
-        Some("probes") => {
-            let db = trace_db();
-            let probes = probe_queries(&db);
-            let dense = DenseIndexRetriever::build(&db, 4);
-            for report in [
-                run_probes(&db, &dense, &probes),
-                run_probes(&db, &SieveRetriever::new(), &probes),
-                run_probes(&db, &RangerRetriever::new(), &probes),
-            ] {
-                println!(
-                    "{:<8} {}/{} correct, {:.1} us mean latency",
-                    report.retriever, report.correct, report.total, report.mean_latency_us
-                );
+        Some("reproduce") => {
+            let name = args.get(1).cloned().unwrap_or_else(|| usage());
+            let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+            if let Err(e) = reproduce::run(&name, scale, &mut out).and_then(|()| out.flush()) {
+                eprintln!("error: {e}");
+                std::process::exit(if e.kind() == std::io::ErrorKind::InvalidInput {
+                    2
+                } else {
+                    1
+                });
             }
         }
-        Some("insight") => match args.get(1).map(String::as_str) {
-            Some("bypass") => {
-                let r = insights::bypass::run(scale(), 10);
-                println!("{}", r.transcript);
-                println!(
-                    "hit rate {:.2}% -> {:.2}%, IPC {:+.2}%",
-                    r.base_hit_rate * 100.0,
-                    r.bypass_hit_rate * 100.0,
-                    r.speedup_percent
-                );
-            }
-            Some("mockingjay") => {
-                let r = insights::mockingjay::run(scale());
-                println!("{}", r.transcript);
-                println!(
-                    "IPC {:.5} -> {:.5} ({:+.2}%)",
-                    r.base_ipc, r.stable_ipc, r.speedup_percent
-                );
-            }
-            Some("prefetch") => {
-                let r = insights::prefetch::run(scale(), 8);
-                println!("{}", r.transcript);
-                println!(
-                    "IPC {:.5} -> {:.5} ({:+.2}%)",
-                    r.base_ipc, r.prefetch_ipc, r.speedup_percent
-                );
-            }
-            Some("sets") => {
-                let r = insights::set_hotness::run(scale());
-                println!("{}", r.transcript);
-            }
-            Some("inversions") => {
-                for row in insights::inversions::run(scale()) {
-                    println!(
-                        "{}: {} inversions (belady {:.2}% vs parrot {:.2}%)",
-                        row.workload,
-                        row.inverted_pcs.len(),
-                        row.belady_hit_rate * 100.0,
-                        row.parrot_hit_rate * 100.0
-                    );
-                }
-            }
-            _ => usage(),
-        },
         Some("export") => {
             let trace_id = args.get(1).cloned().unwrap_or_else(|| usage());
             let path = args.get(2).cloned().unwrap_or_else(|| usage());
-            let db = trace_db();
+            let db = trace_db(scale);
             let entry = db.get(&trace_id).unwrap_or_else(|| {
                 eprintln!("unknown trace {trace_id:?}; available: {}", db.trace_keys().join(", "));
                 std::process::exit(1);

@@ -20,6 +20,8 @@
 //! * [`eval`] — CacheMindBench scoring through [`CacheMind::ask_query`]
 //!   and the figure-level data builders, one per table/figure of the
 //!   paper.
+//! * [`reproduce`] — every table, figure, ablation and use case printed as
+//!   `cachemind reproduce <name|all>` prints it.
 //!
 //! # Quickstart
 //!
@@ -37,6 +39,7 @@ pub mod cache;
 pub mod chat;
 pub mod eval;
 pub mod insights;
+pub mod reproduce;
 pub mod system;
 
 pub use cache::AnswerCache;
