@@ -8,7 +8,6 @@ use serde::{Deserialize, Serialize};
 use cachemind_sim::addr::{Address, Pc};
 use cachemind_sim::replay::EvictionRecord;
 
-use crate::filter::Predicate;
 use crate::frame::TraceFrame;
 
 /// Per-PC statistics.
@@ -243,17 +242,6 @@ impl CacheStatisticalExpert {
     pub fn outcomes_for(&self, frame: &TraceFrame, pc: Pc, address: Address) -> Vec<bool> {
         frame.rows_at(pc, address).map(|r| r.is_miss).collect()
     }
-
-    /// Mean of the `evicted_address_reuse_distance_numeric` column over a
-    /// slice.
-    pub fn mean_evicted_reuse(&self, frame: &TraceFrame, predicate: &Predicate) -> Option<f64> {
-        let values: Vec<f64> = frame
-            .filter(predicate)
-            .into_iter()
-            .filter_map(|r| r.evicted_reuse_distance.map(|d| d as f64))
-            .collect();
-        ColumnStats::of(&values).map(|c| c.mean)
-    }
 }
 
 #[cfg(test)]
@@ -344,13 +332,5 @@ mod tests {
         assert_eq!(kind, cachemind_sim::access::AccessKind::Load);
         assert_eq!(accesses, 5);
         assert_eq!(misses, 3);
-    }
-
-    #[test]
-    fn mean_evicted_reuse_over_predicate() {
-        let expert = CacheStatisticalExpert::new();
-        let f = frame();
-        let m = expert.mean_evicted_reuse(&f, &Predicate::PcEquals(Pc::new(0x20)));
-        assert_eq!(m, Some(50.0));
     }
 }
