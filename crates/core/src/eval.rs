@@ -11,9 +11,9 @@
 //! Every builder that evaluates several independent configurations
 //! (backends, shot counts, retrievers) spreads them across cores with
 //! [`cachemind_sim::sweep::sweep_cells`] — the same order-preserving
-//! parallel primitive behind `ScenarioGrid` — so the figure binaries stop
-//! replaying configurations serially while their outputs stay
-//! byte-identical for any thread count.
+//! parallel primitive behind `ScenarioGrid` — so no figure replays its
+//! configurations serially, and every output stays byte-identical for any
+//! thread count.
 
 use std::sync::Arc;
 

@@ -1,7 +1,8 @@
-//! Runnable ablation studies for the design choices DESIGN.md §5 calls out.
+//! Runnable ablation studies for the retrieval design choices.
 //!
 //! Each study returns the swept parameter alongside the metric it moves, so
-//! the figure binaries (and tests) can assert the direction of the effect:
+//! `cachemind reproduce ablation_sweeps` can print it and tests can assert
+//! the direction of the effect:
 //!
 //! * Sieve's slice cap — the single knob behind the Count/Arithmetic
 //!   collapse of Figures 4/8.

@@ -10,8 +10,9 @@
 //!   (pointer-chase microbenchmark).
 //! * [`set_hotness`] — hot/cold cache-set identification (astar).
 //! * [`inversions`] — the Belady-vs-PARROT per-PC hit-rate inversions.
-//! * [`ablation`] — runnable ablation sweeps for the DESIGN.md §5 design
-//!   choices (Sieve slice cap, Ranger schema card, dense index stride).
+//! * [`ablation`] — runnable ablation sweeps for the retrieval design
+//!   choices (Sieve slice cap, Ranger schema card, dense index stride) and
+//!   the machine axes (DRAM latency, prefetcher kind).
 
 pub mod ablation;
 pub mod bypass;

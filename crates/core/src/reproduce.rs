@@ -154,7 +154,7 @@ fn table2_config(out: &mut dyn Write) -> io::Result<()> {
     rule(out, 78)?;
     writeln!(
         out,
-        "Database-experiment LLC (scaled; see DESIGN.md): {:?}",
+        "Database-experiment LLC (scaled; see docs/ARCHITECTURE.md): {:?}",
         TraceDatabaseBuilder::experiment_llc()
     )?;
     writeln!(out, "Replacement policies: Belady's optimal, LRU, PARROT (imitation), MLP")

@@ -4,8 +4,7 @@
 //!
 //! The paper drives CacheMind with OpenAI models (GPT-3.5-Turbo, o3, GPT-4o,
 //! GPT-4o-mini and a fine-tuned 4o-mini). No model API is available in this
-//! reproduction environment, so this crate provides the substitution
-//! documented in DESIGN.md:
+//! reproduction environment, so this crate substitutes for them:
 //!
 //! * a deterministic NL toolkit — [`token`] (tokenizer), [`embed`] (hashed
 //!   sentence embeddings), [`vector`] (a cosine-similarity store) — which

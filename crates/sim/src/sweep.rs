@@ -105,12 +105,12 @@ pub fn worker_count() -> usize {
 
 /// Order-preserving parallel map over independent sweep configurations —
 /// the primitive behind both [`ScenarioGrid::run_cells`] stages, exposed so
-/// the figure binaries (`figure5_quality`, `figure6_fewshot`,
-/// `ablation_sweeps`, ...) can spread their per-backend / per-parameter
-/// replays across cores under the same determinism contract: each output
-/// cell depends only on its own input, and results come back in input
-/// order no matter how many worker threads ran them or in what order they
-/// finished.
+/// the figure reports (`cachemind reproduce figure5_quality`,
+/// `figure6_fewshot`, `ablation_sweeps`, ...) can spread their per-backend
+/// and per-parameter replays across cores under the same determinism
+/// contract: each output cell depends only on its own input, and results
+/// come back in input order no matter how many worker threads ran them or
+/// in what order they finished.
 ///
 /// Runs on [`worker_count`] workers, capped at the item count; each worker
 /// claims the next unclaimed item when it finishes its last, so uneven

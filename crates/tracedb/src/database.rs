@@ -348,7 +348,7 @@ impl Default for TraceDatabaseBuilder {
 impl TraceDatabaseBuilder {
     /// The LLC geometry used for database experiments: 256 sets x 8 ways
     /// (a scaled-down Table-2 LLC so that the synthetic working sets
-    /// exercise capacity pressure; see DESIGN.md).
+    /// exercise capacity pressure; see docs/ARCHITECTURE.md).
     pub fn experiment_llc() -> CacheConfig {
         CacheConfig::new("LLC", 8, 8, 6).with_latency(26).with_mshr(64)
     }
