@@ -8,11 +8,19 @@
 //! unscoped and under `@table2+stride4`. The FNV-1a digest of the rendered
 //! responses must not move when the way those plans read the trace
 //! changes: a faster read path is only correct if it serves the same bytes.
+//!
+//! A second digest pins the parsed intents (`Debug` of
+//! `QueryIntent::parse_scoped`) of the mix, the CacheMindBench catalog,
+//! the golden-plan questions, the chat tool's exploration commands and
+//! edge inputs, so a change to how a question is read shows up here
+//! before it shows up in an answer.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+use cachemind_benchsuite::catalog::Catalog;
 use cachemind_core::system::{CacheMind, Query, RetrieverKind};
+use cachemind_lang::intent::QueryIntent;
 use cachemind_serve::engine::{build_database, ServeConfig, ServeEngine};
 use cachemind_sim::addr::{Address, Pc};
 use cachemind_sim::hash::fnv64;
@@ -25,6 +33,9 @@ use serde_json::Value;
 /// retrieved, recorded when the mix was written.
 const SERVED_FNV64: &str = "12a2f47e48520592";
 const FACTS_FNV64: &str = "25ef10130a91adba";
+
+/// The digest of every parsed intent of [`intent_inputs`], one line each.
+const INTENTS_FNV64: &str = "6cb64dce38767aef";
 
 /// Hot PCs asked about per frame.
 const HOT_PCS: usize = 4;
@@ -159,5 +170,97 @@ fn pc_scoped_ranger_answers_match_their_recorded_digests() {
         (SERVED_FNV64, FACTS_FNV64),
         "over {} asks",
         asks.len()
+    );
+}
+
+/// The question texts of `tests/golden_plans.rs`, with their scopes.
+const GOLDEN_PLAN_QUESTIONS: [(&str, &str); 8] = [
+    (
+        "Does the memory access with PC 0x4008f0 and address 0x7f3a00010000 result in a \
+         cache hit or a cache miss for mcf under lru?",
+        "",
+    ),
+    ("How many rows are in the lbm eviction trace under belady?", "@table2"),
+    ("How many times did PC 0x400b20 miss in astar under lru?", ""),
+    ("Which policy gives the highest IPC on mcf?", "@small"),
+    ("Which policy has the lowest miss rate for lbm?", "@table2"),
+    ("Which workload achieves the best IPC under belady?", "@table2+stride4"),
+    ("Which workload suffers the highest miss rate under lru?", "@small"),
+    ("What is the overall miss rate of the mcf workload under lru?", ""),
+];
+
+/// The chat tool's exploration commands and inputs at the edges of the
+/// tokenizer: non-ASCII case mappings, an upper-case hex prefix,
+/// overflowing literals, a bare prefix, and incidental `@`/`+` text.
+const EDGE_QUESTIONS: [&str; 24] = [
+    "List all unique PCs in the trace for astar under LRU.",
+    "For astar workload and Belady replacement policy, could you list unique cache sets in \
+     ascending order?",
+    "Identify 5 hot and 5 cold sets by hit rate for mcf under belady.",
+    "Group the PCs of lbm by reuse distance variance.",
+    "Show the per-PC table for milc under LRU.",
+    "ΣΑΣ",
+    "Why does ΣΑΣ miss under LRU in mcf?",
+    "İstanbul: what is the miss rate of astar under Belady?",
+    "Does PC 0X4013B4 hit or miss in mcf under LRU?",
+    "What is the miss rate of PC 0x4013b4 and address 0X7F3A00010000 in lbm?",
+    "How many times did PC 184467440737095516160 appear in astar under lru?",
+    "Does address 0x1ffffffffffffffff hit in mcf under LRU?",
+    "Does PC 0xzz miss in astar?",
+    "Does PC 0x miss in astar?",
+    "Why is C++ faster than Python for cache simulators?",
+    "Why does PC 0x409200 miss in astar? contact a@b.com",
+    "What is the estimated IPC for mcf@table2+stride4/lru?",
+    "Which policy has the highest IPC on mcf@table2+stride4/lru, LRU or Belady?",
+    "Compare LRU, lru and BELADY on mcf_lru_x for the average reuse distance.",
+    "",
+    "   ??? ___ x X 0x1F",
+    "WHY DOES PC 0x4037BA MİSS İN MCF?",
+    // The Kelvin sign lowercases to an ASCII `k`: the word reads "rank".
+    "Which policy would you RAN\u{212A} first on mcf?",
+    "Why does PC 0x4037ba under PARROT outperform MLP? Examine the assembly context.",
+];
+
+/// Every `(question, scope)` whose intent the digest pins: the mix, then
+/// the catalog, the golden-plan questions and the edge questions, each
+/// of the last three unscoped, under `@table2+stride4` and pinned to
+/// `mcf@small/lru`.
+fn intent_inputs(store: &cachemind_tracedb::database::TraceDatabase) -> Vec<(String, String)> {
+    let mut out: Vec<(String, String)> =
+        asks(store).into_iter().map(|(q, scope)| (q, scope.unwrap_or("").to_owned())).collect();
+    let catalog = Catalog::generate(store);
+    let mut texts: Vec<String> = catalog.questions().iter().map(|q| q.text.clone()).collect();
+    texts.extend(GOLDEN_PLAN_QUESTIONS.iter().map(|(q, _)| (*q).to_owned()));
+    texts.extend(EDGE_QUESTIONS.iter().map(|q| (*q).to_owned()));
+    for scope in ["", "@table2+stride4", "mcf@small/lru"] {
+        out.extend(texts.iter().map(|q| (q.clone(), scope.to_owned())));
+    }
+    out.extend(GOLDEN_PLAN_QUESTIONS.iter().map(|(q, s)| ((*q).to_owned(), (*s).to_owned())));
+    out
+}
+
+#[test]
+fn parsed_intents_match_their_recorded_digest() {
+    let store = build_database(&config()).expect("store builds");
+    let (workloads, policies) = (store.workloads(), store.policies());
+    let workloads: Vec<&str> = workloads.iter().map(String::as_str).collect();
+    let policies: Vec<&str> = policies.iter().map(String::as_str).collect();
+    let inputs = intent_inputs(&store);
+    let mut rendered = String::new();
+    for (question, scope) in &inputs {
+        let selector = if scope.is_empty() {
+            ScenarioSelector::all()
+        } else {
+            ScenarioSelector::parse(scope).expect("the pinned scopes parse")
+        };
+        let intent = QueryIntent::parse_scoped(question, &workloads, &policies, &selector);
+        rendered.push_str(&format!("{intent:?}\n"));
+    }
+    assert!(inputs.len() > 1_000, "only {} intents", inputs.len());
+    assert_eq!(
+        format!("{:016x}", fnv64(rendered.as_bytes())),
+        INTENTS_FNV64,
+        "over {} intents",
+        inputs.len()
     );
 }

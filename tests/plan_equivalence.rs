@@ -10,7 +10,9 @@
 //! here.
 //!
 //! Each result is computed through the path Ranger serves,
-//! `plan.run_scoped(db, selector)`.
+//! `plan.run_scoped(db, selector)`. A second digest pins the whole-frame
+//! exploration plans (unique PCs and sets, the per-set and per-PC tables,
+//! hot/cold sets and the reuse-variance grouping) over the same grid.
 
 use std::sync::OnceLock;
 
@@ -26,6 +28,12 @@ const PINNED_DIGEST: u64 = 0x3870_d204_9a88_de72;
 
 /// The number of `(plan, selector)` pairs the grid runs.
 const PINNED_CASES: usize = 720;
+
+/// The FNV-1a digest of the exploration grid's results, one line each.
+const PINNED_EXPLORATION_DIGEST: u64 = 0xbe2c_0b93_77f3_04f7;
+
+/// The number of `(plan, selector)` pairs the exploration grid runs.
+const PINNED_EXPLORATION_CASES: usize = 432;
 
 /// The shared multi-machine, multi-prefetcher store — built once; every
 /// test case reads it immutably.
@@ -101,9 +109,23 @@ fn templates(workload: &str, policy: &str) -> Vec<Plan> {
     ]
 }
 
+/// The exploration plans, each of which reads a whole frame, for one
+/// `(workload, policy)` pair.
+fn exploration_templates(workload: &str, policy: &str) -> Vec<Plan> {
+    let (w, p) = (workload.to_owned(), policy.to_owned());
+    vec![
+        Plan::UniquePcs { workload: w.clone(), policy: p.clone() },
+        Plan::UniqueSets { workload: w.clone(), policy: p.clone() },
+        Plan::PerSetTable { workload: w.clone(), policy: p.clone() },
+        Plan::HotColdSets { workload: w.clone(), policy: p.clone() },
+        Plan::GroupPcsByReuseVariance { workload: w.clone(), policy: p.clone() },
+        Plan::PerPcTable { workload: w, policy: p, limit: 0 },
+    ]
+}
+
 /// Every template × every `(workload, policy)` pair × every palette
 /// selector, rendered one result per line.
-fn grid_rendering() -> (String, usize) {
+fn grid_rendering(templates: fn(&str, &str) -> Vec<Plan>) -> (String, usize) {
     let workloads = db().workloads();
     let policies = db().policies();
     let mut rendered = String::new();
@@ -124,12 +146,24 @@ fn grid_rendering() -> (String, usize) {
 
 #[test]
 fn plan_facts_over_the_whole_grid_match_the_pinned_digest() {
-    let (rendered, cases) = grid_rendering();
+    let (rendered, cases) = grid_rendering(templates);
     let digest = fnv64(rendered.as_bytes());
     assert_eq!(cases, PINNED_CASES, "the grid's size changed");
     assert!(rendered.contains("Ok(") && rendered.contains("Err("), "the grid hits both outcomes");
     assert_eq!(
         digest, PINNED_DIGEST,
         "plan facts drifted from the pinned digest: got {digest:#018x} over {cases} cases"
+    );
+}
+
+#[test]
+fn exploration_plan_facts_over_the_whole_grid_match_the_pinned_digest() {
+    let (rendered, cases) = grid_rendering(exploration_templates);
+    let digest = fnv64(rendered.as_bytes());
+    assert_eq!(cases, PINNED_EXPLORATION_CASES, "the grid's size changed");
+    assert!(rendered.contains("Ok(") && rendered.contains("Err("), "the grid hits both outcomes");
+    assert_eq!(
+        digest, PINNED_EXPLORATION_DIGEST,
+        "exploration facts drifted from the pinned digest: got {digest:#018x} over {cases} cases"
     );
 }
