@@ -9,6 +9,7 @@ use serde::{Deserialize, Serialize};
 use cachemind_sim::prefetch::PrefetcherKind;
 use cachemind_sim::replay::LlcReplay;
 use cachemind_sim::sweep::{ScenarioGrid, SweepStream};
+use cachemind_tracedb::stats::{hot_cold_sets, SetStats};
 use cachemind_workloads::workload::Scale;
 
 use super::{experiment_llc, experiment_machine};
@@ -57,28 +58,15 @@ pub struct SetHotnessReport {
     pub transcript: String,
 }
 
-fn profile(policy_name: &str, report: &cachemind_sim::replay::ReplayReport) -> PolicySetProfile {
-    let mut per_set: std::collections::HashMap<usize, (u64, u64)> =
-        std::collections::HashMap::new();
-    for r in &report.records {
-        let e = per_set.entry(r.set.index()).or_insert((0, 0));
-        e.0 += 1;
-        e.1 += (!r.is_miss) as u64;
-    }
-    let mut sets: Vec<(usize, u64, f64)> = per_set
-        .into_iter()
-        .filter(|(_, (accesses, _))| *accesses >= 10)
-        .map(|(set, (accesses, hits))| (set, accesses, hits as f64 / accesses as f64))
-        .collect();
-    sets.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)));
-    let hot: Vec<usize> = sets.iter().take(5).map(|(s, ..)| *s).collect();
-    let cold: Vec<usize> = sets.iter().rev().take(5).map(|(s, ..)| *s).collect();
+fn profile(policy_name: &str, sets: &[SetStats]) -> PolicySetProfile {
+    let ranked = hot_cold_sets(sets);
+    let ids = |sets: &[SetStats]| sets.iter().map(|s| s.set).collect();
     PolicySetProfile {
         policy: policy_name.to_owned(),
-        hot_hit_rate: sets.first().map(|(_, _, h)| *h).unwrap_or(0.0),
-        cold_hit_rate: sets.last().map(|(_, _, h)| *h).unwrap_or(0.0),
-        hot_sets: hot,
-        cold_sets: cold,
+        hot_sets: ids(&ranked.hot),
+        cold_sets: ids(&ranked.cold),
+        hot_hit_rate: ranked.hot.first().map_or(0.0, SetStats::hit_rate),
+        cold_hit_rate: ranked.cold.first().map_or(0.0, SetStats::hit_rate),
     }
 }
 
@@ -89,8 +77,9 @@ pub fn run(scale: Scale) -> SetHotnessReport {
     let lru = replay.run(cachemind_sim::replacement::RecencyPolicy::lru());
     let belady = replay.run(cachemind_policies::BeladyPolicy::new());
 
-    let lru_profile = profile("lru", &lru);
-    let belady_profile = profile("belady", &belady);
+    let belady_sets = SetStats::over(&belady.records);
+    let lru_profile = profile("lru", &SetStats::over(&lru.records));
+    let belady_profile = profile("belady", &belady_sets);
     let hot_overlap =
         lru_profile.hot_sets.iter().filter(|s| belady_profile.hot_sets.contains(s)).count();
 
@@ -124,12 +113,7 @@ pub fn run(scale: Scale) -> SetHotnessReport {
          User: Compare hot sets (LRU vs Belady) and derive insights.\n\
          Assistant: {} of 5 hot sets coincide; hot sets arise from intrinsic workload \
          locality, and Belady amplifies hotness by avoiding premature evictions.\n",
-        belady
-            .records
-            .iter()
-            .map(|r| r.set.index())
-            .collect::<std::collections::HashSet<_>>()
-            .len(),
+        belady_sets.len(),
         belady_profile.hot_sets,
         belady_profile.cold_sets,
         hot_overlap,

@@ -10,6 +10,7 @@
 //! same plan.
 
 use std::fmt;
+use std::fmt::Write as _;
 
 use serde::{Deserialize, Serialize};
 
@@ -20,7 +21,9 @@ use cachemind_sim::scenario::ScenarioSelector;
 use cachemind_tracedb::database::{TraceEntry, TraceId};
 use cachemind_tracedb::filter::Predicate;
 use cachemind_tracedb::meta;
-use cachemind_tracedb::stats::{CacheStatisticalExpert, ColumnStats, PcSummary};
+use cachemind_tracedb::stats::{
+    hot_cold_sets, CacheStatisticalExpert, ColumnStats, PcSummary, SetStats,
+};
 use cachemind_tracedb::store::TraceStore;
 
 /// Numeric columns a plan may aggregate.
@@ -507,19 +510,18 @@ impl Plan {
                 if sets.is_empty() {
                     return Err(PlanError::EmptyResult);
                 }
-                let text = sets
-                    .iter()
-                    .map(|s| {
-                        format!(
-                            "set {}: accesses={} hits={} hit_rate={:.2}%",
-                            s.set,
-                            s.accesses,
-                            s.hits,
-                            s.hit_rate() * 100.0
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join("\n");
+                let mut text = String::new();
+                for (i, s) in sets.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { "\n" };
+                    let _ = write!(
+                        text,
+                        "{sep}set {}: accesses={} hits={} hit_rate={:.2}%",
+                        s.set,
+                        s.accesses,
+                        s.hits,
+                        s.hit_rate() * 100.0
+                    );
+                }
                 Ok(vec![Fact::Snippet {
                     title: format!("Per-set table ({workload}/{policy})"),
                     text,
@@ -561,14 +563,18 @@ impl Plan {
             Plan::UniqueSets { workload, policy } => {
                 let entry = Self::entry(db, workload, policy, scope)?;
                 let sets = entry.frame.unique_sets();
-                if sets.is_empty() {
+                let count = sets.len() as u64;
+                if count == 0 {
                     return Err(PlanError::EmptyResult);
                 }
-                let text = sets.iter().map(|s| s.to_string()).collect::<Vec<_>>().join(", ");
+                let mut text = String::new();
+                for (i, set) in sets.enumerate() {
+                    let _ = write!(text, "{}{set}", if i == 0 { "" } else { ", " });
+                }
                 Ok(vec![
                     Fact::CountValue {
                         what: format!("unique cache sets in {workload}_{policy}"),
-                        value: sets.len() as u64,
+                        value: count,
                         complete: true,
                     },
                     Fact::Snippet { title: "Unique cache sets (ascending)".to_owned(), text },
@@ -600,14 +606,12 @@ impl Plan {
             }
             Plan::HotColdSets { workload, policy } => {
                 let entry = Self::entry(db, workload, policy, scope)?;
-                let mut sets = expert.per_set(&entry.frame);
-                sets.retain(|s| s.accesses >= 10);
-                if sets.is_empty() {
+                let ranked = hot_cold_sets(expert.per_set(&entry.frame));
+                if ranked.hot.is_empty() {
                     return Err(PlanError::EmptyResult);
                 }
-                sets.sort_by(|a, b| b.hit_rate().total_cmp(&a.hit_rate()).then(a.set.cmp(&b.set)));
-                let hot: Vec<usize> = sets.iter().take(5).map(|s| s.set).collect();
-                let cold: Vec<usize> = sets.iter().rev().take(5).map(|s| s.set).collect();
+                let ids = |sets: &[SetStats]| sets.iter().map(|s| s.set).collect::<Vec<_>>();
+                let (hot, cold) = (ids(&ranked.hot), ids(&ranked.cold));
                 Ok(vec![Fact::Snippet {
                     title: format!("Hot/cold sets ({workload}/{policy})"),
                     text: format!("Hot Sets = {hot:?}, Cold Sets = {cold:?}"),

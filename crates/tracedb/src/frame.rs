@@ -8,7 +8,7 @@ use cachemind_workloads::program::ProgramImage;
 
 use crate::filter::Predicate;
 use crate::snapshot::RowPayload;
-use crate::stats::PcSummary;
+use crate::stats::{PcSummary, SetStats};
 
 /// A frame of trace rows (the replay's [`EvictionRecord`]s) plus the
 /// program image that maps PCs to code.
@@ -19,23 +19,26 @@ use crate::stats::PcSummary;
 ///
 /// Every PC-scoped read goes through a per-PC index of the rows, built on
 /// first use and kept for the frame's lifetime (the rows never change
-/// after construction). Two more derived structures, each also built on
-/// its first use, serve the PC-scoped asks without walking a PC's rows:
-/// a [`PcSummary`] per distinct PC ([`pc_summary`], [`pc_summaries`]),
-/// and each PC's row ids re-sorted by `(address, row id)` (4 B per row),
-/// which [`rows_at`] and every read whose predicate pins both a PC and an
-/// address ([`Predicate::address_key`]) binary-search. All three are
-/// derived state: snapshots do not store them, and `len`, `pcs` and
-/// `contains_pc` build neither of the last two.
+/// after construction). Three more derived structures, each also built
+/// on its first use, serve asks without walking the rows again: a
+/// [`PcSummary`] per distinct PC ([`pc_summary`], [`pc_summaries`]); each
+/// PC's row ids re-sorted by `(address, row id)` (4 B per row), which
+/// [`rows_at`] and every read whose predicate pins both a PC and an
+/// address ([`Predicate::address_key`]) binary-search; and a [`SetStats`]
+/// per set the rows map to ([`set_summaries`], 24 B per set, counted
+/// without the PC index). All four are derived state: snapshots do not
+/// store them, and `len`, `pcs` and `contains_pc` build none of the last
+/// three.
 ///
 /// [`pc_summary`]: TraceFrame::pc_summary
 /// [`pc_summaries`]: TraceFrame::pc_summaries
 /// [`rows_at`]: TraceFrame::rows_at
+/// [`set_summaries`]: TraceFrame::set_summaries
 ///
 /// A frame read lazily from a snapshot holds its encoded row payload and
-/// decodes it on the first read of any row (`rows`, the PC index,
-/// `filter`/`count`/`first`/`select`, CSV export, `unique_sets`); `len`
-/// and `is_empty` answer from the stored row count without decoding.
+/// decodes it on the first read of any row (`rows`, the PC index, the set
+/// summary, `filter`/`count`/`first`/`select`, CSV export); `len` and
+/// `is_empty` answer from the stored row count without decoding.
 #[derive(Clone)]
 pub struct TraceFrame {
     rows: OnceLock<Vec<EvictionRecord>>,
@@ -49,6 +52,8 @@ pub struct TraceFrame {
     summaries: OnceLock<Vec<PcSummary>>,
     /// `pc_index.postings` with each PC's range sorted by `(address, id)`.
     by_address: OnceLock<Vec<u32>>,
+    /// One entry per set the rows map to, ascending by set.
+    sets: OnceLock<Vec<SetStats>>,
 }
 
 /// The distinct PCs of a frame, ascending, each with the ids of its rows
@@ -122,6 +127,7 @@ impl TraceFrame {
             pc_index: OnceLock::new(),
             summaries: OnceLock::new(),
             by_address: OnceLock::new(),
+            sets: OnceLock::new(),
         }
     }
 
@@ -135,6 +141,7 @@ impl TraceFrame {
             pc_index: OnceLock::new(),
             summaries: OnceLock::new(),
             by_address: OnceLock::new(),
+            sets: OnceLock::new(),
         }
     }
 
@@ -332,17 +339,15 @@ impl TraceFrame {
         out
     }
 
-    /// Distinct set ids, ascending.
-    pub fn unique_sets(&self) -> Vec<usize> {
-        let mut sets: Vec<usize> = self
-            .rows()
-            .iter()
-            .map(|r| r.set.index())
-            .collect::<std::collections::HashSet<_>>()
-            .into_iter()
-            .collect();
-        sets.sort_unstable();
-        sets
+    /// The accesses and hits of every set the rows map to, ascending by
+    /// set. Built on first use by one pass over the rows.
+    pub fn set_summaries(&self) -> &[SetStats] {
+        self.sets.get_or_init(|| SetStats::over(self.rows()))
+    }
+
+    /// Distinct set ids, ascending (read from the set summary).
+    pub fn unique_sets(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.set_summaries().iter().map(|s| s.set)
     }
 }
 
@@ -392,7 +397,7 @@ mod tests {
     fn unique_pcs_and_sets() {
         let f = frame();
         assert_eq!(f.unique_pcs().len(), 3);
-        assert_eq!(f.unique_sets(), vec![0, 1, 2, 3]);
+        assert_eq!(f.unique_sets().collect::<Vec<_>>(), vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -403,6 +408,7 @@ mod tests {
         assert!(f.contains_pc(pc));
         assert_eq!(f.pcs().len(), 3);
         assert!(f.summaries.get().is_none() && f.by_address.get().is_none());
+        assert!(f.sets.get().is_none());
         // A PC-only read uses the postings in stream order, not the summary.
         assert_eq!(f.count(&Predicate::PcEquals(pc)), 4);
         assert!(f.summaries.get().is_none() && f.by_address.get().is_none());
@@ -410,6 +416,54 @@ mod tests {
         assert!(f.by_address.get().is_none());
         assert_eq!(f.rows_at(pc, Address::new(0x1000)).len(), 1);
         assert!(f.by_address.get().is_some());
+    }
+
+    use proptest::prelude::*;
+
+    /// A frame whose row `i` maps to set `(v >> 1) % spread` and misses
+    /// when `v` is odd, for the `i`-th value `v`.
+    fn set_frame(values: &[u64], spread: u64) -> TraceFrame {
+        let template = frame().rows()[0].clone();
+        let rows = values
+            .iter()
+            .enumerate()
+            .map(|(i, v)| EvictionRecord {
+                index: i as u64,
+                set: SetId::new(((v >> 1) % spread) as usize),
+                is_miss: v & 1 == 1,
+                ..template.clone()
+            })
+            .collect();
+        TraceFrame::new(rows, Arc::new(ProgramImage::new()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn set_summary_matches_an_independent_count(
+            values in proptest::collection::vec(any::<u64>(), 0..300),
+            spread in 1u64..5000,
+        ) {
+            let f = set_frame(&values, spread);
+            let mut counts = std::collections::BTreeMap::<usize, (u64, u64)>::new();
+            for row in f.rows() {
+                let c = counts.entry(row.set.index()).or_default();
+                c.0 += 1;
+                c.1 += u64::from(!row.is_miss);
+            }
+            let expected: Vec<SetStats> = counts
+                .into_iter()
+                .map(|(set, (accesses, hits))| SetStats { set, accesses, hits })
+                .collect();
+            prop_assert_eq!(f.set_summaries(), expected.as_slice());
+            prop_assert!(f.pc_index.get().is_none(), "the set summary built the PC index");
+            prop_assert!(f.unique_sets().eq(expected.iter().map(|s| s.set)));
+
+            let g = set_frame(&values, spread);
+            let _ = (g.pcs(), g.pc_summaries(), g.unique_pcs());
+            prop_assert!(g.sets.get().is_none(), "the PC index built the set summary");
+        }
     }
 
     #[test]

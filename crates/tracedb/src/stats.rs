@@ -1,8 +1,6 @@
 //! The "Cache Statistical Expert" (§3.2.3): per-PC and per-set statistics
 //! computed over retrieved trace slices.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use cachemind_sim::addr::{Address, Pc};
@@ -164,6 +162,21 @@ pub struct SetStats {
 }
 
 impl SetStats {
+    /// One entry per set that `rows` map to, ascending by set. The rows
+    /// are counted into a table indexed by set, so no row is hashed.
+    pub fn over(rows: &[EvictionRecord]) -> Vec<SetStats> {
+        let sets = rows.iter().map(|r| r.set.index() + 1).max().unwrap_or(0);
+        let mut table: Vec<SetStats> =
+            (0..sets).map(|set| SetStats { set, accesses: 0, hits: 0 }).collect();
+        for row in rows {
+            let s = &mut table[row.set.index()];
+            s.accesses += 1;
+            s.hits += (!row.is_miss) as u64;
+        }
+        table.retain(|s| s.accesses > 0);
+        table
+    }
+
     /// Hit rate in `[0, 1]`.
     pub fn hit_rate(&self) -> f64 {
         if self.accesses == 0 {
@@ -171,6 +184,31 @@ impl SetStats {
         } else {
             self.hits as f64 / self.accesses as f64
         }
+    }
+}
+
+/// How many sets [`hot_cold_sets`] reports at each end.
+pub const HOT_COLD_SETS: usize = 5;
+
+/// A trace's hottest and coldest sets (Figure 13).
+#[derive(Debug, Clone, PartialEq)]
+pub struct HotColdSets {
+    /// Up to [`HOT_COLD_SETS`] sets, hottest first.
+    pub hot: Vec<SetStats>,
+    /// Up to [`HOT_COLD_SETS`] sets, coldest first.
+    pub cold: Vec<SetStats>,
+}
+
+/// Ranks the sets with at least 10 accesses by hit rate, highest first
+/// and ties by ascending set, and returns both ends of the ranking. A set
+/// can be both hot and cold when fewer than twice [`HOT_COLD_SETS`] sets
+/// qualify; both lists are empty when none does.
+pub fn hot_cold_sets(sets: &[SetStats]) -> HotColdSets {
+    let mut ranked: Vec<SetStats> = sets.iter().copied().filter(|s| s.accesses >= 10).collect();
+    ranked.sort_by(|a, b| b.hit_rate().total_cmp(&a.hit_rate()).then(a.set.cmp(&b.set)));
+    HotColdSets {
+        hot: ranked.iter().take(HOT_COLD_SETS).copied().collect(),
+        cold: ranked.iter().rev().take(HOT_COLD_SETS).copied().collect(),
     }
 }
 
@@ -196,21 +234,10 @@ impl CacheStatisticalExpert {
         frame.pc_summary(pc).map(|s| s.stats.clone())
     }
 
-    /// Per-set statistics, ascending by set index.
-    pub fn per_set(&self, frame: &TraceFrame) -> Vec<SetStats> {
-        let mut map: HashMap<usize, SetStats> = HashMap::new();
-        for row in frame.rows() {
-            let s = map.entry(row.set.index()).or_insert(SetStats {
-                set: row.set.index(),
-                accesses: 0,
-                hits: 0,
-            });
-            s.accesses += 1;
-            s.hits += (!row.is_miss) as u64;
-        }
-        let mut out: Vec<SetStats> = map.into_values().collect();
-        out.sort_by_key(|s| s.set);
-        out
+    /// Per-set statistics, ascending by set index (read from the frame's
+    /// per-set summary).
+    pub fn per_set<'f>(&self, frame: &'f TraceFrame) -> &'f [SetStats] {
+        frame.set_summaries()
     }
 
     /// Per-access-kind counters — the "access types" breakdown the paper's
@@ -302,10 +329,28 @@ mod tests {
     #[test]
     fn per_set_counts_hits() {
         let expert = CacheStatisticalExpert::new();
-        let sets = expert.per_set(&frame());
+        let frame = frame();
+        let sets = expert.per_set(&frame);
         assert_eq!(sets.len(), 2);
         let total: u64 = sets.iter().map(|s| s.accesses).sum();
         assert_eq!(total, 5);
+    }
+
+    #[test]
+    fn hot_cold_sets_rank_both_ends() {
+        let sets: Vec<SetStats> = (0..12)
+            .map(|set| SetStats {
+                set,
+                accesses: if set == 11 { 9 } else { 10 },
+                hits: set as u64 % 4,
+            })
+            .collect();
+        let ranked = hot_cold_sets(&sets);
+        let ids = |v: &[SetStats]| v.iter().map(|s| s.set).collect::<Vec<_>>();
+        // Set 11 has too few accesses; ties rank by ascending set.
+        assert_eq!(ids(&ranked.hot), vec![3, 7, 2, 6, 10]);
+        assert_eq!(ids(&ranked.cold), vec![8, 4, 0, 9, 5]);
+        assert_eq!(hot_cold_sets(&sets[11..]), HotColdSets { hot: vec![], cold: vec![] });
     }
 
     #[test]
