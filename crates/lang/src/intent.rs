@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use cachemind_sim::addr::{Address, Pc};
 use cachemind_sim::scenario::ScenarioSelector;
 
-use crate::token::{tokenize, Token};
+use crate::token::{for_each_word, literal, Token};
 
 /// Benchmark tier (Table 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -163,6 +163,9 @@ fn plausible_machine(machine: &str) -> bool {
 /// emails, `C++` and other incidental `@`/`+` text are ignored rather
 /// than silently scoping retrieval to a scenario that does not exist.
 fn inline_selector(question: &str, workloads: &[impl AsRef<str>]) -> ScenarioSelector {
+    if !question.contains(['@', '+']) {
+        return ScenarioSelector::default();
+    }
     question
         .split_whitespace()
         .map(|tok| tok.trim_matches(|c: char| ".,;:!?()\"'".contains(c)))
@@ -180,6 +183,111 @@ fn inline_selector(question: &str, workloads: &[impl AsRef<str>]) -> ScenarioSel
 /// Whether a vocabulary holds `name`.
 fn names_contain(names: &[impl AsRef<str>], name: &str) -> bool {
     names.iter().any(|n| n.as_ref() == name)
+}
+
+/// The vocabulary's entry equal to `word`, borrowed from the vocabulary.
+fn vocab_entry<'v>(names: &'v [impl AsRef<str>], word: &str) -> Option<&'v str> {
+    names.iter().map(AsRef::as_ref).find(|n| *n == word)
+}
+
+/// The words category classification tests for, one bit each of a
+/// [`Keywords`] set. A word outside this list is never looked up, and a
+/// misspelled keyword in a rule does not compile.
+#[derive(Debug, Clone, Copy)]
+enum Kw {
+    Assembly,
+    Average,
+    Best,
+    Code,
+    Compare,
+    Count,
+    Distance,
+    Evict,
+    Evictions,
+    Fewest,
+    Function,
+    Generate,
+    Highest,
+    Hit,
+    Ipc,
+    Least,
+    Lowest,
+    Maximum,
+    Mean,
+    Minimum,
+    Miss,
+    Order,
+    Outperform,
+    Perform,
+    Policies,
+    Policy,
+    Rank,
+    Semantic,
+    Smallest,
+    Source,
+    Sum,
+    Which,
+    Why,
+    Workload,
+    Write,
+}
+
+impl Kw {
+    /// The keyword a lowercased word is, if any.
+    fn of(word: &str) -> Option<Kw> {
+        Some(match word {
+            "assembly" => Kw::Assembly,
+            "average" => Kw::Average,
+            "best" => Kw::Best,
+            "code" => Kw::Code,
+            "compare" => Kw::Compare,
+            "count" => Kw::Count,
+            "distance" => Kw::Distance,
+            "evict" => Kw::Evict,
+            "evictions" => Kw::Evictions,
+            "fewest" => Kw::Fewest,
+            "function" => Kw::Function,
+            "generate" => Kw::Generate,
+            "highest" => Kw::Highest,
+            "hit" => Kw::Hit,
+            "ipc" => Kw::Ipc,
+            "least" => Kw::Least,
+            "lowest" => Kw::Lowest,
+            "maximum" => Kw::Maximum,
+            "mean" => Kw::Mean,
+            "minimum" => Kw::Minimum,
+            "miss" => Kw::Miss,
+            "order" => Kw::Order,
+            "outperform" => Kw::Outperform,
+            "perform" => Kw::Perform,
+            "policies" => Kw::Policies,
+            "policy" => Kw::Policy,
+            "rank" => Kw::Rank,
+            "semantic" => Kw::Semantic,
+            "smallest" => Kw::Smallest,
+            "source" => Kw::Source,
+            "sum" => Kw::Sum,
+            "which" => Kw::Which,
+            "why" => Kw::Why,
+            "workload" => Kw::Workload,
+            "write" => Kw::Write,
+            _ => return None,
+        })
+    }
+}
+
+/// The keywords a question holds, as a bitset over [`Kw`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Keywords(u64);
+
+impl Keywords {
+    fn insert(&mut self, kw: Kw) {
+        self.0 |= 1 << kw as u32;
+    }
+
+    fn has(self, kw: Kw) -> bool {
+        self.0 & (1 << kw as u32) != 0
+    }
 }
 
 impl QueryIntent {
@@ -219,91 +327,85 @@ impl QueryIntent {
         scope: &ScenarioSelector,
     ) -> QueryIntent {
         let selector = inline_selector(question, workloads).merged_over(scope);
-        let tokens = tokenize(question);
-        let ws: Vec<&str> = tokens
-            .iter()
-            .filter_map(|t| match t {
-                Token::Word(w) => Some(w.as_str()),
-                _ => None,
-            })
-            .collect();
-        let has = |w: &str| ws.contains(&w);
+
+        // One pass over the words: keywords into a bitset, the first
+        // workload and every distinct policy borrowed from the
+        // vocabularies, and the PC and address slots from hex literals.
+        // PCs are small (< 2^32, code addresses) and data addresses are
+        // large in our traces; past that, the first literal fills a slot.
+        let mut keywords = Keywords::default();
+        let mut found_workload: Option<&str> = None;
+        let mut found_policies: Vec<&str> = Vec::new();
+        let (mut pc, mut address) = (None, None);
+        let mut word = String::new();
+        for_each_word(question, |raw| {
+            word.clear();
+            if raw.is_ascii() {
+                word.push_str(raw);
+                word.make_ascii_lowercase();
+            } else {
+                word.push_str(&raw.to_lowercase());
+            }
+            match literal(&word) {
+                Some(Token::Hex(h)) if h < (1 << 32) && pc.is_none() => pc = Some(Pc::new(h)),
+                Some(Token::Hex(h)) => address = address.or(Some(Address::new(h))),
+                Some(_) => {}
+                None => {
+                    if let Some(kw) = Kw::of(&word) {
+                        keywords.insert(kw);
+                    }
+                    if found_workload.is_none() {
+                        found_workload = vocab_entry(workloads, &word);
+                    }
+                    if let Some(p) = vocab_entry(policies, &word) {
+                        if !found_policies.contains(&p) {
+                            found_policies.push(p);
+                        }
+                    }
+                }
+            }
+        });
+        let has = |kw: Kw| keywords.has(kw);
         let has_phrase = |p: &str| lower.contains(p);
 
-        let workload = ws
-            .iter()
-            .find(|w| names_contain(workloads, w))
-            .map(|w| (*w).to_owned())
+        let workload = found_workload
+            .map(str::to_owned)
             .or_else(|| selector.workload.clone().filter(|w| names_contain(workloads, w)));
-        let mut mentioned: Vec<String> = {
-            let mut seen = std::collections::HashSet::new();
-            ws.iter()
-                .filter(|w| names_contain(policies, w))
-                .filter(|w| seen.insert(**w))
-                .map(|w| (*w).to_owned())
-                .collect()
-        };
+        let mut mentioned: Vec<String> = found_policies.into_iter().map(str::to_owned).collect();
         if mentioned.is_empty() {
             if let Some(p) = selector.policy.clone().filter(|p| names_contain(policies, p)) {
                 mentioned.push(p);
             }
         }
 
-        // Slot extraction: PCs are small (< 2^32, code addresses), data
-        // addresses are large in our traces; fall back to order.
-        let hexes: Vec<u64> = tokens
-            .iter()
-            .filter_map(|t| match t {
-                Token::Hex(h) => Some(*h),
-                _ => None,
-            })
-            .collect();
-        let (pc, address) = match hexes.len() {
-            0 => (None, None),
-            1 => {
-                if hexes[0] < (1 << 32) {
-                    (Some(Pc::new(hexes[0])), None)
-                } else {
-                    (None, Some(Address::new(hexes[0])))
-                }
-            }
-            _ => {
-                let (mut pc, mut addr) = (None, None);
-                for &h in &hexes {
-                    if h < (1 << 32) && pc.is_none() {
-                        pc = Some(Pc::new(h));
-                    } else if addr.is_none() {
-                        addr = Some(Address::new(h));
-                    }
-                }
-                (pc, addr)
-            }
-        };
-
         // Category rules, most specific first.
         let category = if has_phrase("write code")
             || has_phrase("generate code")
             || has_phrase("generate python")
-            || has("code") && (has("write") || has("generate"))
+            || has(Kw::Code) && (has(Kw::Write) || has(Kw::Generate))
         {
             QueryCategory::CodeGen
-        } else if has_phrase("how many") || has("count") || has_phrase("number of times") {
+        } else if has_phrase("how many") || has(Kw::Count) || has_phrase("number of times") {
             QueryCategory::Count
-        } else if has("average")
-            || has("mean")
+        } else if has(Kw::Average)
+            || has(Kw::Mean)
             || has_phrase("standard deviation")
-            || has("sum")
-            || ((has("maximum") || has("minimum")) && has("distance"))
+            || has(Kw::Sum)
+            || ((has(Kw::Maximum) || has(Kw::Minimum)) && has(Kw::Distance))
         {
             QueryCategory::Arithmetic
         } else if has_phrase("which workload") {
             QueryCategory::WorkloadAnalysis
-        } else if has("ipc") || has_phrase("instructions per cycle") {
+        } else if has(Kw::Ipc) || has_phrase("instructions per cycle") {
             // IPC questions read the metadata's scenario sentence: ranking
             // questions compare policies, direct questions are rate
             // lookups; without a workload slot there is nothing to cite.
-            if (has("which") || has("compare") || has("rank") || has("highest") || has("best"))
-                && (has("policy") || has("policies") || mentioned.len() >= 2)
+            if (has(Kw::Which)
+                || has(Kw::Compare)
+                || has(Kw::Rank)
+                || has(Kw::Highest)
+                || has(Kw::Best))
+                && (has(Kw::Policy) || has(Kw::Policies) || mentioned.len() >= 2)
             {
                 QueryCategory::PolicyComparison
             } else if workload.is_some() {
@@ -311,24 +413,24 @@ impl QueryIntent {
             } else {
                 QueryCategory::Concepts
             }
-        } else if (has("which") || has("compare") || has("rank") || has("order"))
-            && (has("policy") || has("policies") || mentioned.len() >= 2)
+        } else if (has(Kw::Which) || has(Kw::Compare) || has(Kw::Rank) || has(Kw::Order))
+            && (has(Kw::Policy) || has(Kw::Policies) || mentioned.len() >= 2)
         {
             QueryCategory::PolicyComparison
-        } else if has("workload")
-            && (has("highest") || has("lowest") || has("compare"))
+        } else if has(Kw::Workload)
+            && (has(Kw::Highest) || has(Kw::Lowest) || has(Kw::Compare))
             && pc.is_none()
         {
             QueryCategory::WorkloadAnalysis
-        } else if has("why")
-            && (has("assembly") || has("semantic") || has("function") || has("source"))
+        } else if has(Kw::Why)
+            && (has(Kw::Assembly) || has(Kw::Semantic) || has(Kw::Function) || has(Kw::Source))
             || has_phrase("assembly context")
             || has_phrase("program behavior")
             || has_phrase("program behaviour")
         {
             QueryCategory::SemanticAnalysis
-        } else if has("why") && (mentioned.len() >= 2 || has("outperform") || has("perform"))
-            || has("outperform")
+        } else if has(Kw::Why) && (mentioned.len() >= 2 || has(Kw::Outperform) || has(Kw::Perform))
+            || has(Kw::Outperform)
         {
             QueryCategory::PolicyAnalysis
         } else if has_phrase("miss rate") || has_phrase("hit rate") {
@@ -337,7 +439,7 @@ impl QueryIntent {
             } else {
                 QueryCategory::MissRate
             }
-        } else if has("hit") || has("miss") || has("evict") || has("evictions") {
+        } else if has(Kw::Hit) || has(Kw::Miss) || has(Kw::Evict) || has(Kw::Evictions) {
             if pc.is_some() || address.is_some() {
                 QueryCategory::HitMiss
             } else if workload.is_some() || !mentioned.is_empty() {
@@ -354,12 +456,12 @@ impl QueryIntent {
         // "Best" means the *lowest* miss rate but the *highest* IPC — for
         // IPC questions only explicit minimum words ask for the bottom of
         // the ranking.
-        let ipc_question = has("ipc") || has_phrase("instructions per cycle");
-        let wants_minimum = has("lowest")
-            || has("fewest")
-            || has("least")
-            || has("smallest")
-            || (has("best") && !ipc_question);
+        let ipc_question = has(Kw::Ipc) || has_phrase("instructions per cycle");
+        let wants_minimum = has(Kw::Lowest)
+            || has(Kw::Fewest)
+            || has(Kw::Least)
+            || has(Kw::Smallest)
+            || (has(Kw::Best) && !ipc_question);
 
         QueryIntent {
             category,

@@ -34,43 +34,44 @@ impl Token {
 /// ```
 pub fn tokenize(input: &str) -> Vec<Token> {
     let mut out = Vec::new();
-    let mut buf = String::new();
-    let flush = |buf: &mut String, out: &mut Vec<Token>| {
-        if buf.is_empty() {
-            return;
-        }
-        // The one allocation per word; `buf` keeps its capacity.
-        let lower = buf.to_lowercase();
-        buf.clear();
-        if let Some(hex) = lower.strip_prefix("0x") {
-            if let Ok(v) = u64::from_str_radix(hex, 16) {
-                out.push(Token::Hex(v));
-                return;
-            }
-        }
-        if lower.chars().all(|c| c.is_ascii_digit()) {
-            if let Ok(v) = lower.parse() {
-                out.push(Token::Number(v));
-                return;
-            }
-        }
-        out.push(Token::Word(lower));
-    };
-    for c in input.chars() {
-        if c.is_alphanumeric() || c == '_' {
-            buf.push(c);
-            // Keep `0x` prefixes glued to their digits.
-            continue;
-        }
-        if c == 'x' || c == 'X' {
-            buf.push(c);
-            continue;
-        }
-        let _ = c;
-        flush(&mut buf, &mut out);
-    }
-    flush(&mut buf, &mut out);
+    for_each_word(input, |word| {
+        // The one allocation per word.
+        let lower = word.to_lowercase();
+        out.push(literal(&lower).unwrap_or(Token::Word(lower)));
+    });
     out
+}
+
+/// Calls `f` with each word of `input` in order, as written: each maximal
+/// run of alphanumeric characters and `_`. `x` and `X` are alphanumeric,
+/// so a `0x` prefix stays glued to its digits.
+pub(crate) fn for_each_word<'a>(input: &'a str, mut f: impl FnMut(&'a str)) {
+    let mut start = None;
+    for (i, c) in input.char_indices() {
+        if c.is_alphanumeric() || c == '_' {
+            start.get_or_insert(i);
+        } else if let Some(s) = start.take() {
+            f(&input[s..i]);
+        }
+    }
+    if let Some(s) = start {
+        f(&input[s..]);
+    }
+}
+
+/// The literal a lowercased word spells: [`Token::Hex`] for `0x` and hex
+/// digits, [`Token::Number`] for decimal digits, each only when it fits
+/// in a `u64`; `None` for every other word.
+pub(crate) fn literal(lower: &str) -> Option<Token> {
+    if let Some(hex) = lower.strip_prefix("0x") {
+        if let Ok(v) = u64::from_str_radix(hex, 16) {
+            return Some(Token::Hex(v));
+        }
+    }
+    if lower.bytes().all(|b| b.is_ascii_digit()) {
+        return lower.parse().ok().map(Token::Number);
+    }
+    None
 }
 
 /// Extracts every hexadecimal literal from `input`, in order.
