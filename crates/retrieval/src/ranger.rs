@@ -14,6 +14,7 @@
 
 use cachemind_lang::context::{ContextQuality, Fact, RetrievedContext};
 use cachemind_lang::intent::{QueryCategory, QueryIntent, Tier};
+use cachemind_obs::{names, HistogramHandle, MetricsRegistry};
 use cachemind_tracedb::schema;
 use cachemind_tracedb::store::TraceStore;
 
@@ -28,10 +29,12 @@ pub struct RangerRetriever {
     /// wrong column names and retrieval degrades — the "context can
     /// suppress latent knowledge" ablation.
     with_schema: bool,
-    /// Sink for the `retrieval.plan_compile` / `retrieval.plan_run` span
-    /// histograms — the process-global registry unless an owner (e.g. a
-    /// serve engine) redirects it.
-    metrics: cachemind_obs::MetricsRegistry,
+    /// The `retrieval.plan_compile` and `retrieval.plan_run` span
+    /// histograms, registered once — in the process-global registry unless
+    /// an owner (e.g. a serve engine) redirects them — so an ask takes no
+    /// registry lock.
+    compile_span: HistogramHandle,
+    run_span: HistogramHandle,
 }
 
 impl Default for RangerRetriever {
@@ -43,7 +46,16 @@ impl Default for RangerRetriever {
 impl RangerRetriever {
     /// Creates the retriever with the schema card enabled.
     pub fn new() -> Self {
-        RangerRetriever { with_schema: true, metrics: cachemind_obs::global().clone() }
+        RangerRetriever::recording_into(true, cachemind_obs::global())
+    }
+
+    /// A retriever whose plan spans record into `metrics`.
+    fn recording_into(with_schema: bool, metrics: &MetricsRegistry) -> Self {
+        RangerRetriever {
+            with_schema,
+            compile_span: metrics.histogram(names::RETRIEVAL_PLAN_COMPILE),
+            run_span: metrics.histogram(names::RETRIEVAL_PLAN_RUN),
+        }
     }
 
     /// Removes the schema card from the planner's prompt (ablation).
@@ -54,9 +66,8 @@ impl RangerRetriever {
 
     /// Redirects plan-stage telemetry to `metrics` instead of the
     /// process-global registry.
-    pub fn with_metrics(mut self, metrics: &cachemind_obs::MetricsRegistry) -> Self {
-        self.metrics = metrics.clone();
-        self
+    pub fn with_metrics(self, metrics: &MetricsRegistry) -> Self {
+        RangerRetriever::recording_into(self.with_schema, metrics)
     }
 
     /// The system prompt handed to the code-writing model (Figure 3).
@@ -211,7 +222,7 @@ impl Retriever for RangerRetriever {
     }
 
     fn retrieve(&self, db: &dyn TraceStore, intent: &QueryIntent) -> RetrievedContext {
-        let compile_span = self.metrics.span(cachemind_obs::names::RETRIEVAL_PLAN_COMPILE);
+        let compile_span = self.compile_span.start_span();
         let compiled = self.compile(db, intent);
         compile_span.finish();
         let Some(plan) = compiled else {
@@ -219,7 +230,7 @@ impl Retriever for RangerRetriever {
         };
         // The plan that runs is the plan rendered for code-generation
         // answers below.
-        let run_span = self.metrics.span(cachemind_obs::names::RETRIEVAL_PLAN_RUN);
+        let run_span = self.run_span.start_span();
         let run_result = plan.run_scoped(db, &intent.selector);
         run_span.finish();
         let mut facts = match run_result {
