@@ -9,7 +9,9 @@
 //! ```
 //!
 //! `CACHEMIND_SCALE` (`tiny` | `small` | `full`, default `small`) sets the
-//! scale of every subcommand; any other value exits with status 2.
+//! scale of every subcommand; any other value exits with status 2, as does
+//! an unknown `--retriever` (default `ranger`) or `--backend` (`gpt-4o`,
+//! the default, `gpt-3.5`, `o3`, `gpt-4o-mini` or `finetuned`).
 //! `reproduce` builds its trace database with
 //! `TraceDatabaseBuilder::new().scale(..)`; the other subcommands use the
 //! `quick_demo` database at Tiny. `cachemind reproduce all` prints every
@@ -36,22 +38,42 @@ fn trace_db(scale: Scale) -> TraceDatabase {
     }
 }
 
+/// The CacheMind `ask` and `chat` run; the flags are checked before the
+/// database is built.
+fn mind(scale: Scale, args: &[String]) -> CacheMind {
+    let (retriever, backend) = (retriever_kind(args), backend_kind(args));
+    CacheMind::new(trace_db(scale)).with_retriever(retriever).with_backend(backend)
+}
+
 fn retriever_kind(args: &[String]) -> RetrieverKind {
     match flag(args, "--retriever").as_deref() {
+        None | Some("ranger") => RetrieverKind::Ranger,
         Some("sieve") => RetrieverKind::Sieve,
         Some("dense") => RetrieverKind::Dense,
-        _ => RetrieverKind::Ranger,
+        Some(other) => bad_flag("retriever", other, "sieve, ranger or dense"),
     }
 }
 
 fn backend_kind(args: &[String]) -> BackendKind {
     match flag(args, "--backend").as_deref() {
+        None | Some("gpt-4o") | Some("gpt4o") => BackendKind::Gpt4o,
         Some("gpt-3.5") | Some("gpt35") => BackendKind::Gpt35Turbo,
         Some("o3") => BackendKind::O3,
         Some("gpt-4o-mini") | Some("mini") => BackendKind::Gpt4oMini,
         Some("finetuned") | Some("ft") => BackendKind::FinetunedGpt4oMini,
-        _ => BackendKind::Gpt4o,
+        Some(other) => bad_flag(
+            "backend",
+            other,
+            "gpt-4o, gpt4o, gpt-3.5, gpt35, o3, gpt-4o-mini, mini, finetuned or ft",
+        ),
     }
+}
+
+/// Exits with status 2 on a flag value no arm accepts, naming the ones
+/// it does.
+fn bad_flag(name: &str, value: &str, accepted: &str) -> ! {
+    eprintln!("error: unknown {name} {value:?} (expected {accepted})");
+    std::process::exit(2)
 }
 
 fn flag(args: &[String], name: &str) -> Option<String> {
@@ -75,9 +97,7 @@ fn main() {
     match args.first().map(String::as_str) {
         Some("ask") => {
             let question = args.get(1).cloned().unwrap_or_else(|| usage());
-            let mind = CacheMind::new(trace_db(scale))
-                .with_retriever(retriever_kind(&args))
-                .with_backend(backend_kind(&args));
+            let mind = mind(scale, &args);
             let answer = mind.ask_query(&Query::new(question));
             println!("{}", answer.text);
             println!(
@@ -89,10 +109,7 @@ fn main() {
             }
         }
         Some("chat") => {
-            let mind = CacheMind::new(trace_db(scale))
-                .with_retriever(retriever_kind(&args))
-                .with_backend(backend_kind(&args));
-            let mut chat = ChatSession::new(mind);
+            let mut chat = ChatSession::new(mind(scale, &args));
             let stdin = std::io::stdin();
             print!("cachemind> ");
             std::io::stdout().flush().ok();
@@ -109,11 +126,10 @@ fn main() {
             }
         }
         Some("bench") => {
+            let (retriever, backend) = (retriever_kind(&args), backend_kind(&args));
             let db = trace_db(scale);
             let catalog = Catalog::generate(&db);
-            let mind = CacheMind::new(db)
-                .with_retriever(retriever_kind(&args))
-                .with_backend(backend_kind(&args));
+            let mind = CacheMind::new(db).with_retriever(retriever).with_backend(backend);
             let report = eval::bench(&mind, &catalog);
             println!("CacheMindBench — {} + {}", report.retriever, report.backend);
             for category in QueryCategory::ALL {
