@@ -174,15 +174,10 @@ fn inline_selector(question: &str, workloads: &[impl AsRef<str>]) -> ScenarioSel
         .find(|sel| {
             let anchored = sel.machine.is_some() || sel.prefetcher.is_some();
             anchored
-                && sel.workload.as_deref().is_none_or(|w| names_contain(workloads, w))
+                && sel.workload.as_deref().is_none_or(|w| vocab_entry(workloads, w).is_some())
                 && sel.machine.as_deref().is_none_or(plausible_machine)
         })
         .unwrap_or_default()
-}
-
-/// Whether a vocabulary holds `name`.
-fn names_contain(names: &[impl AsRef<str>], name: &str) -> bool {
-    names.iter().any(|n| n.as_ref() == name)
 }
 
 /// The vocabulary's entry equal to `word`, borrowed from the vocabulary.
@@ -191,9 +186,8 @@ fn vocab_entry<'v>(names: &'v [impl AsRef<str>], word: &str) -> Option<&'v str> 
 }
 
 /// The words category classification tests for, one bit each of a
-/// [`Keywords`] set. A word outside this list is never looked up, and a
-/// misspelled keyword in a rule does not compile.
-#[derive(Debug, Clone, Copy)]
+/// [`Keywords`] set. A misspelled keyword in a rule does not compile.
+#[derive(Clone, Copy)]
 enum Kw {
     Assembly,
     Average,
@@ -277,7 +271,7 @@ impl Kw {
 }
 
 /// The keywords a question holds, as a bitset over [`Kw`].
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Clone, Copy, Default)]
 struct Keywords(u64);
 
 impl Keywords {
@@ -332,7 +326,7 @@ impl QueryIntent {
         // workload and every distinct policy borrowed from the
         // vocabularies, and the PC and address slots from hex literals.
         // PCs are small (< 2^32, code addresses) and data addresses are
-        // large in our traces; past that, the first literal fills a slot.
+        // large in our traces; past that, literals fill the slots in order.
         let mut keywords = Keywords::default();
         let mut found_workload: Option<&str> = None;
         let mut found_policies: Vec<&str> = Vec::new();
@@ -370,10 +364,11 @@ impl QueryIntent {
 
         let workload = found_workload
             .map(str::to_owned)
-            .or_else(|| selector.workload.clone().filter(|w| names_contain(workloads, w)));
+            .or_else(|| selector.workload.clone().filter(|w| vocab_entry(workloads, w).is_some()));
         let mut mentioned: Vec<String> = found_policies.into_iter().map(str::to_owned).collect();
         if mentioned.is_empty() {
-            if let Some(p) = selector.policy.clone().filter(|p| names_contain(policies, p)) {
+            if let Some(p) = selector.policy.clone().filter(|p| vocab_entry(policies, p).is_some())
+            {
                 mentioned.push(p);
             }
         }

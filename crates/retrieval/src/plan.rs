@@ -10,7 +10,6 @@
 //! same plan.
 
 use std::fmt;
-use std::fmt::Write as _;
 
 use serde::{Deserialize, Serialize};
 
@@ -510,18 +509,19 @@ impl Plan {
                 if sets.is_empty() {
                     return Err(PlanError::EmptyResult);
                 }
-                let mut text = String::new();
-                for (i, s) in sets.iter().enumerate() {
-                    let sep = if i == 0 { "" } else { "\n" };
-                    let _ = write!(
-                        text,
-                        "{sep}set {}: accesses={} hits={} hit_rate={:.2}%",
-                        s.set,
-                        s.accesses,
-                        s.hits,
-                        s.hit_rate() * 100.0
-                    );
-                }
+                let text = sets
+                    .iter()
+                    .map(|s| {
+                        format!(
+                            "set {}: accesses={} hits={} hit_rate={:.2}%",
+                            s.set,
+                            s.accesses,
+                            s.hits,
+                            s.hit_rate() * 100.0
+                        )
+                    })
+                    .collect::<Vec<_>>()
+                    .join("\n");
                 Ok(vec![Fact::Snippet {
                     title: format!("Per-set table ({workload}/{policy})"),
                     text,
@@ -567,10 +567,7 @@ impl Plan {
                 if count == 0 {
                     return Err(PlanError::EmptyResult);
                 }
-                let mut text = String::new();
-                for (i, set) in sets.enumerate() {
-                    let _ = write!(text, "{}{set}", if i == 0 { "" } else { ", " });
-                }
+                let text = sets.map(|s| s.to_string()).collect::<Vec<_>>().join(", ");
                 Ok(vec![
                     Fact::CountValue {
                         what: format!("unique cache sets in {workload}_{policy}"),
