@@ -355,6 +355,7 @@ impl TraceFrame {
 mod tests {
     use super::*;
     use cachemind_sim::addr::{Address, SetId};
+    use proptest::prelude::*;
 
     fn frame() -> TraceFrame {
         let mut rows = Vec::new();
@@ -417,8 +418,6 @@ mod tests {
         assert_eq!(f.rows_at(pc, Address::new(0x1000)).len(), 1);
         assert!(f.by_address.get().is_some());
     }
-
-    use proptest::prelude::*;
 
     /// A frame whose row `i` maps to set `(v >> 1) % spread` and misses
     /// when `v` is odd, for the `i`-th value `v`.
