@@ -74,6 +74,19 @@ pub(crate) fn literal(lower: &str) -> Option<Token> {
     None
 }
 
+/// Whether `haystack` contains `needle`, ignoring ASCII case, without
+/// allocating.
+///
+/// For an ASCII, lowercase `needle` this equals
+/// `haystack.to_lowercase().contains(needle)` whenever no needle ends in
+/// `i` or holds a `k`: non-ASCII bytes never match an ASCII one, and the
+/// only characters that lowercase to text holding an ASCII letter are `İ`
+/// (to `i` and a combining dot) and the Kelvin sign `K` (to `k`).
+pub fn contains_ignore_ascii_case(haystack: &str, needle: &str) -> bool {
+    let (haystack, needle) = (haystack.as_bytes(), needle.as_bytes());
+    needle.is_empty() || haystack.windows(needle.len()).any(|w| w.eq_ignore_ascii_case(needle))
+}
+
 /// Extracts every hexadecimal literal from `input`, in order.
 pub fn hex_literals(input: &str) -> Vec<u64> {
     tokenize(input)
@@ -136,5 +149,14 @@ mod tests {
             assert_eq!(tokenize(s), tokenize(s));
         }
         assert_eq!(tokenize("0x1F"), vec![Token::Hex(0x1f)]);
+    }
+
+    #[test]
+    fn ascii_case_insensitive_contains() {
+        assert!(contains_ignore_ascii_case("Estimated IPC?", "ipc"));
+        assert!(contains_ignore_ascii_case("abc", ""));
+        assert!(!contains_ignore_ascii_case("", "ipc"));
+        assert!(!contains_ignore_ascii_case("m\u{130}n", "min"));
+        assert!(contains_ignore_ascii_case("Maß: MISS rate", "miss"));
     }
 }

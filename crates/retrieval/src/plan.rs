@@ -18,11 +18,8 @@ use cachemind_sim::addr::{Address, Pc};
 use cachemind_sim::replay::EvictionRecord;
 use cachemind_sim::scenario::ScenarioSelector;
 use cachemind_tracedb::database::{TraceEntry, TraceId};
-use cachemind_tracedb::filter::Predicate;
 use cachemind_tracedb::meta;
-use cachemind_tracedb::stats::{
-    hot_cold_sets, CacheStatisticalExpert, ColumnStats, PcSummary, SetStats,
-};
+use cachemind_tracedb::stats::{hot_cold_sets, ColumnStats, PcStats, PcSummary, SetStats};
 use cachemind_tracedb::store::TraceStore;
 
 /// Numeric columns a plan may aggregate.
@@ -331,14 +328,11 @@ impl Plan {
     ) -> Result<Vec<Fact>, PlanError> {
         // Resolved once per run: every lookup of a multi-step plan shares it.
         let scope = &scope.machine_scope();
-        let expert = CacheStatisticalExpert::new();
         match self {
             Plan::Lookup { workload, policy, pc, address } => {
                 let entry = Self::entry(db, workload, policy, scope)?;
-                let row = entry
-                    .frame
-                    .first(&Predicate::pc_address(*pc, *address))
-                    .ok_or(PlanError::EmptyResult)?;
+                let row =
+                    entry.frame.rows_for(*pc, *address).next().ok_or(PlanError::EmptyResult)?;
                 Ok(vec![Fact::Outcome {
                     pc: Some(row.pc),
                     address: Some(row.address),
@@ -351,7 +345,7 @@ impl Plan {
             }
             Plan::PcMissRate { workload, policy, pc } => {
                 let entry = Self::entry(db, workload, policy, scope)?;
-                let stats = expert.pc_stats(&entry.frame, *pc).ok_or(PlanError::EmptyResult)?;
+                let stats = &entry.frame.pc_summary(*pc).ok_or(PlanError::EmptyResult)?.stats;
                 Ok(vec![Fact::MissRate {
                     scope: format!("PC {pc}"),
                     percent: stats.miss_rate() * 100.0,
@@ -372,7 +366,7 @@ impl Plan {
                 let entry = Self::entry(db, workload, policy, scope)?;
                 let ipc = meta::extract_ipc(&entry.metadata).ok_or(PlanError::EmptyResult)?;
                 Ok(vec![Fact::NumericValue {
-                    what: meta::ipc_citation(workload, policy, &entry.metadata),
+                    what: meta::ipc_citation(workload, policy, entry),
                     value: ipc,
                     complete: true,
                 }])
@@ -384,10 +378,7 @@ impl Plan {
                 |policy| TraceId::new(workload, policy),
                 |entry| {
                     let ipc = meta::extract_ipc(&entry.metadata)?;
-                    Some((
-                        ipc,
-                        format!("estimated IPC{}", meta::scenario_citation_suffix(&entry.metadata)),
-                    ))
+                    Some((ipc, format!("estimated IPC{}", meta::scenario_citation_suffix(entry))))
                 },
             ),
             Plan::CompareIpcAcrossWorkloads { policy } => Self::rank(
@@ -397,7 +388,7 @@ impl Plan {
                 |workload| TraceId::new(workload, policy),
                 |entry| {
                     let ipc = meta::extract_ipc(&entry.metadata)?;
-                    let suffix = meta::scenario_citation_suffix(&entry.metadata);
+                    let suffix = meta::scenario_citation_suffix(entry);
                     Some((ipc, format!("estimated IPC under {policy}{suffix}")))
                 },
             ),
@@ -408,7 +399,7 @@ impl Plan {
                 |policy| TraceId::new(workload, policy),
                 |entry| {
                     let rate = match pc {
-                        Some(pc) => expert.pc_stats(&entry.frame, *pc)?.miss_rate() * 100.0,
+                        Some(pc) => entry.frame.pc_summary(*pc)?.stats.miss_rate() * 100.0,
                         None => meta::extract_percent(&entry.metadata, "miss rate")?,
                     };
                     Some((rate, "miss rate %".to_owned()))
@@ -438,13 +429,11 @@ impl Plan {
                     // A filter-free count is the frame's row count, which a
                     // snapshot-opened frame knows without decoding its rows.
                     (None, None) if !*misses_only => entry.frame.len(),
-                    _ => {
-                        let mut pred = Predicate::pc_address(*pc, *address);
-                        if *misses_only {
-                            pred = pred.and(Predicate::IsMiss(true));
-                        }
-                        entry.frame.count(&pred)
-                    }
+                    _ => entry
+                        .frame
+                        .rows_for(*pc, *address)
+                        .filter(|r| !*misses_only || r.is_miss)
+                        .count(),
                 };
                 if count == 0 {
                     return Err(PlanError::EmptyResult);
@@ -474,7 +463,8 @@ impl Plan {
             }
             Plan::PerPcTable { workload, policy, limit } => {
                 let entry = Self::entry(db, workload, policy, scope)?;
-                let mut stats = expert.per_pc(&entry.frame);
+                let mut stats: Vec<&PcStats> =
+                    entry.frame.pc_summaries().iter().map(|s| &s.stats).collect();
                 stats.sort_by_key(|s| std::cmp::Reverse(s.misses));
                 if *limit > 0 {
                     stats.truncate(*limit);
@@ -505,7 +495,7 @@ impl Plan {
             }
             Plan::PerSetTable { workload, policy } => {
                 let entry = Self::entry(db, workload, policy, scope)?;
-                let sets = expert.per_set(&entry.frame);
+                let sets = entry.frame.set_summaries();
                 if sets.is_empty() {
                     return Err(PlanError::EmptyResult);
                 }
@@ -534,11 +524,11 @@ impl Plan {
                     text: entry.metadata.clone(),
                 }];
                 if let Some(pc) = pc {
-                    if let Some(stats) = expert.pc_stats(&entry.frame, *pc) {
+                    if let Some(summary) = entry.frame.pc_summary(*pc) {
                         facts.push(Fact::MissRate {
                             scope: format!("PC {pc}"),
-                            percent: stats.miss_rate() * 100.0,
-                            accesses: stats.accesses,
+                            percent: summary.stats.miss_rate() * 100.0,
+                            accesses: summary.stats.accesses,
                         });
                     }
                 }
@@ -579,9 +569,11 @@ impl Plan {
             }
             Plan::GroupPcsByReuseVariance { workload, policy } => {
                 let entry = Self::entry(db, workload, policy, scope)?;
-                let mut scored: Vec<(Pc, f64)> = expert
-                    .per_pc(&entry.frame)
-                    .into_iter()
+                let mut scored: Vec<(Pc, f64)> = entry
+                    .frame
+                    .pc_summaries()
+                    .iter()
+                    .map(|s| &s.stats)
                     .filter(|s| s.accesses >= 10)
                     .filter_map(|s| s.reuse_cv().map(|cv| (s.pc, cv)))
                     .collect();
@@ -603,7 +595,7 @@ impl Plan {
             }
             Plan::HotColdSets { workload, policy } => {
                 let entry = Self::entry(db, workload, policy, scope)?;
-                let ranked = hot_cold_sets(expert.per_set(&entry.frame));
+                let ranked = hot_cold_sets(entry.frame.set_summaries());
                 if ranked.hot.is_empty() {
                     return Err(PlanError::EmptyResult);
                 }

@@ -8,7 +8,6 @@ use serde::{Deserialize, Serialize};
 use cachemind_lang::context::{Fact, RetrievedContext};
 use cachemind_lang::intent::{QueryCategory, QueryIntent};
 use cachemind_tracedb::database::TraceDatabase;
-use cachemind_tracedb::stats::CacheStatisticalExpert;
 use cachemind_tracedb::store::TraceStore;
 
 use crate::retriever::Retriever;
@@ -72,7 +71,6 @@ impl Probe {
 /// (three hit/miss lookups, two miss rates, one policy comparison, two
 /// counts — one deliberately under-specified — and two aggregates).
 pub fn probe_queries(db: &TraceDatabase) -> Vec<Probe> {
-    let expert = CacheStatisticalExpert::new();
     let mut probes = Vec::new();
 
     // Three per-access lookups across workloads.
@@ -102,7 +100,7 @@ pub fn probe_queries(db: &TraceDatabase) -> Vec<Probe> {
     {
         let entry = db.get("mcf_evictions_parrot").expect("trace present");
         let pc = entry.frame.rows()[0].pc;
-        let stats = expert.pc_stats(&entry.frame, pc).expect("stats");
+        let stats = &entry.frame.pc_summary(pc).expect("stats").stats;
         probes.push(Probe {
             question: format!(
                 "What is the miss rate for PC {pc} on the mcf workload with PARROT \

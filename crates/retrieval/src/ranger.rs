@@ -14,6 +14,7 @@
 
 use cachemind_lang::context::{ContextQuality, Fact, RetrievedContext};
 use cachemind_lang::intent::{QueryCategory, QueryIntent, Tier};
+use cachemind_lang::token::contains_ignore_ascii_case;
 use cachemind_obs::{names, HistogramHandle, MetricsRegistry};
 use cachemind_tracedb::schema;
 use cachemind_tracedb::store::TraceStore;
@@ -100,7 +101,8 @@ impl RangerRetriever {
     /// The planner: compiles an intent into a plan. `None` when the query
     /// gives the planner nothing to bind to.
     pub fn compile(&self, db: &dyn TraceStore, intent: &QueryIntent) -> Option<Plan> {
-        let (workload, policy) = resolve_trace_slots(db, intent, true);
+        let (workload, policy) = resolve_trace_slots(db, intent);
+        let says = |word: &str| contains_ignore_ascii_case(&intent.raw, word);
         let fallback_policy = || policy.clone().unwrap_or_else(|| "lru".to_owned());
         match intent.category {
             QueryCategory::HitMiss => Some(Plan::Lookup {
@@ -110,7 +112,7 @@ impl RangerRetriever {
                 address: intent.address,
             }),
             QueryCategory::MissRate => {
-                if intent.raw.to_lowercase().contains("ipc") {
+                if says("ipc") {
                     return Some(Plan::WorkloadIpc {
                         workload: workload?,
                         policy: fallback_policy(),
@@ -129,13 +131,13 @@ impl RangerRetriever {
                 }
             }
             QueryCategory::PolicyComparison => {
-                if intent.raw.to_lowercase().contains("ipc") {
+                if says("ipc") {
                     return Some(Plan::CompareIpcAcrossPolicies { workload: workload? });
                 }
                 Some(Plan::CompareAcrossPolicies { workload: workload?, pc: intent.pc })
             }
             QueryCategory::WorkloadAnalysis => {
-                if intent.raw.to_lowercase().contains("ipc") {
+                if says("ipc") {
                     return Some(Plan::CompareIpcAcrossWorkloads { policy: fallback_policy() });
                 }
                 Some(Plan::CompareAcrossWorkloads { policy: fallback_policy() })
@@ -145,28 +147,27 @@ impl RangerRetriever {
                 policy: fallback_policy(),
                 pc: intent.pc,
                 address: intent.address,
-                misses_only: intent.raw.to_lowercase().contains("miss"),
+                misses_only: says("miss"),
             }),
             QueryCategory::Arithmetic => {
                 // Column/function selection needs the schema card; without
                 // it the planner guesses the accessed-reuse column.
-                let lower = intent.raw.to_lowercase();
                 let column = if !self.with_schema {
                     AggColumn::AccessedReuse
-                } else if lower.contains("evicted") {
+                } else if says("evicted") {
                     AggColumn::EvictedReuse
-                } else if lower.contains("recency") {
+                } else if says("recency") {
                     AggColumn::Recency
                 } else {
                     AggColumn::AccessedReuse
                 };
-                let func = if lower.contains("standard deviation") || lower.contains("std") {
+                let func = if says("standard deviation") || says("std") {
                     AggFunc::Std
-                } else if lower.contains("sum") || lower.contains("total") {
+                } else if says("sum") || says("total") {
                     AggFunc::Sum
-                } else if lower.contains("max") || lower.contains("largest") {
+                } else if says("max") || says("largest") {
                     AggFunc::Max
-                } else if lower.contains("min") || lower.contains("smallest") {
+                } else if says("min") || says("smallest") {
                     AggFunc::Min
                 } else {
                     AggFunc::Mean

@@ -21,15 +21,14 @@ pub trait Retriever: std::fmt::Debug {
 }
 
 /// Resolves the (workload, policy) pair an intent refers to, against the
-/// database's vocabulary, with optional fuzzy ("semantic") matching for
-/// near-miss names. Slots the question text leaves open fall back to the
+/// database's vocabulary, with fuzzy ("semantic") matching for near-miss
+/// names. Slots the question text leaves open fall back to the
 /// intent's scenario selector (a session-pinned or inline `@` scope)
 /// before resolution, so a scoped query binds like an explicit one.
 /// Returns `None` for a slot neither the query nor its scope pins down.
 pub fn resolve_trace_slots(
     db: &dyn TraceStore,
     intent: &QueryIntent,
-    semantic: bool,
 ) -> (Option<String>, Option<String>) {
     let workloads = db.workloads();
     let policies = db.policies();
@@ -38,13 +37,9 @@ pub fn resolve_trace_slots(
         if vocab.contains(&w) {
             return Some(w);
         }
-        if semantic {
-            // Prefix / containment fallback for morphological variants
-            // ("astar's", "belady-opt").
-            vocab.iter().find(|v| w.starts_with(v.as_str()) || v.starts_with(&w)).cloned()
-        } else {
-            None
-        }
+        // Prefix / containment fallback for morphological variants
+        // ("astar's", "belady-opt").
+        vocab.iter().find(|v| w.starts_with(v.as_str()) || v.starts_with(&w)).cloned()
     };
     (
         resolve(intent.workload.clone().or_else(|| intent.selector.workload.clone()), &workloads),
@@ -67,7 +62,7 @@ mod tests {
     fn exact_slots_resolve() {
         let db = db();
         let i = QueryIntent::parse("miss rate for mcf under lru", &["mcf"], &["lru"]);
-        let (w, p) = resolve_trace_slots(&db, &i, false);
+        let (w, p) = resolve_trace_slots(&db, &i);
         assert_eq!(w.as_deref(), Some("mcf"));
         assert_eq!(p.as_deref(), Some("lru"));
     }
@@ -78,9 +73,7 @@ mod tests {
         // "mcfs" is not in the vocabulary; semantic matching recovers it.
         let mut i = QueryIntent::parse("miss rate under lru", &["mcf"], &["lru"]);
         i.workload = Some("mcfs".to_owned());
-        let (w, _) = resolve_trace_slots(&db, &i, true);
+        let (w, _) = resolve_trace_slots(&db, &i);
         assert_eq!(w.as_deref(), Some("mcf"));
-        let (w, _) = resolve_trace_slots(&db, &i, false);
-        assert_eq!(w, None);
     }
 }

@@ -4,13 +4,12 @@
 //! The four-stage pipeline of Figure 1:
 //!
 //! 1. **Trace-level filtering** — workload/policy names extracted from the
-//!    query select the `<workload>_evictions_<policy>` store key (with an
-//!    optional fuzzy fallback standing in for the sentence-embedding
-//!    ranking).
-//! 2. **PC and address filtering** — symbolic predicates isolate a compact
-//!    slice from the frame.
-//! 3. **Cache statistical expert** — per-PC/per-set statistics over the
-//!    slice.
+//!    query select the `<workload>_evictions_<policy>` store key (with a
+//!    fuzzy fallback standing in for the sentence-embedding ranking).
+//! 2. **PC and address filtering** — the frame's rows for the question's
+//!    PC and/or address ([`TraceFrame::rows_for`]) form a compact slice.
+//! 3. **Cache statistical expert** — the frame's per-PC statistics
+//!    ([`TraceFrame::pc_summary`]), summarised once per frame.
 //! 4. **Context assembly** — facts, metadata and code snippets are bundled
 //!    for the generator.
 //!
@@ -18,13 +17,15 @@
 //! [`SieveRetriever::slice_cap`] rows, so aggregate questions (Count,
 //! Arithmetic) over larger slices come back marked incomplete — the
 //! mechanistic root of the universal Count failure in Figures 4 and 8.
+//!
+//! [`TraceFrame::rows_for`]: cachemind_tracedb::TraceFrame::rows_for
+//! [`TraceFrame::pc_summary`]: cachemind_tracedb::TraceFrame::pc_summary
 
 use cachemind_lang::context::{Fact, RetrievedContext};
 use cachemind_lang::intent::{QueryCategory, QueryIntent};
+use cachemind_lang::token::contains_ignore_ascii_case;
 use cachemind_sim::addr::Pc;
 use cachemind_tracedb::database::{policy_description, TraceEntry};
-use cachemind_tracedb::filter::Predicate;
-use cachemind_tracedb::stats::CacheStatisticalExpert;
 use cachemind_tracedb::store::TraceStore;
 
 use crate::quality::grade;
@@ -85,8 +86,7 @@ impl SieveRetriever {
             return Some(Fact::PremiseViolation { reason });
         }
         if let Some(addr) = intent.address {
-            let pair_exists = entry.frame.rows_at(pc, addr).len() > 0;
-            if !pair_exists {
+            if entry.frame.rows_for(Some(pc), Some(addr)).next().is_none() {
                 return Some(Fact::PremiseViolation {
                     reason: format!("PC {pc} never accesses address {addr} in this trace"),
                 });
@@ -96,7 +96,7 @@ impl SieveRetriever {
     }
 
     fn pc_stats_fact(entry: &TraceEntry, pc: Pc) -> Option<Fact> {
-        let stats = CacheStatisticalExpert::new().pc_stats(&entry.frame, pc)?;
+        let stats = &entry.frame.pc_summary(pc)?.stats;
         Some(Fact::MissRate {
             scope: format!("PC {pc}"),
             percent: stats.miss_rate() * 100.0,
@@ -143,13 +143,11 @@ impl SieveRetriever {
                     scope,
                 ) {
                     if let Some(pc) = intent.pc {
-                        if let Some(stats) =
-                            CacheStatisticalExpert::new().pc_stats(&other.frame, pc)
-                        {
+                        if let Some(summary) = other.frame.pc_summary(pc) {
                             facts.push(Fact::PolicyValue {
                                 policy: policy.clone(),
                                 metric: format!("miss rate % at PC {pc}"),
-                                value: stats.miss_rate() * 100.0,
+                                value: summary.stats.miss_rate() * 100.0,
                             });
                         }
                     }
@@ -169,8 +167,7 @@ impl Retriever for SieveRetriever {
     }
 
     fn retrieve(&self, db: &dyn TraceStore, intent: &QueryIntent) -> RetrievedContext {
-        let (workload, policy) = resolve_trace_slots(db, intent, true);
-        let expert = CacheStatisticalExpert::new();
+        let (workload, policy) = resolve_trace_slots(db, intent);
         let mut facts: Vec<Fact> = Vec::new();
         // The machine scope is resolved once per retrieval and handed to
         // every lookup below — the multi-branch templates (policy and
@@ -193,8 +190,7 @@ impl Retriever for SieveRetriever {
                         facts.push(violation);
                     } else {
                         // Stage 2: symbolic PC/address filters.
-                        let pred = Predicate::pc_address(intent.pc, intent.address);
-                        if let Some(row) = entry.frame.first(&pred) {
+                        if let Some(row) = entry.frame.rows_for(intent.pc, intent.address).next() {
                             facts.push(Fact::Outcome {
                                 pc: Some(row.pc),
                                 address: Some(row.address),
@@ -212,7 +208,7 @@ impl Retriever for SieveRetriever {
             }
             QueryCategory::MissRate => {
                 if let Some(entry) = entry {
-                    if intent.raw.to_lowercase().contains("ipc") {
+                    if contains_ignore_ascii_case(&intent.raw, "ipc") {
                         // IPC lookups ride the MissRate category; the value
                         // comes from the metadata's scenario sentence, not
                         // the miss-rate percent.
@@ -224,7 +220,7 @@ impl Retriever for SieveRetriever {
                                 what: cachemind_tracedb::meta::ipc_citation(
                                     &entry.id.workload,
                                     &entry.id.policy,
-                                    &entry.metadata,
+                                    entry,
                                 ),
                                 value: ipc,
                                 complete: true,
@@ -265,7 +261,7 @@ impl Retriever for SieveRetriever {
                         };
                         let value = match intent.pc {
                             Some(pc) => {
-                                expert.pc_stats(&entry.frame, pc).map(|s| s.miss_rate() * 100.0)
+                                entry.frame.pc_summary(pc).map(|s| s.stats.miss_rate() * 100.0)
                             }
                             None => cachemind_tracedb::meta::extract_percent(
                                 &entry.metadata,
@@ -286,11 +282,9 @@ impl Retriever for SieveRetriever {
                 // Sieve has no aggregate template: it returns a *capped*
                 // slice and computes over what it sees.
                 if let Some(entry) = entry {
-                    let pred = Predicate::pc_address(intent.pc, intent.address);
-                    let rows = entry.frame.filter(&pred);
-                    let total = rows.len();
-                    let visible = &rows[..total.min(self.slice_cap)];
-                    let complete = total <= self.slice_cap;
+                    let mut rows = entry.frame.rows_for(intent.pc, intent.address);
+                    let visible: Vec<_> = rows.by_ref().take(self.slice_cap).collect();
+                    let complete = rows.next().is_none();
                     if intent.category == QueryCategory::Count {
                         facts.push(Fact::CountValue {
                             what: format!("matching accesses in {}", entry.id),

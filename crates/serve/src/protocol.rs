@@ -219,26 +219,8 @@ impl AskRequest {
         if question.trim().is_empty() {
             return Err(ProtocolError::BadRequest("'question' must be non-empty".into()));
         }
-        let session = match value.get("session") {
-            None => None,
-            Some(v) if v.is_null() => None,
-            Some(v) => Some(v.as_u64().ok_or_else(|| {
-                ProtocolError::BadRequest("'session' must be a non-negative integer".into())
-            })?),
-        };
-        let scenario = match value.get("scenario") {
-            None => None,
-            Some(v) if v.is_null() => None,
-            Some(v) => {
-                let text = v.as_str().ok_or_else(|| {
-                    ProtocolError::BadRequest("'scenario' must be a selector string".into())
-                })?;
-                Some(
-                    ScenarioSelector::parse(text)
-                        .map_err(|e| ProtocolError::BadRequest(e.to_string()))?,
-                )
-            }
-        };
+        let session = session_field(value)?;
+        let scenario = scenario_field(value)?;
         let protocol_version = match value.get("protocol_version") {
             None => {
                 // Sending a scenario implies v2.
@@ -314,6 +296,35 @@ pub enum Request {
     Shutdown,
 }
 
+/// The optional `session` field of an ask or open request: absent or
+/// `null` is `None`.
+fn session_field(value: &Value) -> Result<Option<u64>, ProtocolError> {
+    match value.get("session") {
+        None => Ok(None),
+        Some(v) if v.is_null() => Ok(None),
+        Some(v) => v.as_u64().map(Some).ok_or_else(|| {
+            ProtocolError::BadRequest("'session' must be a non-negative integer".into())
+        }),
+    }
+}
+
+/// The optional `scenario` field of an ask or open request, parsed as a
+/// selector: absent or `null` is `None`.
+fn scenario_field(value: &Value) -> Result<Option<ScenarioSelector>, ProtocolError> {
+    match value.get("scenario") {
+        None => Ok(None),
+        Some(v) if v.is_null() => Ok(None),
+        Some(v) => {
+            let text = v.as_str().ok_or_else(|| {
+                ProtocolError::BadRequest("'scenario' must be a selector string".into())
+            })?;
+            ScenarioSelector::parse(text)
+                .map(Some)
+                .map_err(|e| ProtocolError::BadRequest(e.to_string()))
+        }
+    }
+}
+
 impl Request {
     /// Parses one request line: an `open` when the object carries
     /// `"open": true`, a `close` when it carries `"close": true`, a
@@ -325,26 +336,8 @@ impl Request {
             if flag.as_bool() != Some(true) {
                 return Err(ProtocolError::BadRequest("'open' must be the boolean true".into()));
             }
-            let session = match value.get("session") {
-                None => None,
-                Some(v) if v.is_null() => None,
-                Some(v) => Some(v.as_u64().ok_or_else(|| {
-                    ProtocolError::BadRequest("'session' must be a non-negative integer".into())
-                })?),
-            };
-            let scenario = match value.get("scenario") {
-                None => None,
-                Some(v) if v.is_null() => None,
-                Some(v) => {
-                    let text = v.as_str().ok_or_else(|| {
-                        ProtocolError::BadRequest("'scenario' must be a selector string".into())
-                    })?;
-                    Some(
-                        ScenarioSelector::parse(text)
-                            .map_err(|e| ProtocolError::BadRequest(e.to_string()))?,
-                    )
-                }
-            };
+            let session = session_field(&value)?;
+            let scenario = scenario_field(&value)?;
             if session.is_some() && scenario.is_some() {
                 return Err(ProtocolError::BadRequest(
                     "'scenario' is only valid when opening a fresh session (omit 'session')".into(),

@@ -13,7 +13,9 @@
 //! `QueryIntent::parse_scoped`) of the mix, the CacheMindBench catalog,
 //! the golden-plan questions, the chat tool's exploration commands and
 //! edge inputs, so a change to how a question is read shows up here
-//! before it shows up in an answer.
+//! before it shows up in an answer. The same questions check that the
+//! retrievers' allocation-free keyword test reads them as a lowercased
+//! search would.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -21,6 +23,7 @@ use std::sync::Arc;
 use cachemind_benchsuite::catalog::Catalog;
 use cachemind_core::system::{CacheMind, Query, RetrieverKind};
 use cachemind_lang::intent::QueryIntent;
+use cachemind_lang::token::contains_ignore_ascii_case;
 use cachemind_serve::engine::{build_database, ServeConfig, ServeEngine};
 use cachemind_sim::addr::{Address, Pc};
 use cachemind_sim::hash::fnv64;
@@ -263,4 +266,37 @@ fn parsed_intents_match_their_recorded_digest() {
         "over {} intents",
         inputs.len()
     );
+}
+
+/// Every word Ranger and Sieve look for in a question's raw text.
+const RAW_TEXT_WORDS: [&str; 12] = [
+    "ipc",
+    "miss",
+    "evicted",
+    "recency",
+    "standard deviation",
+    "std",
+    "sum",
+    "total",
+    "max",
+    "largest",
+    "min",
+    "smallest",
+];
+
+#[test]
+fn raw_text_word_tests_equal_a_lowercased_search() {
+    let store = build_database(&config()).expect("store builds");
+    let mut texts: Vec<String> = intent_inputs(&store).into_iter().map(|(q, _)| q).collect();
+    texts.extend(["MİN İPC", "Maß: the STRAßE SUM", "\u{212A}ey MAX mİss"].map(str::to_owned));
+    for text in &texts {
+        let lower = text.to_lowercase();
+        for word in RAW_TEXT_WORDS {
+            assert_eq!(
+                contains_ignore_ascii_case(text, word),
+                lower.contains(word),
+                "{word:?} in {text:?}"
+            );
+        }
+    }
 }

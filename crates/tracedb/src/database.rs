@@ -775,7 +775,9 @@ mod tests {
             .get_scoped_resolved(&id, &ScenarioSelector::all().with_machine("table2"))
             .expect("table2 entry");
         assert!(on_table2.machine.starts_with("table2@"));
-        assert_eq!(meta::extract_machine(&on_table2.metadata), Some(on_table2.machine.as_str()));
+        assert!(on_table2
+            .metadata
+            .contains(&format!("Simulated on machine {} ", on_table2.machine)));
         let on_small = multi
             .get_scoped_resolved(&id, &ScenarioSelector::all().with_machine("small"))
             .expect("small entry");
@@ -817,7 +819,6 @@ mod tests {
 
     #[test]
     fn extra_prefetchers_add_qualified_entries_without_touching_primary_keys() {
-        use crate::meta;
         use crate::store::TraceStore;
         use cachemind_sim::scenario::ScenarioSelector;
 
@@ -849,12 +850,12 @@ mod tests {
         assert_eq!(strided.prefetcher, "stride4");
         assert_eq!(strided.id.prefetcher.as_deref(), Some("stride4"));
         assert_eq!(strided.id.machine, None, "machine-unscoped stays primary");
-        assert_eq!(meta::extract_prefetcher(&strided.metadata), Some("stride4"));
+        assert!(strided.metadata.contains("Hardware prefetcher stride4 "));
         assert!(strided.prefetch_fills > 0, "transformed stream must fill lines");
         assert!(strided.prefetch_accuracy > 0.0 && strided.prefetch_accuracy <= 1.0);
         assert!(strided.prefetch_coverage > 0.0 && strided.prefetch_coverage < 1.0);
         assert_ne!(strided.ipc, baseline.ipc, "prefetch-aware IPC must differ");
-        assert_eq!(meta::extract_prefetcher(&baseline.metadata), None);
+        assert!(!baseline.metadata.contains("Hardware prefetcher "));
 
         let both = ScenarioSelector::parse("@table2+stride4").expect("selector");
         let on_table2 = multi.get_scoped_resolved(&id, &both).expect("fully qualified entry");
@@ -947,7 +948,8 @@ mod tests {
         for entry in db.entries() {
             assert_eq!(entry.machine, expected_label, "{}", entry.id);
             assert!(entry.ipc > 0.0, "{} has no IPC", entry.id);
-            assert_eq!(meta::extract_machine(&entry.metadata), Some(entry.machine.as_str()));
+            let sentence = format!("Simulated on machine {} ", entry.machine);
+            assert!(entry.metadata.contains(&sentence), "{}", entry.id);
             let cited = meta::extract_ipc(&entry.metadata).expect("metadata cites IPC");
             assert!((cited - entry.ipc).abs() < 1e-6, "{} vs {}", cited, entry.ipc);
         }

@@ -6,7 +6,6 @@ use cachemind_sim::addr::{Address, Pc};
 use cachemind_sim::replay::EvictionRecord;
 use cachemind_workloads::program::ProgramImage;
 
-use crate::filter::Predicate;
 use crate::snapshot::RowPayload;
 use crate::stats::{PcSummary, SetStats};
 
@@ -17,28 +16,29 @@ use crate::stats::{PcSummary, SetStats};
 /// (`function_name`, `function_code`, `assembly_code`) joined lazily from
 /// the shared [`ProgramImage`].
 ///
-/// Every PC-scoped read goes through a per-PC index of the rows, built on
-/// first use and kept for the frame's lifetime (the rows never change
-/// after construction). Three more derived structures, each also built
-/// on its first use, serve asks without walking the rows again: a
+/// The rows a question names are read through [`rows_for`]: given a PC,
+/// in stream order from a per-PC index of the rows, built on first use
+/// and kept for the frame's lifetime (the rows never change after
+/// construction); given only an address, by a scan. Three more derived
+/// structures, each also built on its first use, serve asks without
+/// walking the rows again: a
 /// [`PcSummary`] per distinct PC ([`pc_summary`], [`pc_summaries`]); each
 /// PC's row ids re-sorted by `(address, row id)` (4 B per row), which
-/// [`rows_at`] and every read whose predicate pins both a PC and an
-/// address ([`Predicate::address_key`]) binary-search; and a [`SetStats`]
-/// per set the rows map to ([`set_summaries`], 24 B per set, counted
-/// without the PC index). All four are derived state: snapshots do not
-/// store them, and `len`, `pcs` and `contains_pc` build none of the last
-/// three.
+/// [`rows_for`] binary-searches when given both a PC and an address; and
+/// a [`SetStats`] per set the rows map to ([`set_summaries`], 24 B per
+/// set, counted without the PC index). All four are derived state:
+/// snapshots do not store them, and `len`, `pcs` and `contains_pc` build
+/// none of the last three.
 ///
+/// [`rows_for`]: TraceFrame::rows_for
 /// [`pc_summary`]: TraceFrame::pc_summary
 /// [`pc_summaries`]: TraceFrame::pc_summaries
-/// [`rows_at`]: TraceFrame::rows_at
 /// [`set_summaries`]: TraceFrame::set_summaries
 ///
 /// A frame read lazily from a snapshot holds its encoded row payload and
-/// decodes it on the first read of any row (`rows`, the PC index, the set
-/// summary, `filter`/`count`/`first`/`select`, CSV export); `len` and
-/// `is_empty` answer from the stored row count without decoding.
+/// decodes it on the first read of any row (`rows`, `rows_for`, the PC
+/// index, the set summary, CSV export); `len` and `is_empty` answer from
+/// the stored row count without decoding.
 #[derive(Clone)]
 pub struct TraceFrame {
     rows: OnceLock<Vec<EvictionRecord>>,
@@ -181,17 +181,6 @@ impl TraceFrame {
         self.pc_index().pcs.binary_search(&pc).is_ok()
     }
 
-    /// The rows issued by `pc` to `address` (byte-exact), in stream order:
-    /// a binary search of the PC's address-ordered row ids.
-    pub fn rows_at(
-        &self,
-        pc: Pc,
-        address: Address,
-    ) -> impl ExactSizeIterator<Item = &EvictionRecord> + '_ {
-        let rows = self.rows();
-        self.ids_at(pc, address).iter().map(|&id| &rows[id as usize])
-    }
-
     /// The ids of `pc`'s rows at `address`, ascending.
     fn ids_at(&self, pc: Pc, address: Address) -> &[u32] {
         let index = self.pc_index();
@@ -236,44 +225,24 @@ impl TraceFrame {
         Some(&self.pc_summaries()[i])
     }
 
-    /// Rows matching `predicate`, in stream order. A predicate that pins a
-    /// PC ([`Predicate::pc_key`]) is evaluated over that PC's rows only,
-    /// and one that also pins an address ([`Predicate::address_key`]) over
-    /// that PC's rows at the address only.
-    fn matching<'a, 'p>(
-        &'a self,
-        predicate: &'p Predicate,
-    ) -> impl Iterator<Item = &'a EvictionRecord> + use<'a, 'p> {
+    /// The rows issued by `pc` to `address` (byte-exact), each narrowing
+    /// only when given, in stream order. A PC reads its postings, a PC and
+    /// an address binary-search the PC's address-ordered row ids, and an
+    /// address alone scans every row.
+    pub fn rows_for(
+        &self,
+        pc: Option<Pc>,
+        address: Option<Address>,
+    ) -> impl Iterator<Item = &EvictionRecord> + '_ {
         let rows = self.rows();
-        let (scan, ids): (&[EvictionRecord], &[u32]) =
-            match (predicate.pc_key(), predicate.address_key()) {
-                (Some(pc), Some(address)) => (&[], self.ids_at(pc, address)),
-                (Some(pc), None) => (&[], self.pc_index().postings(pc)),
-                (None, _) => (rows, &[]),
-            };
+        let (scan, ids): (&[EvictionRecord], &[u32]) = match (pc, address) {
+            (Some(pc), Some(address)) => (&[], self.ids_at(pc, address)),
+            (Some(pc), None) => (&[], self.pc_index().postings(pc)),
+            (None, _) => (rows, &[]),
+        };
         scan.iter()
+            .filter(move |r| address.is_none_or(|a| r.address == a))
             .chain(ids.iter().map(|&id| &rows[id as usize]))
-            .filter(move |r| predicate.matches(r))
-    }
-
-    /// Rows matching `predicate`, in stream order (borrowed).
-    pub fn filter(&self, predicate: &Predicate) -> Vec<&EvictionRecord> {
-        self.matching(predicate).collect()
-    }
-
-    /// The first row matching `predicate` in stream order.
-    pub fn first(&self, predicate: &Predicate) -> Option<&EvictionRecord> {
-        self.matching(predicate).next()
-    }
-
-    /// Number of rows matching `predicate`.
-    pub fn count(&self, predicate: &Predicate) -> usize {
-        self.matching(predicate).count()
-    }
-
-    /// A new frame containing only rows matching `predicate` (cloned).
-    pub fn select(&self, predicate: &Predicate) -> TraceFrame {
-        TraceFrame::new(self.matching(predicate).cloned().collect(), Arc::clone(&self.program))
     }
 
     /// The `function_name` column value for a PC.
@@ -381,17 +350,22 @@ mod tests {
     #[test]
     fn filter_and_count_agree() {
         let f = frame();
-        let p = Predicate::IsMiss(true);
-        assert_eq!(f.filter(&p).len(), f.count(&p));
-        assert_eq!(f.count(&p), 5);
+        assert_eq!(f.rows_for(None, None).filter(|r| r.is_miss).count(), 5);
+        let pc = Pc::new(0x400000);
+        let misses = f.rows_for(Some(pc), None).filter(|r| r.is_miss).count() as u64;
+        assert_eq!(Some(misses), f.pc_summary(pc).map(|s| s.stats.misses));
+        let at: Vec<u64> = f.rows_for(None, Some(Address::new(0x1040))).map(|r| r.index).collect();
+        assert_eq!(at, vec![1]);
     }
 
     #[test]
     fn select_produces_subframe() {
         let f = frame();
-        let sub = f.select(&Predicate::PcEquals(Pc::new(0x400000)));
+        let pc = Pc::new(0x400000);
+        let sub =
+            TraceFrame::new(f.rows_for(Some(pc), None).cloned().collect(), Arc::clone(&f.program));
         assert_eq!(sub.len(), 4);
-        assert!(sub.rows().iter().all(|r| r.pc == Pc::new(0x400000)));
+        assert!(sub.rows().iter().all(|r| r.pc == pc));
     }
 
     #[test]
@@ -411,11 +385,11 @@ mod tests {
         assert!(f.summaries.get().is_none() && f.by_address.get().is_none());
         assert!(f.sets.get().is_none());
         // A PC-only read uses the postings in stream order, not the summary.
-        assert_eq!(f.count(&Predicate::PcEquals(pc)), 4);
+        assert_eq!(f.rows_for(Some(pc), None).count(), 4);
         assert!(f.summaries.get().is_none() && f.by_address.get().is_none());
         assert_eq!(f.pc_summary(pc).map(|s| s.stats.accesses), Some(4));
         assert!(f.by_address.get().is_none());
-        assert_eq!(f.rows_at(pc, Address::new(0x1000)).len(), 1);
+        assert_eq!(f.rows_for(Some(pc), Some(Address::new(0x1000))).count(), 1);
         assert!(f.by_address.get().is_some());
     }
 

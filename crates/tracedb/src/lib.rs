@@ -14,8 +14,11 @@
 //!   paper's "Cache Performance Summary" format, and
 //! * a **description** of the workload and policy.
 //!
-//! On top of the storage sit the symbolic [`filter`] engine (the backbone
-//! of the Sieve retriever) and the [`stats`] "cache statistical expert".
+//! A frame answers the Sieve retriever's two reads itself: the rows a
+//! question names by PC and/or address ([`TraceFrame::rows_for`]), and the
+//! [`stats`] of the "cache statistical expert", summarised per PC and per
+//! set on first use ([`TraceFrame::pc_summary`],
+//! [`TraceFrame::set_summaries`]).
 //!
 //! # Example
 //!
@@ -25,12 +28,12 @@
 //! let db = TraceDatabaseBuilder::quick_demo().build();
 //! let entry = db.get("mcf_evictions_lru").expect("built trace");
 //! assert!(entry.metadata.contains("Cache Performance Summary"));
-//! let misses = entry.frame.filter(&Predicate::IsMiss(true));
-//! assert!(!misses.is_empty());
+//! let pc = entry.frame.rows()[0].pc;
+//! let misses = entry.frame.rows_for(Some(pc), None).filter(|r| r.is_miss).count();
+//! assert_eq!(misses as u64, entry.frame.pc_summary(pc).unwrap().stats.misses);
 //! ```
 
 pub mod database;
-pub mod filter;
 pub mod frame;
 pub mod meta;
 pub mod schema;
@@ -41,10 +44,9 @@ pub mod store;
 
 pub use cachemind_sim::replay::EvictionRecord;
 pub use database::{BuildError, TraceDatabase, TraceDatabaseBuilder, TraceEntry, TraceId};
-pub use filter::Predicate;
 pub use frame::TraceFrame;
 pub use snapshot::{SnapshotError, VerifiedSnapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
-pub use stats::{CacheStatisticalExpert, ColumnStats, PcStats, PcSummary, SetStats};
+pub use stats::{ColumnStats, PcStats, PcSummary, SetStats};
 pub use store::{shard_index, TraceStore};
 
 // The scenario-scope type of the selector-filtered query surface
@@ -57,10 +59,9 @@ pub mod prelude {
     pub use crate::database::{
         BuildError, TraceDatabase, TraceDatabaseBuilder, TraceEntry, TraceId,
     };
-    pub use crate::filter::Predicate;
     pub use crate::frame::TraceFrame;
     pub use crate::snapshot::SnapshotError;
-    pub use crate::stats::{CacheStatisticalExpert, ColumnStats, PcStats, PcSummary, SetStats};
+    pub use crate::stats::{ColumnStats, PcStats, PcSummary, SetStats};
     pub use crate::store::TraceStore;
     pub use crate::{EvictionRecord, ScenarioSelector, SelectorParseError};
 }

@@ -6,6 +6,8 @@
 
 use cachemind_sim::replay::ReplayReport;
 
+use crate::database::TraceEntry;
+
 /// Renders the paper-format metadata string for a replay.
 ///
 /// Format (from §3.3/§4.3):
@@ -54,8 +56,8 @@ pub fn render(report: &ReplayReport) -> String {
 
 /// Renders the paper-format metadata string plus the scenario sentence:
 /// which machine the trace was produced on and the model-estimated IPC of
-/// the replay. Retrieval plans and serve answers cite both through
-/// [`extract_machine`] and [`extract_ipc`].
+/// the replay. Retrieval plans and serve answers cite the IPC through
+/// [`extract_ipc`], and the machine through [`ipc_citation`].
 pub fn render_scenario(report: &ReplayReport, machine_label: &str, ipc: f64) -> String {
     format!(
         "{} Simulated on machine {machine_label} with an estimated IPC of {ipc:.6}.",
@@ -71,8 +73,9 @@ pub fn render_scenario(report: &ReplayReport, machine_label: &str, ipc: f64) -> 
 ///
 /// Baseline (`none`-prefetcher) traces keep the [`render_scenario`] form
 /// byte-for-byte, so a database without extra prefetchers is identical to
-/// what earlier builders produced; [`extract_prefetcher`] returns `None`
-/// on them.
+/// what earlier builders produced. The accuracy and coverage percentages
+/// read back through [`extract_percent`] (`extract_percent(meta,
+/// "accuracy")`, `extract_percent(meta, "coverage")`).
 pub fn render_scenario_prefetched(
     report: &ReplayReport,
     machine_label: &str,
@@ -90,49 +93,24 @@ pub fn render_scenario_prefetched(
     )
 }
 
-/// Extracts the prefetcher label from the prefetcher sentence (see
-/// [`render_scenario_prefetched`]).
-///
-/// Returns `None` (quietly) when the sentence is absent — a baseline trace
-/// replayed without a prefetcher. Like [`extract_machine`], a *present but
-/// malformed* sentence trips a debug assertion; release builds still return
-/// `None`. The accuracy and coverage percentages ride the legacy
-/// [`extract_percent`] helper (`extract_percent(meta, "accuracy")`,
-/// `extract_percent(meta, "coverage")`).
-pub fn extract_prefetcher(metadata: &str) -> Option<&str> {
-    let marker = "Hardware prefetcher ";
-    let pos = metadata.find(marker)? + marker.len();
-    let rest = &metadata[pos..];
-    let Some(end) = rest.find(' ').filter(|&end| end > 0) else {
-        debug_assert!(
-            false,
-            "malformed prefetcher sentence: {marker:?} not followed by a space-terminated label \
-             in {metadata:?}"
-        );
-        return None;
-    };
-    Some(&rest[..end])
-}
-
 /// The citation phrase scoped single-trace IPC facts use: `estimated IPC
 /// of <workload> under <policy> on machine <label>`, extended with
-/// `with prefetcher <label>` when the entry's metadata carries the
-/// prefetcher sentence.
+/// `with prefetcher <label>` when the entry is prefetcher-qualified (its
+/// prefetcher is not `"none"`).
 ///
 /// This is the **one** definition of the phrase: both retrievers (Sieve's
 /// IPC arm, Ranger's `WorkloadIpc` plan) render it, and the serve layer
 /// resolves the cited machine/prefetcher of a scoped answer by matching
 /// the literal `prefetcher <label>` substring — a shared helper keeps the
-/// three crates from drifting out of sync. Baseline metadata yields the
-/// pre-prefetcher string byte-for-byte.
-pub fn ipc_citation(workload: &str, policy: &str, metadata: &str) -> String {
-    let machine = extract_machine(metadata).unwrap_or("unknown machine");
-    match extract_prefetcher(metadata) {
-        Some(prefetcher) => format!(
+/// three crates from drifting out of sync.
+pub fn ipc_citation(workload: &str, policy: &str, entry: &TraceEntry) -> String {
+    let machine = &entry.machine;
+    match entry.prefetcher.as_str() {
+        "none" => format!("estimated IPC of {workload} under {policy} on machine {machine}"),
+        prefetcher => format!(
             "estimated IPC of {workload} under {policy} on machine {machine} with prefetcher \
              {prefetcher}"
         ),
-        None => format!("estimated IPC of {workload} under {policy} on machine {machine}"),
     }
 }
 
@@ -142,43 +120,19 @@ pub fn ipc_citation(workload: &str, policy: &str, metadata: &str) -> String {
 /// and cross-workload rankings read from qualified traces cite the
 /// scenario (and serve responses can report it) while baseline
 /// comparisons keep their legacy metric strings byte-for-byte.
-pub fn scenario_citation_suffix(metadata: &str) -> String {
-    match extract_prefetcher(metadata) {
-        Some(prefetcher) => {
-            let machine = extract_machine(metadata).unwrap_or("unknown machine");
-            format!(" on machine {machine} with prefetcher {prefetcher}")
-        }
-        None => String::new(),
+pub fn scenario_citation_suffix(entry: &TraceEntry) -> String {
+    match entry.prefetcher.as_str() {
+        "none" => String::new(),
+        prefetcher => format!(" on machine {} with prefetcher {prefetcher}", entry.machine),
     }
-}
-
-/// Extracts the machine label from the scenario sentence.
-///
-/// Returns `None` (quietly) when the sentence is absent altogether. A
-/// *present but malformed* sentence — the marker with no space-terminated
-/// label after it — trips a debug assertion: upstream only
-/// [`render_scenario`] writes the marker, so a malformed form means a
-/// writer bug, not a missing sentence. Release builds still return `None`.
-pub fn extract_machine(metadata: &str) -> Option<&str> {
-    let marker = "Simulated on machine ";
-    let pos = metadata.find(marker)? + marker.len();
-    let rest = &metadata[pos..];
-    let Some(end) = rest.find(' ').filter(|&end| end > 0) else {
-        debug_assert!(
-            false,
-            "malformed scenario sentence: {marker:?} not followed by a space-terminated label \
-             in {metadata:?}"
-        );
-        return None;
-    };
-    Some(&rest[..end])
 }
 
 /// Extracts the estimated IPC from the scenario sentence.
 ///
-/// Like [`extract_machine`], an absent sentence is `None` quietly while a
-/// present-but-unparseable IPC token trips a debug assertion (release
-/// builds return `None`).
+/// An absent sentence is `None` quietly, while a present-but-unparseable
+/// IPC token trips a debug assertion: upstream only [`render_scenario`]
+/// writes the marker, so a malformed form means a writer bug, not a
+/// missing sentence. Release builds still return `None`.
 pub fn extract_ipc(metadata: &str) -> Option<f64> {
     let marker = "estimated IPC of ";
     let pos = metadata.find(marker)? + marker.len();
@@ -210,17 +164,6 @@ pub fn extract_percent(metadata: &str, label: &str) -> Option<f64> {
     let prefix = &metadata[..pos];
     let token = prefix.split_whitespace().last()?;
     token.trim_end_matches('%').parse().ok()
-}
-
-/// Extracts the recency/miss correlation from the summary sentence.
-pub fn extract_correlation(metadata: &str) -> Option<f64> {
-    let marker = "cache misses is ";
-    let pos = metadata.find(marker)? + marker.len();
-    let rest = &metadata[pos..];
-    let token: String =
-        rest.chars().take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-').collect();
-    // The sentence ends with a period, which the scan captures.
-    token.trim_end_matches('.').parse().ok()
 }
 
 #[cfg(test)]
@@ -269,37 +212,18 @@ mod tests {
         assert_eq!(extract_count(&m, "total evictions"), Some(133_478));
         assert_eq!(extract_percent(&m, "miss rate"), Some(94.91));
         assert_eq!(extract_percent(&m, "capacity misses"), Some(100.0));
-        assert_eq!(extract_correlation(&m), Some(0.0));
     }
 
     #[test]
     fn extraction_handles_missing_labels() {
         assert_eq!(extract_count("no numbers here", "total misses"), None);
         assert_eq!(extract_percent("", "miss rate"), None);
-        assert_eq!(extract_correlation("nothing"), None);
-        assert_eq!(extract_machine("no scenario sentence"), None);
         assert_eq!(extract_ipc("no scenario sentence"), None);
     }
 
-    // A present-but-malformed scenario sentence is a writer bug: the
-    // extractors trip a debug assertion instead of quietly degrading into
+    // A present-but-malformed scenario sentence is a writer bug: the IPC
+    // extractor trips a debug assertion instead of quietly degrading into
     // "no scenario" behaviour. One test per malformed form.
-
-    #[test]
-    #[should_panic(expected = "malformed scenario sentence")]
-    #[cfg(debug_assertions)]
-    fn truncated_machine_label_trips_debug_assertion() {
-        // Marker present, but the label is never space-terminated.
-        let _ = extract_machine("... Simulated on machine LLC@256x8");
-    }
-
-    #[test]
-    #[should_panic(expected = "malformed scenario sentence")]
-    #[cfg(debug_assertions)]
-    fn empty_machine_label_trips_debug_assertion() {
-        // Marker present, label empty (double space before "with").
-        let _ = extract_machine("Simulated on machine  with an estimated IPC of 0.5.");
-    }
 
     #[test]
     #[should_panic(expected = "malformed scenario sentence")]
@@ -320,7 +244,6 @@ mod tests {
     #[test]
     fn absent_scenario_sentence_stays_quietly_none() {
         // No marker at all: not a writer bug, just a pre-scenario trace.
-        assert_eq!(extract_machine("Cache Performance Summary: 1 total accesses."), None);
         assert_eq!(extract_ipc("Cache Performance Summary: 1 total accesses."), None);
     }
 
@@ -334,39 +257,50 @@ mod tests {
             0.9371,
             0.8812,
         );
+        assert!(m.contains("Simulated on machine table2@llc2048x16+dram160 "));
         assert!(m.contains("Hardware prefetcher stride4 was active"));
-        assert_eq!(extract_prefetcher(&m), Some("stride4"));
-        assert_eq!(extract_machine(&m), Some("table2@llc2048x16+dram160"));
         assert_eq!(extract_ipc(&m), Some(0.813402));
         assert_eq!(extract_percent(&m, "accuracy"), Some(93.71));
         assert_eq!(extract_percent(&m, "coverage"), Some(88.12));
         // The prefetcher sentence must not confuse the legacy extractors.
         assert_eq!(extract_percent(&m, "miss rate"), Some(94.91));
-        assert_eq!(extract_correlation(&m), Some(0.0));
 
-        // Baseline sentences carry no prefetcher, quietly.
+        // Baseline sentences carry no prefetcher.
         let baseline = render_scenario(&report(), "LLC@256x8", 0.476981);
-        assert_eq!(extract_prefetcher(&baseline), None);
-        assert_eq!(extract_prefetcher("no scenario sentence at all"), None);
+        assert!(!baseline.contains("Hardware prefetcher"));
+    }
+
+    /// An entry on `machine` under `prefetcher`, with no rows.
+    fn entry(machine: &str, prefetcher: &str) -> TraceEntry {
+        use std::sync::Arc;
+        TraceEntry {
+            id: crate::database::TraceId::new("mcf", "lru"),
+            frame: crate::frame::TraceFrame::new(
+                Vec::new(),
+                Arc::new(cachemind_workloads::program::ProgramImage::new()),
+            ),
+            metadata: String::new(),
+            description: String::new(),
+            machine: machine.to_owned(),
+            prefetcher: prefetcher.to_owned(),
+            prefetch_fills: 0,
+            useful_prefetches: 0,
+            prefetch_accuracy: 0.0,
+            prefetch_coverage: 0.0,
+            ipc: 0.5,
+        }
     }
 
     #[test]
     fn ipc_citation_has_one_shape_per_qualification() {
-        let baseline = render_scenario(&report(), "LLC@256x8", 0.476981);
+        let baseline = entry("LLC@256x8", "none");
         assert_eq!(
             ipc_citation("mcf", "lru", &baseline),
             "estimated IPC of mcf under lru on machine LLC@256x8"
         );
         assert_eq!(scenario_citation_suffix(&baseline), "");
 
-        let prefetched = render_scenario_prefetched(
-            &report(),
-            "table2@llc2048x16+dram160",
-            "stride4",
-            0.81,
-            0.93,
-            0.88,
-        );
+        let prefetched = entry("table2@llc2048x16+dram160", "stride4");
         assert_eq!(
             ipc_citation("mcf", "lru", &prefetched),
             "estimated IPC of mcf under lru on machine table2@llc2048x16+dram160 with \
@@ -379,22 +313,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "malformed prefetcher sentence")]
-    #[cfg(debug_assertions)]
-    fn truncated_prefetcher_label_trips_debug_assertion() {
-        // Marker present, but the label is never space-terminated.
-        let _ = extract_prefetcher("... Hardware prefetcher stride4");
-    }
-
-    #[test]
     fn scenario_sentence_round_trips() {
         let m = render_scenario(&report(), "LLC@256x8", 0.476981);
         assert!(m.starts_with("Cache Performance Summary:"));
-        assert!(m.contains("Simulated on machine LLC@256x8"));
-        assert_eq!(extract_machine(&m), Some("LLC@256x8"));
+        assert!(m.contains("Simulated on machine LLC@256x8 "));
         assert_eq!(extract_ipc(&m), Some(0.476981));
         // The scenario sentence must not confuse the legacy extractors.
         assert_eq!(extract_percent(&m, "miss rate"), Some(94.91));
-        assert_eq!(extract_correlation(&m), Some(0.0));
     }
 }

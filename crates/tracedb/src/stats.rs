@@ -1,12 +1,13 @@
-//! The "Cache Statistical Expert" (§3.2.3): per-PC and per-set statistics
-//! computed over retrieved trace slices.
+//! The "Cache Statistical Expert" (§3.2.3): the per-PC and per-set
+//! statistics a [`TraceFrame`] summarises its rows into, and the rankings
+//! read from them.
+//!
+//! [`TraceFrame`]: crate::frame::TraceFrame
 
 use serde::{Deserialize, Serialize};
 
-use cachemind_sim::addr::{Address, Pc};
+use cachemind_sim::addr::Pc;
 use cachemind_sim::replay::EvictionRecord;
-
-use crate::frame::TraceFrame;
 
 /// Per-PC statistics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -104,6 +105,8 @@ impl ColumnStats {
 /// One PC's statistics over its rows in stream order: its [`PcStats`]
 /// plus the [`ColumnStats`] of each numeric column. A frame computes one
 /// per distinct PC on first use ([`TraceFrame::pc_summary`]).
+///
+/// [`TraceFrame::pc_summary`]: crate::frame::TraceFrame::pc_summary
 #[derive(Debug, Clone)]
 pub struct PcSummary {
     /// The PC's counters, means and deviation.
@@ -212,69 +215,11 @@ pub fn hot_cold_sets(sets: &[SetStats]) -> HotColdSets {
     }
 }
 
-/// Computes statistics over a [`TraceFrame`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CacheStatisticalExpert;
-
-impl CacheStatisticalExpert {
-    /// Creates the expert.
-    pub fn new() -> Self {
-        CacheStatisticalExpert
-    }
-
-    /// Per-PC statistics over the whole frame, ascending by PC (read from
-    /// the frame's per-PC summary).
-    pub fn per_pc(&self, frame: &TraceFrame) -> Vec<PcStats> {
-        frame.pc_summaries().iter().map(|s| s.stats.clone()).collect()
-    }
-
-    /// Statistics for one PC, if it appears in the frame (read from the
-    /// frame's per-PC summary).
-    pub fn pc_stats(&self, frame: &TraceFrame, pc: Pc) -> Option<PcStats> {
-        frame.pc_summary(pc).map(|s| s.stats.clone())
-    }
-
-    /// Per-set statistics, ascending by set index (read from the frame's
-    /// per-set summary).
-    pub fn per_set<'f>(&self, frame: &'f TraceFrame) -> &'f [SetStats] {
-        frame.set_summaries()
-    }
-
-    /// Per-access-kind counters — the "access types" breakdown the paper's
-    /// gem5 extension provides. Returns `(kind, accesses, misses)` in a
-    /// fixed load/store/fetch/prefetch order, skipping absent kinds.
-    pub fn per_kind(
-        &self,
-        frame: &TraceFrame,
-    ) -> Vec<(cachemind_sim::access::AccessKind, u64, u64)> {
-        use cachemind_sim::access::AccessKind;
-        let mut out = Vec::new();
-        for kind in [AccessKind::Load, AccessKind::Store, AccessKind::Fetch, AccessKind::Prefetch] {
-            let (mut accesses, mut misses) = (0u64, 0u64);
-            for row in frame.rows() {
-                if row.kind == kind {
-                    accesses += 1;
-                    misses += row.is_miss as u64;
-                }
-            }
-            if accesses > 0 {
-                out.push((kind, accesses, misses));
-            }
-        }
-        out
-    }
-
-    /// All recorded outcomes for accesses by `pc` to `address` (byte-exact),
-    /// in stream order. `true` = miss.
-    pub fn outcomes_for(&self, frame: &TraceFrame, pc: Pc, address: Address) -> Vec<bool> {
-        frame.rows_at(pc, address).map(|r| r.is_miss).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cachemind_sim::addr::SetId;
+    use crate::frame::TraceFrame;
+    use cachemind_sim::addr::{Address, SetId};
     use cachemind_workloads::program::ProgramImage;
     use std::sync::Arc;
 
@@ -312,25 +257,24 @@ mod tests {
 
     #[test]
     fn per_pc_aggregates_correctly() {
-        let expert = CacheStatisticalExpert::new();
-        let stats = expert.per_pc(&frame());
+        let frame = frame();
+        let stats = frame.pc_summaries();
         assert_eq!(stats.len(), 2);
-        let pc10 = &stats[0];
+        let pc10 = &stats[0].stats;
         assert_eq!(pc10.pc, Pc::new(0x10));
         assert_eq!(pc10.accesses, 3);
         assert_eq!(pc10.misses, 1);
         assert!((pc10.miss_rate() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(pc10.mean_accessed_reuse, Some(20.0));
-        let pc20 = &stats[1];
+        let pc20 = &stats[1].stats;
         assert_eq!(pc20.misses, 2);
         assert_eq!(pc20.evictions_caused, 2);
     }
 
     #[test]
     fn per_set_counts_hits() {
-        let expert = CacheStatisticalExpert::new();
         let frame = frame();
-        let sets = expert.per_set(&frame);
+        let sets = frame.set_summaries();
         assert_eq!(sets.len(), 2);
         let total: u64 = sets.iter().map(|s| s.accesses).sum();
         assert_eq!(total, 5);
@@ -354,28 +298,9 @@ mod tests {
     }
 
     #[test]
-    fn outcomes_for_is_byte_exact() {
-        let expert = CacheStatisticalExpert::new();
-        let f = frame();
-        assert_eq!(expert.outcomes_for(&f, Pc::new(0x10), Address::new(0x5000)), vec![false]);
-        assert!(expert.outcomes_for(&f, Pc::new(0x10), Address::new(0x5001)).is_empty());
-    }
-
-    #[test]
     fn reuse_cv_requires_samples() {
-        let expert = CacheStatisticalExpert::new();
-        let stats = expert.pc_stats(&frame(), Pc::new(0x10)).unwrap();
+        let frame = frame();
+        let stats = &frame.pc_summary(Pc::new(0x10)).unwrap().stats;
         assert!(stats.reuse_cv().is_some());
-    }
-
-    #[test]
-    fn per_kind_breaks_down_access_types() {
-        let expert = CacheStatisticalExpert::new();
-        let kinds = expert.per_kind(&frame());
-        assert_eq!(kinds.len(), 1, "test frame only contains loads");
-        let (kind, accesses, misses) = kinds[0];
-        assert_eq!(kind, cachemind_sim::access::AccessKind::Load);
-        assert_eq!(accesses, 5);
-        assert_eq!(misses, 3);
     }
 }

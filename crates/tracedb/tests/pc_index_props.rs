@@ -1,13 +1,13 @@
 //! Property tests for the frame's per-PC index.
 //!
-//! Every read the index serves — `filter`, `first`, `count`, `select`,
-//! `contains_pc`, `rows_at`, `pcs`, `unique_pcs`, the per-PC summaries
-//! and the statistical expert's `pc_stats` / `per_pc` / `outcomes_for` —
-//! must equal a naive scan over all rows exactly: the same rows in the
-//! same order, and bit-equal floats. Frames are random (empty ones
-//! included), PCs are drawn from a pool wider than any frame's, addresses
-//! repeat within and across PCs, and predicate trees nest `PcEquals` and
-//! `AddressEquals` under `And`, `Or` and `Not`.
+//! Every read the index serves — `rows_for` with a PC, an address, both
+//! or neither, `contains_pc`, `pcs`, `unique_pcs` and the per-PC
+//! summaries — must equal a naive scan over all rows exactly: the same
+//! rows in the same order, and bit-equal floats. Frames are random (empty
+//! ones included), PCs are drawn from a pool wider than any frame's, and
+//! addresses repeat within and across PCs, so a read may name a PC the
+//! frame lacks, an address no row holds, or an address the frame holds
+//! only under other PCs.
 
 use std::sync::Arc;
 
@@ -76,84 +76,33 @@ fn synth_frame(rng: &mut Mix) -> TraceFrame {
     TraceFrame::new(rows, Arc::new(ProgramImage::new()))
 }
 
-fn leaf(rng: &mut Mix) -> Predicate {
-    match rng.below(8) {
-        0 => Predicate::True,
-        1 | 2 => Predicate::PcEquals(pool_pc(rng, POOL_PCS)),
-        3 => Predicate::PcIn(vec![pool_pc(rng, POOL_PCS), pool_pc(rng, POOL_PCS)]),
-        4 => Predicate::AddressEquals(address(rng)),
-        5 => Predicate::IsMiss(rng.chance(2)),
-        6 => Predicate::SetEquals(SetId::new(rng.below(8) as usize)),
-        _ => {
-            let lo = rng.below(100);
-            Predicate::IndexInRange(lo, lo + rng.below(100))
-        }
-    }
-}
-
-fn tree(rng: &mut Mix, depth: u32) -> Predicate {
-    if depth == 0 || rng.chance(3) {
-        return leaf(rng);
-    }
-    match rng.below(3) {
-        0 => tree(rng, depth - 1).and(tree(rng, depth - 1)),
-        1 => tree(rng, depth - 1).or(tree(rng, depth - 1)),
-        _ => tree(rng, depth - 1).not(),
-    }
-}
-
 /// An address no frame holds.
 const ABSENT: Address = Address::new(0xdead_0000);
 
-/// PC and address pins, each alone and together, for `pc`: an address
-/// the PC repeats, one the frame holds only under other PCs, one no row
-/// holds, and a random one; in either order under `And`, with a third
-/// conjunct, and under `Or` and `Not`.
-fn pc_address_predicates(frame: &TraceFrame, pc: Pc, rng: &mut Mix) -> Vec<Predicate> {
+/// The `(pc, address)` reads checked for `pc`: the PC alone, and with an
+/// address the PC repeats, its first address, one the frame holds only
+/// under other PCs, one no row holds and a random one; and each address
+/// alone.
+fn reads(frame: &TraceFrame, pc: Pc, rng: &mut Mix) -> Vec<(Option<Pc>, Option<Address>)> {
     let own: Vec<Address> = frame.rows().iter().filter(|r| r.pc == pc).map(|r| r.address).collect();
     let mut addresses = vec![ABSENT, address(rng)];
     addresses.extend(own.iter().copied().find(|a| own.iter().filter(|b| *b == a).count() > 1));
     addresses.extend(own.first().copied());
     addresses.extend(frame.rows().iter().map(|r| r.address).find(|a| !own.contains(a)));
-    let mut out = Vec::new();
+    let mut out = vec![(Some(pc), None)];
     for a in addresses {
-        out.extend([
-            Predicate::pc_address(Some(pc), Some(a)),
-            Predicate::AddressEquals(a).and(Predicate::PcEquals(pc)),
-            Predicate::pc_address(Some(pc), Some(a)).and(Predicate::IsMiss(true)),
-            Predicate::IsMiss(false).and(Predicate::AddressEquals(a).and(Predicate::PcEquals(pc))),
-            Predicate::pc_address(Some(pc), Some(a)).or(Predicate::IsMiss(true)),
-            Predicate::pc_address(Some(pc), Some(a)).not(),
-            Predicate::PcEquals(pc).and(Predicate::AddressEquals(a).not()),
-            Predicate::AddressEquals(a),
-        ]);
+        out.extend([(Some(pc), Some(a)), (None, Some(a))]);
     }
     out
 }
 
-/// Random trees plus fixed shapes that put a PC pin under every
-/// combinator, so each case exercises both the narrowed and the full
-/// scan.
-fn predicates(frame: &TraceFrame, rng: &mut Mix) -> Vec<Predicate> {
-    let pc = pool_pc(rng, POOL_PCS);
-    let other = leaf(rng);
-    let mut out = pc_address_predicates(frame, pc, rng);
-    out.extend([
-        Predicate::PcEquals(pc),
-        Predicate::pc_address(Some(pc), Some(address(rng))),
-        Predicate::IsMiss(true).and(Predicate::PcEquals(pc)),
-        Predicate::PcEquals(pc).and(Predicate::PcEquals(pool_pc(rng, POOL_PCS))),
-        Predicate::PcEquals(pc).or(other.clone()),
-        Predicate::PcEquals(pc).not(),
-        other.and(Predicate::PcEquals(pc).not()),
-    ]);
-    out.extend((0..8).map(|_| tree(rng, 4)));
-    out
-}
-
 /// The reference: a scan of every row.
-fn naive<'a>(frame: &'a TraceFrame, predicate: &Predicate) -> Vec<&'a EvictionRecord> {
-    frame.rows().iter().filter(|r| predicate.matches(r)).collect()
+fn naive(frame: &TraceFrame, pc: Option<Pc>, address: Option<Address>) -> Vec<&EvictionRecord> {
+    frame
+        .rows()
+        .iter()
+        .filter(|r| pc.is_none_or(|pc| r.pc == pc) && address.is_none_or(|a| r.address == a))
+        .collect()
 }
 
 fn same_rows(a: &[&EvictionRecord], b: &[&EvictionRecord]) -> bool {
@@ -164,7 +113,8 @@ fn bits(v: Option<f64>) -> Option<u64> {
     v.map(f64::to_bits)
 }
 
-/// Per-PC statistics by a scan, written out independently of the expert.
+/// Per-PC statistics by a scan, written out independently of the frame's
+/// summaries.
 fn naive_pc_stats(frame: &TraceFrame, pc: Pc) -> Option<PcStats> {
     let rows: Vec<&EvictionRecord> = frame.rows().iter().filter(|r| r.pc == pc).collect();
     if rows.is_empty() {
@@ -260,50 +210,16 @@ fn same_summary(a: &PcSummary, b: &PcSummary) -> bool {
 
 /// Checks every indexed read of `frame` against the naive scan.
 fn check_frame(frame: &TraceFrame, rng: &mut Mix) -> Result<(), TestCaseError> {
-    for predicate in predicates(frame, rng) {
-        let expected = naive(frame, &predicate);
-        prop_assert!(same_rows(&frame.filter(&predicate), &expected), "filter {:?}", predicate);
-        prop_assert_eq!(frame.count(&predicate), expected.len(), "count {:?}", predicate);
-        prop_assert!(
-            frame.first(&predicate).map(|r| r as *const EvictionRecord)
-                == expected.first().map(|r| *r as *const EvictionRecord),
-            "first {:?}",
-            predicate
-        );
-        let selected = frame.select(&predicate);
-        let cloned: Vec<EvictionRecord> = expected.iter().map(|r| (*r).clone()).collect();
-        prop_assert!(selected.rows() == cloned.as_slice(), "select {:?}", predicate);
-        if let Some(pc) = predicate.pc_key() {
-            prop_assert!(expected.iter().all(|r| r.pc == pc), "pc_key {:?} is unsound", predicate);
-        }
-        if let Some(a) = predicate.address_key() {
-            prop_assert!(
-                expected.iter().all(|r| r.address == a),
-                "address_key {:?} is unsound",
-                predicate
-            );
-        }
-    }
-
-    let expert = CacheStatisticalExpert::new();
+    let all: Vec<&EvictionRecord> = frame.rows_for(None, None).collect();
+    prop_assert!(same_rows(&all, &naive(frame, None, None)), "rows_for(None, None)");
     for raw in 0..POOL_PCS {
         let pc = Pc::new(0x40_0000 + raw * 4);
-        let expected: Vec<&EvictionRecord> = frame.rows().iter().filter(|r| r.pc == pc).collect();
-        prop_assert_eq!(frame.contains_pc(pc), !expected.is_empty());
-        match (expert.pc_stats(frame, pc), naive_pc_stats(frame, pc)) {
-            (None, None) => {}
-            (Some(a), Some(b)) => prop_assert!(same_stats(&a, &b), "pc_stats {}", pc),
-            (a, b) => prop_assert!(false, "pc_stats {}: {:?} vs {:?}", pc, a, b),
+        for (pc, address) in reads(frame, pc, rng) {
+            let expected = naive(frame, pc, address);
+            let got: Vec<&EvictionRecord> = frame.rows_for(pc, address).collect();
+            prop_assert!(same_rows(&got, &expected), "rows_for({:?}, {:?})", pc, address);
         }
-        let mut addresses = vec![address(rng), ABSENT];
-        addresses.extend(expected.iter().map(|r| r.address));
-        for addr in addresses {
-            let at: Vec<&EvictionRecord> =
-                expected.iter().copied().filter(|r| r.address == addr).collect();
-            prop_assert!(same_rows(&frame.rows_at(pc, addr).collect::<Vec<_>>(), &at));
-            let outcomes: Vec<bool> = at.iter().map(|r| r.is_miss).collect();
-            prop_assert_eq!(expert.outcomes_for(frame, pc, addr), outcomes);
-        }
+        prop_assert_eq!(frame.contains_pc(pc), frame.rows().iter().any(|r| r.pc == pc));
         match (frame.pc_summary(pc), naive_summary(frame, pc)) {
             (None, None) => {}
             (Some(a), Some(b)) => prop_assert!(same_summary(a, &b), "pc_summary {}", pc),
@@ -315,11 +231,6 @@ fn check_frame(frame: &TraceFrame, rng: &mut Mix) -> Result<(), TestCaseError> {
     distinct.sort_unstable();
     distinct.dedup();
     prop_assert_eq!(frame.pcs(), distinct.as_slice());
-    let per_pc = expert.per_pc(frame);
-    prop_assert_eq!(per_pc.len(), distinct.len());
-    for (stats, pc) in per_pc.iter().zip(&distinct) {
-        prop_assert!(same_stats(stats, &naive_pc_stats(frame, *pc).unwrap()), "per_pc {}", pc);
-    }
     prop_assert_eq!(frame.pc_summaries().len(), distinct.len());
     for (summary, pc) in frame.pc_summaries().iter().zip(&distinct) {
         prop_assert!(same_summary(summary, &naive_summary(frame, *pc).unwrap()), "summary {}", pc);
@@ -357,34 +268,8 @@ proptest! {
         let copy = frame.clone();
         check_frame(&copy, &mut rng)?;
         // A sub-frame gets an index of its own.
-        let sub = copy.select(&Predicate::IsMiss(true));
+        let misses = copy.rows().iter().filter(|r| r.is_miss).cloned().collect();
+        let sub = TraceFrame::new(misses, Arc::new(ProgramImage::new()));
         check_frame(&sub, &mut rng)?;
     }
-}
-
-#[test]
-fn pc_key_descends_through_and_only() {
-    let pc = Pc::new(0x40_0010);
-    let pinned = Predicate::PcEquals(pc);
-    assert_eq!(pinned.pc_key(), Some(pc));
-    assert_eq!(Predicate::IsMiss(true).and(pinned.clone()).pc_key(), Some(pc));
-    assert_eq!(Predicate::pc_address(Some(pc), None).pc_key(), Some(pc));
-    assert_eq!(Predicate::pc_address(None, Some(Address::new(0x40))).pc_key(), None);
-    assert_eq!(pinned.clone().or(Predicate::True).pc_key(), None);
-    assert_eq!(pinned.clone().not().pc_key(), None);
-    assert_eq!(pinned.not().not().pc_key(), None);
-    assert_eq!(Predicate::PcIn(vec![pc]).pc_key(), None);
-}
-
-#[test]
-fn address_key_descends_through_and_only() {
-    let a = Address::new(0x1040);
-    let pinned = Predicate::AddressEquals(a);
-    assert_eq!(pinned.address_key(), Some(a));
-    assert_eq!(Predicate::pc_address(Some(Pc::new(0x40_0010)), Some(a)).address_key(), Some(a));
-    assert_eq!(Predicate::IsMiss(true).and(pinned.clone()).address_key(), Some(a));
-    assert_eq!(Predicate::pc_address(Some(Pc::new(0x40_0010)), None).address_key(), None);
-    assert_eq!(pinned.clone().or(Predicate::True).address_key(), None);
-    assert_eq!(pinned.clone().not().address_key(), None);
-    assert_eq!(Predicate::LineOf(a).address_key(), None);
 }

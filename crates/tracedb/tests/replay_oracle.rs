@@ -4,9 +4,9 @@
 //! bytes. For every stored trace the workload's Tiny stream is replayed
 //! again under the trace's policy, and the opened store must hold exactly
 //! the replay's records: one test over the builder, the row codec, the
-//! lazy decode, the PC index and the statistical expert. The per-PC counts
+//! lazy decode, the PC index and the per-PC summaries. The per-PC counts
 //! it compares against are plain loops over the replay's records, so they
-//! share no code with the expert they check.
+//! share no code with the summaries they check.
 
 use std::collections::BTreeMap;
 
@@ -35,7 +35,6 @@ fn opened_snapshot_holds_a_fresh_replay_and_its_per_pc_counts() {
     assert_eq!(db.llc_config(), Some(&llc));
     assert!(!db.is_empty());
 
-    let expert = CacheStatisticalExpert::new();
     for entry in db.entries() {
         let key = entry.id.key();
         assert_eq!((&entry.id.machine, &entry.id.prefetcher), (&None, &None), "{key}");
@@ -63,7 +62,7 @@ fn opened_snapshot_holds_a_fresh_replay_and_its_per_pc_counts() {
         }
         assert_eq!(entry.frame.pcs(), counts.keys().copied().collect::<Vec<_>>(), "{key}");
         for (&pc, &expected) in &counts {
-            let stats = expert.pc_stats(&entry.frame, pc).expect("every replayed PC is indexed");
+            let stats = &entry.frame.pc_summary(pc).expect("every replayed PC is indexed").stats;
             let got = (stats.accesses, stats.hits, stats.misses, stats.evictions_caused);
             assert_eq!(got, expected, "{key} PC {pc}: (accesses, hits, misses, evictions)");
         }

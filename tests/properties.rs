@@ -78,21 +78,33 @@ proptest! {
         }
     }
 
-    /// The filter engine is sound and complete: `filter` returns exactly the
-    /// rows matching the predicate.
+    /// A frame's PC and address reads are sound and complete: `rows_for`
+    /// returns exactly the rows a scan keeps, in stream order, and a PC's
+    /// misses among them are its summary's miss count.
     #[test]
-    fn filter_soundness(lines in proptest::collection::vec(0u8..16, 1..150), pc_pick in 0u8..5) {
+    fn filter_soundness(
+        lines in proptest::collection::vec(0u8..16, 1..150),
+        pc_pick in 0u8..5,
+        line_pick in 0u8..16,
+    ) {
         let trace = trace_from_lines(&lines);
         let replay = LlcReplay::new(CacheConfig::new("t", 1, 2, 6), &trace);
         let report = replay.run(RecencyPolicy::lru());
         let frame = TraceFrame::new(report.records, std::sync::Arc::new(ProgramImage::new()));
-        let pred = Predicate::PcEquals(Pc::new(0x400000 + (pc_pick as u64 % 5) * 4))
-            .and(Predicate::IsMiss(true));
-        let filtered = frame.filter(&pred);
-        prop_assert!(filtered.iter().all(|r| pred.matches(r)));
-        let manual = frame.rows().iter().filter(|r| pred.matches(r)).count();
-        prop_assert_eq!(filtered.len(), manual);
-        prop_assert_eq!(frame.count(&pred), manual);
+        let pc = Pc::new(0x400000 + (pc_pick as u64 % 5) * 4);
+        let address = Address::new(line_pick as u64 * 64);
+        for (p, a) in [(Some(pc), None), (Some(pc), Some(address)), (None, Some(address))] {
+            let read: Vec<u64> = frame.rows_for(p, a).map(|r| r.index).collect();
+            let scan: Vec<u64> = frame
+                .rows()
+                .iter()
+                .filter(|r| p.is_none_or(|p| r.pc == p) && a.is_none_or(|a| r.address == a))
+                .map(|r| r.index)
+                .collect();
+            prop_assert_eq!(read, scan);
+        }
+        let misses = frame.rows_for(Some(pc), None).filter(|r| r.is_miss).count() as u64;
+        prop_assert_eq!(misses, frame.pc_summary(pc).map_or(0, |s| s.stats.misses));
     }
 
     /// The tokenizer is total and deterministic on arbitrary input, and hex
