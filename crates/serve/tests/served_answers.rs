@@ -9,7 +9,12 @@
 //! responses must not move when the way those plans read the trace
 //! changes: a faster read path is only correct if it serves the same bytes.
 //!
-//! A second digest pins the parsed intents (`Debug` of
+//! A Sieve twin pins what Sieve retrieves and answers over every input of
+//! the intent digest below: the facts it grounds each answer on, and the
+//! answer text with its verdict. Sieve's lookups share Ranger's plan
+//! runtime, so these digests catch a change to either that moves Sieve.
+//!
+//! A further digest pins the parsed intents (`Debug` of
 //! `QueryIntent::parse_scoped`) of the mix, the CacheMindBench catalog,
 //! the golden-plan questions, the chat tool's exploration commands and
 //! edge inputs, so a change to how a question is read shows up here
@@ -39,6 +44,11 @@ const FACTS_FNV64: &str = "25ef10130a91adba";
 
 /// The digest of every parsed intent of [`intent_inputs`], one line each.
 const INTENTS_FNV64: &str = "6cb64dce38767aef";
+
+/// The digests of a Sieve system's facts and of its answer text and
+/// verdict over every ask of [`intent_inputs`], one line each.
+const SIEVE_FACTS_FNV64: &str = "701cbc5bb2332afd";
+const SIEVE_ANSWERS_FNV64: &str = "43dc9fda6b8b5256";
 
 /// Hot PCs asked about per frame.
 const HOT_PCS: usize = 4;
@@ -251,12 +261,7 @@ fn parsed_intents_match_their_recorded_digest() {
     let inputs = intent_inputs(&store);
     let mut rendered = String::new();
     for (question, scope) in &inputs {
-        let selector = if scope.is_empty() {
-            ScenarioSelector::all()
-        } else {
-            ScenarioSelector::parse(scope).expect("the pinned scopes parse")
-        };
-        let intent = QueryIntent::parse_scoped(question, &workloads, &policies, &selector);
+        let intent = QueryIntent::parse_scoped(question, &workloads, &policies, &selector(scope));
         rendered.push_str(&format!("{intent:?}\n"));
     }
     assert!(inputs.len() > 1_000, "only {} intents", inputs.len());
@@ -264,6 +269,35 @@ fn parsed_intents_match_their_recorded_digest() {
         format!("{:016x}", fnv64(rendered.as_bytes())),
         INTENTS_FNV64,
         "over {} intents",
+        inputs.len()
+    );
+}
+
+/// The scope an input of [`intent_inputs`] is asked in.
+fn selector(scope: &str) -> ScenarioSelector {
+    if scope.is_empty() {
+        ScenarioSelector::all()
+    } else {
+        ScenarioSelector::parse(scope).expect("the pinned scopes parse")
+    }
+}
+
+#[test]
+fn sieve_answers_match_their_recorded_digests() {
+    let store = Arc::new(build_database(&config()).expect("store builds"));
+    let inputs = intent_inputs(&store);
+    let mind = CacheMind::shared(store).with_retriever(RetrieverKind::Sieve);
+    let (mut facts, mut answers) = (String::new(), String::new());
+    for (question, scope) in &inputs {
+        let answer = mind.ask_query(&Query::scoped(question.clone(), selector(scope)));
+        facts.push_str(&format!("{:?}\n", answer.context.facts));
+        answers.push_str(&format!("{}|{:?}\n", answer.text, answer.verdict));
+    }
+    let digest = |text: &str| format!("{:016x}", fnv64(text.as_bytes()));
+    assert_eq!(
+        (digest(&facts).as_str(), digest(&answers).as_str()),
+        (SIEVE_FACTS_FNV64, SIEVE_ANSWERS_FNV64),
+        "over {} asks",
         inputs.len()
     );
 }
