@@ -14,6 +14,7 @@ use cachemind_lang::vector::VectorStore;
 use cachemind_tracedb::database::TraceId;
 use cachemind_tracedb::store::TraceStore;
 
+use crate::plan::outcome;
 use crate::quality::grade;
 use crate::retriever::Retriever;
 
@@ -106,15 +107,7 @@ impl Retriever for DenseIndexRetriever {
                     let Some(r) = entry.frame.rows().get(*row) else { continue };
                     // The baseline hands whatever row embeds closest to the
                     // query — right or wrong — straight to the generator.
-                    facts.push(Fact::Outcome {
-                        pc: Some(r.pc),
-                        address: Some(r.address),
-                        workload: id.workload,
-                        policy: id.policy,
-                        is_miss: r.is_miss,
-                        evicted: r.evicted_address.map(|e| (e, r.evicted_reuse_distance)),
-                        inserted_reuse: r.accessed_reuse_distance,
-                    });
+                    facts.push(outcome(id.workload, id.policy, r));
                 }
             }
         }

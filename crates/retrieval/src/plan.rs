@@ -120,6 +120,29 @@ impl fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
+/// The recorded outcome of one trace row of `workload` under `policy`.
+pub(crate) fn outcome(workload: String, policy: String, row: &EvictionRecord) -> Fact {
+    Fact::Outcome {
+        pc: Some(row.pc),
+        address: Some(row.address),
+        workload,
+        policy,
+        is_miss: row.is_miss,
+        evicted: row.evicted_address.map(|e| (e, row.evicted_reuse_distance)),
+        inserted_reuse: row.accessed_reuse_distance,
+    }
+}
+
+/// A PC's miss rate within one trace, from the frame's PC summary.
+fn pc_miss_rate(entry: &TraceEntry, pc: Pc) -> Option<Fact> {
+    let stats = &entry.frame.pc_summary(pc)?.stats;
+    Some(Fact::MissRate {
+        scope: format!("PC {pc}"),
+        percent: stats.miss_rate() * 100.0,
+        accesses: stats.accesses,
+    })
+}
+
 /// An executable retrieval plan — Ranger's "generated code".
 ///
 /// Plans name their `(workload, policy)` pair explicitly (resolved slots,
@@ -333,24 +356,11 @@ impl Plan {
                 let entry = Self::entry(db, workload, policy, scope)?;
                 let row =
                     entry.frame.rows_for(*pc, *address).next().ok_or(PlanError::EmptyResult)?;
-                Ok(vec![Fact::Outcome {
-                    pc: Some(row.pc),
-                    address: Some(row.address),
-                    workload: workload.clone(),
-                    policy: policy.clone(),
-                    is_miss: row.is_miss,
-                    evicted: row.evicted_address.map(|e| (e, row.evicted_reuse_distance)),
-                    inserted_reuse: row.accessed_reuse_distance,
-                }])
+                Ok(vec![outcome(workload.clone(), policy.clone(), row)])
             }
             Plan::PcMissRate { workload, policy, pc } => {
                 let entry = Self::entry(db, workload, policy, scope)?;
-                let stats = &entry.frame.pc_summary(*pc).ok_or(PlanError::EmptyResult)?.stats;
-                Ok(vec![Fact::MissRate {
-                    scope: format!("PC {pc}"),
-                    percent: stats.miss_rate() * 100.0,
-                    accesses: stats.accesses,
-                }])
+                Ok(vec![pc_miss_rate(entry, *pc).ok_or(PlanError::EmptyResult)?])
             }
             Plan::WorkloadMissRate { workload, policy } => {
                 let entry = Self::entry(db, workload, policy, scope)?;
@@ -523,15 +533,7 @@ impl Plan {
                     title: "Trace metadata".to_owned(),
                     text: entry.metadata.clone(),
                 }];
-                if let Some(pc) = pc {
-                    if let Some(summary) = entry.frame.pc_summary(*pc) {
-                        facts.push(Fact::MissRate {
-                            scope: format!("PC {pc}"),
-                            percent: summary.stats.miss_rate() * 100.0,
-                            accesses: summary.stats.accesses,
-                        });
-                    }
-                }
+                facts.extend(pc.and_then(|pc| pc_miss_rate(entry, pc)));
                 Ok(facts)
             }
             Plan::UniquePcs { workload, policy } => {

@@ -21,7 +21,7 @@ use cachemind_tracedb::store::TraceStore;
 
 use crate::plan::{AggColumn, AggFunc, Plan, PlanError};
 use crate::quality::grade;
-use crate::retriever::{resolve_trace_slots, Retriever};
+use crate::retriever::{absent_pc, Retriever};
 
 /// The Ranger retriever.
 #[derive(Debug, Clone)]
@@ -101,9 +101,9 @@ impl RangerRetriever {
     /// The planner: compiles an intent into a plan. `None` when the query
     /// gives the planner nothing to bind to.
     pub fn compile(&self, db: &dyn TraceStore, intent: &QueryIntent) -> Option<Plan> {
-        let (workload, policy) = resolve_trace_slots(db, intent);
+        let workload = intent.workload.clone();
         let says = |word: &str| contains_ignore_ascii_case(&intent.raw, word);
-        let fallback_policy = || policy.clone().unwrap_or_else(|| "lru".to_owned());
+        let fallback_policy = || intent.policy.clone().unwrap_or_else(|| "lru".to_owned());
         match intent.category {
             QueryCategory::HitMiss => Some(Plan::Lookup {
                 workload: workload?,
@@ -188,33 +188,6 @@ impl RangerRetriever {
             }),
         }
     }
-
-    /// The premise investigation run on an empty result. The scan ranges
-    /// over every workload and policy but stays inside the intent's
-    /// machine/prefetcher scope — a PC that only exists on another machine
-    /// is still a premise violation for this one.
-    fn investigate_empty(db: &dyn TraceStore, intent: &QueryIntent) -> Option<Fact> {
-        let pc = intent.pc?;
-        let homes: Vec<String> = db
-            .select(&intent.selector.machine_scope())
-            .filter(|e| e.frame.contains_pc(pc))
-            .map(|e| e.id.workload.clone())
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        let reason = if homes.is_empty() {
-            format!("PC {pc} does not appear in any trace")
-        } else if let Some(w) = &intent.workload {
-            if homes.contains(w) {
-                format!("PC {pc} exists in {w} but never with the queried address")
-            } else {
-                format!("PC {pc} appears only in {}", homes.join(", "))
-            }
-        } else {
-            format!("PC {pc} appears only in {}", homes.join(", "))
-        };
-        Some(Fact::PremiseViolation { reason })
-    }
 }
 
 impl Retriever for RangerRetriever {
@@ -236,13 +209,12 @@ impl Retriever for RangerRetriever {
         run_span.finish();
         let mut facts = match run_result {
             Ok(facts) => facts,
-            Err(PlanError::EmptyResult) => {
-                let mut facts = Vec::new();
-                if let Some(violation) = Self::investigate_empty(db, intent) {
-                    facts.push(violation);
-                }
-                facts
-            }
+            // The premise investigation: where the asked PC actually lives.
+            Err(PlanError::EmptyResult) => intent
+                .pc
+                .map(|pc| absent_pc(db, intent, pc, intent.workload.as_deref()))
+                .into_iter()
+                .collect(),
             Err(PlanError::UnknownTrace(_)) => Vec::new(),
         };
         // Code-generation questions get the generated program itself.

@@ -1,7 +1,10 @@
 //! The retriever interface shared by Sieve, Ranger and the dense baseline.
 
-use cachemind_lang::context::RetrievedContext;
+use std::collections::BTreeSet;
+
+use cachemind_lang::context::{Fact, RetrievedContext};
 use cachemind_lang::intent::QueryIntent;
+use cachemind_sim::addr::Pc;
 use cachemind_tracedb::store::TraceStore;
 
 /// A retrieval strategy: maps a parsed query to a context bundle over the
@@ -20,60 +23,77 @@ pub trait Retriever: std::fmt::Debug {
     fn retrieve(&self, db: &dyn TraceStore, intent: &QueryIntent) -> RetrievedContext;
 }
 
-/// Resolves the (workload, policy) pair an intent refers to, against the
-/// database's vocabulary, with fuzzy ("semantic") matching for near-miss
-/// names. Slots the question text leaves open fall back to the
-/// intent's scenario selector (a session-pinned or inline `@` scope)
-/// before resolution, so a scoped query binds like an explicit one.
-/// Returns `None` for a slot neither the query nor its scope pins down.
-pub fn resolve_trace_slots(
+/// The premise violation for a PC the asked trace does not hold, naming
+/// the workloads whose traces do. The scan ranges over every workload and
+/// policy but stays inside the intent's machine/prefetcher scope: a PC that
+/// only exists on another machine is still absent from this one. When
+/// `asked` is one of those workloads, the reason says the PC exists there
+/// but never with the queried address.
+pub(crate) fn absent_pc(
     db: &dyn TraceStore,
     intent: &QueryIntent,
-) -> (Option<String>, Option<String>) {
-    let workloads = db.workloads();
-    let policies = db.policies();
-    let resolve = |want: Option<String>, vocab: &[String]| -> Option<String> {
-        let w = want?;
-        if vocab.contains(&w) {
-            return Some(w);
-        }
-        // Prefix / containment fallback for morphological variants
-        // ("astar's", "belady-opt").
-        vocab.iter().find(|v| w.starts_with(v.as_str()) || v.starts_with(&w)).cloned()
+    pc: Pc,
+    asked: Option<&str>,
+) -> Fact {
+    let homes: BTreeSet<&str> = db
+        .select(&intent.selector.machine_scope())
+        .filter(|e| e.frame.contains_pc(pc))
+        .map(|e| e.id.workload.as_str())
+        .collect();
+    let reason = if homes.is_empty() {
+        format!("PC {pc} does not appear in any trace")
+    } else if let Some(w) = asked.filter(|w| homes.contains(w)) {
+        format!("PC {pc} exists in {w} but never with the queried address")
+    } else {
+        format!("PC {pc} appears only in {}", homes.into_iter().collect::<Vec<_>>().join(", "))
     };
-    (
-        resolve(intent.workload.clone().or_else(|| intent.selector.workload.clone()), &workloads),
-        resolve(intent.policy.clone().or_else(|| intent.selector.policy.clone()), &policies),
-    )
+    Fact::PremiseViolation { reason }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cachemind_lang::intent::QueryIntent;
+    use crate::{RangerRetriever, SieveRetriever};
+    use cachemind_sim::config::MachineConfig;
+    use cachemind_sim::scenario::ScenarioSelector;
     use cachemind_tracedb::{TraceDatabase, TraceDatabaseBuilder};
     use cachemind_workloads::Scale;
 
     fn db() -> TraceDatabase {
-        TraceDatabaseBuilder::new().workloads(["mcf"]).policies(["lru"]).scale(Scale::Tiny).build()
+        TraceDatabaseBuilder::new()
+            .workloads(["mcf"])
+            .policies(["lru"])
+            .machine(MachineConfig::preset("table2").expect("preset"))
+            .scale(Scale::Tiny)
+            .build()
     }
 
     #[test]
-    fn exact_slots_resolve() {
+    fn a_pin_the_parser_rejects_answers_as_if_unpinned() {
+        // "mcfs" is not a store name, so the parser leaves the workload
+        // open; retrieval reads the parsed slots and must not re-admit it
+        // as "mcf".
         let db = db();
-        let i = QueryIntent::parse("miss rate for mcf under lru", &["mcf"], &["lru"]);
-        let (w, p) = resolve_trace_slots(&db, &i);
-        assert_eq!(w.as_deref(), Some("mcf"));
-        assert_eq!(p.as_deref(), Some("lru"));
-    }
-
-    #[test]
-    fn semantic_fallback_matches_prefixes() {
-        let db = db();
-        // "mcfs" is not in the vocabulary; semantic matching recovers it.
-        let mut i = QueryIntent::parse("miss rate under lru", &["mcf"], &["lru"]);
-        i.workload = Some("mcfs".to_owned());
-        let (w, _) = resolve_trace_slots(&db, &i);
-        assert_eq!(w.as_deref(), Some("mcf"));
+        let parse = |q: &str, scope: &str| {
+            let scope = ScenarioSelector::parse(scope).expect("scope parses");
+            QueryIntent::parse_scoped(q, &["mcf"], &["lru"], &scope)
+        };
+        let retrievers: [&dyn Retriever; 2] = [&SieveRetriever::new(), &RangerRetriever::new()];
+        for q in ["What is the miss rate under lru?", "Does PC 0x400000 hit or miss?"] {
+            let pinned = parse(q, "mcfs@table2");
+            assert_eq!(pinned.workload, None, "{q}");
+            let unpinned = parse(q, "@table2");
+            for retriever in retrievers {
+                assert_eq!(
+                    retriever.retrieve(&db, &pinned).facts,
+                    retriever.retrieve(&db, &unpinned).facts,
+                    "{} on {q:?}",
+                    retriever.name()
+                );
+            }
+        }
+        // A pin naming a store workload still binds it.
+        let bound = parse("What is the miss rate under lru?", "mcf@table2");
+        assert!(!SieveRetriever::new().retrieve(&db, &bound).facts.is_empty());
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! The four-stage pipeline of Figure 1:
 //!
-//! 1. **Trace-level filtering** — workload/policy names extracted from the
-//!    query select the `<workload>_evictions_<policy>` store key (with a
-//!    fuzzy fallback standing in for the sentence-embedding ranking).
+//! 1. **Trace-level filtering** — the workload and policy the query
+//!    parser bound (exact store names) select the
+//!    `<workload>_evictions_<policy>` store key.
 //! 2. **PC and address filtering** — the frame's rows for the question's
 //!    PC and/or address ([`TraceFrame::rows_for`]) form a compact slice.
 //! 3. **Cache statistical expert** — the frame's per-PC statistics
@@ -13,10 +13,13 @@
 //! 4. **Context assembly** — facts, metadata and code snippets are bundled
 //!    for the generator.
 //!
-//! Sieve is deliberately *template-bound*: slices are capped at
-//! [`SieveRetriever::slice_cap`] rows, so aggregate questions (Count,
-//! Arithmetic) over larger slices come back marked incomplete — the
-//! mechanistic root of the universal Count failure in Figures 4 and 8.
+//! Sieve's lookup templates (hit/miss, miss rate, IPC, per-policy miss
+//! rates) run the same [`Plan`]s Ranger compiles, behind Sieve's own
+//! premise check; a plan that fails yields no facts. Sieve is deliberately
+//! *template-bound*: slices are capped at [`SieveRetriever::slice_cap`]
+//! rows, so aggregate questions (Count, Arithmetic) over larger slices
+//! come back marked incomplete — the mechanistic root of the universal
+//! Count failure in Figures 4 and 8.
 //!
 //! [`TraceFrame::rows_for`]: cachemind_tracedb::TraceFrame::rows_for
 //! [`TraceFrame::pc_summary`]: cachemind_tracedb::TraceFrame::pc_summary
@@ -24,12 +27,13 @@
 use cachemind_lang::context::{Fact, RetrievedContext};
 use cachemind_lang::intent::{QueryCategory, QueryIntent};
 use cachemind_lang::token::contains_ignore_ascii_case;
-use cachemind_sim::addr::Pc;
-use cachemind_tracedb::database::{policy_description, TraceEntry};
+use cachemind_sim::scenario::ScenarioSelector;
+use cachemind_tracedb::database::{policy_description, TraceEntry, TraceId};
 use cachemind_tracedb::store::TraceStore;
 
+use crate::plan::Plan;
 use crate::quality::grade;
-use crate::retriever::{resolve_trace_slots, Retriever};
+use crate::retriever::{absent_pc, Retriever};
 
 /// The Sieve retriever.
 #[derive(Debug, Clone)]
@@ -71,37 +75,49 @@ impl SieveRetriever {
     ) -> Option<Fact> {
         let pc = intent.pc?;
         if !entry.frame.contains_pc(pc) {
-            let elsewhere: Vec<String> = db
-                .select(&intent.selector.machine_scope())
-                .filter(|e| e.frame.contains_pc(pc))
-                .map(|e| e.id.workload.clone())
-                .collect::<std::collections::BTreeSet<_>>()
-                .into_iter()
-                .collect();
-            let reason = if elsewhere.is_empty() {
-                format!("PC {pc} does not appear in any trace")
-            } else {
-                format!("PC {pc} appears only in {}", elsewhere.join(", "))
-            };
-            return Some(Fact::PremiseViolation { reason });
+            return Some(absent_pc(db, intent, pc, None));
         }
-        if let Some(addr) = intent.address {
-            if entry.frame.rows_for(Some(pc), Some(addr)).next().is_none() {
-                return Some(Fact::PremiseViolation {
-                    reason: format!("PC {pc} never accesses address {addr} in this trace"),
-                });
+        let addr = intent.address?;
+        entry.frame.rows_for(Some(pc), Some(addr)).next().is_none().then(|| {
+            Fact::PremiseViolation {
+                reason: format!("PC {pc} never accesses address {addr} in this trace"),
             }
-        }
-        None
+        })
     }
 
-    fn pc_stats_fact(entry: &TraceEntry, pc: Pc) -> Option<Fact> {
-        let stats = &entry.frame.pc_summary(pc)?.stats;
-        Some(Fact::MissRate {
-            scope: format!("PC {pc}"),
-            percent: stats.miss_rate() * 100.0,
-            accesses: stats.accesses,
-        })
+    /// The lookup templates: runs the plan a hit/miss, miss-rate or
+    /// policy-comparison question maps to, after the premise check for the
+    /// plans that read one PC's rows. A failed plan yields no facts: unlike
+    /// Ranger, Sieve investigates no empty result.
+    fn lookup(
+        db: &dyn TraceStore,
+        entry: Option<&TraceEntry>,
+        intent: &QueryIntent,
+        policy: &str,
+        scope: &ScenarioSelector,
+    ) -> Vec<Fact> {
+        let Some(workload) = intent.workload.clone() else { return Vec::new() };
+        let policy = policy.to_owned();
+        let plan = match intent.category {
+            QueryCategory::HitMiss => {
+                Plan::Lookup { workload, policy, pc: intent.pc, address: intent.address }
+            }
+            // IPC lookups ride the MissRate category.
+            QueryCategory::MissRate if contains_ignore_ascii_case(&intent.raw, "ipc") => {
+                Plan::WorkloadIpc { workload, policy }
+            }
+            QueryCategory::MissRate => match intent.pc {
+                Some(pc) => Plan::PcMissRate { workload, policy, pc },
+                None => Plan::WorkloadMissRate { workload, policy },
+            },
+            _ => Plan::CompareAcrossPolicies { workload, pc: intent.pc },
+        };
+        if let (Plan::Lookup { .. } | Plan::PcMissRate { .. }, Some(entry)) = (&plan, entry) {
+            if let Some(violation) = Self::premise_check(db, entry, intent) {
+                return vec![violation];
+            }
+        }
+        plan.run_scoped(db, scope).unwrap_or_default()
     }
 
     fn assemble_reasoning_bundle(
@@ -109,7 +125,7 @@ impl SieveRetriever {
         db: &dyn TraceStore,
         entry: &TraceEntry,
         intent: &QueryIntent,
-        scope: &cachemind_sim::scenario::ScenarioSelector,
+        scope: &ScenarioSelector,
         facts: &mut Vec<Fact>,
     ) {
         facts.push(Fact::Snippet {
@@ -121,9 +137,10 @@ impl SieveRetriever {
             text: entry.metadata.clone(),
         });
         if let Some(pc) = intent.pc {
-            if let Some(f) = Self::pc_stats_fact(entry, pc) {
-                facts.push(f);
-            }
+            let (workload, policy) = (entry.id.workload.clone(), entry.id.policy.clone());
+            facts.extend(
+                Plan::PcMissRate { workload, policy, pc }.run_scoped(db, scope).unwrap_or_default(),
+            );
             if let Some(asm) = entry.frame.assembly_code(pc) {
                 let title = match entry.frame.function_name(pc) {
                     Some(name) => format!("Assembly ({name})"),
@@ -138,10 +155,9 @@ impl SieveRetriever {
         // Cross-policy statistics for policy analysis.
         if intent.category == QueryCategory::PolicyAnalysis {
             for policy in &intent.policies {
-                if let Some(other) = db.get_scoped_resolved(
-                    &cachemind_tracedb::database::TraceId::new(&entry.id.workload, policy),
-                    scope,
-                ) {
+                if let Some(other) =
+                    db.get_scoped_resolved(&TraceId::new(&entry.id.workload, policy), scope)
+                {
                     if let Some(pc) = intent.pc {
                         if let Some(summary) = other.frame.pc_summary(pc) {
                             facts.push(Fact::PolicyValue {
@@ -167,116 +183,25 @@ impl Retriever for SieveRetriever {
     }
 
     fn retrieve(&self, db: &dyn TraceStore, intent: &QueryIntent) -> RetrievedContext {
-        let (workload, policy) = resolve_trace_slots(db, intent);
         let mut facts: Vec<Fact> = Vec::new();
         // The machine scope is resolved once per retrieval and handed to
         // every lookup below — the multi-branch templates (policy and
         // workload comparisons, reasoning bundles) must not re-derive it
         // per branch.
         let scope = intent.selector.machine_scope();
+        let policy = intent.policy.as_deref().unwrap_or("lru");
 
         // Stage 1: trace-level filtering, scoped to the intent's scenario
         // selector. Without a workload Sieve's templates have nothing to
         // bind to (except workload comparisons).
-        let entry = workload.as_deref().and_then(|w| {
-            let p = policy.as_deref().unwrap_or("lru");
-            db.get_scoped_resolved(&cachemind_tracedb::database::TraceId::new(w, p), &scope)
-        });
+        let entry = intent
+            .workload
+            .as_deref()
+            .and_then(|w| db.get_scoped_resolved(&TraceId::new(w, policy), &scope));
 
         match intent.category {
-            QueryCategory::HitMiss => {
-                if let Some(entry) = entry {
-                    if let Some(violation) = Self::premise_check(db, entry, intent) {
-                        facts.push(violation);
-                    } else {
-                        // Stage 2: symbolic PC/address filters.
-                        if let Some(row) = entry.frame.rows_for(intent.pc, intent.address).next() {
-                            facts.push(Fact::Outcome {
-                                pc: Some(row.pc),
-                                address: Some(row.address),
-                                workload: entry.id.workload.clone(),
-                                policy: entry.id.policy.clone(),
-                                is_miss: row.is_miss,
-                                evicted: row
-                                    .evicted_address
-                                    .map(|e| (e, row.evicted_reuse_distance)),
-                                inserted_reuse: row.accessed_reuse_distance,
-                            });
-                        }
-                    }
-                }
-            }
-            QueryCategory::MissRate => {
-                if let Some(entry) = entry {
-                    if contains_ignore_ascii_case(&intent.raw, "ipc") {
-                        // IPC lookups ride the MissRate category; the value
-                        // comes from the metadata's scenario sentence, not
-                        // the miss-rate percent.
-                        if let Some(ipc) = cachemind_tracedb::meta::extract_ipc(&entry.metadata) {
-                            // One shared citation phrase across Sieve,
-                            // Ranger and the serve layer's cited-label
-                            // resolution (see `meta::ipc_citation`).
-                            facts.push(Fact::NumericValue {
-                                what: cachemind_tracedb::meta::ipc_citation(
-                                    &entry.id.workload,
-                                    &entry.id.policy,
-                                    entry,
-                                ),
-                                value: ipc,
-                                complete: true,
-                            });
-                        }
-                    } else if let Some(pc) = intent.pc {
-                        if let Some(violation) = Self::premise_check(db, entry, intent) {
-                            facts.push(violation);
-                        } else if let Some(f) = Self::pc_stats_fact(entry, pc) {
-                            facts.push(f);
-                        }
-                    } else {
-                        // Whole-workload rate comes from the metadata string.
-                        if let Some(rate) =
-                            cachemind_tracedb::meta::extract_percent(&entry.metadata, "miss rate")
-                        {
-                            facts.push(Fact::MissRate {
-                                scope: format!("workload {}", entry.id.workload),
-                                percent: rate,
-                                accesses: cachemind_tracedb::meta::extract_count(
-                                    &entry.metadata,
-                                    "total accesses",
-                                )
-                                .unwrap_or(0),
-                            });
-                        }
-                    }
-                }
-            }
-            QueryCategory::PolicyComparison => {
-                if let Some(w) = workload.as_deref() {
-                    for policy in db.policies() {
-                        let Some(entry) = db.get_scoped_resolved(
-                            &cachemind_tracedb::database::TraceId::new(w, &policy),
-                            &scope,
-                        ) else {
-                            continue;
-                        };
-                        let value = match intent.pc {
-                            Some(pc) => {
-                                entry.frame.pc_summary(pc).map(|s| s.stats.miss_rate() * 100.0)
-                            }
-                            None => cachemind_tracedb::meta::extract_percent(
-                                &entry.metadata,
-                                "miss rate",
-                            ),
-                        };
-                        if let Some(v) = value {
-                            facts.push(Fact::PolicyValue {
-                                policy: policy.clone(),
-                                metric: "miss rate %".to_owned(),
-                                value: v,
-                            });
-                        }
-                    }
-                }
+            QueryCategory::HitMiss | QueryCategory::MissRate | QueryCategory::PolicyComparison => {
+                facts = Self::lookup(db, entry, intent, policy, &scope);
             }
             QueryCategory::Count | QueryCategory::Arithmetic => {
                 // Sieve has no aggregate template: it returns a *capped*
@@ -313,18 +238,14 @@ impl Retriever for SieveRetriever {
                 }
             }
             QueryCategory::WorkloadAnalysis => {
-                let p = policy.as_deref().unwrap_or("lru");
                 for w in db.workloads() {
-                    if let Some(entry) = db.get_scoped_resolved(
-                        &cachemind_tracedb::database::TraceId::new(&w, p),
-                        &scope,
-                    ) {
+                    if let Some(entry) = db.get_scoped_resolved(&TraceId::new(&w, policy), &scope) {
                         if let Some(rate) =
                             cachemind_tracedb::meta::extract_percent(&entry.metadata, "miss rate")
                         {
                             facts.push(Fact::PolicyValue {
                                 policy: w.clone(),
-                                metric: format!("miss rate % under {p}"),
+                                metric: format!("miss rate % under {policy}"),
                                 value: rate,
                             });
                         }
