@@ -77,12 +77,14 @@ impl SieveRetriever {
         if !entry.frame.contains_pc(pc) {
             return Some(absent_pc(db, intent, pc, None));
         }
-        let addr = intent.address?;
-        entry.frame.rows_for(Some(pc), Some(addr)).next().is_none().then(|| {
-            Fact::PremiseViolation {
-                reason: format!("PC {pc} never accesses address {addr} in this trace"),
+        if let Some(addr) = intent.address {
+            if entry.frame.rows_for(Some(pc), Some(addr)).next().is_none() {
+                return Some(Fact::PremiseViolation {
+                    reason: format!("PC {pc} never accesses address {addr} in this trace"),
+                });
             }
-        })
+        }
+        None
     }
 
     /// The lookup templates: runs the plan a hit/miss, miss-rate or
