@@ -904,7 +904,7 @@ fn cited_machine(labels: &[String], facts: &[String]) -> Option<String> {
     labels
         .iter()
         .filter(|label| facts.iter().any(|f| f.contains(label.as_str())))
-        .max_by_key(|label| (label.len(), (*label).clone()))
+        .max_by_key(|&label| (label.len(), label.as_str()))
         .cloned()
 }
 
@@ -928,7 +928,7 @@ fn cited_prefetcher(labels: &[String], facts: &[String]) -> Option<String> {
                     .any(|(at, _)| f[at + PHRASE.len()..].starts_with(label.as_str()))
             })
         })
-        .max_by_key(|label| (label.len(), (*label).clone()))
+        .max_by_key(|&label| (label.len(), label.as_str()))
         .cloned()
 }
 
