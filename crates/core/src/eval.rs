@@ -2,8 +2,8 @@
 //! per evaluation artefact of the paper.
 //!
 //! [`bench()`] scores a configured [`CacheMind`] over the catalog by asking
-//! every question through [`CacheMind::ask_query`] — the pipeline serve
-//! runs — so Figures 4–8, the ablations and `cachemind bench` measure the
+//! every question through [`CacheMind::answer`] — the pipeline serve
+//! runs, which renders no prompt — so Figures 4–8, the ablations and `cachemind bench` measure the
 //! served system. Each figure configuration is a `CacheMind` built from
 //! the stock builders: a backend, a retriever (Figure 5 wraps Sieve in
 //! [`Degraded`]) and k-shot examples.
@@ -35,14 +35,14 @@ use cachemind_tracedb::store::TraceStore;
 use crate::system::{CacheMind, Query, RetrieverKind};
 
 /// Scores every catalog question answered by `mind` through
-/// [`CacheMind::ask_query`]: the answer's verdict earns the points, and
+/// [`CacheMind::answer`]: the answer's verdict earns the points, and
 /// its retrieved context's grade is recorded for Figure 5.
 pub fn bench(mind: &CacheMind, catalog: &Catalog) -> BenchReport {
     let results = catalog
         .questions()
         .iter()
         .map(|q| {
-            let answer = mind.ask_query(&Query::new(q.text.as_str()));
+            let answer = mind.answer(&Query::new(q.text.as_str()));
             let quality = answer.context.quality;
             let answer = GeneratorAnswer { text: answer.text, verdict: answer.verdict };
             QuestionResult {

@@ -8,6 +8,9 @@
 //!
 //! * [`system::CacheMind`] — the query-first pipeline: parse → retrieve
 //!   (Sieve / Ranger / dense baseline) → generate → grounded answer.
+//!   [`CacheMind::answer`] runs it and renders no prompt (the serve engine
+//!   and CacheMindBench call it); only [`CacheMind::ask_query`] renders
+//!   the prompt the generator was shown, on top of that same pipeline.
 //! * [`chat::ChatSession`] — the assistive chat layer with conversation
 //!   memory, used for the multi-turn insight sessions of Figures 10–13.
 //! * [`insights`] — the four actionable-insight use cases of §6.3: bypass
@@ -17,7 +20,7 @@
 //! * [`cache::AnswerCache`] — the sharded whole-answer cache map, keyed by
 //!   store fingerprint, selector and question, that the serve engine keeps
 //!   in front of the pipeline.
-//! * [`eval`] — CacheMindBench scoring through [`CacheMind::ask_query`]
+//! * [`eval`] — CacheMindBench scoring through [`CacheMind::answer`]
 //!   and the figure-level data builders, one per table/figure of the
 //!   paper.
 //! * [`reproduce`] — every table, figure, ablation and use case printed as

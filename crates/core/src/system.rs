@@ -5,8 +5,11 @@
 //! shared by any number of concurrent sessions (the serve layer's whole
 //! premise). Answering is a pure function of the query and the store,
 //! which is what lets the serve layer answer a round's queries on any
-//! number of workers without changing a byte. [`CacheMind::ask_query`] is
-//! the one way to ask.
+//! number of workers without changing a byte. [`CacheMind::answer`] is
+//! the one ask pipeline (parse → explore or retrieve → generate); it
+//! renders no prompt. [`CacheMind::ask_query`] runs that pipeline and then
+//! renders the prompt the generator was shown, and it is the only code
+//! that does.
 
 use std::sync::Arc;
 
@@ -17,6 +20,7 @@ use cachemind_lang::profiles::BackendKind;
 use cachemind_lang::prompt::{Example, PromptBuilder};
 use cachemind_lang::SimulatedBackend;
 use cachemind_retrieval::dense::DenseIndexRetriever;
+use cachemind_retrieval::plan::Plan;
 use cachemind_retrieval::ranger::RangerRetriever;
 use cachemind_retrieval::retriever::Retriever;
 use cachemind_retrieval::sieve::SieveRetriever;
@@ -103,6 +107,21 @@ pub struct Answer {
     pub context: RetrievedContext,
     /// The full prompt that was rendered for the generator.
     pub prompt: String,
+}
+
+/// What the ask pipeline ([`CacheMind::answer`]) makes of a query: an
+/// [`Answer`] before its prompt is rendered.
+#[derive(Debug, Clone)]
+pub struct Grounded {
+    /// Natural-language answer.
+    pub text: String,
+    /// Machine-checkable verdict.
+    pub verdict: Verdict,
+    /// The retrieved context the answer is grounded in.
+    pub context: RetrievedContext,
+    /// The plan that answered an exploration command; its code is the
+    /// prompt [`CacheMind::ask_query`] shows for such a query.
+    plan: Option<Plan>,
 }
 
 /// The CacheMind system.
@@ -219,8 +238,7 @@ impl CacheMind {
     /// sets". Takes the lowercased question, and the parsed intent so a
     /// query's scenario scope rides into the exploration plans too.
     /// Returns `None` when the question is not an exploration command.
-    fn try_exploration(&self, lower: &str, intent: &QueryIntent) -> Option<Answer> {
-        use cachemind_retrieval::plan::Plan;
+    fn try_exploration(&self, lower: &str, intent: &QueryIntent) -> Option<Grounded> {
         let workload = intent.workload.clone().or_else(|| self.workloads.first().cloned())?;
         let policy = intent.policy.clone().unwrap_or_else(|| "lru".to_owned());
 
@@ -246,34 +264,29 @@ impl CacheMind {
             quality: cachemind_lang::context::ContextQuality::High,
             retriever: "ranger".to_owned(),
         };
-        let text = context.render();
-        Some(Answer {
-            text,
+        Some(Grounded {
+            text: context.render(),
             verdict: Verdict::FreeForm { quality: 5 },
             context,
-            prompt: plan.render_code(),
+            plan: Some(plan),
         })
     }
 
-    /// Answers a typed query — the one ask entry point: the query's
+    /// Answers a typed query through the one ask pipeline: the query's
     /// selector scopes parsing (slot defaults) and retrieval (machine /
     /// prefetcher scope), inline `@machine` syntax in the text wins
     /// per-field, and exploration commands route to the plan runtime.
     /// Every call runs the whole parse → explore-or-retrieve → generate
-    /// pipeline; the serve engine keeps the answer cache in front of it.
-    pub fn ask_query(&self, query: &Query) -> Answer {
+    /// pipeline and renders no prompt; the serve engine keeps the answer
+    /// cache in front of it, and CacheMindBench scores through it.
+    pub fn answer(&self, query: &Query) -> Grounded {
         let question = query.text.as_str();
         let lower = question.to_lowercase();
         let intent = self.parse_lowered(question, &lower, &query.selector);
-        if let Some(answer) = self.try_exploration(&lower, &intent) {
-            return answer;
+        if let Some(grounded) = self.try_exploration(&lower, &intent) {
+            return grounded;
         }
         let context = self.retriever.retrieve(&*self.db, &intent);
-        let mut builder = PromptBuilder::new();
-        for ex in &self.shots {
-            builder = builder.example(ex.clone());
-        }
-        let prompt = builder.render(question, &context);
         let request = GeneratorRequest {
             question: question.to_owned(),
             intent,
@@ -282,6 +295,25 @@ impl CacheMind {
         };
         let GeneratorAnswer { text, verdict } = self.backend.answer(&request);
         let GeneratorRequest { context, .. } = request;
+        Grounded { text, verdict, context, plan: None }
+    }
+
+    /// Answers a typed query ([`CacheMind::answer`]) and renders the
+    /// prompt behind the answer: the generated plan code for an
+    /// exploration command, else the generator prompt over the question,
+    /// the k-shot examples and the retrieved context.
+    pub fn ask_query(&self, query: &Query) -> Answer {
+        let Grounded { text, verdict, context, plan } = self.answer(query);
+        let prompt = match plan {
+            Some(plan) => plan.render_code(),
+            None => {
+                let mut builder = PromptBuilder::new();
+                for ex in &self.shots {
+                    builder = builder.example(ex.clone());
+                }
+                builder.render(&query.text, &context)
+            }
+        };
         Answer { text, verdict, context, prompt }
     }
 }

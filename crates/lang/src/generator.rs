@@ -5,6 +5,12 @@
 //! quality is causally downstream of retrieval quality. The capability half
 //! perturbs that ideal answer according to the backend's per-category
 //! competence ([`crate::profiles`]), with seeded, reproducible draws.
+//!
+//! The answer text is rendered from the verdict, and only a free-form
+//! analysis prints the retrieved evidence, so only that verdict renders
+//! the context. The generator never renders a prompt: that is
+//! [`crate::prompt::PromptBuilder`]'s job, and the system calls it only
+//! when a caller asks for the prompt.
 
 use serde::{Deserialize, Serialize};
 
@@ -205,8 +211,9 @@ impl SimulatedBackend {
         (base + jitter).clamp(0.0, cap).round() as u8
     }
 
+    /// The answer text for `verdict`. Only a free-form analysis prints the
+    /// evidence, so only that arm renders the retrieved context.
     fn render_text(&self, verdict: &Verdict, request: &GeneratorRequest) -> String {
-        let evidence = request.context.render();
         match verdict {
             Verdict::HitMiss(true) => "Cache Miss".to_owned(),
             Verdict::HitMiss(false) => "Cache Hit".to_owned(),
@@ -221,10 +228,13 @@ impl SimulatedBackend {
                  cannot be answered from this evidence."
                     .to_owned()
             }
-            Verdict::FreeForm { quality } => format!(
-                "Analysis (grounded in retrieved evidence):\n{}\n[rubric-equivalent grade: {quality}/5]",
-                if evidence.is_empty() { "(no evidence retrieved)" } else { &evidence }
-            ),
+            Verdict::FreeForm { quality } => {
+                let evidence = request.context.render();
+                format!(
+                    "Analysis (grounded in retrieved evidence):\n{}\n[rubric-equivalent grade: {quality}/5]",
+                    if evidence.is_empty() { "(no evidence retrieved)" } else { &evidence }
+                )
+            }
         }
     }
 }

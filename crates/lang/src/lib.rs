@@ -15,7 +15,11 @@
 //! * [`context`]: the typed fact bundle retrieval hands to the generator;
 //! * [`generator`]: a *grounded reasoner* that computes answers only from
 //!   the retrieved facts, wrapped in per-backend [`profiles`] — seeded
-//!   stochastic capability models calibrated to the paper's Figure 4; and
+//!   stochastic capability models calibrated to the paper's Figure 4. It
+//!   renders the evidence into the answer text only for free-form
+//!   analyses, the one verdict that prints it; [`prompt`] renders the
+//!   full generator prompt, which the system builds only for callers
+//!   that read it (`CacheMind::ask_query` in `cachemind-core`); and
 //! * [`memory`]: the conversation-memory layer (a capped exchange log +
 //!   vector recall) that turns the generator into a chat assistant.
 //!

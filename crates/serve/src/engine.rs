@@ -179,8 +179,9 @@ impl EngineMetrics {
 
 /// What the answer cache stores per key: exactly the fields of an ask
 /// response that come from answering, computed once on a miss. The
-/// retrieved facts and the rendered prompt stay out — serve reads the
-/// facts only to find the cited labels, and never reads the prompt.
+/// retrieved facts stay out — serve reads them only to find the cited
+/// labels — and no prompt is ever rendered: serve asks through
+/// `CacheMind::answer`, the pipeline without the prompt render.
 #[derive(Debug, Clone)]
 struct Reply {
     text: String,
@@ -845,7 +846,7 @@ impl ServeEngine {
     /// the machine and prefetcher labels their grounded evidence cites;
     /// v1 responses keep the legacy bytes exactly.
     fn answer(&self, query: &Query) -> Reply {
-        let answer = self.mind.ask_query(query);
+        let answer = self.mind.answer(query);
         let (machine, prefetcher) = if query.selector.machine_scope().is_unscoped() {
             (None, None)
         } else {

@@ -565,43 +565,6 @@ impl AskResponse {
         self.error.is_none()
     }
 
-    /// The response as a JSON object. With `with_timing` false the
-    /// wall-clock field is omitted, leaving only deterministic content —
-    /// the form the determinism tests and CI smoke diff byte-for-byte.
-    pub fn to_value(&self, with_timing: bool) -> Value {
-        let mut obj = Value::object();
-        obj.insert("session", Value::from(self.session));
-        obj.insert("turn", Value::from(self.turn));
-        if let Some(answer) = &self.answer {
-            obj.insert("answer", Value::from(answer.as_str()));
-        }
-        if let Some(verdict) = &self.verdict {
-            obj.insert("verdict", Value::from(verdict.as_str()));
-        }
-        if let Some(machine) = &self.machine {
-            obj.insert("machine", Value::from(machine.as_str()));
-        }
-        if let Some(prefetcher) = &self.prefetcher {
-            obj.insert("prefetcher", Value::from(prefetcher.as_str()));
-        }
-        if let Some(scenario) = &self.scenario {
-            obj.insert("scenario", Value::from(scenario.as_str()));
-        }
-        if self.closed {
-            obj.insert("closed", Value::from(true));
-        }
-        if let Some(error) = &self.error {
-            obj.insert("error", Value::from(error.as_str()));
-        }
-        if let Some(kind) = &self.error_kind {
-            obj.insert("error_kind", Value::from(kind.as_str()));
-        }
-        if with_timing {
-            obj.insert("micros", Value::from(self.micros));
-        }
-        obj
-    }
-
     /// Parses a response line back into the typed shape (the load-driver
     /// and round-trip-test counterpart of [`AskResponse::to_json`]).
     pub fn from_json(line: &str) -> Result<Self, ProtocolError> {
@@ -631,9 +594,95 @@ impl AskResponse {
         })
     }
 
-    /// Renders the response as a compact JSON line.
+    /// Renders the response as a compact JSON line. With `with_timing`
+    /// false the wall-clock field is omitted, leaving only deterministic
+    /// content — the form the determinism tests and CI smoke diff
+    /// byte-for-byte.
+    ///
+    /// The fields are written in sorted key order, absent ones left out,
+    /// straight into one `String` sized to the line: strings through
+    /// [`serde::write_json_string`], numbers as `serde_json` prints a
+    /// `u64` it holds as an `f64` (so an id above 2^53 renders rounded, as
+    /// it always has).
     pub fn to_json(&self, with_timing: bool) -> String {
-        self.to_value(with_timing).to_string()
+        let fields = [
+            ("answer", self.answer.as_deref().map(Field::Text)),
+            ("closed", self.closed.then_some(Field::True)),
+            ("error", self.error.as_deref().map(Field::Text)),
+            ("error_kind", self.error_kind.as_deref().map(Field::Text)),
+            ("machine", self.machine.as_deref().map(Field::Text)),
+            ("micros", with_timing.then_some(Field::Number(self.micros))),
+            ("prefetcher", self.prefetcher.as_deref().map(Field::Text)),
+            ("scenario", self.scenario.as_deref().map(Field::Text)),
+            ("session", Some(Field::Number(self.session))),
+            ("turn", Some(Field::Number(self.turn as u64))),
+            ("verdict", self.verdict.as_deref().map(Field::Text)),
+        ];
+        let present = || fields.iter().filter_map(|(key, field)| Some((*key, (*field)?)));
+        // `"key":value,` per field; the last field's comma byte holds the
+        // closing brace, and the 1 the opening one.
+        let len = 1 + present().map(|(key, field)| key.len() + 4 + field.len()).sum::<usize>();
+        let mut out = String::with_capacity(len);
+        out.push('{');
+        for (i, (key, field)) in present().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('"');
+            out.push_str(key);
+            out.push_str("\":");
+            field.write(&mut out);
+        }
+        out.push('}');
+        out
+    }
+}
+
+/// One value of a rendered [`AskResponse`] field.
+#[derive(Clone, Copy)]
+enum Field<'a> {
+    Text(&'a str),
+    Number(u64),
+    True,
+}
+
+impl Field<'_> {
+    /// `serde_json` prints a number it holds as an `f64` without a
+    /// fraction below this bound, and through `f64`'s `Display` above.
+    const EXACT_BELOW: u64 = 9_000_000_000_000_000;
+
+    /// The rendered length: exact, except at most 20 bytes for a number
+    /// at or above [`Field::EXACT_BELOW`].
+    fn len(self) -> usize {
+        match self {
+            Field::Text(text) => {
+                let escaped = |b: &u8| match b {
+                    b'"' | b'\\' | b'\n' | b'\r' | b'\t' => 2,
+                    0..=0x1f => 6,
+                    _ => 1,
+                };
+                2 + text.as_bytes().iter().map(escaped).sum::<usize>()
+            }
+            Field::Number(n) if n < Self::EXACT_BELOW => {
+                n.checked_ilog10().map_or(1, |d| d as usize + 1)
+            }
+            Field::Number(_) => 20,
+            Field::True => 4,
+        }
+    }
+
+    fn write(self, out: &mut String) {
+        use std::fmt::Write;
+        match self {
+            Field::Text(text) => serde::write_json_string(text, out),
+            Field::Number(n) if n < Self::EXACT_BELOW => {
+                let _ = write!(out, "{n}");
+            }
+            Field::Number(n) => {
+                let _ = write!(out, "{}", n as f64);
+            }
+            Field::True => out.push_str("true"),
+        }
     }
 }
 

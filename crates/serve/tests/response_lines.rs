@@ -10,15 +10,24 @@
 //! carrying `"`, `\`, a newline, control characters and non-ASCII text.
 //! A change to how a response is rendered is correct only if this
 //! digest holds.
+//!
+//! A property test then compares [`AskResponse::to_json`], which writes
+//! the line directly, with the `serde_json::Value` object rendering it
+//! replaced, kept here as the oracle, over random responses: every
+//! optional field set and unset, `closed` and the timing field both ways,
+//! strings with escapes, control characters and non-ASCII text, and
+//! numbers up to `u64::MAX`.
 
 use std::io::Cursor;
 
 use cachemind_core::system::RetrieverKind;
 use cachemind_serve::engine::{build_database, ServeConfig, ServeEngine};
 use cachemind_serve::load::{synthetic_question, synthetic_question_scoped};
-use cachemind_serve::protocol::{AskRequest, Request, MAX_LINE_BYTES};
+use cachemind_serve::protocol::{AskRequest, AskResponse, Request, MAX_LINE_BYTES};
 use cachemind_sim::hash::fnv64;
 use cachemind_sim::scenario::ScenarioSelector;
+use proptest::prelude::*;
+use serde_json::Value;
 
 /// The digest of the rendered transcript, Ranger then Sieve, recorded
 /// when the transcript was written.
@@ -69,7 +78,7 @@ fn serve(engine: &ServeEngine, line: &str, out: &mut String) -> String {
 
 /// The session id a rendered open or session-opening ask assigned.
 fn session_of(rendered: &str) -> u64 {
-    cachemind_serve::protocol::AskResponse::from_json(rendered).expect("ask-shaped").session
+    AskResponse::from_json(rendered).expect("ask-shaped").session
 }
 
 /// Runs the fixed transcript against `engine`, returning every rendered
@@ -210,4 +219,123 @@ fn rendered_transcript_matches_its_recorded_digest() {
         "over {} lines",
         rendered.lines().count()
     );
+}
+
+/// The `Value` object rendering of a response: the oracle for
+/// [`AskResponse::to_json`].
+fn value_rendering(response: &AskResponse, with_timing: bool) -> String {
+    let mut obj = Value::object();
+    obj.insert("session", Value::from(response.session));
+    obj.insert("turn", Value::from(response.turn));
+    let texts = [
+        ("answer", &response.answer),
+        ("verdict", &response.verdict),
+        ("machine", &response.machine),
+        ("prefetcher", &response.prefetcher),
+        ("scenario", &response.scenario),
+    ];
+    for (key, text) in texts {
+        if let Some(text) = text {
+            obj.insert(key, Value::from(text.as_str()));
+        }
+    }
+    if response.closed {
+        obj.insert("closed", Value::from(true));
+    }
+    for (key, text) in [("error", &response.error), ("error_kind", &response.error_kind)] {
+        if let Some(text) = text {
+            obj.insert(key, Value::from(text.as_str()));
+        }
+    }
+    if with_timing {
+        obj.insert("micros", Value::from(response.micros));
+    }
+    obj.to_string()
+}
+
+/// A splitmix64 stream: one generated seed derives a whole response.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, bound: u64) -> u64 {
+        self.next() % bound
+    }
+
+    /// A number near an edge of the JSON number rendering, or anywhere.
+    fn number(&mut self) -> u64 {
+        const EDGES: [u64; 12] = [
+            0,
+            1,
+            9,
+            10,
+            (1 << 53) - 1,
+            1 << 53,
+            (1 << 53) + 1,
+            8_999_999_999_999_999,
+            9_000_000_000_000_000,
+            9_000_000_000_000_001,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        match self.below(4) {
+            0 => EDGES[self.below(EDGES.len() as u64) as usize],
+            1 => self.below(1_000_000),
+            _ => self.next() >> self.below(64),
+        }
+    }
+
+    /// A string of characters JSON escapes, control characters, and
+    /// one- to four-byte UTF-8 text.
+    fn text(&mut self) -> String {
+        const CHARS: [char; 16] = [
+            '"', '\\', '\n', '\r', '\t', '\0', '\u{1f}', '\u{7f}', 'a', 'Z', ' ', '/', 'é', 'Σ',
+            '日', '😀',
+        ];
+        (0..self.below(24)).map(|_| CHARS[self.below(CHARS.len() as u64) as usize]).collect()
+    }
+
+    fn maybe_text(&mut self) -> Option<String> {
+        (self.below(2) == 0).then(|| self.text())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn direct_rendering_matches_the_value_rendering(seed in any::<u64>()) {
+        let mut mix = Mix(seed);
+        let response = AskResponse {
+            session: mix.number(),
+            turn: mix.number() as usize,
+            answer: mix.maybe_text(),
+            verdict: mix.maybe_text(),
+            machine: mix.maybe_text(),
+            prefetcher: mix.maybe_text(),
+            scenario: mix.maybe_text(),
+            closed: mix.below(2) == 0,
+            error: mix.maybe_text(),
+            error_kind: mix.maybe_text(),
+            micros: mix.number(),
+        };
+        for with_timing in [false, true] {
+            let line = response.to_json(with_timing);
+            prop_assert_eq!(&line, &value_rendering(&response, with_timing));
+            // Sized to the line: exactly, except up to 4 spare bytes per
+            // number past 9e15 (16 to 20 digits, 20 reserved).
+            let micros = with_timing.then_some(response.micros);
+            let numbers = [Some(response.session), Some(response.turn as u64), micros];
+            let big = numbers.iter().flatten().filter(|&&n| n >= 9_000_000_000_000_000).count();
+            let spare = line.capacity() - line.len();
+            prop_assert!(spare <= 4 * big, "{} spare bytes, {} large numbers", spare, big);
+        }
+    }
 }
