@@ -3,8 +3,8 @@
 //!
 //! [`bench()`] scores a configured [`CacheMind`] over the catalog by asking
 //! every question through [`CacheMind::answer`] — the pipeline serve
-//! runs, which renders no prompt — so Figures 4–8, the ablations and `cachemind bench` measure the
-//! served system. Each figure configuration is a `CacheMind` built from
+//! runs, which renders no prompt — so Figures 4–8, the ablations and
+//! `cachemind bench` measure the served system. Each figure configuration is a `CacheMind` built from
 //! the stock builders: a backend, a retriever (Figure 5 wraps Sieve in
 //! [`Degraded`]) and k-shot examples.
 //!

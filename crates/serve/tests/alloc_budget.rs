@@ -39,6 +39,10 @@ fn note() {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
+// SAFETY: every method passes its arguments unchanged to `System`, so
+// the `GlobalAlloc` contract the caller upholds for this allocator holds
+// for `System` too; counting touches only a const-initialised
+// thread-local `Cell`, which never allocates or unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note();
