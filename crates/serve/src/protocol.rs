@@ -655,14 +655,7 @@ impl Field<'_> {
     /// at or above [`Field::EXACT_BELOW`].
     fn len(self) -> usize {
         match self {
-            Field::Text(text) => {
-                let escaped = |b: &u8| match b {
-                    b'"' | b'\\' | b'\n' | b'\r' | b'\t' => 2,
-                    0..=0x1f => 6,
-                    _ => 1,
-                };
-                2 + text.as_bytes().iter().map(escaped).sum::<usize>()
-            }
+            Field::Text(text) => serde::json_string_len(text),
             Field::Number(n) if n < Self::EXACT_BELOW => {
                 n.checked_ilog10().map_or(1, |d| d as usize + 1)
             }

@@ -58,6 +58,17 @@ pub fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// The number of bytes [`write_json_string`] writes for `s`, quotes
+/// included, so a caller can size its buffer to the line.
+pub fn json_string_len(s: &str) -> usize {
+    let escaped = |b: &u8| match b {
+        b'"' | b'\\' | b'\n' | b'\r' | b'\t' => 2,
+        0..=0x1f => 6,
+        _ => 1,
+    };
+    2 + s.as_bytes().iter().map(escaped).sum::<usize>()
+}
+
 /// Writes an `f64` as JSON (NaN/Inf become `null`). Uses Rust's `Display`,
 /// which prints integral floats WITHOUT a trailing `.0` (`1`, not `1.0`) —
 /// real serde_json prints `1.0`, so byte-level JSON baselines captured under
@@ -276,6 +287,16 @@ mod tests {
         assert_eq!(true.to_json_string(), "true");
         assert_eq!(1.5f64.to_json_string(), "1.5");
         assert_eq!("a\"b\n".to_string().to_json_string(), "\"a\\\"b\\n\"");
+    }
+
+    #[test]
+    fn string_lengths_match_what_is_written() {
+        for s in ["", "plain", "a\"b\\c", "\n\r\t", "\0\u{7}\u{1f}\u{7f}", "é Σ 日 😀", "x\u{1}é\""]
+        {
+            let mut out = String::new();
+            write_json_string(s, &mut out);
+            assert_eq!(json_string_len(s), out.len(), "{s:?}");
+        }
     }
 
     #[test]
