@@ -69,11 +69,27 @@ use cachemind_sim::replacement::ReplacementPolicy;
 /// (mirrors the paper's `belady`, `lru`, `mlp`, `parrot` keys).
 pub const DATABASE_POLICIES: [&str; 4] = ["belady", "lru", "mlp", "parrot"];
 
-/// Constructs a boxed policy by its stable name.
-///
-/// Supported names: `lru`, `mru`, `fifo`, `random`, `belady`, `srrip`,
-/// `brrip`, `drrip`, `dip`, `lip`, `bip`, `ship`, `hawkeye`, `mockingjay`,
-/// `parrot`, `mlp`.
+/// Every policy name [`by_name`] accepts, in a stable order.
+pub const NAMES: [&str; 16] = [
+    "lru",
+    "mru",
+    "fifo",
+    "random",
+    "belady",
+    "srrip",
+    "brrip",
+    "drrip",
+    "dip",
+    "lip",
+    "bip",
+    "ship",
+    "hawkeye",
+    "mockingjay",
+    "parrot",
+    "mlp",
+];
+
+/// Constructs a boxed policy by its stable name, one of [`NAMES`].
 ///
 /// ```rust
 /// let p = cachemind_policies::by_name("belady").expect("known policy");
@@ -123,24 +139,7 @@ mod tests {
 
     #[test]
     fn by_name_covers_documented_policies() {
-        for name in [
-            "lru",
-            "mru",
-            "fifo",
-            "random",
-            "belady",
-            "srrip",
-            "brrip",
-            "drrip",
-            "dip",
-            "lip",
-            "bip",
-            "ship",
-            "hawkeye",
-            "mockingjay",
-            "parrot",
-            "mlp",
-        ] {
+        for name in NAMES {
             let p = by_name(name).unwrap_or_else(|| panic!("missing {name}"));
             assert_eq!(p.name(), name);
         }

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use cachemind_suite::policies::BeladyPolicy;
+use cachemind_suite::policies::{BeladyPolicy, NAMES};
 use cachemind_suite::prelude::*;
 use cachemind_suite::sim::reuse::NEVER;
 
@@ -23,7 +23,7 @@ fn trace_from_lines(lines: &[u8]) -> Vec<MemoryAccess> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Belady's MIN is optimal: no online policy beats it in total hits on
+    /// Belady's MIN is optimal: no stock policy beats it in total hits on
     /// any trace.
     #[test]
     fn belady_is_optimal(lines in proptest::collection::vec(0u8..24, 1..300)) {
@@ -31,7 +31,7 @@ proptest! {
         let cfg = CacheConfig::new("t", 1, 2, 6); // 2 sets x 2 ways
         let replay = LlcReplay::new(cfg, &trace);
         let opt = replay.run(BeladyPolicy::new());
-        for name in ["lru", "fifo", "random", "srrip", "ship"] {
+        for name in NAMES {
             let other = replay.run(cachemind_suite::policies::by_name(name).unwrap());
             prop_assert!(
                 opt.stats.hits >= other.stats.hits,
@@ -374,7 +374,8 @@ proptest! {
     /// reference access-for-access — hit/way/evicted/bypassed — under every
     /// stock policy, on mixed load/store traffic. Two instances of the same
     /// policy see identical contexts and set views, so any divergence is a
-    /// storage-layout bug, not policy nondeterminism.
+    /// storage-layout bug, not policy nondeterminism. The contexts carry the
+    /// reuse oracle's next use, which Belady requires.
     #[test]
     fn soa_cache_matches_line_meta_reference(
         codes in proptest::collection::vec(0u8..96, 1..400)
@@ -394,7 +395,8 @@ proptest! {
                 }
             })
             .collect();
-        for name in ["lru", "fifo", "srrip", "ship", "mockingjay"] {
+        let oracle = ReuseOracle::from_accesses(&trace, 6);
+        for name in NAMES {
             let cfg = CacheConfig::new("t", 2, 2, 6); // 4 sets x 2 ways
             let mut soa = SetAssociativeCache::new(
                 cfg.clone(),
@@ -403,8 +405,10 @@ proptest! {
             let mut reference =
                 ReferenceCache::new(&cfg, cachemind_suite::policies::by_name(name).unwrap());
             for (i, a) in trace.iter().enumerate() {
-                let set = soa.set_of(a.address);
-                let ctx = AccessContext::demand(i as u64, a, set);
+                let (line, set) = (oracle.line(i), soa.set_of(a.address));
+                let ctx = AccessContext::with_oracle(
+                    i as u64, a.pc, line, set, a.kind, oracle.next_use(i),
+                );
                 let out = soa.access(&ctx);
                 let (hit, way, evicted, bypassed) = reference.access(&ctx);
                 prop_assert_eq!(out.hit, hit, "{} hit diverged at {}", name, i);
