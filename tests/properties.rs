@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use cachemind_suite::policies::{BeladyPolicy, NAMES};
+use cachemind_suite::policies::{BeladyPolicy, BypassPolicy, NAMES};
 use cachemind_suite::prelude::*;
 use cachemind_suite::sim::reuse::NEVER;
 
@@ -416,6 +416,190 @@ proptest! {
                 prop_assert_eq!(out.evicted, evicted, "{} eviction diverged at {}", name, i);
                 prop_assert_eq!(out.bypassed, bypassed, "{} bypass diverged at {}", name, i);
             }
+        }
+    }
+}
+
+/// What one replay reports, restated: every counter of a
+/// [`ReplayReport`] plus each record's `(evicted_address,
+/// evicted_reuse_distance)`.
+#[derive(Debug, PartialEq)]
+struct ReplayCounts {
+    stats: CacheStats,
+    wrong_evictions: u64,
+    compulsory_misses: u64,
+    capacity_misses: u64,
+    conflict_misses: u64,
+    prefetch_fills: u64,
+    useful_prefetches: u64,
+    evicted: Vec<(Option<Address>, Option<u64>)>,
+}
+
+impl ReplayCounts {
+    fn of(report: &ReplayReport) -> Self {
+        ReplayCounts {
+            stats: report.stats,
+            wrong_evictions: report.wrong_evictions,
+            compulsory_misses: report.compulsory_misses,
+            capacity_misses: report.capacity_misses,
+            conflict_misses: report.conflict_misses,
+            prefetch_fills: report.prefetch_fills,
+            useful_prefetches: report.useful_prefetches,
+            evicted: report
+                .records
+                .iter()
+                .map(|r| (r.evicted_address, r.evicted_reuse_distance))
+                .collect(),
+        }
+    }
+}
+
+/// `LlcReplay::run` restated over [`ReferenceCache`] with per-line state:
+/// next uses come from a forward scan of the stream, resident lines' next
+/// uses live in a `HashMap` and pending prefetched lines in a `HashSet`,
+/// first touches in a `HashSet` and the fully-associative LRU shadow in a
+/// `Vec` ordered LRU first.
+fn reference_replay(
+    config: &CacheConfig,
+    stream: &[MemoryAccess],
+    policy: Box<dyn ReplacementPolicy>,
+) -> ReplayCounts {
+    use std::collections::{HashMap, HashSet};
+
+    let bits = config.line_size_log2;
+    let lines: Vec<LineAddr> = stream.iter().map(|a| a.address.line(bits)).collect();
+    let mut cache = ReferenceCache::new(config, policy);
+    let mut next_uses: HashMap<LineAddr, u64> = HashMap::new();
+    let mut pending: HashSet<LineAddr> = HashSet::new();
+    let mut seen: HashSet<LineAddr> = HashSet::new();
+    let mut shadow: Vec<LineAddr> = Vec::new();
+    let mut out = ReplayCounts {
+        stats: CacheStats::default(),
+        wrong_evictions: 0,
+        compulsory_misses: 0,
+        capacity_misses: 0,
+        conflict_misses: 0,
+        prefetch_fills: 0,
+        useful_prefetches: 0,
+        evicted: Vec::new(),
+    };
+    for (i, access) in stream.iter().enumerate() {
+        let (idx, line) = (i as u64, lines[i]);
+        let next_use =
+            lines[i + 1..].iter().position(|&l| l == line).map_or(NEVER, |k| (i + 1 + k) as u64);
+        let first_touch = seen.insert(line);
+        let in_shadow = match shadow.iter().position(|&l| l == line) {
+            Some(at) => {
+                shadow.remove(at);
+                true
+            }
+            None => false,
+        };
+        shadow.push(line);
+        if shadow.len() > config.capacity_lines() {
+            shadow.remove(0);
+        }
+
+        let set = line.set(config.sets_log2);
+        let ctx = AccessContext::with_oracle(idx, access.pc, line, set, access.kind, next_use);
+        let (hit, _, evicted, bypassed) = cache.access(&ctx);
+        if hit {
+            out.stats.record_hit(access.kind);
+        } else {
+            out.stats.record_miss(access.kind);
+            if first_touch {
+                out.compulsory_misses += 1;
+            } else if in_shadow {
+                out.conflict_misses += 1;
+            } else {
+                out.capacity_misses += 1;
+            }
+        }
+        out.stats.bypasses += u64::from(bypassed);
+
+        let mut record = (None, None);
+        if let Some(victim) = evicted {
+            out.stats.evictions += 1;
+            let victim = victim.line;
+            record.0 = Some(victim.base_address(bits));
+            let ev_next = next_uses.remove(&victim).expect("a resident line has a next use");
+            if ev_next != NEVER {
+                record.1 = Some(ev_next - idx);
+                out.wrong_evictions += u64::from(ev_next < next_use);
+            }
+            pending.remove(&victim);
+        }
+        out.evicted.push(record);
+        if !bypassed {
+            next_uses.insert(line, next_use);
+        }
+
+        if access.kind == AccessKind::Prefetch {
+            if !hit && !bypassed {
+                out.prefetch_fills += 1;
+                pending.insert(line);
+            }
+        } else if hit && pending.remove(&line) {
+            out.useful_prefetches += 1;
+        } else {
+            pending.remove(&line);
+        }
+    }
+    out
+}
+
+/// The policies the replay-counter property runs: every stock policy and
+/// SRRIP behind a bypass list.
+fn replay_policy(name: &str) -> Box<dyn ReplacementPolicy> {
+    match name {
+        "bypass" => Box::new(BypassPolicy::new(
+            cachemind_suite::policies::by_name("srrip").unwrap(),
+            [Pc::new(0x400000)],
+        )),
+        _ => cachemind_suite::policies::by_name(name).unwrap(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The replay driver's next-use, wrong-eviction, miss-taxonomy and
+    /// prefetch-usefulness bookkeeping equals a per-line reference over
+    /// [`ReferenceCache`], for both `run` and `run_summary`, under every
+    /// policy, on random load/store/prefetch streams over 1–8 sets of
+    /// 1–8 ways.
+    #[test]
+    fn replay_counters_match_per_line_reference(
+        sets_log2 in 0u32..4,
+        ways in 1usize..9,
+        span in 2u64..128,
+        codes in proptest::collection::vec(0u64..1 << 16, 1..400)
+    ) {
+        // The low two bits pick the kind (prefetches twice as often as
+        // stores); the rest one of `span` lines.
+        let stream: Vec<MemoryAccess> = codes
+            .iter()
+            .enumerate()
+            .map(|(i, &code)| {
+                let l = (code >> 2) % span;
+                let pc = Pc::new(0x400000 + (l % 7) * 4);
+                let addr = Address::new(l * 64);
+                match code & 3 {
+                    0 => MemoryAccess::load(pc, addr, i as u64),
+                    1 => MemoryAccess::store(pc, addr, i as u64),
+                    _ => MemoryAccess::prefetch(pc, addr, i as u64),
+                }
+            })
+            .collect();
+        let config = CacheConfig::new("t", sets_log2, ways, 6);
+        let replay = LlcReplay::new(config.clone(), &stream);
+        for name in NAMES.into_iter().chain(["bypass"]) {
+            let want = reference_replay(&config, &stream, replay_policy(name));
+            let full = ReplayCounts::of(&replay.run(replay_policy(name)));
+            let summary = ReplayCounts::of(&replay.run_summary(replay_policy(name)));
+            prop_assert_eq!(&full, &want, "{} run", name);
+            let want = ReplayCounts { evicted: Vec::new(), ..want };
+            prop_assert_eq!(summary, want, "{} run_summary", name);
         }
     }
 }
