@@ -1,5 +1,5 @@
-//! Byte-identity pins for the optimized replay hot path and for LLC-only
-//! sweeps.
+//! Byte-identity pins for the optimized replay hot path, for LLC-only
+//! sweeps and for the benchmark's own Small grid.
 //!
 //! `tests/fixtures/golden_scenario_v1.json` is the literal stdout of the
 //! pre-optimization binary running
@@ -16,6 +16,7 @@
 //! digit fails here before it can silently reshape the paper's results.
 
 use cachemind_suite::prelude::*;
+use cachemind_suite::sim::hash::fnv64;
 use cachemind_suite::sim::sweep::{ScenarioGrid, SweepStream};
 use cachemind_suite::workloads::{by_name, Scale};
 
@@ -124,4 +125,44 @@ fn llc_only_grid_matches_the_legacy_llc_golden_fixture() {
         let miss_rate = want.get("miss_rate").and_then(|f| f.as_f64()).expect("miss_rate");
         assert_eq!(miss_rate.to_bits(), got.miss_rate.to_bits(), "{} miss_rate", got.key);
     }
+}
+
+/// The FNV-1a digest of the Small grid's pretty report plus its newline:
+/// the stdout of
+///
+/// ```text
+/// CACHEMIND_SCALE=small sweep_grid \
+///     --machines table2,small --prefetchers none,nextline,stride4 \
+///     --policies lru,srrip,ship,mockingjay,belady \
+///     --workloads astar,lbm,mcf,ptrchase --json --no-timing
+/// ```
+const SMALL_GRID_DIGEST: u64 = 0x1415_bf1e_0803_a562;
+
+/// The `sweep` workload's grid of the benchmark (`perfbench/src/inputs.rs`)
+/// at Small: {astar, lbm, mcf, ptrchase} × {table2, small} × {none,
+/// nextline, stride4} × {lru, srrip, ship, mockingjay, belady}, 120 cells.
+/// At Small, unlike Tiny, table2's LLC evicts.
+#[test]
+fn small_benchmark_grid_matches_its_digest() {
+    let mut streams = Vec::new();
+    for name in ["astar", "lbm", "mcf", "ptrchase"] {
+        let w = by_name(name, Scale::Small).expect("known workload");
+        streams.push(SweepStream::new(w.name.clone(), w.accesses).with_instr_count(w.instr_count));
+    }
+    let grid = ScenarioGrid {
+        policies: ["lru", "srrip", "ship", "mockingjay", "belady"].map(str::to_owned).to_vec(),
+        streams,
+        machines: ["table2", "small"]
+            .map(|m| MachineConfig::preset(m).expect("known machine"))
+            .to_vec(),
+        prefetchers: ["none", "nextline", "stride4"]
+            .map(|p| PrefetcherKind::parse(p).expect("known prefetcher"))
+            .to_vec(),
+        mlp_override: None,
+    };
+    let report = grid.run(cachemind_suite::policies::by_name).expect("grid runs");
+    assert_eq!(report.cells.len(), 120);
+    let rendered = serde_json::to_string_pretty(&report).expect("report serializes");
+    let digest = fnv64(format!("{rendered}\n").as_bytes());
+    assert_eq!(digest, SMALL_GRID_DIGEST, "Small grid report drifted: {digest:#018x}");
 }
