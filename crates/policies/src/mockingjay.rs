@@ -47,7 +47,9 @@ struct MjLine {
 /// access), so the insertion-ordered `queue` yields the same victim a full
 /// `min_by_key` scan over `entries` would — in amortised O(1) instead of
 /// O(entries) per overflow. Queue entries superseded by a re-insertion are
-/// stale (their stamp no longer matches the map) and are skipped.
+/// stale (their stamp no longer matches the map) and are skipped, and
+/// dropped once they outnumber the live entries: the queue holds at most
+/// twice as many entries as the map.
 #[derive(Debug, Clone, Default)]
 struct SamplerSet {
     /// line -> (clock stamp, pc sig, pc).
@@ -169,6 +171,16 @@ impl MockingjayPolicy {
                         _ => {} // stale: superseded by a later re-insertion
                     }
                 }
+            }
+            // Drop the stale entries once they outnumber the live ones, so
+            // a set whose lines stay within the bound cannot grow the queue
+            // by one entry per access. `retain` keeps the order, and the
+            // pop loop skips stale entries anyway, so victims are unchanged.
+            if sampler.queue.len() > 2 * sampler.entries.len() {
+                let entries = &sampler.entries;
+                sampler
+                    .queue
+                    .retain(|(line, stamp)| entries.get(line).is_some_and(|e| e.0 == *stamp));
             }
         }
         for (sig, pc, sample) in pending.into_iter().flatten() {
@@ -294,6 +306,31 @@ mod tests {
             mj.stats.hits,
             lru.stats.hits
         );
+    }
+
+    /// A sampled set whose few lines keep hitting re-inserts the same map
+    /// keys forever; the queue must stay within twice the live entries
+    /// instead of growing by one entry per access.
+    #[test]
+    fn sampler_queue_stays_bounded_on_a_small_working_set() {
+        use cachemind_sim::cache::SetAssociativeCache;
+        let mut cache =
+            SetAssociativeCache::new(CacheConfig::new("t", 0, 4, 6), MockingjayPolicy::new());
+        for i in 0..20_000u64 {
+            let a = MemoryAccess::load(Pc::new(0x42), Address::new(i % 3 * 64), i);
+            let set = cache.set_of(a.address);
+            let _ = cache.access(&AccessContext::with_oracle(
+                i,
+                a.pc,
+                a.address.line(6),
+                set,
+                a.kind,
+                u64::MAX,
+            ));
+        }
+        let sampler = &cache.policy().sampler[0];
+        assert_eq!(sampler.entries.len(), 3);
+        assert!(sampler.queue.len() <= 2 * 3, "queue holds {} entries", sampler.queue.len());
     }
 
     #[test]
