@@ -1,12 +1,12 @@
 //! A single set-associative cache level.
 //!
-//! Storage is structure-of-arrays: one contiguous tag array (`Vec<LineAddr>`,
-//! invalid ways marked by a sentinel) is probed on every access, and the
-//! per-way metadata (`last_pc`/`insert_pc`/`inserted_at`/`last_touch`/`dirty`)
-//! lives in parallel arrays that are only touched after a tag match. The hot
-//! probe loop therefore walks `ways` consecutive `u64`s instead of
-//! `ways × sizeof(Option<LineMeta>)` bytes, which is what makes the replay
-//! loop memory-bandwidth-friendly (see `docs/PERFORMANCE.md`).
+//! Storage is structure-of-arrays with three columns: one contiguous tag
+//! array (`Vec<LineAddr>`, invalid ways marked by a sentinel) is probed on
+//! every access, and the two per-way stamps the policies read — `last_touch`
+//! (recency) and `inserted_at` (FIFO order) — live in parallel arrays that
+//! are only touched after a tag match or on a fill. The hot probe loop
+//! therefore walks `ways` consecutive `u64`s, and an access writes only what
+//! some policy reads (see `docs/PERFORMANCE.md`).
 //!
 //! Replacement policies observe a set through the borrowed [`SetView`]
 //! adapter rather than a `&[Option<LineMeta>]` slice; tests and policies
@@ -14,7 +14,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::addr::{Address, LineAddr, Pc, SetId};
+use crate::addr::{Address, LineAddr, SetId};
 use crate::config::CacheConfig;
 use crate::replacement::{AccessContext, Decision, ReplacementPolicy};
 use crate::stats::CacheStats;
@@ -29,16 +29,10 @@ const INVALID_TAG: LineAddr = LineAddr::new(u64::MAX);
 pub struct LineMeta {
     /// The resident line address.
     pub line: LineAddr,
-    /// PC of the access that most recently touched the line.
-    pub last_pc: Pc,
-    /// PC of the access that inserted the line.
-    pub insert_pc: Pc,
     /// Stream index of the inserting access.
     pub inserted_at: u64,
     /// Stream index of the most recent touch.
     pub last_touch: u64,
-    /// Whether the line is dirty (stores only; informational).
-    pub dirty: bool,
 }
 
 /// A borrowed view of one cache set in the structure-of-arrays layout —
@@ -51,11 +45,8 @@ pub struct LineMeta {
 #[derive(Debug, Clone, Copy)]
 pub struct SetView<'a> {
     tags: &'a [LineAddr],
-    last_pc: &'a [Pc],
-    insert_pc: &'a [Pc],
     inserted_at: &'a [u64],
     last_touch: &'a [u64],
-    dirty: &'a [bool],
 }
 
 impl<'a> SetView<'a> {
@@ -79,16 +70,6 @@ impl<'a> SetView<'a> {
         (self.tags[way] != INVALID_TAG).then(|| self.tags[way])
     }
 
-    /// PC of the most recent touch of way `way` (valid ways only).
-    pub fn last_pc(&self, way: usize) -> Pc {
-        self.last_pc[way]
-    }
-
-    /// PC of the access that inserted way `way` (valid ways only).
-    pub fn insert_pc(&self, way: usize) -> Pc {
-        self.insert_pc[way]
-    }
-
     /// Stream index of the inserting access of way `way` (valid ways only).
     pub fn inserted_at(&self, way: usize) -> u64 {
         self.inserted_at[way]
@@ -97,11 +78,6 @@ impl<'a> SetView<'a> {
     /// Stream index of the most recent touch of way `way` (valid ways only).
     pub fn last_touch(&self, way: usize) -> u64 {
         self.last_touch[way]
-    }
-
-    /// Whether way `way` is dirty (valid ways only).
-    pub fn dirty(&self, way: usize) -> bool {
-        self.dirty[way]
     }
 
     /// Iterates `(way, line)` over the valid ways.
@@ -114,11 +90,8 @@ impl<'a> SetView<'a> {
     pub fn meta(&self, way: usize) -> Option<LineMeta> {
         (self.tags[way] != INVALID_TAG).then(|| LineMeta {
             line: self.tags[way],
-            last_pc: self.last_pc[way],
-            insert_pc: self.insert_pc[way],
             inserted_at: self.inserted_at[way],
             last_touch: self.last_touch[way],
-            dirty: self.dirty[way],
         })
     }
 }
@@ -129,11 +102,8 @@ impl<'a> SetView<'a> {
 #[derive(Debug, Clone)]
 pub struct SetViewBuf {
     tags: Vec<LineAddr>,
-    last_pc: Vec<Pc>,
-    insert_pc: Vec<Pc>,
     inserted_at: Vec<u64>,
     last_touch: Vec<u64>,
-    dirty: Vec<bool>,
 }
 
 impl SetViewBuf {
@@ -141,11 +111,8 @@ impl SetViewBuf {
     pub fn new(ways: usize) -> Self {
         SetViewBuf {
             tags: vec![INVALID_TAG; ways],
-            last_pc: vec![Pc::new(0); ways],
-            insert_pc: vec![Pc::new(0); ways],
             inserted_at: vec![0; ways],
             last_touch: vec![0; ways],
-            dirty: vec![false; ways],
         }
     }
 
@@ -163,11 +130,8 @@ impl SetViewBuf {
     /// Makes way `way` valid with the given metadata.
     pub fn set(&mut self, way: usize, meta: LineMeta) {
         self.tags[way] = meta.line;
-        self.last_pc[way] = meta.last_pc;
-        self.insert_pc[way] = meta.insert_pc;
         self.inserted_at[way] = meta.inserted_at;
         self.last_touch[way] = meta.last_touch;
-        self.dirty[way] = meta.dirty;
     }
 
     /// Invalidates way `way`.
@@ -177,14 +141,7 @@ impl SetViewBuf {
 
     /// Lends the buffer as a [`SetView`].
     pub fn view(&self) -> SetView<'_> {
-        SetView {
-            tags: &self.tags,
-            last_pc: &self.last_pc,
-            insert_pc: &self.insert_pc,
-            inserted_at: &self.inserted_at,
-            last_touch: &self.last_touch,
-            dirty: &self.dirty,
-        }
+        SetView { tags: &self.tags, inserted_at: &self.inserted_at, last_touch: &self.last_touch }
     }
 }
 
@@ -196,7 +153,7 @@ pub struct AccessOutcome {
     /// The way that was hit or filled (`None` when the fill was bypassed).
     pub way: Option<usize>,
     /// Line evicted to make room, if any.
-    pub evicted: Option<LineMeta>,
+    pub evicted: Option<LineAddr>,
     /// Whether the policy chose to bypass the fill.
     pub bypassed: bool,
 }
@@ -220,11 +177,8 @@ pub struct SetAssociativeCache<P> {
     config: CacheConfig,
     ways: usize,
     tags: Vec<LineAddr>,
-    last_pc: Vec<Pc>,
-    insert_pc: Vec<Pc>,
     inserted_at: Vec<u64>,
     last_touch: Vec<u64>,
-    dirty: Vec<bool>,
     policy: P,
     stats: CacheStats,
 }
@@ -235,20 +189,14 @@ pub struct SetAssociativeCache<P> {
 /// field borrows.
 fn view_columns<'a>(
     tags: &'a [LineAddr],
-    last_pc: &'a [Pc],
-    insert_pc: &'a [Pc],
     inserted_at: &'a [u64],
     last_touch: &'a [u64],
-    dirty: &'a [bool],
     range: std::ops::Range<usize>,
 ) -> SetView<'a> {
     SetView {
         tags: &tags[range.clone()],
-        last_pc: &last_pc[range.clone()],
-        insert_pc: &insert_pc[range.clone()],
         inserted_at: &inserted_at[range.clone()],
-        last_touch: &last_touch[range.clone()],
-        dirty: &dirty[range],
+        last_touch: &last_touch[range],
     }
 }
 
@@ -261,11 +209,8 @@ impl<P: ReplacementPolicy> SetAssociativeCache<P> {
             config,
             ways,
             tags: vec![INVALID_TAG; capacity],
-            last_pc: vec![Pc::new(0); capacity],
-            insert_pc: vec![Pc::new(0); capacity],
             inserted_at: vec![0; capacity],
             last_touch: vec![0; capacity],
-            dirty: vec![false; capacity],
             policy,
             stats: CacheStats::default(),
         }
@@ -298,15 +243,7 @@ impl<P: ReplacementPolicy> SetAssociativeCache<P> {
 
     /// A borrowed view of the ways of `set`.
     pub fn set_view(&self, set: SetId) -> SetView<'_> {
-        view_columns(
-            &self.tags,
-            &self.last_pc,
-            &self.insert_pc,
-            &self.inserted_at,
-            &self.last_touch,
-            &self.dirty,
-            self.set_range(set),
-        )
+        view_columns(&self.tags, &self.inserted_at, &self.last_touch, self.set_range(set))
     }
 
     /// The policy's current per-way eviction scores for `set`.
@@ -337,21 +274,16 @@ impl<P: ReplacementPolicy> SetAssociativeCache<P> {
     fn meta_at(&self, slot: usize) -> LineMeta {
         LineMeta {
             line: self.tags[slot],
-            last_pc: self.last_pc[slot],
-            insert_pc: self.insert_pc[slot],
             inserted_at: self.inserted_at[slot],
             last_touch: self.last_touch[slot],
-            dirty: self.dirty[slot],
         }
     }
 
-    fn write_meta(&mut self, slot: usize, meta: LineMeta) {
-        self.tags[slot] = meta.line;
-        self.last_pc[slot] = meta.last_pc;
-        self.insert_pc[slot] = meta.insert_pc;
-        self.inserted_at[slot] = meta.inserted_at;
-        self.last_touch[slot] = meta.last_touch;
-        self.dirty[slot] = meta.dirty;
+    /// Fills `slot` with the accessed line, stamped with the access index.
+    fn fill(&mut self, slot: usize, ctx: &AccessContext) {
+        self.tags[slot] = ctx.line;
+        self.inserted_at[slot] = ctx.index;
+        self.last_touch[slot] = ctx.index;
     }
 
     /// Performs one access, consulting the replacement policy on misses.
@@ -372,25 +304,13 @@ impl<P: ReplacementPolicy> SetAssociativeCache<P> {
         debug_assert_ne!(ctx.line, INVALID_TAG, "accessed line collides with the invalid sentinel");
         let range = self.set_range(ctx.set);
         let ways = self.ways;
-        let is_store = matches!(ctx.kind, crate::access::AccessKind::Store);
 
-        // Hit path: probe the contiguous tag array only; metadata columns
-        // are touched after the match.
+        // Hit path: probe the contiguous tag array only; the recency stamp
+        // is touched after the match.
         let set_tags = &self.tags[range.clone()];
         if let Some(way) = set_tags.iter().position(|&tag| tag == ctx.line) {
-            let slot = range.start + way;
-            self.last_touch[slot] = ctx.index;
-            self.last_pc[slot] = ctx.pc;
-            self.dirty[slot] |= is_store;
-            let view = view_columns(
-                &self.tags,
-                &self.last_pc,
-                &self.insert_pc,
-                &self.inserted_at,
-                &self.last_touch,
-                &self.dirty,
-                range,
-            );
+            self.last_touch[range.start + way] = ctx.index;
+            let view = view_columns(&self.tags, &self.inserted_at, &self.last_touch, range);
             self.policy.on_hit(way, view, ctx);
             self.stats.record_hit(ctx.kind);
             return AccessOutcome { hit: true, way: Some(way), evicted: None, bypassed: false };
@@ -398,43 +318,16 @@ impl<P: ReplacementPolicy> SetAssociativeCache<P> {
 
         // Miss path: fill an invalid way if one exists.
         self.stats.record_miss(ctx.kind);
-        let fill = LineMeta {
-            line: ctx.line,
-            last_pc: ctx.pc,
-            insert_pc: ctx.pc,
-            inserted_at: ctx.index,
-            last_touch: ctx.index,
-            dirty: is_store,
-        };
         if let Some(way) = self.tags[range.clone()].iter().position(|&tag| tag == INVALID_TAG) {
-            self.write_meta(range.start + way, fill);
-            let view = view_columns(
-                &self.tags,
-                &self.last_pc,
-                &self.insert_pc,
-                &self.inserted_at,
-                &self.last_touch,
-                &self.dirty,
-                range,
-            );
+            self.fill(range.start + way, ctx);
+            let view = view_columns(&self.tags, &self.inserted_at, &self.last_touch, range);
             self.policy.on_fill(way, view, ctx);
             return AccessOutcome { hit: false, way: Some(way), evicted: None, bypassed: false };
         }
 
         // Full set: ask the policy.
-        let decision = {
-            let view = view_columns(
-                &self.tags,
-                &self.last_pc,
-                &self.insert_pc,
-                &self.inserted_at,
-                &self.last_touch,
-                &self.dirty,
-                range.clone(),
-            );
-            self.policy.choose_victim(view, ctx)
-        };
-        match decision {
+        let view = view_columns(&self.tags, &self.inserted_at, &self.last_touch, range.clone());
+        match self.policy.choose_victim(view, ctx) {
             Decision::Bypass => {
                 self.stats.bypasses += 1;
                 AccessOutcome { hit: false, way: None, evicted: None, bypassed: true }
@@ -442,18 +335,10 @@ impl<P: ReplacementPolicy> SetAssociativeCache<P> {
             Decision::Evict(way) => {
                 assert!(way < ways, "policy returned out-of-range way {way}");
                 let slot = range.start + way;
-                let evicted = self.meta_at(slot);
-                self.write_meta(slot, fill);
+                let evicted = self.tags[slot];
+                self.fill(slot, ctx);
                 self.stats.evictions += 1;
-                let view = view_columns(
-                    &self.tags,
-                    &self.last_pc,
-                    &self.insert_pc,
-                    &self.inserted_at,
-                    &self.last_touch,
-                    &self.dirty,
-                    range,
-                );
+                let view = view_columns(&self.tags, &self.inserted_at, &self.last_touch, range);
                 self.policy.on_fill(way, view, ctx);
                 AccessOutcome {
                     hit: false,
@@ -488,6 +373,7 @@ impl<P: ReplacementPolicy> SetAssociativeCache<P> {
 mod tests {
     use super::*;
     use crate::access::MemoryAccess;
+    use crate::addr::Pc;
     use crate::replacement::RecencyPolicy;
 
     fn lru_cache(sets_log2: u32, ways: usize) -> SetAssociativeCache<RecencyPolicy> {
@@ -516,8 +402,7 @@ mod tests {
         assert!(!go(&mut cache, 0x000, 0).hit);
         let out = go(&mut cache, 0x040, 1);
         assert!(!out.hit);
-        let evicted = out.evicted.expect("direct-mapped eviction");
-        assert_eq!(evicted.line, Address::new(0x000).line(6));
+        assert_eq!(out.evicted, Some(Address::new(0x000).line(6)), "direct-mapped eviction");
     }
 
     #[test]
@@ -532,21 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn store_marks_dirty() {
-        let mut cache = lru_cache(1, 2);
-        let a = MemoryAccess::store(Pc::new(1), Address::new(0x80), 0);
-        let set = cache.set_of(a.address);
-        cache.access(&AccessContext::demand(0, &a, set));
-        let line = a.address.line(6);
-        let view = cache.set_view(cache.set_of_line(line));
-        let meta = (0..view.len())
-            .filter_map(|w| view.meta(w))
-            .find(|m| m.line == line)
-            .expect("stored line resident");
-        assert!(meta.dirty);
-    }
-
-    #[test]
     fn contains_reflects_residency() {
         let mut cache = lru_cache(2, 2);
         let line = Address::new(0x1000).line(6);
@@ -557,14 +427,7 @@ mod tests {
 
     #[test]
     fn set_view_buf_round_trips_metas() {
-        let meta = LineMeta {
-            line: LineAddr::new(7),
-            last_pc: Pc::new(0x42),
-            insert_pc: Pc::new(0x43),
-            inserted_at: 5,
-            last_touch: 9,
-            dirty: true,
-        };
+        let meta = LineMeta { line: LineAddr::new(7), inserted_at: 5, last_touch: 9 };
         let buf = SetViewBuf::from_metas(&[None, Some(meta)]);
         let view = buf.view();
         assert!(!view.is_valid(0));

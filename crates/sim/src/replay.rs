@@ -14,13 +14,14 @@
 //! stream prefix `..i` through [`SetAssociativeCache::set_view`] and
 //! [`ReplacementPolicy::line_scores_into`] shows.
 //!
-//! The replay loop is allocation-free in steady state: line addresses are
-//! pre-split into `(LineAddr, SetId)` at construction, and the shadow cache
-//! and the resident-next-use table are flat arrays indexed by the oracle's
-//! dense line ids (no per-access hashing). [`LlcReplay::run_summary`]
-//! additionally skips record emission entirely for consumers (like the
-//! sweep engine) that only need the aggregate counters — see
-//! `docs/PERFORMANCE.md`.
+//! The replay loop is allocation-free in steady state and hashes nothing:
+//! each access's set is two shifts of its oracle line address, the shadow
+//! cache's residency is precomputed per access at construction, and the
+//! resident line's next use and pending-prefetch flag live per `(set, way)`
+//! slot in two arrays of `capacity_lines` entries, which stay cache-resident
+//! whatever the stream's footprint. [`LlcReplay::run_summary`] additionally
+//! skips record emission entirely for consumers (like the sweep engine)
+//! that only need the aggregate counters — see `docs/PERFORMANCE.md`.
 
 use serde::{Deserialize, Serialize};
 
@@ -310,9 +311,6 @@ pub struct LlcReplay {
     config: CacheConfig,
     stream: Vec<MemoryAccess>,
     oracle: ReuseOracle,
-    /// Pre-split set index of every access under `config` — computed once
-    /// at construction and shared by every policy replay.
-    sets: Vec<SetId>,
     /// Per-access shadow FA-LRU residency (`true` = the line was present in
     /// a fully-associative LRU cache of the same capacity when accessed).
     /// The shadow's evolution depends only on the stream and the geometry —
@@ -324,8 +322,7 @@ pub struct LlcReplay {
 
 impl LlcReplay {
     /// Prepares a replay of `stream` under the given LLC geometry, building
-    /// the reuse oracle (and the per-access `(LineAddr, SetId)` split)
-    /// internally.
+    /// the reuse oracle and the shadow residency internally.
     pub fn new(config: CacheConfig, stream: &[MemoryAccess]) -> Self {
         Self::from_stream(config, stream.to_vec())
     }
@@ -335,10 +332,9 @@ impl LlcReplay {
     /// full copy.
     pub fn from_stream(config: CacheConfig, stream: Vec<MemoryAccess>) -> Self {
         let oracle = ReuseOracle::from_accesses(&stream, config.line_size_log2);
-        let sets = (0..oracle.len()).map(|i| oracle.line(i).set(config.sets_log2)).collect();
         let mut shadow = ShadowFaLru::new(config.capacity_lines(), oracle.num_lines());
         let in_shadow = (0..oracle.len()).map(|i| shadow.touch(oracle.line_id(i))).collect();
-        LlcReplay { config, stream, oracle, sets, in_shadow }
+        LlcReplay { config, stream, oracle, in_shadow }
     }
 
     /// The reuse oracle for the prepared stream.
@@ -374,21 +370,17 @@ impl LlcReplay {
         let policy_name = policy.name().to_owned();
         let mut cache = SetAssociativeCache::new(self.config.clone(), policy);
         let n = self.stream.len();
-        let num_lines = self.oracle.num_lines();
         let ways = self.config.ways;
-        let line_bits = self.config.line_size_log2;
+        let (sets_log2, line_bits) = (self.config.sets_log2, self.config.line_size_log2);
 
-        // Next-use index of every currently-resident line (by dense line
-        // id), refreshed on access; NEVER doubles as "not resident".
-        let mut resident_next_use: Vec<u64> = vec![NEVER; num_lines as usize];
-        // Dense line id currently occupying each (set, way) slot, maintained
-        // on fills — turns an eviction outcome into a line id without a
-        // reverse map. Slots are only read after an eviction, which implies
-        // an earlier fill wrote them.
-        let mut way_line_id: Vec<u32> = vec![NIL; self.config.capacity_lines()];
-        // Streaming prefetch-usefulness state: whether each line holds a
-        // prefetch no demand access has consumed yet.
-        let mut pending: Vec<bool> = vec![false; num_lines as usize];
+        // Per `(set, way)` slot: the resident line's next-use index,
+        // restamped by every access that leaves the line there, and whether
+        // it holds a prefetch no demand access has consumed yet. The LLC
+        // replay never invalidates, so a slot read after an eviction or a
+        // hit holds the state its resident line's last access wrote.
+        let capacity = self.config.capacity_lines();
+        let mut slot_next_use: Vec<u64> = vec![NEVER; capacity];
+        let mut slot_pending: Vec<bool> = vec![false; capacity];
 
         let mut records = Vec::with_capacity(if EMIT { n } else { 0 });
         let mut wrong_evictions = 0;
@@ -401,24 +393,20 @@ impl LlcReplay {
         for (i, access) in self.stream.iter().enumerate() {
             let idx = i as u64;
             let line = self.oracle.line(i);
-            let lid = self.oracle.line_id(i) as usize;
-            let set = self.sets[i];
+            let set = line.set(sets_log2);
             let next_use = self.oracle.next_use(i);
-
-            // Miss classification uses the precomputed shadow residency
-            // (the shadow state before this access touched it).
-            let first_touch = self.oracle.is_first_touch(i);
-            let in_shadow = self.in_shadow[i];
 
             let ctx = AccessContext::with_oracle(idx, access.pc, line, set, access.kind, next_use);
             let outcome = cache.access(&ctx);
 
+            // Miss classification uses the precomputed shadow residency
+            // (the shadow state before this access touched it).
             let miss_type = if outcome.hit {
                 None
-            } else if first_touch {
+            } else if self.oracle.is_first_touch(i) {
                 compulsory_misses += 1;
                 Some(MissType::Compulsory)
-            } else if in_shadow {
+            } else if self.in_shadow[i] {
                 conflict_misses += 1;
                 Some(MissType::Conflict)
             } else {
@@ -426,33 +414,38 @@ impl LlcReplay {
                 Some(MissType::Capacity)
             };
 
-            // Eviction bookkeeping against the oracle.
+            // Slot bookkeeping against the oracle; a bypass touches no slot.
             let mut evicted_address = None;
             let mut evicted_reuse_distance = None;
-            let mut evicted_id = NIL;
-            if let Some(evicted) = &outcome.evicted {
-                let way = outcome.way.expect("an eviction implies a fill way");
-                evicted_id = way_line_id[set.index() * ways + way];
-                if EMIT {
-                    evicted_address = Some(evicted.line.base_address(line_bits));
-                }
-                let ev_next = resident_next_use[evicted_id as usize];
-                resident_next_use[evicted_id as usize] = NEVER;
-                if ev_next != NEVER {
-                    let dist = ev_next - idx;
-                    evicted_reuse_distance = Some(dist);
-                    // "Wrong" eviction: the victim was needed sooner than
-                    // the line we inserted.
-                    if ev_next < next_use {
-                        wrong_evictions += 1;
+            if let Some(way) = outcome.way {
+                let slot = set.index() * ways + way;
+                if let Some(victim) = outcome.evicted {
+                    if EMIT {
+                        evicted_address = Some(victim.base_address(line_bits));
+                    }
+                    // The victim's next use, read before the fill overwrites it.
+                    let ev_next = slot_next_use[slot];
+                    if ev_next != NEVER {
+                        evicted_reuse_distance = Some(ev_next - idx);
+                        // "Wrong" eviction: the victim was needed sooner than
+                        // the line we inserted.
+                        if ev_next < next_use {
+                            wrong_evictions += 1;
+                        }
                     }
                 }
-            }
-            if !outcome.bypassed {
-                if let Some(way) = outcome.way {
-                    way_line_id[set.index() * ways + way] = lid as u32;
+                slot_next_use[slot] = next_use;
+                // Prefetch usefulness: a fill marks the slot pending iff it
+                // is a prefetch; a demand hit consumes a pending slot; a
+                // prefetch hit leaves the flag alone.
+                if !outcome.hit {
+                    let prefetch = access.kind == AccessKind::Prefetch;
+                    prefetch_fills += u64::from(prefetch);
+                    slot_pending[slot] = prefetch;
+                } else if access.kind != AccessKind::Prefetch && slot_pending[slot] {
+                    useful_prefetches += 1;
+                    slot_pending[slot] = false;
                 }
-                resident_next_use[lid] = next_use;
             }
 
             if EMIT {
@@ -470,24 +463,6 @@ impl LlcReplay {
                     recency: self.oracle.recency(i),
                     bypassed: outcome.bypassed,
                 });
-            }
-
-            // Prefetch usefulness: the eviction clears its pending line,
-            // then the access either fills (prefetch miss), consumes
-            // (demand hit on pending) or clears (other demand) its line.
-            if evicted_id != NIL {
-                pending[evicted_id as usize] = false;
-            }
-            if access.kind == AccessKind::Prefetch {
-                if !outcome.hit && !outcome.bypassed {
-                    prefetch_fills += 1;
-                    pending[lid] = true;
-                }
-            } else if outcome.hit && pending[lid] {
-                useful_prefetches += 1;
-                pending[lid] = false;
-            } else {
-                pending[lid] = false;
             }
         }
 

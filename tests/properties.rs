@@ -327,26 +327,16 @@ impl ReferenceCache {
     /// SoA cache's [`AccessOutcome`] carries.
     fn access(&mut self, ctx: &AccessContext) -> (bool, Option<usize>, Option<LineMeta>, bool) {
         let si = ctx.set.index();
-        let is_store = matches!(ctx.kind, AccessKind::Store);
         if let Some(way) =
             self.sets[si].iter().position(|m| m.as_ref().is_some_and(|m| m.line == ctx.line))
         {
             let meta = self.sets[si][way].as_mut().expect("matched way is occupied");
             meta.last_touch = ctx.index;
-            meta.last_pc = ctx.pc;
-            meta.dirty |= is_store;
             let buf = SetViewBuf::from_metas(&self.sets[si]);
             self.policy.on_hit(way, buf.view(), ctx);
             return (true, Some(way), None, false);
         }
-        let fill = LineMeta {
-            line: ctx.line,
-            last_pc: ctx.pc,
-            insert_pc: ctx.pc,
-            inserted_at: ctx.index,
-            last_touch: ctx.index,
-            dirty: is_store,
-        };
+        let fill = LineMeta { line: ctx.line, inserted_at: ctx.index, last_touch: ctx.index };
         if let Some(way) = self.sets[si].iter().position(|m| m.is_none()) {
             self.sets[si][way] = Some(fill);
             let buf = SetViewBuf::from_metas(&self.sets[si]);
@@ -413,7 +403,9 @@ proptest! {
                 let (hit, way, evicted, bypassed) = reference.access(&ctx);
                 prop_assert_eq!(out.hit, hit, "{} hit diverged at {}", name, i);
                 prop_assert_eq!(out.way, way, "{} way diverged at {}", name, i);
-                prop_assert_eq!(out.evicted, evicted, "{} eviction diverged at {}", name, i);
+                prop_assert_eq!(
+                    out.evicted, evicted.map(|m| m.line), "{} eviction diverged at {}", name, i
+                );
                 prop_assert_eq!(out.bypassed, bypassed, "{} bypass diverged at {}", name, i);
             }
         }
@@ -652,7 +644,7 @@ fn reference_hierarchy(
         let out = reference_level(&mut llc, index, access);
         useful += u64::from(out.hit && was_pending);
         if let Some(evicted) = out.evicted {
-            pending.remove(&evicted.line.value());
+            pending.remove(&evicted.value());
         }
     }
     let stats = [*l1i.stats(), *l1d.stats(), *l2.stats(), *llc.stats()];
