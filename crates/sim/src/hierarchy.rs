@@ -49,8 +49,8 @@ struct FilterOutcome {
 ///
 /// The filter replays every workload access through L1/L2 (and the LLC for
 /// the baseline counters) under plain LRU, and only ever reads the
-/// hit/miss counters and the evicted line address — never per-line PCs,
-/// insertion indices, dirty bits or way numbers. This lean twin of
+/// hit/miss counters and the evicted line address — never recency or
+/// insertion stamps or way numbers. This lean twin of
 /// [`crate::cache::SetAssociativeCache`] therefore keeps just each set's
 /// valid tags, in recency order, most recent first:
 ///

@@ -15,11 +15,11 @@
 //! [`ReplacementPolicy::line_scores_into`] shows.
 //!
 //! The replay loop is allocation-free in steady state and hashes nothing:
-//! each access's set is two shifts of its oracle line address, the shadow
+//! each access's set is the low bits of its oracle line address, the shadow
 //! cache's residency is precomputed per access at construction, and the
 //! resident line's next use and pending-prefetch flag live per `(set, way)`
-//! slot in two arrays of `capacity_lines` entries, which stay cache-resident
-//! whatever the stream's footprint. [`LlcReplay::run_summary`] additionally
+//! slot in two arrays of `capacity_lines` entries, sized by the cache
+//! rather than by the stream's footprint. [`LlcReplay::run_summary`] additionally
 //! skips record emission entirely for consumers (like the sweep engine)
 //! that only need the aggregate counters — see `docs/PERFORMANCE.md`.
 

@@ -216,7 +216,7 @@ pub fn prepare_scenario(
 /// One prepared `(stream, machine, prefetcher)` triple — the output of
 /// stage 1. The [`PreparedScenario`] sits behind an [`Arc`] so every
 /// `(triple, policy)` cell of stage 2 shares the one prepared replay
-/// (stream copy, reuse oracle, pre-split sets) instead of re-preparing it.
+/// (stream copy, reuse oracle, shadow residency) instead of re-preparing it.
 struct PreparedTriple {
     stream: usize,
     machine: usize,
